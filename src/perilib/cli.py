@@ -234,18 +234,23 @@ def _ints(text, n=None):
 
 
 def cmd_portrait(cfg, out_dir, seed, eps=None):
-    eps = float(cfg.raw["portrait"]["eps"]) if eps is None else eps
-    grid_n = int(cfg.raw["portrait"]["grid"])
-    levels = int(cfg.raw["portrait"]["levels"])
     Lam = cfg.Lambda
-    lines = phase_portrait(eps, Lam, grid=(grid_n, grid_n), levels=levels)
+    # portraits raises ValueError for inputs outside its domain (eps <= 0,
+    # eps at 1/2 or 1, grid below 64); nothing is written for them
+    try:
+        eps = float(cfg.raw["portrait"]["eps"]) if eps is None else eps
+        grid_n = int(cfg.raw["portrait"]["grid"])
+        levels = int(cfg.raw["portrait"]["levels"])
+        lines = phase_portrait(eps, Lam, grid=(grid_n, grid_n), levels=levels)
+        eqs = find_equilibria(eps, Lam)
+    except ValueError as exc:
+        raise ConfigError("portrait: %s" % exc) from exc
     rows = ["# seed,%d" % seed, "level,g,G"]
     for lv, line in lines:
         for g, G in line:
             rows.append("%.17g,%.17g,%.17g" % (lv, g, G))
         rows.append("# polyline,%.17g" % lv)
     _atomic_write(os.path.join(out_dir, "portrait.csv"), "\n".join(rows) + "\n")
-    eqs = find_equilibria(eps, Lam)
     payload = {
         "eps": eps,
         "Lambda": Lam,

@@ -7,6 +7,7 @@ critical points and contour topology reproduce the three regimes
 G-axis pair / rotational motions).
 """
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,31 +30,71 @@ class EquilibriumReport:
 
 
 def _grad_e(eps, Lambda, G, g):
+    """(d/dG, d/dg) of e_hat; G and g may be arrays of equal shape."""
     u = G / Lambda
-    root = np.sqrt(max(1e-14, 1.0 - u * u))
+    root = np.sqrt(np.maximum(1e-14, 1.0 - u * u))
     dG = -u * np.cos(g) / (Lambda * root) + 2 * eps * u / Lambda
     dg = -root * np.sin(g)
-    return np.array([dG, dg])
+    return dG, dg
 
 
 def _hess_e(eps, Lambda, G, g):
+    """Hessian entries (GG, Gg, gg) of e_hat; G and g may be arrays."""
     u = G / Lambda
-    om = max(1e-14, 1.0 - u * u)
+    om = np.maximum(1e-14, 1.0 - u * u)
     root = np.sqrt(om)
     dGG = (-np.cos(g) / root - u * u * np.cos(g) / om**1.5 + 2 * eps) / Lambda**2
     dGg = u * np.sin(g) / (Lambda * root)
     dgg = -root * np.cos(g)
-    return np.array([[dGG, dGg], [dGg, dgg]])
+    return dGG, dGg, dgg
 
 
 def _classify(eps, Lambda, G, g):
-    H = _hess_e(eps, Lambda, G, g)
-    det = float(np.linalg.det(H))
+    hGG, hGg, hgg = _hess_e(eps, Lambda, G, g)
+    det = float(hGG * hgg - hGg * hGg)
     if det > 0:
         lam = np.sqrt(det)
         return "center", (complex(0.0, lam), complex(0.0, -lam))
     lam = np.sqrt(-det)
     return "saddle", (complex(lam, 0.0), complex(-lam, 0.0))
+
+
+def _newton_sweep(eps, Lambda, G, g, newton_steps, tol):
+    """Newton's method for grad e_hat = 0 from every start (G[k], g[k]) at once.
+
+    Each start follows its own scalar Newton run: it converges when the
+    gradient norm drops below tol within newton_steps iterations, and it is
+    dropped when its Hessian is exactly singular or an iterate leaves
+    |G| <= Lambda (1 - 1e-9).  Steps longer than Lambda / 2 are shortened to
+    that length and g is wrapped into (-pi, pi] after each step.  Returns
+    (converged mask, G, g), the last two holding the converged points.
+    """
+    Gmax = Lambda * (1 - 1e-9)
+    ok = np.zeros(G.shape, dtype=bool)
+    G_out, g_out = G.copy(), g.copy()
+    live = np.arange(G.size)
+    for _ in range(newton_steps):
+        dG, dg = _grad_e(eps, Lambda, G, g)
+        done = np.sqrt(dG * dG + dg * dg) < tol
+        ok[live[done]] = True
+        G_out[live[done]] = G[done]
+        g_out[live[done]] = g[done]
+        hGG, hGg, hgg = _hess_e(eps, Lambda, G, g)
+        det = hGG * hgg - hGg * hGg
+        keep = ~done & (det != 0)
+        live, G, g, dG, dg = live[keep], G[keep], g[keep], dG[keep], dg[keep]
+        hGG, hGg, hgg, det = hGG[keep], hGg[keep], hgg[keep], det[keep]
+        # closed-form solve of the 2 x 2 system H step = grad
+        sG = (hgg * dG - hGg * dg) / det
+        sg = (hGG * dg - hGg * dG) / det
+        norm = np.sqrt(sG * sG + sg * sg)
+        cap = norm > 0.5 * Lambda
+        sG = np.where(cap, sG * (0.5 * Lambda / norm), sG)
+        sg = np.where(cap, sg * (0.5 * Lambda / norm), sg)
+        G, g = G - sG, g - sg
+        inside = np.abs(G) <= Gmax
+        live, G, g = live[inside], G[inside], np.angle(np.exp(1j * g[inside]))
+    return ok, G_out, g_out
 
 
 def find_equilibria(eps, Lambda=1.0, grid_n=48, newton_steps=60, tol=1e-12):
@@ -66,89 +107,65 @@ def find_equilibria(eps, Lambda=1.0, grid_n=48, newton_steps=60, tol=1e-12):
         raise ValueError("eps must be positive")
     if abs(eps - 0.5) < 1e-9 or abs(eps - 1.0) < 1e-9:
         raise ValueError("eps at a transition value (1/2 or 1)")
+    # starts in (g0, G0) order: the first start reaching an equilibrium
+    # supplies its reported location
+    g0 = np.linspace(-np.pi, np.pi, grid_n, endpoint=False)
+    G0 = np.linspace(-0.98 * Lambda, 0.98 * Lambda, grid_n)
+    g0, G0 = (a.ravel() for a in np.meshgrid(g0, G0, indexing="ij"))
+    ok, G, g = _newton_sweep(eps, Lambda, G0, g0, newton_steps, tol)
+    G, g = G[ok], np.angle(np.exp(1j * g[ok]))
+    keep = np.abs(G) <= 0.999 * Lambda
+    G, g = G[keep], g[keep]
     found = []
-    Gmax = Lambda * (1 - 1e-9)
-    for g0 in np.linspace(-np.pi, np.pi, grid_n, endpoint=False):
-        for G0 in np.linspace(-0.98 * Lambda, 0.98 * Lambda, grid_n):
-            z = np.array([G0, g0])
-            ok = False
-            for _ in range(newton_steps):
-                grad = _grad_e(eps, Lambda, z[0], z[1])
-                if np.linalg.norm(grad) < tol:
-                    ok = True
-                    break
-                H = _hess_e(eps, Lambda, z[0], z[1])
-                try:
-                    step = np.linalg.solve(H, grad)
-                except np.linalg.LinAlgError:
-                    break
-                if np.linalg.norm(step) > 0.5 * Lambda:
-                    step *= 0.5 * Lambda / np.linalg.norm(step)
-                z = z - step
-                if abs(z[0]) > Gmax:
-                    break
-                z[1] = np.angle(np.exp(1j * z[1]))
-            if not ok:
-                continue
-            G, g = float(z[0]), float(np.angle(np.exp(1j * z[1])))
-            if abs(G) > 0.999 * Lambda:
-                continue
-            if any(
-                abs(G - e.location[1]) < 1e-6
-                and abs(np.angle(np.exp(1j * (g - e.location[0])))) < 1e-6
-                for e in found
-            ):
-                continue
-            kind, eig = _classify(eps, Lambda, G, g)
-            # canonicalize tiny numerical offsets at the symmetric points
-            if abs(G) < 1e-9:
-                G = 0.0
-            if abs(g) < 1e-9:
-                g = 0.0
-            if abs(abs(g) - np.pi) < 1e-9:
-                g = np.pi
-            found.append(EquilibriumReport((g, G), kind, eig))
+    while G.size:
+        Gk, gk = float(G[0]), float(g[0])
+        kind, eig = _classify(eps, Lambda, Gk, gk)
+        # canonicalize tiny numerical offsets at the symmetric points
+        if abs(Gk) < 1e-9:
+            Gk = 0.0
+        if abs(gk) < 1e-9:
+            gk = 0.0
+        if abs(abs(gk) - np.pi) < 1e-9:
+            gk = np.pi
+        found.append(EquilibriumReport((gk, Gk), kind, eig))
+        # drop the later starts that reached the same point
+        same = (np.abs(G - Gk) < 1e-6) & (
+            np.abs(np.angle(np.exp(1j * (g - gk)))) < 1e-6
+        )
+        G, g = G[~same], g[~same]
     found.sort(key=lambda e: (round(e.location[0], 9), round(e.location[1], 9)))
     return found
 
 
 # ------------------------ marching squares ------------------------
 
-_EDGES = {  # case index -> list of (edge_a, edge_b) segments
-    1: [(3, 0)], 2: [(0, 1)], 3: [(3, 1)], 4: [(1, 2)],
-    6: [(0, 2)], 7: [(3, 2)], 8: [(2, 3)], 9: [(2, 0)],
-    11: [(2, 1)], 12: [(1, 3)], 13: [(1, 0)], 14: [(0, 3)],
-}
-# ambiguous saddle cases, resolved by the cell-center value: key -> (edge
-# pairs when center >= level, pairs when center < level)
-_AMBIG = {
-    5: (((0, 1), (2, 3)), ((3, 0), (1, 2))),
-    10: (((3, 0), (1, 2)), ((0, 1), (2, 3))),
-}
-
-
-def _edge_key_point(edge, i, j, xg, yg, Z, level):
-    """Crossing of the contour with one cell edge.
-
-    Returns (discrete edge id, interpolated point).  Edge ids name the grid
-    edge itself ('v': along a vertical line x = xg[i]; 'h': along a
-    horizontal line y = yg[j]), so neighboring cells agree on them exactly.
-    """
-    if edge == 0:  # x = xg[i], y in [yg[j], yg[j+1]]
-        a, b = Z[i, j], Z[i, j + 1]
-        w = (level - a) / (b - a)
-        return ("v", i, j), (xg[i], yg[j] + w * (yg[j + 1] - yg[j]))
-    if edge == 2:  # x = xg[i+1]
-        a, b = Z[i + 1, j], Z[i + 1, j + 1]
-        w = (level - a) / (b - a)
-        return ("v", i + 1, j), (xg[i + 1], yg[j] + w * (yg[j + 1] - yg[j]))
-    if edge == 3:  # y = yg[j]
-        a, b = Z[i, j], Z[i + 1, j]
-        w = (level - a) / (b - a)
-        return ("h", i, j), (xg[i] + w * (xg[i + 1] - xg[i]), yg[j])
-    a, b = Z[i, j + 1], Z[i + 1, j + 1]  # y = yg[j+1]
-    w = (level - a) / (b - a)
-    return ("h", i, j + 1), (xg[i] + w * (xg[i + 1] - xg[i]), yg[j + 1])
+# Edges of cell (i, j): 0 is x = xg[i], 1 is y = yg[j+1], 2 is x = xg[i+1],
+# 3 is y = yg[j].  Each row holds up to two (edge_a, edge_b) segments.  Rows
+# 0-15 are the case indices; rows 16-19 resolve the ambiguous saddle cases
+# 5 and 10 by the cell-center value.
+_PAD = (-1, -1)
+_SEGMENTS = (
+    (_PAD, _PAD),  # 0
+    ((3, 0), _PAD),  # 1
+    ((0, 1), _PAD),  # 2
+    ((3, 1), _PAD),  # 3
+    ((1, 2), _PAD),  # 4
+    (_PAD, _PAD),  # 5: see rows 16 and 17
+    ((0, 2), _PAD),  # 6
+    ((3, 2), _PAD),  # 7
+    ((2, 3), _PAD),  # 8
+    ((2, 0), _PAD),  # 9
+    (_PAD, _PAD),  # 10: see rows 18 and 19
+    ((2, 1), _PAD),  # 11
+    ((1, 3), _PAD),  # 12
+    ((1, 0), _PAD),  # 13
+    ((0, 3), _PAD),  # 14
+    (_PAD, _PAD),  # 15
+    ((0, 1), (2, 3)),  # 16: case 5, center >= level
+    ((3, 0), (1, 2)),  # 17: case 5, center < level
+    ((3, 0), (1, 2)),  # 18: case 10, center >= level
+    ((0, 1), (2, 3)),  # 19: case 10, center < level
+)
 
 
 def marching_squares(xg, yg, Z, level):
@@ -156,39 +173,51 @@ def marching_squares(xg, yg, Z, level):
 
     Z is indexed Z[i, j] = Z(xg[i], yg[j]).  Returns a list of segments
     ((key_a, point_a), (key_b, point_b)) with linear interpolation along
-    cell edges; the keys identify grid edges for exact chaining.
+    cell edges; the keys identify grid edges for exact chaining.  A key is
+    ('v', i, j) for the edge x = xg[i], yg[j] <= y <= yg[j+1], or
+    ('h', i, j) for the edge y = yg[j], xg[i] <= x <= xg[i+1], so
+    neighboring cells agree on it exactly.
+
+    Segment order is part of the contract: cells come in row-major (i, j)
+    order and a saddle cell gives its two segments in table order.
+    chain_segments starts its polylines in this order, so the order fixes
+    the polylines and the bytes of the portrait CSV.
     """
-    segs = []
+    xg, yg = np.asarray(xg), np.asarray(yg)
     # nudge node values lying exactly on the level: keeps every crossing in
     # the open interior of its edge (an O(1e-13) perturbation of the set)
     scale = max(abs(level), float(np.ptp(Z)), 1.0)
     Z = np.where(Z == level, level + 1e-13 * scale, Z)
     above = Z >= level
-    for i in range(len(xg) - 1):
-        for j in range(len(yg) - 1):
-            case = (
-                1 * above[i, j]
-                + 2 * above[i, j + 1]
-                + 4 * above[i + 1, j + 1]
-                + 8 * above[i + 1, j]
-            )
-            if case in (0, 15):
-                continue
-            if case in _AMBIG:
-                center = 0.25 * (
-                    Z[i, j] + Z[i, j + 1] + Z[i + 1, j] + Z[i + 1, j + 1]
-                )
-                edges = _AMBIG[case][0 if center >= level else 1]
-            else:
-                edges = _EDGES[case]
-            for ea, eb in edges:
-                segs.append(
-                    (
-                        _edge_key_point(ea, i, j, xg, yg, Z, level),
-                        _edge_key_point(eb, i, j, xg, yg, Z, level),
-                    )
-                )
-    return segs
+    case = (
+        1 * above[:-1, :-1]
+        + 2 * above[:-1, 1:]
+        + 4 * above[1:, 1:]
+        + 8 * above[1:, :-1]
+    )
+    ci, cj = np.nonzero((case != 0) & (case != 15))
+    row = case[ci, cj]
+    saddle = (row == 5) | (row == 10)
+    si, sj = ci[saddle], cj[saddle]
+    center = 0.25 * (Z[si, sj] + Z[si, sj + 1] + Z[si + 1, sj] + Z[si + 1, sj + 1])
+    row[saddle] = np.where(row[saddle] == 5, 16, 18) + (center < level)
+    pairs = np.array(_SEGMENTS)[row]
+    present = pairs[:, :, 0] >= 0
+    # one entry per segment end: segments in order, ends a and b adjacent
+    edge = pairs[present].ravel()
+    i = np.repeat(ci, 2 * present.sum(axis=1))
+    j = np.repeat(cj, 2 * present.sum(axis=1))
+    vert = edge % 2 == 0
+    ki, kj = i + (edge == 2), j + (edge == 1)  # first node of the edge
+    li, lj = ki + ~vert, kj + vert  # second node
+    a = Z[ki, kj]
+    w = (level - a) / (Z[li, lj] - a)
+    x0, y0 = xg[ki], yg[kj]
+    x = np.where(vert, x0, x0 + w * (xg[li] - x0))
+    y = np.where(vert, y0 + w * (yg[lj] - y0), y0)
+    keys = zip(np.where(vert, "v", "h").tolist(), ki.tolist(), kj.tolist())
+    ends = list(zip(keys, zip(x.tolist(), y.tolist())))
+    return list(zip(ends[0::2], ends[1::2]))
 
 
 def chain_segments(segs):
@@ -197,15 +226,15 @@ def chain_segments(segs):
     for idx, ((ka, _), (kb, _)) in enumerate(segs):
         by_end.setdefault(ka, []).append(idx)
         by_end.setdefault(kb, []).append(idx)
-    used = np.zeros(len(segs), dtype=bool)
+    used = [False] * len(segs)
     polylines = []
     for start in range(len(segs)):
         if used[start]:
             continue
         used[start] = True
         (ka, pa), (kb, pb) = segs[start]
-        keys = [ka, kb]
-        line = [pa, pb]
+        keys = deque([ka, kb])
+        line = deque([pa, pb])
         for tip_pos in (1, 0):
             while True:
                 tip = keys[-1] if tip_pos else keys[0]
@@ -220,8 +249,9 @@ def chain_segments(segs):
                     keys.append(nk)
                     line.append(nq)
                 else:
-                    keys.insert(0, nk)
-                    line.insert(0, nq)
+                    keys.appendleft(nk)
+                    line.appendleft(nq)
+        line = list(line)
         # closed loop: the two tips sit on the same grid edge
         if len(keys) > 2 and keys[0] == keys[-1]:
             line[-1] = line[0]

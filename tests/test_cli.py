@@ -74,6 +74,24 @@ class TestPortrait:
         eq = json.loads((out / "equilibria.json").read_text())
         assert sum(e["kind"] == "saddle" for e in eq["equilibria"]) == 1
 
+    def test_transition_eps_is_config_error(self, tmp_path, capsys):
+        code, out = run(tmp_path, "portrait", "--eps=0.5")
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_negative_eps_is_config_error(self, tmp_path, capsys):
+        code, out = run(tmp_path, "portrait", "--eps=-0.2")
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_coarse_grid_is_config_error(self, tmp_path, capsys):
+        code, out = run(tmp_path, "--set", "portrait.grid=32", "portrait")
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        assert capsys.readouterr().err.count("\n") == 1
+
 
 class TestVerifyRenorm:
     def test_report(self, tmp_path):
