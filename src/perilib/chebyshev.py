@@ -3,7 +3,11 @@ Clenshaw evaluation and Clenshaw-Curtis quadrature.
 
 All grids are Chebyshev-Gauss-Lobatto points stored in increasing order.
 Transforms are DCT-I based and exact for polynomials up to the grid degree.
+Fixed linear maps (resampling, differentiation) are built from them once per
+size and then applied as small read-only matrices.
 """
+
+import functools
 
 import numpy as np
 from scipy.fft import dct
@@ -47,16 +51,23 @@ def coeffs_to_vals(c, axis):
     return np.flip(0.5 * dct(cc, type=1, axis=axis), axis=axis)
 
 
+def _frozen(a):
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=128)
 def diff_matrix(n, lo, hi):
-    """Spectral differentiation matrix on increasing Lobatto nodes over [lo, hi]."""
+    """Spectral differentiation matrix on increasing Lobatto nodes over [lo, hi]
+    (cached and read-only)."""
     if n == 1:
-        return np.zeros((1, 1))
+        return _frozen(np.zeros((1, 1)))
     x = np.cos(np.pi * np.arange(n) / (n - 1))
     c = np.hstack([2.0, np.ones(n - 2), 2.0]) * (-1.0) ** np.arange(n)
     X = np.tile(x, (n, 1)).T
     D = np.outer(c, 1 / c) / (X - X.T + np.eye(n))
     D -= np.diag(D.sum(axis=1))
-    return D[::-1, ::-1] * (2.0 / (hi - lo))
+    return _frozen(D[::-1, ::-1] * (2.0 / (hi - lo)))
 
 
 def differentiate(v, axis, lo, hi):
@@ -107,37 +118,37 @@ def clenshaw_curtis(n, lo, hi):
     return lo + (hi - lo) * (x + 1) / 2, w * (hi - lo) / 2
 
 
-def refine(v, factor=1.5):
-    """Resample grid values onto a finer Lobatto grid (coefficient padding)."""
-    out = v
-    for ax in range(v.ndim):
-        n = out.shape[ax]
-        if n == 1:
-            continue
-        m = int(np.ceil(factor * n))
-        c = vals_to_coeffs(out, ax)
-        pad = list(c.shape)
-        pad[ax] = m - n
-        c = np.concatenate([c, np.zeros(pad, dtype=c.dtype)], axis=ax)
-        out = coeffs_to_vals(c, ax)
-    return out
+@functools.lru_cache(maxsize=None)
+def resample_matrix(n, m):
+    """(m, n) matrix taking values on n Lobatto nodes to values on m nodes:
+    Chebyshev coefficients zero-padded (m > n) or truncated (m < n).  Cached
+    and read-only."""
+    c = vals_to_coeffs(np.eye(n), 0)[:m]
+    return _frozen(coeffs_to_vals(np.pad(c, ((0, m - len(c)), (0, 0))), 0))
+
+
+def _resample(v, shape):
+    """Resample the last len(shape) axes of v to the sizes in shape; leading
+    (stack) axes pass through.  Each step contracts the first grid axis and
+    appends the result last, so a full turn restores the axis order."""
+    lead = v.ndim - len(shape)
+    for m in shape:
+        n = v.shape[lead]
+        if m == n:
+            v = np.moveaxis(v, lead, -1)
+        else:
+            v = np.tensordot(v, resample_matrix(n, m), axes=([lead], [1]))
+    return v
+
+
+def refine(v, factor=1.5, lead=0):
+    """Resample grid values onto a finer Lobatto grid (coefficient padding);
+    the first `lead` axes are a stack, and axes of length 1 stay as they are."""
+    v = np.asarray(v)
+    return _resample(v, [n if n == 1 else int(np.ceil(factor * n)) for n in v.shape[lead:]])
 
 
 def coarsen(v, shape):
-    """Project grid values back onto a coarser Lobatto grid by truncation."""
-    out = v
-    for ax in range(v.ndim):
-        if out.shape[ax] == shape[ax]:
-            continue
-        c = vals_to_coeffs(out, ax)
-        sl = [slice(None)] * out.ndim
-        sl[ax] = slice(0, shape[ax])
-        out = coeffs_to_vals(c[tuple(sl)], ax)
-    return out
-
-
-def dealiased_product(a, b):
-    """Pointwise product with 3/2-rule de-aliasing on every grid axis."""
-    if a.shape != b.shape:
-        raise ValueError("incompatible grid shapes %r vs %r" % (a.shape, b.shape))
-    return coarsen(refine(a) * refine(b), a.shape)
+    """Project grid values back onto a coarser Lobatto grid by truncation;
+    axes of v before the last len(shape) are a stack."""
+    return _resample(np.asarray(v), tuple(shape))

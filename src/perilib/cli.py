@@ -29,7 +29,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .kepler import KeplerError
 from .normalform import (
     ContractionError,
     NormalFormResult,
+    NormalFormStep,
     build_secular_perturbation,
     normal_form_steps,
     series_to_dict,
@@ -416,18 +417,8 @@ def cmd_normalform(cfg, out_dir, seed, N=None):
         result = NormalFormResult(series.shell(), series, [])
     else:
         result = normal_form_steps(series, freqs, N)
-    table = [
-        {
-            "step": s.step,
-            "f_norm": s.f_norm,
-            "osc_norm": s.osc_norm,
-            "residual": s.residual,
-            "contraction": s.contraction,
-        }
-        for s in result.steps
-    ] or [{"step": 0, "f_norm": tf_norm(series),
-           "osc_norm": tf_norm(tf_average_split(series)[1]),
-           "residual": 0.0, "contraction": 0.0}]
+    table = [asdict(s) for s in result.steps] or [asdict(NormalFormStep(
+        0, tf_norm(series), tf_norm(tf_average_split(series)[1]), 0.0, 0.0))]
     _write_json(
         os.path.join(out_dir, "normalform_norms.json"),
         {"steps": N, "table": table},

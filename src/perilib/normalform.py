@@ -293,36 +293,43 @@ def d_I(f, i=0):
     return d_grid(f, i)
 
 
-def d_y(f):
-    return d_grid(f, f.n_angles)
-
-
 def d_x(f):
     return d_grid(f, f.n_angles + 1)
 
 
-def d_p(f, i=0):
-    out = f.shell()
-    for (k, h, j), arr in f.coeffs.items():
-        if h[i] > 0:
-            h2 = tuple(hv - (1 if idx == i else 0) for idx, hv in enumerate(h))
-            key2 = (k, h2, j)
-            prev = out.coeffs.get(key2)
-            term = h[i] * arr
-            out.coeffs[key2] = term if prev is None else prev + term
-    return out
-
-
-def d_q(f, i=0):
-    out = f.shell()
-    for (k, h, j), arr in f.coeffs.items():
-        if j[i] > 0:
-            j2 = tuple(jv - (1 if idx == i else 0) for idx, jv in enumerate(j))
-            key2 = (k, h, j2)
-            prev = out.coeffs.get(key2)
-            term = j[i] * arr
-            out.coeffs[key2] = term if prev is None else prev + term
-    return out
+def _accumulate(terms, f, g, fourier_cutoff, pq_degree):
+    """Sum over terms (sign, (keys_a, fine_a), (keys_b, fine_b)) of the
+    mode-convolution products sign * a * b of pieces of f and g: exact key
+    arithmetic, truncation at the requested cutoffs (defaults: the operands'
+    max), multiplication on the fine grid and one projection of the stacked
+    accumulator back to the grid."""
+    K = fourier_cutoff if fourier_cutoff is not None else max(
+        f.fourier_cutoff, g.fourier_cutoff
+    )
+    P = pq_degree if pq_degree is not None else max(f.pq_degree, g.pq_degree)
+    acc = {}
+    for sign, (keys_a, fine_a), (keys_b, fine_b) in terms:
+        for a, (k1, h1, j1) in enumerate(keys_a):
+            for b, (k2, h2, j2) in enumerate(keys_b):
+                k = tuple(x + y for x, y in zip(k1, k2))
+                if any(abs(ki) > K for ki in k):
+                    continue
+                h = tuple(x + y for x, y in zip(h1, h2))
+                j = tuple(x + y for x, y in zip(j1, j2))
+                if sum(h) + sum(j) > P:
+                    continue
+                key = (k, h, j)
+                prod = fine_a[a] * fine_b[b]
+                if key not in acc:
+                    acc[key] = prod if sign > 0 else -prod
+                elif sign > 0:
+                    acc[key] += prod
+                else:
+                    acc[key] -= prod
+    out = TFSeries(f.n_angles, f.m_pq, K, P, f.box, f.grid_shape)
+    if acc:
+        out.coeffs = dict(zip(acc, ch.coarsen(np.stack(list(acc.values())), f.grid_shape)))
+    return out.prune()
 
 
 def tf_product(f, g, fourier_cutoff=None, pq_degree=None):
@@ -330,33 +337,65 @@ def tf_product(f, g, fourier_cutoff=None, pq_degree=None):
     truncated back to the requested cutoffs (defaults: the operands' max)."""
     if not f.same_shape(g):
         raise ShapeError("multiplying incompatible series")
-    K = fourier_cutoff if fourier_cutoff is not None else max(
-        f.fourier_cutoff, g.fourier_cutoff
-    )
-    P = pq_degree if pq_degree is not None else max(f.pq_degree, g.pq_degree)
-    # refine every coefficient once, multiply on the fine grid, project once
-    fine_f = {k: ch.refine(v) for k, v in f.coeffs.items()}
-    fine_g = {k: ch.refine(v) for k, v in g.coeffs.items()}
-    acc = {}
-    for (k1, h1, j1), a in fine_f.items():
-        for (k2, h2, j2), b in fine_g.items():
-            k = tuple(x + y for x, y in zip(k1, k2))
-            if any(abs(ki) > K for ki in k):
-                continue
-            h = tuple(x + y for x, y in zip(h1, h2))
-            j = tuple(x + y for x, y in zip(j1, j2))
-            if sum(h) + sum(j) > P:
-                continue
-            key = (k, h, j)
-            prod = a * b
-            if key in acc:
-                acc[key] += prod
-            else:
-                acc[key] = prod
-    out = TFSeries(f.n_angles, f.m_pq, K, P, f.box, f.grid_shape)
-    for key, arr in acc.items():
-        out.coeffs[key] = ch.coarsen(arr, f.grid_shape)
-    return out.prune()
+    return _accumulate([(1, _refined(f), _refined(g))], f, g, fourier_cutoff, pq_degree)
+
+
+def _refined(f):
+    """(keys, stack): f's coefficients in key order, stacked and refined in one pass."""
+    if not f.coeffs:
+        return [], None
+    return list(f.coeffs), ch.refine(np.stack(list(f.coeffs.values())), lead=1)
+
+
+class _BracketSide:
+    """What one series f contributes to a Poisson bracket, each piece as
+    (keys, refined stack): left = (d_I f..., d_p f..., d_y f) and right =
+    (d_phi f..., d_q f..., d_x f), so {f, g} = sum_t left_f right_g -
+    left_g right_f.  Built once, a side serves every bracket it enters, as
+    the generator of a Lie series does."""
+
+    def __init__(self, f):
+        self.series = f
+        keys = list(f.coeffs)
+        n, m = f.n_angles, f.m_pq
+        fine = [None] * (n + 3)
+        if keys:
+            coarse = np.stack(list(f.coeffs.values()))
+            derivs = [ch.differentiate(coarse, ax + 1, *f.box[ax]) for ax in range(n + 2)]
+            fine = ch.refine(np.concatenate([coarse] + derivs), lead=1)
+            fine = fine.reshape((n + 3, len(keys)) + fine.shape[1:])
+        grid = [(keys, d) for d in fine[1:]]  # d_I..., d_y, d_x
+        d_phi = [_scaled(fine[0], [1j * k[i] for k, _, _ in keys], keys) for i in range(n)]
+        d_p = [_scaled(fine[0], [h[i] for _, h, _ in keys],
+                       [(k, _lower(h, i), j) for k, h, j in keys]) for i in range(m)]
+        d_q = [_scaled(fine[0], [j[i] for _, _, j in keys],
+                       [(k, h, _lower(j, i)) for k, h, j in keys]) for i in range(m)]
+        self.left = grid[:n] + d_p + [grid[n]]
+        self.right = d_phi + d_q + [grid[n + 1]]
+
+    def bracket(self, other, fourier_cutoff=None, pq_degree=None):
+        """{f, g} with f this side's series and g the other's."""
+        f, g = self.series, other.series
+        if not f.same_shape(g):
+            raise ShapeError("bracket of incompatible series")
+        terms = []
+        for lf, rg, lg, rf in zip(self.left, other.right, other.left, self.right):
+            terms += [(1, lf, rg), (-1, lg, rf)]
+        return _accumulate(terms, f, g, fourier_cutoff, pq_degree)
+
+
+def _scaled(fine, factors, keys):
+    """Piece with the rows of fine times factors, relabelled to keys; rows
+    with factor 0 drop out."""
+    rows = [r for r, c in enumerate(factors) if c != 0]
+    if not rows:
+        return [], None
+    scale = np.array([factors[r] for r in rows]).reshape((-1,) + (1,) * (fine.ndim - 1))
+    return [keys[r] for r in rows], fine[rows] * scale
+
+
+def _lower(t, i):
+    return tuple(v - (1 if idx == i else 0) for idx, v in enumerate(t))
 
 
 def poisson_bracket(f, g, fourier_cutoff=None, pq_degree=None):
@@ -364,29 +403,9 @@ def poisson_bracket(f, g, fourier_cutoff=None, pq_degree=None):
               + sum_i (d_p f d_q g - d_p g d_q f)
               + (d_y f d_x g - d_y g d_x f),
     with exact mode arithmetic in (k, h, j), spectral differentiation on the
-    Chebyshev grids, and truncation back to the shape."""
-    if not f.same_shape(g):
-        raise ShapeError("bracket of incompatible series")
-    terms = []
-    for i in range(f.n_angles):
-        terms.append((d_I(f, i), d_angle(g, i)))
-        terms.append((d_I(g, i) * -1.0, d_angle(f, i)))
-    for i in range(f.m_pq):
-        terms.append((d_p(f, i), d_q(g, i)))
-        terms.append((d_p(g, i) * -1.0, d_q(f, i)))
-    terms.append((d_y(f), d_x(g)))
-    terms.append((d_y(g) * -1.0, d_x(f)))
-    out = None
-    for a, b in terms:
-        if not a.coeffs or not b.coeffs:
-            continue
-        t = tf_product(a, b, fourier_cutoff, pq_degree)
-        out = t if out is None else out + t
-    if out is None:
-        out = f.shell()
-        out.fourier_cutoff = fourier_cutoff or f.fourier_cutoff
-        out.pq_degree = pq_degree or f.pq_degree
-    return out.prune()
+    Chebyshev grids, and truncation back to the requested cutoffs (defaults:
+    the operands' max, as for tf_product)."""
+    return _BracketSide(f).bracket(_BracketSide(g), fourier_cutoff, pq_degree)
 
 
 # ---------------- frequencies and the NQP primitive ----------------
@@ -455,22 +474,26 @@ def nqp_primitive(f_osc, freqs, basepoint=None, n_cc=33):
         basepoint = lo
     if not lo - 1e-12 <= basepoint <= hi + 1e-12:
         raise ValueError("basepoint outside the x box")
-    xs = ch.nodes(f_osc.grid_shape[-1], lo, hi)
+    n_x = f_osc.grid_shape[-1]
+    xs = ch.nodes(n_x, lo, hi)
+    # the Clenshaw-Curtis rule on [basepoint, x_c] for every node x_c: the
+    # rule on [0, 1] mapped affinely, bit-identical to building it per node
+    t01, w01 = ch.clenshaw_curtis(n_cc, 0.0, 1.0)
+    span = (xs - basepoint)[:, None]
+    tau = basepoint + span * t01  # (n_x, n_cc)
+    wq = span * w01
+    # interp[c, q, :] interpolates grid values along x at tau[c, q]
+    interp = ch.eval_matrix(n_x, tau.ravel(), lo, hi).reshape(n_x, n_cc, n_x)
+    at_base = np.abs(xs - basepoint) < 1e-15
     out = f_osc.shell()
     inv_wy = 1.0 / freqs.omega_y
     for (k, h, j), arr in osc.coeffs.items():
-        lam = mode_eigenvalue(freqs, k, h, j)
-        mu = lam * inv_wy  # (I..., y)
-        cx = ch.vals_to_coeffs(arr, arr.ndim - 1)
-        phi = np.empty_like(arr)
-        for c, xc in enumerate(xs):
-            if abs(xc - basepoint) < 1e-15:
-                phi[..., c] = 0.0
-                continue
-            tau, wq = ch.clenshaw_curtis(n_cc, basepoint, xc)
-            fvals = ch.clenshaw(cx, arr.ndim - 1, tau, lo, hi)  # (I..., y, n_cc)
-            expf = np.exp(mu[..., None] * (tau - xc))
-            phi[..., c] = inv_wy * np.sum(wq * fvals * expf, axis=-1)
+        mu = mode_eigenvalue(freqs, k, h, j) * inv_wy  # (I..., y)
+        kernel = wq * np.exp(mu[..., None, None] * (tau - xs[:, None]))
+        phi = inv_wy[..., None] * np.einsum(
+            "...x,cqx,...cq->...c", arr, interp, kernel, optimize=True
+        )
+        phi[..., at_base] = 0.0
         out.coeffs[(k, h, j)] = phi
     return out
 
@@ -505,23 +528,24 @@ class LieReport:
     tail_bound: float
 
 
-def lie_transform(H, phi, max_order=16, weights=PLAIN_WEIGHTS, rel_floor=1e-16):
-    """Time-one Lie flow sum_{j<=max_order} L_phi^j H / j!.
+def _lie_chain(L, H, max_order, weights, rel_floor=1e-16):
+    """Terms L^j(H)/j!, j = 0, 1, ..., of the time-one Lie flow of the
+    generator whose bracket side is L, with their LieReport.
 
-    The measured geometric ratio of successive term norms must stay below 1
-    (broken contraction raises ContractionError); the reported tail bound is
+    The chain stops once a term falls to rel_floor of H's norm.  The measured
+    geometric ratio of successive term norms must stay below 1 (broken
+    contraction raises ContractionError); the reported tail bound is
     last_term * ratio / (1 - ratio).
     """
-    term = H
-    total = H.copy()
+    terms = [H]
     norms = [tf_norm(H, weights)]
     base = norms[0] if norms[0] > 0 else 1.0
     ratio = 0.0
     for order in range(1, max_order + 1):
-        term = poisson_bracket(phi, term) * (1.0 / order)
+        term = L.bracket(_BracketSide(terms[-1])) * (1.0 / order)
         n = tf_norm(term, weights)
         norms.append(n)
-        total = total + term
+        terms.append(term)
         if n <= rel_floor * base:
             break
         if norms[-2] > 0:
@@ -533,28 +557,22 @@ def lie_transform(H, phi, max_order=16, weights=PLAIN_WEIGHTS, rel_floor=1e-16):
     tail = norms[-1] * ratio / (1 - ratio) if ratio < 1 else math.inf
     if ratio >= 1 and norms[-1] > rel_floor * base:
         raise ContractionError("measured Lie contraction factor %.3f >= 1" % ratio)
-    return total.prune(), LieReport(len(norms) - 1, norms, ratio, tail)
+    return terms, LieReport(len(norms) - 1, norms, ratio, tail)
 
 
-def _lie_tail_sum(phi, seed, start_divisor, max_order, weights, rel_floor=1e-16):
-    """sum_{j>=0} L_phi^j (seed) / (j + start_divisor)! ... generic tail used
-    for Phi_2(h) and Phi_1(g): terms L^j(seed) with factorial (j+offset)!/
-    offset-adjusted coefficients."""
-    # terms: seed/(d0)! with d0 = start_divisor, then {phi, seed}/(d0+1)!, ...
-    term = seed
-    total = seed * (1.0 / math.factorial(start_divisor))
-    base = tf_norm(seed, weights) or 1.0
-    prev = base
-    for order in range(1, max_order + 1):
-        term = poisson_bracket(phi, term)
-        n = tf_norm(term, weights)
-        total = total + term * (1.0 / math.factorial(order + start_divisor))
-        if n <= rel_floor * base:
-            break
-        if n > prev and order >= 2:
-            break
-        prev = n
+def _weighted_sum(terms, weights):
+    """sum_j weights[j] * terms[j], accumulated in order (extra weights unused)."""
+    total = terms[0] * weights[0]
+    for w, term in zip(weights[1:], terms[1:]):
+        total = total + term * w
     return total.prune()
+
+
+def lie_transform(H, phi, max_order=16, weights=PLAIN_WEIGHTS, rel_floor=1e-16):
+    """Time-one Lie flow sum_{j<=max_order} L_phi^j H / j! and its LieReport
+    (contraction guard and tail bound as in _lie_chain)."""
+    terms, report = _lie_chain(_BracketSide(phi), H, max_order, weights, rel_floor)
+    return _weighted_sum(terms, [1.0] * len(terms)), report
 
 
 def build_secular_perturbation(spec, eps0, alpha_minus, alpha_plus, delta,
@@ -583,7 +601,8 @@ def build_secular_perturbation(spec, eps0, alpha_minus, alpha_plus, delta,
     ]
 
     def fun(Gc, gam, y, x):
-        xi = xi_prime_array(x)
+        # xi' depends on x alone: solve on the mesh's x axis and broadcast
+        xi = xi_prime_array(x[0, 0, 0, :])
         r = y**2 / m0**3 * (1 - np.cos(xi))
         eps = spec.eps_of_r(r)
         c2g = np.cos(gam) ** 2
@@ -676,6 +695,9 @@ class NormalFormStep:
     osc_norm: float
     residual: float
     contraction: float
+    lie_orders: int = 0
+    lie_ratio: float = 0.0
+    lie_tail_bound: float = 0.0
 
 
 @dataclass
@@ -732,14 +754,21 @@ def normal_form_steps(f, freqs, N, weights=PLAIN_WEIGHTS, basepoint=None,
         #             = osc - sum_{j>=0} L^j(osc)/(j+1)!   (identity L(h) = -osc)
         #   Phi_1(g') = sum_{j>=0} L^j({phi, g'})/(j+1)!
         #   Phi_1(osc) = e^{L}(osc) - osc
-        f_next = osc + _lie_tail_sum(phi, osc, 1, max_order, w) * -1.0
-        bracket_g = poisson_bracket(phi, g_new)
+        # One chain of terms L^j(osc)/j! serves Phi_2(h) (weights 1/(j+1))
+        # and e^{L}(osc) (weights 1); phi's side of the bracket is built once.
+        L = _BracketSide(phi)
+        chain, lie = _lie_chain(L, osc, max_order, w)
+        tail = [1.0 / (j + 1) for j in range(max_order + 1)]  # L^j/j! -> L^j/(j+1)!
+        f_next = osc + _weighted_sum(chain, tail) * -1.0
+        bracket_g = L.bracket(_BracketSide(g_new))
         if bracket_g.coeffs:
-            f_next = f_next + _lie_tail_sum(phi, bracket_g, 1, max_order, w)
-        lie_osc, _ = lie_transform(osc, phi, max_order, w)
+            chain_g, _ = _lie_chain(L, bracket_g, max_order, w)
+            f_next = f_next + _weighted_sum(chain_g, tail)
+        lie_osc = _weighted_sum(chain, [1.0] * len(chain))
         f_next = f_next + (lie_osc - osc)
         fj = f_next.prune(1e-300)
         contraction = tf_norm(tf_average_split(fj)[1], w) / osc_norm if osc_norm else 0.0
-        steps.append(NormalFormStep(step, f_norm, osc_norm, rel_res, contraction))
+        steps.append(NormalFormStep(step, f_norm, osc_norm, rel_res, contraction,
+                                    lie.orders, lie.ratio, lie.tail_bound))
         g = g_new
     return NormalFormResult(g, fj, steps)

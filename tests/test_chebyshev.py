@@ -1,0 +1,141 @@
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.fft import dct
+
+from perilib import chebyshev as ch
+
+
+# ---------------- DCT-based references: one transform per axis ----------------
+
+
+def ref_refine(v, factor=1.5):
+    """Resampling by the DCT-I round trip on every axis, coefficient padding."""
+    out = v
+    for ax in range(v.ndim):
+        n = out.shape[ax]
+        if n == 1:
+            continue
+        m = int(np.ceil(factor * n))
+        c = ch.vals_to_coeffs(out, ax)
+        pad = list(c.shape)
+        pad[ax] = m - n
+        c = np.concatenate([c, np.zeros(pad, dtype=c.dtype)], axis=ax)
+        out = ch.coeffs_to_vals(c, ax)
+    return out
+
+
+def ref_coarsen(v, shape):
+    """Projection by the DCT-I round trip on every axis, coefficient truncation."""
+    out = v
+    for ax in range(v.ndim):
+        if out.shape[ax] == shape[ax]:
+            continue
+        c = ch.vals_to_coeffs(out, ax)
+        sl = [slice(None)] * out.ndim
+        sl[ax] = slice(0, shape[ax])
+        out = ch.coeffs_to_vals(c[tuple(sl)], ax)
+    return out
+
+
+def complex_arrays(shape):
+    floats = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    return st.tuples(hnp.arrays(float, shape, elements=floats),
+                     hnp.arrays(float, shape, elements=floats)).map(lambda p: p[0] + 1j * p[1])
+
+
+grid_shapes = hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=12)
+
+
+def close(a, b, scale):
+    assert a.shape == b.shape
+    assert np.max(np.abs(a - b), initial=0.0) <= 1e-13 * max(scale, 1e-300)
+
+
+class TestResampling:
+    @settings(max_examples=150, deadline=None)
+    @given(grid_shapes.flatmap(complex_arrays))
+    def test_refine_matches_dct(self, v):
+        close(ch.refine(v), ref_refine(v), np.max(np.abs(v), initial=0.0))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_coarsen_matches_dct(self, data):
+        # m < n on every axis that shrinks; length-1 targets included
+        shape = data.draw(grid_shapes)
+        target = tuple(data.draw(st.integers(1, n)) for n in shape)
+        v = data.draw(complex_arrays(shape))
+        close(ch.coarsen(v, target), ref_coarsen(v, target), np.max(np.abs(v), initial=0.0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), grid_shapes, st.data())
+    def test_stack_axis_passes_through(self, n_stack, shape, data):
+        v = data.draw(complex_arrays((n_stack,) + shape))
+        fine = ch.refine(v, lead=1)
+        scale = np.max(np.abs(v), initial=0.0)
+        for s in range(n_stack):
+            close(fine[s], ref_refine(v[s]), scale)
+        coarse = ch.coarsen(fine, shape)
+        for s in range(n_stack):
+            close(coarse[s], ref_coarsen(fine[s], shape), scale)
+
+    def test_length_one_axis_untouched(self):
+        rng = np.random.default_rng(0)
+        v = rng.normal(size=(5, 1, 7)) + 1j * rng.normal(size=(5, 1, 7))
+        fine = ch.refine(v)
+        assert fine.shape == (8, 1, 11)
+        close(fine, ref_refine(v), np.max(np.abs(v)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(grid_shapes.flatmap(complex_arrays))
+    def test_coarsen_inverts_refine(self, v):
+        close(ch.coarsen(ch.refine(v), v.shape), v, np.max(np.abs(v), initial=0.0))
+
+    def test_polynomial_resampled_exactly(self):
+        # a degree-(n-1) polynomial sampled on n nodes is reproduced on m nodes
+        n, m = 9, 14
+        p = lambda t: 1 - 2 * t + 0.5 * t**3 - 0.25 * t**8
+        fine = ch.resample_matrix(n, m) @ p(ch.nodes(n))
+        np.testing.assert_allclose(fine, p(ch.nodes(m)), atol=1e-13)
+
+
+class TestCachedOperators:
+    def test_resample_matrix_read_only_and_shared(self):
+        M = ch.resample_matrix(16, 24)
+        assert M.shape == (24, 16)
+        assert ch.resample_matrix(16, 24) is M
+        with pytest.raises(ValueError):
+            M[0, 0] = 1.0
+        assert not M.flags.writeable
+
+    def test_diff_matrix_read_only_and_shared(self):
+        D = ch.diff_matrix(12, 0.0, 2.0)
+        assert ch.diff_matrix(12, 0.0, 2.0) is D
+        with pytest.raises(ValueError):
+            D *= 2.0
+
+    def test_results_do_not_alias_cache(self):
+        # outputs are fresh arrays: writing into one leaves the cache intact
+        v = np.ones((6, 6), complex)
+        before = ch.resample_matrix(6, 9).copy()
+        out = ch.refine(v)
+        out[...] = 7.0
+        np.testing.assert_array_equal(ch.resample_matrix(6, 9), before)
+        np.testing.assert_allclose(ch.refine(v), 1.0, atol=1e-14)
+
+    def test_differentiate_stacked(self):
+        rng = np.random.default_rng(1)
+        v = rng.normal(size=(3, 7, 9))
+        d = ch.differentiate(v, 2, -1.0, 3.0)
+        for s in range(3):
+            np.testing.assert_allclose(d[s], ch.differentiate(v[s], 1, -1.0, 3.0), atol=1e-12)
+
+    def test_eval_matrix_matches_clenshaw(self):
+        rng = np.random.default_rng(2)
+        v = rng.normal(size=11)
+        xs = rng.uniform(0.5, 2.5, size=17)
+        E = ch.eval_matrix(11, xs, 0.5, 2.5)
+        direct = ch.clenshaw(ch.vals_to_coeffs(v, 0), 0, xs, 0.5, 2.5)
+        np.testing.assert_allclose(E @ v, direct, atol=1e-13)

@@ -258,3 +258,36 @@ class TestNormalForm:
         norms = json.loads((out / "normalform_norms.json").read_text())
         osc = [row["osc_norm"] for row in norms["table"] if row["osc_norm"] > 0]
         assert all(b < a for a, b in zip(osc, osc[1:]))
+
+    def test_norm_table_reports_lie_series(self, tmp_path):
+        code, out = run(
+            tmp_path,
+            "--set",
+            "masses.kappa=0.02",
+            "--set",
+            "masses.frame=m0centric",
+            "--set",
+            "hamiltonian.index=2",
+            "--set",
+            "domain.alpha_minus=1000",
+            "--set",
+            "domain.alpha_plus=16000",
+            "--set",
+            "domain.delta=0.005",
+            "--set",
+            "normalform.grid=6, 6, 12",
+            "--set",
+            "normalform.fourier_cutoff=4",
+            "normalform",
+            "-N",
+            "2",
+        )
+        assert code == EXIT_OK
+        table = json.loads((out / "normalform_norms.json").read_text())["table"]
+        assert len(table) == 2
+        for row in table:
+            assert list(row) == ["step", "f_norm", "osc_norm", "residual", "contraction",
+                                 "lie_orders", "lie_ratio", "lie_tail_bound"]
+            assert row["lie_orders"] >= 1
+            assert 0 <= row["lie_ratio"] < 1
+            assert row["lie_tail_bound"] >= 0

@@ -1,12 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
+from perilib import chebyshev as ch
 from perilib.normalform import (
+    PLAIN_WEIGHTS,
     ContractionError,
     FrequencyData,
     NormWeights,
     TFSeries,
     d_angle,
+    d_grid,
     d_I,
     homological_residual,
     lie_transform,
@@ -25,6 +30,151 @@ from perilib.normalform import (
 
 BOX = [(0.5, 1.5), (1.0, 2.0), (0.0, 2.0)]
 SHAPE = (8, 8, 16)
+
+
+# ---------------- per-coefficient references of the engine ----------------
+
+
+def ref_tf_product(f, g, fourier_cutoff=None, pq_degree=None):
+    """The per-coefficient loop: refine every coefficient on its own, multiply
+    pairwise, project each key back on its own."""
+    K = fourier_cutoff if fourier_cutoff is not None else max(f.fourier_cutoff, g.fourier_cutoff)
+    P = pq_degree if pq_degree is not None else max(f.pq_degree, g.pq_degree)
+    fine_f = {k: ch.refine(v) for k, v in f.coeffs.items()}
+    fine_g = {k: ch.refine(v) for k, v in g.coeffs.items()}
+    acc = {}
+    for (k1, h1, j1), a in fine_f.items():
+        for (k2, h2, j2), b in fine_g.items():
+            k = tuple(x + y for x, y in zip(k1, k2))
+            h = tuple(x + y for x, y in zip(h1, h2))
+            j = tuple(x + y for x, y in zip(j1, j2))
+            if any(abs(ki) > K for ki in k) or sum(h) + sum(j) > P:
+                continue
+            key = (k, h, j)
+            acc[key] = acc[key] + a * b if key in acc else a * b
+    out = TFSeries(f.n_angles, f.m_pq, K, P, f.box, f.grid_shape)
+    for key, arr in acc.items():
+        out.coeffs[key] = ch.coarsen(arr, f.grid_shape)
+    return out.prune()
+
+
+def ref_d_pq(f, i, which):
+    """d/dp_i (which = 1) or d/dq_i (which = 2), mode by mode."""
+    out = f.shell()
+    for key, arr in f.coeffs.items():
+        mono = key[which]
+        if mono[i] > 0:
+            lowered = tuple(v - (idx == i) for idx, v in enumerate(mono))
+            new = list(key)
+            new[which] = lowered
+            out.coeffs[tuple(new)] = mono[i] * arr
+    return out
+
+
+def ref_poisson_bracket(f, g, fourier_cutoff=None, pq_degree=None):
+    """One reference product per term of the bracket, summed."""
+    n = f.n_angles
+    terms = []
+    for i in range(n):
+        terms.append((d_I(f, i), d_angle(g, i)))
+        terms.append((d_I(g, i) * -1.0, d_angle(f, i)))
+    for i in range(f.m_pq):
+        terms.append((ref_d_pq(f, i, 1), ref_d_pq(g, i, 2)))
+        terms.append((ref_d_pq(g, i, 1) * -1.0, ref_d_pq(f, i, 2)))
+    terms.append((d_grid(f, n), d_grid(g, n + 1)))
+    terms.append((d_grid(g, n) * -1.0, d_grid(f, n + 1)))
+    out = f.shell()
+    out.fourier_cutoff = fourier_cutoff if fourier_cutoff is not None else max(
+        f.fourier_cutoff, g.fourier_cutoff)
+    out.pq_degree = pq_degree if pq_degree is not None else max(f.pq_degree, g.pq_degree)
+    for a, b in terms:
+        if a.coeffs and b.coeffs:
+            out = out + ref_tf_product(a, b, fourier_cutoff, pq_degree)
+    return out.prune()
+
+
+def ref_nqp_primitive(f_osc, freqs, basepoint=None, n_cc=33):
+    """The per-node loop: a Clenshaw-Curtis rule and a Clenshaw evaluation at
+    every x node of every mode."""
+    _, osc = tf_average_split(f_osc)
+    lo, hi = f_osc.box[-1]
+    basepoint = lo if basepoint is None else basepoint
+    xs = ch.nodes(f_osc.grid_shape[-1], lo, hi)
+    out = f_osc.shell()
+    inv_wy = 1.0 / freqs.omega_y
+    for (k, h, j), arr in osc.coeffs.items():
+        mu = mode_eigenvalue(freqs, k, h, j) * inv_wy
+        cx = ch.vals_to_coeffs(arr, arr.ndim - 1)
+        phi = np.empty_like(arr)
+        for c, xc in enumerate(xs):
+            if abs(xc - basepoint) < 1e-15:
+                phi[..., c] = 0.0
+                continue
+            tau, wq = ch.clenshaw_curtis(n_cc, basepoint, xc)
+            fvals = ch.clenshaw(cx, arr.ndim - 1, tau, lo, hi)
+            expf = np.exp(mu[..., None] * (tau - xc))
+            phi[..., c] = inv_wy * np.sum(wq * fvals * expf, axis=-1)
+        out.coeffs[(k, h, j)] = phi
+    return out
+
+
+def ref_lie_sum(phi, seed, max_order, weights, divisor, rel_floor=1e-16):
+    """sum_j L^j(seed) / divisor(j), with L^j built by its own bracket chain."""
+    term, total = seed, seed * (1.0 / divisor(0))
+    base = tf_norm(seed, weights) or 1.0
+    for order in range(1, max_order + 1):
+        term = ref_poisson_bracket(phi, term)
+        total = total + term * (1.0 / divisor(order))
+        if tf_norm(term, weights) / divisor(order) <= rel_floor * base:
+            break
+    return total.prune()
+
+
+def ref_normal_form_steps(f, freqs, N, w=PLAIN_WEIGHTS, max_order=14):
+    """The step with a separate bracket chain for each sum: L^j(osc) for the
+    Phi_2 tail (1/(j+1)!) and again for e^L(osc) (1/j!)."""
+    g, fj, rows = f.shell(), f.copy(), []
+    for _ in range(N):
+        f_norm = tf_norm(fj, w)
+        avg, osc = tf_average_split(fj)
+        osc_norm = tf_norm(osc, w)
+        phi = ref_nqp_primitive(osc, freqs)
+        g_new = (g + avg).prune()
+        tail = lambda j: math.factorial(j + 1)
+        f_next = osc + ref_lie_sum(phi, osc, max_order, w, tail) * -1.0
+        bracket_g = ref_poisson_bracket(phi, g_new)
+        if bracket_g.coeffs:
+            f_next = f_next + ref_lie_sum(phi, bracket_g, max_order, w, tail)
+        f_next = f_next + (ref_lie_sum(phi, osc, max_order, w, math.factorial) - osc)
+        fj = f_next.prune(1e-300)
+        rows.append((f_norm, osc_norm,
+                     tf_norm(tf_average_split(fj)[1], w) / osc_norm))
+        g = g_new
+    return g, fj, rows
+
+
+def assert_series_close(got, expect, rtol):
+    assert set(got.coeffs) == set(expect.coeffs)
+    assert (got.fourier_cutoff, got.pq_degree) == (expect.fourier_cutoff, expect.pq_degree)
+    scale = max(expect.sup(), 1e-300)
+    for key, arr in expect.coeffs.items():
+        assert np.max(np.abs(got.coeffs[key] - arr)) <= rtol * scale, key
+
+
+def rand_pq_series(rng, cutoff=2, pq_degree=2, keep=0.7):
+    """Random series with one (p, q) pair: low-degree polynomial
+    coefficients on a random subset of the keys up to pq_degree."""
+    f = TFSeries(1, 1, cutoff, pq_degree, BOX, SHAPE)
+    II, YY, XX = np.meshgrid(*f.grids(), indexing="ij")
+    for k in range(-cutoff, cutoff + 1):
+        for h in range(pq_degree + 1):
+            for j in range(pq_degree + 1 - h):
+                if rng.uniform() < keep:
+                    a = rng.normal(size=4) + 1j * rng.normal(size=4)
+                    f.coeffs[((k,), (h,), (j,))] = (
+                        a[0] + a[1] * II + a[2] * YY * XX + a[3] * XX**2
+                    ) / (1 + k * k)
+    return f
 
 
 def build(fun, cutoff=4):
@@ -239,6 +389,21 @@ class TestNqp:
         res = homological_residual(phi, f, freqs)
         assert res.sup() < 1e-10
 
+    @pytest.mark.parametrize("basepoint", [None, "interior node", 1.234])
+    def test_matches_per_node_loop(self, basepoint):
+        rng = np.random.default_rng(19)
+        _, osc = tf_average_split(rand_series(rng, cutoff=3))
+        freqs = FrequencyData.tabulate(
+            BOX, SHAPE, lambda I, y: 2.0 + 0.1 * y, omega_I=[lambda I, y: 0.5 + 0.2 * I]
+        )
+        xs = ch.nodes(SHAPE[-1], *BOX[-1])
+        b = xs[7] if basepoint == "interior node" else basepoint
+        got = nqp_primitive(osc, freqs, basepoint=b)
+        assert_series_close(got, ref_nqp_primitive(osc, freqs, basepoint=b), 1e-13)
+        if basepoint == "interior node":
+            for arr in got.coeffs.values():
+                assert np.all(arr[..., 7] == 0.0)
+
     def test_eigenvalue_structure(self):
         freqs = FrequencyData.tabulate(
             BOX,
@@ -334,6 +499,66 @@ class TestProduct:
         f = build(lambda I, p, y, x: np.cos(4 * p) + 0 * I, cutoff=4)
         pr = tf_product(f, f, fourier_cutoff=4)
         assert all(abs(k[0]) <= 4 for k, _, _ in pr.coeffs)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("cutoffs", [(None, None), (1, None), (3, 1), (0, 0)])
+    def test_stacked_matches_per_coefficient_loop(self, seed, cutoffs):
+        rng = np.random.default_rng(100 + seed)
+        f = rand_pq_series(rng)
+        g = rand_pq_series(rng, cutoff=1, pq_degree=3)
+        assert_series_close(tf_product(f, g, *cutoffs), ref_tf_product(f, g, *cutoffs), 1e-13)
+
+    def test_angle_only_matches_per_coefficient_loop(self):
+        rng = np.random.default_rng(110)
+        f, g = rand_series(rng), rand_series(rng, cutoff=3)
+        assert_series_close(tf_product(f, g), ref_tf_product(f, g), 1e-13)
+
+    def test_empty_operand(self):
+        rng = np.random.default_rng(111)
+        f = rand_pq_series(rng)
+        empty = TFSeries(1, 1, 5, 4, BOX, SHAPE)
+        for a, b in ((f, empty), (empty, f), (empty, empty)):
+            pr = tf_product(a, b)
+            assert not pr.coeffs
+            assert (pr.fourier_cutoff, pr.pq_degree) == (5, 4)
+        assert tf_product(f, empty, 0, 0).fourier_cutoff == 0
+
+
+class TestBracketEngine:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_reference_with_monomials(self, seed):
+        rng = np.random.default_rng(120 + seed)
+        f = rand_pq_series(rng)
+        g = rand_pq_series(rng, cutoff=1, pq_degree=3)
+        for cutoffs in ((None, None), (2, 2)):
+            assert_series_close(poisson_bracket(f, g, *cutoffs),
+                                ref_poisson_bracket(f, g, *cutoffs), 1e-12)
+
+    def test_matches_reference_angles_only(self):
+        rng = np.random.default_rng(123)
+        f, g = rand_series(rng), rand_series(rng)
+        assert_series_close(poisson_bracket(f, g), ref_poisson_bracket(f, g), 1e-12)
+
+    def test_empty_bracket_keeps_requested_cutoffs(self):
+        # f at cutoff 2 has no coefficients, g at cutoff 6 has some: the
+        # empty bracket reports the cutoffs a non-empty one would
+        f = TFSeries(1, 1, 2, 2, BOX, SHAPE)
+        g = TFSeries(1, 1, 6, 4, BOX, SHAPE)
+        g.coeffs[((1,), (1,), (0,))] = np.ones(SHAPE, complex)
+        br = poisson_bracket(f, g)
+        assert not br.coeffs
+        assert (br.fourier_cutoff, br.pq_degree) == (6, 4)
+        br = poisson_bracket(f, g, fourier_cutoff=0, pq_degree=0)
+        assert (br.fourier_cutoff, br.pq_degree) == (0, 0)
+        # the same cutoffs as a non-empty bracket
+        rng = np.random.default_rng(124)
+        a = rand_pq_series(rng, cutoff=2, pq_degree=2, keep=1.0)
+        full = poisson_bracket(a, g, fourier_cutoff=0, pq_degree=0)
+        assert full.coeffs
+        assert (full.fourier_cutoff, full.pq_degree) == (0, 0)
+        full = poisson_bracket(a, g)
+        assert full.coeffs
+        assert (full.fourier_cutoff, full.pq_degree) == (6, 4)
 
 
 class TestSerialization:
@@ -433,6 +658,35 @@ class TestNormalFormSteps:
         key = ((0,), (), ())
         diff = result.g_star.coeffs[key] - avg.coeffs[key]
         assert np.max(np.abs(diff)) < 1e-14
+
+    def test_matches_two_chain_reference(self):
+        rng = np.random.default_rng(20)
+        f, freqs = self.make_toy(rng)
+        result = normal_form_steps(f, freqs, N=3)
+        g_ref, f_ref, rows = ref_normal_form_steps(f, freqs, N=3)
+        for step, (f_norm, osc_norm, contraction) in zip(result.steps, rows):
+            for got, expect in ((step.f_norm, f_norm), (step.osc_norm, osc_norm),
+                                (step.contraction, contraction)):
+                assert abs(got - expect) <= 1e-12 * expect
+        assert_series_close(result.g_star, g_ref, 1e-12)
+        assert_series_close(result.f_star, f_ref, 1e-12)
+
+    def test_records_lie_report(self):
+        rng = np.random.default_rng(21)
+        f, freqs = self.make_toy(rng)
+        step = normal_form_steps(f, freqs, N=1).steps[0]
+        _, osc = tf_average_split(f)
+        _, rep = lie_transform(osc, nqp_primitive(osc, freqs), max_order=14)
+        assert step.lie_orders == rep.orders >= 2
+        assert step.lie_ratio == pytest.approx(rep.ratio, rel=1e-12)
+        assert 0 < step.lie_ratio < 1
+        assert step.lie_tail_bound == pytest.approx(rep.tail_bound, rel=1e-10)
+
+    def test_divergent_chain_raises(self):
+        rng = np.random.default_rng(22)
+        f, freqs = self.make_toy(rng, strength=2.0)
+        with pytest.raises(ContractionError):
+            normal_form_steps(f, freqs, N=1)
 
     def test_gamma_dependence_fades(self):
         rng = np.random.default_rng(18)
