@@ -48,7 +48,6 @@ from .potentials import (
     e_hat_aa,
     f_eps,
     f_eps_at_one,
-    f_eps_derivative,
     rho_p,
     singularity_t,
     u_hat,

@@ -146,7 +146,7 @@ def gg_inverse(Lambda, G, g, branch="near-0"):
     return Gcal, np.arctan2(v, G)
 
 
-def rr_forward(m0, y, x, tol=1e-14):
+def rr_forward(m0, y, x):
     """Radial-orbit chart (y, x) -> (R, r) for the outer body.
 
     r = (y^2/m0^3)(1 - cos xi'),  R = (m0^3/y) sin xi' / (1 - cos xi'),
@@ -158,18 +158,12 @@ def rr_forward(m0, y, x, tol=1e-14):
     """
     if np.real(y) <= 0:
         raise ValueError("y must be positive")
-    xi = solve_kepler_zero_ecc_form(x, tol=tol).xi
-    one_m_c = 1.0 - np.cos(xi)
-    if abs(one_m_c) < 1e-13:
-        raise ValueError("cos xi'(x) = 1: collision of the outer body (r = 0)")
-    r = y**2 / m0**3 * one_m_c
-    R = m0**3 / y * np.sin(xi) / one_m_c
-    return R, r
+    return rr_forward_with_jacobian(m0, y, x)[:2]
 
 
-def rr_forward_with_jacobian(m0, y, x, tol=1e-14):
+def rr_forward_with_jacobian(m0, y, x):
     """rr_forward plus the partials (dr/dy, dr/dx) needed by the chain rule."""
-    xi = solve_kepler_zero_ecc_form(x, tol=tol).xi
+    xi = solve_kepler_zero_ecc_form(x).xi
     one_m_c = 1.0 - np.cos(xi)
     if abs(one_m_c) < 1e-13:
         raise ValueError("cos xi'(x) = 1: collision of the outer body (r = 0)")

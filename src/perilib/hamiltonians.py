@@ -181,8 +181,10 @@ def _grad_action_angle_analytic(spec, state, quad):
     for c, s in spec.terms():
         es = s * eps
         t = e_hat_aa(es, Lam, Gc, gam)
-        _, Ft, Fe = potentials.f_eps_bundle(es, t, quad)
-        pert -= c * potentials.f_eps_minus_one(es, t, quad)
+        # one quadrature pass per term; f - 1 straight from the kernel, since
+        # F - 1 from f_eps_bundle would cancel at small eps
+        fm1, Ft, Fe = potentials._f_minus_one(es, t, quad, grad=True)
+        pert -= c * fm1
         dE_dG = 1.0 / Lam - 2 * es * Gc * c2g / Lam**2
         dE_dgam = -es * (1.0 - u**2) * s2g
         dE_des = (1.0 - u**2) * c2g

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_TOL = 1e-14
-MAX_ITER = 50
+MAX_ITER = 100
+_CONTINUATION_STEPS = 8
 
 
 class KeplerError(RuntimeError):
@@ -27,16 +28,14 @@ class KeplerSolution:
     iterations: int
 
 
-def _newton_bisect(e, ell, tol, max_iter):
-    """Guarded Newton for xi - e sin xi = ell, ell reduced to [0, 2pi).
+def _newton_bisect(e, ell, lo, hi, xi, tol):
+    """Guarded Newton for xi - e sin xi = ell on the bracket (lo, hi) from xi.
 
-    Newton from xi0 = ell + e sin(ell); any iterate leaving the bracket
-    [ell - e, ell + e] is replaced by a bisection step, which keeps the
-    method robust up to e ~ 1.
+    Any iterate leaving the bracket is replaced by a bisection step, which
+    keeps the method robust up to e = 1.  Returns (xi, |residual|,
+    iterations) and raises KeplerError after MAX_ITER iterations.
     """
-    lo, hi = ell - e, ell + e
-    xi = ell + e * np.sin(ell)
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         f = xi - e * np.sin(xi) - ell
         if abs(f) <= tol:
             return xi, abs(f), it
@@ -45,19 +44,34 @@ def _newton_bisect(e, ell, tol, max_iter):
         else:
             lo = xi
         d = 1.0 - e * np.cos(xi)
-        step = f / d if d > 1e-14 else np.inf
-        cand = xi - step
+        cand = xi - f / d if d > 1e-14 else np.nan
         xi = cand if lo < cand < hi else 0.5 * (lo + hi)
-    f = xi - e * np.sin(xi) - ell
-    if abs(f) <= tol:
-        return xi, abs(f), max_iter
     raise KeplerError(
         "Kepler iteration did not converge: e=%r ell=%r residual=%.3e"
         % (e, ell, abs(f))
     )
 
 
-def solve_kepler(e, ell, tol=DEFAULT_TOL, max_iter=MAX_ITER):
+def _newton_radial(x, tol):
+    """The real branch of xi' - sin xi' = x on (0, 2*pi), from xi' = pi."""
+    return _newton_bisect(1.0, x, 0.0, 2 * np.pi, np.pi, tol)
+
+
+def _newton_complex(z, target, tol):
+    """One continuation step: plain Newton for z - sin z = target from z.
+    Returns (z, iterations)."""
+    for it in range(1, MAX_ITER + 1):
+        f = z - np.sin(z) - target
+        if abs(f) <= tol:
+            return z, it
+        d = 1.0 - np.cos(z)
+        if abs(d) < 1e-14:
+            raise KeplerError("vanishing derivative during continuation")
+        z = z - f / d
+    raise KeplerError("complex radial Kepler solve stalled at x=%r" % (target,))
+
+
+def solve_kepler(e, ell, tol=DEFAULT_TOL):
     """Solve xi - e sin(xi) = ell for the eccentric anomaly.
 
     Parameters
@@ -73,40 +87,25 @@ def solve_kepler(e, ell, tol=DEFAULT_TOL, max_iter=MAX_ITER):
         raise ValueError("eccentricity must lie in [0, 1), got %r" % (e,))
     if tol <= 0:
         raise ValueError("tol must be positive")
+    return _solve_elliptic(e, ell, tol)
+
+
+def _solve_elliptic(e, ell, tol):
+    """solve_kepler without argument checks; e = 1 is solved too."""
     k = np.floor(ell / (2 * np.pi))
     ell0 = ell - 2 * np.pi * k
     if e == 0.0:
         return KeplerSolution(ell, 0.0, 0)
-    xi, res, it = _newton_bisect(e, ell0, tol, max_iter)
+    xi, res, it = _newton_bisect(e, ell0, ell0 - e, ell0 + e, ell0 + e * np.sin(ell0), tol)
     return KeplerSolution(xi + 2 * np.pi * k, res, it)
 
 
-def solve_kepler_array(e, ell, tol=DEFAULT_TOL, max_iter=2 * MAX_ITER):
-    """Vectorized eccentric anomaly for an array of mean anomalies.
-
-    Same guarded Newton as solve_kepler, evaluated simultaneously on all
-    entries; used by the quadrature loops.
-    """
+def solve_kepler_array(e, ell, tol=DEFAULT_TOL):
+    """Eccentric anomaly for an array of mean anomalies, e in [0, 1]: the
+    solve_kepler iteration per entry."""
     ell = np.asarray(ell, dtype=float)
-    k = np.floor(ell / (2 * np.pi))
-    ell0 = ell - 2 * np.pi * k
-    if e == 0.0:
-        return ell0 + 2 * np.pi * k
-    lo, hi = ell0 - e, ell0 + e
-    xi = ell0 + e * np.sin(ell0)
-    for _ in range(max_iter):
-        f = xi - e * np.sin(xi) - ell0
-        if np.max(np.abs(f)) <= tol:
-            break
-        hi = np.where(f > 0, np.minimum(hi, xi), hi)
-        lo = np.where(f < 0, np.maximum(lo, xi), lo)
-        d = 1.0 - e * np.cos(xi)
-        cand = xi - f / np.maximum(d, 1e-14)
-        xi = np.where((cand > lo) & (cand < hi), cand, 0.5 * (lo + hi))
-    res = np.abs(xi - e * np.sin(xi) - ell0)
-    if np.max(res) > tol:
-        raise KeplerError("vectorized Kepler solve stalled, residual %.3e" % np.max(res))
-    return xi + 2 * np.pi * k
+    xi = [_solve_elliptic(e, v, tol).xi for v in ell.ravel().tolist()]
+    return np.array(xi, dtype=float).reshape(ell.shape)
 
 
 def in_strip(x, eps0):
@@ -119,7 +118,7 @@ def in_strip(x, eps0):
     )
 
 
-def solve_kepler_zero_ecc_form(x, tol=DEFAULT_TOL, max_iter=MAX_ITER, steps=8):
+def solve_kepler_zero_ecc_form(x, tol=DEFAULT_TOL):
     """Solve xi' - sin(xi') = x for the e = 1 (radial orbit) anomaly.
 
     Real x in (0, 2*pi) has a unique solution in (0, 2*pi); for complex x the
@@ -131,84 +130,30 @@ def solve_kepler_zero_ecc_form(x, tol=DEFAULT_TOL, max_iter=MAX_ITER, steps=8):
     xr = float(np.real(x))
     if not 0.0 < xr < 2 * np.pi:
         raise ValueError("Re x must lie in (0, 2*pi), got %r" % (xr,))
-    # real solve: guarded Newton on (0, 2*pi)
-    lo, hi = 0.0, 2 * np.pi
-    xi = np.pi
-    total_it = 0
-    for it in range(1, 2 * max_iter + 1):
-        f = xi - np.sin(xi) - xr
-        total_it = it
-        if abs(f) <= tol:
-            break
-        if f > 0:
-            hi = xi
-        else:
-            lo = xi
-        d = 1.0 - np.cos(xi)
-        cand = xi - f / d if d > 1e-14 else np.nan
-        xi = cand if lo < cand < hi else 0.5 * (lo + hi)
-    else:
-        raise KeplerError("real radial Kepler solve stalled at x=%r" % (x,))
+    xi, res, total_it = _newton_radial(xr, tol)
     xim = float(np.imag(x))
     if xim == 0.0 and not np.iscomplexobj(x):
-        return KeplerSolution(xi, abs(xi - np.sin(xi) - xr), total_it)
-    # imaginary continuation
+        return KeplerSolution(xi, res, total_it)
     z = complex(xi)
-    for k in range(1, steps + 1):
-        target = xr + 1j * xim * k / steps
-        for it in range(1, max_iter + 1):
-            f = z - np.sin(z) - target
-            if abs(f) <= tol:
-                break
-            d = 1.0 - np.cos(z)
-            if abs(d) < 1e-14:
-                raise KeplerError("vanishing derivative during continuation")
-            z = z - f / d
-        else:
-            raise KeplerError("complex radial Kepler solve stalled at x=%r" % (x,))
+    for k in range(1, _CONTINUATION_STEPS + 1):
+        z, it = _newton_complex(z, xr + 1j * xim * k / _CONTINUATION_STEPS, tol)
         total_it += it
     return KeplerSolution(z, abs(z - np.sin(z) - complex(x)), total_it)
 
 
-def xi_prime_array(x, tol=DEFAULT_TOL, max_iter=120):
-    """Vectorized real solution of xi' - sin xi' = x for x in (0, 2*pi)."""
+def xi_prime_array(x, tol=DEFAULT_TOL):
+    """Real solution of xi' - sin xi' = x for an array of x in (0, 2*pi)."""
     x = np.asarray(x, dtype=float)
     if np.any((x <= 0) | (x >= 2 * np.pi)):
         raise ValueError("arguments must lie in (0, 2*pi)")
-    lo = np.zeros_like(x)
-    hi = np.full_like(x, 2 * np.pi)
-    z = np.full_like(x, np.pi)
-    for _ in range(max_iter):
-        f = z - np.sin(z) - x
-        if np.max(np.abs(f)) <= tol:
-            break
-        hi = np.where(f > 0, z, hi)
-        lo = np.where(f < 0, z, lo)
-        d = 1.0 - np.cos(z)
-        cand = z - f / np.maximum(d, 1e-14)
-        z = np.where((cand > lo) & (cand < hi), cand, 0.5 * (lo + hi))
-    res = np.abs(z - np.sin(z) - x)
-    if np.max(res) > tol:
-        raise KeplerError("vectorized radial solve stalled, residual %.3e" % np.max(res))
-    return z
+    xi = [_newton_radial(v, tol)[0] for v in x.ravel().tolist()]
+    return np.array(xi, dtype=float).reshape(x.shape)
 
 
 def xi_prime_real(x, tol=DEFAULT_TOL):
-    """Bare real solution of xi' - sin xi' = x (fast path for the flow)."""
-    lo, hi = 0.0, 2 * np.pi
-    z = np.pi
-    for _ in range(100):
-        f = z - np.sin(z) - x
-        if abs(f) <= tol:
-            return z
-        if f > 0:
-            hi = z
-        else:
-            lo = z
-        d = 1.0 - np.cos(z)
-        cand = z - f / d if d > 1e-14 else -1.0
-        z = cand if lo < cand < hi else 0.5 * (lo + hi)
-    return z
+    """Real solution of xi' - sin xi' = x without argument checks (fast path
+    for the flow)."""
+    return _newton_radial(x, tol)[0]
 
 
 def estimate_c0(eps0, grid_n=64, tol=1e-13):
@@ -237,13 +182,6 @@ def estimate_c0(eps0, grid_n=64, tol=1e-13):
             order = sorted((im for im in ims if im * sign > 0), key=abs)
             zc = z
             for im in order:
-                target = re + 1j * im
-                for _ in range(MAX_ITER):
-                    f = zc - np.sin(zc) - target
-                    if abs(f) <= tol:
-                        break
-                    zc = zc - f / (1.0 - np.cos(zc))
-                else:
-                    raise KeplerError("c0 scan stalled at x=%r" % (target,))
+                zc, _ = _newton_complex(zc, re + 1j * im, tol)
                 best = min(best, abs(1.0 - np.cos(zc)))
     return best / eps0

@@ -105,7 +105,7 @@ class TestTimeRescaling:
         from scipy.integrate import solve_ivp
         from scipy.spatial import cKDTree
 
-        from perilib.potentials import e_hat, f_eps_derivative, u_hat
+        from perilib.potentials import e_hat, f_eps_bundle, u_hat
 
         eps, Lam = 0.3, 1.0
         h = 1e-5
@@ -124,7 +124,7 @@ class TestTimeRescaling:
 
         z0 = [0.45, 0.0]
         E0 = e_hat(eps, Lam, *z0)
-        omega = f_eps_derivative(eps, E0)
+        omega = f_eps_bundle(eps, E0)[1]
         assert abs(omega) > 1e-3  # rescaling factor nonzero on this level
         # e_hat flow: period ~ small; integrate one loop each
         Te = 12.0

@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from perilib.kepler import (
+    KeplerError,
     estimate_c0,
     in_strip,
     solve_kepler,
     solve_kepler_array,
     solve_kepler_zero_ecc_form,
     xi_prime_array,
+    xi_prime_real,
 )
 
 
@@ -82,7 +84,15 @@ def test_vectorized_matches_scalar():
     ells = np.linspace(0, 2 * np.pi, 41)[:-1]
     xs = solve_kepler_array(0.97, ells)
     for ell, x in zip(ells, xs):
-        assert abs(x - solve_kepler(0.97, ell).xi) < 1e-12
+        assert x == solve_kepler(0.97, ell).xi
+
+
+def test_array_solves_radial_eccentricity():
+    # e = 1 (a radial orbit, G = 0) is outside solve_kepler's domain but the
+    # mean-anomaly quadrature of potentials.u_hat_mean_anomaly reaches it
+    ells = np.linspace(0, 2 * np.pi, 41)[:-1]
+    xs = solve_kepler_array(1.0, ells)
+    assert np.max(np.abs(xs - np.sin(xs) - ells)) <= 1e-14
 
 
 def test_zero_ecc_form_fixed_point():
@@ -156,4 +166,39 @@ def test_xi_prime_array_matches_scalar():
     xs = np.linspace(0.4, 2 * np.pi - 0.4, 37)
     zs = xi_prime_array(xs)
     for x, z in zip(xs, zs):
-        assert abs(z - solve_kepler_zero_ecc_form(x).xi) < 1e-12
+        assert z == solve_kepler_zero_ecc_form(x).xi
+
+
+def ref_radial_real(x, tol=1e-14, max_iter=50):
+    """The radial real-branch loop as it stood before the solvers shared one
+    guarded Newton: (xi, iterations)."""
+    lo, hi = 0.0, 2 * np.pi
+    xi = np.pi
+    for it in range(1, 2 * max_iter + 1):
+        f = xi - np.sin(xi) - x
+        if abs(f) <= tol:
+            return xi, it
+        if f > 0:
+            hi = xi
+        else:
+            lo = xi
+        d = 1.0 - np.cos(xi)
+        cand = xi - f / d if d > 1e-14 else np.nan
+        xi = cand if lo < cand < hi else 0.5 * (lo + hi)
+    raise AssertionError("reference loop stalled")
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.floats(min_value=0.0, max_value=2 * np.pi, exclude_min=True, exclude_max=True))
+def test_zero_ecc_form_matches_reference_loop(x):
+    xi, iterations = ref_radial_real(x)
+    sol = solve_kepler_zero_ecc_form(x)
+    assert sol.xi == xi
+    assert sol.iterations == iterations
+    assert xi_prime_real(x) == xi
+
+
+def test_iteration_limit_raises():
+    # no root in the bracket (0, 2*pi): the iteration runs out and says so
+    with pytest.raises(KeplerError):
+        xi_prime_real(-1.0)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from perilib.coords import gg_forward
 from perilib.potentials import (
@@ -11,8 +12,8 @@ from perilib.potentials import (
     f_eps,
     f_eps_at_one,
     f_eps_bundle,
-    f_eps_derivative,
-    f_eps_eps_derivative,
+    f_eps_minus_one,
+    f_eps_minus_one_grid,
     rho_p,
     singularity_t,
     u_hat,
@@ -146,30 +147,57 @@ class TestFEps:
 
 class TestFEpsDerivative:
     def test_eps_zero(self):
-        assert f_eps_derivative(0.0, 0.4, QUAD) == 0.0
+        assert f_eps_bundle(0.0, 0.4, QUAD)[1] == 0.0
 
     def test_matches_finite_difference(self):
         h = 1e-5
         for eps, t in [(0.25, 0.0), (0.3, 0.8), (-0.2, -0.5)]:
             fd = (f_eps(eps, t + h, QUAD) - f_eps(eps, t - h, QUAD)) / (2 * h)
-            assert abs(f_eps_derivative(eps, t, QUAD) - fd) < 1e-7
+            assert abs(f_eps_bundle(eps, t, QUAD)[1] - fd) < 1e-7
 
     def test_positive_for_positive_eps(self):
         for t in (-0.9, 0.0, 0.9):
-            assert f_eps_derivative(0.3, t, QUAD) > 0
+            assert f_eps_bundle(0.3, t, QUAD)[1] > 0
 
     def test_eps_partial_matches_fd(self):
         h = 1e-6
         for eps, t in [(0.25, 0.3), (-0.15, 0.9)]:
             fd = (f_eps(eps + h, t, QUAD) - f_eps(eps - h, t, QUAD)) / (2 * h)
-            assert abs(f_eps_eps_derivative(eps, t, QUAD) - fd) < 1e-6
+            assert abs(f_eps_bundle(eps, t, QUAD)[2] - fd) < 1e-6
 
-    def test_bundle_consistency(self):
-        eps, t = 0.22, 0.55
-        F, Ft, Fe = f_eps_bundle(eps, t, QUAD)
-        assert abs(F - f_eps(eps, t, QUAD)) < 1e-15
-        assert abs(Ft - f_eps_derivative(eps, t, QUAD)) < 1e-15
-        assert abs(Fe - f_eps_eps_derivative(eps, t, QUAD)) < 1e-15
+
+# the radicand (1 - eps X t)^2 + eps^2 X^2 (1 - t^2) stays above the floor
+# for |t| <= 0.9
+_eps = st.floats(min_value=-0.49, max_value=0.49)
+_t = st.floats(min_value=-0.9, max_value=0.9)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    eps=st.lists(_eps, min_size=1, max_size=5),
+    t=st.lists(_t, min_size=1, max_size=4),
+    quad=st.sampled_from([QuadratureSpec(32), QUAD]),
+)
+def test_grid_matches_scalar_wrappers(eps, t, quad):
+    # an (n_eps, 1) column against an (n_t,) row broadcasts to (n_eps, n_t)
+    E = np.array(eps)[:, None]
+    T = np.array(t)[None, :]
+    grid = f_eps_minus_one_grid(E, T, quad)
+    assert grid.shape == (len(eps), len(t))
+    for i, e in enumerate(eps):
+        for j, tt in enumerate(t):
+            fm1 = f_eps_minus_one(e, tt, quad)
+            assert grid[i, j] == fm1
+            assert f_eps_bundle(e, tt, quad)[0] == f_eps(e, tt, quad) == 1 + fm1
+
+
+def test_grid_across_chunk_boundary():
+    from perilib.potentials import _GRID_CHUNK
+
+    t = np.linspace(-0.9, 0.9, _GRID_CHUNK + 3)
+    grid = f_eps_minus_one_grid(0.3, t, QUAD)
+    for i in (0, _GRID_CHUNK - 1, _GRID_CHUNK, _GRID_CHUNK + 2):
+        assert grid[i] == f_eps_minus_one(0.3, t[i], QUAD)
 
 
 class TestSingularity:
@@ -228,5 +256,3 @@ def test_quadrature_spec_validation():
         QuadratureSpec(16)
     with pytest.raises(ValueError):
         QuadratureSpec(33)
-    with pytest.raises(ValueError):
-        QuadratureSpec(64, rule="simpson")
