@@ -217,7 +217,8 @@ def _atomic_write(path, text):
 def _write_json(path, payload, seed):
     payload = dict(payload)
     payload["seed"] = seed
-    _atomic_write(path, json.dumps(payload, indent=2, default=float) + "\n")
+    # compact on purpose: without indent, json uses its C encoder
+    _atomic_write(path, json.dumps(payload, default=float) + "\n")
 
 
 def _floats(text, n=None):

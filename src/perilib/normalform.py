@@ -213,7 +213,8 @@ def tf_build(fun, box, grid_shape, n_angles=1, fourier_cutoff=8, n_phi=64,
         idx = tuple(slice(None) for _ in range(n)) + tuple(ki % n_phi for ki in k)
         arr = F[idx]
         if np.max(np.abs(arr)) > coeff_floor_rel * scale:
-            series.coeffs[(k, (), ())] = np.ascontiguousarray(arr)
+            # a copy, never a view that would keep all of F alive
+            series.coeffs[(k, (), ())] = arr.copy()
     return series
 
 
@@ -600,7 +601,17 @@ def build_secular_perturbation(spec, eps0, alpha_minus, alpha_plus, delta,
         (2 * math.sqrt(eps0), 2 * np.pi - 2 * math.sqrt(eps0)),
     ]
 
+    # gamma enters only through cos^2(gamma), which is pi-periodic and even:
+    # under exact symmetry sample k equals sample fold(k) <= P/2 (P = n_phi/2
+    # folds both symmetries; an odd n_phi has only k <-> n_phi - k), so the
+    # perturbation is evaluated on those columns and copied to the others
+    P = n_phi // 2 if n_phi % 2 == 0 else n_phi
+    k = np.arange(n_phi) % P
+    fold = np.minimum(k, P - k)
+    cols = slice(0, P // 2 + 1)
+
     def fun(Gc, gam, y, x):
+        Gc, gam, y, x = Gc[:, cols], gam[:, cols], y[:, cols], x[:, cols]
         # xi' depends on x alone: solve on the mesh's x axis and broadcast
         xi = xi_prime_array(x[0, 0, 0, :])
         r = y**2 / m0**3 * (1 - np.cos(xi))
@@ -612,7 +623,8 @@ def build_secular_perturbation(spec, eps0, alpha_minus, alpha_plus, delta,
             es = s * eps
             t = u + es * (1.0 - u**2) * c2g
             pert = pert - c * f_eps_minus_one_grid(es, t, quad)
-        return m0**2 / r * pert
+        # np.take keeps the result C-ordered for the FFT
+        return np.take(m0**2 / r * pert, fold, axis=1)
 
     series = tf_build(fun, box, grid_shape, n_angles=1,
                       fourier_cutoff=fourier_cutoff, n_phi=n_phi)

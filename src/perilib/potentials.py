@@ -46,6 +46,25 @@ def _xi_nodes(n):
     return xi, np.cos(xi), np.sin(xi)
 
 
+@lru_cache(maxsize=32)
+def _half_range(n):
+    """X = 1 - cos(xi) on the nodes xi_0 ... xi_{n/2} of the n-node rule, and
+    X times the folded trapezoid weights (1, 2, ..., 2, 1)/n.
+
+    The f_eps integrands depend on xi only through X, which is even about
+    pi, so the periodic rule's nodes xi and 2 pi - xi carry equal values and
+    each pair is summed once with weight 2/n.  Both arrays are read-only.
+    """
+    _, cxi, _ = _xi_nodes(n)
+    X = 1.0 - cxi[: n // 2 + 1]
+    w = np.full(X.size, 2.0 / n)
+    w[0] = w[-1] = 1.0 / n
+    wX = w * X
+    X.flags.writeable = False
+    wX.flags.writeable = False
+    return X, wX
+
+
 def rho_p(Lambda, G, ell, g):
     """Radial factor rho = 1 - e cos(xi) and projection factor
     p = (cos(xi) - e) cos(g) - (G/Lambda) sin(xi) sin(g)
@@ -125,14 +144,14 @@ def _f_minus_one(eps, t, quad, grad=False):
     integral, d/dt = (1/2pi) * integral eps X^2 rad^{-3/2} dxi and
     d/deps = (1/2pi) * integral X^2 (t - eps X) rad^{-3/2} dxi.
 
-    eps and t are floats (float results) or (m, 1) columns ((m,) results).
-    This is the only place that checks |eps| < 1/2 and the radicand floor.
+    The integrals are the n-node periodic trapezoid rule of quad, summed
+    over its half range (see _half_range).  eps and t are floats (float
+    results) or (m, 1) columns ((m,) results).  This is the only place that
+    checks |eps| < 1/2 and the radicand floor.
     """
     if np.abs(eps).max() >= 0.5:
         raise ValueError("f_eps requires |eps| < 1/2, got %r" % (eps,))
-    n = quad.n_nodes
-    _, cxi, _ = _xi_nodes(n)
-    X = 1.0 - cxi
+    X, wX = _half_range(quad.n_nodes)
     eX = eps * X
     u = 2 * eX * t - eX**2
     rad = 1.0 - u
@@ -141,11 +160,13 @@ def _f_minus_one(eps, t, quad, grad=False):
             "f_eps radicand %.3e below floor (eps=%r, t=%r)" % (rad.min(), eps, t)
         )
     s = np.sqrt(rad)
-    fm1 = (X * u / (s * (1.0 + s))).sum(axis=-1) / n
+    # weighted .sum, not a matrix product: the grid and scalar paths must
+    # sum in the same order to agree bitwise
+    fm1 = (wX * u / (s * (1.0 + s))).sum(axis=-1)
     if not grad:
         return fm1
-    X2m = X**2 / (rad * s)
-    return fm1, (eps * X2m).sum(axis=-1) / n, (X2m * (t - eps * X)).sum(axis=-1) / n
+    wX2m = wX * X / (rad * s)
+    return fm1, (eps * wX2m).sum(axis=-1), (wX2m * (t - eps * X)).sum(axis=-1)
 
 
 def f_eps(eps, t, quad=DEFAULT_QUAD):

@@ -291,3 +291,48 @@ class TestNormalForm:
             assert row["lie_orders"] >= 1
             assert 0 <= row["lie_ratio"] < 1
             assert row["lie_tail_bound"] >= 0
+
+
+NORMALFORM_SMALL = (
+    "--set", "masses.kappa=0.02", "--set", "masses.frame=m0centric",
+    "--set", "hamiltonian.index=2", "--set", "domain.alpha_minus=1000",
+    "--set", "domain.alpha_plus=16000", "--set", "domain.delta=0.005",
+    "--set", "normalform.grid=6, 6, 12", "--set", "normalform.fourier_cutoff=4",
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("portrait", "--eps", "0.3"),
+        ("verify-renorm", "--eps-list", "0, 0.3"),
+        ("evolve", "--state", "0.1, 0.2, 50.0, 0.3", "--duration", "10"),
+        ("check-theorem",),
+        NORMALFORM_SMALL + ("normalform", "-N", "1"),
+    ],
+    ids=["portrait", "verify-renorm", "evolve", "check-theorem", "normalform"],
+)
+def test_json_outputs_compact_with_unchanged_content(tmp_path, monkeypatch, argv):
+    # every JSON file is one line and parses to what the indented encoding
+    # of the same payload parses to (floats through float.__repr__ in both)
+    import perilib.cli as cli
+
+    written = {}
+    real_write_json = cli._write_json
+
+    def recording_write_json(path, payload, seed):
+        written[path] = json.loads(
+            json.dumps(dict(payload, seed=seed), indent=2, default=float)
+        )
+        real_write_json(path, payload, seed)
+
+    monkeypatch.setattr(cli, "_write_json", recording_write_json)
+    code, _ = run(tmp_path, *argv)
+    assert code == EXIT_OK
+    assert written
+    for path, expect in written.items():
+        with open(path) as fh:
+            text = fh.read()
+        assert text.count("\n") == 1 and text.endswith("\n")
+        # compared as canonical text so that a NaN equals itself
+        assert json.dumps(json.loads(text)) == json.dumps(expect)

@@ -153,6 +153,37 @@ def ref_normal_form_steps(f, freqs, N, w=PLAIN_WEIGHTS, max_order=14):
     return g, fj, rows
 
 
+def ref_secular_build(spec, eps0, alpha_minus, alpha_plus, delta, grid_shape,
+                      fourier_cutoff, n_phi):
+    """build_secular_perturbation's series with the perturbation evaluated at
+    every gamma sample of the full (Gcal, gamma, y, x) mesh."""
+    from perilib.kepler import xi_prime_array
+    from perilib.potentials import DEFAULT_QUAD, f_eps_minus_one_grid
+
+    m0, Lam = spec.m0, spec.Lambda
+    box = [
+        (Lam - delta, Lam),
+        (2 * math.sqrt(m0**3 * alpha_minus), math.sqrt(m0**3 * alpha_plus)),
+        (2 * math.sqrt(eps0), 2 * np.pi - 2 * math.sqrt(eps0)),
+    ]
+
+    def fun(Gc, gam, y, x):
+        xi = xi_prime_array(x[0, 0, 0, :])
+        r = y**2 / m0**3 * (1 - np.cos(xi))
+        eps = spec.eps_of_r(r)
+        c2g = np.cos(gam) ** 2
+        u = Gc / Lam
+        pert = eps * (Lam**2 - Gc**2) / (2 * Lam**2) * c2g
+        for c, s in spec.terms():
+            es = s * eps
+            t = u + es * (1.0 - u**2) * c2g
+            pert = pert - c * f_eps_minus_one_grid(es, t, DEFAULT_QUAD)
+        return m0**2 / r * pert
+
+    return tf_build(fun, box, grid_shape, n_angles=1,
+                    fourier_cutoff=fourier_cutoff, n_phi=n_phi)
+
+
 def assert_series_close(got, expect, rtol):
     assert set(got.coeffs) == set(expect.coeffs)
     assert (got.fourier_cutoff, got.pq_degree) == (expect.fourier_cutoff, expect.pq_degree)
@@ -224,6 +255,21 @@ class TestBuild:
             y = rng.uniform(*BOX[1])
             x = rng.uniform(*BOX[2])
             assert abs(f.evaluate([I], [ph], y, x) - fun(I, ph, y, x)) < 1e-10
+
+    @pytest.mark.parametrize("layout", ["fortran", "angle-outermost"])
+    def test_coefficients_own_their_memory(self, layout):
+        # a stored coefficient must not be a view pinning the whole FFT array
+        def fun(I, p, y, x):
+            v = (1 + 0.3 * I) * np.cos(p) + 0.1 * y * x * np.sin(2 * p)
+            if layout == "fortran":
+                return np.asfortranarray(v)
+            return v[:, np.arange(v.shape[1])]  # fancy-index scatter layout
+
+        f = build(fun)
+        assert f.coeffs
+        for arr in f.coeffs.values():
+            assert arr.base is None
+            assert arr.flags.c_contiguous
 
 
 class TestSplit:
@@ -608,6 +654,34 @@ class TestSecularBuild:
             built = series.evaluate([Gc], [gam], y, x)
             worst = max(worst, abs(direct - built) / abs(direct))
         assert worst < 1e-8
+
+    @pytest.mark.parametrize("n_phi", [64, 18, 19])
+    def test_folded_build_matches_full_mesh(self, n_phi, monkeypatch):
+        # 64 and 18 (= 2 mod 4) fold by cos^2's period pi, odd 19 by evenness
+        import perilib.potentials as pot
+        from perilib.coords import derive_mass_params
+        from perilib.hamiltonians import HamiltonianSpec
+        from perilib.normalform import build_secular_perturbation
+
+        spec = HamiltonianSpec(2, 1.0, 1.0, derive_mass_params(1.0, 0.02, "m0centric"))
+        args = (spec, 0.45, 1000.0, 16000.0, 0.005)
+        grid_shape, cutoff = (4, 4, 6), 8
+        expect = ref_secular_build(*args, grid_shape, cutoff, n_phi)
+
+        shapes = []
+        real_grid = pot.f_eps_minus_one_grid
+
+        def counting_grid(eps, t, quad=pot.DEFAULT_QUAD):
+            shapes.append(np.broadcast_shapes(np.shape(eps), np.shape(t)))
+            return real_grid(eps, t, quad)
+
+        monkeypatch.setattr(pot, "f_eps_minus_one_grid", counting_grid)
+        got, _ = build_secular_perturbation(
+            *args, grid_shape=grid_shape, fourier_cutoff=cutoff, n_phi=n_phi
+        )
+        n_fold = (n_phi // 2 if n_phi % 2 == 0 else n_phi) // 2 + 1
+        assert shapes == [(4, n_fold, 4, 6)] * len(spec.terms())
+        assert_series_close(got, expect, 1e-14)
 
 
 class TestNormalFormSteps:

@@ -191,6 +191,39 @@ def test_grid_matches_scalar_wrappers(eps, t, quad):
             assert f_eps_bundle(e, tt, quad)[0] == f_eps(e, tt, quad) == 1 + fm1
 
 
+def ref_f_minus_one(eps, t, n):
+    """f - 1, d/dt f and d/deps f by the n-node periodic trapezoid rule over
+    the full range of xi, with the mean |integrand| of each as its scale."""
+    xi = 2 * np.pi * np.arange(n) / n
+    X = 1.0 - np.cos(xi)
+    eX = eps * X
+    u = 2 * eX * t - eX**2
+    rad = 1.0 - u
+    s = np.sqrt(rad)
+    X2m = X**2 / (rad * s)
+    integrands = (X * u / (s * (1.0 + s)), eps * X2m, X2m * (t - eps * X))
+    return [(v.sum() / n, np.abs(v).mean()) for v in integrands]
+
+
+# |eps| from 1e-12 to 0.49 on a log scale; for |t| <= 1 the radicand is at
+# least (1 - 2|eps|)^2, so every (eps, t) drawn is admissible
+@settings(max_examples=200, deadline=None)
+@given(
+    log_eps=st.floats(min_value=-12.0, max_value=np.log10(0.49)),
+    sign=st.sampled_from([-1.0, 1.0]),
+    t=st.floats(min_value=-1.0, max_value=1.0),
+    quad=st.sampled_from([QuadratureSpec(32), QuadratureSpec(34), QUAD]),
+)
+def test_half_range_matches_full_range(log_eps, sign, t, quad):
+    # the kernel sums the folded half range; relative errors alone reach
+    # 1e-13 where f - 1 nearly cancels, so the bound uses the integrand scale
+    eps = sign * 10.0**log_eps
+    _, ft, fe = f_eps_bundle(eps, t, quad)
+    got = (f_eps_minus_one(eps, t, quad), ft, fe)
+    for value, (expect, scale) in zip(got, ref_f_minus_one(eps, t, quad.n_nodes)):
+        assert abs(value - expect) <= 2e-15 * scale
+
+
 def test_grid_across_chunk_boundary():
     from perilib.potentials import _GRID_CHUNK
 
