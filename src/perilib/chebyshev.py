@@ -10,7 +10,6 @@ size and then applied as small read-only matrices.
 import functools
 
 import numpy as np
-from scipy.fft import dct
 
 
 def nodes(n, lo=-1.0, hi=1.0):
@@ -23,6 +22,10 @@ def nodes(n, lo=-1.0, hi=1.0):
 
 def vals_to_coeffs(v, axis):
     """Chebyshev coefficients of values sampled at increasing Lobatto nodes."""
+    # imported here: scipy.fft costs about 0.2 s to import, which commands
+    # without a normal form should not pay
+    from scipy.fft import dct
+
     v = np.asarray(v)
     n = v.shape[axis]
     if n == 1:
@@ -38,6 +41,8 @@ def vals_to_coeffs(v, axis):
 
 def coeffs_to_vals(c, axis):
     """Inverse of vals_to_coeffs."""
+    from scipy.fft import dct
+
     c = np.asarray(c)
     n = c.shape[axis]
     if n == 1:

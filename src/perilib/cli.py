@@ -3,8 +3,10 @@
 Subcommands: portrait, verify-renorm, evolve, check-theorem, normalform.
 Each reads one INI-style config file (sections below), writes CSV/JSON
 outputs atomically into --out, and records the 64-bit seed in every output
-header.  Exit codes: 0 success, 2 config error, 3 numerical guard tripped,
-4 I/O failure.
+header.  Exit codes: 0 success, 2 config, input or domain error (a state
+outside the physical domain included), 3 numerical guard tripped (singular
+locus, Kepler or Lie-series failure, energy drift, integration failure or a
+state leaving the domain during a run), 4 I/O failure.
 
 Config sections and keys (all optional unless a subcommand needs them):
 
@@ -34,7 +36,13 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .coords import ActionAngleState, SecularState, derive_mass_params
-from .dynamics import StepControl, detect_libration, integrate
+from .dynamics import (
+    EnergyDriftError,
+    IntegrationError,
+    StepControl,
+    detect_libration,
+    integrate,
+)
 from .hamiltonians import HamiltonianSpec
 from .kepler import KeplerError
 from .normalform import (
@@ -340,8 +348,9 @@ def cmd_evolve(cfg, out_dir, seed, state=None, duration=None):
     state0 = SecularState(*vals) if chart == "secular" else ActionAngleState(*vals)
     if T == 0.0:
         from .dynamics import Trajectory
-        from .hamiltonians import h_action_angle, h_secular
+        from .hamiltonians import check_domain, h_action_angle, h_secular
 
+        check_domain(spec, state0)
         E0 = (
             h_secular(spec, state0, cfg.quad())
             if chart == "secular"
@@ -492,7 +501,11 @@ def main(argv=None):
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
-    except (SingularLocusError, ContractionError, KeplerError) as exc:
+    except ValueError as exc:  # DomainError and other rejected inputs
+        print("invalid input: %s" % exc, file=sys.stderr)
+        return EXIT_CONFIG
+    except (SingularLocusError, ContractionError, KeplerError, EnergyDriftError,
+            IntegrationError) as exc:
         print("numerical guard tripped: %s" % exc, file=sys.stderr)
         return EXIT_GUARD
     except OSError as exc:

@@ -10,7 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kepler import solve_kepler_zero_ecc_form
+from .kepler import solve_kepler_zero_ecc_form, xi_prime_array
+
+COLLISION_TOL = 1e-13
 
 JACOBI = "jacobi"
 M0CENTRIC = "m0centric"
@@ -165,13 +167,23 @@ def rr_forward_with_jacobian(m0, y, x):
     """rr_forward plus the partials (dr/dy, dr/dx) needed by the chain rule."""
     xi = solve_kepler_zero_ecc_form(x).xi
     one_m_c = 1.0 - np.cos(xi)
-    if abs(one_m_c) < 1e-13:
+    if abs(one_m_c) < COLLISION_TOL:
         raise ValueError("cos xi'(x) = 1: collision of the outer body (r = 0)")
     r = y**2 / m0**3 * one_m_c
     R = m0**3 / y * np.sin(xi) / one_m_c
     dr_dy = 2 * y * one_m_c / m0**3
     dr_dx = y**2 / m0**3 * np.sin(xi) / one_m_c
     return R, r, dr_dy, dr_dx
+
+
+def radial_radius(m0, y, x):
+    """r of the radial-orbit chart for arrays of (y, x) with real x in
+    (0, 2*pi), from one array Kepler solve; the same values and collision
+    check as rr_forward_with_jacobian."""
+    one_m_c = 1.0 - np.cos(xi_prime_array(x))
+    if (np.abs(one_m_c) < COLLISION_TOL).any():
+        raise ValueError("cos xi'(x) = 1: collision of the outer body (r = 0)")
+    return y**2 / m0**3 * one_m_c
 
 
 def orbital_elements(m0, Lambda, G):

@@ -11,10 +11,9 @@ Canonical orderings: secular (R, G, r, g) pairs R<->r, G<->g; action-angle
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .coords import ActionAngleState, SecularState
-from .hamiltonians import gradient, h_action_angle, h_secular
+from .hamiltonians import check_domain, energies, gradient
 from .potentials import DEFAULT_QUAD
 
 DEFAULT_ENERGY_TOL = 1e-8
@@ -25,7 +24,8 @@ class EnergyDriftError(RuntimeError):
 
 
 class IntegrationError(RuntimeError):
-    """The step controller failed before reaching the requested time."""
+    """The step controller failed before reaching the requested time, or
+    the state left the chart's domain during the run."""
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,10 @@ def hamiltonian_flow_rhs(energy_grad, pairs):
     """
 
     def rhs(t, z):
-        dH = energy_grad(z)
+        try:
+            dH = energy_grad(z)
+        except ValueError as exc:  # DomainError and the chart maps' checks
+            raise IntegrationError("state left the domain at t=%.17g: %s" % (t, exc)) from exc
         out = np.empty_like(dH)
         for ip, iq in pairs:
             out[ip] = -dH[iq]
@@ -87,10 +90,16 @@ def integrate_flow(energy, energy_grad, z0, T, step_ctrl=StepControl(),
     """Integrate z' = J grad H for a 2-DOF system with the given canonical
     pairing.
 
-    energy and energy_grad act on bare state arrays.  Terminal events stop
-    the run; the trajectory is sampled on t_eval (default: uniform grid of
-    max_samples points).
+    energy_grad acts on one bare state array; energy acts on the (n, 4)
+    stack of all output samples at once and returns their n energies.  A
+    ValueError raised by either (the state left the domain) ends the run as
+    IntegrationError.  Terminal events stop the run; the trajectory
+    is sampled on t_eval (default: uniform grid of max_samples points).
     """
+    # imported here: scipy.integrate costs about 0.5 s to import, which
+    # commands that never integrate should not pay
+    from scipy.integrate import solve_ivp
+
     if t_eval is None:
         t_eval = np.linspace(0.0, T, max_samples)
     sol = solve_ivp(
@@ -119,14 +128,20 @@ def integrate_flow(energy, energy_grad, z0, T, step_ctrl=StepControl(),
     keep = np.concatenate([[True], np.diff(times[order]) > 0])
     times = times[order][keep]
     states = states[order][keep]
-    energies = np.array([energy(z) for z in states])
-    return times, states, energies, sol
+    try:
+        return times, states, energy(states), sol
+    except ValueError as exc:
+        raise IntegrationError("a sample left the domain: %s" % exc) from exc
 
 
 def integrate(spec, state0, T, chart="secular", step_ctrl=StepControl(),
               energy_tol=DEFAULT_ENERGY_TOL, quad=DEFAULT_QUAD, t_eval=None,
               domain_guard=None):
     """Flow of the reduced Hamiltonian from state0 for duration T.
+
+    state0 outside the physical domain raises DomainError (see
+    hamiltonians.check_domain); leaving it during the run raises
+    IntegrationError.
 
     domain_guard, when given, is a scalar function of the bare state that is
     positive inside the admissible domain; its zero crossing stops the run
@@ -136,18 +151,18 @@ def integrate(spec, state0, T, chart="secular", step_ctrl=StepControl(),
     """
     if chart == "secular":
         state0 = state0 if isinstance(state0, SecularState) else SecularState(*state0)
-        energy = lambda z: h_secular(spec, SecularState(*z), quad)
         grad = lambda z: gradient(spec, SecularState(*z), "secular", quad=quad)
         pairs = SECULAR_PAIRS
     elif chart == "action-angle":
         state0 = (
             state0 if isinstance(state0, ActionAngleState) else ActionAngleState(*state0)
         )
-        energy = lambda z: h_action_angle(spec, ActionAngleState(*z), quad)
         grad = lambda z: gradient(spec, ActionAngleState(*z), "action-angle", quad=quad)
         pairs = ACTION_ANGLE_PAIRS
     else:
         raise ValueError("chart must be 'secular' or 'action-angle'")
+    check_domain(spec, state0)
+    energy = lambda Z: energies(spec, Z, chart, quad)
 
     events = None
     if domain_guard is not None:
@@ -155,10 +170,10 @@ def integrate(spec, state0, T, chart="secular", step_ctrl=StepControl(),
         guard.terminal = True
         events = [guard]
 
-    times, states, energies, sol = integrate_flow(
+    times, states, sample_energies, sol = integrate_flow(
         energy, grad, state0.as_array(), T, step_ctrl, events, t_eval, pairs
     )
-    traj = Trajectory(times, states, energies, chart)
+    traj = Trajectory(times, states, sample_energies, chart)
     exited = sol.status == 1
     if exited:
         traj.events.append((times[-1], "domain-exit"))

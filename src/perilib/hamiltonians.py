@@ -12,6 +12,9 @@ h_secular evaluates, in the chart (R, G, r, g),
 with eps(r) = Lambda^2/(m0^3 r).  h_action_angle is the same energy through
 the charts of coords, written as -m0^5/(2 y^2) plus a perturbation that
 vanishes with eps.
+
+Each chart has one energy kernel, which takes an (n, 4) stack of states
+(see energies); the functions of one state are its n = 1 case.
 """
 
 from dataclasses import dataclass
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import potentials
-from .coords import MassParams, rr_forward_with_jacobian
+from .coords import MassParams, SecularState, radial_radius, rr_forward_with_jacobian
 from .potentials import DEFAULT_QUAD, e_hat, e_hat_aa
 
 GRAD_FD_STEP = 1e-6
@@ -69,19 +72,66 @@ def _bare_coulomb_weight(spec):
     return 0.0
 
 
-def h_secular(spec, state, quad=DEFAULT_QUAD):
-    """Energy of the reduced secular system at a (R, G, r, g) state."""
-    R, G, r, g = state.R, state.G, state.r, state.g
-    if r <= 0:
+def check_domain(spec, state):
+    """Raise DomainError unless state lies in the physical domain of its
+    chart: finite, with |G| <= Lambda and r > 0 (SecularState), or with
+    |Gcal| <= Lambda, y > 0 and 0 < x < 2 pi (ActionAngleState)."""
+    z = state.as_array()
+    Lam = spec.Lambda
+    if isinstance(state, SecularState):
+        ok = abs(z[1]) <= Lam and z[2] > 0
+    else:
+        ok = abs(z[0]) <= Lam and z[2] > 0 and 0 < z[3] < 2 * np.pi
+    # written so that NaN or inf fails
+    if not (ok and np.isfinite(z).all()):
+        raise DomainError("state %r outside the physical domain (Lambda=%r)" % (state, Lam))
+
+
+def _secular_energies(spec, Z, quad):
+    """Energies of the (n, 4) stack Z of (R, G, r, g) rows: one
+    f_eps_minus_one_grid call per term."""
+    R, G, r, g = Z.T
+    if (r <= 0).any():
         raise DomainError("r must be positive")
     m0 = spec.m0
     eps = spec.eps_of_r(r)
     val = R**2 / (2 * m0) + G**2 / (2 * m0 * r**2)
     for c, s in spec.terms():
         es = s * eps
-        val -= c * (m0**2 / r) * potentials.f_eps(es, e_hat(es, spec.Lambda, G, g), quad)
+        f = 1.0 + potentials.f_eps_minus_one_grid(es, e_hat(es, spec.Lambda, G, g), quad)
+        val -= c * (m0**2 / r) * f
     val -= _bare_coulomb_weight(spec) * m0**2 / r
     return val
+
+
+def _aa_perturbations(spec, Z, quad):
+    """aa_perturbation of the (n, 4) stack Z of (Gcal, gamma, y, x) rows: r
+    from one array Kepler solve, one f_eps_minus_one_grid call per term."""
+    Gc, gam, y, x = Z.T
+    m0, Lam = spec.m0, spec.Lambda
+    r = radial_radius(m0, y, x)
+    eps = spec.eps_of_r(r)
+    pert = eps * (Lam**2 - Gc**2) / (2 * Lam**2) * np.cos(gam) ** 2
+    for c, s in spec.terms():
+        es = s * eps
+        pert -= c * potentials.f_eps_minus_one_grid(es, e_hat_aa(es, Lam, Gc, gam), quad)
+    return (m0**2 / r) * pert
+
+
+def energies(spec, states, chart="secular", quad=DEFAULT_QUAD):
+    """Energies of an (n, 4) stack of chart states, one per row: h_secular
+    for chart "secular", h_action_angle for chart "action-angle"."""
+    Z = np.asarray(states, dtype=float).reshape(-1, 4)
+    if chart == "secular":
+        return _secular_energies(spec, Z, quad)
+    if chart == "action-angle":
+        return -(spec.m0**5) / (2 * Z[:, 2] ** 2) + _aa_perturbations(spec, Z, quad)
+    raise ValueError("chart must be 'secular' or 'action-angle'")
+
+
+def h_secular(spec, state, quad=DEFAULT_QUAD):
+    """Energy of the reduced secular system at a (R, G, r, g) state."""
+    return energies(spec, state.as_array(), "secular", quad)[0]
 
 
 def aa_perturbation(spec, state, quad=DEFAULT_QUAD):
@@ -91,15 +141,7 @@ def aa_perturbation(spec, state, quad=DEFAULT_QUAD):
     Collects the centrifugal term and the averaged potentials minus their
     limit value 1 (computed cancellation-free, so the tiny-eps regime keeps
     full relative precision)."""
-    Gc, gam, y, x = state.Gcal, state.gamma, state.y, state.x
-    m0, Lam = spec.m0, spec.Lambda
-    _, r, _, _ = rr_forward_with_jacobian(m0, y, x)
-    eps = spec.eps_of_r(r)
-    pert = eps * (Lam**2 - Gc**2) / (2 * Lam**2) * np.cos(gam) ** 2
-    for c, s in spec.terms():
-        es = s * eps
-        pert -= c * potentials.f_eps_minus_one(es, e_hat_aa(es, Lam, Gc, gam), quad)
-    return (m0**2 / r) * pert
+    return _aa_perturbations(spec, state.as_array()[None], quad)[0]
 
 
 def h_action_angle(spec, state, quad=DEFAULT_QUAD):
@@ -107,7 +149,7 @@ def h_action_angle(spec, state, quad=DEFAULT_QUAD):
 
     Agrees with h_secular through the chart maps.
     """
-    return -(spec.m0**5) / (2 * state.y**2) + aa_perturbation(spec, state, quad)
+    return energies(spec, state.as_array(), "action-angle", quad)[0]
 
 
 def v_radial(spec, r):

@@ -33,8 +33,13 @@ def _newton_bisect(e, ell, lo, hi, xi, tol):
 
     Any iterate leaving the bracket is replaced by a bisection step, which
     keeps the method robust up to e = 1.  Returns (xi, |residual|,
-    iterations) and raises KeplerError after MAX_ITER iterations.
+    iterations) and raises KeplerError after MAX_ITER iterations.  An array
+    ell (with lo, hi and xi broadcast to its shape) is solved entrywise by
+    _newton_bisect_array; floats take the loop below, which is what the
+    flow's right-hand side calls once per evaluation.
     """
+    if isinstance(ell, np.ndarray):
+        return _newton_bisect_array(e, ell, lo, hi, xi, tol)
     for it in range(1, MAX_ITER + 1):
         f = xi - e * np.sin(xi) - ell
         if abs(f) <= tol:
@@ -52,23 +57,80 @@ def _newton_bisect(e, ell, lo, hi, xi, tol):
     )
 
 
+def _newton_bisect_array(e, ell, lo, hi, xi, tol):
+    """_newton_bisect on every entry of an array at once.
+
+    Entries that have converged freeze and the rest keep iterating, each
+    through the same operations as the scalar loop, so every entry agrees
+    bitwise with its scalar solve.  Returns arrays (xi, |residual|,
+    iterations) of ell's shape.
+    """
+    shape = ell.shape
+    ell = ell.ravel()
+    x, lo, hi = (np.broadcast_to(np.asarray(v, dtype=float), shape).ravel()
+                 for v in (xi, lo, hi))
+    out, res = np.empty(ell.size), np.empty(ell.size)
+    iters = np.empty(ell.size, dtype=int)
+    idx = np.arange(ell.size)  # the unconverged entries, in working order
+    for it in range(1, MAX_ITER + 1):
+        f = x - e * np.sin(x) - ell
+        done = np.abs(f) <= tol
+        if done.any():
+            k = idx[done]
+            out[k], res[k], iters[k] = x[done], np.abs(f[done]), it
+            live = ~done
+            idx, x, f, ell, lo, hi = (v[live] for v in (idx, x, f, ell, lo, hi))
+        if not idx.size:
+            return out.reshape(shape), res.reshape(shape), iters.reshape(shape)
+        up = f > 0
+        hi = np.where(up, x, hi)
+        lo = np.where(up, lo, x)
+        d = 1.0 - e * np.cos(x)
+        # a vanishing derivative gives an infinite step, which bisects
+        cand = x - np.divide(f, d, out=np.full_like(f, np.inf), where=d > 1e-14)
+        x = np.where((lo < cand) & (cand < hi), cand, 0.5 * (lo + hi))
+    raise KeplerError(
+        "Kepler iteration did not converge: e=%r ell=%r residual=%.3e"
+        % (e, ell[0], abs(f[0]))
+    )
+
+
 def _newton_radial(x, tol):
     """The real branch of xi' - sin xi' = x on (0, 2*pi), from xi' = pi."""
     return _newton_bisect(1.0, x, 0.0, 2 * np.pi, np.pi, tol)
 
 
+def _cabs(z):
+    """|z| of complex arrays as the scalar abs rounds it: numpy's vectorized
+    complex abs can differ from it in the last bit."""
+    return np.hypot(z.real, z.imag)
+
+
 def _newton_complex(z, target, tol):
-    """One continuation step: plain Newton for z - sin z = target from z.
-    Returns (z, iterations)."""
+    """One continuation step: plain Newton for z - sin z = target from z, on
+    complex arrays of one shape.  Converged entries freeze and the rest keep
+    iterating.  Returns (z, iterations), both arrays."""
+    z = np.asarray(z, dtype=complex)
+    shape = z.shape
+    w, tg = z.ravel(), np.broadcast_to(target, shape).ravel()
+    out = np.empty(w.size, dtype=complex)
+    iters = np.empty(w.size, dtype=int)
+    idx = np.arange(w.size)  # the unconverged entries, in working order
     for it in range(1, MAX_ITER + 1):
-        f = z - np.sin(z) - target
-        if abs(f) <= tol:
-            return z, it
-        d = 1.0 - np.cos(z)
-        if abs(d) < 1e-14:
+        f = w - np.sin(w) - tg
+        done = _cabs(f) <= tol
+        if done.any():
+            k = idx[done]
+            out[k], iters[k] = w[done], it
+            live = ~done
+            idx, w, f, tg = (v[live] for v in (idx, w, f, tg))
+        if not idx.size:
+            return out.reshape(shape), iters.reshape(shape)
+        d = 1.0 - np.cos(w)
+        if (_cabs(d) < 1e-14).any():
             raise KeplerError("vanishing derivative during continuation")
-        z = z - f / d
-    raise KeplerError("complex radial Kepler solve stalled at x=%r" % (target,))
+        w = w - f / d
+    raise KeplerError("complex radial Kepler solve stalled at x=%r" % (complex(tg[0]),))
 
 
 def solve_kepler(e, ell, tol=DEFAULT_TOL):
@@ -91,7 +153,8 @@ def solve_kepler(e, ell, tol=DEFAULT_TOL):
 
 
 def _solve_elliptic(e, ell, tol):
-    """solve_kepler without argument checks; e = 1 is solved too."""
+    """solve_kepler without argument checks; e = 1 is solved too, and an
+    array ell is solved entrywise (see _newton_bisect)."""
     k = np.floor(ell / (2 * np.pi))
     ell0 = ell - 2 * np.pi * k
     if e == 0.0:
@@ -102,10 +165,9 @@ def _solve_elliptic(e, ell, tol):
 
 def solve_kepler_array(e, ell, tol=DEFAULT_TOL):
     """Eccentric anomaly for an array of mean anomalies, e in [0, 1]: the
-    solve_kepler iteration per entry."""
-    ell = np.asarray(ell, dtype=float)
-    xi = [_solve_elliptic(e, v, tol).xi for v in ell.ravel().tolist()]
-    return np.array(xi, dtype=float).reshape(ell.shape)
+    solve_kepler iteration on all entries at once."""
+    # a copy, since e = 0 returns ell itself as the solution
+    return _solve_elliptic(e, np.array(ell, dtype=float), tol).xi
 
 
 def in_strip(x, eps0):
@@ -134,20 +196,22 @@ def solve_kepler_zero_ecc_form(x, tol=DEFAULT_TOL):
     xim = float(np.imag(x))
     if xim == 0.0 and not np.iscomplexobj(x):
         return KeplerSolution(xi, res, total_it)
-    z = complex(xi)
+    z = np.array([complex(xi)])
     for k in range(1, _CONTINUATION_STEPS + 1):
         z, it = _newton_complex(z, xr + 1j * xim * k / _CONTINUATION_STEPS, tol)
-        total_it += it
+        total_it += int(it[0])
+    z = z[0]
     return KeplerSolution(z, abs(z - np.sin(z) - complex(x)), total_it)
 
 
 def xi_prime_array(x, tol=DEFAULT_TOL):
-    """Real solution of xi' - sin xi' = x for an array of x in (0, 2*pi)."""
+    """Real solution of xi' - sin xi' = x for an array of x in (0, 2*pi),
+    all entries solved at once; each agrees bitwise with xi_prime_real."""
     x = np.asarray(x, dtype=float)
-    if np.any((x <= 0) | (x >= 2 * np.pi)):
+    # negated, so that NaN is rejected too
+    if not np.all((x > 0) & (x < 2 * np.pi)):
         raise ValueError("arguments must lie in (0, 2*pi)")
-    xi = [_newton_radial(v, tol)[0] for v in x.ravel().tolist()]
-    return np.array(xi, dtype=float).reshape(x.shape)
+    return _newton_radial(x, tol)[0]
 
 
 def xi_prime_real(x, tol=DEFAULT_TOL):
@@ -172,16 +236,14 @@ def estimate_c0(eps0, grid_n=64, tol=1e-13):
     half = np.pi - 2 * s
     res = np.linspace(np.pi - half, np.pi + half, grid_n)
     ims = np.linspace(-s, s, grid_n)
-    best = np.inf
-    for re in res:
-        z = complex(solve_kepler_zero_ecc_form(re, tol=tol).xi)
-        best = min(best, abs(1.0 - np.cos(z)))
-        # walk each imaginary half-column by continuation from the real
-        # axis, reusing the previous point as the Newton seed
-        for sign in (1.0, -1.0):
-            order = sorted((im for im in ims if im * sign > 0), key=abs)
-            zc = z
-            for im in order:
-                zc, _ = _newton_complex(zc, re + 1j * im, tol)
-                best = min(best, abs(1.0 - np.cos(zc)))
+    z = xi_prime_array(res, tol).astype(complex)
+    best = _cabs(1.0 - np.cos(z)).min()
+    # walk all imaginary half-columns at once by continuation from the real
+    # axis, each column reusing its previous point as the Newton seed
+    for sign in (1.0, -1.0):
+        order = sorted((im for im in ims if im * sign > 0), key=abs)
+        zc = z
+        for im in order:
+            zc, _ = _newton_complex(zc, res + 1j * im, tol)
+            best = min(best, _cabs(1.0 - np.cos(zc)).min())
     return best / eps0

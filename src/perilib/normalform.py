@@ -521,6 +521,11 @@ def homological_residual(phi, f_osc, freqs):
 # ---------------- Lie flows and the iteration ----------------
 
 
+# relative size (to the chain's first term) below which Lie terms are
+# roundoff and stay out of the reported ratio and tail bound
+LIE_RATIO_FLOOR = 1e-12
+
+
 @dataclass
 class LieReport:
     orders: int
@@ -536,12 +541,16 @@ def _lie_chain(L, H, max_order, weights, rel_floor=1e-16):
     The chain stops once a term falls to rel_floor of H's norm.  The measured
     geometric ratio of successive term norms must stay below 1 (broken
     contraction raises ContractionError); the reported tail bound is
-    last_term * ratio / (1 - ratio).
+    last * ratio / (1 - ratio).  Ratio and last term are taken over the
+    terms above LIE_RATIO_FLOOR of H's norm only: the terms below it are
+    roundoff, and their ratios move by percents under input changes at
+    roundoff level.
     """
     terms = [H]
     norms = [tf_norm(H, weights)]
     base = norms[0] if norms[0] > 0 else 1.0
     ratio = 0.0
+    last = norms[0]
     for order in range(1, max_order + 1):
         term = L.bracket(_BracketSide(terms[-1])) * (1.0 / order)
         n = tf_norm(term, weights)
@@ -549,13 +558,15 @@ def _lie_chain(L, H, max_order, weights, rel_floor=1e-16):
         terms.append(term)
         if n <= rel_floor * base:
             break
-        if norms[-2] > 0:
-            ratio = max(ratio if order > 1 else 0.0, n / norms[-2])
+        if n > LIE_RATIO_FLOOR * base:
+            last = n
+            if norms[-2] > 0:
+                ratio = max(ratio, n / norms[-2])
         if order >= 2 and norms[-1] > norms[-2] and norms[-2] > norms[-3]:
             raise ContractionError(
                 "Lie series diverging: term norms %r" % (norms[-3:],)
             )
-    tail = norms[-1] * ratio / (1 - ratio) if ratio < 1 else math.inf
+    tail = last * ratio / (1 - ratio) if ratio < 1 else math.inf
     if ratio >= 1 and norms[-1] > rel_floor * base:
         raise ContractionError("measured Lie contraction factor %.3f >= 1" % ratio)
     return terms, LieReport(len(norms) - 1, norms, ratio, tail)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coords import ActionAngleState
+from .coords import ActionAngleState, radial_radius
 from .dynamics import StepControl, detect_libration, integrate
 from .kepler import estimate_c0
 from .potentials import DEFAULT_QUAD
@@ -283,11 +283,7 @@ def run_libration_experiment(spec, report, state0, budget=None,
         domain_guard=guard,
     )
     winding, squeezes, drift = detect_libration(traj, spec)
-    from .kepler import xi_prime_real
-
-    r_vals = traj.states[:, 2] ** 2 / m0**3 * np.array(
-        [1 - np.cos(xi_prime_real(x)) for x in traj.states[:, 3]]
-    )
+    r_vals = radial_radius(m0, traj.states[:, 2], traj.states[:, 3])
     summary = LibrationSummary(
         winding=winding,
         squeezes=squeezes,

@@ -170,6 +170,47 @@ class TestEvolve:
         assert summary["energy_drift"] < 1e-8
 
 
+    def test_state_leaving_domain_exits_guard(self, tmp_path, capsys):
+        # loose tolerances let the radius overshoot through zero mid-run
+        code, out = run(tmp_path, "--set", "integrator.rtol=1e-3",
+                        "--set", "integrator.atol=1e-3", "evolve", "--duration", "20000")
+        assert code == EXIT_GUARD
+        assert "left the domain" in capsys.readouterr().err
+        assert not (out / "trajectory.csv").exists()
+
+    def test_energy_drift_exits_guard(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "--set", "integrator.energy_tol=1e-16",
+                      "evolve", "--duration", "20")
+        assert code == EXIT_GUARD
+        assert "energy drift" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("duration", ["20", "0"])
+    @pytest.mark.parametrize("state", ["nan,0.1,100,0", "0.1,2.0,100,0"])
+    def test_state_outside_domain_exits_config(self, tmp_path, capsys, state, duration):
+        code, out = run(tmp_path, "evolve", "--state", state, "--duration", duration)
+        assert code == EXIT_CONFIG
+        assert "outside the physical domain" in capsys.readouterr().err
+        assert not (out / "trajectory.csv").exists()
+
+
+def test_cli_import_leaves_scipy_integrate_and_fft_unloaded():
+    # scipy.integrate and scipy.fft load only when a command needs them
+    import os
+    import subprocess
+    import sys
+
+    import perilib
+
+    src = os.path.dirname(os.path.dirname(perilib.__file__))
+    code = ("import sys; import perilib.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.integrate', 'scipy.fft'))))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
 class TestCheckTheorem:
     def test_report_written(self, tmp_path):
         code, out = run(tmp_path, "check-theorem")

@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
-from perilib.coords import SecularState, derive_mass_params
+from perilib.coords import ActionAngleState, SecularState, derive_mass_params
 from perilib.dynamics import (
     SECULAR_PAIRS,
+    IntegrationError,
     StepControl,
     Trajectory,
     detect_libration,
     integrate,
     integrate_flow,
 )
-from perilib.hamiltonians import HamiltonianSpec
+from perilib.hamiltonians import DomainError, HamiltonianSpec
 from perilib.potentials import QuadratureSpec
 
 QUAD = QuadratureSpec(256)
@@ -22,8 +23,9 @@ def make_spec(index=1):
 
 class TestHarness:
     def test_harmonic_oscillator_period_and_drift(self):
-        # harness-only test Hamiltonian (R^2 + r^2)/2 in the (R, r) pair
-        energy = lambda z: 0.5 * (z[0] ** 2 + z[2] ** 2)
+        # harness-only test Hamiltonian (R^2 + r^2)/2 in the (R, r) pair;
+        # energy receives the (n, 4) stack of samples
+        energy = lambda Z: 0.5 * (Z[:, 0] ** 2 + Z[:, 2] ** 2)
         grad = lambda z: np.array([z[0], 0.0, z[2], 0.0])
         crossings = []
 
@@ -148,3 +150,21 @@ class TestEnergyAccounting:
         assert traj.energy_drift < 1e-8
         assert traj.times[0] == 0.0
         assert np.all(np.diff(traj.times) > 0)
+
+
+class TestDomainContract:
+    @pytest.mark.parametrize("chart, state", [
+        ("secular", SecularState(0.1, 2.0, 100.0, 0.0)),
+        ("secular", SecularState(np.nan, 0.1, 100.0, 0.0)),
+        ("action-angle", ActionAngleState(1.2, 0.1, 10.0, np.pi)),
+        ("action-angle", ActionAngleState(0.5, 0.1, 10.0, 7.0)),
+    ])
+    def test_start_outside_domain_rejected(self, chart, state):
+        with pytest.raises(DomainError):
+            integrate(make_spec(1), state, 10.0, chart)
+
+    def test_leaving_domain_is_integration_error(self):
+        # loose tolerances let the radius overshoot through zero
+        st = SecularState(0.1, 0.0, 100.0, 0.0)
+        with pytest.raises(IntegrationError, match="left the domain"):
+            integrate(make_spec(1), st, 20000.0, "secular", StepControl(1e-3, 1e-3))

@@ -2,18 +2,58 @@ import numpy as np
 import pytest
 
 import perilib.potentials as potentials
-from perilib.coords import ActionAngleState, SecularState, derive_mass_params, gg_forward, rr_forward
+from perilib.coords import (
+    ActionAngleState,
+    SecularState,
+    derive_mass_params,
+    gg_forward,
+    rr_forward,
+    rr_forward_with_jacobian,
+)
 from perilib.hamiltonians import (
     DomainError,
     HamiltonianSpec,
+    aa_perturbation,
+    check_domain,
+    energies,
     gradient,
     h_action_angle,
     h_secular,
     v_radial,
 )
-from perilib.potentials import QuadratureSpec
+from perilib.potentials import QuadratureSpec, e_hat, e_hat_aa
 
 QUAD = QuadratureSpec(256)
+
+
+def ref_h_secular(spec, state, quad=QUAD):
+    """The scalar energy loop of the secular chart, one f_eps call per term,
+    as it stood before the energies took stacks of states."""
+    R, G, r, g = state.R, state.G, state.r, state.g
+    m0 = spec.m0
+    eps = spec.eps_of_r(r)
+    val = R**2 / (2 * m0) + G**2 / (2 * m0 * r**2)
+    for c, s in spec.terms():
+        es = s * eps
+        val -= c * (m0**2 / r) * potentials.f_eps(es, e_hat(es, spec.Lambda, G, g), quad)
+    if spec.index == 2:
+        b, bb = spec.masses.beta, spec.masses.beta_bar
+        val -= b / (b + bb) * m0**2 / r
+    return val
+
+
+def ref_h_action_angle(spec, state, quad=QUAD):
+    """The scalar energy loop of the action-angle chart: one scalar Kepler
+    solve and one f_eps_minus_one call per term."""
+    Gc, gam, y, x = state.Gcal, state.gamma, state.y, state.x
+    m0, Lam = spec.m0, spec.Lambda
+    _, r, _, _ = rr_forward_with_jacobian(m0, y, x)
+    eps = spec.eps_of_r(r)
+    pert = eps * (Lam**2 - Gc**2) / (2 * Lam**2) * np.cos(gam) ** 2
+    for c, s in spec.terms():
+        es = s * eps
+        pert -= c * potentials.f_eps_minus_one(es, e_hat_aa(es, Lam, Gc, gam), quad)
+    return -(m0**5) / (2 * y**2) + (m0**2 / r) * pert
 
 
 def make_spec(index=1, mu=1.0, kappa=1.0, frame="jacobi", m0=1.0, Lambda=1.0):
@@ -50,14 +90,15 @@ class TestSecular:
             assert abs(v - h_secular(spec, SecularState(R, G, r, -g), QUAD)) < 1e-14
 
     def test_f_eps_call_count(self, monkeypatch):
+        # one f_eps quadrature call per averaged-potential term
         calls = {"n": 0}
-        orig = potentials.f_eps
+        orig = potentials.f_eps_minus_one_grid
 
         def counting(*a, **k):
             calls["n"] += 1
             return orig(*a, **k)
 
-        monkeypatch.setattr(potentials, "f_eps", counting)
+        monkeypatch.setattr(potentials, "f_eps_minus_one_grid", counting)
         h_secular(make_spec(1), SecularState(0.1, 0.3, 10.0, 0.5), QUAD)
         assert calls["n"] == 2
         calls["n"] = 0
@@ -189,3 +230,92 @@ def test_spec_validation():
         HamiltonianSpec(3, 1.0, 1.0, derive_mass_params(1, 1))
     with pytest.raises(ValueError):
         HamiltonianSpec(1, -1.0, 1.0, derive_mass_params(1, 1))
+
+
+class TestStackedEnergies:
+    """energies on (n, 4) stacks against the scalar loops kept above."""
+
+    def draw(self, rng, chart, n):
+        if chart == "secular":
+            cols = (rng.uniform(-1, 1, n), rng.uniform(-0.99, 0.99, n),
+                    rng.uniform(8, 60, n), rng.uniform(-np.pi, np.pi, n))
+        else:
+            cols = (rng.uniform(-0.99, 0.99, n), rng.uniform(-np.pi, np.pi, n),
+                    rng.uniform(3.0, 12.0, n), rng.uniform(0.6, 2 * np.pi - 0.6, n))
+        return np.column_stack(cols)
+
+    @pytest.mark.parametrize("chart", ["secular", "action-angle"])
+    @pytest.mark.parametrize("index", [1, 2])
+    def test_match_scalar_loop(self, chart, index):
+        spec = make_spec(index)
+        ref, cls = ((ref_h_secular, SecularState) if chart == "secular"
+                    else (ref_h_action_angle, ActionAngleState))
+        # 150 rows span three quadrature chunks of f_eps_minus_one_grid
+        Z = self.draw(np.random.default_rng(30 + index), chart, 150)
+        got = energies(spec, Z, chart, QUAD)
+        expect = np.array([ref(spec, cls(*z)) for z in Z])
+        assert got.shape == (150,)
+        assert np.max(np.abs(got - expect) / np.abs(expect)) <= 1e-15
+        one = h_secular if chart == "secular" else h_action_angle
+        assert [one(spec, cls(*z), QUAD) for z in Z[:5]] == list(got[:5])
+
+    @pytest.mark.parametrize("chart, state", [
+        ("secular", SecularState(0.02, 0.3, 30.0, 0.4)),
+        ("action-angle", ActionAngleState(0.4, 0.7, 10.0, 2.5)),
+    ])
+    def test_flow_sample_energies_match_scalar_loop(self, chart, state):
+        # integrate records the energies of all its samples in one call
+        from perilib.dynamics import StepControl, integrate
+
+        spec = make_spec(2)
+        traj = integrate(spec, state, 40.0, chart, StepControl(1e-10, 1e-10), quad=QUAD)
+        ref, cls = ((ref_h_secular, SecularState) if chart == "secular"
+                    else (ref_h_action_angle, ActionAngleState))
+        expect = np.array([ref(spec, cls(*z)) for z in traj.states])
+        assert np.max(np.abs(traj.energies - expect) / np.abs(expect)) <= 1e-15
+
+    def test_aa_perturbation_is_the_one_state_case(self):
+        spec = make_spec(2)
+        Z = self.draw(np.random.default_rng(33), "action-angle", 4)
+        whole = energies(spec, Z, "action-angle", QUAD)
+        for z, E in zip(Z, whole):
+            pert = aa_perturbation(spec, ActionAngleState(*z), QUAD)
+            assert -(spec.m0**5) / (2 * z[2] ** 2) + pert == E
+
+    def test_kernel_guards_kept(self):
+        spec = make_spec(1)
+        with pytest.raises(DomainError):
+            energies(spec, [[0.1, 0.3, 10.0, 0.5], [0.1, 0.3, -1.0, 0.5]], "secular")
+        # the outer body next to the collision (x -> 0): a guard fires on
+        # the stack as on the single state
+        near = [0.5, 0.1, 4.0, 1e-21]
+        with pytest.raises(ValueError):
+            ref_h_action_angle(spec, ActionAngleState(*near))
+        with pytest.raises(ValueError):
+            energies(spec, [[0.5, 0.1, 4.0, 2.0], near], "action-angle")
+
+
+class TestDomain:
+    @pytest.mark.parametrize("state", [
+        SecularState(0.1, 1.0, 100.0, 0.0),
+        SecularState(0.0, -1.0, 1e-3, 3.0),
+        ActionAngleState(1.0, 0.3, 10.0, np.pi),
+        ActionAngleState(-0.5, 0.3, 1e-3, 1e-9),
+    ])
+    def test_accepts_domain_edges(self, state):
+        check_domain(make_spec(1), state)
+
+    @pytest.mark.parametrize("state", [
+        SecularState(0.1, 2.0, 100.0, 0.0),
+        SecularState(np.nan, 0.1, 100.0, 0.0),
+        SecularState(0.1, 0.1, 100.0, np.inf),
+        SecularState(0.1, 0.1, np.nan, 0.0),
+        ActionAngleState(1.5, 0.3, 10.0, np.pi),
+        ActionAngleState(0.5, 0.3, -10.0, np.pi),
+        ActionAngleState(0.5, 0.3, 10.0, 2 * np.pi),
+        ActionAngleState(0.5, 0.3, 10.0, 0.0),
+        ActionAngleState(0.5, np.nan, 10.0, np.pi),
+    ])
+    def test_rejects_outside(self, state):
+        with pytest.raises(DomainError):
+            check_domain(make_spec(1), state)

@@ -202,3 +202,87 @@ def test_iteration_limit_raises():
     # no root in the bracket (0, 2*pi): the iteration runs out and says so
     with pytest.raises(KeplerError):
         xi_prime_real(-1.0)
+
+
+# ---------------- array solvers against the per-entry loops ----------------
+
+
+def ref_newton_complex(z, target, tol):
+    """The scalar complex Newton as it stood before it took arrays."""
+    for it in range(1, 101):
+        f = z - np.sin(z) - target
+        if abs(f) <= tol:
+            return z, it
+        d = 1.0 - np.cos(z)
+        assert abs(d) >= 1e-14
+        z = z - f / d
+    raise AssertionError("reference complex Newton stalled")
+
+
+def ref_estimate_c0(eps0, grid_n, tol=1e-13):
+    """estimate_c0 as the column-by-column scalar scan it was before the
+    columns were continued together."""
+    s = np.sqrt(eps0)
+    half = np.pi - 2 * s
+    res = np.linspace(np.pi - half, np.pi + half, grid_n)
+    ims = np.linspace(-s, s, grid_n)
+    best = np.inf
+    for re in res:
+        z = complex(solve_kepler_zero_ecc_form(re, tol=tol).xi)
+        best = min(best, abs(1.0 - np.cos(z)))
+        for sign in (1.0, -1.0):
+            order = sorted((im for im in ims if im * sign > 0), key=abs)
+            zc = z
+            for im in order:
+                zc, _ = ref_newton_complex(zc, re + 1j * im, tol)
+                best = min(best, abs(1.0 - np.cos(zc)))
+    return best / eps0
+
+
+@pytest.mark.parametrize("eps0", [0.25, 0.05, 0.4])
+def test_c0_column_scan_matches_scalar_scan(eps0):
+    assert estimate_c0(eps0, 64) == ref_estimate_c0(eps0, 64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(xs=st.lists(st.floats(min_value=0.0, max_value=2 * np.pi, exclude_min=True,
+                             exclude_max=True), min_size=1, max_size=40))
+def test_xi_prime_array_matches_per_entry_loop(xs):
+    from perilib.kepler import _newton_radial
+
+    xs = np.array(xs)
+    xi, res, iters = _newton_radial(xs, 1e-14)
+    for k, x in enumerate(xs.tolist()):
+        assert (xi[k], res[k], iters[k]) == _newton_radial(x, 1e-14)
+    assert np.array_equal(xi_prime_array(xs), xi)
+    assert np.array_equal(xi_prime_array(xs.reshape(-1, 1)), xi.reshape(-1, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(e=st.sampled_from([0.0, 0.1, 0.6, 0.97, 1.0]),
+       ells=st.lists(st.floats(min_value=-30.0, max_value=30.0), min_size=1, max_size=40))
+def test_solve_kepler_array_matches_per_entry_loop(e, ells):
+    from perilib.kepler import _solve_elliptic
+
+    got = solve_kepler_array(e, ells)
+    assert np.array_equal(got, [_solve_elliptic(e, v, 1e-14).xi for v in ells])
+
+
+@settings(max_examples=60, deadline=None)
+@given(re=st.floats(min_value=0.5, max_value=2 * np.pi - 0.5),
+       im=st.floats(min_value=-0.5, max_value=0.5))
+def test_complex_solve_matches_scalar_continuation(re, im):
+    sol = solve_kepler_zero_ecc_form(complex(re, im))
+    z, total = complex(xi_prime_real(re)), solve_kepler_zero_ecc_form(re).iterations
+    for k in range(1, 9):
+        z, it = ref_newton_complex(z, re + 1j * im * k / 8, 1e-14)
+        total += it
+    assert sol.xi == z
+    assert sol.iterations == total
+
+
+def test_array_solvers_reject_nan():
+    with pytest.raises(ValueError):
+        xi_prime_array([1.0, np.nan])
+    with pytest.raises(KeplerError):
+        solve_kepler_array(0.5, [1.0, np.nan])

@@ -756,6 +756,30 @@ class TestNormalFormSteps:
         assert 0 < step.lie_ratio < 1
         assert step.lie_tail_bound == pytest.approx(rep.tail_bound, rel=1e-10)
 
+    def test_lie_ratio_ignores_roundoff_terms(self):
+        # the step-0 chain of the criterion-8 series on a coarser grid: term
+        # norms 1, 1e-6, 8e-13, 2e-16, 4e-17 of the first, the last two
+        # roundoff.  A 1e-14 change of the input must move the reported
+        # ratio and tail bound by well under 1%
+        from perilib.coords import derive_mass_params
+        from perilib.hamiltonians import HamiltonianSpec
+        from perilib.normalform import build_secular_perturbation
+
+        spec = HamiltonianSpec(2, 1.0, 1.0, derive_mass_params(1.0, 0.02, "m0centric"))
+        series, freqs = build_secular_perturbation(
+            spec, 0.45, 1000.0, 16000.0, 0.005, grid_shape=(16, 8, 20), fourier_cutoff=8
+        )
+        _, osc = tf_average_split(series)
+        reports = []
+        for scale in (1.0, 1.0 + 1e-14):
+            f = osc * scale
+            reports.append(lie_transform(f, nqp_primitive(f, freqs), max_order=14)[1])
+        a, b = reports
+        assert min(a.term_norms) < 1e-15 * a.term_norms[0]
+        assert 0 < a.ratio < 1
+        assert abs(b.ratio / a.ratio - 1) < 0.01
+        assert abs(b.tail_bound / a.tail_bound - 1) < 0.01
+
     def test_divergent_chain_raises(self):
         rng = np.random.default_rng(22)
         f, freqs = self.make_toy(rng, strength=2.0)

@@ -233,6 +233,29 @@ def test_grid_across_chunk_boundary():
         assert grid[i] == f_eps_minus_one(0.3, t[i], QUAD)
 
 
+@pytest.mark.parametrize("kernel", [f_eps, f_eps_bundle, f_eps_minus_one])
+def test_nan_input_raises_on_scalar_path(kernel):
+    with pytest.raises(ValueError):
+        kernel(np.nan, 0.5, QUAD)
+    with pytest.raises(SingularLocusError):
+        kernel(0.1, np.nan, QUAD)
+
+
+def test_nan_input_raises_on_grid_path():
+    # the NaN sits in the second quadrature chunk
+    from perilib.potentials import _GRID_CHUNK
+
+    n = 2 * _GRID_CHUNK
+    eps = np.full(n, 0.1)
+    eps[-1] = np.nan
+    with pytest.raises(ValueError):
+        f_eps_minus_one_grid(eps, 0.5, QUAD)
+    t = np.full(n, 0.5)
+    t[-1] = np.nan
+    with pytest.raises(SingularLocusError):
+        f_eps_minus_one_grid(0.1, t, QUAD)
+
+
 class TestSingularity:
     def test_quarter(self):
         assert abs(singularity_t(0.25) - 1.25) < 1e-15
