@@ -26,7 +26,7 @@ series, freqs = build_secular_perturbation(
 modes = sorted(k[0][0] for k in series.coeffs)
 print(f"  Fourier modes kept: {modes}")
 
-w = NormWeights(rho=0.005, s=1.0, delta=1.0, r=np.sqrt(1000.0), xi=np.sqrt(0.45))
+w = NormWeights(rho=0.005, s=1.0, r=np.sqrt(1000.0), xi=np.sqrt(0.45))
 result = normal_form_steps(series, freqs, N=3, weights=w)
 
 print("\nstep |   ||f||      ||osc||    hom.residual  contraction")

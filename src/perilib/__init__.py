@@ -6,7 +6,7 @@ constant), coords (charts and mass parameters), potentials (averaged
 potentials and the renormalizing profile), hamiltonians (the two reduced
 energies and gradients), dynamics/portraits/theorem (flows, equilibria,
 hypothesis checking, libration runs), normalform (the small-divisor-free
-normal form on truncated Taylor-Fourier series), cli (the perilib command).
+normal form on truncated Fourier series), cli (the perilib command).
 """
 
 from .coords import (

@@ -1,20 +1,18 @@
 """Desk-scale engine for the small-divisor-free normal form.
 
-Objects are truncated Taylor-Fourier series
+Objects are truncated Fourier series
 
-    f = sum_{k,h,j} f_{khj}(I, y, x) e^{i k.phi} p^h q^j
+    f = sum_k f_k(I, y, x) e^{i k.phi}
 
-with Fourier modes k in the angles, monomials in (p, q), and coefficient
-functions tabulated on a tensor Chebyshev grid over an (I, y, x) box.  The
-homological equation is solved by integrating along x (no frequency
-inversion, hence no small divisors), the new-coordinate push is a time-one
-Lie flow, and the iteration drains the angle-dependent part of the
-perturbation geometrically.
+with Fourier modes k in the angles and coefficient functions tabulated on a
+tensor Chebyshev grid over an (I, y, x) box.  The homological equation is
+solved by integrating along x (no frequency inversion, hence no small
+divisors), the new-coordinate push is a time-one Lie flow, and the iteration
+drains the angle-dependent part of the perturbation geometrically.
 
-Norms use the weighted majorant  sum_k,h,j sup|f_khj| e^{s|k|} delta^{|h|+|j|}
-with the sup taken over the real tensor grid: a documented proxy for the
-complex-polydisc sup (an optional complexified evaluation is available for
-stress checks).
+Norms use the weighted majorant  sum_k sup|f_k| e^{s|k|}  with the sup taken
+over the real tensor grid: a documented proxy for the complex-polydisc sup
+(an optional complexified evaluation is available for stress checks).
 """
 
 import itertools
@@ -43,34 +41,30 @@ class NormWeights:
 
     rho: float = 1.0
     s: float = 1.0
-    delta: float = 1.0
     r: float = 1.0
     xi: float = 1.0
 
     def __post_init__(self):
-        if min(self.rho, self.s, self.delta, self.r, self.xi) <= 0:
+        if min(self.rho, self.s, self.r, self.xi) <= 0:
             raise ValueError("all norm weights must be strictly positive")
 
 
-PLAIN_WEIGHTS = NormWeights(1.0, 1e-12, 1.0, 1.0, 1.0)  # ~ sum of coefficient sups
+PLAIN_WEIGHTS = NormWeights(1.0, 1e-12, 1.0, 1.0)  # ~ sum of coefficient sups
 
 
 class TFSeries:
-    """Truncated Taylor-Fourier series with Chebyshev-grid coefficients.
+    """Truncated Fourier series with Chebyshev-grid coefficients.
 
-    coeffs maps (k, h, j) keys (tuples of ints: len n_angles, m_pq, m_pq) to
-    complex arrays over the (I_1..I_n, y, x) grid.  A real function has
-    coeff(-k, h, j) = conj(coeff(k, h, j)).
+    coeffs maps keys (k, (), ()) (k a tuple of n_angles ints; the two empty
+    slots keep the serialized "h"/"j" layout) to complex arrays over the
+    (I_1..I_n, y, x) grid.  A real function has coeff(-k) = conj(coeff(k)).
     """
 
-    def __init__(self, n_angles, m_pq, fourier_cutoff, pq_degree, box, grid_shape,
-                 coeffs=None):
+    def __init__(self, n_angles, fourier_cutoff, box, grid_shape, coeffs=None):
         if len(box) != n_angles + 2 or len(grid_shape) != n_angles + 2:
             raise ShapeError("box/grid_shape must cover the I..., y, x axes")
         self.n_angles = n_angles
-        self.m_pq = m_pq
         self.fourier_cutoff = fourier_cutoff
-        self.pq_degree = pq_degree
         self.box = tuple((float(a), float(b)) for a, b in box)
         self.grid_shape = tuple(int(g) for g in grid_shape)
         self.coeffs = {}
@@ -86,44 +80,26 @@ class TFSeries:
 
     def _check_key(self, key):
         k, h, j = key
-        if len(k) != self.n_angles or len(h) != self.m_pq or len(j) != self.m_pq:
+        if len(k) != self.n_angles or h or j:
             raise ShapeError("bad key %r" % (key,))
         if any(abs(ki) > self.fourier_cutoff for ki in k):
             raise ShapeError("Fourier index beyond cutoff in %r" % (key,))
-        if sum(h) + sum(j) > self.pq_degree:
-            raise ShapeError("pq degree beyond cutoff in %r" % (key,))
 
     def same_shape(self, other):
         return (
             self.n_angles == other.n_angles
-            and self.m_pq == other.m_pq
             and self.box == other.box
             and self.grid_shape == other.grid_shape
         )
 
     def shell(self, coeffs=None):
-        return TFSeries(
-            self.n_angles,
-            self.m_pq,
-            self.fourier_cutoff,
-            self.pq_degree,
-            self.box,
-            self.grid_shape,
-            coeffs,
-        )
+        return TFSeries(self.n_angles, self.fourier_cutoff, self.box, self.grid_shape, coeffs)
 
     def grids(self):
         return [ch.nodes(g, lo, hi) for g, (lo, hi) in zip(self.grid_shape, self.box)]
 
     def copy(self):
         return self.shell({k: v.copy() for k, v in self.coeffs.items()})
-
-    def zero_key(self):
-        return (
-            (0,) * self.n_angles,
-            (0,) * self.m_pq,
-            (0,) * self.m_pq,
-        )
 
     # ---------------- algebra ----------------
 
@@ -135,7 +111,6 @@ class TFSeries:
             out[k] = out[k] + v if k in out else v.copy()
         res = self.shell()
         res.fourier_cutoff = max(self.fourier_cutoff, other.fourier_cutoff)
-        res.pq_degree = max(self.pq_degree, other.pq_degree)
         res.coeffs = out
         return res
 
@@ -161,39 +136,29 @@ class TFSeries:
 
     # ---------------- evaluation ----------------
 
-    def evaluate(self, I, phi, y, x, p=(), q=()):
+    def evaluate(self, I, phi, y, x):
         """Pointwise value at scalar coordinates (I and phi are sequences of
-        length n_angles; p, q of length m_pq)."""
+        length n_angles)."""
         I = np.atleast_1d(I)
         phi = np.atleast_1d(phi)
         out = 0.0 + 0.0j
         pts = list(I) + [y, x]
-        for (k, h, j), arr in self.coeffs.items():
+        for (k, _, _), arr in self.coeffs.items():
             c = arr
             for axis in range(len(self.grid_shape)):
                 coef = ch.vals_to_coeffs(c, 0)
                 c = ch.clenshaw(coef, 0, [pts[axis]], *self.box[axis])[..., 0]
-            val = complex(c)
-            val *= np.exp(1j * np.dot(k, phi))
-            for hi, pi in zip(h, p):
-                val *= pi**hi
-            for ji, qi in zip(j, q):
-                val *= qi**ji
-            out += val
+            out += complex(c) * np.exp(1j * np.dot(k, phi))
         return out.real if abs(out.imag) < 1e-9 * max(1.0, abs(out)) else out
 
 
 def tf_build(fun, box, grid_shape, n_angles=1, fourier_cutoff=8, n_phi=64,
-             m_pq=0, pq_degree=0, coeff_floor_rel=1e-14):
+             coeff_floor_rel=1e-14):
     """Sample a pointwise evaluator into a TFSeries (FFT in the angles at
     Chebyshev nodes in the grid variables).
 
     fun receives broadcast meshes (I_1, ..., I_n, phi_1, ..., phi_n, y, x).
-    Only angle-sampled construction is supported here, so m_pq must be 0;
-    series with monomial content are assembled directly from coefficients.
     """
-    if m_pq != 0 or pq_degree != 0:
-        raise NotImplementedError("sampled construction covers the m = 0 case")
     if n_phi < 2 * fourier_cutoff + 2:
         raise ValueError("n_phi must resolve the requested cutoff")
     grids = [ch.nodes(g, lo, hi) for g, (lo, hi) in zip(grid_shape, box)]
@@ -207,7 +172,7 @@ def tf_build(fun, box, grid_shape, n_angles=1, fourier_cutoff=8, n_phi=64,
     F = np.fft.fftn(vals, axes=angle_axes) / n_phi**n
     if not np.all(np.isfinite(F)):
         raise ArithmeticError("evaluator returned non-finite values on the grid")
-    series = TFSeries(n, 0, fourier_cutoff, 0, box, grid_shape)
+    series = TFSeries(n, fourier_cutoff, box, grid_shape)
     scale = float(np.max(np.abs(F))) or 1.0
     for k in itertools.product(range(-fourier_cutoff, fourier_cutoff + 1), repeat=n):
         idx = tuple(slice(None) for _ in range(n)) + tuple(ki % n_phi for ki in k)
@@ -219,15 +184,13 @@ def tf_build(fun, box, grid_shape, n_angles=1, fourier_cutoff=8, n_phi=64,
 
 
 def tf_average_split(f):
-    """(average, oscillatory) parts: the average keeps exactly the keys with
-    k = 0 and h = j; their sum is f and re-splitting the average is a fixed
-    point."""
+    """(average, oscillatory) parts: the average is exactly the k = 0 key;
+    their sum is f and re-splitting the average is a fixed point."""
     avg = f.shell()
     osc = f.shell()
     zero = (0,) * f.n_angles
     for key, arr in f.coeffs.items():
-        k, h, j = key
-        if k == zero and h == j:
+        if key[0] == zero:
             avg.coeffs[key] = arr.copy()
         else:
             osc.coeffs[key] = arr.copy()
@@ -235,37 +198,29 @@ def tf_average_split(f):
 
 
 def tf_norm(f, w=PLAIN_WEIGHTS):
-    """Weighted majorant norm: sum_k,h,j sup_grid |f_khj| e^{s|k|} delta^{|h|+|j|}."""
+    """Weighted majorant norm: sum_k sup_grid |f_k| e^{s|k|}."""
     total = 0.0
-    for (k, h, j), arr in f.coeffs.items():
-        total += (
-            float(np.max(np.abs(arr)))
-            * math.exp(w.s * sum(abs(ki) for ki in k))
-            * w.delta ** (sum(h) + sum(j))
-        )
+    for (k, _, _), arr in f.coeffs.items():
+        total += float(np.max(np.abs(arr))) * math.exp(w.s * sum(abs(ki) for ki in k))
     return total
 
 
 def tf_sup_complexified(f, w, n_probe=12):
     """Stress-test sup: coefficients continued to complex I, y, x points at
-    the widths (rho, r, xi) by Chebyshev evaluation; angles/monomial weights
-    as in tf_norm.  A sampled lower bound of the polydisc norm."""
+    the widths (rho, r, xi) by Chebyshev evaluation; angle weights as in
+    tf_norm.  A sampled lower bound of the polydisc norm."""
     total = 0.0
     widths = [w.rho] * f.n_angles + [w.r, w.xi]
     probes = []
     for (lo, hi), width in zip(f.box, widths):
         base = np.linspace(lo, hi, n_probe)
         probes.append(np.concatenate([base + 1j * width, base - 1j * width, base]))
-    for (k, h, j), arr in f.coeffs.items():
+    for (k, _, _), arr in f.coeffs.items():
         c = arr
         for axis in range(len(f.grid_shape)):
             # consume the leading grid axis, appending the probe axis last
             c = ch.clenshaw(ch.vals_to_coeffs(c, 0), 0, probes[axis], *f.box[axis])
-        total += (
-            float(np.max(np.abs(c)))
-            * math.exp(w.s * sum(abs(ki) for ki in k))
-            * w.delta ** (sum(h) + sum(j))
-        )
+        total += float(np.max(np.abs(c))) * math.exp(w.s * sum(abs(ki) for ki in k))
     return total
 
 
@@ -275,9 +230,10 @@ def tf_sup_complexified(f, w, n_probe=12):
 def d_angle(f, i=0):
     """d/d(phi_i): multiplies each mode by i k_i."""
     out = f.shell()
-    for (k, h, j), arr in f.coeffs.items():
+    for key, arr in f.coeffs.items():
+        k = key[0]
         if k[i] != 0:
-            out.coeffs[(k, h, j)] = 1j * k[i] * arr
+            out.coeffs[key] = 1j * k[i] * arr
     return out
 
 
@@ -298,28 +254,23 @@ def d_x(f):
     return d_grid(f, f.n_angles + 1)
 
 
-def _accumulate(terms, f, g, fourier_cutoff, pq_degree):
+def _accumulate(terms, f, g, fourier_cutoff):
     """Sum over terms (sign, (keys_a, fine_a), (keys_b, fine_b)) of the
-    mode-convolution products sign * a * b of pieces of f and g: exact key
-    arithmetic, truncation at the requested cutoffs (defaults: the operands'
+    mode-convolution products sign * a * b of pieces of f and g: exact mode
+    arithmetic, truncation at the requested cutoff (default: the operands'
     max), multiplication on the fine grid and one projection of the stacked
     accumulator back to the grid."""
     K = fourier_cutoff if fourier_cutoff is not None else max(
         f.fourier_cutoff, g.fourier_cutoff
     )
-    P = pq_degree if pq_degree is not None else max(f.pq_degree, g.pq_degree)
     acc = {}
     for sign, (keys_a, fine_a), (keys_b, fine_b) in terms:
-        for a, (k1, h1, j1) in enumerate(keys_a):
-            for b, (k2, h2, j2) in enumerate(keys_b):
+        for a, (k1, _, _) in enumerate(keys_a):
+            for b, (k2, _, _) in enumerate(keys_b):
                 k = tuple(x + y for x, y in zip(k1, k2))
                 if any(abs(ki) > K for ki in k):
                     continue
-                h = tuple(x + y for x, y in zip(h1, h2))
-                j = tuple(x + y for x, y in zip(j1, j2))
-                if sum(h) + sum(j) > P:
-                    continue
-                key = (k, h, j)
+                key = (k, (), ())
                 prod = fine_a[a] * fine_b[b]
                 if key not in acc:
                     acc[key] = prod if sign > 0 else -prod
@@ -327,18 +278,18 @@ def _accumulate(terms, f, g, fourier_cutoff, pq_degree):
                     acc[key] += prod
                 else:
                     acc[key] -= prod
-    out = TFSeries(f.n_angles, f.m_pq, K, P, f.box, f.grid_shape)
+    out = TFSeries(f.n_angles, K, f.box, f.grid_shape)
     if acc:
         out.coeffs = dict(zip(acc, ch.coarsen(np.stack(list(acc.values())), f.grid_shape)))
     return out.prune()
 
 
-def tf_product(f, g, fourier_cutoff=None, pq_degree=None):
+def tf_product(f, g, fourier_cutoff=None):
     """Mode-convolution product with de-aliased grid multiplication,
-    truncated back to the requested cutoffs (defaults: the operands' max)."""
+    truncated back to the requested cutoff (default: the operands' max)."""
     if not f.same_shape(g):
         raise ShapeError("multiplying incompatible series")
-    return _accumulate([(1, _refined(f), _refined(g))], f, g, fourier_cutoff, pq_degree)
+    return _accumulate([(1, _refined(f), _refined(g))], f, g, fourier_cutoff)
 
 
 def _refined(f):
@@ -350,15 +301,15 @@ def _refined(f):
 
 class _BracketSide:
     """What one series f contributes to a Poisson bracket, each piece as
-    (keys, refined stack): left = (d_I f..., d_p f..., d_y f) and right =
-    (d_phi f..., d_q f..., d_x f), so {f, g} = sum_t left_f right_g -
-    left_g right_f.  Built once, a side serves every bracket it enters, as
-    the generator of a Lie series does."""
+    (keys, refined stack): left = (d_I f..., d_y f) and right =
+    (d_phi f..., d_x f), so {f, g} = sum_t left_f right_g - left_g right_f.
+    Built once, a side serves every bracket it enters, as the generator of a
+    Lie series does."""
 
     def __init__(self, f):
         self.series = f
         keys = list(f.coeffs)
-        n, m = f.n_angles, f.m_pq
+        n = f.n_angles
         fine = [None] * (n + 3)
         if keys:
             coarse = np.stack(list(f.coeffs.values()))
@@ -367,14 +318,10 @@ class _BracketSide:
             fine = fine.reshape((n + 3, len(keys)) + fine.shape[1:])
         grid = [(keys, d) for d in fine[1:]]  # d_I..., d_y, d_x
         d_phi = [_scaled(fine[0], [1j * k[i] for k, _, _ in keys], keys) for i in range(n)]
-        d_p = [_scaled(fine[0], [h[i] for _, h, _ in keys],
-                       [(k, _lower(h, i), j) for k, h, j in keys]) for i in range(m)]
-        d_q = [_scaled(fine[0], [j[i] for _, _, j in keys],
-                       [(k, h, _lower(j, i)) for k, h, j in keys]) for i in range(m)]
-        self.left = grid[:n] + d_p + [grid[n]]
-        self.right = d_phi + d_q + [grid[n + 1]]
+        self.left = grid[:n + 1]
+        self.right = d_phi + [grid[n + 1]]
 
-    def bracket(self, other, fourier_cutoff=None, pq_degree=None):
+    def bracket(self, other, fourier_cutoff=None):
         """{f, g} with f this side's series and g the other's."""
         f, g = self.series, other.series
         if not f.same_shape(g):
@@ -382,7 +329,7 @@ class _BracketSide:
         terms = []
         for lf, rg, lg, rf in zip(self.left, other.right, other.left, self.right):
             terms += [(1, lf, rg), (-1, lg, rf)]
-        return _accumulate(terms, f, g, fourier_cutoff, pq_degree)
+        return _accumulate(terms, f, g, fourier_cutoff)
 
 
 def _scaled(fine, factors, keys):
@@ -395,18 +342,12 @@ def _scaled(fine, factors, keys):
     return [keys[r] for r in rows], fine[rows] * scale
 
 
-def _lower(t, i):
-    return tuple(v - (1 if idx == i else 0) for idx, v in enumerate(t))
-
-
-def poisson_bracket(f, g, fourier_cutoff=None, pq_degree=None):
-    """{f, g} = sum_i (d_I f d_phi g - d_I g d_phi f)
-              + sum_i (d_p f d_q g - d_p g d_q f)
-              + (d_y f d_x g - d_y g d_x f),
-    with exact mode arithmetic in (k, h, j), spectral differentiation on the
-    Chebyshev grids, and truncation back to the requested cutoffs (defaults:
+def poisson_bracket(f, g, fourier_cutoff=None):
+    """{f, g} = sum_i (d_I f d_phi g - d_I g d_phi f) + (d_y f d_x g - d_y g d_x f),
+    with exact mode arithmetic in k, spectral differentiation on the
+    Chebyshev grids, and truncation back to the requested cutoff (default:
     the operands' max, as for tf_product)."""
-    return _BracketSide(f).bracket(_BracketSide(g), fourier_cutoff, pq_degree)
+    return _BracketSide(f).bracket(_BracketSide(g), fourier_cutoff)
 
 
 # ---------------- frequencies and the NQP primitive ----------------
@@ -416,40 +357,36 @@ def poisson_bracket(f, g, fourier_cutoff=None, pq_degree=None):
 class FrequencyData:
     """Frequencies of the drift part, tabulated on the (I..., y) grid.
 
-    omega_y must be bounded away from zero on the box; omega_I (one array
-    per angle; may be identically zero) and omega_J (one per monomial pair)
-    enter the mode eigenvalue lambda_khj = (h - j) . omega_J + i k . omega_I.
+    omega_y must be finite and bounded away from zero on the box; omega_I
+    (one finite array per angle; may be identically zero) enters the mode
+    eigenvalue lambda_k = i k . omega_I.
     """
 
     omega_y: np.ndarray
     omega_I: tuple = ()
-    omega_J: tuple = ()
 
     @classmethod
-    def tabulate(cls, box, grid_shape, omega_y, omega_I=(), omega_J=()):
+    def tabulate(cls, box, grid_shape, omega_y, omega_I=()):
         """Evaluate callables of (*I, y) on the grid of a series shape."""
         axes = [ch.nodes(g, lo, hi) for g, (lo, hi) in zip(grid_shape[:-1], box[:-1])]
         mesh = np.meshgrid(*axes, indexing="ij")
-        wy = np.asarray(omega_y(*mesh), dtype=float) + np.zeros(mesh[0].shape)
-        wI = tuple(
-            np.asarray(w(*mesh), dtype=float) + np.zeros(mesh[0].shape)
-            for w in omega_I
-        )
-        wJ = tuple(
-            np.asarray(w(*mesh), dtype=float) + np.zeros(mesh[0].shape)
-            for w in omega_J
-        )
-        if np.min(np.abs(wy)) < 1e-14:
-            raise ValueError("omega_y vanishes on the box")
-        return cls(wy, wI, wJ)
+
+        def table(w):
+            return np.asarray(w(*mesh), dtype=float) + np.zeros(mesh[0].shape)
+
+        wy = table(omega_y)
+        wI = tuple(table(w) for w in omega_I)
+        # negated, so that a NaN fails the guard
+        if not np.min(np.abs(wy)) >= 1e-14:
+            raise ValueError("omega_y vanishes or is not finite on the box")
+        if not all(np.all(np.isfinite(w)) for w in wI):
+            raise ValueError("omega_I is not finite on the box")
+        return cls(wy, wI)
 
 
-def mode_eigenvalue(freqs, k, h, j):
-    """lambda_khj = (h - j) . omega_J + i k . omega_I on the (I..., y) grid."""
+def mode_eigenvalue(freqs, k):
+    """lambda_k = i k . omega_I on the (I..., y) grid."""
     lam = np.zeros_like(freqs.omega_y, dtype=complex)
-    for ji, (hv, jv) in enumerate(zip(h, j)):
-        if hv != jv:
-            lam += (hv - jv) * freqs.omega_J[ji]
     for ai, kv in enumerate(k):
         if kv != 0 and freqs.omega_I:
             lam += 1j * kv * freqs.omega_I[ai]
@@ -460,8 +397,8 @@ def nqp_primitive(f_osc, freqs, basepoint=None, n_cc=33):
     """Small-divisor-free solution of the homological equation.
 
     For each oscillatory mode,
-        phi_khj(I, y, x) =
-            (1/omega_y) int_b^x f_khj(I, y, tau) e^{(lambda/omega_y)(tau-x)} dtau
+        phi_k(I, y, x) =
+            (1/omega_y) int_b^x f_k(I, y, tau) e^{(lambda/omega_y)(tau-x)} dtau
     by Clenshaw-Curtis quadrature along tau at every x node, Chebyshev-
     interpolating f along x.  The basepoint b defaults to the lower edge of
     the x box (any choice differs by a homogeneous solution and still solves
@@ -488,27 +425,25 @@ def nqp_primitive(f_osc, freqs, basepoint=None, n_cc=33):
     at_base = np.abs(xs - basepoint) < 1e-15
     out = f_osc.shell()
     inv_wy = 1.0 / freqs.omega_y
-    for (k, h, j), arr in osc.coeffs.items():
-        mu = mode_eigenvalue(freqs, k, h, j) * inv_wy  # (I..., y)
+    for key, arr in osc.coeffs.items():
+        mu = mode_eigenvalue(freqs, key[0]) * inv_wy  # (I..., y)
         kernel = wq * np.exp(mu[..., None, None] * (tau - xs[:, None]))
         phi = inv_wy[..., None] * np.einsum(
             "...x,cqx,...cq->...c", arr, interp, kernel, optimize=True
         )
         phi[..., at_base] = 0.0
-        out.coeffs[(k, h, j)] = phi
+        out.coeffs[key] = phi
     return out
 
 
 def homological_residual(phi, f_osc, freqs):
     """Residual series omega_y d_x(phi) + lambda phi - f_osc (gridwise)."""
     res = phi.shell()
-    n = phi.n_angles
     dphi = d_x(phi)
     keys = set(phi.coeffs) | set(f_osc.coeffs) | set(dphi.coeffs)
     zero = np.zeros(phi.grid_shape, complex)
     for key in keys:
-        k, h, j = key
-        lam = mode_eigenvalue(freqs, k, h, j)
+        lam = mode_eigenvalue(freqs, key[0])
         r = (
             freqs.omega_y[..., None] * dphi.coeffs.get(key, zero)
             + lam[..., None] * phi.coeffs.get(key, zero)
@@ -655,41 +590,36 @@ def series_to_dict(f):
     repr, comfortably within the 1e-15 relative contract)."""
     return {
         "n_angles": f.n_angles,
-        "m_pq": f.m_pq,
         "fourier_cutoff": f.fourier_cutoff,
-        "pq_degree": f.pq_degree,
         "box": [list(b) for b in f.box],
         "grid_shape": list(f.grid_shape),
         "coeffs": [
             {
                 "k": list(k),
-                "h": list(h),
-                "j": list(j),
+                "h": [],
+                "j": [],
                 "re": arr.real.ravel(order="C").tolist(),
                 "im": arr.imag.ravel(order="C").tolist(),
             }
-            for (k, h, j), arr in sorted(f.coeffs.items())
+            for (k, _, _), arr in sorted(f.coeffs.items())
         ],
     }
 
 
 def series_from_dict(d):
-    out = TFSeries(
-        d["n_angles"],
-        d["m_pq"],
-        d["fourier_cutoff"],
-        d["pq_degree"],
-        [tuple(b) for b in d["box"]],
-        tuple(d["grid_shape"]),
-    )
-    shape = out.grid_shape
+    """Inverse of series_to_dict, through the TFSeries key and shape checks
+    (header fields it does not read are ignored)."""
+    shape = tuple(d["grid_shape"])
+    coeffs = {}
     for entry in d["coeffs"]:
-        arr = (
-            np.asarray(entry["re"], dtype=float)
-            + 1j * np.asarray(entry["im"], dtype=float)
-        ).reshape(shape, order="C")
-        out.coeffs[(tuple(entry["k"]), tuple(entry["h"]), tuple(entry["j"]))] = arr
-    return out
+        re = np.asarray(entry["re"], dtype=float)
+        im = np.asarray(entry["im"], dtype=float)
+        if re.size != math.prod(shape) or im.size != re.size:
+            raise ShapeError("coefficient of %d values on a %r grid" % (re.size, shape))
+        key = (tuple(entry["k"]), tuple(entry["h"]), tuple(entry["j"]))
+        coeffs[key] = (re + 1j * im).reshape(shape, order="C")
+    return TFSeries(d["n_angles"], d["fourier_cutoff"],
+                    [tuple(b) for b in d["box"]], shape, coeffs)
 
 
 def save_series(f, path):

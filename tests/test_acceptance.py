@@ -215,7 +215,7 @@ def test_criterion_8_normal_form_decay():
     series, freqs = build_secular_perturbation(
         spec, 0.45, 1000.0, 16000.0, 0.005, grid_shape=(16, 16, 20), fourier_cutoff=8
     )
-    w = NormWeights(rho=0.005, s=1.0, delta=1.0, r=np.sqrt(1000.0), xi=np.sqrt(0.45))
+    w = NormWeights(rho=0.005, s=1.0, r=np.sqrt(1000.0), xi=np.sqrt(0.45))
     result = normal_form_steps(series, freqs, N=3, weights=w)
     osc = [s.osc_norm for s in result.steps]
     osc.append(tf_norm(tf_average_split(result.f_star)[1], w))

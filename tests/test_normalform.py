@@ -9,6 +9,7 @@ from perilib.normalform import (
     ContractionError,
     FrequencyData,
     NormWeights,
+    ShapeError,
     TFSeries,
     d_angle,
     d_grid,
@@ -35,61 +36,41 @@ SHAPE = (8, 8, 16)
 # ---------------- per-coefficient references of the engine ----------------
 
 
-def ref_tf_product(f, g, fourier_cutoff=None, pq_degree=None):
+def ref_tf_product(f, g, fourier_cutoff=None):
     """The per-coefficient loop: refine every coefficient on its own, multiply
     pairwise, project each key back on its own."""
     K = fourier_cutoff if fourier_cutoff is not None else max(f.fourier_cutoff, g.fourier_cutoff)
-    P = pq_degree if pq_degree is not None else max(f.pq_degree, g.pq_degree)
     fine_f = {k: ch.refine(v) for k, v in f.coeffs.items()}
     fine_g = {k: ch.refine(v) for k, v in g.coeffs.items()}
     acc = {}
-    for (k1, h1, j1), a in fine_f.items():
-        for (k2, h2, j2), b in fine_g.items():
+    for (k1, _, _), a in fine_f.items():
+        for (k2, _, _), b in fine_g.items():
             k = tuple(x + y for x, y in zip(k1, k2))
-            h = tuple(x + y for x, y in zip(h1, h2))
-            j = tuple(x + y for x, y in zip(j1, j2))
-            if any(abs(ki) > K for ki in k) or sum(h) + sum(j) > P:
+            if any(abs(ki) > K for ki in k):
                 continue
-            key = (k, h, j)
+            key = (k, (), ())
             acc[key] = acc[key] + a * b if key in acc else a * b
-    out = TFSeries(f.n_angles, f.m_pq, K, P, f.box, f.grid_shape)
+    out = TFSeries(f.n_angles, K, f.box, f.grid_shape)
     for key, arr in acc.items():
         out.coeffs[key] = ch.coarsen(arr, f.grid_shape)
     return out.prune()
 
 
-def ref_d_pq(f, i, which):
-    """d/dp_i (which = 1) or d/dq_i (which = 2), mode by mode."""
-    out = f.shell()
-    for key, arr in f.coeffs.items():
-        mono = key[which]
-        if mono[i] > 0:
-            lowered = tuple(v - (idx == i) for idx, v in enumerate(mono))
-            new = list(key)
-            new[which] = lowered
-            out.coeffs[tuple(new)] = mono[i] * arr
-    return out
-
-
-def ref_poisson_bracket(f, g, fourier_cutoff=None, pq_degree=None):
+def ref_poisson_bracket(f, g, fourier_cutoff=None):
     """One reference product per term of the bracket, summed."""
     n = f.n_angles
     terms = []
     for i in range(n):
         terms.append((d_I(f, i), d_angle(g, i)))
         terms.append((d_I(g, i) * -1.0, d_angle(f, i)))
-    for i in range(f.m_pq):
-        terms.append((ref_d_pq(f, i, 1), ref_d_pq(g, i, 2)))
-        terms.append((ref_d_pq(g, i, 1) * -1.0, ref_d_pq(f, i, 2)))
     terms.append((d_grid(f, n), d_grid(g, n + 1)))
     terms.append((d_grid(g, n) * -1.0, d_grid(f, n + 1)))
     out = f.shell()
     out.fourier_cutoff = fourier_cutoff if fourier_cutoff is not None else max(
         f.fourier_cutoff, g.fourier_cutoff)
-    out.pq_degree = pq_degree if pq_degree is not None else max(f.pq_degree, g.pq_degree)
     for a, b in terms:
         if a.coeffs and b.coeffs:
-            out = out + ref_tf_product(a, b, fourier_cutoff, pq_degree)
+            out = out + ref_tf_product(a, b, fourier_cutoff)
     return out.prune()
 
 
@@ -102,8 +83,8 @@ def ref_nqp_primitive(f_osc, freqs, basepoint=None, n_cc=33):
     xs = ch.nodes(f_osc.grid_shape[-1], lo, hi)
     out = f_osc.shell()
     inv_wy = 1.0 / freqs.omega_y
-    for (k, h, j), arr in osc.coeffs.items():
-        mu = mode_eigenvalue(freqs, k, h, j) * inv_wy
+    for key, arr in osc.coeffs.items():
+        mu = mode_eigenvalue(freqs, key[0]) * inv_wy
         cx = ch.vals_to_coeffs(arr, arr.ndim - 1)
         phi = np.empty_like(arr)
         for c, xc in enumerate(xs):
@@ -114,7 +95,7 @@ def ref_nqp_primitive(f_osc, freqs, basepoint=None, n_cc=33):
             fvals = ch.clenshaw(cx, arr.ndim - 1, tau, lo, hi)
             expf = np.exp(mu[..., None] * (tau - xc))
             phi[..., c] = inv_wy * np.sum(wq * fvals * expf, axis=-1)
-        out.coeffs[(k, h, j)] = phi
+        out.coeffs[key] = phi
     return out
 
 
@@ -186,26 +167,10 @@ def ref_secular_build(spec, eps0, alpha_minus, alpha_plus, delta, grid_shape,
 
 def assert_series_close(got, expect, rtol):
     assert set(got.coeffs) == set(expect.coeffs)
-    assert (got.fourier_cutoff, got.pq_degree) == (expect.fourier_cutoff, expect.pq_degree)
+    assert got.fourier_cutoff == expect.fourier_cutoff
     scale = max(expect.sup(), 1e-300)
     for key, arr in expect.coeffs.items():
         assert np.max(np.abs(got.coeffs[key] - arr)) <= rtol * scale, key
-
-
-def rand_pq_series(rng, cutoff=2, pq_degree=2, keep=0.7):
-    """Random series with one (p, q) pair: low-degree polynomial
-    coefficients on a random subset of the keys up to pq_degree."""
-    f = TFSeries(1, 1, cutoff, pq_degree, BOX, SHAPE)
-    II, YY, XX = np.meshgrid(*f.grids(), indexing="ij")
-    for k in range(-cutoff, cutoff + 1):
-        for h in range(pq_degree + 1):
-            for j in range(pq_degree + 1 - h):
-                if rng.uniform() < keep:
-                    a = rng.normal(size=4) + 1j * rng.normal(size=4)
-                    f.coeffs[((k,), (h,), (j,))] = (
-                        a[0] + a[1] * II + a[2] * YY * XX + a[3] * XX**2
-                    ) / (1 + k * k)
-    return f
 
 
 def build(fun, cutoff=4):
@@ -215,7 +180,7 @@ def build(fun, cutoff=4):
 def rand_series(rng, cutoff=2, scale=1.0):
     """Band-limited random series with low-degree polynomial coefficients
     (products of such series stay inside the grid's polynomial space)."""
-    f = TFSeries(1, 0, cutoff, 0, BOX, SHAPE)
+    f = TFSeries(1, cutoff, BOX, SHAPE)
     grids = f.grids()
     II, YY, XX = np.meshgrid(*grids, indexing="ij")
     for k in range(-cutoff, cutoff + 1):
@@ -295,32 +260,21 @@ class TestSplit:
         total = avg + osc
         assert abs(tf_norm(total - f)) < 1e-14
 
-    def test_pq_average_rule(self):
-        # with monomials, the average keeps k = 0 AND h = j only
-        f = TFSeries(1, 1, 2, 2, BOX, SHAPE)
-        ones = np.ones(SHAPE, complex)
-        f.coeffs[((0,), (1,), (1,))] = ones  # action-like: average
-        f.coeffs[((0,), (2,), (0,))] = ones  # k=0 but h != j: oscillatory
-        f.coeffs[((1,), (1,), (1,))] = ones  # k != 0: oscillatory
-        avg, osc = tf_average_split(f)
-        assert set(avg.coeffs) == {((0,), (1,), (1,))}
-        assert set(osc.coeffs) == {((0,), (2,), (0,)), ((1,), (1,), (1,))}
-
 
 class TestNorm:
     def test_single_mode_weighting(self):
-        f = TFSeries(1, 0, 1, 0, BOX, SHAPE)
+        f = TFSeries(1, 1, BOX, SHAPE)
         f.coeffs[((1,), (), ())] = 0.5 * np.ones(SHAPE, complex)
         w = NormWeights(s=0.7)
         assert abs(tf_norm(f, w) - 0.5 * np.exp(0.7)) < 1e-14
 
     def test_zero_series(self):
-        f = TFSeries(1, 0, 2, 0, BOX, SHAPE)
+        f = TFSeries(1, 2, BOX, SHAPE)
         assert tf_norm(f) == 0.0
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(2)
-        w = NormWeights(s=0.4, delta=0.8)
+        w = NormWeights(s=0.4)
         for _ in range(20):
             f = rand_series(rng)
             g = rand_series(rng)
@@ -329,7 +283,7 @@ class TestNorm:
     def test_complexified_sup_dominates_real_sup(self):
         rng = np.random.default_rng(3)
         f = rand_series(rng)
-        w = NormWeights(rho=0.05, s=0.3, delta=1.0, r=0.05, xi=0.05)
+        w = NormWeights(rho=0.05, s=0.3, r=0.05, xi=0.05)
         assert tf_sup_complexified(f, w) >= tf_norm(f, w) * 0.99
 
 
@@ -369,16 +323,6 @@ class TestBracket:
         total = t1 + t2 + t3
         scale = max(tf_norm(t1), tf_norm(t2), tf_norm(t3), 1.0)
         assert tf_norm(total) / scale < 1e-8
-
-    def test_pq_pair(self):
-        # {p, q} = 1 on a monomial pair
-        f = TFSeries(1, 1, 1, 2, BOX, SHAPE)
-        f.coeffs[((0,), (1,), (0,))] = np.ones(SHAPE, complex)  # p
-        g = TFSeries(1, 1, 1, 2, BOX, SHAPE)
-        g.coeffs[((0,), (0,), (1,))] = np.ones(SHAPE, complex)  # q
-        br = poisson_bracket(f, g)
-        assert set(br.coeffs) == {((0,), (0,), (0,))}
-        np.testing.assert_allclose(br.coeffs[((0,), (0,), (0,))], 1.0, atol=1e-12)
 
 
 class TestNqp:
@@ -451,15 +395,26 @@ class TestNqp:
                 assert np.all(arr[..., 7] == 0.0)
 
     def test_eigenvalue_structure(self):
+        # lambda_k = i k . omega_I
         freqs = FrequencyData.tabulate(
-            BOX,
-            SHAPE,
-            lambda I, y: 1.0 + 0 * y,
-            omega_I=[lambda I, y: 2.0 + 0 * y],
-            omega_J=[lambda I, y: 3.0 + 0 * y],
+            BOX, SHAPE, lambda I, y: 1.0 + 0 * y, omega_I=[lambda I, y: 2.0 + 0 * y]
         )
-        lam = mode_eigenvalue(freqs, (2,), (1,), (0,))
-        np.testing.assert_allclose(lam, 3.0 + 4.0j)
+        np.testing.assert_allclose(mode_eigenvalue(freqs, (2,)), 4.0j)
+        np.testing.assert_allclose(mode_eigenvalue(freqs, (0,)), 0.0)
+
+    @pytest.mark.parametrize("omega_y", [
+        lambda I, y: 0 * y,
+        lambda I, y: np.where(I > 1.0, np.nan, 1.0 + 0 * y),
+    ], ids=["zero", "nan"])
+    def test_tabulate_rejects_bad_omega_y(self, omega_y):
+        with pytest.raises(ValueError, match="omega_y"):
+            FrequencyData.tabulate(BOX, SHAPE, omega_y)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_tabulate_rejects_non_finite_omega_I(self, value):
+        with pytest.raises(ValueError, match="omega_I"):
+            FrequencyData.tabulate(BOX, SHAPE, lambda I, y: 1.0 + 0 * y,
+                                   omega_I=[lambda I, y: np.where(y > 1.5, value, 0.5)])
 
 
 class TestLie:
@@ -547,11 +502,11 @@ class TestProduct:
         assert all(abs(k[0]) <= 4 for k, _, _ in pr.coeffs)
 
     @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("cutoffs", [(None, None), (1, None), (3, 1), (0, 0)])
+    @pytest.mark.parametrize("cutoffs", [(None,), (1,), (3,), (0,)])
     def test_stacked_matches_per_coefficient_loop(self, seed, cutoffs):
         rng = np.random.default_rng(100 + seed)
-        f = rand_pq_series(rng)
-        g = rand_pq_series(rng, cutoff=1, pq_degree=3)
+        f = rand_series(rng)
+        g = rand_series(rng, cutoff=1)
         assert_series_close(tf_product(f, g, *cutoffs), ref_tf_product(f, g, *cutoffs), 1e-13)
 
     def test_angle_only_matches_per_coefficient_loop(self):
@@ -561,24 +516,24 @@ class TestProduct:
 
     def test_empty_operand(self):
         rng = np.random.default_rng(111)
-        f = rand_pq_series(rng)
-        empty = TFSeries(1, 1, 5, 4, BOX, SHAPE)
+        f = rand_series(rng)
+        empty = TFSeries(1, 5, BOX, SHAPE)
         for a, b in ((f, empty), (empty, f), (empty, empty)):
             pr = tf_product(a, b)
             assert not pr.coeffs
-            assert (pr.fourier_cutoff, pr.pq_degree) == (5, 4)
-        assert tf_product(f, empty, 0, 0).fourier_cutoff == 0
+            assert pr.fourier_cutoff == 5
+        assert tf_product(f, empty, 0).fourier_cutoff == 0
 
 
 class TestBracketEngine:
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_reference_with_monomials(self, seed):
         rng = np.random.default_rng(120 + seed)
-        f = rand_pq_series(rng)
-        g = rand_pq_series(rng, cutoff=1, pq_degree=3)
-        for cutoffs in ((None, None), (2, 2)):
-            assert_series_close(poisson_bracket(f, g, *cutoffs),
-                                ref_poisson_bracket(f, g, *cutoffs), 1e-12)
+        f = rand_series(rng)
+        g = rand_series(rng, cutoff=1)
+        for cutoff in (None, 2):
+            assert_series_close(poisson_bracket(f, g, cutoff),
+                                ref_poisson_bracket(f, g, cutoff), 1e-12)
 
     def test_matches_reference_angles_only(self):
         rng = np.random.default_rng(123)
@@ -587,24 +542,24 @@ class TestBracketEngine:
 
     def test_empty_bracket_keeps_requested_cutoffs(self):
         # f at cutoff 2 has no coefficients, g at cutoff 6 has some: the
-        # empty bracket reports the cutoffs a non-empty one would
-        f = TFSeries(1, 1, 2, 2, BOX, SHAPE)
-        g = TFSeries(1, 1, 6, 4, BOX, SHAPE)
-        g.coeffs[((1,), (1,), (0,))] = np.ones(SHAPE, complex)
+        # empty bracket reports the cutoff a non-empty one would
+        f = TFSeries(1, 2, BOX, SHAPE)
+        g = TFSeries(1, 6, BOX, SHAPE)
+        g.coeffs[((1,), (), ())] = np.ones(SHAPE, complex)
         br = poisson_bracket(f, g)
         assert not br.coeffs
-        assert (br.fourier_cutoff, br.pq_degree) == (6, 4)
-        br = poisson_bracket(f, g, fourier_cutoff=0, pq_degree=0)
-        assert (br.fourier_cutoff, br.pq_degree) == (0, 0)
-        # the same cutoffs as a non-empty bracket
+        assert br.fourier_cutoff == 6
+        br = poisson_bracket(f, g, fourier_cutoff=0)
+        assert br.fourier_cutoff == 0
+        # the same cutoff as a non-empty bracket
         rng = np.random.default_rng(124)
-        a = rand_pq_series(rng, cutoff=2, pq_degree=2, keep=1.0)
-        full = poisson_bracket(a, g, fourier_cutoff=0, pq_degree=0)
+        a = rand_series(rng)
+        full = poisson_bracket(a, g, fourier_cutoff=0)
         assert full.coeffs
-        assert (full.fourier_cutoff, full.pq_degree) == (0, 0)
+        assert full.fourier_cutoff == 0
         full = poisson_bracket(a, g)
         assert full.coeffs
-        assert (full.fourier_cutoff, full.pq_degree) == (6, 4)
+        assert full.fourier_cutoff == 6
 
 
 class TestSerialization:
@@ -623,10 +578,35 @@ class TestSerialization:
         rng = np.random.default_rng(14)
         f = rand_series(rng, cutoff=1)
         d = series_to_dict(f)
-        assert {"n_angles", "m_pq", "fourier_cutoff", "pq_degree", "box",
-                "grid_shape", "coeffs"} <= set(d)
+        assert set(d) == {"n_angles", "fourier_cutoff", "box", "grid_shape", "coeffs"}
+        assert all(e["h"] == [] and e["j"] == [] for e in d["coeffs"])
         g = series_from_dict(d)
         assert tf_norm(g - f) == 0.0
+
+    def test_older_header_loads_bitwise(self):
+        # files written before the (p, q) fields were dropped carry both as 0
+        rng = np.random.default_rng(15)
+        f = rand_series(rng)
+        d = dict(series_to_dict(f), m_pq=0, pq_degree=0)
+        g = series_from_dict(d)
+        assert g.same_shape(f) and g.fourier_cutoff == f.fourier_cutoff
+        assert list(g.coeffs) == sorted(f.coeffs)
+        for key, arr in f.coeffs.items():
+            assert g.coeffs[key].tobytes() == arr.tobytes()
+
+    @pytest.mark.parametrize("entry", [
+        {"k": [7]},                        # beyond the cutoff
+        {"k": [1, 1]},                     # one index per angle
+        {"h": [3]},                        # a monomial slot
+        {"j": [1]},
+        {"re": [1.0, 2.0], "im": [0.0, 0.0]},  # not a grid's worth of values
+    ], ids=["k-cutoff", "k-length", "h", "j", "grid-size"])
+    def test_from_dict_checks_entries(self, entry):
+        rng = np.random.default_rng(16)
+        d = series_to_dict(rand_series(rng))
+        d["coeffs"][0].update(entry)
+        with pytest.raises(ShapeError):
+            series_from_dict(d)
 
 
 class TestSecularBuild:
@@ -687,7 +667,7 @@ class TestSecularBuild:
 class TestNormalFormSteps:
     def make_toy(self, rng, strength=0.01):
         """h = y^2/2 on the box (omega_y = y), f small and band-limited."""
-        f = TFSeries(1, 0, 4, 0, BOX, SHAPE)
+        f = TFSeries(1, 4, BOX, SHAPE)
         grids = f.grids()
         II, YY, XX = np.meshgrid(*grids, indexing="ij")
         f.coeffs[((0,), (), ())] = strength * (1 + 0.2 * II + 0.1 * YY) + 0j
@@ -704,7 +684,7 @@ class TestNormalFormSteps:
 
     def test_normal_class_input_short_circuits(self):
         rng = np.random.default_rng(15)
-        f = TFSeries(1, 0, 2, 0, BOX, SHAPE)
+        f = TFSeries(1, 2, BOX, SHAPE)
         f.coeffs[((0,), (), ())] = np.ones(SHAPE, complex)
         freqs = FrequencyData.tabulate(BOX, SHAPE, lambda I, y: y)
         result = normal_form_steps(f, freqs, N=3)
