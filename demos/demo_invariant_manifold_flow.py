@@ -19,8 +19,8 @@ for r in (5.0, 20.0, 100.0, 1000.0):
     print(f"  V1({r:7.1f}) = {v_radial(spec, r):+.6f}   (Coulomb tail {-1/r:+.6f})")
 
 state0 = SecularState(0.1, 0.0, 100.0, 0.0)
-traj = integrate(spec, state0, 1000.0, "secular",
-                 StepControl(rtol=1e-12, atol=1e-12, method="DOP853"))
+traj = integrate(spec, state0, 1000.0,
+                 step_ctrl=StepControl(rtol=1e-12, atol=1e-12, method="DOP853"))
 G_max = np.max(np.abs(traj.states[:, 1]))
 g_max = np.max(np.abs(traj.states[:, 3]))
 print(f"\n1000 time units from (R, G, r, g) = (0.1, 0, 100, 0):")

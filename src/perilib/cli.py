@@ -31,19 +31,20 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .coords import ActionAngleState, SecularState, derive_mass_params
+from .coords import derive_mass_params
 from .dynamics import (
     EnergyDriftError,
     IntegrationError,
     StepControl,
+    Trajectory,
     detect_libration,
     integrate,
 )
-from .hamiltonians import HamiltonianSpec
+from .hamiltonians import HamiltonianSpec, chart_named, check_domain, energies
 from .kepler import KeplerError
 from .normalform import (
     ContractionError,
@@ -328,8 +329,8 @@ def cmd_verify_renorm(cfg, out_dir, seed, eps_list=None):
 
 
 def _trajectory_csv(traj, seed):
-    head = "t,R,G,r,g,energy" if traj.chart == "secular" else "t,Gcal,gamma,y,x,energy"
-    rows = ["# seed,%d" % seed, head]
+    names = [f.name for f in fields(chart_named(traj.chart).state)]
+    rows = ["# seed,%d" % seed, ",".join(["t", *names, "energy"])]
     for t, z, E in zip(traj.times, traj.states, traj.energies):
         rows.append(
             "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g" % (t, z[0], z[1], z[2], z[3], E)
@@ -341,41 +342,25 @@ def _trajectory_csv(traj, seed):
 
 def cmd_evolve(cfg, out_dir, seed, state=None, duration=None):
     section = cfg.raw["evolve"]
-    chart = section["chart"]
+    chart = chart_named(section["chart"])
     vals = state if state is not None else _floats(section["state"], 4)
     T = float(section["duration"]) if duration is None else duration
     spec = cfg.spec()
-    state0 = SecularState(*vals) if chart == "secular" else ActionAngleState(*vals)
+    state0 = chart.state(*vals)
     if T == 0.0:
-        from .dynamics import Trajectory
-        from .hamiltonians import check_domain, h_action_angle, h_secular
-
         check_domain(spec, state0)
-        E0 = (
-            h_secular(spec, state0, cfg.quad())
-            if chart == "secular"
-            else h_action_angle(spec, state0, cfg.quad())
-        )
-        traj = Trajectory(
-            np.array([0.0]), np.array([state0.as_array()]), np.array([E0]), chart
-        )
+        Z = state0.as_array()[None]
+        traj = Trajectory(np.zeros(1), Z, energies(spec, Z, chart.name, cfg.quad()), chart.name)
         winding, squeezes, drift = 0.0, 0, 0.0
     else:
-        traj = integrate(
-            spec,
-            state0,
-            T,
-            chart=chart,
-            step_ctrl=cfg.step_ctrl(),
-            energy_tol=cfg.energy_tol,
-            quad=cfg.quad(),
-        )
+        traj = integrate(spec, state0, T, step_ctrl=cfg.step_ctrl(),
+                         energy_tol=cfg.energy_tol, quad=cfg.quad())
         winding, squeezes, drift = detect_libration(traj, spec)
     _atomic_write(os.path.join(out_dir, "trajectory.csv"), _trajectory_csv(traj, seed))
     _write_json(
         os.path.join(out_dir, "evolve_summary.json"),
         {
-            "chart": chart,
+            "chart": chart.name,
             "duration": float(traj.times[-1]),
             "winding": winding,
             "squeezes": squeezes,

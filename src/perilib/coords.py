@@ -7,12 +7,16 @@ orbital elements.
 """
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .kepler import solve_kepler_zero_ecc_form, xi_prime_array
 
-COLLISION_TOL = 1e-13
+# x this close to the collision at 0 or 2 pi is rejected: below 1.11e-7 the
+# Kepler solve of xi' leaves its series (6x)^(1/3) (1 + (6x)^(2/3)/60) by
+# more than 1e-8 relative (measured, 200 points a decade); 10x margin.
+X_COLLISION = 1.2e-6
 
 JACOBI = "jacobi"
 M0CENTRIC = "m0centric"
@@ -54,6 +58,7 @@ class MassParams:
 class SecularState:
     """Phase point (R, G, r, g) of the reduced 2-DOF secular system."""
 
+    chart: ClassVar[str] = "secular"
     R: float
     G: float
     r: float
@@ -71,6 +76,7 @@ class SecularState:
 class ActionAngleState:
     """Phase point (Gcal, gamma, y, x) in the chart used for the libration run."""
 
+    chart: ClassVar[str] = "action-angle"
     Gcal: float
     gamma: float
     y: float
@@ -164,11 +170,14 @@ def rr_forward(m0, y, x):
 
 
 def rr_forward_with_jacobian(m0, y, x):
-    """rr_forward plus the partials (dr/dy, dr/dx) needed by the chain rule."""
+    """rr_forward plus the partials (dr/dy, dr/dx) needed by the chain rule.
+
+    x within X_COLLISION of 0 or 2 pi raises ValueError (the collision)."""
     xi = solve_kepler_zero_ecc_form(x).xi
+    xr = np.real(x)
+    if min(xr, 2 * np.pi - xr) < X_COLLISION:
+        raise ValueError("x = %.17g: collision of the outer body (r = 0)" % xr)
     one_m_c = 1.0 - np.cos(xi)
-    if abs(one_m_c) < COLLISION_TOL:
-        raise ValueError("cos xi'(x) = 1: collision of the outer body (r = 0)")
     r = y**2 / m0**3 * one_m_c
     R = m0**3 / y * np.sin(xi) / one_m_c
     dr_dy = 2 * y * one_m_c / m0**3
@@ -180,10 +189,11 @@ def radial_radius(m0, y, x):
     """r of the radial-orbit chart for arrays of (y, x) with real x in
     (0, 2*pi), from one array Kepler solve; the same values and collision
     check as rr_forward_with_jacobian."""
-    one_m_c = 1.0 - np.cos(xi_prime_array(x))
-    if (np.abs(one_m_c) < COLLISION_TOL).any():
-        raise ValueError("cos xi'(x) = 1: collision of the outer body (r = 0)")
-    return y**2 / m0**3 * one_m_c
+    x = np.asarray(x, dtype=float)
+    xi = xi_prime_array(x)
+    if (np.minimum(x, 2 * np.pi - x) < X_COLLISION).any():
+        raise ValueError("x within X_COLLISION of 0 or 2 pi: collision of the outer body")
+    return y**2 / m0**3 * (1.0 - np.cos(xi))
 
 
 def orbital_elements(m0, Lambda, G):

@@ -13,19 +13,25 @@ with eps(r) = Lambda^2/(m0^3 r).  h_action_angle is the same energy through
 the charts of coords, written as -m0^5/(2 y^2) plus a perturbation that
 vanishes with eps.
 
-Each chart has one energy kernel, which takes an (n, 4) stack of states
-(see energies); the functions of one state are its n = 1 case.
+Each chart is declared once, in CHARTS, and a state's class decides its
+chart.  Its energy kernel takes an (n, 4) stack of states (see energies);
+the functions of one state are its n = 1 case.
 """
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import potentials
-from .coords import MassParams, SecularState, radial_radius, rr_forward_with_jacobian
+from .coords import (ActionAngleState, MassParams, SecularState, radial_radius,
+                     rr_forward_with_jacobian)
 from .potentials import DEFAULT_QUAD, e_hat, e_hat_aa
 
 GRAD_FD_STEP = 1e-6
+
+SECULAR_PAIRS = ((0, 2), (1, 3))  # (R, r), (G, g)
+ACTION_ANGLE_PAIRS = ((0, 1), (2, 3))  # (Gcal, gamma), (y, x)
 
 
 class DomainError(ValueError):
@@ -77,13 +83,9 @@ def check_domain(spec, state):
     chart: finite, with |G| <= Lambda and r > 0 (SecularState), or with
     |Gcal| <= Lambda, y > 0 and 0 < x < 2 pi (ActionAngleState)."""
     z = state.as_array()
-    Lam = spec.Lambda
-    if isinstance(state, SecularState):
-        ok = abs(z[1]) <= Lam and z[2] > 0
-    else:
-        ok = abs(z[0]) <= Lam and z[2] > 0 and 0 < z[3] < 2 * np.pi
     # written so that NaN or inf fails
-    if not (ok and np.isfinite(z).all()):
+    Lam = spec.Lambda
+    if not (chart_of(state).in_domain(Lam, z) and np.isfinite(z).all()):
         raise DomainError("state %r outside the physical domain (Lambda=%r)" % (state, Lam))
 
 
@@ -118,20 +120,28 @@ def _aa_perturbations(spec, Z, quad):
     return (m0**2 / r) * pert
 
 
+def _action_angle_energies(spec, Z, quad):
+    """Energies of the (n, 4) stack Z of (Gcal, gamma, y, x) rows."""
+    return -(spec.m0**5) / (2 * Z[:, 2] ** 2) + _aa_perturbations(spec, Z, quad)
+
+
+def _one_row(state, cls):
+    """The (1, 4) stack of a state of class cls; TypeError for any other."""
+    if not isinstance(state, cls):
+        raise TypeError("expected a %s, got %r" % (cls.__name__, state))
+    return state.as_array()[None]
+
+
 def energies(spec, states, chart="secular", quad=DEFAULT_QUAD):
-    """Energies of an (n, 4) stack of chart states, one per row: h_secular
-    for chart "secular", h_action_angle for chart "action-angle"."""
+    """Energies of an (n, 4) stack of states of the chart named chart, one
+    per row: h_secular for "secular", h_action_angle for "action-angle"."""
     Z = np.asarray(states, dtype=float).reshape(-1, 4)
-    if chart == "secular":
-        return _secular_energies(spec, Z, quad)
-    if chart == "action-angle":
-        return -(spec.m0**5) / (2 * Z[:, 2] ** 2) + _aa_perturbations(spec, Z, quad)
-    raise ValueError("chart must be 'secular' or 'action-angle'")
+    return chart_named(chart).energies(spec, Z, quad)
 
 
 def h_secular(spec, state, quad=DEFAULT_QUAD):
     """Energy of the reduced secular system at a (R, G, r, g) state."""
-    return energies(spec, state.as_array(), "secular", quad)[0]
+    return _secular_energies(spec, _one_row(state, SecularState), quad)[0]
 
 
 def aa_perturbation(spec, state, quad=DEFAULT_QUAD):
@@ -141,7 +151,7 @@ def aa_perturbation(spec, state, quad=DEFAULT_QUAD):
     Collects the centrifugal term and the averaged potentials minus their
     limit value 1 (computed cancellation-free, so the tiny-eps regime keeps
     full relative precision)."""
-    return _aa_perturbations(spec, state.as_array()[None], quad)[0]
+    return _aa_perturbations(spec, _one_row(state, ActionAngleState), quad)[0]
 
 
 def h_action_angle(spec, state, quad=DEFAULT_QUAD):
@@ -149,7 +159,7 @@ def h_action_angle(spec, state, quad=DEFAULT_QUAD):
 
     Agrees with h_secular through the chart maps.
     """
-    return energies(spec, state.as_array(), "action-angle", quad)[0]
+    return _action_angle_energies(spec, _one_row(state, ActionAngleState), quad)[0]
 
 
 def v_radial(spec, r):
@@ -240,42 +250,78 @@ def _grad_action_angle_analytic(spec, state, quad):
     return np.array([df_dG, df_dgam, dH_dy, dH_dx])
 
 
-def _grad_fd(energy, z, h):
-    out = np.empty(len(z))
-    for i in range(len(z)):
-        zp = z.copy()
-        zm = z.copy()
-        step = h * max(1.0, abs(z[i]))
-        zp[i] += step
-        zm[i] -= step
-        out[i] = (energy(zp) - energy(zm)) / (2 * step)
-    return out
+def _grad_fd(energy, z):
+    steps = GRAD_FD_STEP * np.maximum(1.0, np.abs(z))
+    return np.array([(energy(z + dz) - energy(z - dz)) / (2 * h)
+                     for dz, h in zip(np.diag(steps), steps)])
 
 
-def gradient(spec, state, chart="secular", h_fd=GRAD_FD_STEP, method="analytic",
-             quad=DEFAULT_QUAD):
-    """Partials of the energy with respect to the chart variables.
+def gradient(spec, state, *, method="analytic", quad=DEFAULT_QUAD):
+    """Partials of the energy with respect to the variables of the state's
+    chart: (dH/dR, dH/dG, dH/dr, dH/dg) at a SecularState, (dH/dGcal,
+    dH/dgamma, dH/dy, dH/dx) at an ActionAngleState.
 
-    chart "secular": returns (dH/dR, dH/dG, dH/dr, dH/dg) at a SecularState.
-    chart "action-angle": returns (dH/dGcal, dH/dgamma, dH/dy, dH/dx) at an
-    ActionAngleState.  method "analytic" uses the chain rule through the
-    closed-form partials of e_hat and the integral derivatives of f_eps;
-    method "fd" central-differences the energy with relative step h_fd.
+    method "analytic" uses the chain rule through the closed-form partials
+    of e_hat and the integral derivatives of f_eps; method "fd"
+    central-differences the energy with relative step GRAD_FD_STEP.
     """
-    from .coords import ActionAngleState, SecularState
+    chart = chart_of(state)
+    if method == "analytic":
+        return chart.gradient(spec, state, quad)
+    return _grad_fd(lambda z: chart.energies(spec, z[None], quad)[0], state.as_array())
 
-    if chart == "secular":
-        if method == "analytic":
-            return _grad_secular_analytic(spec, state, quad)
-        z = state.as_array()
-        return _grad_fd(
-            lambda v: h_secular(spec, SecularState(*v), quad), z, h_fd
-        )
-    if chart == "action-angle":
-        if method == "analytic":
-            return _grad_action_angle_analytic(spec, state, quad)
-        z = state.as_array()
-        return _grad_fd(
-            lambda v: h_action_angle(spec, ActionAngleState(*v), quad), z, h_fd
-        )
-    raise ValueError("chart must be 'secular' or 'action-angle'")
+
+@dataclass(frozen=True)
+class Chart:
+    """One chart of the reduced flow: its state class, (momentum,
+    coordinate) pairs, energies(spec, Z, quad) on (n, 4) stacks,
+    gradient(spec, state, quad), domain rule in_domain(Lambda, z), G along
+    the rows of Z, and the columns of the libration angle and of Gcal (None
+    where the chart has no Gcal)."""
+
+    state: type
+    pairs: tuple
+    energies: Callable
+    gradient: Callable
+    in_domain: Callable
+    G_series: Callable
+    angle_col: int
+    Gcal_col: int | None
+
+    @property
+    def name(self):
+        return self.state.chart
+
+
+CHARTS = {chart.name: chart for chart in (
+    Chart(
+        SecularState, SECULAR_PAIRS, _secular_energies, _grad_secular_analytic,
+        in_domain=lambda Lam, z: abs(z[1]) <= Lam and z[2] > 0,
+        G_series=lambda Lam, Z: Z[:, 1],
+        angle_col=3, Gcal_col=None,
+    ),
+    Chart(
+        ActionAngleState, ACTION_ANGLE_PAIRS, _action_angle_energies,
+        _grad_action_angle_analytic,
+        in_domain=lambda Lam, z: abs(z[0]) <= Lam and z[2] > 0 and 0 < z[3] < 2 * np.pi,
+        G_series=lambda Lam, Z: (np.sqrt(np.maximum(0.0, Lam**2 - Z[:, 0] ** 2))
+                                 * np.cos(Z[:, 1])),
+        angle_col=1, Gcal_col=0,
+    ),
+)}
+
+
+def chart_named(name):
+    """The chart called name; ValueError for any other name."""
+    if name not in CHARTS:
+        raise ValueError("chart must be %s, got %r" % (" or ".join(map(repr, CHARTS)), name))
+    return CHARTS[name]
+
+
+def chart_of(state):
+    """The chart of a state, from its class; TypeError for anything else."""
+    chart = CHARTS.get(getattr(state, "chart", None))
+    if chart is None or not isinstance(state, chart.state):
+        names = " or ".join(c.state.__name__ for c in CHARTS.values())
+        raise TypeError("expected a chart state (%s), got %r" % (names, state))
+    return chart

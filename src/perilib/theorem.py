@@ -230,15 +230,15 @@ class LibrationSummary:
         }
 
 
-def run_libration_experiment(spec, report, state0, budget=None,
+def run_libration_experiment(spec, report, state0,
                              step_ctrl=StepControl(rtol=1e-12, atol=1e-12,
                                                    method="DOP853"),
-                             quad=DEFAULT_QUAD, samples=2000):
+                             quad=DEFAULT_QUAD):
     """Integrate the action-angle flow under a passing hypothesis report.
 
-    The run lasts min(report.T_estimate, budget) or until the trajectory
-    reaches the boundary of the real domain D (a domain-exit event).
-    Returns (Trajectory, LibrationSummary).
+    The run lasts min(report.T_estimate, three radial transit times) or
+    until the trajectory reaches the boundary of the real domain D (a
+    domain-exit event).  Returns (Trajectory, LibrationSummary).
     """
     if not report.passed:
         raise ValueError("hypothesis report does not pass; experiment not gated")
@@ -268,20 +268,10 @@ def run_libration_experiment(spec, report, state0, budget=None,
             Lam - Gc + 1e-12,
         )
 
-    if budget is None:
-        # a few radial transit times: x advances at roughly m0^5/y^3
-        budget = 3.0 * (x_hi - np.pi) * state0.y**3 / m0**5
-    T = min(report.T_estimate, budget)
-    traj = integrate(
-        spec,
-        state0,
-        T,
-        chart="action-angle",
-        step_ctrl=step_ctrl,
-        quad=quad,
-        t_eval=np.linspace(0.0, T, samples),
-        domain_guard=guard,
-    )
+    # x advances at roughly m0^5/y^3
+    transits = 3.0 * (x_hi - np.pi) * state0.y**3 / m0**5
+    T = min(report.T_estimate, transits)
+    traj = integrate(spec, state0, T, step_ctrl=step_ctrl, quad=quad, domain_guard=guard)
     winding, squeezes, drift = detect_libration(traj, spec)
     r_vals = radial_radius(m0, traj.states[:, 2], traj.states[:, 3])
     summary = LibrationSummary(

@@ -147,8 +147,7 @@ def test_criterion_6_invariant_manifold():
         spec,
         st,
         1000.0,
-        "secular",
-        StepControl(rtol=1e-12, atol=1e-12, method="DOP853"),
+        step_ctrl=StepControl(rtol=1e-12, atol=1e-12, method="DOP853"),
     )
     g_max = float(np.max(np.abs(traj.states[:, 1])))
     gg_max = float(np.max(np.abs(traj.states[:, 3])))

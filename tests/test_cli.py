@@ -169,6 +169,21 @@ class TestEvolve:
         summary = json.loads((out / "evolve_summary.json").read_text())
         assert summary["energy_drift"] < 1e-8
 
+    @pytest.mark.parametrize("duration", ["20", "0"])
+    def test_unknown_chart_exits_config(self, tmp_path, capsys, duration):
+        code, out = run(tmp_path, "--set", "evolve.chart=foo", "--set",
+                        "evolve.duration=" + duration, "evolve")
+        assert code == EXIT_CONFIG
+        assert "chart must be 'secular' or 'action-angle'" in capsys.readouterr().err
+        assert not (out / "trajectory.csv").exists()
+
+    def test_zero_duration_action_angle_header(self, tmp_path):
+        code, out = run(tmp_path, "--set", "evolve.chart=action-angle", "evolve",
+                        "--state", "0.9, 0.3, 10.0, 2.0", "--duration", "0")
+        assert code == EXIT_OK
+        rows = (out / "trajectory.csv").read_text().splitlines()
+        assert rows[1] == "t,Gcal,gamma,y,x,energy"
+        assert len(rows) == 3
 
     def test_state_leaving_domain_exits_guard(self, tmp_path, capsys):
         # loose tolerances let the radius overshoot through zero mid-run

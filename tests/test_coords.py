@@ -3,15 +3,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from perilib.coords import (
+    X_COLLISION,
     ActionAngleState,
     SecularState,
     derive_mass_params,
     gg_forward,
     gg_inverse,
     orbital_elements,
+    radial_radius,
     rr_forward,
     rr_forward_with_jacobian,
 )
+from perilib.kepler import xi_prime_real
 
 
 class TestMassParams:
@@ -184,6 +187,30 @@ class TestRr:
         _, rp = rr_forward(m0, y, x + h)
         _, rm = rr_forward(m0, y, x - h)
         assert abs((rp - rm) / (2 * h) - dr_dx) < 1e-6
+
+
+class TestCollisionGuard:
+    @pytest.mark.parametrize("x", [1e-21, 1e-12, 2 * np.pi - 1e-12])
+    def test_near_collision_raises(self, x):
+        from perilib.hamiltonians import HamiltonianSpec, energies
+
+        with pytest.raises(ValueError, match="collision"):
+            rr_forward(1.0, 4.0, x)
+        with pytest.raises(ValueError, match="collision"):
+            radial_radius(1.0, np.array([4.0, 4.0]), np.array([2.0, x]))
+        spec = HamiltonianSpec(1, 1.0, 1.0, derive_mass_params(1.0, 1.0))
+        with pytest.raises(ValueError, match="collision"):
+            energies(spec, [[0.5, 0.1, 4.0, 2.0], [0.5, 0.1, 4.0, x]], "action-angle")
+
+    def test_solve_accurate_outside_the_guard(self):
+        # from X_COLLISION up, xi' agrees with its small-x series to 1e-8
+        # relative on both sides of the collision
+        for x in np.logspace(np.log10(X_COLLISION), -5, 41):
+            s = (6 * x) ** (1 / 3)
+            series = s * (1 + s * s / 60)
+            assert abs(xi_prime_real(x) / series - 1) < 1e-8
+            assert abs((2 * np.pi - xi_prime_real(2 * np.pi - x)) / series - 1) < 1e-8
+            rr_forward(1.0, 4.0, x)
 
 
 class TestOrbitalElements:

@@ -55,7 +55,7 @@ class TestInvariantManifolds:
         # far above the branch radius keeps the run clear for the duration
         spec = make_spec(1)
         st = SecularState(0.1, 0.0, 100.0, 0.0)
-        traj = integrate(spec, st, 200.0, "secular", StepControl(1e-10, 1e-10))
+        traj = integrate(spec, st, 200.0, step_ctrl=StepControl(1e-10, 1e-10))
         assert np.max(np.abs(traj.states[:, 1])) < 1e-9  # G stays 0
         assert np.max(np.abs(traj.states[:, 3])) < 1e-9  # g stays 0
         assert traj.energy_drift < 1e-8
@@ -65,7 +65,7 @@ class TestInvariantManifolds:
     def test_Mpi_trapping(self):
         spec = make_spec(2)
         st = SecularState(0.05, 0.0, 60.0, np.pi)
-        traj = integrate(spec, st, 100.0, "secular", StepControl(1e-10, 1e-10))
+        traj = integrate(spec, st, 100.0, step_ctrl=StepControl(1e-10, 1e-10))
         assert np.max(np.abs(traj.states[:, 1])) < 1e-9
         assert np.max(np.abs(traj.states[:, 3] - np.pi)) < 1e-9
 
@@ -146,7 +146,7 @@ class TestEnergyAccounting:
     def test_trajectory_reports_drift(self):
         spec = make_spec(1)
         st = SecularState(0.1, 0.3, 30.0, 0.4)
-        traj = integrate(spec, st, 50.0, "secular", StepControl(1e-10, 1e-10))
+        traj = integrate(spec, st, 50.0, step_ctrl=StepControl(1e-10, 1e-10))
         assert traj.energy_drift < 1e-8
         assert traj.times[0] == 0.0
         assert np.all(np.diff(traj.times) > 0)
@@ -160,11 +160,29 @@ class TestDomainContract:
         ("action-angle", ActionAngleState(0.5, 0.1, 10.0, 7.0)),
     ])
     def test_start_outside_domain_rejected(self, chart, state):
+        # the state's class carries its chart
+        assert state.chart == chart
         with pytest.raises(DomainError):
-            integrate(make_spec(1), state, 10.0, chart)
+            integrate(make_spec(1), state, 10.0)
+
+    def test_other_chart_name_is_type_error(self):
+        # the chart argument is gone: the old call form is rejected
+        st = ActionAngleState(0.9, 0.3, 10.0, 2.0)
+        with pytest.raises(TypeError):
+            integrate(make_spec(1), st, 5.0, "secular")
+
+    def test_bare_sequence_is_type_error(self):
+        with pytest.raises(TypeError, match="SecularState or ActionAngleState"):
+            integrate(make_spec(1), [0.1, 0.0, 100.0, 0.0], 5.0)
+
+    def test_trajectory_carries_the_state_chart(self):
+        st = ActionAngleState(0.4, 0.7, 10.0, 2.5)
+        traj = integrate(make_spec(2), st, 5.0)
+        assert traj.chart == "action-angle"
+        assert np.array_equal(traj.states[0], st.as_array())
 
     def test_leaving_domain_is_integration_error(self):
         # loose tolerances let the radius overshoot through zero
         st = SecularState(0.1, 0.0, 100.0, 0.0)
         with pytest.raises(IntegrationError, match="left the domain"):
-            integrate(make_spec(1), st, 20000.0, "secular", StepControl(1e-3, 1e-3))
+            integrate(make_spec(1), st, 20000.0, step_ctrl=StepControl(1e-3, 1e-3))

@@ -182,7 +182,7 @@ class TestGradient:
     def test_dH_dR_is_kinetic(self):
         spec = make_spec(1)
         st = SecularState(0.7, 0.4, 11.0, 0.9)
-        grad = gradient(spec, st, "secular")
+        grad = gradient(spec, st)
         assert abs(grad[0] - st.R / spec.m0) < 1e-14
 
     def test_vanishes_on_M0(self):
@@ -190,7 +190,7 @@ class TestGradient:
             spec = make_spec(index)
             for g0 in (0.0, np.pi):
                 st = SecularState(0.2, 0.0, 10.0, g0)
-                grad = gradient(spec, st, "secular")
+                grad = gradient(spec, st)
                 assert abs(grad[1]) < 1e-12  # dH/dG
                 assert abs(grad[3]) < 1e-12  # dH/dg
 
@@ -204,8 +204,8 @@ class TestGradient:
                 rng.uniform(8, 30),
                 rng.uniform(-np.pi, np.pi),
             )
-            ga = gradient(spec, st, "secular", method="analytic")
-            gf = gradient(spec, st, "secular", method="fd")
+            ga = gradient(spec, st, method="analytic")
+            gf = gradient(spec, st, method="fd")
             scale = np.maximum(np.abs(ga), 1e-3)
             assert np.max(np.abs(ga - gf) / scale) < 1e-6
 
@@ -219,8 +219,8 @@ class TestGradient:
                 rng.uniform(3.0, 6.0),
                 rng.uniform(0.7, 2 * np.pi - 0.7),
             )
-            ga = gradient(spec, st, "action-angle", method="analytic")
-            gf = gradient(spec, st, "action-angle", method="fd")
+            ga = gradient(spec, st, method="analytic")
+            gf = gradient(spec, st, method="fd")
             scale = np.maximum(np.abs(ga), 1e-3)
             assert np.max(np.abs(ga - gf) / scale) < 1e-6
 
@@ -268,7 +268,7 @@ class TestStackedEnergies:
         from perilib.dynamics import StepControl, integrate
 
         spec = make_spec(2)
-        traj = integrate(spec, state, 40.0, chart, StepControl(1e-10, 1e-10), quad=QUAD)
+        traj = integrate(spec, state, 40.0, step_ctrl=StepControl(1e-10, 1e-10), quad=QUAD)
         ref, cls = ((ref_h_secular, SecularState) if chart == "secular"
                     else (ref_h_action_angle, ActionAngleState))
         expect = np.array([ref(spec, cls(*z)) for z in traj.states])
@@ -293,6 +293,43 @@ class TestStackedEnergies:
             ref_h_action_angle(spec, ActionAngleState(*near))
         with pytest.raises(ValueError):
             energies(spec, [[0.5, 0.1, 4.0, 2.0], near], "action-angle")
+
+
+class TestChartFromState:
+    """The state's class decides the chart; the other chart's state is a
+    TypeError naming the expected class."""
+
+    SEC = SecularState(0.1, 0.3, 10.0, 2.0)
+    AA = ActionAngleState(0.9, 0.3, 10.0, 2.0)
+
+    def test_h_secular_rejects_action_angle_state(self):
+        with pytest.raises(TypeError, match="SecularState"):
+            h_secular(make_spec(1), self.AA)
+
+    def test_h_action_angle_rejects_secular_state(self):
+        with pytest.raises(TypeError, match="ActionAngleState"):
+            h_action_angle(make_spec(1), self.SEC)
+
+    def test_aa_perturbation_rejects_secular_state(self):
+        with pytest.raises(TypeError, match="ActionAngleState"):
+            aa_perturbation(make_spec(1), self.SEC)
+
+    def test_gradient_rejects_a_chart_argument(self):
+        # the chart comes from the state: the old call form with the other
+        # chart's name is rejected instead of misreading the state
+        with pytest.raises(TypeError):
+            gradient(make_spec(1), self.SEC, "action-angle")
+        with pytest.raises(TypeError):
+            gradient(make_spec(1), self.AA, "secular")
+
+    @pytest.mark.parametrize("bad", [[0.1, 0.3, 10.0, 2.0], np.array([0.1, 0.3, 10.0, 2.0])])
+    def test_gradient_rejects_bare_arrays(self, bad):
+        with pytest.raises(TypeError, match="SecularState or ActionAngleState"):
+            gradient(make_spec(1), bad)
+
+    def test_energies_rejects_unknown_chart_name(self):
+        with pytest.raises(ValueError, match="chart must be"):
+            energies(make_spec(1), [[0.1, 0.3, 10.0, 2.0]], "polar")
 
 
 class TestDomain:

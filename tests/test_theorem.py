@@ -108,6 +108,11 @@ class TestLibrationExperiment:
         _, _, (_, summary) = outcome
         assert summary.squeezes >= 2
 
+    def test_squeeze_events_match_count(self, outcome):
+        # the event annotation and the summary count sign changes of G alike
+        _, _, (traj, summary) = outcome
+        assert sum(kind == "squeeze" for _, kind in traj.events) == summary.squeezes
+
     def test_Gcal_drift_within_layer(self, outcome):
         _, report, (_, summary) = outcome
         assert summary.Gcal_drift <= report.params["delta"] / 2
