@@ -1,37 +1,28 @@
 """Command-line entry point.
 
 Subcommands: portrait, verify-renorm, evolve, check-theorem, normalform.
-Each reads one INI-style config file (sections below), writes CSV/JSON
-outputs atomically into --out, and records the 64-bit seed in every output
-header.  Exit codes: 0 success, 2 config, input or domain error (a state
-outside the physical domain included), 3 numerical guard tripped (singular
-locus, Kepler or Lie-series failure, energy drift, integration failure or a
-state leaving the domain during a run), 4 I/O failure.
+Each reads one INI-style config file, writes CSV/JSON outputs atomically
+into --out, and records the 64-bit seed in every output header.  Exit
+codes: 0 success, 2 config, input or domain error (a state outside the
+physical domain included), 3 numerical guard tripped (singular locus,
+Kepler or Lie-series failure, energy drift, integration failure or a state
+leaving the domain during a run), 4 I/O failure.
 
-Config sections and keys (all optional unless a subcommand needs them):
-
-  [masses]      mu, kappa, frame (jacobi | m0centric)
-  [hamiltonian] index (1 | 2), m0, Lambda
-  [domain]      eps0, delta, s0, alpha_minus, alpha_plus
-  [quadrature]  n_nodes
-  [integrator]  rtol, atol, method, energy_tol
-  [theorem]     c_upper, c_lower, n_steps
-  [portrait]    eps, grid, levels
-  [renorm]      eps_list (comma separated), samples
-  [evolve]      chart (secular | action-angle), state (4 comma floats),
-                duration
-  [normalform]  steps, fourier_cutoff, grid (3 comma ints), n_phi
-
-Flags override file values via --set section.key=value (repeatable).
+KEYS declares every config key with its default and rule.  Values come
+from the defaults, then the file, then each --set section.key=value, then
+the subcommand's flags (each sets one key, see COMMANDS).
 """
 
 import argparse
 import configparser
 import json
+import math
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, fields
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -70,144 +61,154 @@ class ConfigError(ValueError):
     pass
 
 
-DEFAULTS = {
-    "masses": {"mu": "1.0", "kappa": "1.0", "frame": "jacobi"},
-    "hamiltonian": {"index": "1", "m0": "1.0", "Lambda": "1.0"},
-    "domain": {
-        "eps0": "0.25",
-        "delta": "0.025",
-        "s0": "1.0",
-        "alpha_minus": "2.0e4",
-        "alpha_plus": "3.2e5",
-    },
-    "quadrature": {"n_nodes": "256"},
-    "integrator": {
-        "rtol": "1e-10",
-        "atol": "1e-10",
-        "method": "RK45",
-        "energy_tol": "1e-8",
-    },
-    "theorem": {"c_upper": "10.0", "c_lower": "2.0", "n_steps": "8"},
-    "portrait": {"eps": "0.3", "grid": "128", "levels": "12"},
-    "renorm": {"eps_list": "0.1, -0.1, 0.25, -0.25, 0.4, -0.4", "samples": "100"},
-    "evolve": {
-        "chart": "secular",
-        "state": "0.1, 0.0, 100.0, 0.0",
-        "duration": "200.0",
-    },
-    "normalform": {
-        "steps": "3",
-        "fourier_cutoff": "8",
-        "grid": "16, 16, 16",
-        "n_phi": "64",
-    },
-}
+class Key(NamedTuple):
+    """One config key: its default text, the rule its value must meet and
+    the parser that turns text into a value (ValueError when the rule fails)."""
+
+    section: str
+    name: str
+    default: str
+    rule: str
+    parse: Callable
 
 
-@dataclass
-class ExperimentConfig:
-    """Typed view of the config file; raw holds every resolved key."""
+def _checked(convert, ok):
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise ValueError(text)
+        return value
+    return parse
 
-    mu: float
-    kappa: float
-    frame: str
-    index: int
-    m0: float
-    Lambda: float
-    eps0: float
-    delta: float
-    s0: float
-    alpha_minus: float
-    alpha_plus: float
-    quad_nodes: int
-    rtol: float
-    atol: float
-    method: str
-    energy_tol: float
-    raw: dict = field(default_factory=dict)
 
-    def validate(self):
-        positives = {
-            "mu": self.mu,
-            "kappa": self.kappa,
-            "m0": self.m0,
-            "Lambda": self.Lambda,
-            "eps0": self.eps0,
-            "delta": self.delta,
-            "s0": self.s0,
-            "alpha_minus": self.alpha_minus,
-            "alpha_plus": self.alpha_plus,
-        }
-        for name, value in positives.items():
-            if not value > 0:
-                raise ConfigError("field %r must be positive, got %r" % (name, value))
-        if not self.alpha_minus < self.alpha_plus / 4:
-            raise ConfigError(
-                "field alpha_minus must satisfy alpha_minus < alpha_plus/4"
-            )
-        if self.index not in (1, 2):
-            raise ConfigError("field hamiltonian.index must be 1 or 2")
-        if self.frame not in ("jacobi", "m0centric"):
-            raise ConfigError("field masses.frame must be jacobi or m0centric")
-        return self
+def _int(lo):
+    return "an int >= %d" % lo, _checked(int, lambda v: v >= lo)
+
+
+def _choice(*options):
+    names = {str(o): o for o in options}
+    shown = [repr(o) for o in options]
+    return (", ".join(shown[:-1]) + " or " + shown[-1],
+            _checked(names.get, lambda v: v is not None))
+
+
+def _list(item, n=None):
+    """n comma-separated values (one or more when n is None), each meeting item."""
+    rule, parse = item
+
+    def parse_list(text):
+        values = [parse(v) for v in text.replace(";", ",").split(",") if v.strip()]
+        if (len(values) != n) if n else not values:
+            raise ValueError(text)
+        return values
+    return "%s comma-separated values, each %s" % (n or "1 or more", rule), parse_list
+
+
+FLOAT = "a float", float
+FINITE = "a finite float", _checked(float, math.isfinite)
+POSITIVE = "a finite float > 0", _checked(float, lambda v: 0 < v < math.inf)
+
+# The config schema: every key, its default and its rule.  A file or --set
+# naming any other key is rejected, and so is a value that breaks its rule.
+KEYS = (
+    Key("masses", "mu", "1.0", *POSITIVE),
+    Key("masses", "kappa", "1.0", *POSITIVE),
+    Key("masses", "frame", "jacobi", *_choice("jacobi", "m0centric")),
+    Key("hamiltonian", "index", "1", *_choice(1, 2)),
+    Key("hamiltonian", "m0", "1.0", *POSITIVE),
+    Key("hamiltonian", "Lambda", "1.0", *POSITIVE),
+    Key("domain", "eps0", "0.25", *POSITIVE),
+    Key("domain", "delta", "0.025", *POSITIVE),
+    Key("domain", "s0", "1.0", *POSITIVE),
+    Key("domain", "alpha_minus", "2.0e4", *POSITIVE),
+    Key("domain", "alpha_plus", "3.2e5", *POSITIVE),
+    Key("quadrature", "n_nodes", "256", "an even int >= 32",
+        lambda t: QuadratureSpec(int(t)).n_nodes),
+    Key("integrator", "rtol", "1e-10", *POSITIVE),
+    Key("integrator", "atol", "1e-10", *POSITIVE),
+    # solve_ivp's methods, listed here so that loading needs no scipy.integrate
+    Key("integrator", "method", "RK45",
+        *_choice("RK23", "RK45", "DOP853", "Radau", "BDF", "LSODA")),
+    Key("integrator", "energy_tol", "1e-8", *POSITIVE),
+    Key("theorem", "c_upper", "10.0", *POSITIVE),
+    Key("theorem", "c_lower", "2.0", *POSITIVE),
+    Key("theorem", "n_steps", "8", *_int(0)),
+    Key("portrait", "eps", "0.3", *FINITE),
+    Key("portrait", "grid", "128", *_int(1)),
+    Key("portrait", "levels", "12", *_int(1)),
+    Key("renorm", "eps_list", "0.1, -0.1, 0.25, -0.25, 0.4, -0.4", *_list(FINITE)),
+    Key("renorm", "samples", "100", *_int(1)),
+    Key("evolve", "chart", "secular", *_choice("secular", "action-angle")),
+    Key("evolve", "state", "0.1, 0.0, 100.0, 0.0", *_list(FLOAT, 4)),
+    Key("evolve", "duration", "200.0", *FINITE),
+    Key("normalform", "steps", "3", *_int(0)),
+    Key("normalform", "fourier_cutoff", "8", *_int(0)),
+    Key("normalform", "grid", "16, 16, 16", *_list(_int(1), 3)),
+    Key("normalform", "n_phi", "64", *_int(1)),
+)
+# configparser folds key names to lower case, so lookups do too
+_BY_NAME = {(k.section, k.name.lower()): k for k in KEYS}
+
+
+class Config(SimpleNamespace):
+    """The resolved config: one namespace per section holding every key of
+    KEYS as a parsed, checked value (cfg.domain.eps0)."""
 
     def spec(self):
         return HamiltonianSpec(
-            self.index,
-            self.m0,
-            self.Lambda,
-            derive_mass_params(self.mu, self.kappa, self.frame),
+            self.hamiltonian.index,
+            self.hamiltonian.m0,
+            self.hamiltonian.Lambda,
+            derive_mass_params(self.masses.mu, self.masses.kappa, self.masses.frame),
         )
 
     def quad(self):
-        return QuadratureSpec(self.quad_nodes)
+        return QuadratureSpec(self.quadrature.n_nodes)
 
     def step_ctrl(self):
-        return StepControl(self.rtol, self.atol, self.method)
+        i = self.integrator
+        return StepControl(i.rtol, i.atol, i.method)
 
 
 def load_config(path, overrides=()):
-    parser = configparser.ConfigParser()
-    parser.read_dict(DEFAULTS)
+    """Config from the INI file at path (None: defaults only) and the
+    section.key=value overrides, applied in order.  Raises ConfigError
+    naming section.key for an unknown key or a value outside its rule."""
+    given = []
     if path is not None:
         if not os.path.exists(path):
             raise ConfigError("config file not found: %s" % path)
+        parser = configparser.ConfigParser()
         try:
             parser.read(path)
+            # iterating the parser visits [DEFAULT] too, whose keys would
+            # otherwise be copied into every section or, alone, ignored
+            given = [(s, k, v) for s in parser for k, v in parser[s].items()]
         except configparser.Error as exc:
             raise ConfigError("malformed config: %s" % exc) from exc
     for item in overrides:
-        if "=" not in item or "." not in item.split("=", 1)[0]:
+        target, eq, value = item.partition("=")
+        section, dot, name = target.partition(".")
+        if not (eq and dot):
             raise ConfigError("--set expects section.key=value, got %r" % item)
-        target, value = item.split("=", 1)
-        section, key = target.split(".", 1)
-        if not parser.has_section(section):
-            parser.add_section(section)
-        parser.set(section.strip(), key.strip(), value.strip())
-    raw = {s: dict(parser.items(s)) for s in parser.sections()}
-    try:
-        cfg = ExperimentConfig(
-            mu=parser.getfloat("masses", "mu"),
-            kappa=parser.getfloat("masses", "kappa"),
-            frame=parser.get("masses", "frame"),
-            index=parser.getint("hamiltonian", "index"),
-            m0=parser.getfloat("hamiltonian", "m0"),
-            Lambda=parser.getfloat("hamiltonian", "Lambda"),
-            eps0=parser.getfloat("domain", "eps0"),
-            delta=parser.getfloat("domain", "delta"),
-            s0=parser.getfloat("domain", "s0"),
-            alpha_minus=parser.getfloat("domain", "alpha_minus"),
-            alpha_plus=parser.getfloat("domain", "alpha_plus"),
-            quad_nodes=parser.getint("quadrature", "n_nodes"),
-            rtol=parser.getfloat("integrator", "rtol"),
-            atol=parser.getfloat("integrator", "atol"),
-            method=parser.get("integrator", "method"),
-            energy_tol=parser.getfloat("integrator", "energy_tol"),
-            raw=raw,
-        )
-    except ValueError as exc:
-        raise ConfigError("field parse failure: %s" % exc) from exc
-    return cfg.validate()
+        given.append((section.strip(), name.strip(), value.strip()))
+    texts = {key: key.default for key in KEYS}
+    for section, name, text in given:
+        key = _BY_NAME.get((section, name.lower()))
+        if key is None:
+            raise ConfigError("unknown key %s.%s" % (section, name))
+        texts[key] = text
+    sections = {}
+    for key, text in texts.items():
+        try:
+            sections.setdefault(key.section, {})[key.name] = key.parse(text)
+        except ValueError:
+            raise ConfigError("%s.%s must be %s, got %r"
+                              % (key.section, key.name, key.rule, text)) from None
+    cfg = Config(**{s: SimpleNamespace(**values) for s, values in sections.items()})
+    if not cfg.domain.alpha_minus < cfg.domain.alpha_plus / 4:
+        raise ConfigError("domain.alpha_minus must be < domain.alpha_plus / 4")
+    return cfg
 
 
 def _atomic_write(path, text):
@@ -230,29 +231,16 @@ def _write_json(path, payload, seed):
     _atomic_write(path, json.dumps(payload, default=float) + "\n")
 
 
-def _floats(text, n=None):
-    vals = [float(v) for v in text.replace(";", ",").split(",") if v.strip()]
-    if n is not None and len(vals) != n:
-        raise ConfigError("expected %d comma-separated floats, got %r" % (n, text))
-    return vals
-
-
-def _ints(text, n=None):
-    return [int(v) for v in _floats(text, n)]
-
-
 # ---------------- subcommands ----------------
 
 
-def cmd_portrait(cfg, out_dir, seed, eps=None):
-    Lam = cfg.Lambda
+def cmd_portrait(cfg, out_dir, seed):
+    Lam = cfg.hamiltonian.Lambda
+    eps, grid_n = cfg.portrait.eps, cfg.portrait.grid
     # portraits raises ValueError for inputs outside its domain (eps <= 0,
     # eps at 1/2 or 1, grid below 64); nothing is written for them
     try:
-        eps = float(cfg.raw["portrait"]["eps"]) if eps is None else eps
-        grid_n = int(cfg.raw["portrait"]["grid"])
-        levels = int(cfg.raw["portrait"]["levels"])
-        lines = phase_portrait(eps, Lam, grid=(grid_n, grid_n), levels=levels)
+        lines = phase_portrait(eps, Lam, grid=(grid_n, grid_n), levels=cfg.portrait.levels)
         eqs = find_equilibria(eps, Lam)
     except ValueError as exc:
         raise ConfigError("portrait: %s" % exc) from exc
@@ -279,14 +267,13 @@ def cmd_portrait(cfg, out_dir, seed, eps=None):
     return EXIT_OK
 
 
-def cmd_verify_renorm(cfg, out_dir, seed, eps_list=None):
-    if eps_list is None:
-        eps_list = _floats(cfg.raw["renorm"]["eps_list"])
-    samples = int(cfg.raw["renorm"]["samples"])
+def cmd_verify_renorm(cfg, out_dir, seed):
+    samples = cfg.renorm.samples
+    Lam = cfg.hamiltonian.Lambda
     quad = cfg.quad()
     rng = np.random.default_rng(seed)
     report = []
-    for eps in eps_list:
+    for eps in cfg.renorm.eps_list:
         if abs(eps) >= 0.5:
             print(
                 "eps=%g rejected: the renormalizing profile requires |eps| < 1/2"
@@ -294,23 +281,21 @@ def cmd_verify_renorm(cfg, out_dir, seed, eps_list=None):
                 file=sys.stderr,
             )
             return EXIT_GUARD
-        worst, rejected = check_renorm_identity(
-            eps, cfg.Lambda, samples, quad, rng=rng
-        )
+        worst, rejected = check_renorm_identity(eps, Lam, samples, quad, rng=rng)
         # commutation check by central differences at 50 points
         h = 1e-5
         bracket_worst = 0.0
         for _ in range(50):
-            G = rng.uniform(-0.9 * cfg.Lambda, 0.9 * cfg.Lambda)
+            G = rng.uniform(-0.9 * Lam, 0.9 * Lam)
             g = rng.uniform(-np.pi, np.pi)
-            du_G = (u_hat(eps, cfg.Lambda, G + h, g, quad)
-                    - u_hat(eps, cfg.Lambda, G - h, g, quad)) / (2 * h)
-            du_g = (u_hat(eps, cfg.Lambda, G, g + h, quad)
-                    - u_hat(eps, cfg.Lambda, G, g - h, quad)) / (2 * h)
-            de_G = (e_hat(eps, cfg.Lambda, G + h, g)
-                    - e_hat(eps, cfg.Lambda, G - h, g)) / (2 * h)
-            de_g = (e_hat(eps, cfg.Lambda, G, g + h)
-                    - e_hat(eps, cfg.Lambda, G, g - h)) / (2 * h)
+            du_G = (u_hat(eps, Lam, G + h, g, quad)
+                    - u_hat(eps, Lam, G - h, g, quad)) / (2 * h)
+            du_g = (u_hat(eps, Lam, G, g + h, quad)
+                    - u_hat(eps, Lam, G, g - h, quad)) / (2 * h)
+            de_G = (e_hat(eps, Lam, G + h, g)
+                    - e_hat(eps, Lam, G - h, g)) / (2 * h)
+            de_g = (e_hat(eps, Lam, G, g + h)
+                    - e_hat(eps, Lam, G, g - h)) / (2 * h)
             bracket_worst = max(bracket_worst, abs(du_G * de_g - du_g * de_G))
         report.append(
             {
@@ -340,13 +325,11 @@ def _trajectory_csv(traj, seed):
     return "\n".join(rows) + "\n"
 
 
-def cmd_evolve(cfg, out_dir, seed, state=None, duration=None):
-    section = cfg.raw["evolve"]
-    chart = chart_named(section["chart"])
-    vals = state if state is not None else _floats(section["state"], 4)
-    T = float(section["duration"]) if duration is None else duration
+def cmd_evolve(cfg, out_dir, seed):
+    chart = chart_named(cfg.evolve.chart)
+    T = cfg.evolve.duration
     spec = cfg.spec()
-    state0 = chart.state(*vals)
+    state0 = chart.state(*cfg.evolve.state)
     if T == 0.0:
         check_domain(spec, state0)
         Z = state0.as_array()[None]
@@ -354,7 +337,7 @@ def cmd_evolve(cfg, out_dir, seed, state=None, duration=None):
         winding, squeezes, drift = 0.0, 0, 0.0
     else:
         traj = integrate(spec, state0, T, step_ctrl=cfg.step_ctrl(),
-                         energy_tol=cfg.energy_tol, quad=cfg.quad())
+                         energy_tol=cfg.integrator.energy_tol, quad=cfg.quad())
         winding, squeezes, drift = detect_libration(traj, spec)
     _atomic_write(os.path.join(out_dir, "trajectory.csv"), _trajectory_csv(traj, seed))
     _write_json(
@@ -373,40 +356,23 @@ def cmd_evolve(cfg, out_dir, seed, state=None, duration=None):
     return EXIT_OK
 
 
-def cmd_check_theorem(cfg, out_dir, seed, N=None):
-    section = cfg.raw["theorem"]
-    N = int(section["n_steps"]) if N is None else N
+def cmd_check_theorem(cfg, out_dir, seed):
+    d, th = cfg.domain, cfg.theorem
     report = check_libration_theorem(
-        cfg.spec(),
-        cfg.eps0,
-        cfg.delta,
-        cfg.s0,
-        cfg.alpha_minus,
-        cfg.alpha_plus,
-        N=N,
-        c_upper=float(section["c_upper"]),
-        c_lower=float(section["c_lower"]),
+        cfg.spec(), d.eps0, d.delta, d.s0, d.alpha_minus, d.alpha_plus,
+        N=th.n_steps, c_upper=th.c_upper, c_lower=th.c_lower,
     )
     _write_json(os.path.join(out_dir, "theorem_report.json"), report.as_dict(), seed)
     return EXIT_OK
 
 
-def cmd_normalform(cfg, out_dir, seed, N=None):
-    section = cfg.raw["normalform"]
-    N = int(section["steps"]) if N is None else N
-    grid_shape = tuple(_ints(section["grid"], 3))
-    cutoff = int(section["fourier_cutoff"])
-    spec = cfg.spec()
+def cmd_normalform(cfg, out_dir, seed):
+    d, nf = cfg.domain, cfg.normalform
+    N = nf.steps
     series, freqs = build_secular_perturbation(
-        spec,
-        cfg.eps0,
-        cfg.alpha_minus,
-        cfg.alpha_plus,
-        cfg.delta,
-        grid_shape=grid_shape,
-        fourier_cutoff=cutoff,
-        n_phi=int(section["n_phi"]),
-        quad=cfg.quad(),
+        cfg.spec(), d.eps0, d.alpha_minus, d.alpha_plus, d.delta,
+        grid_shape=tuple(nf.grid), fourier_cutoff=nf.fourier_cutoff,
+        n_phi=nf.n_phi, quad=cfg.quad(),
     )
     if N == 0:
         result = NormalFormResult(series.shell(), series, [])
@@ -432,6 +398,21 @@ def cmd_normalform(cfg, out_dir, seed, N=None):
     return EXIT_OK
 
 
+# name: (function, help, {flag: the key it sets})
+COMMANDS = {
+    "portrait": (cmd_portrait, "phase portrait CSV + equilibria JSON",
+                 {"--eps": "portrait.eps"}),
+    "verify-renorm": (cmd_verify_renorm, "renormalizable-integrability report",
+                      {"--eps-list": "renorm.eps_list"}),
+    "evolve": (cmd_evolve, "integrate one trajectory to CSV",
+               {"--state": "evolve.state", "--duration": "evolve.duration"}),
+    "check-theorem": (cmd_check_theorem, "hypothesis inequality report",
+                      {"-N": "theorem.n_steps"}),
+    "normalform": (cmd_normalform, "desk-scale normal form run",
+                   {"-N": "normalform.steps"}),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="perilib",
@@ -449,40 +430,23 @@ def build_parser():
         help="override one config value (repeatable)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("portrait", help="phase portrait CSV + equilibria JSON")
-    p.add_argument("--eps", type=float, default=None)
-    p = sub.add_parser("verify-renorm", help="renormalizable-integrability report")
-    p.add_argument("--eps-list", default=None)
-    p = sub.add_parser("evolve", help="integrate one trajectory to CSV")
-    p.add_argument("--state", default=None, help="4 comma-separated floats")
-    p.add_argument("--duration", type=float, default=None)
-    p = sub.add_parser("check-theorem", help="hypothesis inequality report")
-    p.add_argument("-N", type=int, default=None, help="normal form steps requested")
-    p = sub.add_parser("normalform", help="desk-scale normal form run")
-    p.add_argument("-N", type=int, default=None, help="number of steps")
+    rules = {"%s.%s" % (k.section, k.name): k.rule for k in KEYS}
+    for name, (_, help_text, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, key in flags.items():
+            p.add_argument(flag, dest=key, metavar="VALUE",
+                           help="sets %s: %s" % (key, rules[key]))
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    run, _, flags = COMMANDS[args.command]
+    # subcommand flags are overrides applied after --set, so they win
+    flag_values = [(key, getattr(args, key)) for key in flags.values()]
+    overrides = args.set + ["%s=%s" % kv for kv in flag_values if kv[1] is not None]
     try:
-        cfg = load_config(args.config, args.set)
-    except ConfigError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        if args.command == "portrait":
-            return cmd_portrait(cfg, args.out, args.seed, args.eps)
-        if args.command == "verify-renorm":
-            eps_list = _floats(args.eps_list) if args.eps_list else None
-            return cmd_verify_renorm(cfg, args.out, args.seed, eps_list)
-        if args.command == "evolve":
-            state = _floats(args.state, 4) if args.state else None
-            return cmd_evolve(cfg, args.out, args.seed, state, args.duration)
-        if args.command == "check-theorem":
-            return cmd_check_theorem(cfg, args.out, args.seed, args.N)
-        if args.command == "normalform":
-            return cmd_normalform(cfg, args.out, args.seed, args.N)
+        return run(load_config(args.config, overrides), args.out, args.seed)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
@@ -496,7 +460,6 @@ def main(argv=None):
     except OSError as exc:
         print("i/o failure: %s" % exc, file=sys.stderr)
         return EXIT_IO
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -24,8 +24,8 @@ from typing import Callable
 import numpy as np
 
 from . import potentials
-from .coords import (ActionAngleState, MassParams, SecularState, radial_radius,
-                     rr_forward_with_jacobian)
+from .coords import (X_COLLISION, ActionAngleState, MassParams, SecularState,
+                     radial_radius, rr_forward_with_jacobian)
 from .potentials import DEFAULT_QUAD, e_hat, e_hat_aa
 
 GRAD_FD_STEP = 1e-6
@@ -81,7 +81,8 @@ def _bare_coulomb_weight(spec):
 def check_domain(spec, state):
     """Raise DomainError unless state lies in the physical domain of its
     chart: finite, with |G| <= Lambda and r > 0 (SecularState), or with
-    |Gcal| <= Lambda, y > 0 and 0 < x < 2 pi (ActionAngleState)."""
+    |Gcal| <= Lambda, y > 0 and x at least X_COLLISION from 0 and 2 pi
+    (ActionAngleState)."""
     z = state.as_array()
     # written so that NaN or inf fails
     Lam = spec.Lambda
@@ -268,6 +269,8 @@ def gradient(spec, state, *, method="analytic", quad=DEFAULT_QUAD):
     chart = chart_of(state)
     if method == "analytic":
         return chart.gradient(spec, state, quad)
+    if method != "fd":
+        raise ValueError("method must be 'analytic' or 'fd', got %r" % (method,))
     return _grad_fd(lambda z: chart.energies(spec, z[None], quad)[0], state.as_array())
 
 
@@ -303,7 +306,8 @@ CHARTS = {chart.name: chart for chart in (
     Chart(
         ActionAngleState, ACTION_ANGLE_PAIRS, _action_angle_energies,
         _grad_action_angle_analytic,
-        in_domain=lambda Lam, z: abs(z[0]) <= Lam and z[2] > 0 and 0 < z[3] < 2 * np.pi,
+        in_domain=lambda Lam, z: (abs(z[0]) <= Lam and z[2] > 0
+                                  and X_COLLISION <= z[3] <= 2 * np.pi - X_COLLISION),
         G_series=lambda Lam, Z: (np.sqrt(np.maximum(0.0, Lam**2 - Z[:, 0] ** 2))
                                  * np.cos(Z[:, 1])),
         angle_col=1, Gcal_col=0,

@@ -659,9 +659,6 @@ class NormalFormResult:
     f_star: "TFSeries"
     steps: list = field(default_factory=list)
 
-    def osc_norms(self):
-        return [s.osc_norm for s in self.steps]
-
 
 def normal_form_steps(f, freqs, N, weights=PLAIN_WEIGHTS, basepoint=None,
                       max_order=14, residual_rtol=None):

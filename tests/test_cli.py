@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from perilib.cli import EXIT_CONFIG, EXIT_GUARD, EXIT_OK, load_config, main
+from perilib.cli import EXIT_CONFIG, EXIT_GUARD, EXIT_OK, KEYS, load_config, main
 from perilib.normalform import load_series
 
 
@@ -20,8 +20,8 @@ def run(tmp_path, *argv):
 class TestConfig:
     def test_defaults_load(self):
         cfg = load_config(None)
-        assert cfg.Lambda == 1.0
-        assert cfg.alpha_minus < cfg.alpha_plus / 4
+        assert cfg.hamiltonian.Lambda == 1.0
+        assert cfg.domain.alpha_minus < cfg.domain.alpha_plus / 4
 
     def test_missing_file(self):
         with pytest.raises(Exception):
@@ -41,12 +41,67 @@ class TestConfig:
 
     def test_set_overrides(self):
         cfg = load_config(None, ["hamiltonian.index=2", "masses.kappa=3.5"])
-        assert cfg.index == 2
-        assert cfg.kappa == 3.5
+        assert cfg.hamiltonian.index == 2
+        assert cfg.masses.kappa == 3.5
 
     def test_bad_override_syntax(self):
         code = main(["--set", "nonsense", "portrait"])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("argv, key", [
+        pytest.param(("--set", "domain.eps_0=0.9", "check-theorem"), "domain.eps_0",
+                     id="key-typo"),
+        pytest.param(("--set", "domian.eps0=0.9", "check-theorem"), "domian.eps0",
+                     id="section-typo"),
+        pytest.param(("--set", "normalform.grid=6,6,1.5", "normalform"), "normalform.grid",
+                     id="fractional-grid"),
+        pytest.param(("--set", "renorm.samples=0", "verify-renorm"), "renorm.samples",
+                     id="zero-samples"),
+        pytest.param(("--set", "normalform.steps=-1", "normalform"), "normalform.steps",
+                     id="negative-steps"),
+        pytest.param(("normalform", "-N", "-1"), "normalform.steps", id="negative-N"),
+        pytest.param(("--set", "portrait.levels=0", "portrait"), "portrait.levels",
+                     id="zero-levels"),
+        pytest.param(("evolve", "--duration", "nan"), "evolve.duration", id="nan-duration"),
+        pytest.param(("evolve", "--duration", "inf"), "evolve.duration", id="inf-duration"),
+        pytest.param(("--set", "integrator.energy_tol=-1", "evolve", "--duration", "20"),
+                     "integrator.energy_tol", id="negative-energy-tol"),
+    ])
+    def test_rejected_value_names_key(self, tmp_path, capsys, argv, key):
+        code, out = run(tmp_path, *argv)
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and key in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, key", [
+        ("[domian]\neps0 = 0.9\n", "domian.eps0"),
+        ("[domain]\neps_0 = 0.9\n", "domain.eps_0"),
+        ("[DEFAULT]\neps0 = 0.9\n", "DEFAULT.eps0"),
+    ], ids=["section-typo", "key-typo", "default-section"])
+    def test_unknown_key_in_file(self, tmp_path, capsys, text, key):
+        code, out = run(tmp_path, "--config", write_config(tmp_path, text), "check-theorem")
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and key in err
+        assert not out.exists()
+
+    def test_flags_win_over_set(self, tmp_path):
+        code, out = run(tmp_path, "--set", "theorem.n_steps=3", "check-theorem", "-N", "5")
+        assert code == EXIT_OK
+        rep = json.loads((out / "theorem_report.json").read_text())
+        assert rep["params"]["N"] == 5
+
+    def test_readme_lists_every_key(self):
+        # README's config table: one "| `section.key` | rule | `default` |" row per key
+        import pathlib
+        import re
+
+        readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+        rows = re.findall(r"^\| `(\w+\.\w+)` \| (.+?) \| `(.*)` \|$",
+                          readme.read_text(), re.MULTILINE)
+        assert sorted(rows) == sorted(
+            ("%s.%s" % (k.section, k.name), k.rule, k.default) for k in KEYS)
 
     def test_io_failure_exit_code(self, tmp_path):
         from perilib.cli import EXIT_IO
@@ -198,6 +253,14 @@ class TestEvolve:
                       "evolve", "--duration", "20")
         assert code == EXIT_GUARD
         assert "energy drift" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("duration", ["5", "0"])
+    def test_start_at_collision_exits_config(self, tmp_path, capsys, duration):
+        code, out = run(tmp_path, "--set", "evolve.chart=action-angle", "evolve",
+                        "--state", "0.5,0.3,10,1e-9", "--duration", duration)
+        assert code == EXIT_CONFIG
+        assert "outside the physical domain" in capsys.readouterr().err
+        assert not (out / "trajectory.csv").exists()
 
     @pytest.mark.parametrize("duration", ["20", "0"])
     @pytest.mark.parametrize("state", ["nan,0.1,100,0", "0.1,2.0,100,0"])

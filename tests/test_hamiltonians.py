@@ -3,6 +3,7 @@ import pytest
 
 import perilib.potentials as potentials
 from perilib.coords import (
+    X_COLLISION,
     ActionAngleState,
     SecularState,
     derive_mass_params,
@@ -224,6 +225,11 @@ class TestGradient:
             scale = np.maximum(np.abs(ga), 1e-3)
             assert np.max(np.abs(ga - gf) / scale) < 1e-6
 
+    @pytest.mark.parametrize("method", ["Analytic", "FD", "numeric", ""])
+    def test_unknown_method_rejected(self, method):
+        with pytest.raises(ValueError, match="method"):
+            gradient(make_spec(1), SecularState(0.1, 0.3, 10.0, 2.0), method=method)
+
 
 def test_spec_validation():
     with pytest.raises(ValueError):
@@ -337,7 +343,7 @@ class TestDomain:
         SecularState(0.1, 1.0, 100.0, 0.0),
         SecularState(0.0, -1.0, 1e-3, 3.0),
         ActionAngleState(1.0, 0.3, 10.0, np.pi),
-        ActionAngleState(-0.5, 0.3, 1e-3, 1e-9),
+        ActionAngleState(-0.5, 0.3, 1e-3, 1.01 * X_COLLISION),
     ])
     def test_accepts_domain_edges(self, state):
         check_domain(make_spec(1), state)
@@ -352,6 +358,8 @@ class TestDomain:
         ActionAngleState(0.5, 0.3, 10.0, 2 * np.pi),
         ActionAngleState(0.5, 0.3, 10.0, 0.0),
         ActionAngleState(0.5, np.nan, 10.0, np.pi),
+        ActionAngleState(-0.5, 0.3, 1e-3, 1e-9),
+        ActionAngleState(0.5, 0.3, 10.0, 2 * np.pi - 1e-9),
     ])
     def test_rejects_outside(self, state):
         with pytest.raises(DomainError):
