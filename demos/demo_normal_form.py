@@ -24,7 +24,7 @@ series, freqs = build_secular_perturbation(
     grid_shape=(16, 16, 20), fourier_cutoff=8,
 )
 modes = sorted(k[0][0] for k in series.coeffs)
-print(f"  Fourier modes kept: {modes}")
+print(f"  Fourier modes stored: {modes} (each k < 0 is the conjugate of k)")
 
 w = NormWeights(rho=0.005, s=1.0, r=np.sqrt(1000.0), xi=np.sqrt(0.45))
 result = normal_form_steps(series, freqs, N=3, weights=w)

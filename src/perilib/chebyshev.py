@@ -8,6 +8,7 @@ size and then applied as small read-only matrices.
 """
 
 import functools
+import math
 
 import numpy as np
 
@@ -75,12 +76,28 @@ def diff_matrix(n, lo, hi):
     return _frozen(D[::-1, ::-1] * (2.0 / (hi - lo)))
 
 
+def _apply(M, v, axis):
+    """M (m, n) applied along one axis of v, the other axes kept in place:
+    a fresh C-ordered array.  Along the last axis this is one product over
+    all rows; along any other, one real product per leading index, complex
+    v going through its float view (real and imaginary parts side by side),
+    so no axis is moved and nothing is transposed."""
+    v = np.ascontiguousarray(v)
+    m, n = M.shape
+    shape = v.shape[:axis] + (m,) + v.shape[axis + 1:]
+    if axis == v.ndim - 1:
+        return (v.reshape(-1, n) @ M.T).reshape(shape)  # one product over all rows
+    cplx = np.iscomplexobj(v)
+    pre = math.prod(v.shape[:axis])
+    post = math.prod(v.shape[axis + 1:]) * (2 if cplx else 1)
+    # one product per leading index
+    out = np.matmul(M, (v.view(float) if cplx else v).reshape(pre, n, post))
+    return (out.view(complex) if cplx else out).reshape(shape)
+
+
 def differentiate(v, axis, lo, hi):
     """Spectral derivative of grid values along one axis."""
-    D = diff_matrix(v.shape[axis], lo, hi)
-    vm = np.moveaxis(v, axis, 0)
-    out = np.tensordot(D, vm, axes=(1, 0))
-    return np.moveaxis(out, 0, axis)
+    return _apply(diff_matrix(v.shape[axis], lo, hi), v, axis)
 
 
 def clenshaw(coeffs, axis, xs, lo, hi):
@@ -134,15 +151,12 @@ def resample_matrix(n, m):
 
 def _resample(v, shape):
     """Resample the last len(shape) axes of v to the sizes in shape; leading
-    (stack) axes pass through.  Each step contracts the first grid axis and
-    appends the result last, so a full turn restores the axis order."""
+    (stack) axes pass through."""
     lead = v.ndim - len(shape)
-    for m in shape:
-        n = v.shape[lead]
-        if m == n:
-            v = np.moveaxis(v, lead, -1)
-        else:
-            v = np.tensordot(v, resample_matrix(n, m), axes=([lead], [1]))
+    for axis, m in enumerate(shape, lead):
+        n = v.shape[axis]
+        if m != n:
+            v = _apply(resample_matrix(n, m), v, axis)
     return v
 
 

@@ -4,8 +4,9 @@ Subcommands: portrait, verify-renorm, evolve, check-theorem, normalform.
 Each reads one INI-style config file, writes CSV/JSON outputs atomically
 into --out, and records the 64-bit seed in every output header.  Exit
 codes: 0 success, 2 config, input or domain error (a state outside the
-physical domain included), 3 numerical guard tripped (singular locus,
-Kepler or Lie-series failure, energy drift, integration failure or a state
+physical domain or a seed outside [0, 2^64) included), 3 numerical guard
+tripped (singular locus, Kepler or Lie-series failure, a normal-form
+residual above RESIDUAL_RTOL, energy drift, integration failure or a state
 leaving the domain during a run), 4 I/O failure.
 
 KEYS declares every config key with its default and rule.  Values come
@@ -55,6 +56,11 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_GUARD = 3
 EXIT_IO = 4
+
+# criterion 8's bound on each step's relative homological residual; a step
+# above it ends the run with EXIT_GUARD (normalform.grid is the lever)
+RESIDUAL_RTOL = 1e-8
+SEED_LIMIT = 2**64  # --seed is a 64-bit unsigned int
 
 
 class ConfigError(ValueError):
@@ -107,6 +113,7 @@ def _list(item, n=None):
 FLOAT = "a float", float
 FINITE = "a finite float", _checked(float, math.isfinite)
 POSITIVE = "a finite float > 0", _checked(float, lambda v: 0 < v < math.inf)
+NONNEGATIVE = "a finite float >= 0", _checked(float, lambda v: 0 <= v < math.inf)
 
 # The config schema: every key, its default and its rule.  A file or --set
 # naming any other key is rejected, and so is a value that breaks its rule.
@@ -140,10 +147,10 @@ KEYS = (
     Key("renorm", "samples", "100", *_int(1)),
     Key("evolve", "chart", "secular", *_choice("secular", "action-angle")),
     Key("evolve", "state", "0.1, 0.0, 100.0, 0.0", *_list(FLOAT, 4)),
-    Key("evolve", "duration", "200.0", *FINITE),
+    Key("evolve", "duration", "200.0", *NONNEGATIVE),
     Key("normalform", "steps", "3", *_int(0)),
     Key("normalform", "fourier_cutoff", "8", *_int(0)),
-    Key("normalform", "grid", "16, 16, 16", *_list(_int(1), 3)),
+    Key("normalform", "grid", "16, 16, 24", *_list(_int(1), 3)),
     Key("normalform", "n_phi", "64", *_int(1)),
 )
 # configparser folds key names to lower case, so lookups do too
@@ -377,7 +384,7 @@ def cmd_normalform(cfg, out_dir, seed):
     if N == 0:
         result = NormalFormResult(series.shell(), series, [])
     else:
-        result = normal_form_steps(series, freqs, N)
+        result = normal_form_steps(series, freqs, N, residual_rtol=RESIDUAL_RTOL)
     table = [asdict(s) for s in result.steps] or [asdict(NormalFormStep(
         0, tf_norm(series), tf_norm(tf_average_split(series)[1]), 0.0, 0.0))]
     _write_json(
@@ -446,6 +453,8 @@ def main(argv=None):
     flag_values = [(key, getattr(args, key)) for key in flags.values()]
     overrides = args.set + ["%s=%s" % kv for kv in flag_values if kv[1] is not None]
     try:
+        if not 0 <= args.seed < SEED_LIMIT:
+            raise ConfigError("--seed must be an int in [0, 2^64), got %d" % args.seed)
         return run(load_config(args.config, overrides), args.out, args.seed)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)

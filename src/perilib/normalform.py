@@ -10,11 +10,18 @@ solved by integrating along x (no frequency inversion, hence no small
 divisors), the new-coordinate push is a time-one Lie flow, and the iteration
 drains the angle-dependent part of the perturbation geometrically.
 
-Norms use the weighted majorant  sum_k sup|f_k| e^{s|k|}  with the sup taken
-over the real tensor grid: a documented proxy for the complex-polydisc sup
-(an optional complexified evaluation is available for stress checks).
+Every series is real, so c_{-k} = conj(c_k): a series stores only the
+canonical half of its spectrum (k = 0, or the first non-zero entry of k
+positive), and each product or bracket rebuilds the k < 0 modes it needs by
+conjugation.
+
+Norms use the weighted majorant  sum_k sup|f_k| e^{s|k|}  over the full
+spectrum, with the sup taken over the real tensor grid: a documented proxy
+for the complex-polydisc sup (an optional complexified evaluation is
+available for stress checks).
 """
 
+import functools
 import itertools
 import json
 import math
@@ -52,12 +59,29 @@ class NormWeights:
 PLAIN_WEIGHTS = NormWeights(1.0, 1e-12, 1.0, 1.0)  # ~ sum of coefficient sups
 
 
-class TFSeries:
-    """Truncated Fourier series with Chebyshev-grid coefficients.
+def _canonical(k):
+    """True for the stored half of the spectrum: k = 0, or the first
+    non-zero entry of k positive."""
+    for ki in k:
+        if ki:
+            return ki > 0
+    return True
 
-    coeffs maps keys (k, (), ()) (k a tuple of n_angles ints; the two empty
-    slots keep the serialized "h"/"j" layout) to complex arrays over the
-    (I_1..I_n, y, x) grid.  A real function has coeff(-k) = conj(coeff(k)).
+
+def _weight(k, s):
+    """e^{s|k|} for a stored mode, twice over for k != 0 (it stands for k
+    and -k)."""
+    return (2.0 if any(k) else 1.0) * math.exp(s * sum(abs(ki) for ki in k))
+
+
+class TFSeries:
+    """Truncated Fourier series of a real function with Chebyshev-grid
+    coefficients.
+
+    coeffs maps canonical keys (k, (), ()) (k a tuple of n_angles ints, the
+    first non-zero one positive; the two empty slots keep the serialized
+    "h"/"j" layout) to complex arrays over the (I_1..I_n, y, x) grid.  The
+    mode -k is implied: its coefficient is conj(coeffs[k]).
     """
 
     def __init__(self, n_angles, fourier_cutoff, box, grid_shape, coeffs=None):
@@ -84,6 +108,8 @@ class TFSeries:
             raise ShapeError("bad key %r" % (key,))
         if any(abs(ki) > self.fourier_cutoff for ki in k):
             raise ShapeError("Fourier index beyond cutoff in %r" % (key,))
+        if not _canonical(k):
+            raise ShapeError("key %r is not stored: k < 0 is implied by conjugation" % (key,))
 
     def same_shape(self, other):
         return (
@@ -98,8 +124,15 @@ class TFSeries:
     def grids(self):
         return [ch.nodes(g, lo, hi) for g, (lo, hi) in zip(self.grid_shape, self.box)]
 
+    def _with(self, coeffs):
+        """A series of this shape holding coeffs, whose keys are already
+        this series' own (no re-check)."""
+        out = self.shell()
+        out.coeffs = coeffs
+        return out
+
     def copy(self):
-        return self.shell({k: v.copy() for k, v in self.coeffs.items()})
+        return self._with({k: v.copy() for k, v in self.coeffs.items()})
 
     # ---------------- algebra ----------------
 
@@ -109,16 +142,15 @@ class TFSeries:
         out = {k: v.copy() for k, v in self.coeffs.items()}
         for k, v in other.coeffs.items():
             out[k] = out[k] + v if k in out else v.copy()
-        res = self.shell()
+        res = self._with(out)
         res.fourier_cutoff = max(self.fourier_cutoff, other.fourier_cutoff)
-        res.coeffs = out
         return res
 
     def __sub__(self, other):
         return self + (other * -1.0)
 
     def __mul__(self, scalar):
-        return self.shell({k: v * scalar for k, v in self.coeffs.items()})
+        return self._with({k: v * scalar for k, v in self.coeffs.items()})
 
     __rmul__ = __mul__
 
@@ -137,27 +169,30 @@ class TFSeries:
     # ---------------- evaluation ----------------
 
     def evaluate(self, I, phi, y, x):
-        """Pointwise value at scalar coordinates (I and phi are sequences of
-        length n_angles)."""
+        """Pointwise value c_0 + 2 Re sum_{k != 0 stored} c_k e^{i k.phi} at
+        scalar coordinates (I and phi are sequences of length n_angles)."""
         I = np.atleast_1d(I)
         phi = np.atleast_1d(phi)
-        out = 0.0 + 0.0j
+        out = 0.0
         pts = list(I) + [y, x]
         for (k, _, _), arr in self.coeffs.items():
             c = arr
             for axis in range(len(self.grid_shape)):
                 coef = ch.vals_to_coeffs(c, 0)
                 c = ch.clenshaw(coef, 0, [pts[axis]], *self.box[axis])[..., 0]
-            out += complex(c) * np.exp(1j * np.dot(k, phi))
-        return out.real if abs(out.imag) < 1e-9 * max(1.0, abs(out)) else out
+            term = (complex(c) * np.exp(1j * np.dot(k, phi))).real
+            out += 2.0 * term if any(k) else term
+        return out
 
 
 def tf_build(fun, box, grid_shape, n_angles=1, fourier_cutoff=8, n_phi=64,
              coeff_floor_rel=1e-14):
-    """Sample a pointwise evaluator into a TFSeries (FFT in the angles at
-    Chebyshev nodes in the grid variables).
+    """Sample a real pointwise evaluator into a TFSeries (real FFT in the
+    angles at Chebyshev nodes in the grid variables), keeping the canonical
+    modes.
 
     fun receives broadcast meshes (I_1, ..., I_n, phi_1, ..., phi_n, y, x).
+    Values with an imaginary part above 1e-14 of their sup raise ValueError.
     """
     if n_phi < 2 * fourier_cutoff + 2:
         raise ValueError("n_phi must resolve the requested cutoff")
@@ -166,20 +201,29 @@ def tf_build(fun, box, grid_shape, n_angles=1, fourier_cutoff=8, n_phi=64,
     n = n_angles
     mesh_axes = grids[:n] + phis + grids[n:]
     mesh = np.meshgrid(*mesh_axes, indexing="ij")
-    vals = fun(*mesh)
-    vals = np.asarray(vals, dtype=complex) + np.zeros(mesh[0].shape, complex)
-    angle_axes = tuple(range(n, 2 * n))
-    F = np.fft.fftn(vals, axes=angle_axes) / n_phi**n
-    if not np.all(np.isfinite(F)):
+    vals = np.asarray(fun(*mesh))
+    if not np.all(np.isfinite(vals)):
         raise ArithmeticError("evaluator returned non-finite values on the grid")
+    if np.iscomplexobj(vals):
+        if np.max(np.abs(vals.imag)) > 1e-14 * np.max(np.abs(vals)):
+            raise ValueError("tf_build needs a real evaluator: its values have an "
+                             "imaginary part above 1e-14 of their sup")
+        vals = vals.real
+    angle_axes = tuple(range(n, 2 * n))
+    # the last angle axis holds k_n = 0 .. n_phi/2; a canonical k with k_n < 0
+    # is read as conj(F[-k])
+    F = np.fft.rfftn(np.broadcast_to(vals, mesh[0].shape), axes=angle_axes) / n_phi**n
     series = TFSeries(n, fourier_cutoff, box, grid_shape)
     scale = float(np.max(np.abs(F))) or 1.0
     for k in itertools.product(range(-fourier_cutoff, fourier_cutoff + 1), repeat=n):
-        idx = tuple(slice(None) for _ in range(n)) + tuple(ki % n_phi for ki in k)
+        if not _canonical(k):
+            continue
+        flip = k[-1] < 0
+        idx = (slice(None),) * n + tuple((-ki if flip else ki) % n_phi for ki in k)
         arr = F[idx]
         if np.max(np.abs(arr)) > coeff_floor_rel * scale:
-            # a copy, never a view that would keep all of F alive
-            series.coeffs[(k, (), ())] = arr.copy()
+            # a C-ordered copy, never a view that would keep all of F alive
+            series.coeffs[(k, (), ())] = np.array(arr.conj() if flip else arr, order="C")
     return series
 
 
@@ -198,17 +242,19 @@ def tf_average_split(f):
 
 
 def tf_norm(f, w=PLAIN_WEIGHTS):
-    """Weighted majorant norm: sum_k sup_grid |f_k| e^{s|k|}."""
+    """Weighted majorant norm: sum_k sup_grid |f_k| e^{s|k|} over the full
+    spectrum (each stored k != 0 counts for k and -k)."""
     total = 0.0
     for (k, _, _), arr in f.coeffs.items():
-        total += float(np.max(np.abs(arr))) * math.exp(w.s * sum(abs(ki) for ki in k))
+        total += float(np.max(np.abs(arr))) * _weight(k, w.s)
     return total
 
 
 def tf_sup_complexified(f, w, n_probe=12):
     """Stress-test sup: coefficients continued to complex I, y, x points at
     the widths (rho, r, xi) by Chebyshev evaluation; angle weights as in
-    tf_norm.  A sampled lower bound of the polydisc norm."""
+    tf_norm.  A sampled lower bound of the polydisc norm.  The probes are
+    closed under conjugation, so the implied mode -k has the sup of k."""
     total = 0.0
     widths = [w.rho] * f.n_angles + [w.r, w.xi]
     probes = []
@@ -220,7 +266,7 @@ def tf_sup_complexified(f, w, n_probe=12):
         for axis in range(len(f.grid_shape)):
             # consume the leading grid axis, appending the probe axis last
             c = ch.clenshaw(ch.vals_to_coeffs(c, 0), 0, probes[axis], *f.box[axis])
-        total += float(np.max(np.abs(c))) * math.exp(w.s * sum(abs(ki) for ki in k))
+        total += float(np.max(np.abs(c))) * _weight(k, w.s)
     return total
 
 
@@ -254,30 +300,61 @@ def d_x(f):
     return d_grid(f, f.n_angles + 1)
 
 
+class _Piece:
+    """Stored keys with their refined stack, one row per key; the stack of
+    the implied k < 0 modes, its conjugate, is built on first use and kept."""
+
+    __slots__ = ("keys", "fine", "_conj")
+
+    def __init__(self, keys, fine):
+        self.keys, self.fine, self._conj = keys, fine, None
+
+    def conj(self):
+        if self._conj is None:
+            self._conj = self.fine.conj()
+        return self._conj
+
+
+_EMPTY = _Piece([], None)
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_sums(k1, k2, K):
+    """The full-spectrum pairs (s1 k1, s2 k2) of two stored modes whose sum
+    is canonical and within the cutoff K: tuples (s1 < 0, s2 < 0, key).  A
+    zero mode has only its + sign."""
+    out = []
+    for s1 in (1, -1) if any(k1) else (1,):
+        for s2 in (1, -1) if any(k2) else (1,):
+            k = tuple(s1 * a + s2 * b for a, b in zip(k1, k2))
+            if _canonical(k) and all(abs(ki) <= K for ki in k):
+                out.append((s1 < 0, s2 < 0, (k, (), ())))
+    return tuple(out)
+
+
 def _accumulate(terms, f, g, fourier_cutoff):
-    """Sum over terms (sign, (keys_a, fine_a), (keys_b, fine_b)) of the
-    mode-convolution products sign * a * b of pieces of f and g: exact mode
-    arithmetic, truncation at the requested cutoff (default: the operands'
-    max), multiplication on the fine grid and one projection of the stacked
-    accumulator back to the grid."""
+    """Sum over terms (sign, piece_a, piece_b) of the mode-convolution
+    products sign * a * b of pieces of f and g: exact mode arithmetic over
+    the full spectrum (a stored k stands for k and, conjugated, -k), only
+    canonical sums kept, truncation at the requested cutoff (default: the
+    operands' max), multiplication on the fine grid and one projection of
+    the stacked accumulator back to the grid."""
     K = fourier_cutoff if fourier_cutoff is not None else max(
         f.fourier_cutoff, g.fourier_cutoff
     )
     acc = {}
-    for sign, (keys_a, fine_a), (keys_b, fine_b) in terms:
-        for a, (k1, _, _) in enumerate(keys_a):
-            for b, (k2, _, _) in enumerate(keys_b):
-                k = tuple(x + y for x, y in zip(k1, k2))
-                if any(abs(ki) > K for ki in k):
-                    continue
-                key = (k, (), ())
-                prod = fine_a[a] * fine_b[b]
-                if key not in acc:
-                    acc[key] = prod if sign > 0 else -prod
-                elif sign > 0:
-                    acc[key] += prod
-                else:
-                    acc[key] -= prod
+    for sign, pa, pb in terms:
+        for a, (k1, _, _) in enumerate(pa.keys):
+            for b, (k2, _, _) in enumerate(pb.keys):
+                for conj_a, conj_b, key in _pair_sums(k1, k2, K):
+                    prod = (pa.conj() if conj_a else pa.fine)[a] * (
+                        pb.conj() if conj_b else pb.fine)[b]
+                    if key not in acc:
+                        acc[key] = prod if sign > 0 else -prod
+                    elif sign > 0:
+                        acc[key] += prod
+                    else:
+                        acc[key] -= prod
     out = TFSeries(f.n_angles, K, f.box, f.grid_shape)
     if acc:
         out.coeffs = dict(zip(acc, ch.coarsen(np.stack(list(acc.values())), f.grid_shape)))
@@ -293,18 +370,17 @@ def tf_product(f, g, fourier_cutoff=None):
 
 
 def _refined(f):
-    """(keys, stack): f's coefficients in key order, stacked and refined in one pass."""
+    """f's stored coefficients as a piece, stacked and refined in one pass."""
     if not f.coeffs:
-        return [], None
-    return list(f.coeffs), ch.refine(np.stack(list(f.coeffs.values())), lead=1)
+        return _EMPTY
+    return _Piece(list(f.coeffs), ch.refine(np.stack(list(f.coeffs.values())), lead=1))
 
 
 class _BracketSide:
-    """What one series f contributes to a Poisson bracket, each piece as
-    (keys, refined stack): left = (d_I f..., d_y f) and right =
-    (d_phi f..., d_x f), so {f, g} = sum_t left_f right_g - left_g right_f.
-    Built once, a side serves every bracket it enters, as the generator of a
-    Lie series does."""
+    """What one series f contributes to a Poisson bracket, as pieces over
+    its stored keys: left = (d_I f..., d_y f) and right = (d_phi f..., d_x f),
+    so {f, g} = sum_t left_f right_g - left_g right_f.  Built once, a side
+    serves every bracket it enters, as the generator of a Lie series does."""
 
     def __init__(self, f):
         self.series = f
@@ -316,7 +392,8 @@ class _BracketSide:
             derivs = [ch.differentiate(coarse, ax + 1, *f.box[ax]) for ax in range(n + 2)]
             fine = ch.refine(np.concatenate([coarse] + derivs), lead=1)
             fine = fine.reshape((n + 3, len(keys)) + fine.shape[1:])
-        grid = [(keys, d) for d in fine[1:]]  # d_I..., d_y, d_x
+        grid = [_Piece(keys, d) for d in fine[1:]]  # d_I..., d_y, d_x
+        # d_phi_i: i k_i f_k on the stored keys (its conjugate is the -k mode)
         d_phi = [_scaled(fine[0], [1j * k[i] for k, _, _ in keys], keys) for i in range(n)]
         self.left = grid[:n + 1]
         self.right = d_phi + [grid[n + 1]]
@@ -337,9 +414,9 @@ def _scaled(fine, factors, keys):
     with factor 0 drop out."""
     rows = [r for r, c in enumerate(factors) if c != 0]
     if not rows:
-        return [], None
+        return _EMPTY
     scale = np.array([factors[r] for r in rows]).reshape((-1,) + (1,) * (fine.ndim - 1))
-    return [keys[r] for r in rows], fine[rows] * scale
+    return _Piece([keys[r] for r in rows], fine[rows] * scale)
 
 
 def poisson_bracket(f, g, fourier_cutoff=None):
@@ -402,7 +479,9 @@ def nqp_primitive(f_osc, freqs, basepoint=None, n_cc=33):
     by Clenshaw-Curtis quadrature along tau at every x node, Chebyshev-
     interpolating f along x.  The basepoint b defaults to the lower edge of
     the x box (any choice differs by a homogeneous solution and still solves
-    the equation).  Requires the average part of f_osc to vanish.
+    the equation).  Requires the average part of f_osc to vanish.  Only the
+    stored modes are solved: omega_I is real, so lambda_{-k} = conj(lambda_k)
+    and phi_{-k} = conj(phi_k).
     """
     avg, osc = tf_average_split(f_osc)
     if avg.sup() > 1e-13 * max(1.0, f_osc.sup()):
@@ -437,7 +516,8 @@ def nqp_primitive(f_osc, freqs, basepoint=None, n_cc=33):
 
 
 def homological_residual(phi, f_osc, freqs):
-    """Residual series omega_y d_x(phi) + lambda phi - f_osc (gridwise)."""
+    """Residual series omega_y d_x(phi) + lambda phi - f_osc (gridwise, on
+    the stored modes)."""
     res = phi.shell()
     dphi = d_x(phi)
     keys = set(phi.coeffs) | set(f_osc.coeffs) | set(dphi.coeffs)
@@ -585,9 +665,10 @@ def build_secular_perturbation(spec, eps0, alpha_minus, alpha_plus, delta,
 
 
 def series_to_dict(f):
-    """JSON-ready structure: shape header + flat coefficient arrays in
-    row-major grid order (floats survive the round trip bit-for-bit via
-    repr, comfortably within the 1e-15 relative contract)."""
+    """JSON-ready structure: shape header + flat coefficient arrays of the
+    stored (k >= 0) modes in row-major grid order (floats survive the round
+    trip bit-for-bit via repr, comfortably within the 1e-15 relative
+    contract)."""
     return {
         "n_angles": f.n_angles,
         "fourier_cutoff": f.fourier_cutoff,
@@ -606,20 +687,41 @@ def series_to_dict(f):
     }
 
 
+# a k < 0 entry of a file holding both signs must be the conjugate of its
+# k > 0 entry to this fraction of the series sup
+CONJ_RTOL = 1e-12
+
+
 def series_from_dict(d):
     """Inverse of series_to_dict, through the TFSeries key and shape checks
-    (header fields it does not read are ignored)."""
+    (header fields it does not read are ignored; a mode given twice is a
+    ShapeError).  Files that also hold the k < 0 modes load too: those
+    entries are dropped once each is checked to be the conjugate of its
+    k > 0 entry (a missing one reads as zero) within CONJ_RTOL of the series
+    sup, and ShapeError is raised when one is not."""
     shape = tuple(d["grid_shape"])
-    coeffs = {}
+    entries = {}
     for entry in d["coeffs"]:
         re = np.asarray(entry["re"], dtype=float)
         im = np.asarray(entry["im"], dtype=float)
         if re.size != math.prod(shape) or im.size != re.size:
             raise ShapeError("coefficient of %d values on a %r grid" % (re.size, shape))
         key = (tuple(entry["k"]), tuple(entry["h"]), tuple(entry["j"]))
-        coeffs[key] = (re + 1j * im).reshape(shape, order="C")
-    return TFSeries(d["n_angles"], d["fourier_cutoff"],
-                    [tuple(b) for b in d["box"]], shape, coeffs)
+        if key in entries:
+            raise ShapeError("two entries for mode %r" % (key[0],))
+        entries[key] = (re + 1j * im).reshape(shape, order="C")
+    series = TFSeries(d["n_angles"], d["fourier_cutoff"], [tuple(b) for b in d["box"]],
+                      shape, {key: arr for key, arr in entries.items() if _canonical(key[0])})
+    scale = series.sup()
+    for (k, h, j), arr in entries.items():
+        if _canonical(k):
+            continue
+        partner = (tuple(-ki for ki in k), h, j)
+        series._check_key(partner)
+        implied = np.conj(series.coeffs.get(partner, 0.0))
+        if not np.max(np.abs(arr - implied)) <= CONJ_RTOL * scale:
+            raise ShapeError("entry %r is not the conjugate of entry %r" % (k, partner[0]))
+    return series
 
 
 def save_series(f, path):
@@ -694,8 +796,8 @@ def normal_form_steps(f, freqs, N, weights=PLAIN_WEIGHTS, basepoint=None,
         rel_res = res.sup() / max(osc.sup(), 1e-300)
         if residual_rtol is not None and rel_res > residual_rtol:
             raise ContractionError(
-                "homological residual %.3e above tolerance at step %d"
-                % (rel_res, step)
+                "homological residual %.3e above tolerance %.1e at step %d"
+                % (rel_res, residual_rtol, step)
             )
         g_new = (g + avg).prune()
         # regroup H = h + g_new + osc, then e^{L_phi} H = h + g_new

@@ -132,6 +132,18 @@ class TestCachedOperators:
         for s in range(3):
             np.testing.assert_allclose(d[s], ch.differentiate(v[s], 1, -1.0, 3.0), atol=1e-12)
 
+    @pytest.mark.parametrize("axis", [0, 1, 2, 3])
+    def test_differentiate_each_axis_complex(self, axis):
+        # along every axis, first and last included, each line of a complex
+        # array is differentiated on its own by the matrix
+        rng = np.random.default_rng(3)
+        v = rng.normal(size=(3, 5, 4, 6)) + 1j * rng.normal(size=(3, 5, 4, 6))
+        D = ch.diff_matrix(v.shape[axis], 0.5, 2.0)
+        expect = np.moveaxis(np.einsum("ij,j...->i...", D, np.moveaxis(v, axis, 0)), 0, axis)
+        got = ch.differentiate(v, axis, 0.5, 2.0)
+        assert got.flags.c_contiguous
+        np.testing.assert_allclose(got, expect, atol=1e-12)
+
     def test_eval_matrix_matches_clenshaw(self):
         rng = np.random.default_rng(2)
         v = rng.normal(size=11)

@@ -2,7 +2,15 @@ import json
 
 import pytest
 
-from perilib.cli import EXIT_CONFIG, EXIT_GUARD, EXIT_OK, KEYS, load_config, main
+from perilib.cli import (
+    EXIT_CONFIG,
+    EXIT_GUARD,
+    EXIT_OK,
+    KEYS,
+    RESIDUAL_RTOL,
+    load_config,
+    main,
+)
 from perilib.normalform import load_series
 
 
@@ -64,6 +72,7 @@ class TestConfig:
                      id="zero-levels"),
         pytest.param(("evolve", "--duration", "nan"), "evolve.duration", id="nan-duration"),
         pytest.param(("evolve", "--duration", "inf"), "evolve.duration", id="inf-duration"),
+        pytest.param(("evolve", "--duration", "-5"), "evolve.duration", id="negative-duration"),
         pytest.param(("--set", "integrator.energy_tol=-1", "evolve", "--duration", "20"),
                      "integrator.energy_tol", id="negative-energy-tol"),
     ])
@@ -102,6 +111,22 @@ class TestConfig:
                           readme.read_text(), re.MULTILINE)
         assert sorted(rows) == sorted(
             ("%s.%s" % (k.section, k.name), k.rule, k.default) for k in KEYS)
+
+    @pytest.mark.parametrize("command", ["portrait", "verify-renorm"])
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_exits_config(self, tmp_path, capsys, command, seed):
+        code, out = run(tmp_path, "--seed", seed, command)
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--seed" in err and seed in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, name", [("portrait", "equilibria.json"),
+                                               ("verify-renorm", "renorm_report.json")])
+    def test_largest_seed_accepted(self, tmp_path, command, name):
+        code, out = run(tmp_path, "--seed", str(2**64 - 1), command)
+        assert code == EXIT_OK
+        assert json.loads((out / name).read_text())["seed"] == 2**64 - 1
 
     def test_io_failure_exit_code(self, tmp_path):
         from perilib.cli import EXIT_IO
@@ -366,7 +391,8 @@ class TestNormalForm:
             "--set",
             "domain.delta=0.005",
             "--set",
-            "normalform.grid=6, 6, 12",
+            # 24 x nodes: at 12 the step-1 residual is 2e-4, above RESIDUAL_RTOL
+            "normalform.grid=6, 6, 24",
             "--set",
             "normalform.fourier_cutoff=4",
             "normalform",
@@ -394,7 +420,7 @@ class TestNormalForm:
             "--set",
             "domain.delta=0.005",
             "--set",
-            "normalform.grid=6, 6, 12",
+            "normalform.grid=6, 6, 24",  # as in test_three_steps_decay
             "--set",
             "normalform.fourier_cutoff=4",
             "normalform",
@@ -410,6 +436,22 @@ class TestNormalForm:
             assert row["lie_orders"] >= 1
             assert 0 <= row["lie_ratio"] < 1
             assert row["lie_tail_bound"] >= 0
+
+    def test_default_config_passes_residual_guard(self, tmp_path):
+        code, out = run(tmp_path, "normalform")
+        assert code == EXIT_OK
+        table = json.loads((out / "normalform_norms.json").read_text())["table"]
+        assert len(table) == 3
+        assert all(row["residual"] < RESIDUAL_RTOL for row in table)
+
+    def test_coarse_x_grid_trips_residual_guard(self, tmp_path, capsys):
+        # 16 x nodes leave a step-1 residual of 6e-6
+        code, out = run(tmp_path, "--set", "normalform.grid=16,16,16", "normalform")
+        assert code == EXIT_GUARD
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "homological residual" in err and "at step 1" in err
+        assert not out.exists()
 
 
 NORMALFORM_SMALL = (
