@@ -162,12 +162,15 @@ def _resample(v, shape):
 
 def refine(v, factor=1.5, lead=0):
     """Resample grid values onto a finer Lobatto grid (coefficient padding);
-    the first `lead` axes are a stack, and axes of length 1 stay as they are."""
+    the first `lead` axes are a stack, and axes of length 1 stay as they are.
+    When no axis changes size (all of length 1, or factor 1) the input array
+    itself is returned, not a copy."""
     v = np.asarray(v)
     return _resample(v, [n if n == 1 else int(np.ceil(factor * n)) for n in v.shape[lead:]])
 
 
 def coarsen(v, shape):
     """Project grid values back onto a coarser Lobatto grid by truncation;
-    axes of v before the last len(shape) are a stack."""
+    axes of v before the last len(shape) are a stack.  When no axis changes
+    size the input array itself is returned, not a copy."""
     return _resample(np.asarray(v), tuple(shape))

@@ -323,10 +323,8 @@ def cmd_verify_renorm(cfg, out_dir, seed):
 def _trajectory_csv(traj, seed):
     names = [f.name for f in fields(chart_named(traj.chart).state)]
     rows = ["# seed,%d" % seed, ",".join(["t", *names, "energy"])]
-    for t, z, E in zip(traj.times, traj.states, traj.energies):
-        rows.append(
-            "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g" % (t, z[0], z[1], z[2], z[3], E)
-        )
+    table = np.column_stack([traj.times, traj.states, traj.energies]).tolist()
+    rows += ["%.17g,%.17g,%.17g,%.17g,%.17g,%.17g" % tuple(row) for row in table]
     for t, kind in traj.events:
         rows.append("# event,%.17g,%s" % (t, kind))
     return "\n".join(rows) + "\n"
@@ -340,11 +338,11 @@ def cmd_evolve(cfg, out_dir, seed):
     if T == 0.0:
         check_domain(spec, state0)
         Z = state0.as_array()[None]
-        traj = Trajectory(np.zeros(1), Z, energies(spec, Z, chart.name, cfg.quad()), chart.name)
+        traj = Trajectory(np.zeros(1), Z, energies(spec, Z, chart.name), chart.name)
         winding, squeezes, drift = 0.0, 0, 0.0
     else:
         traj = integrate(spec, state0, T, step_ctrl=cfg.step_ctrl(),
-                         energy_tol=cfg.integrator.energy_tol, quad=cfg.quad())
+                         energy_tol=cfg.integrator.energy_tol)
         winding, squeezes, drift = detect_libration(traj, spec)
     _atomic_write(os.path.join(out_dir, "trajectory.csv"), _trajectory_csv(traj, seed))
     _write_json(
@@ -379,7 +377,7 @@ def cmd_normalform(cfg, out_dir, seed):
     series, freqs = build_secular_perturbation(
         cfg.spec(), d.eps0, d.alpha_minus, d.alpha_plus, d.delta,
         grid_shape=tuple(nf.grid), fourier_cutoff=nf.fourier_cutoff,
-        n_phi=nf.n_phi, quad=cfg.quad(),
+        n_phi=nf.n_phi,
     )
     if N == 0:
         result = NormalFormResult(series.shell(), series, [])

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hamiltonians import SECULAR_PAIRS, chart_named, chart_of, check_domain, gradient
-from .potentials import DEFAULT_QUAD
 
 DEFAULT_ENERGY_TOL = 1e-8
 
@@ -125,7 +124,7 @@ def integrate_flow(energy, energy_grad, z0, T, step_ctrl=StepControl(),
 
 
 def integrate(spec, state0, T, *, step_ctrl=StepControl(),
-              energy_tol=DEFAULT_ENERGY_TOL, quad=DEFAULT_QUAD, domain_guard=None):
+              energy_tol=DEFAULT_ENERGY_TOL, quad=None, domain_guard=None):
     """Flow of the reduced Hamiltonian from state0 for duration T, in the
     chart of state0's class (SecularState or ActionAngleState).
 
@@ -138,6 +137,9 @@ def integrate(spec, state0, T, *, step_ctrl=StepControl(),
     and records a domain-exit event.  Squeeze events (sign changes of G) are
     detected on the sampled output; the winding-2pi event marks the first
     time the unwrapped angle has varied by 2*pi.
+
+    quad, a QuadratureSpec, pins the node count of every f_eps evaluation;
+    None lets f_eps pick it per call (see potentials.N_LADDER).
     """
     chart = chart_of(state0)
     check_domain(spec, state0)

@@ -15,7 +15,9 @@ vanishes with eps.
 
 Each chart is declared once, in CHARTS, and a state's class decides its
 chart.  Its energy kernel takes an (n, 4) stack of states (see energies);
-the functions of one state are its n = 1 case.
+the functions of one state are its n = 1 case.  Every function taking quad
+passes it to f_eps: a QuadratureSpec pins the rule, None (the default) lets
+f_eps pick it per point.
 """
 
 from dataclasses import dataclass
@@ -26,7 +28,7 @@ import numpy as np
 from . import potentials
 from .coords import (X_COLLISION, ActionAngleState, MassParams, SecularState,
                      radial_radius, rr_forward_with_jacobian)
-from .potentials import DEFAULT_QUAD, e_hat, e_hat_aa
+from .potentials import e_hat, e_hat_aa
 
 GRAD_FD_STEP = 1e-6
 
@@ -133,19 +135,19 @@ def _one_row(state, cls):
     return state.as_array()[None]
 
 
-def energies(spec, states, chart="secular", quad=DEFAULT_QUAD):
+def energies(spec, states, chart="secular", quad=None):
     """Energies of an (n, 4) stack of states of the chart named chart, one
     per row: h_secular for "secular", h_action_angle for "action-angle"."""
     Z = np.asarray(states, dtype=float).reshape(-1, 4)
     return chart_named(chart).energies(spec, Z, quad)
 
 
-def h_secular(spec, state, quad=DEFAULT_QUAD):
+def h_secular(spec, state, quad=None):
     """Energy of the reduced secular system at a (R, G, r, g) state."""
     return _secular_energies(spec, _one_row(state, SecularState), quad)[0]
 
 
-def aa_perturbation(spec, state, quad=DEFAULT_QUAD):
+def aa_perturbation(spec, state, quad=None):
     """The perturbation of the action-angle split: the full energy is
     -m0^5/(2 y^2) plus this term, which vanishes as eps -> 0.
 
@@ -155,7 +157,7 @@ def aa_perturbation(spec, state, quad=DEFAULT_QUAD):
     return _aa_perturbations(spec, _one_row(state, ActionAngleState), quad)[0]
 
 
-def h_action_angle(spec, state, quad=DEFAULT_QUAD):
+def h_action_angle(spec, state, quad=None):
     """Energy in the (Gcal, gamma, y, x) chart: -m0^5/(2 y^2) + perturbation.
 
     Agrees with h_secular through the chart maps.
@@ -257,7 +259,7 @@ def _grad_fd(energy, z):
                      for dz, h in zip(np.diag(steps), steps)])
 
 
-def gradient(spec, state, *, method="analytic", quad=DEFAULT_QUAD):
+def gradient(spec, state, *, method="analytic", quad=None):
     """Partials of the energy with respect to the variables of the state's
     chart: (dH/dR, dH/dG, dH/dr, dH/dg) at a SecularState, (dH/dGcal,
     dH/dgamma, dH/dy, dH/dx) at an ActionAngleState.

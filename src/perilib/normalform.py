@@ -191,8 +191,10 @@ def tf_build(fun, box, grid_shape, n_angles=1, fourier_cutoff=8, n_phi=64,
     angles at Chebyshev nodes in the grid variables), keeping the canonical
     modes.
 
-    fun receives broadcast meshes (I_1, ..., I_n, phi_1, ..., phi_n, y, x).
-    Values with an imaginary part above 1e-14 of their sup raise ValueError.
+    fun receives sparse meshes (I_1, ..., I_n, phi_1, ..., phi_n, y, x), each
+    varying along its own axis only, and returns values that broadcast to
+    the full grid.  Values with an imaginary part above 1e-14 of their sup
+    raise ValueError.
     """
     if n_phi < 2 * fourier_cutoff + 2:
         raise ValueError("n_phi must resolve the requested cutoff")
@@ -200,7 +202,8 @@ def tf_build(fun, box, grid_shape, n_angles=1, fourier_cutoff=8, n_phi=64,
     phis = [2 * np.pi * np.arange(n_phi) / n_phi] * n_angles
     n = n_angles
     mesh_axes = grids[:n] + phis + grids[n:]
-    mesh = np.meshgrid(*mesh_axes, indexing="ij")
+    mesh = np.meshgrid(*mesh_axes, indexing="ij", sparse=True)
+    shape = np.broadcast_shapes(*(m.shape for m in mesh))
     vals = np.asarray(fun(*mesh))
     if not np.all(np.isfinite(vals)):
         raise ArithmeticError("evaluator returned non-finite values on the grid")
@@ -212,7 +215,7 @@ def tf_build(fun, box, grid_shape, n_angles=1, fourier_cutoff=8, n_phi=64,
     angle_axes = tuple(range(n, 2 * n))
     # the last angle axis holds k_n = 0 .. n_phi/2; a canonical k with k_n < 0
     # is read as conj(F[-k])
-    F = np.fft.rfftn(np.broadcast_to(vals, mesh[0].shape), axes=angle_axes) / n_phi**n
+    F = np.fft.rfftn(np.broadcast_to(vals, shape), axes=angle_axes) / n_phi**n
     series = TFSeries(n, fourier_cutoff, box, grid_shape)
     scale = float(np.max(np.abs(F))) or 1.0
     for k in itertools.product(range(-fourier_cutoff, fourier_cutoff + 1), repeat=n):
@@ -617,9 +620,8 @@ def build_secular_perturbation(spec, eps0, alpha_minus, alpha_plus, delta,
     Returns (series, FrequencyData).
     """
     from .kepler import xi_prime_array
-    from .potentials import DEFAULT_QUAD, f_eps_minus_one_grid
+    from .potentials import f_eps_minus_one_grid
 
-    quad = quad or DEFAULT_QUAD
     m0, Lam = spec.m0, spec.Lambda
     box = [
         (Lam - delta, Lam),

@@ -7,6 +7,7 @@ single-integral renormalizing profile with a closed form at t = 1.  The key
 numerical fact exercised throughout: u_hat = f_eps composed with e_hat.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -15,14 +16,22 @@ import numpy as np
 from .kepler import solve_kepler, solve_kepler_array, xi_prime_real
 
 RADICAND_FLOOR = 1e-10
-# (eps, t) points per quadrature pass of f_eps_minus_one_grid.  A pass's
-# temporaries are points x (n_nodes/2 + 1) floats each, 64 x 129 x 8 B =
-# 65 KiB at the default rule: they stay in cache and below glibc's default
-# 128 KiB mmap threshold, so each pass reuses heap memory instead of
-# mapping fresh pages.  On a 2-core Xeon (2 MiB L2), 2,000 points took
-# 2.8 ms in passes of 64, 3.6 ms in passes of 32 and 7.5 ms in passes of
-# 256; 87,040 points (the normal-form build) took 0.10-0.12 s and 0.26 s
-_GRID_CHUNK = 64
+# f_eps picks its periodic-trapezoid rule per (eps, t) from this ladder.  The
+# rule converges like exp(-a n), a the half-width of the strip around the
+# real xi axis where the integrand is analytic (Trefethen & Weideman, SIAM
+# Review 56 (2014)).  The integrands carry X^2 = (1 - cos xi)^2, which grows
+# like exp(2 |Im xi|) across the strip, so the error is nearer
+# exp(-a (n - 2)): n is the smallest rung with a (n - 2) >= _MARGIN, 1.25
+# times the ln(1e16) that exp(-a n) = 1e-16 asks for, since that prediction
+# fell 5-25% short of the measured need.  Past N_MAX the point is too close
+# to the singular locus and f_eps raises SingularLocusError.
+N_LADDER = (8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024)
+N_MAX = N_LADDER[-1]
+_MARGIN = 1.25 * math.log(1e16)
+# a >= _MARGIN/(n - 2) as beta >= cosh(_MARGIN/(n - 2)), beta = cosh(a)
+# (see _strip_beta)
+_BETA_MIN = tuple(math.cosh(_MARGIN / (n - 2)) for n in N_LADDER)
+_BETA_ASCENDING = np.array(_BETA_MIN[::-1])
 
 
 class SingularLocusError(ArithmeticError):
@@ -51,21 +60,19 @@ def _xi_nodes(n):
 
 @lru_cache(maxsize=32)
 def _half_range(n):
-    """X = 1 - cos(xi) on the nodes xi_0 ... xi_{n/2} of the n-node rule, and
-    X times the folded trapezoid weights (1, 2, ..., 2, 1)/n.
+    """(X, wX) pairs, as floats, on the nodes xi_0 ... xi_{n/2} of the n-node
+    rule: X = 1 - cos(xi) and X times the folded trapezoid weights
+    (1, 2, ..., 2, 1)/n.
 
     The f_eps integrands depend on xi only through X, which is even about
     pi, so the periodic rule's nodes xi and 2 pi - xi carry equal values and
-    each pair is summed once with weight 2/n.  Both arrays are read-only.
+    each pair is summed once with weight 2/n.
     """
     _, cxi, _ = _xi_nodes(n)
     X = 1.0 - cxi[: n // 2 + 1]
     w = np.full(X.size, 2.0 / n)
     w[0] = w[-1] = 1.0 / n
-    wX = w * X
-    X.flags.writeable = False
-    wX.flags.writeable = False
-    return X, wX
+    return tuple(zip(X.tolist(), (w * X).tolist()))
 
 
 def rho_p(Lambda, G, ell, g):
@@ -137,7 +144,7 @@ def e_hat_aa(eps, Lambda, Gcal, gamma):
     return u + eps * (1.0 - u**2) * np.cos(gamma) ** 2
 
 
-def _f_minus_one(eps, t, quad, grad=False):
+def _node_sums(eps, t, n, grad=False, floor=None):
     """The f_eps quadrature: f_eps(eps, t) - 1 without cancellation,
 
       (1/2pi) * integral X u / (sqrt(rad) (1 + sqrt(rad))) dxi,
@@ -147,37 +154,98 @@ def _f_minus_one(eps, t, quad, grad=False):
     integral, d/dt = (1/2pi) * integral eps X^2 rad^{-3/2} dxi and
     d/deps = (1/2pi) * integral X^2 (t - eps X) rad^{-3/2} dxi.
 
-    The integrals are the n-node periodic trapezoid rule of quad, summed
-    over its half range (see _half_range).  eps and t are floats (float
-    results) or (m, 1) columns ((m,) results).  This is the only place that
-    checks |eps| < 1/2 and the radicand floor; both checks are negated
-    comparisons, so NaN input fails them too.
+    The integrals are the n-node periodic trapezoid rule summed node by node
+    over its half range (see _half_range).  eps and t are floats (math.sqrt,
+    float results) or (m,) arrays (np.sqrt, (m,) results); both take the
+    same operations in the same order, so they agree bitwise.  With floor,
+    a radicand below it (or NaN) raises SingularLocusError.
     """
-    if not np.abs(eps).max() < 0.5:
+    sqrt, every = (np.sqrt, np.all) if isinstance(eps, np.ndarray) else (math.sqrt, bool)
+    fm1 = ft = fe = 0.0
+    for x, wx in _half_range(n):
+        ex = eps * x
+        u = 2.0 * ex * t - ex * ex
+        rad = 1.0 - u
+        if floor is not None and not every(rad >= floor):
+            raise SingularLocusError(
+                "f_eps radicand %.3e below floor at %d nodes" % (np.min(rad), n))
+        s = sqrt(rad)
+        fm1 += wx * u / (s * (1.0 + s))
+        if grad:
+            w2 = wx * x / (rad * s)
+            ft += eps * w2
+            fe += w2 * (t - ex)
+    return (fm1, ft, fe) if grad else fm1
+
+
+def _strip_beta(eps, t):
+    """cosh of the strip half-width a of the f_eps integrand at (eps, t):
+    beta = (|w + 1| + |w - 1|)/2 at w = cos(xi*) = 1 - X*, minimised over the
+    roots X* of 1 - 2 eps t X + eps^2 X^2 (for t^2 < 1 a conjugate pair with
+    one beta; else the real root nearer 1, 1/(eps (t + sign(t) sqrt(t^2 - 1))),
+    taken without cancellation).  Floats or (m,) arrays, bitwise alike:
+    moduli as sqrt(re re + im im), never **2.  eps = 0 has no root (an
+    infinite strip); non-finite t gives NaN or beta = 1, which no rung meets.
+    """
+    if isinstance(eps, np.ndarray):
+        with np.errstate(all="ignore"):  # overflow is a wide strip; NaN fails later
+            zero = eps == 0.0
+            e = np.where(zero, 1.0, eps)
+            d = t * t - 1.0
+            inside = d < 0.0
+            root = np.sqrt(np.abs(d))
+            re = np.where(inside, t / e, 1.0 / (e * (t + np.copysign(root, t))))
+            im = np.where(inside, root / e, 0.0)
+            beta = 0.5 * (np.sqrt((2.0 - re) * (2.0 - re) + im * im)
+                          + np.sqrt(re * re + im * im))
+            return np.where(zero, t * 0.0 + np.inf, beta)
+    if eps == 0.0:
+        return t * 0.0 + math.inf
+    d = t * t - 1.0
+    if d < 0.0:
+        re, im = t / eps, math.sqrt(-d) / eps
+    else:
+        re, im = 1.0 / (eps * (t + math.copysign(math.sqrt(d), t))), 0.0
+    return 0.5 * (math.sqrt((2.0 - re) * (2.0 - re) + im * im)
+                  + math.sqrt(re * re + im * im))
+
+
+def _too_close(eps, t):
+    where = abs(t - singularity_t(eps)) if eps != 0.0 else math.nan
+    return SingularLocusError(
+        "f_eps at (eps=%r, t=%r) needs more than N_MAX = %d nodes: "
+        "|t - singularity_t(eps)| = %.3e" % (eps, t, N_MAX, where))
+
+
+def _n_nodes(eps, t):
+    """The smallest rung of N_LADDER whose rule meets the margin at the
+    float point (eps, t); SingularLocusError when none does."""
+    beta = _strip_beta(eps, t)
+    for n, beta_min in zip(N_LADDER, _BETA_MIN):
+        if beta >= beta_min:
+            return n
+    raise _too_close(eps, t)
+
+
+def _f_minus_one(eps, t, quad=None, grad=False):
+    """f_eps(eps, t) - 1 (and with grad its t- and eps-partials) at one
+    point, by the rule of quad, else by the rung _n_nodes picks.  This and
+    f_eps_minus_one_grid are the only places that check |eps| < 1/2; the
+    check is a negated comparison, so NaN fails it too."""
+    eps, t = float(eps), float(t)
+    if not abs(eps) < 0.5:
         raise ValueError("f_eps requires |eps| < 1/2, got %r" % (eps,))
-    X, wX = _half_range(quad.n_nodes)
-    eX = eps * X
-    u = 2 * eX * t - eX**2
-    rad = 1.0 - u
-    if not rad.min() >= RADICAND_FLOOR:
-        raise SingularLocusError(
-            "f_eps radicand %.3e below floor (eps=%r, t=%r)" % (rad.min(), eps, t)
-        )
-    s = np.sqrt(rad)
-    # weighted .sum, not a matrix product: the grid and scalar paths must
-    # sum in the same order to agree bitwise
-    fm1 = (wX * u / (s * (1.0 + s))).sum(axis=-1)
-    if not grad:
-        return fm1
-    wX2m = wX * X / (rad * s)
-    return fm1, (eps * wX2m).sum(axis=-1), (wX2m * (t - eps * X)).sum(axis=-1)
+    if quad is not None:
+        return _node_sums(eps, t, quad.n_nodes, grad, RADICAND_FLOOR)
+    return _node_sums(eps, t, _n_nodes(eps, t), grad)
 
 
-def f_eps(eps, t, quad=DEFAULT_QUAD):
+def f_eps(eps, t, quad=None):
     """Renormalizing profile
     (1/2pi) * integral (1 - cos xi) dxi / sqrt(1 - 2 eps (1-cos xi) t + eps^2 (1-cos xi)^2)
-    for |eps| < 1/2 and (eps, t) off the singular locus."""
-    return 1.0 + float(_f_minus_one(eps, t, quad))
+    for |eps| < 1/2 and (eps, t) off the singular locus.  Without quad the
+    rule is picked from the integrand's analytic strip (see N_LADDER)."""
+    return 1.0 + _f_minus_one(eps, t, quad)
 
 
 def f_eps_at_one(eps):
@@ -188,26 +256,37 @@ def f_eps_at_one(eps):
     return 2.0 / (s * (1.0 + s))
 
 
-def f_eps_bundle(eps, t, quad=DEFAULT_QUAD):
+def f_eps_bundle(eps, t, quad=None):
     """(f_eps, df/dt, df/deps) from one radicand evaluation (flow hot path)."""
     fm1, ft, fe = _f_minus_one(eps, t, quad, grad=True)
-    return 1.0 + float(fm1), float(ft), float(fe)
+    return 1.0 + fm1, ft, fe
 
 
-def f_eps_minus_one(eps, t, quad=DEFAULT_QUAD):
+def f_eps_minus_one(eps, t, quad=None):
     """f_eps(eps, t) - 1 without cancellation; exact at eps -> 0."""
-    return float(_f_minus_one(eps, t, quad))
+    return _f_minus_one(eps, t, quad)
 
 
-def f_eps_minus_one_grid(eps, t, quad=DEFAULT_QUAD):
-    """Broadcasted f_eps_minus_one over arrays of (eps, t), chunked to bound memory."""
+def f_eps_minus_one_grid(eps, t, quad=None):
+    """Broadcasted f_eps_minus_one over arrays of (eps, t): the points are
+    grouped by the rung they need and each group runs the scalar path's
+    node loop on vectors, so every value equals the scalar one bitwise."""
     eps_b, t_b = np.broadcast_arrays(np.asarray(eps, float), np.asarray(t, float))
-    col_e = eps_b.reshape(-1, 1)
-    col_t = t_b.reshape(-1, 1)
-    out = np.empty(col_e.shape[0])
-    for lo in range(0, out.size, _GRID_CHUNK):
-        sl = slice(lo, lo + _GRID_CHUNK)
-        out[sl] = _f_minus_one(col_e[sl], col_t[sl], quad)
+    e, tt = eps_b.ravel(), t_b.ravel()
+    if not np.all(np.abs(e) < 0.5):
+        raise ValueError("f_eps requires |eps| < 1/2, got %r" % (e[~(np.abs(e) < 0.5)][0],))
+    if quad is not None:
+        return _node_sums(e, tt, quad.n_nodes, floor=RADICAND_FLOOR).reshape(eps_b.shape)
+    beta = _strip_beta(e, tt)
+    bad = ~(beta >= _BETA_MIN[-1])
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        raise _too_close(float(e[i]), float(tt[i]))
+    rung = _BETA_ASCENDING.size - np.searchsorted(_BETA_ASCENDING, beta, side="right")
+    out = np.empty(e.size)
+    for i in np.unique(rung):
+        at = rung == i
+        out[at] = _node_sums(e[at], tt[at], N_LADDER[i])
     return out.reshape(eps_b.shape)
 
 
@@ -220,7 +299,8 @@ def singularity_t(eps):
 
 
 def check_renorm_identity(eps, Lambda=1.0, sample_n=100, quad=DEFAULT_QUAD, rng=None):
-    """Max over random admissible (G, g) of |u_hat - f_eps(e_hat)|.
+    """Max over random admissible (G, g) of |u_hat - f_eps(e_hat)|, u_hat by
+    the rule of quad and f_eps by the rule it picks.
 
     Samples G uniform on (-Lambda, Lambda) and g uniform on (-pi, pi);
     samples whose radicand guard trips are redrawn (their count is second in
@@ -236,7 +316,7 @@ def check_renorm_identity(eps, Lambda=1.0, sample_n=100, quad=DEFAULT_QUAD, rng=
         g = rng.uniform(-np.pi, np.pi)
         try:
             lhs = u_hat(eps, Lambda, G, g, quad)
-            rhs = f_eps(eps, e_hat(eps, Lambda, G, g), quad)
+            rhs = f_eps(eps, e_hat(eps, Lambda, G, g))
         except SingularLocusError:
             rejected += 1
             if rejected > 100 * sample_n:

@@ -17,7 +17,6 @@ import numpy as np
 from .coords import ActionAngleState, radial_radius
 from .dynamics import StepControl, detect_libration, integrate
 from .kepler import estimate_c0
-from .potentials import DEFAULT_QUAD
 
 DEFAULT_C_UPPER = 10.0  # surrogate C*
 DEFAULT_C_LOWER = 2.0   # surrogate C_*
@@ -233,7 +232,7 @@ class LibrationSummary:
 def run_libration_experiment(spec, report, state0,
                              step_ctrl=StepControl(rtol=1e-12, atol=1e-12,
                                                    method="DOP853"),
-                             quad=DEFAULT_QUAD):
+                             quad=None):
     """Integrate the action-angle flow under a passing hypothesis report.
 
     The run lasts min(report.T_estimate, three radial transit times) or

@@ -88,6 +88,15 @@ class TestResampling:
         assert fine.shape == (8, 1, 11)
         close(fine, ref_refine(v), np.max(np.abs(v)))
 
+    def test_unchanged_shape_returns_the_input(self):
+        # documented: no copy when no axis changes size, so a caller that
+        # writes into the result writes into its input
+        v = np.arange(12.0).reshape(3, 4)
+        assert ch.coarsen(v, v.shape) is v
+        assert ch.refine(v, factor=1.0) is v
+        ones = np.ones((1, 1))
+        assert ch.refine(ones) is ones
+
     @settings(max_examples=100, deadline=None)
     @given(grid_shapes.flatmap(complex_arrays))
     def test_coarsen_inverts_refine(self, v):

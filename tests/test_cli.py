@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from perilib.cli import (
@@ -199,6 +200,23 @@ class TestVerifyRenorm:
 
 
 class TestEvolve:
+    def test_trajectory_rows_format_each_value(self):
+        # one row per operation; the bytes are those of formatting every
+        # value on its own with %.17g
+        from perilib.cli import _trajectory_csv
+        from perilib.dynamics import Trajectory
+
+        rng = np.random.default_rng(4)
+        times = np.array([0.0, 1e-300, 2.5, 1e17])
+        states = rng.normal(size=(4, 4)) * np.array([1e-12, 1.0, 1e8, -0.0])
+        energies = np.array([-0.0, 1 / 3, -7.0, 5e-324])
+        traj = Trajectory(times, states, energies, "secular")
+        traj.events.append((2.5, "squeeze"))
+        rows = ["%.17g,%.17g,%.17g,%.17g,%.17g,%.17g" % (t, z[0], z[1], z[2], z[3], E)
+                for t, z, E in zip(times, states, energies)]
+        expect = "\n".join(["# seed,9", "t,R,G,r,g,energy", *rows, "# event,2.5,squeeze"])
+        assert _trajectory_csv(traj, 9) == expect + "\n"
+
     def test_invariant_manifold_run(self, tmp_path):
         code, out = run(
             tmp_path,

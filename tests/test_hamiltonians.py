@@ -256,7 +256,7 @@ class TestStackedEnergies:
         spec = make_spec(index)
         ref, cls = ((ref_h_secular, SecularState) if chart == "secular"
                     else (ref_h_action_angle, ActionAngleState))
-        # 150 rows span three quadrature chunks of f_eps_minus_one_grid
+        # 150 rows through one f_eps_minus_one_grid call per term
         Z = self.draw(np.random.default_rng(30 + index), chart, 150)
         got = energies(spec, Z, chart, QUAD)
         expect = np.array([ref(spec, cls(*z)) for z in Z])

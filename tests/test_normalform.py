@@ -219,6 +219,20 @@ def rand_series(rng, cutoff=2, scale=1.0):
 
 
 class TestBuild:
+    def test_evaluator_gets_sparse_meshes(self):
+        # each mesh varies along its own axis only; the values broadcast
+        seen = []
+
+        def fun(I, p, y, x):
+            seen.extend(m.shape for m in (I, p, y, x))
+            return np.cos(p) + 0 * I
+
+        f = build(fun)
+        n_phi = 64
+        assert seen == [(SHAPE[0], 1, 1, 1), (1, n_phi, 1, 1),
+                        (1, 1, SHAPE[1], 1), (1, 1, 1, SHAPE[2])]
+        assert set(f.coeffs) == {((1,), (), ())}
+
     def test_constant(self):
         f = build(lambda I, p, y, x: np.ones_like(I))
         assert set(f.coeffs) == {((0,), (), ())}

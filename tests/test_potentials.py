@@ -1,9 +1,15 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from scipy.special import elliprj
 
 from perilib.coords import gg_forward
 from perilib.potentials import (
+    N_LADDER,
+    N_MAX,
     QuadratureSpec,
     SingularLocusError,
     check_renorm_identity,
@@ -19,6 +25,7 @@ from perilib.potentials import (
     u_hat,
     u_hat_mean_anomaly,
 )
+from perilib.potentials import _n_nodes
 
 QUAD = QuadratureSpec(256)
 
@@ -176,7 +183,7 @@ _t = st.floats(min_value=-0.9, max_value=0.9)
 @given(
     eps=st.lists(_eps, min_size=1, max_size=5),
     t=st.lists(_t, min_size=1, max_size=4),
-    quad=st.sampled_from([QuadratureSpec(32), QUAD]),
+    quad=st.sampled_from([QuadratureSpec(32), QUAD, None]),
 )
 def test_grid_matches_scalar_wrappers(eps, t, quad):
     # an (n_eps, 1) column against an (n_t,) row broadcasts to (n_eps, n_t)
@@ -225,12 +232,16 @@ def test_half_range_matches_full_range(log_eps, sign, t, quad):
 
 
 def test_grid_across_chunk_boundary():
-    from perilib.potentials import _GRID_CHUNK
-
-    t = np.linspace(-0.9, 0.9, _GRID_CHUNK + 3)
-    grid = f_eps_minus_one_grid(0.3, t, QUAD)
-    for i in (0, _GRID_CHUNK - 1, _GRID_CHUNK, _GRID_CHUNK + 2):
-        assert grid[i] == f_eps_minus_one(0.3, t[i], QUAD)
+    # the grid path runs one node loop per rung; at eps = 0.45 these t
+    # need rungs from 24 up to 512 nodes, and the points on either side of
+    # each rung boundary equal the scalar path bitwise
+    t = np.concatenate([np.linspace(-0.9, 0.9, 67), 1.0 + 0.001 * np.arange(6)])
+    rungs = np.array([_n_nodes(0.45, tt) for tt in t])
+    assert len(set(rungs)) >= 5
+    grid = f_eps_minus_one_grid(0.45, t)
+    edges = np.flatnonzero(np.diff(rungs))
+    for i in np.concatenate([[0, t.size - 1], edges, edges + 1]):
+        assert grid[i] == f_eps_minus_one(0.45, t[i])
 
 
 @pytest.mark.parametrize("kernel", [f_eps, f_eps_bundle, f_eps_minus_one])
@@ -242,18 +253,196 @@ def test_nan_input_raises_on_scalar_path(kernel):
 
 
 def test_nan_input_raises_on_grid_path():
-    # the NaN sits in the second quadrature chunk
-    from perilib.potentials import _GRID_CHUNK
-
-    n = 2 * _GRID_CHUNK
-    eps = np.full(n, 0.1)
+    # the NaN sits after points of several rungs, pinned rule and picked
+    n = 128
+    eps = np.linspace(0.001, 0.45, n)
     eps[-1] = np.nan
-    with pytest.raises(ValueError):
-        f_eps_minus_one_grid(eps, 0.5, QUAD)
-    t = np.full(n, 0.5)
+    for quad in (QUAD, None):
+        with pytest.raises(ValueError):
+            f_eps_minus_one_grid(eps, 0.5, quad)
+    t = np.linspace(-0.9, 0.9, n)
     t[-1] = np.nan
+    for quad in (QUAD, None):
+        with pytest.raises(SingularLocusError):
+            f_eps_minus_one_grid(0.4, t, quad)
+
+
+# --- the rule picked from the analytic strip --------------------------------
+
+
+def strip_half_width(eps, t):
+    """a(eps, t) straight from acos: the least |Im xi| over the complex xi
+    with 1 - cos(xi) = X*, X* a root of 1 - 2 eps t X + eps^2 X^2 (the
+    larger root by the quadratic formula, the other as 1/(eps^2 X*))."""
+    if eps == 0:
+        return math.inf
+    s = cmath.sqrt(t * t - 1)
+    big = (t + s if t >= 0 else t - s) / eps
+    return min(abs(cmath.acos(1 - x).imag) for x in (big, 1 / (eps * eps * big)))
+
+
+def needed_nodes(eps, t):
+    """n with a (n - 2) = 1.25 ln(1e16): the trapezoid error exp(-a n)
+    times the exp(2a) that the integrands' X^2 factor gains across the strip."""
+    a = strip_half_width(eps, t)
+    return 1.25 * math.log(1e16) / a + 2 if a > 0 else math.inf
+
+
+def carlson_f(eps, t):
+    """f_eps = (sqrt 2 / 3 pi) Re R_J(0, a+, a-, 1/2), a+- = 1/2 - eps (t +- sqrt(t^2 - 1))."""
+    s = cmath.sqrt(t * t - 1)
+    a_plus, a_minus = 0.5 - eps * (t + s), 0.5 - eps * (t - s)
+    return math.sqrt(2) / (3 * math.pi) * elliprj(0, a_plus, a_minus, 0.5).real
+
+
+LONG = np.longdouble
+
+
+def ref_long(eps, t, n):
+    """f - 1, d/dt f and d/deps f by the n-node rule over the full range in
+    long double, each with its integrand scale: the mean over the nodes of
+    the magnitudes the integrand is built from, times 1 + 1/rad, since an
+    error of one ulp in the radicand moves the integrand by about 1/rad of
+    itself.  Near the singular locus that factor is what rounding costs any
+    float evaluation, however many nodes it takes."""
+    xi = 2 * LONG(np.pi) * np.arange(n, dtype=LONG) / n
+    X = 1 - np.cos(xi)
+    eps, t = LONG(eps), LONG(t)
+    eX = eps * X
+    u = 2 * eX * t - eX * eX
+    rad = 1 - u
+    s = np.sqrt(rad)
+    X2m = X * X / (rad * s)
+    integrands = (X * u / (s * (1 + s)), eps * X2m, X2m * (t - eX))
+    sizes = (X * (abs(2 * eX * t) + eX * eX) / (s * (1 + s)), abs(eps) * X2m,
+             X2m * (abs(t) + abs(eX)))
+    return [(float(v.sum() / n), float((m * (1 + 1 / rad)).mean()))
+            for v, m in zip(integrands, sizes)]
+
+
+@st.composite
+def strip_points(draw, min_log_eps=-8.0):
+    """(eps, t) with |eps| < 1/2 on a log scale and t inside [-1, 1], between
+    1 and singularity_t, close below singularity_t, or below -1; a sign
+    flips both, since F_{-eps}(-t) = F_eps(t)."""
+    eps = 10.0 ** draw(st.floats(min_value=min_log_eps, max_value=math.log10(0.4999)))
+    ts = singularity_t(eps)
+    regime = draw(st.sampled_from(["inside", "beyond one", "near locus", "below -1"]))
+    if regime == "inside":
+        t = draw(st.floats(min_value=-1.0, max_value=1.0))
+    elif regime == "beyond one":
+        t = 1.0 + draw(st.floats(min_value=0.0, max_value=1.0, exclude_max=True)) * (ts - 1.0)
+    elif regime == "near locus":
+        t = ts - 10.0 ** draw(st.floats(min_value=-9.0, max_value=0.0)) * (ts - 1.0)
+    else:
+        t = -1.0 - 10.0 ** draw(st.floats(min_value=-6.0, max_value=3.0))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    return sign * eps, sign * t
+
+
+@settings(max_examples=300, deadline=None)
+@given(point=strip_points())
+def test_rule_is_the_smallest_rung_past_the_needed_nodes(point):
+    eps, t = point
+    need = needed_nodes(eps, t)
+    # acos and the kernel's moduli round differently; a draw within 1e-9 of
+    # a rung can fall on either side of it
+    assume(all(abs(need - n) > 1e-9 * n for n in N_LADDER))
+    if need > N_MAX:
+        with pytest.raises(SingularLocusError):
+            _n_nodes(eps, t)
+    else:
+        assert _n_nodes(eps, t) == min(n for n in N_LADDER if n >= need)
+
+
+@settings(max_examples=300, deadline=None)
+@given(point=strip_points())
+def test_adaptive_value_matches_carlson(point):
+    eps, t = point
+    assume(needed_nodes(eps, t) < 0.99 * N_MAX)
+    f, ft, fe = f_eps_bundle(eps, t)
+    assert f == 1.0 + f_eps_minus_one(eps, t) == f_eps(eps, t)
+    # relative to f, widened by f's condition number in (eps, t): near the
+    # locus a half-ulp change of t moves f by far more than an ulp
+    cond = (abs(t * ft) + abs(eps * fe)) / f
+    assert abs(f - carlson_f(eps, t)) <= 1e-14 * f * (1.0 + cond)
+
+
+@settings(max_examples=300, deadline=None)
+@given(point=strip_points())
+def test_adaptive_matches_four_times_the_nodes(point):
+    eps, t = point
+    assume(needed_nodes(eps, t) < 0.99 * N_MAX)
+    n = _n_nodes(eps, t)
+    _, ft, fe = f_eps_bundle(eps, t)
+    got = (f_eps_minus_one(eps, t), ft, fe)
+    # the truncation error is below 1e-17 of the scale; what is left is
+    # rounding, whose summed part grows like the square root of the n/2 + 1
+    # terms (measured up to 1.65e-15 at 768 nodes, t = -900); plus the
+    # oracle's own rounding where long double is no wider than double
+    bound = 4e-16 * max(1.0, math.sqrt((n // 2 + 1) / 9)) + 4 * np.finfo(LONG).eps
+    for value, (expect, scale) in zip(got, ref_long(eps, t, 4 * n)):
+        assert abs(value - expect) <= bound * scale
+
+
+def d4(f, x, h):
+    """Fourth-order central difference of f at x with step h."""
+    return (-f(x + 2 * h) + 8 * f(x + h) - 8 * f(x - h) + f(x - 2 * h)) / (12 * h)
+
+
+@settings(max_examples=150, deadline=None)
+@given(point=strip_points(min_log_eps=-3.0))
+def test_partials_match_carlson_differences(point):
+    eps, t = point
+    assume(needed_nodes(eps, t) < 0.99 * N_MAX)
+    f, ft, fe = f_eps_bundle(eps, t)
+    # steps a thousandth of the distance to the singular set: in t the ray
+    # beyond singularity_t(eps); in eps |eps| >= 1/2 and, for |t| >= 1, the
+    # ray beyond the root 1/(2 (t + sign(t) sqrt(t^2 - 1))) of
+    # singularity_t(eps) = t
+    d_t = min(1.0, abs(t - singularity_t(eps)))
+    d_e = 0.5 - abs(eps)
+    if abs(t) >= 1:
+        d_e = min(d_e, abs(eps - 0.5 / (t + math.copysign(math.sqrt(t * t - 1), t))))
+    fd_t = d4(lambda x: carlson_f(eps, x), t, 1e-3 * d_t)
+    fd_e = d4(lambda x: carlson_f(x, t), eps, 1e-3 * d_e)
+    assert abs(ft - fd_t) <= 1e-7 * (abs(fd_t) + f / d_t)
+    assert abs(fe - fd_e) <= 1e-7 * (abs(fd_e) + f / d_e)
+
+
+@pytest.mark.parametrize("eps, t", [(0.4999, 1.0), (-0.4999, -1.0), (0.25, 1.25),
+                                    (0.25, 2.0), (0.3, np.inf), (0.0, np.nan)])
+def test_rule_raises_past_n_max(eps, t):
+    # at (0.4999, 1) the fixed 256-node rule was 1.5e-3 off without a word
     with pytest.raises(SingularLocusError):
-        f_eps_minus_one_grid(0.1, t, QUAD)
+        f_eps(eps, t)
+    with pytest.raises(SingularLocusError):
+        f_eps_bundle(eps, t)
+    with pytest.raises(SingularLocusError):
+        f_eps_minus_one_grid([0.1, eps], [0.5, t])
+
+
+def test_raise_names_the_distance_to_the_locus():
+    with pytest.raises(SingularLocusError, match=r"\|t - singularity_t\(eps\)\| = 2\.000e-08"):
+        f_eps(0.4999, 1.0)
+
+
+def test_eps_zero_takes_the_smallest_rung():
+    assert _n_nodes(0.0, 0.3) == N_LADDER[0]
+    assert f_eps_minus_one(0.0, 5.0) == 0.0
+    grid = f_eps_minus_one_grid([0.0, 0.1, 0.0], [0.3, 0.3, -7.0])
+    assert grid[0] == grid[2] == 0.0 and grid[1] == f_eps_minus_one(0.1, 0.3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(points=st.lists(strip_points(), min_size=1, max_size=12))
+def test_grid_straddling_rungs_matches_scalar(points):
+    points = [p for p in points if needed_nodes(*p) < 0.99 * N_MAX]
+    assume(points)
+    eps, t = np.array(points).T
+    grid = f_eps_minus_one_grid(eps, t)
+    for e, tt, g in zip(eps, t, grid):
+        assert g == f_eps_minus_one(e, tt)
 
 
 class TestSingularity:
