@@ -6,6 +6,7 @@ the radial-orbit chart (y, x) -> (R, r) for the outer body, and elliptic
 orbital elements.
 """
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -155,7 +156,7 @@ def gg_inverse(Lambda, G, g, branch="near-0"):
 
 
 def rr_forward(m0, y, x):
-    """Radial-orbit chart (y, x) -> (R, r) for the outer body.
+    """Radial-orbit chart (y, x) -> (R, r) for the outer body, at real (y, x).
 
     r = (y^2/m0^3)(1 - cos xi'),  R = (m0^3/y) sin xi' / (1 - cos xi'),
     with xi' solving xi' - sin xi' = x.  R is the analytic (signed) branch of
@@ -164,7 +165,7 @@ def rr_forward(m0, y, x):
     Jacobian.  The energy identity R^2/(2 m0) - m0^2/r = -m0^5/(2 y^2) holds
     identically.
     """
-    if np.real(y) <= 0:
+    if y <= 0:
         raise ValueError("y must be positive")
     return rr_forward_with_jacobian(m0, y, x)[:2]
 
@@ -172,16 +173,19 @@ def rr_forward(m0, y, x):
 def rr_forward_with_jacobian(m0, y, x):
     """rr_forward plus the partials (dr/dy, dr/dx) needed by the chain rule.
 
-    x within X_COLLISION of 0 or 2 pi raises ValueError (the collision)."""
+    Real-only: one state of the flow, computed in floats through math from
+    the Kepler solve on; radial_radius is the array path, and the two agree
+    bitwise.  x within X_COLLISION of 0 or 2 pi raises ValueError (the
+    collision)."""
     xi = solve_kepler_zero_ecc_form(x).xi
-    xr = np.real(x)
-    if min(xr, 2 * np.pi - xr) < X_COLLISION:
-        raise ValueError("x = %.17g: collision of the outer body (r = 0)" % xr)
-    one_m_c = 1.0 - np.cos(xi)
+    if min(x, 2 * math.pi - x) < X_COLLISION:
+        raise ValueError("x = %.17g: collision of the outer body (r = 0)" % x)
+    one_m_c = 1.0 - math.cos(xi)
+    sin_xi = math.sin(xi)
     r = y**2 / m0**3 * one_m_c
-    R = m0**3 / y * np.sin(xi) / one_m_c
+    R = m0**3 / y * sin_xi / one_m_c
     dr_dy = 2 * y * one_m_c / m0**3
-    dr_dx = y**2 / m0**3 * np.sin(xi) / one_m_c
+    dr_dx = y**2 / m0**3 * sin_xi / one_m_c
     return R, r, dr_dy, dr_dx
 
 

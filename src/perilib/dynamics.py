@@ -60,15 +60,17 @@ def hamiltonian_flow_rhs(energy_grad, pairs):
     """Vector field of a 2-DOF Hamiltonian.
 
     pairs lists the (momentum index, coordinate index) of each canonical
-    pair within the state vector; energy_grad returns dH/dz in state order.
+    pair within the state vector; energy_grad returns dH/dz in state order,
+    as an array.  The vector field is returned as a list of floats, which
+    the integrator converts once.
     """
 
     def rhs(t, z):
         try:
-            dH = energy_grad(z)
+            dH = energy_grad(z).tolist()
         except ValueError as exc:  # DomainError and the chart maps' checks
             raise IntegrationError("state left the domain at t=%.17g: %s" % (t, exc)) from exc
-        out = np.empty_like(dH)
+        out = [0.0] * len(dH)
         for ip, iq in pairs:
             out[ip] = -dH[iq]
             out[iq] = dH[ip]
@@ -143,7 +145,8 @@ def integrate(spec, state0, T, *, step_ctrl=StepControl(),
     """
     chart = chart_of(state0)
     check_domain(spec, state0)
-    grad = lambda z: gradient(spec, chart.state(*z), quad=quad)
+    # the state's fields as floats, so that its gradient computes in floats
+    grad = lambda z: gradient(spec, chart.state(*z.tolist()), quad=quad)
     energy = lambda Z: chart.energies(spec, Z, quad)
 
     events = None

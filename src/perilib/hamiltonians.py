@@ -20,6 +20,7 @@ passes it to f_eps: a QuadratureSpec pins the rule, None (the default) lets
 f_eps pick it per point.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -196,26 +197,22 @@ def _grad_secular_analytic(spec, state, quad):
     m0, Lam = spec.m0, spec.Lambda
     eps = spec.eps_of_r(r)
     u2 = G**2 / Lam**2
-    root = np.sqrt(max(1e-300, 1.0 - u2))
-    dH = np.array(
-        [
-            R / m0,
-            G / (m0 * r**2),
-            -(G**2) / (m0 * r**3) + _bare_coulomb_weight(spec) * m0**2 / r**2,
-            0.0,
-        ]
-    )
+    root = math.sqrt(max(1e-300, 1.0 - u2))
+    # e_hat(es, Lam, G, g) = e_cos + es * u2
+    e_cos = math.sqrt(max(0.0, 1.0 - u2)) * math.cos(g)
+    dH_dG = G / (m0 * r**2)
+    dH_dr = -(G**2) / (m0 * r**3) + _bare_coulomb_weight(spec) * m0**2 / r**2
+    dH_dg = 0.0
     for c, s in spec.terms():
         es = s * eps
-        t = e_hat(es, Lam, G, g)
-        F, Ft, Fe = potentials.f_eps_bundle(es, t, quad)
-        dE_dG = -(G / Lam**2) * np.cos(g) / root + 2 * es * G / Lam**2
-        dE_dg = -root * np.sin(g)
+        F, Ft, Fe = potentials.f_eps_bundle(es, e_cos + es * u2, quad)
+        dE_dG = -(G / Lam**2) * math.cos(g) / root + 2 * es * G / Lam**2
+        dE_dg = -root * math.sin(g)
         dE_des = u2
-        dH[1] += -c * (m0**2 / r) * Ft * dE_dG
-        dH[3] += -c * (m0**2 / r) * Ft * dE_dg
-        dH[2] += c * (m0**2 / r**2) * (F + es * (Fe + Ft * dE_des))
-    return dH
+        dH_dG += -c * (m0**2 / r) * Ft * dE_dG
+        dH_dg += -c * (m0**2 / r) * Ft * dE_dg
+        dH_dr += c * (m0**2 / r**2) * (F + es * (Fe + Ft * dE_des))
+    return np.array([R / m0, dH_dG, dH_dr, dH_dg])
 
 
 def _grad_action_angle_analytic(spec, state, quad):
@@ -224,8 +221,9 @@ def _grad_action_angle_analytic(spec, state, quad):
     _, r, dr_dy, dr_dx = rr_forward_with_jacobian(m0, y, x)
     eps = spec.eps_of_r(r)
     u = Gc / Lam
-    c2g = np.cos(gam) ** 2
-    s2g = 2.0 * np.cos(gam) * np.sin(gam)
+    cos_gam = math.cos(gam)
+    c2g = cos_gam**2
+    s2g = 2.0 * cos_gam * math.sin(gam)
     pref = m0**2 / r
     T1 = eps * (Lam**2 - Gc**2) / (2 * Lam**2) * c2g
     pert = T1
@@ -235,7 +233,8 @@ def _grad_action_angle_analytic(spec, state, quad):
     dpert_dr = -(T1 / r)
     for c, s in spec.terms():
         es = s * eps
-        t = e_hat_aa(es, Lam, Gc, gam)
+        # e_hat_aa(es, Lam, Gc, gam)
+        t = u + es * (1.0 - u**2) * c2g
         # one quadrature pass per term; f - 1 straight from the kernel, since
         # F - 1 from f_eps_bundle would cancel at small eps
         fm1, Ft, Fe = potentials._f_minus_one(es, t, quad, grad=True)

@@ -6,6 +6,7 @@ xi' - sin(xi') = x that parametrizes the radial (e = 1) orbit of the outer
 body, including complex arguments on the analyticity strip of that orbit.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,20 +37,23 @@ def _newton_bisect(e, ell, lo, hi, xi, tol):
     iterations) and raises KeplerError after MAX_ITER iterations.  An array
     ell (with lo, hi and xi broadcast to its shape) is solved entrywise by
     _newton_bisect_array; floats take the loop below, which is what the
-    flow's right-hand side calls once per evaluation.
+    flow's right-hand side calls once per evaluation.  The loop computes in
+    floats through math.sin/math.cos, which give the same bits as np.sin/
+    np.cos (tests/test_float_path.py checks this), so both paths agree
+    bitwise.
     """
     if isinstance(ell, np.ndarray):
         return _newton_bisect_array(e, ell, lo, hi, xi, tol)
     for it in range(1, MAX_ITER + 1):
-        f = xi - e * np.sin(xi) - ell
+        f = xi - e * math.sin(xi) - ell
         if abs(f) <= tol:
             return xi, abs(f), it
         if f > 0:
             hi = xi
         else:
             lo = xi
-        d = 1.0 - e * np.cos(xi)
-        cand = xi - f / d if d > 1e-14 else np.nan
+        d = 1.0 - e * math.cos(xi)
+        cand = xi - f / d if d > 1e-14 else math.nan
         xi = cand if lo < cand < hi else 0.5 * (lo + hi)
     raise KeplerError(
         "Kepler iteration did not converge: e=%r ell=%r residual=%.3e"
@@ -183,18 +187,20 @@ def in_strip(x, eps0):
 def solve_kepler_zero_ecc_form(x, tol=DEFAULT_TOL):
     """Solve xi' - sin(xi') = x for the e = 1 (radial orbit) anomaly.
 
-    Real x in (0, 2*pi) has a unique solution in (0, 2*pi); for complex x the
-    branch is continued from the real solution at Re x along a straight
-    segment in the imaginary direction, Newton-correcting at each step.
+    Real x in (0, 2*pi) has a unique solution in (0, 2*pi), found in floats
+    (see _newton_bisect); for complex x the branch is continued from the
+    real solution at Re x along a straight segment in the imaginary
+    direction, Newton-correcting at each step.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    xr = float(np.real(x))
+    xr = float(x.real)
     if not 0.0 < xr < 2 * np.pi:
         raise ValueError("Re x must lie in (0, 2*pi), got %r" % (xr,))
     xi, res, total_it = _newton_radial(xr, tol)
-    xim = float(np.imag(x))
-    if xim == 0.0 and not np.iscomplexobj(x):
+    xim = float(x.imag)
+    # a plain real number skips np.iscomplexobj, which would build an array
+    if xim == 0.0 and (isinstance(x, (float, int)) or not np.iscomplexobj(x)):
         return KeplerSolution(xi, res, total_it)
     z = np.array([complex(xi)])
     for k in range(1, _CONTINUATION_STEPS + 1):

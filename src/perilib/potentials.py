@@ -270,9 +270,13 @@ def f_eps_minus_one(eps, t, quad=None):
 def f_eps_minus_one_grid(eps, t, quad=None):
     """Broadcasted f_eps_minus_one over arrays of (eps, t): the points are
     grouped by the rung they need and each group runs the scalar path's
-    node loop on vectors, so every value equals the scalar one bitwise."""
+    node loop on vectors, so every value equals the scalar one bitwise.  A
+    single point (a one-state energy) takes the scalar path itself, where
+    each node costs float operations instead of ufunc calls."""
     eps_b, t_b = np.broadcast_arrays(np.asarray(eps, float), np.asarray(t, float))
     e, tt = eps_b.ravel(), t_b.ravel()
+    if e.size == 1:
+        return np.full(eps_b.shape, _f_minus_one(e[0], tt[0], quad))
     if not np.all(np.abs(e) < 0.5):
         raise ValueError("f_eps requires |eps| < 1/2, got %r" % (e[~(np.abs(e) < 0.5)][0],))
     if quad is not None:

@@ -445,6 +445,34 @@ def test_grid_straddling_rungs_matches_scalar(points):
         assert g == f_eps_minus_one(e, tt)
 
 
+@settings(max_examples=100, deadline=None)
+@given(point=strip_points(), quad=st.sampled_from([None, QuadratureSpec(32)]))
+def test_single_point_grid_matches_the_vector_loop(point, quad):
+    # one point takes the float loop; beside a second point it takes the
+    # vector loop, and both give the same bits or the same error
+    eps, t = point
+    def outcome(e, tt):
+        try:
+            return f_eps_minus_one_grid(e, tt, quad).tolist()
+        except (ValueError, SingularLocusError) as exc:
+            return type(exc)
+    pair = outcome([eps, 0.1], [t, 0.5])
+    one = outcome(eps, t)
+    assert one == (pair if isinstance(pair, type) else pair[0])
+    for shape in ((1,), (1, 1)):
+        assert outcome(np.full(shape, eps), t) == (
+            pair if isinstance(pair, type) else np.full(shape, pair[0]).tolist())
+
+
+@pytest.mark.parametrize("eps, t, error", [
+    (np.nan, 0.5, ValueError), (0.5, 0.5, ValueError), (0.1, np.nan, SingularLocusError),
+])
+def test_single_point_grid_keeps_the_guards(eps, t, error):
+    for quad in (QUAD, None):
+        with pytest.raises(error):
+            f_eps_minus_one_grid(eps, t, quad)
+
+
 class TestSingularity:
     def test_quarter(self):
         assert abs(singularity_t(0.25) - 1.25) < 1e-15
