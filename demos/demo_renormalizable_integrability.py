@@ -12,12 +12,11 @@ import numpy as np
 
 from perilib import (
     QuadratureSpec,
+    check_renorm_commutation,
     check_renorm_identity,
-    e_hat,
     f_eps,
     f_eps_at_one,
     singularity_t,
-    u_hat,
 )
 
 quad = QuadratureSpec(256)
@@ -35,20 +34,7 @@ for eps in (0.1, 0.2, 0.3, 0.4):
     print(f"  eps={eps}: quadrature {q:.12f}  closed {c:.12f}  diff {q - c:.1e}")
 
 print("\ncommutation |{u_hat, e_hat}| by finite differences (50 points):")
-h, eps, worst = 1e-5, 0.3, 0.0
-for _ in range(50):
-    G = rng.uniform(-0.9, 0.9)
-    g = rng.uniform(-np.pi, np.pi)
-    du = np.array([
-        u_hat(eps, 1, G + h, g, quad) - u_hat(eps, 1, G - h, g, quad),
-        u_hat(eps, 1, G, g + h, quad) - u_hat(eps, 1, G, g - h, quad),
-    ]) / (2 * h)
-    de = np.array([
-        e_hat(eps, 1, G + h, g) - e_hat(eps, 1, G - h, g),
-        e_hat(eps, 1, G, g + h) - e_hat(eps, 1, G, g - h),
-    ]) / (2 * h)
-    worst = max(worst, abs(du[0] * de[1] - du[1] * de[0]))
-print(f"  max = {worst:.3e}")
+print(f"  max = {check_renorm_commutation(0.3, 1.0, 50, quad, rng):.3e}")
 
 print("\napproaching the holomorphy-loss locus t* = eps + 1/(4 eps):")
 t_star = singularity_t(0.25)

@@ -43,6 +43,7 @@ from .normalform import (
 from .portraits import EquilibriumReport, find_equilibria, phase_portrait
 from .potentials import (
     QuadratureSpec,
+    check_renorm_commutation,
     check_renorm_identity,
     e_hat,
     e_hat_aa,

@@ -49,7 +49,12 @@ from .normalform import (
     tf_norm,
 )
 from .portraits import find_equilibria, phase_portrait
-from .potentials import QuadratureSpec, SingularLocusError, check_renorm_identity, e_hat, u_hat
+from .potentials import (
+    QuadratureSpec,
+    SingularLocusError,
+    check_renorm_commutation,
+    check_renorm_identity,
+)
 from .theorem import check_libration_theorem
 
 EXIT_OK = 0
@@ -253,9 +258,9 @@ def cmd_portrait(cfg, out_dir, seed):
         raise ConfigError("portrait: %s" % exc) from exc
     rows = ["# seed,%d" % seed, "level,g,G"]
     for lv, line in lines:
-        for g, G in line:
-            rows.append("%.17g,%.17g,%.17g" % (lv, g, G))
-        rows.append("# polyline,%.17g" % lv)
+        level = "%.17g" % lv
+        rows += [level + ",%.17g,%.17g" % gG for gG in line]
+        rows.append("# polyline," + level)
     _atomic_write(os.path.join(out_dir, "portrait.csv"), "\n".join(rows) + "\n")
     payload = {
         "eps": eps,
@@ -289,27 +294,12 @@ def cmd_verify_renorm(cfg, out_dir, seed):
             )
             return EXIT_GUARD
         worst, rejected = check_renorm_identity(eps, Lam, samples, quad, rng=rng)
-        # commutation check by central differences at 50 points
-        h = 1e-5
-        bracket_worst = 0.0
-        for _ in range(50):
-            G = rng.uniform(-0.9 * Lam, 0.9 * Lam)
-            g = rng.uniform(-np.pi, np.pi)
-            du_G = (u_hat(eps, Lam, G + h, g, quad)
-                    - u_hat(eps, Lam, G - h, g, quad)) / (2 * h)
-            du_g = (u_hat(eps, Lam, G, g + h, quad)
-                    - u_hat(eps, Lam, G, g - h, quad)) / (2 * h)
-            de_G = (e_hat(eps, Lam, G + h, g)
-                    - e_hat(eps, Lam, G - h, g)) / (2 * h)
-            de_g = (e_hat(eps, Lam, G, g + h)
-                    - e_hat(eps, Lam, G, g - h)) / (2 * h)
-            bracket_worst = max(bracket_worst, abs(du_G * de_g - du_g * de_G))
         report.append(
             {
                 "eps": eps,
                 "max_residual": worst,
                 "rejected_samples": rejected,
-                "poisson_bracket_max": bracket_worst,
+                "poisson_bracket_max": check_renorm_commutation(eps, Lam, 50, quad, rng),
             }
         )
     _write_json(

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hamiltonians import SECULAR_PAIRS, chart_named, chart_of, check_domain, gradient
+from .potentials import SingularLocusError
 
 DEFAULT_ENERGY_TOL = 1e-8
 
@@ -68,7 +69,7 @@ def hamiltonian_flow_rhs(energy_grad, pairs):
     def rhs(t, z):
         try:
             dH = energy_grad(z).tolist()
-        except ValueError as exc:  # DomainError and the chart maps' checks
+        except (ValueError, SingularLocusError) as exc:  # DomainError, chart maps, f_eps
             raise IntegrationError("state left the domain at t=%.17g: %s" % (t, exc)) from exc
         out = [0.0] * len(dH)
         for ip, iq in pairs:
@@ -86,9 +87,9 @@ def integrate_flow(energy, energy_grad, z0, T, step_ctrl=StepControl(),
 
     energy_grad acts on one bare state array; energy acts on the (n, 4)
     stack of all output samples at once and returns their n energies.  A
-    ValueError raised by either (the state left the domain) ends the run as
-    IntegrationError.  Terminal events stop the run; the trajectory
-    is sampled on a uniform grid of 2000 points.
+    ValueError or SingularLocusError raised by either (the state left the
+    domain) ends the run as IntegrationError.  Terminal events stop the run;
+    the trajectory is sampled on a uniform grid of 2000 points.
     """
     # imported here: scipy.integrate costs about 0.5 s to import, which
     # commands that never integrate should not pay
@@ -121,7 +122,7 @@ def integrate_flow(energy, energy_grad, z0, T, step_ctrl=StepControl(),
     states = states[order][keep]
     try:
         return times, states, energy(states), sol
-    except ValueError as exc:
+    except (ValueError, SingularLocusError) as exc:
         raise IntegrationError("a sample left the domain: %s" % exc) from exc
 
 
@@ -131,8 +132,8 @@ def integrate(spec, state0, T, *, step_ctrl=StepControl(),
     chart of state0's class (SecularState or ActionAngleState).
 
     state0 outside the physical domain raises DomainError (see
-    hamiltonians.check_domain); leaving it during the run raises
-    IntegrationError.
+    hamiltonians.check_domain); leaving it, or f_eps's singular locus, during
+    the run raises IntegrationError.
 
     domain_guard, when given, is a scalar function of the bare state that is
     positive inside the admissible domain; its zero crossing stops the run

@@ -174,16 +174,6 @@ def solve_kepler_array(e, ell, tol=DEFAULT_TOL):
     return _solve_elliptic(e, np.array(ell, dtype=float), tol).xi
 
 
-def in_strip(x, eps0):
-    """True if x lies in the closed complex strip used for the radial orbit:
-    |Re x - pi| <= pi - 2 sqrt(eps0), |Im x| <= sqrt(eps0).
-    """
-    s = np.sqrt(eps0)
-    return (abs(np.real(x) - np.pi) <= np.pi - 2 * s + 1e-12) and (
-        abs(np.imag(x)) <= s + 1e-12
-    )
-
-
 def solve_kepler_zero_ecc_form(x, tol=DEFAULT_TOL):
     """Solve xi' - sin(xi') = x for the e = 1 (radial orbit) anomaly.
 

@@ -25,8 +25,6 @@ import functools
 import itertools
 import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -253,26 +251,6 @@ def tf_norm(f, w=PLAIN_WEIGHTS):
     return total
 
 
-def tf_sup_complexified(f, w, n_probe=12):
-    """Stress-test sup: coefficients continued to complex I, y, x points at
-    the widths (rho, r, xi) by Chebyshev evaluation; angle weights as in
-    tf_norm.  A sampled lower bound of the polydisc norm.  The probes are
-    closed under conjugation, so the implied mode -k has the sup of k."""
-    total = 0.0
-    widths = [w.rho] * f.n_angles + [w.r, w.xi]
-    probes = []
-    for (lo, hi), width in zip(f.box, widths):
-        base = np.linspace(lo, hi, n_probe)
-        probes.append(np.concatenate([base + 1j * width, base - 1j * width, base]))
-    for (k, _, _), arr in f.coeffs.items():
-        c = arr
-        for axis in range(len(f.grid_shape)):
-            # consume the leading grid axis, appending the probe axis last
-            c = ch.clenshaw(ch.vals_to_coeffs(c, 0), 0, probes[axis], *f.box[axis])
-        total += float(np.max(np.abs(c))) * _weight(k, w.s)
-    return total
-
-
 # ---------------- calculus ----------------
 
 
@@ -293,10 +271,6 @@ def d_grid(f, axis):
     for key, arr in f.coeffs.items():
         out.coeffs[key] = ch.differentiate(arr, axis, lo, hi)
     return out
-
-
-def d_I(f, i=0):
-    return d_grid(f, i)
 
 
 def d_x(f):
@@ -724,20 +698,6 @@ def series_from_dict(d):
         if not np.max(np.abs(arr - implied)) <= CONJ_RTOL * scale:
             raise ShapeError("entry %r is not the conjugate of entry %r" % (k, partner[0]))
     return series
-
-
-def save_series(f, path):
-    """Write the series as structured JSON text (atomic replace)."""
-    payload = json.dumps(series_to_dict(f))
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def load_series(path):

@@ -13,9 +13,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kepler import solve_kepler, solve_kepler_array, xi_prime_real
+from .kepler import solve_kepler, xi_prime_real
 
 RADICAND_FLOOR = 1e-10
+ROW_BLOCK = 32  # rows of u_hat's stack per pass: small temporaries, low peak memory
 # f_eps picks its periodic-trapezoid rule per (eps, t) from this ladder.  The
 # rule converges like exp(-a n), a the half-width of the strip around the
 # real xi axis where the integrand is analytic (Trefethen & Weideman, SIAM
@@ -92,43 +93,49 @@ def rho_p(Lambda, G, ell, g):
     return rho, p
 
 
+def _e_hat_and_e(eps, Lambda, G, g):
+    """(e_hat, eccentricity) at arrays G, g, bitwise as on floats: G^2 by libm's
+    pow, as Python takes it (numpy's G**2 is G*G, a last bit off on ~0.1%)."""
+    u2 = np.float_power(G, 2) / Lambda**2
+    e = np.sqrt(np.maximum(0.0, 1.0 - u2))
+    return e * np.cos(g) + eps * u2, e
+
+
+def _u_hat_stack(eps, Lambda, G, g, e, n):
+    """(u_hat, least radicand) at each pair of arrays G, g of eccentricity e:
+    n nodes a row, ROW_BLOCK rows a pass, each row a lone pair's operations."""
+    _, cxi, sxi = _xi_nodes(n)
+    es, Gs, gs = (np.reshape(x, (-1, 1)) for x in (e, G, g))
+    out = np.empty((2, es.size))
+    for at in (slice(b, b + ROW_BLOCK) for b in range(0, es.size, ROW_BLOCK)):
+        rho = 1.0 - es[at] * cxi
+        p = (cxi - es[at]) * np.cos(gs[at]) - (Gs[at] / Lambda) * sxi * np.sin(gs[at])
+        rad = 1.0 + 2 * eps * p + eps**2 * rho**2
+        with np.errstate(divide="ignore", invalid="ignore"):  # a row below the floor is refused
+            out[:, at] = np.mean(rho / np.sqrt(rad), axis=1), rad.min(axis=1)
+    return out.reshape((2, *np.shape(G)))
+
+
 def u_hat(eps, Lambda, G, g, quad=DEFAULT_QUAD):
     """Rescaled averaged potential (1/2pi) * integral dl / sqrt(1 + 2 eps p + eps^2 rho^2).
 
     Evaluated in the eccentric anomaly (dl = rho dxi), where the integrand is
     analytic uniformly in the eccentricity, so the periodic trapezoid rule
-    converges spectrally even at e = 1.
+    converges spectrally even at e = 1.  Arrays G, g broadcast to a stack of
+    rows, each bitwise its value alone; the first row with a radicand below
+    the floor raises.
     """
-    xi, cxi, sxi = _xi_nodes(quad.n_nodes)
-    e = np.sqrt(max(0.0, 1.0 - G**2 / Lambda**2))
-    rho = 1.0 - e * cxi
-    p = (cxi - e) * np.cos(g) - (G / Lambda) * sxi * np.sin(g)
-    rad = 1.0 + 2 * eps * p + eps**2 * rho**2
-    if rad.min() < RADICAND_FLOOR:
+    G, g = np.broadcast_arrays(np.asarray(G, float), np.asarray(g, float))
+    e = _e_hat_and_e(eps, Lambda, G, g)[1]
+    vals, rad_min = _u_hat_stack(eps, Lambda, G, g, e, quad.n_nodes)
+    low = np.flatnonzero(rad_min < RADICAND_FLOOR)
+    if low.size:
+        i = low[0]
         raise SingularLocusError(
             "u_hat radicand %.3e below floor (eps=%r, G=%r, g=%r)"
-            % (rad.min(), eps, G, g)
+            % (rad_min.flat[i], eps, float(G.flat[i]), float(g.flat[i]))
         )
-    return float(np.mean(rho / np.sqrt(rad)))
-
-
-def u_hat_mean_anomaly(eps, Lambda, G, g, quad=DEFAULT_QUAD):
-    """u_hat by brute-force trapezoid in the mean anomaly itself.
-
-    Loses spectral accuracy as e -> 1 (the integrand has a near-cusp at
-    pericenter); kept as the independent cross-check of the change of
-    variables used by u_hat.
-    """
-    n = quad.n_nodes
-    ell = 2 * np.pi * np.arange(n) / n
-    e = np.sqrt(max(0.0, 1.0 - G**2 / Lambda**2))
-    xi = solve_kepler_array(e, ell)
-    rho = 1.0 - e * np.cos(xi)
-    p = (np.cos(xi) - e) * np.cos(g) - (G / Lambda) * np.sin(xi) * np.sin(g)
-    rad = 1.0 + 2 * eps * p + eps**2 * rho**2
-    if rad.min() < RADICAND_FLOOR:
-        raise SingularLocusError("u_hat radicand below floor")
-    return float(np.mean(1.0 / np.sqrt(rad)))
+    return float(vals) if vals.ndim == 0 else vals
 
 
 def e_hat(eps, Lambda, G, g):
@@ -302,13 +309,20 @@ def singularity_t(eps):
     return eps + 1.0 / (4.0 * eps)
 
 
+def _draw_pairs(rng, k, G_max):
+    """k (G, g) pairs: the draws of k alternating uniform(-G_max, G_max), uniform(-pi, pi)."""
+    low = np.tile([-G_max, -np.pi], k)
+    return rng.uniform(low, -low).reshape(k, 2).T
+
+
 def check_renorm_identity(eps, Lambda=1.0, sample_n=100, quad=DEFAULT_QUAD, rng=None):
     """Max over random admissible (G, g) of |u_hat - f_eps(e_hat)|, u_hat by
     the rule of quad and f_eps by the rule it picks.
 
     Samples G uniform on (-Lambda, Lambda) and g uniform on (-pi, pi);
     samples whose radicand guard trips are redrawn (their count is second in
-    the returned tuple).
+    the returned tuple).  Rounds stack the samples still needed: the draws,
+    rejections and rng state are those of a one-at-a-time loop.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -316,16 +330,34 @@ def check_renorm_identity(eps, Lambda=1.0, sample_n=100, quad=DEFAULT_QUAD, rng=
     rejected = 0
     done = 0
     while done < sample_n:
-        G = rng.uniform(-Lambda, Lambda)
-        g = rng.uniform(-np.pi, np.pi)
-        try:
-            lhs = u_hat(eps, Lambda, G, g, quad)
-            rhs = f_eps(eps, e_hat(eps, Lambda, G, g))
-        except SingularLocusError:
-            rejected += 1
-            if rejected > 100 * sample_n:
-                raise
-            continue
-        worst = max(worst, abs(lhs - rhs))
-        done += 1
+        G, g = _draw_pairs(rng, sample_n - done, Lambda)
+        t, e = _e_hat_and_e(eps, Lambda, G, g)
+        lhs, rad_min = _u_hat_stack(eps, Lambda, G, g, e, quad.n_nodes)
+        # rejected: u_hat's radicand guard, or f_eps past N_MAX (see _n_nodes)
+        beta = _strip_beta(np.full(t.size, float(eps)), t)
+        ok = ~(rad_min < RADICAND_FLOOR) & (beta >= _BETA_MIN[-1])
+        bad = np.flatnonzero(~ok)
+        if rejected + bad.size > 100 * sample_n:
+            # the rejection past the limit raises its own error, u_hat's or f_eps's
+            i = bad[100 * sample_n - rejected]
+            u_hat(eps, Lambda, G[i], g[i], quad)
+            f_eps(eps, t[i])
+        rejected += bad.size
+        done += t.size - bad.size
+        rhs = 1.0 + f_eps_minus_one_grid(eps, t[ok])
+        worst = max([worst, *np.abs(lhs[ok] - rhs).tolist()])
     return worst, rejected
+
+
+def check_renorm_commutation(eps, Lambda, n_points, quad, rng):
+    """Max over n_points random (G, g), G uniform on (-0.9 Lambda, 0.9 Lambda)
+    and g on (-pi, pi), of |{u_hat, e_hat}| = |du/dG de/dg - du/dg de/dG|
+    by central differences of step 1e-5: the four shifted points per sample
+    are one (n_points, 4) stack, so a guard trips where a loop would."""
+    h = 1e-5
+    G, g = _draw_pairs(rng, n_points, 0.9 * Lambda)
+    G, g = G[:, None] + [h, -h, 0.0, 0.0], g[:, None] + [0.0, 0.0, h, -h]
+    u, e = u_hat(eps, Lambda, G, g, quad), _e_hat_and_e(eps, Lambda, G, g)[0]
+    # columns: the partials in G and in g
+    du, de = (u[:, 0::2] - u[:, 1::2]) / (2 * h), (e[:, 0::2] - e[:, 1::2]) / (2 * h)
+    return max([0.0, *np.abs(du[:, 0] * de[:, 1] - du[:, 1] * de[:, 0]).tolist()])

@@ -13,6 +13,7 @@ from perilib.cli import (
     main,
 )
 from perilib.normalform import load_series
+from perilib.portraits import phase_portrait
 
 
 def write_config(tmp_path, text=""):
@@ -515,3 +516,22 @@ def test_json_outputs_compact_with_unchanged_content(tmp_path, monkeypatch, argv
         assert text.count("\n") == 1 and text.endswith("\n")
         # compared as canonical text so that a NaN equals itself
         assert json.dumps(json.loads(text)) == json.dumps(expect)
+
+
+def test_singular_locus_mid_run_exits_3(tmp_path):
+    code, _ = run(tmp_path, "--set", "hamiltonian.Lambda=1e-3", "evolve",
+                  "--state=-100,0,1,0", "--duration", "1")
+    assert code == EXIT_GUARD
+
+
+@pytest.mark.parametrize("seed, eps", [(3, 0.25), (17, 0.75), (2024, 1.5)])
+def test_portrait_csv_matches_the_per_point_rows(tmp_path, seed, eps):
+    code, out = run(tmp_path, "--seed", str(seed), "--set", "portrait.grid=64",
+                    "portrait", "--eps", repr(eps))
+    assert code == EXIT_OK
+    rows = ["# seed,%d" % seed, "level,g,G"]
+    for lv, line in phase_portrait(eps, 1.0, grid=(64, 64), levels=12):
+        for g, G in line:
+            rows.append("%.17g,%.17g,%.17g" % (lv, g, G))
+        rows.append("# polyline,%.17g" % lv)
+    assert (out / "portrait.csv").read_bytes() == ("\n".join(rows) + "\n").encode()

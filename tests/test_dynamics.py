@@ -12,7 +12,7 @@ from perilib.dynamics import (
     integrate_flow,
 )
 from perilib.hamiltonians import DomainError, HamiltonianSpec
-from perilib.potentials import QuadratureSpec
+from perilib.potentials import QuadratureSpec, SingularLocusError
 
 QUAD = QuadratureSpec(256)
 
@@ -186,3 +186,20 @@ class TestDomainContract:
         st = SecularState(0.1, 0.0, 100.0, 0.0)
         with pytest.raises(IntegrationError, match="left the domain"):
             integrate(make_spec(1), st, 20000.0, step_ctrl=StepControl(1e-3, 1e-3))
+
+
+def test_singular_locus_mid_run_is_an_integration_error():
+    # the secular body falls in from r = 1 until eps = 0.49975 at t = 1,
+    # where f_eps needs more than N_MAX nodes
+    spec = HamiltonianSpec(1, 1.0, 1e-3, derive_mass_params(1.0, 1.0))
+    with pytest.raises(IntegrationError, match="needs more than N_MAX") as info:
+        integrate(spec, SecularState(-100.0, 0.0, 1.0, 0.0), 1.0)
+    assert isinstance(info.value.__cause__, SingularLocusError)
+
+
+def test_singular_locus_in_the_sample_energies_is_an_integration_error():
+    def energy(Z):
+        raise SingularLocusError("f_eps past N_MAX")
+
+    with pytest.raises(IntegrationError, match="f_eps past N_MAX"):
+        integrate_flow(energy, lambda z: np.zeros(4), np.ones(4), 1.0)

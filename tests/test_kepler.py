@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from perilib.kepler import (
     KeplerError,
     estimate_c0,
-    in_strip,
     solve_kepler,
     solve_kepler_array,
     solve_kepler_zero_ecc_form,
@@ -89,7 +88,8 @@ def test_vectorized_matches_scalar():
 
 def test_array_solves_radial_eccentricity():
     # e = 1 (a radial orbit, G = 0) is outside solve_kepler's domain but the
-    # mean-anomaly quadrature of potentials.u_hat_mean_anomaly reaches it
+    # mean-anomaly quadrature of u_hat_mean_anomaly in tests/test_potentials.py
+    # reaches it
     ells = np.linspace(0, 2 * np.pi, 41)[:-1]
     xs = solve_kepler_array(1.0, ells)
     assert np.max(np.abs(xs - np.sin(xs) - ells)) <= 1e-14
@@ -152,14 +152,6 @@ def test_c0_extreme_eps0_finite():
 def test_c0_rejects_small_grid():
     with pytest.raises(ValueError):
         estimate_c0(0.25, 8)
-
-
-def test_strip_membership():
-    eps0 = 0.25
-    assert in_strip(np.pi + 0.4j, eps0)
-    assert in_strip(2 * np.pi - 2 * np.sqrt(eps0), eps0)
-    assert not in_strip(0.3, eps0)
-    assert not in_strip(np.pi + 0.8j, eps0)
 
 
 def test_xi_prime_array_matches_scalar():

@@ -6,12 +6,16 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.special import elliprj
 
+import perilib.cli as cli
 from perilib.coords import gg_forward
+from perilib.kepler import solve_kepler_array
 from perilib.potentials import (
     N_LADDER,
     N_MAX,
+    RADICAND_FLOOR,
     QuadratureSpec,
     SingularLocusError,
+    check_renorm_commutation,
     check_renorm_identity,
     e_hat,
     e_hat_aa,
@@ -23,11 +27,29 @@ from perilib.potentials import (
     rho_p,
     singularity_t,
     u_hat,
-    u_hat_mean_anomaly,
 )
-from perilib.potentials import _n_nodes
+from perilib.potentials import _e_hat_and_e, _n_nodes
 
 QUAD = QuadratureSpec(256)
+
+
+def u_hat_mean_anomaly(eps, Lambda, G, g, quad=QUAD):
+    """u_hat by brute-force trapezoid in the mean anomaly itself.
+
+    Loses spectral accuracy as e -> 1 (the integrand has a near-cusp at
+    pericenter); the independent cross-check of the change of variables
+    used by u_hat.
+    """
+    n = quad.n_nodes
+    ell = 2 * np.pi * np.arange(n) / n
+    e = np.sqrt(max(0.0, 1.0 - G**2 / Lambda**2))
+    xi = solve_kepler_array(e, ell)
+    rho = 1.0 - e * np.cos(xi)
+    p = (np.cos(xi) - e) * np.cos(g) - (G / Lambda) * np.sin(xi) * np.sin(g)
+    rad = 1.0 + 2 * eps * p + eps**2 * rho**2
+    if rad.min() < RADICAND_FLOOR:
+        raise SingularLocusError("u_hat radicand below floor")
+    return float(np.mean(1.0 / np.sqrt(rad)))
 
 
 class TestRhoP:
@@ -522,6 +544,188 @@ class TestRenormIdentity:
             de_g = (e_hat(eps, 1, G, g + h) - e_hat(eps, 1, G, g - h)) / (2 * h)
             worst = max(worst, abs(du_G * de_g - du_g * de_G))
         assert worst < 1e-6
+
+
+# ---- the stacked u_hat and renorm checks against the one-pair loops they replaced
+
+
+def ref_u_hat(eps, Lambda, G, g, quad=QUAD):
+    """u_hat of one float pair (G, g), as evaluated before the stack."""
+    xi = 2 * np.pi * np.arange(quad.n_nodes) / quad.n_nodes
+    cxi, sxi = np.cos(xi), np.sin(xi)
+    e = np.sqrt(max(0.0, 1.0 - G**2 / Lambda**2))
+    rho = 1.0 - e * cxi
+    p = (cxi - e) * np.cos(g) - (G / Lambda) * sxi * np.sin(g)
+    rad = 1.0 + 2 * eps * p + eps**2 * rho**2
+    if rad.min() < RADICAND_FLOOR:
+        raise SingularLocusError(
+            "u_hat radicand %.3e below floor (eps=%r, G=%r, g=%r)"
+            % (rad.min(), eps, G, g)
+        )
+    return float(np.mean(rho / np.sqrt(rad)))
+
+
+def ref_check_renorm_identity(eps, Lambda=1.0, sample_n=100, quad=QUAD, rng=None):
+    """check_renorm_identity as one sample at a time."""
+    worst, rejected, done = 0.0, 0, 0
+    while done < sample_n:
+        G = rng.uniform(-Lambda, Lambda)
+        g = rng.uniform(-np.pi, np.pi)
+        try:
+            lhs = ref_u_hat(eps, Lambda, G, g, quad)
+            rhs = f_eps(eps, e_hat(eps, Lambda, G, g))
+        except SingularLocusError:
+            rejected += 1
+            if rejected > 100 * sample_n:
+                raise
+            continue
+        worst = max(worst, abs(lhs - rhs))
+        done += 1
+    return worst, rejected
+
+
+def ref_check_renorm_commutation(eps, Lambda, n_points, quad, rng):
+    """check_renorm_commutation as one sample at a time."""
+    h = 1e-5
+    worst = 0.0
+    for _ in range(n_points):
+        G = rng.uniform(-0.9 * Lambda, 0.9 * Lambda)
+        g = rng.uniform(-np.pi, np.pi)
+        du_G = (ref_u_hat(eps, Lambda, G + h, g, quad)
+                - ref_u_hat(eps, Lambda, G - h, g, quad)) / (2 * h)
+        du_g = (ref_u_hat(eps, Lambda, G, g + h, quad)
+                - ref_u_hat(eps, Lambda, G, g - h, quad)) / (2 * h)
+        de_G = (e_hat(eps, Lambda, G + h, g) - e_hat(eps, Lambda, G - h, g)) / (2 * h)
+        de_g = (e_hat(eps, Lambda, G, g + h) - e_hat(eps, Lambda, G, g - h)) / (2 * h)
+        worst = max(worst, abs(du_G * de_g - du_g * de_G))
+    return worst
+
+
+class Narrow:
+    """A generator whose uniform draws are scaled by shrink, so that the
+    samples crowd (G, g) = (0, 0), where e_hat = 1 and, at eps near 1/2,
+    u_hat's radicand and f_eps's strip both close."""
+
+    def __init__(self, seed, shrink):
+        self.rng, self.shrink = np.random.default_rng(seed), shrink
+
+    def uniform(self, low, high):
+        return self.shrink * self.rng.uniform(low, high)
+
+    def random(self):
+        return self.rng.random()
+
+
+def outcome(f, *args):
+    """f(*args), or the type and text of the SingularLocusError it raises."""
+    try:
+        return f(*args)
+    except SingularLocusError as exc:
+        return (SingularLocusError, str(exc))
+
+
+@settings(max_examples=80, deadline=None)
+@given(eps=st.floats(-0.75, 0.75), Lam=st.floats(0.5, 2.0), m=st.integers(1, 5),
+       data=st.data(), n=st.sampled_from([32, 256]))
+def test_stacked_u_hat_matches_the_one_pair_loop(eps, Lam, m, data, n):
+    # (0, 0) and the edges G = +-Lambda are among the draws; at eps >= 1/2
+    # the radicand closes at (0, 0), so both paths raise there
+    quad = QuadratureSpec(n)
+    pairs = data.draw(st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-np.pi, np.pi)),
+                               min_size=4 * m, max_size=4 * m))
+    G = np.array([a for a, _ in pairs]) * Lam
+    g = np.array([b for _, b in pairs])
+    alone = [outcome(ref_u_hat, eps, Lam, a, b, quad) for a, b in zip(G.tolist(), g.tolist())]
+    for a, b, want in zip(G.tolist(), g.tolist(), alone):
+        got = outcome(u_hat, eps, Lam, a, b, quad)
+        assert got == want and type(got) is type(want)
+    errors = [r for r in alone if isinstance(r, tuple)]
+    for shape in ((4 * m,), (4, m)):
+        got = outcome(u_hat, eps, Lam, G.reshape(shape), g.reshape(shape), quad)
+        if errors:
+            assert got == errors[0]  # the first failing pair in row order
+        else:
+            assert got.shape == shape and got.ravel().tolist() == alone
+
+
+def test_stacked_e_hat_matches_e_hat_on_floats():
+    # G^2 taken by pow, as on floats: numpy's G*G is a last bit off on
+    # about 0.1% of G, which would move u_hat's and e_hat's last bits
+    rng = np.random.default_rng(4)
+    G, g = rng.uniform(-1.3, 1.3, 20000), rng.uniform(-np.pi, np.pi, 20000)
+    t, e = _e_hat_and_e(0.37, 1.3, G, g)
+    assert t.tolist() == [e_hat(0.37, 1.3, a, b) for a, b in zip(G.tolist(), g.tolist())]
+    assert e.tolist() == [np.sqrt(max(0.0, 1.0 - a**2 / 1.3**2)) for a in G.tolist()]
+
+
+def test_stacked_u_hat_broadcasts():
+    g = np.linspace(-3.0, 3.0, 7)
+    assert u_hat(0.3, 1.0, 0.4, g).tolist() == [ref_u_hat(0.3, 1.0, 0.4, b) for b in g.tolist()]
+
+
+def make_rng(seed, shrink):
+    return np.random.default_rng(seed) if shrink == 1.0 else Narrow(seed, shrink)
+
+
+@pytest.mark.parametrize("eps, Lam, sample_n, quad, shrink", [
+    (0.0, 1.0, 20, QUAD, 1.0),
+    (0.3, 1.0, 100, QUAD, 1.0),
+    (-0.3, 1.7, 37, QuadratureSpec(32), 1.0),
+    (0.45, 0.6, 100, QUAD, 1.0),
+    (-0.45, 1.0, 100, QUAD, 1.0),
+    # within 1e-7 of 1/2 and crowding (0, 0): samples are rejected
+    (0.5 - 5e-8, 1.0, 50, QUAD, 1e-3),
+    (0.5 - 5e-8, 1.0, 50, QuadratureSpec(32), 1e-3),
+    (0.5 - 5e-8, 1.3, 7, QUAD, 1e-2),
+])
+def test_identity_check_matches_the_one_sample_loop(eps, Lam, sample_n, quad, shrink):
+    got_rng, ref_rng = make_rng(5, shrink), make_rng(5, shrink)
+    got = check_renorm_identity(eps, Lam, sample_n, quad, rng=got_rng)
+    want = ref_check_renorm_identity(eps, Lam, sample_n, quad, rng=ref_rng)
+    assert got == want and type(got[0]) is float and type(got[1]) is int
+    assert got_rng.random() == ref_rng.random()
+    if shrink < 1e-2:
+        assert got[1] > 0
+
+
+def test_identity_check_raises_past_the_rejection_limit():
+    # every draw is refused: the 301st rejection of sample_n = 3, the first
+    # sample of the 101st round, raises the error that sample raises alone
+    got = outcome(check_renorm_identity, 0.5 - 5e-8, 1.0, 3, QUAD, Narrow(5, 1e-6))
+    want = outcome(ref_check_renorm_identity, 0.5 - 5e-8, 1.0, 3, QUAD, Narrow(5, 1e-6))
+    assert got == want and got[0] is SingularLocusError
+
+
+@pytest.mark.parametrize("eps, Lam, n_points, quad, shrink", [
+    (0.0, 1.0, 5, QUAD, 1.0),
+    (0.3, 1.0, 50, QUAD, 1.0),
+    (-0.45, 1.7, 13, QuadratureSpec(32), 1.0),
+    (0.5 - 5e-8, 1.0, 50, QUAD, 1.0),
+    (0.5 - 5e-8, 1.0, 5, QUAD, 1e-2),
+    # the radicand guard trips: both name the same shifted point
+    (0.5 - 5e-8, 1.0, 5, QUAD, 1e-3),
+    (0.5 - 5e-8, 1.0, 40, QuadratureSpec(32), 1e-5),
+])
+def test_commutation_check_matches_the_one_sample_loop(eps, Lam, n_points, quad, shrink):
+    got_rng, ref_rng = make_rng(11, shrink), make_rng(11, shrink)
+    got = outcome(check_renorm_commutation, eps, Lam, n_points, quad, got_rng)
+    want = outcome(ref_check_renorm_commutation, eps, Lam, n_points, quad, ref_rng)
+    assert got == want
+    if isinstance(got, tuple):  # the loop stops drawing at the error
+        assert shrink <= 1e-3
+    else:
+        assert got_rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("seed", [3, 17, 2024])
+def test_renorm_report_matches_the_one_sample_loops(tmp_path, monkeypatch, seed):
+    argv = ["--seed", str(seed), "verify-renorm", "--eps-list", "0.1,-0.25,0.45,-0.45"]
+    assert cli.main(["--out", str(tmp_path / "stacked"), *argv]) == 0
+    monkeypatch.setattr(cli, "check_renorm_identity", ref_check_renorm_identity)
+    monkeypatch.setattr(cli, "check_renorm_commutation", ref_check_renorm_commutation)
+    assert cli.main(["--out", str(tmp_path / "loop"), *argv]) == 0
+    report = "renorm_report.json"
+    assert (tmp_path / "stacked" / report).read_bytes() == (tmp_path / "loop" / report).read_bytes()
 
 
 def test_quadrature_spec_validation():
