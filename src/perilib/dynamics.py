@@ -127,7 +127,7 @@ def integrate_flow(energy, energy_grad, z0, T, step_ctrl=StepControl(),
 
 
 def integrate(spec, state0, T, *, step_ctrl=StepControl(),
-              energy_tol=DEFAULT_ENERGY_TOL, quad=None, domain_guard=None):
+              energy_tol=DEFAULT_ENERGY_TOL, domain_guard=None):
     """Flow of the reduced Hamiltonian from state0 for duration T, in the
     chart of state0's class (SecularState or ActionAngleState).
 
@@ -141,14 +141,13 @@ def integrate(spec, state0, T, *, step_ctrl=StepControl(),
     detected on the sampled output; the winding-2pi event marks the first
     time the unwrapped angle has varied by 2*pi.
 
-    quad, a QuadratureSpec, pins the node count of every f_eps evaluation;
-    None lets f_eps pick it per call (see potentials.N_LADDER).
+    f_eps picks its trapezoid rule per evaluation (see potentials.N_LADDER).
     """
     chart = chart_of(state0)
     check_domain(spec, state0)
     # the state's fields as floats, so that its gradient computes in floats
-    grad = lambda z: gradient(spec, chart.state(*z.tolist()), quad=quad)
-    energy = lambda Z: chart.energies(spec, Z, quad)
+    grad = lambda z: gradient(spec, chart.state(*z.tolist()))
+    energy = lambda Z: chart.energies(spec, Z)
 
     events = None
     if domain_guard is not None:

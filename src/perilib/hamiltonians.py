@@ -15,9 +15,8 @@ vanishes with eps.
 
 Each chart is declared once, in CHARTS, and a state's class decides its
 chart.  Its energy kernel takes an (n, 4) stack of states (see energies);
-the functions of one state are its n = 1 case.  Every function taking quad
-passes it to f_eps: a QuadratureSpec pins the rule, None (the default) lets
-f_eps pick it per point.
+the functions of one state are its n = 1 case.  f_eps picks its trapezoid
+rule per point (see potentials.N_LADDER).
 """
 
 import math
@@ -93,7 +92,7 @@ def check_domain(spec, state):
         raise DomainError("state %r outside the physical domain (Lambda=%r)" % (state, Lam))
 
 
-def _secular_energies(spec, Z, quad):
+def _secular_energies(spec, Z):
     """Energies of the (n, 4) stack Z of (R, G, r, g) rows: one
     f_eps_minus_one_grid call per term."""
     R, G, r, g = Z.T
@@ -104,13 +103,13 @@ def _secular_energies(spec, Z, quad):
     val = R**2 / (2 * m0) + G**2 / (2 * m0 * r**2)
     for c, s in spec.terms():
         es = s * eps
-        f = 1.0 + potentials.f_eps_minus_one_grid(es, e_hat(es, spec.Lambda, G, g), quad)
+        f = 1.0 + potentials.f_eps_minus_one_grid(es, e_hat(es, spec.Lambda, G, g))
         val -= c * (m0**2 / r) * f
     val -= _bare_coulomb_weight(spec) * m0**2 / r
     return val
 
 
-def _aa_perturbations(spec, Z, quad):
+def _aa_perturbations(spec, Z):
     """aa_perturbation of the (n, 4) stack Z of (Gcal, gamma, y, x) rows: r
     from one array Kepler solve, one f_eps_minus_one_grid call per term."""
     Gc, gam, y, x = Z.T
@@ -120,13 +119,13 @@ def _aa_perturbations(spec, Z, quad):
     pert = eps * (Lam**2 - Gc**2) / (2 * Lam**2) * np.cos(gam) ** 2
     for c, s in spec.terms():
         es = s * eps
-        pert -= c * potentials.f_eps_minus_one_grid(es, e_hat_aa(es, Lam, Gc, gam), quad)
+        pert -= c * potentials.f_eps_minus_one_grid(es, e_hat_aa(es, Lam, Gc, gam))
     return (m0**2 / r) * pert
 
 
-def _action_angle_energies(spec, Z, quad):
+def _action_angle_energies(spec, Z):
     """Energies of the (n, 4) stack Z of (Gcal, gamma, y, x) rows."""
-    return -(spec.m0**5) / (2 * Z[:, 2] ** 2) + _aa_perturbations(spec, Z, quad)
+    return -(spec.m0**5) / (2 * Z[:, 2] ** 2) + _aa_perturbations(spec, Z)
 
 
 def _one_row(state, cls):
@@ -136,34 +135,34 @@ def _one_row(state, cls):
     return state.as_array()[None]
 
 
-def energies(spec, states, chart="secular", quad=None):
+def energies(spec, states, chart="secular"):
     """Energies of an (n, 4) stack of states of the chart named chart, one
     per row: h_secular for "secular", h_action_angle for "action-angle"."""
     Z = np.asarray(states, dtype=float).reshape(-1, 4)
-    return chart_named(chart).energies(spec, Z, quad)
+    return chart_named(chart).energies(spec, Z)
 
 
-def h_secular(spec, state, quad=None):
+def h_secular(spec, state):
     """Energy of the reduced secular system at a (R, G, r, g) state."""
-    return _secular_energies(spec, _one_row(state, SecularState), quad)[0]
+    return _secular_energies(spec, _one_row(state, SecularState))[0]
 
 
-def aa_perturbation(spec, state, quad=None):
+def aa_perturbation(spec, state):
     """The perturbation of the action-angle split: the full energy is
     -m0^5/(2 y^2) plus this term, which vanishes as eps -> 0.
 
     Collects the centrifugal term and the averaged potentials minus their
     limit value 1 (computed cancellation-free, so the tiny-eps regime keeps
     full relative precision)."""
-    return _aa_perturbations(spec, _one_row(state, ActionAngleState), quad)[0]
+    return _aa_perturbations(spec, _one_row(state, ActionAngleState))[0]
 
 
-def h_action_angle(spec, state, quad=None):
+def h_action_angle(spec, state):
     """Energy in the (Gcal, gamma, y, x) chart: -m0^5/(2 y^2) + perturbation.
 
     Agrees with h_secular through the chart maps.
     """
-    return _action_angle_energies(spec, _one_row(state, ActionAngleState), quad)[0]
+    return _action_angle_energies(spec, _one_row(state, ActionAngleState))[0]
 
 
 def v_radial(spec, r):
@@ -192,7 +191,7 @@ def v_radial(spec, r):
     return -(bb / tot) * 2 * m0**2 / (s1 * (sr + s1)) - (b / tot) * m0**2 / r
 
 
-def _grad_secular_analytic(spec, state, quad):
+def _grad_secular_analytic(spec, state):
     R, G, r, g = state.R, state.G, state.r, state.g
     m0, Lam = spec.m0, spec.Lambda
     eps = spec.eps_of_r(r)
@@ -205,7 +204,7 @@ def _grad_secular_analytic(spec, state, quad):
     dH_dg = 0.0
     for c, s in spec.terms():
         es = s * eps
-        F, Ft, Fe = potentials.f_eps_bundle(es, e_cos + es * u2, quad)
+        F, Ft, Fe = potentials.f_eps_bundle(es, e_cos + es * u2)
         dE_dG = -(G / Lam**2) * math.cos(g) / root + 2 * es * G / Lam**2
         dE_dg = -root * math.sin(g)
         dE_des = u2
@@ -215,7 +214,7 @@ def _grad_secular_analytic(spec, state, quad):
     return np.array([R / m0, dH_dG, dH_dr, dH_dg])
 
 
-def _grad_action_angle_analytic(spec, state, quad):
+def _grad_action_angle_analytic(spec, state):
     Gc, gam, y, x = state.Gcal, state.gamma, state.y, state.x
     m0, Lam = spec.m0, spec.Lambda
     _, r, dr_dy, dr_dx = rr_forward_with_jacobian(m0, y, x)
@@ -235,9 +234,9 @@ def _grad_action_angle_analytic(spec, state, quad):
         es = s * eps
         # e_hat_aa(es, Lam, Gc, gam)
         t = u + es * (1.0 - u**2) * c2g
-        # one quadrature pass per term; f - 1 straight from the kernel, since
+        # one f_eps node loop per term; f - 1 straight from the kernel, since
         # F - 1 from f_eps_bundle would cancel at small eps
-        fm1, Ft, Fe = potentials._f_minus_one(es, t, quad, grad=True)
+        fm1, Ft, Fe = potentials._f_minus_one(es, t, grad=True)
         pert -= c * fm1
         dE_dG = 1.0 / Lam - 2 * es * Gc * c2g / Lam**2
         dE_dgam = -es * (1.0 - u**2) * s2g
@@ -258,7 +257,7 @@ def _grad_fd(energy, z):
                      for dz, h in zip(np.diag(steps), steps)])
 
 
-def gradient(spec, state, *, method="analytic", quad=None):
+def gradient(spec, state, *, method="analytic"):
     """Partials of the energy with respect to the variables of the state's
     chart: (dH/dR, dH/dG, dH/dr, dH/dg) at a SecularState, (dH/dGcal,
     dH/dgamma, dH/dy, dH/dx) at an ActionAngleState.
@@ -269,17 +268,17 @@ def gradient(spec, state, *, method="analytic", quad=None):
     """
     chart = chart_of(state)
     if method == "analytic":
-        return chart.gradient(spec, state, quad)
+        return chart.gradient(spec, state)
     if method != "fd":
         raise ValueError("method must be 'analytic' or 'fd', got %r" % (method,))
-    return _grad_fd(lambda z: chart.energies(spec, z[None], quad)[0], state.as_array())
+    return _grad_fd(lambda z: chart.energies(spec, z[None])[0], state.as_array())
 
 
 @dataclass(frozen=True)
 class Chart:
     """One chart of the reduced flow: its state class, (momentum,
-    coordinate) pairs, energies(spec, Z, quad) on (n, 4) stacks,
-    gradient(spec, state, quad), domain rule in_domain(Lambda, z), G along
+    coordinate) pairs, energies(spec, Z) on (n, 4) stacks,
+    gradient(spec, state), domain rule in_domain(Lambda, z), G along
     the rows of Z, and the columns of the libration angle and of Gcal (None
     where the chart has no Gcal)."""
 

@@ -167,13 +167,6 @@ def _solve_elliptic(e, ell, tol):
     return KeplerSolution(xi + 2 * np.pi * k, res, it)
 
 
-def solve_kepler_array(e, ell, tol=DEFAULT_TOL):
-    """Eccentric anomaly for an array of mean anomalies, e in [0, 1]: the
-    solve_kepler iteration on all entries at once."""
-    # a copy, since e = 0 returns ell itself as the solution
-    return _solve_elliptic(e, np.array(ell, dtype=float), tol).xi
-
-
 def solve_kepler_zero_ecc_form(x, tol=DEFAULT_TOL):
     """Solve xi' - sin(xi') = x for the e = 1 (radial orbit) anomaly.
 

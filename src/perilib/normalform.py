@@ -183,11 +183,15 @@ class TFSeries:
         return out
 
 
-def tf_build(fun, box, grid_shape, n_angles=1, fourier_cutoff=8, n_phi=64,
-             coeff_floor_rel=1e-14):
+# tf_build keeps a mode whose sup exceeds this fraction of the largest
+# FFT coefficient
+COEFF_FLOOR = 1e-14
+
+
+def tf_build(fun, box, grid_shape, n_angles=1, fourier_cutoff=8, n_phi=64):
     """Sample a real pointwise evaluator into a TFSeries (real FFT in the
     angles at Chebyshev nodes in the grid variables), keeping the canonical
-    modes.
+    modes above COEFF_FLOOR.
 
     fun receives sparse meshes (I_1, ..., I_n, phi_1, ..., phi_n, y, x), each
     varying along its own axis only, and returns values that broadcast to
@@ -222,7 +226,7 @@ def tf_build(fun, box, grid_shape, n_angles=1, fourier_cutoff=8, n_phi=64,
         flip = k[-1] < 0
         idx = (slice(None),) * n + tuple((-ki if flip else ki) % n_phi for ki in k)
         arr = F[idx]
-        if np.max(np.abs(arr)) > coeff_floor_rel * scale:
+        if np.max(np.abs(arr)) > COEFF_FLOOR * scale:
             # a C-ordered copy, never a view that would keep all of F alive
             series.coeffs[(k, (), ())] = np.array(arr.conj() if flip else arr, order="C")
     return series
@@ -447,13 +451,16 @@ def mode_eigenvalue(freqs, k):
     return lam
 
 
-def nqp_primitive(f_osc, freqs, basepoint=None, n_cc=33):
+CC_NODES = 33  # Clenshaw-Curtis nodes of nqp_primitive's integral along x
+
+
+def nqp_primitive(f_osc, freqs, basepoint=None):
     """Small-divisor-free solution of the homological equation.
 
     For each oscillatory mode,
         phi_k(I, y, x) =
             (1/omega_y) int_b^x f_k(I, y, tau) e^{(lambda/omega_y)(tau-x)} dtau
-    by Clenshaw-Curtis quadrature along tau at every x node, Chebyshev-
+    by the Clenshaw-Curtis rule along tau at every x node, Chebyshev-
     interpolating f along x.  The basepoint b defaults to the lower edge of
     the x box (any choice differs by a homogeneous solution and still solves
     the equation).  Requires the average part of f_osc to vanish.  Only the
@@ -472,12 +479,12 @@ def nqp_primitive(f_osc, freqs, basepoint=None, n_cc=33):
     xs = ch.nodes(n_x, lo, hi)
     # the Clenshaw-Curtis rule on [basepoint, x_c] for every node x_c: the
     # rule on [0, 1] mapped affinely, bit-identical to building it per node
-    t01, w01 = ch.clenshaw_curtis(n_cc, 0.0, 1.0)
+    t01, w01 = ch.clenshaw_curtis(CC_NODES, 0.0, 1.0)
     span = (xs - basepoint)[:, None]
-    tau = basepoint + span * t01  # (n_x, n_cc)
+    tau = basepoint + span * t01  # (n_x, CC_NODES)
     wq = span * w01
     # interp[c, q, :] interpolates grid values along x at tau[c, q]
-    interp = ch.eval_matrix(n_x, tau.ravel(), lo, hi).reshape(n_x, n_cc, n_x)
+    interp = ch.eval_matrix(n_x, tau.ravel(), lo, hi).reshape(n_x, CC_NODES, n_x)
     at_base = np.abs(xs - basepoint) < 1e-15
     out = f_osc.shell()
     inv_wy = 1.0 / freqs.omega_y
@@ -516,6 +523,10 @@ def homological_residual(phi, f_osc, freqs):
 # relative size (to the chain's first term) below which Lie terms are
 # roundoff and stay out of the reported ratio and tail bound
 LIE_RATIO_FLOOR = 1e-12
+# relative size (to the chain's first term) at which a Lie chain stops
+LIE_STOP_FLOOR = 1e-16
+# most Lie orders of each chain in a normal-form step
+STEP_LIE_ORDER = 14
 
 
 @dataclass
@@ -526,13 +537,13 @@ class LieReport:
     tail_bound: float
 
 
-def _lie_chain(L, H, max_order, weights, rel_floor=1e-16):
+def _lie_chain(L, H, max_order, weights):
     """Terms L^j(H)/j!, j = 0, 1, ..., of the time-one Lie flow of the
     generator whose bracket side is L, with their LieReport.
 
-    The chain stops once a term falls to rel_floor of H's norm.  The measured
-    geometric ratio of successive term norms must stay below 1 (broken
-    contraction raises ContractionError); the reported tail bound is
+    The chain stops once a term falls to LIE_STOP_FLOOR of H's norm.  The
+    measured geometric ratio of successive term norms must stay below 1
+    (broken contraction raises ContractionError); the reported tail bound is
     last * ratio / (1 - ratio).  Ratio and last term are taken over the
     terms above LIE_RATIO_FLOOR of H's norm only: the terms below it are
     roundoff, and their ratios move by percents under input changes at
@@ -548,7 +559,7 @@ def _lie_chain(L, H, max_order, weights, rel_floor=1e-16):
         n = tf_norm(term, weights)
         norms.append(n)
         terms.append(term)
-        if n <= rel_floor * base:
+        if n <= LIE_STOP_FLOOR * base:
             break
         if n > LIE_RATIO_FLOOR * base:
             last = n
@@ -559,7 +570,7 @@ def _lie_chain(L, H, max_order, weights, rel_floor=1e-16):
                 "Lie series diverging: term norms %r" % (norms[-3:],)
             )
     tail = last * ratio / (1 - ratio) if ratio < 1 else math.inf
-    if ratio >= 1 and norms[-1] > rel_floor * base:
+    if ratio >= 1 and norms[-1] > LIE_STOP_FLOOR * base:
         raise ContractionError("measured Lie contraction factor %.3f >= 1" % ratio)
     return terms, LieReport(len(norms) - 1, norms, ratio, tail)
 
@@ -572,16 +583,17 @@ def _weighted_sum(terms, weights):
     return total.prune()
 
 
-def lie_transform(H, phi, max_order=16, weights=PLAIN_WEIGHTS, rel_floor=1e-16):
+def lie_transform(H, phi, max_order=16):
     """Time-one Lie flow sum_{j<=max_order} L_phi^j H / j! and its LieReport
-    (contraction guard and tail bound as in _lie_chain)."""
-    terms, report = _lie_chain(_BracketSide(phi), H, max_order, weights, rel_floor)
+    (contraction guard and tail bound as in _lie_chain, norms with
+    PLAIN_WEIGHTS)."""
+    terms, report = _lie_chain(_BracketSide(phi), H, max_order, PLAIN_WEIGHTS)
     return _weighted_sum(terms, [1.0] * len(terms)), report
 
 
 def build_secular_perturbation(spec, eps0, alpha_minus, alpha_plus, delta,
                                grid_shape=(8, 8, 16), fourier_cutoff=8,
-                               n_phi=64, quad=None):
+                               n_phi=64):
     """Band-limited series of the action-angle perturbation of the reduced
     Hamiltonian on the libration domain.
 
@@ -624,7 +636,7 @@ def build_secular_perturbation(spec, eps0, alpha_minus, alpha_plus, delta,
         for c, s in spec.terms():
             es = s * eps
             t = u + es * (1.0 - u**2) * c2g
-            pert = pert - c * f_eps_minus_one_grid(es, t, quad)
+            pert = pert - c * f_eps_minus_one_grid(es, t)
         # np.take keeps the result C-ordered for the FFT
         return np.take(m0**2 / r * pert, fold, axis=1)
 
@@ -663,18 +675,10 @@ def series_to_dict(f):
     }
 
 
-# a k < 0 entry of a file holding both signs must be the conjugate of its
-# k > 0 entry to this fraction of the series sup
-CONJ_RTOL = 1e-12
-
-
 def series_from_dict(d):
     """Inverse of series_to_dict, through the TFSeries key and shape checks
-    (header fields it does not read are ignored; a mode given twice is a
-    ShapeError).  Files that also hold the k < 0 modes load too: those
-    entries are dropped once each is checked to be the conjugate of its
-    k > 0 entry (a missing one reads as zero) within CONJ_RTOL of the series
-    sup, and ShapeError is raised when one is not."""
+    (header fields it does not read are ignored; a mode given twice, or a
+    k < 0 mode, is a ShapeError)."""
     shape = tuple(d["grid_shape"])
     entries = {}
     for entry in d["coeffs"]:
@@ -686,18 +690,8 @@ def series_from_dict(d):
         if key in entries:
             raise ShapeError("two entries for mode %r" % (key[0],))
         entries[key] = (re + 1j * im).reshape(shape, order="C")
-    series = TFSeries(d["n_angles"], d["fourier_cutoff"], [tuple(b) for b in d["box"]],
-                      shape, {key: arr for key, arr in entries.items() if _canonical(key[0])})
-    scale = series.sup()
-    for (k, h, j), arr in entries.items():
-        if _canonical(k):
-            continue
-        partner = (tuple(-ki for ki in k), h, j)
-        series._check_key(partner)
-        implied = np.conj(series.coeffs.get(partner, 0.0))
-        if not np.max(np.abs(arr - implied)) <= CONJ_RTOL * scale:
-            raise ShapeError("entry %r is not the conjugate of entry %r" % (k, partner[0]))
-    return series
+    return TFSeries(d["n_angles"], d["fourier_cutoff"], [tuple(b) for b in d["box"]],
+                    shape, entries)
 
 
 def load_series(path):
@@ -712,6 +706,8 @@ class NormalFormStep:
     osc_norm: float
     residual: float
     contraction: float
+    # terms down to the LIE_STOP_FLOOR stop, a rounding-level threshold: the
+    # count can move by one when the input changes at rounding level
     lie_orders: int = 0
     lie_ratio: float = 0.0
     lie_tail_bound: float = 0.0
@@ -724,8 +720,7 @@ class NormalFormResult:
     steps: list = field(default_factory=list)
 
 
-def normal_form_steps(f, freqs, N, weights=PLAIN_WEIGHTS, basepoint=None,
-                      max_order=14, residual_rtol=None):
+def normal_form_steps(f, freqs, N, weights=PLAIN_WEIGHTS, residual_rtol=None):
     """Iterate the homological step N times.
 
     Each step splits f into average + oscillatory parts, solves the
@@ -733,27 +728,22 @@ def normal_form_steps(f, freqs, N, weights=PLAIN_WEIGHTS, basepoint=None,
     Hamiltonian through the time-one flow and accumulates the average into
     the normal part g.  The drift-part bracket {phi, h} is replaced by its
     defining identity -(oscillatory part), so h never needs differencing.
-    Returns the accumulated g*, the final remainder f*, and per-step norms.
-
-    weights may be one NormWeights or a schedule (sequence, one per step).
+    Returns the accumulated g*, the final remainder f*, and per-step norms;
+    every step's norms are weighted by the one NormWeights weights.
     """
-    schedule = list(weights) if isinstance(weights, (list, tuple)) else [weights] * max(N, 1)
-    if len(schedule) < N:
-        schedule = schedule + [schedule[-1]] * (N - len(schedule))
     g = f.shell()
     fj = f.copy()
     steps = []
     for step in range(N):
-        w = schedule[step]
         avg, osc = tf_average_split(fj)
-        osc_norm = tf_norm(osc, w)
-        f_norm = tf_norm(fj, w)
+        osc_norm = tf_norm(osc, weights)
+        f_norm = tf_norm(fj, weights)
         if osc_norm == 0.0:
             g = (g + avg).prune()
             fj = fj.shell()
             steps.append(NormalFormStep(step, f_norm, 0.0, 0.0, 0.0))
             break
-        phi = nqp_primitive(osc, freqs, basepoint)
+        phi = nqp_primitive(osc, freqs)
         res = homological_residual(phi, osc, freqs)
         rel_res = res.sup() / max(osc.sup(), 1e-300)
         if residual_rtol is not None and rel_res > residual_rtol:
@@ -771,17 +761,17 @@ def normal_form_steps(f, freqs, N, weights=PLAIN_WEIGHTS, basepoint=None,
         # One chain of terms L^j(osc)/j! serves Phi_2(h) (weights 1/(j+1))
         # and e^{L}(osc) (weights 1); phi's side of the bracket is built once.
         L = _BracketSide(phi)
-        chain, lie = _lie_chain(L, osc, max_order, w)
-        tail = [1.0 / (j + 1) for j in range(max_order + 1)]  # L^j/j! -> L^j/(j+1)!
+        chain, lie = _lie_chain(L, osc, STEP_LIE_ORDER, weights)
+        tail = [1.0 / (j + 1) for j in range(STEP_LIE_ORDER + 1)]  # L^j/j! -> L^j/(j+1)!
         f_next = osc + _weighted_sum(chain, tail) * -1.0
         bracket_g = L.bracket(_BracketSide(g_new))
         if bracket_g.coeffs:
-            chain_g, _ = _lie_chain(L, bracket_g, max_order, w)
+            chain_g, _ = _lie_chain(L, bracket_g, STEP_LIE_ORDER, weights)
             f_next = f_next + _weighted_sum(chain_g, tail)
         lie_osc = _weighted_sum(chain, [1.0] * len(chain))
         f_next = f_next + (lie_osc - osc)
         fj = f_next.prune(1e-300)
-        contraction = tf_norm(tf_average_split(fj)[1], w) / osc_norm if osc_norm else 0.0
+        contraction = tf_norm(tf_average_split(fj)[1], weights) / osc_norm if osc_norm else 0.0
         steps.append(NormalFormStep(step, f_norm, osc_norm, rel_res, contraction,
                                     lie.orders, lie.ratio, lie.tail_bound))
         g = g_new

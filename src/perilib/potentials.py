@@ -164,18 +164,17 @@ def _node_sums(eps, t, n, grad=False, floor=None):
     The integrals are the n-node periodic trapezoid rule summed node by node
     over its half range (see _half_range).  eps and t are floats (math.sqrt,
     float results) or (m,) arrays (np.sqrt, (m,) results); both take the
-    same operations in the same order, so they agree bitwise.  With floor,
-    a radicand below it (or NaN) raises SingularLocusError.
+    same operations in the same order, so they agree bitwise.  With floor
+    (floats only), a radicand below it (or NaN) raises SingularLocusError.
     """
-    sqrt, every = (np.sqrt, np.all) if isinstance(eps, np.ndarray) else (math.sqrt, bool)
+    sqrt = np.sqrt if isinstance(eps, np.ndarray) else math.sqrt
     fm1 = ft = fe = 0.0
     for x, wx in _half_range(n):
         ex = eps * x
         u = 2.0 * ex * t - ex * ex
         rad = 1.0 - u
-        if floor is not None and not every(rad >= floor):
-            raise SingularLocusError(
-                "f_eps radicand %.3e below floor at %d nodes" % (np.min(rad), n))
+        if floor is not None and not rad >= floor:
+            raise SingularLocusError("f_eps radicand %.3e below floor at %d nodes" % (rad, n))
         s = sqrt(rad)
         fm1 += wx * u / (s * (1.0 + s))
         if grad:
@@ -234,25 +233,28 @@ def _n_nodes(eps, t):
     raise _too_close(eps, t)
 
 
-def _f_minus_one(eps, t, quad=None, grad=False):
+def _f_minus_one(eps, t, grad=False, n_nodes=None):
     """f_eps(eps, t) - 1 (and with grad its t- and eps-partials) at one
-    point, by the rule of quad, else by the rung _n_nodes picks.  This and
-    f_eps_minus_one_grid are the only places that check |eps| < 1/2; the
-    check is a negated comparison, so NaN fails it too."""
+    point, by the rung _n_nodes picks, or by the n_nodes-node rule under the
+    radicand floor.  This and f_eps_minus_one_grid are the only places that
+    check |eps| < 1/2; the check is a negated comparison, so NaN fails it
+    too."""
     eps, t = float(eps), float(t)
     if not abs(eps) < 0.5:
         raise ValueError("f_eps requires |eps| < 1/2, got %r" % (eps,))
-    if quad is not None:
-        return _node_sums(eps, t, quad.n_nodes, grad, RADICAND_FLOOR)
+    if n_nodes is not None:
+        return _node_sums(eps, t, n_nodes, grad, RADICAND_FLOOR)
     return _node_sums(eps, t, _n_nodes(eps, t), grad)
 
 
 def f_eps(eps, t, quad=None):
     """Renormalizing profile
     (1/2pi) * integral (1 - cos xi) dxi / sqrt(1 - 2 eps (1-cos xi) t + eps^2 (1-cos xi)^2)
-    for |eps| < 1/2 and (eps, t) off the singular locus.  Without quad the
-    rule is picked from the integrand's analytic strip (see N_LADDER)."""
-    return 1.0 + _f_minus_one(eps, t, quad)
+    for |eps| < 1/2 and (eps, t) off the singular locus.  The rule is picked
+    from the integrand's analytic strip (see N_LADDER), unless a
+    QuadratureSpec quad pins it; then a radicand below RADICAND_FLOOR
+    raises SingularLocusError."""
+    return 1.0 + _f_minus_one(eps, t, n_nodes=None if quad is None else quad.n_nodes)
 
 
 def f_eps_at_one(eps):
@@ -263,18 +265,18 @@ def f_eps_at_one(eps):
     return 2.0 / (s * (1.0 + s))
 
 
-def f_eps_bundle(eps, t, quad=None):
+def f_eps_bundle(eps, t):
     """(f_eps, df/dt, df/deps) from one radicand evaluation (flow hot path)."""
-    fm1, ft, fe = _f_minus_one(eps, t, quad, grad=True)
+    fm1, ft, fe = _f_minus_one(eps, t, grad=True)
     return 1.0 + fm1, ft, fe
 
 
-def f_eps_minus_one(eps, t, quad=None):
+def f_eps_minus_one(eps, t):
     """f_eps(eps, t) - 1 without cancellation; exact at eps -> 0."""
-    return _f_minus_one(eps, t, quad)
+    return _f_minus_one(eps, t)
 
 
-def f_eps_minus_one_grid(eps, t, quad=None):
+def f_eps_minus_one_grid(eps, t):
     """Broadcasted f_eps_minus_one over arrays of (eps, t): the points are
     grouped by the rung they need and each group runs the scalar path's
     node loop on vectors, so every value equals the scalar one bitwise.  A
@@ -283,11 +285,9 @@ def f_eps_minus_one_grid(eps, t, quad=None):
     eps_b, t_b = np.broadcast_arrays(np.asarray(eps, float), np.asarray(t, float))
     e, tt = eps_b.ravel(), t_b.ravel()
     if e.size == 1:
-        return np.full(eps_b.shape, _f_minus_one(e[0], tt[0], quad))
+        return np.full(eps_b.shape, _f_minus_one(e[0], tt[0]))
     if not np.all(np.abs(e) < 0.5):
         raise ValueError("f_eps requires |eps| < 1/2, got %r" % (e[~(np.abs(e) < 0.5)][0],))
-    if quad is not None:
-        return _node_sums(e, tt, quad.n_nodes, floor=RADICAND_FLOOR).reshape(eps_b.shape)
     beta = _strip_beta(e, tt)
     bad = ~(beta >= _BETA_MIN[-1])
     if bad.any():

@@ -20,6 +20,7 @@ from .kepler import estimate_c0
 
 DEFAULT_C_UPPER = 10.0  # surrogate C*
 DEFAULT_C_LOWER = 2.0   # surrogate C_*
+C0_GRID = 48  # grid of the estimate_c0 scan
 
 
 @dataclass(frozen=True)
@@ -71,8 +72,7 @@ def holomorphy_width_constant(s0):
 
 
 def check_libration_theorem(spec, eps0, delta, s0, alpha_minus, alpha_plus, N=8,
-                        c_upper=DEFAULT_C_UPPER, c_lower=DEFAULT_C_LOWER,
-                        c0=None, c0_grid=48):
+                        c_upper=DEFAULT_C_UPPER, c_lower=DEFAULT_C_LOWER):
     """Evaluate the full hypothesis system of the libration statement.
 
     Inequalities covered: the parameter ranges 0 < eps0 < 1 and
@@ -86,10 +86,9 @@ def check_libration_theorem(spec, eps0, delta, s0, alpha_minus, alpha_plus, N=8,
     m0 = spec.m0
     beta_low = spec.masses.beta_star(spec.index)
     beta_up = spec.masses.beta_upper(spec.index)
-    if c0 is None:
-        # out-of-range eps0 must surface as failed inequalities, not an
-        # exception: NaN comparisons are False, so every c0-dependent row fails
-        c0 = estimate_c0(eps0, c0_grid) if 0.0 < eps0 < 1.0 else math.nan
+    # out-of-range eps0 must surface as failed inequalities, not an
+    # exception: NaN comparisons are False, so every c0-dependent row fails
+    c0 = estimate_c0(eps0, C0_GRID) if 0.0 < eps0 < 1.0 else math.nan
 
     ineqs = [
         Inequality("eps0-above-zero", 0.0, eps0),
@@ -174,7 +173,7 @@ def scaling_chain_parameters(Lambda=1.0, m0=1.0, eps0=0.25, delta_frac=0.025,
     beta* geometrically inside that window.
     """
     a = Lambda**2 / m0**3
-    c0 = estimate_c0(eps0, 48)
+    c0 = estimate_c0(eps0, C0_GRID)
     delta = delta_frac * Lambda
     # winding demand: one turn within a transit needs roughly
     # beta_bar a / (Lambda y0) * 1.3 / eps0^(1/6) >= 2 pi  (measured scaling)
@@ -231,8 +230,7 @@ class LibrationSummary:
 
 def run_libration_experiment(spec, report, state0,
                              step_ctrl=StepControl(rtol=1e-12, atol=1e-12,
-                                                   method="DOP853"),
-                             quad=None):
+                                                   method="DOP853")):
     """Integrate the action-angle flow under a passing hypothesis report.
 
     The run lasts min(report.T_estimate, three radial transit times) or
@@ -270,7 +268,7 @@ def run_libration_experiment(spec, report, state0,
     # x advances at roughly m0^5/y^3
     transits = 3.0 * (x_hi - np.pi) * state0.y**3 / m0**5
     T = min(report.T_estimate, transits)
-    traj = integrate(spec, state0, T, step_ctrl=step_ctrl, quad=quad, domain_guard=guard)
+    traj = integrate(spec, state0, T, step_ctrl=step_ctrl, domain_guard=guard)
     winding, squeezes, drift = detect_libration(traj, spec)
     r_vals = radial_radius(m0, traj.states[:, 2], traj.states[:, 3])
     summary = LibrationSummary(

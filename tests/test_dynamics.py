@@ -12,9 +12,7 @@ from perilib.dynamics import (
     integrate_flow,
 )
 from perilib.hamiltonians import DomainError, HamiltonianSpec
-from perilib.potentials import QuadratureSpec, SingularLocusError
-
-QUAD = QuadratureSpec(256)
+from perilib.potentials import SingularLocusError
 
 
 def make_spec(index=1):

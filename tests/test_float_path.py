@@ -17,7 +17,7 @@ from perilib.dynamics import IntegrationError, StepControl, integrate
 from perilib.hamiltonians import (HamiltonianSpec, _bare_coulomb_weight,
                                   _grad_action_angle_analytic, _grad_secular_analytic, gradient)
 from perilib.kepler import _newton_bisect, solve_kepler_zero_ecc_form
-from perilib.potentials import QuadratureSpec, e_hat, e_hat_aa
+from perilib.potentials import e_hat, e_hat_aa
 
 TWO_PI = 2 * np.pi
 
@@ -57,7 +57,7 @@ def ref_rr_forward_with_jacobian(m0, y, x):
     return R, r, dr_dy, dr_dx
 
 
-def ref_grad_secular(spec, state, quad):
+def ref_grad_secular(spec, state):
     R, G, r, g = state.R, state.G, state.r, state.g
     m0, Lam = spec.m0, spec.Lambda
     eps = spec.eps_of_r(r)
@@ -74,7 +74,7 @@ def ref_grad_secular(spec, state, quad):
     for c, s in spec.terms():
         es = s * eps
         t = e_hat(es, Lam, G, g)
-        F, Ft, Fe = potentials.f_eps_bundle(es, t, quad)
+        F, Ft, Fe = potentials.f_eps_bundle(es, t)
         dE_dG = -(G / Lam**2) * np.cos(g) / root + 2 * es * G / Lam**2
         dE_dg = -root * np.sin(g)
         dE_des = u2
@@ -84,7 +84,7 @@ def ref_grad_secular(spec, state, quad):
     return dH
 
 
-def ref_grad_action_angle(spec, state, quad):
+def ref_grad_action_angle(spec, state):
     Gc, gam, y, x = state.Gcal, state.gamma, state.y, state.x
     m0, Lam = spec.m0, spec.Lambda
     _, r, dr_dy, dr_dx = ref_rr_forward_with_jacobian(m0, y, x)
@@ -101,7 +101,7 @@ def ref_grad_action_angle(spec, state, quad):
     for c, s in spec.terms():
         es = s * eps
         t = e_hat_aa(es, Lam, Gc, gam)
-        fm1, Ft, Fe = potentials._f_minus_one(es, t, quad, grad=True)
+        fm1, Ft, Fe = potentials._f_minus_one(es, t, grad=True)
         pert -= c * fm1
         dE_dG = 1.0 / Lam - 2 * es * Gc * c2g / Lam**2
         dE_dgam = -es * (1.0 - u**2) * s2g
@@ -115,12 +115,12 @@ def ref_grad_action_angle(spec, state, quad):
     return np.array([df_dG, df_dgam, dH_dy, dH_dx])
 
 
-def ref_gradient(spec, state, *, quad=None):
+def ref_gradient(spec, state):
     """gradient through the reference kernels, on a state whose fields are
     numpy scalars (as the flow passed them)."""
     state = type(state)(*(np.float64(v) for v in state.as_array()))
     kernel = ref_grad_secular if isinstance(state, SecularState) else ref_grad_action_angle
-    return kernel(spec, state, quad)
+    return kernel(spec, state)
 
 
 def ref_flow_rhs(energy_grad, pairs):
@@ -156,7 +156,6 @@ def make_spec(index, Lambda=1.0, m0=1.0):
 unit = st.floats(min_value=-1.0, max_value=1.0)
 angle = st.floats(min_value=-np.pi, max_value=np.pi)
 x_inside = st.floats(min_value=X_COLLISION, max_value=TWO_PI - X_COLLISION)
-quads = st.sampled_from([None, QuadratureSpec(32)])
 
 
 # ---------------- the premise ----------------
@@ -210,28 +209,26 @@ def test_radial_chart_collision_matches_reference(x):
 
 
 @settings(max_examples=300, deadline=None)
-@given(index=st.sampled_from([1, 2]), quad=quads,
+@given(index=st.sampled_from([1, 2]),
        R=st.floats(min_value=-2.0, max_value=2.0), G=unit, g=angle,
        r=st.floats(min_value=2.0, max_value=300.0))
-def test_secular_gradient_matches_reference(index, quad, R, G, g, r):
+def test_secular_gradient_matches_reference(index, R, G, g, r):
     spec = make_spec(index)
     state = SecularState(R, G, r, g)
-    assert outcome(_grad_secular_analytic, spec, state, quad) == outcome(
-        ref_grad_secular, spec, SecularState(*map(np.float64, (R, G, r, g))), quad)
-    if quad is None:
-        assert outcome(gradient, spec, state) == outcome(ref_gradient, spec, state)
+    assert outcome(_grad_secular_analytic, spec, state) == outcome(
+        ref_grad_secular, spec, SecularState(*map(np.float64, (R, G, r, g))))
+    assert outcome(gradient, spec, state) == outcome(ref_gradient, spec, state)
 
 
 @settings(max_examples=300, deadline=None)
-@given(index=st.sampled_from([1, 2]), quad=quads, Gc=unit, gam=angle,
+@given(index=st.sampled_from([1, 2]), Gc=unit, gam=angle,
        y=st.floats(min_value=1.0, max_value=40.0), x=x_inside)
-def test_action_angle_gradient_matches_reference(index, quad, Gc, gam, y, x):
+def test_action_angle_gradient_matches_reference(index, Gc, gam, y, x):
     spec = make_spec(index)
     state = ActionAngleState(Gc, gam, y, x)
-    assert outcome(_grad_action_angle_analytic, spec, state, quad) == outcome(
-        ref_grad_action_angle, spec, ActionAngleState(*map(np.float64, (Gc, gam, y, x))), quad)
-    if quad is None:
-        assert outcome(gradient, spec, state) == outcome(ref_gradient, spec, state)
+    assert outcome(_grad_action_angle_analytic, spec, state) == outcome(
+        ref_grad_action_angle, spec, ActionAngleState(*map(np.float64, (Gc, gam, y, x))))
+    assert outcome(gradient, spec, state) == outcome(ref_gradient, spec, state)
 
 
 @pytest.mark.parametrize("index", [1, 2])

@@ -22,12 +22,10 @@ from perilib.hamiltonians import (
     h_secular,
     v_radial,
 )
-from perilib.potentials import QuadratureSpec, e_hat, e_hat_aa
-
-QUAD = QuadratureSpec(256)
+from perilib.potentials import e_hat, e_hat_aa
 
 
-def ref_h_secular(spec, state, quad=QUAD):
+def ref_h_secular(spec, state):
     """The scalar energy loop of the secular chart, one f_eps call per term,
     as it stood before the energies took stacks of states."""
     R, G, r, g = state.R, state.G, state.r, state.g
@@ -36,14 +34,14 @@ def ref_h_secular(spec, state, quad=QUAD):
     val = R**2 / (2 * m0) + G**2 / (2 * m0 * r**2)
     for c, s in spec.terms():
         es = s * eps
-        val -= c * (m0**2 / r) * potentials.f_eps(es, e_hat(es, spec.Lambda, G, g), quad)
+        val -= c * (m0**2 / r) * potentials.f_eps(es, e_hat(es, spec.Lambda, G, g))
     if spec.index == 2:
         b, bb = spec.masses.beta, spec.masses.beta_bar
         val -= b / (b + bb) * m0**2 / r
     return val
 
 
-def ref_h_action_angle(spec, state, quad=QUAD):
+def ref_h_action_angle(spec, state):
     """The scalar energy loop of the action-angle chart: one scalar Kepler
     solve and one f_eps_minus_one call per term."""
     Gc, gam, y, x = state.Gcal, state.gamma, state.y, state.x
@@ -53,7 +51,7 @@ def ref_h_action_angle(spec, state, quad=QUAD):
     pert = eps * (Lam**2 - Gc**2) / (2 * Lam**2) * np.cos(gam) ** 2
     for c, s in spec.terms():
         es = s * eps
-        pert -= c * potentials.f_eps_minus_one(es, e_hat_aa(es, Lam, Gc, gam), quad)
+        pert -= c * potentials.f_eps_minus_one(es, e_hat_aa(es, Lam, Gc, gam))
     return -(m0**5) / (2 * y**2) + (m0**2 / r) * pert
 
 
@@ -68,7 +66,7 @@ class TestSecular:
             for r in (8.0, 12.0, 30.0):
                 st = SecularState(0.4, 0.0, r, 0.0)
                 expect = st.R**2 / (2 * spec.m0) + v_radial(spec, r)
-                assert abs(h_secular(spec, st, QUAD) - expect) < 1e-10
+                assert abs(h_secular(spec, st) - expect) < 1e-10
 
     def test_large_r_asymptotics(self):
         spec = make_spec(1)
@@ -76,7 +74,7 @@ class TestSecular:
         st = SecularState(0.2, 0.5, r, 1.1)
         kepler_like = st.R**2 / 2 + st.G**2 / (2 * r**2) - 1.0 / r
         # the correction is O(eps/r) = O(1/r^2)
-        assert abs(h_secular(spec, st, QUAD) - kepler_like) < 10.0 / r**2
+        assert abs(h_secular(spec, st) - kepler_like) < 10.0 / r**2
 
     def test_even_in_G_and_g(self):
         spec = make_spec(2)
@@ -86,9 +84,9 @@ class TestSecular:
             G = rng.uniform(-0.99, 0.99)
             r = rng.uniform(8, 40)
             g = rng.uniform(-np.pi, np.pi)
-            v = h_secular(spec, SecularState(R, G, r, g), QUAD)
-            assert abs(v - h_secular(spec, SecularState(R, -G, r, g), QUAD)) < 1e-14
-            assert abs(v - h_secular(spec, SecularState(R, G, r, -g), QUAD)) < 1e-14
+            v = h_secular(spec, SecularState(R, G, r, g))
+            assert abs(v - h_secular(spec, SecularState(R, -G, r, g))) < 1e-14
+            assert abs(v - h_secular(spec, SecularState(R, G, r, -g))) < 1e-14
 
     def test_f_eps_call_count(self, monkeypatch):
         # one f_eps quadrature call per averaged-potential term
@@ -100,17 +98,17 @@ class TestSecular:
             return orig(*a, **k)
 
         monkeypatch.setattr(potentials, "f_eps_minus_one_grid", counting)
-        h_secular(make_spec(1), SecularState(0.1, 0.3, 10.0, 0.5), QUAD)
+        h_secular(make_spec(1), SecularState(0.1, 0.3, 10.0, 0.5))
         assert calls["n"] == 2
         calls["n"] = 0
-        h_secular(make_spec(2), SecularState(0.1, 0.3, 10.0, 0.5), QUAD)
+        h_secular(make_spec(2), SecularState(0.1, 0.3, 10.0, 0.5))
         assert calls["n"] == 1
 
     def test_zero_G_removes_centrifugal_term(self):
         # embodiment of |y'|^2 = R^2 + G^2/r^2: with G = 0 the energy is the
         # purely radial one at any g on the invariant manifolds
         spec = make_spec(1)
-        a = h_secular(spec, SecularState(0.3, 0.0, 9.0, 0.0), QUAD)
+        a = h_secular(spec, SecularState(0.3, 0.0, 9.0, 0.0))
         assert abs(a - (0.3**2 / 2 + v_radial(spec, 9.0))) < 1e-10
 
 
@@ -159,7 +157,7 @@ class TestActionAngle:
                 G, g = gg_forward(spec.Lambda, Gc, gam)
                 sec = SecularState(R, G, r, g)
                 assert abs(
-                    h_action_angle(spec, aa, QUAD) - h_secular(spec, sec, QUAD)
+                    h_action_angle(spec, aa) - h_secular(spec, sec)
                 ) < 1e-10
 
     def test_chart_center_matches_radial(self):
@@ -168,7 +166,7 @@ class TestActionAngle:
         aa = ActionAngleState(spec.Lambda, 0.9, y, x)
         R, r = rr_forward(spec.m0, y, x)
         expect = R**2 / (2 * spec.m0) + v_radial(spec, r)
-        assert abs(h_action_angle(spec, aa, QUAD) - expect) < 1e-10
+        assert abs(h_action_angle(spec, aa) - expect) < 1e-10
 
     def test_apoapsis_large_y_asymptotics(self):
         spec = make_spec(1)
@@ -176,7 +174,7 @@ class TestActionAngle:
         aa = ActionAngleState(0.8, 0.4, y, np.pi)
         h0 = -spec.m0**5 / (2 * y**2)
         # r = 2 y^2 so the perturbation is O(eps/r) = O(1/r^2)
-        assert abs(h_action_angle(spec, aa, QUAD) - h0) < 1e-6
+        assert abs(h_action_angle(spec, aa) - h0) < 1e-6
 
 
 class TestGradient:
@@ -258,12 +256,12 @@ class TestStackedEnergies:
                     else (ref_h_action_angle, ActionAngleState))
         # 150 rows through one f_eps_minus_one_grid call per term
         Z = self.draw(np.random.default_rng(30 + index), chart, 150)
-        got = energies(spec, Z, chart, QUAD)
+        got = energies(spec, Z, chart)
         expect = np.array([ref(spec, cls(*z)) for z in Z])
         assert got.shape == (150,)
         assert np.max(np.abs(got - expect) / np.abs(expect)) <= 1e-15
         one = h_secular if chart == "secular" else h_action_angle
-        assert [one(spec, cls(*z), QUAD) for z in Z[:5]] == list(got[:5])
+        assert [one(spec, cls(*z)) for z in Z[:5]] == list(got[:5])
 
     @pytest.mark.parametrize("chart, state", [
         ("secular", SecularState(0.02, 0.3, 30.0, 0.4)),
@@ -274,7 +272,7 @@ class TestStackedEnergies:
         from perilib.dynamics import StepControl, integrate
 
         spec = make_spec(2)
-        traj = integrate(spec, state, 40.0, step_ctrl=StepControl(1e-10, 1e-10), quad=QUAD)
+        traj = integrate(spec, state, 40.0, step_ctrl=StepControl(1e-10, 1e-10))
         ref, cls = ((ref_h_secular, SecularState) if chart == "secular"
                     else (ref_h_action_angle, ActionAngleState))
         expect = np.array([ref(spec, cls(*z)) for z in traj.states])
@@ -283,9 +281,9 @@ class TestStackedEnergies:
     def test_aa_perturbation_is_the_one_state_case(self):
         spec = make_spec(2)
         Z = self.draw(np.random.default_rng(33), "action-angle", 4)
-        whole = energies(spec, Z, "action-angle", QUAD)
+        whole = energies(spec, Z, "action-angle")
         for z, E in zip(Z, whole):
-            pert = aa_perturbation(spec, ActionAngleState(*z), QUAD)
+            pert = aa_perturbation(spec, ActionAngleState(*z))
             assert -(spec.m0**5) / (2 * z[2] ** 2) + pert == E
 
     def test_kernel_guards_kept(self):

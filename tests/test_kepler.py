@@ -3,14 +3,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from perilib.kepler import (
+    DEFAULT_TOL,
     KeplerError,
+    _solve_elliptic,
     estimate_c0,
     solve_kepler,
-    solve_kepler_array,
     solve_kepler_zero_ecc_form,
     xi_prime_array,
     xi_prime_real,
 )
+
+
+def solve_kepler_array(e, ell):
+    """Eccentric anomaly for an array of mean anomalies, e in [0, 1]: the
+    solve_kepler iteration on all entries at once."""
+    # a copy, since e = 0 returns ell itself as the solution
+    return _solve_elliptic(e, np.array(ell, dtype=float), DEFAULT_TOL).xi
 
 
 def bisect(f, a, b, tol=1e-15):
@@ -254,8 +262,6 @@ def test_xi_prime_array_matches_per_entry_loop(xs):
 @given(e=st.sampled_from([0.0, 0.1, 0.6, 0.97, 1.0]),
        ells=st.lists(st.floats(min_value=-30.0, max_value=30.0), min_size=1, max_size=40))
 def test_solve_kepler_array_matches_per_entry_loop(e, ells):
-    from perilib.kepler import _solve_elliptic
-
     got = solve_kepler_array(e, ells)
     assert np.array_equal(got, [_solve_elliptic(e, v, 1e-14).xi for v in ells])
 

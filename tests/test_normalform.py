@@ -161,7 +161,7 @@ def ref_secular_build(spec, eps0, alpha_minus, alpha_plus, delta, grid_shape,
     """build_secular_perturbation's series with the perturbation evaluated at
     every gamma sample of the full (Gcal, gamma, y, x) mesh."""
     from perilib.kepler import xi_prime_array
-    from perilib.potentials import DEFAULT_QUAD, f_eps_minus_one_grid
+    from perilib.potentials import f_eps_minus_one_grid
 
     m0, Lam = spec.m0, spec.Lambda
     box = [
@@ -180,7 +180,7 @@ def ref_secular_build(spec, eps0, alpha_minus, alpha_plus, delta, grid_shape,
         for c, s in spec.terms():
             es = s * eps
             t = u + es * (1.0 - u**2) * c2g
-            pert = pert - c * f_eps_minus_one_grid(es, t, DEFAULT_QUAD)
+            pert = pert - c * f_eps_minus_one_grid(es, t)
         return m0**2 / r * pert
 
     return tf_build(fun, box, grid_shape, n_angles=1,
@@ -713,40 +713,18 @@ class TestSerialization:
         for key, arr in f.coeffs.items():
             assert g.coeffs[key].tobytes() == arr.tobytes()
 
-    @staticmethod
-    def both_signs_dict(f, bump=0.0):
-        """f written as files held it before only k >= 0 was stored: every
-        mode with its k < 0 partner, each k < 0 entry moved by bump * sup in
-        its first value."""
-        d = series_to_dict(expand(f))
-        for entry in d["coeffs"]:
-            if entry["k"][0] < 0:
-                entry["re"][0] += bump * f.sup()
-        return d
-
-    @pytest.mark.parametrize("bump", [0.0, 3e-14])
-    def test_both_signs_file_loads_bitwise(self, bump):
+    def test_negative_mode_is_rejected(self):
+        # only k >= 0 is stored: a file holding a k < 0 entry, beside its
+        # k > 0 partner or alone, fails the key check
         rng = np.random.default_rng(18)
-        f = rand_series(rng)
-        d = self.both_signs_dict(f, bump)
-        assert len(d["coeffs"]) == 2 * len(f.coeffs) - 1
-        g = series_from_dict(d)
-        assert list(g.coeffs) == sorted(f.coeffs)
-        for key, arr in f.coeffs.items():
-            assert g.coeffs[key].tobytes() == arr.tobytes()
-
-    def test_corrupted_negative_entry_raises(self):
-        rng = np.random.default_rng(19)
-        d = self.both_signs_dict(rand_series(rng), bump=1e-9)
-        with pytest.raises(ShapeError, match="conjugate"):
+        d = series_to_dict(expand(rand_series(rng)))
+        assert any(entry["k"][0] < 0 for entry in d["coeffs"])
+        with pytest.raises(ShapeError, match="not stored"):
             series_from_dict(d)
-
-    def test_unpaired_negative_entry_raises(self):
-        rng = np.random.default_rng(20)
         f = rand_series(rng, cutoff=2)
         d = series_to_dict(f)
         d["coeffs"][2]["k"] = [-2]  # a k = -2 with no k = 2
-        with pytest.raises(ShapeError, match="conjugate"):
+        with pytest.raises(ShapeError, match="not stored"):
             series_from_dict(d)
         d = series_to_dict(f)
         d["coeffs"].append(dict(d["coeffs"][1], k=[-7]))  # beyond the cutoff
@@ -817,9 +795,9 @@ class TestSecularBuild:
         shapes = []
         real_grid = pot.f_eps_minus_one_grid
 
-        def counting_grid(eps, t, quad=pot.DEFAULT_QUAD):
+        def counting_grid(eps, t):
             shapes.append(np.broadcast_shapes(np.shape(eps), np.shape(t)))
-            return real_grid(eps, t, quad)
+            return real_grid(eps, t)
 
         monkeypatch.setattr(pot, "f_eps_minus_one_grid", counting_grid)
         got, _ = build_secular_perturbation(

@@ -8,7 +8,7 @@ from scipy.special import elliprj
 
 import perilib.cli as cli
 from perilib.coords import gg_forward
-from perilib.kepler import solve_kepler_array
+from perilib.kepler import DEFAULT_TOL, _solve_elliptic
 from perilib.potentials import (
     N_LADDER,
     N_MAX,
@@ -28,7 +28,7 @@ from perilib.potentials import (
     singularity_t,
     u_hat,
 )
-from perilib.potentials import _e_hat_and_e, _n_nodes
+from perilib.potentials import _e_hat_and_e, _n_nodes, _node_sums
 
 QUAD = QuadratureSpec(256)
 
@@ -43,7 +43,7 @@ def u_hat_mean_anomaly(eps, Lambda, G, g, quad=QUAD):
     n = quad.n_nodes
     ell = 2 * np.pi * np.arange(n) / n
     e = np.sqrt(max(0.0, 1.0 - G**2 / Lambda**2))
-    xi = solve_kepler_array(e, ell)
+    xi = _solve_elliptic(e, ell, DEFAULT_TOL).xi  # every entry's Kepler solve at once
     rho = 1.0 - e * np.cos(xi)
     p = (np.cos(xi) - e) * np.cos(g) - (G / Lambda) * np.sin(xi) * np.sin(g)
     rad = 1.0 + 2 * eps * p + eps**2 * rho**2
@@ -176,23 +176,23 @@ class TestFEps:
 
 class TestFEpsDerivative:
     def test_eps_zero(self):
-        assert f_eps_bundle(0.0, 0.4, QUAD)[1] == 0.0
+        assert f_eps_bundle(0.0, 0.4)[1] == 0.0
 
     def test_matches_finite_difference(self):
         h = 1e-5
         for eps, t in [(0.25, 0.0), (0.3, 0.8), (-0.2, -0.5)]:
-            fd = (f_eps(eps, t + h, QUAD) - f_eps(eps, t - h, QUAD)) / (2 * h)
-            assert abs(f_eps_bundle(eps, t, QUAD)[1] - fd) < 1e-7
+            fd = (f_eps(eps, t + h) - f_eps(eps, t - h)) / (2 * h)
+            assert abs(f_eps_bundle(eps, t)[1] - fd) < 1e-7
 
     def test_positive_for_positive_eps(self):
         for t in (-0.9, 0.0, 0.9):
-            assert f_eps_bundle(0.3, t, QUAD)[1] > 0
+            assert f_eps_bundle(0.3, t)[1] > 0
 
     def test_eps_partial_matches_fd(self):
         h = 1e-6
         for eps, t in [(0.25, 0.3), (-0.15, 0.9)]:
-            fd = (f_eps(eps + h, t, QUAD) - f_eps(eps - h, t, QUAD)) / (2 * h)
-            assert abs(f_eps_bundle(eps, t, QUAD)[2] - fd) < 1e-6
+            fd = (f_eps(eps + h, t) - f_eps(eps - h, t)) / (2 * h)
+            assert abs(f_eps_bundle(eps, t)[2] - fd) < 1e-6
 
 
 # the radicand (1 - eps X t)^2 + eps^2 X^2 (1 - t^2) stays above the floor
@@ -205,19 +205,18 @@ _t = st.floats(min_value=-0.9, max_value=0.9)
 @given(
     eps=st.lists(_eps, min_size=1, max_size=5),
     t=st.lists(_t, min_size=1, max_size=4),
-    quad=st.sampled_from([QuadratureSpec(32), QUAD, None]),
 )
-def test_grid_matches_scalar_wrappers(eps, t, quad):
+def test_grid_matches_scalar_wrappers(eps, t):
     # an (n_eps, 1) column against an (n_t,) row broadcasts to (n_eps, n_t)
     E = np.array(eps)[:, None]
     T = np.array(t)[None, :]
-    grid = f_eps_minus_one_grid(E, T, quad)
+    grid = f_eps_minus_one_grid(E, T)
     assert grid.shape == (len(eps), len(t))
     for i, e in enumerate(eps):
         for j, tt in enumerate(t):
-            fm1 = f_eps_minus_one(e, tt, quad)
+            fm1 = f_eps_minus_one(e, tt)
             assert grid[i, j] == fm1
-            assert f_eps_bundle(e, tt, quad)[0] == f_eps(e, tt, quad) == 1 + fm1
+            assert f_eps_bundle(e, tt)[0] == f_eps(e, tt) == 1 + fm1
 
 
 def ref_f_minus_one(eps, t, n):
@@ -241,16 +240,16 @@ def ref_f_minus_one(eps, t, n):
     log_eps=st.floats(min_value=-12.0, max_value=np.log10(0.49)),
     sign=st.sampled_from([-1.0, 1.0]),
     t=st.floats(min_value=-1.0, max_value=1.0),
-    quad=st.sampled_from([QuadratureSpec(32), QuadratureSpec(34), QUAD]),
+    n=st.sampled_from([32, 34, 256]),
 )
-def test_half_range_matches_full_range(log_eps, sign, t, quad):
+def test_half_range_matches_full_range(log_eps, sign, t, n):
     # the kernel sums the folded half range; relative errors alone reach
     # 1e-13 where f - 1 nearly cancels, so the bound uses the integrand scale
     eps = sign * 10.0**log_eps
-    _, ft, fe = f_eps_bundle(eps, t, quad)
-    got = (f_eps_minus_one(eps, t, quad), ft, fe)
-    for value, (expect, scale) in zip(got, ref_f_minus_one(eps, t, quad.n_nodes)):
+    got = _node_sums(eps, t, n, grad=True)
+    for value, (expect, scale) in zip(got, ref_f_minus_one(eps, t, n)):
         assert abs(value - expect) <= 2e-15 * scale
+    assert f_eps(eps, t, QuadratureSpec(n)) == 1.0 + got[0]
 
 
 def test_grid_across_chunk_boundary():
@@ -268,25 +267,26 @@ def test_grid_across_chunk_boundary():
 
 @pytest.mark.parametrize("kernel", [f_eps, f_eps_bundle, f_eps_minus_one])
 def test_nan_input_raises_on_scalar_path(kernel):
+    # f_eps on its pinned rule, under the radicand floor; the others on the
+    # rule picked from the strip
+    rule = (QUAD,) if kernel is f_eps else ()
     with pytest.raises(ValueError):
-        kernel(np.nan, 0.5, QUAD)
+        kernel(np.nan, 0.5, *rule)
     with pytest.raises(SingularLocusError):
-        kernel(0.1, np.nan, QUAD)
+        kernel(0.1, np.nan, *rule)
 
 
 def test_nan_input_raises_on_grid_path():
-    # the NaN sits after points of several rungs, pinned rule and picked
+    # the NaN sits after points of several rungs
     n = 128
     eps = np.linspace(0.001, 0.45, n)
     eps[-1] = np.nan
-    for quad in (QUAD, None):
-        with pytest.raises(ValueError):
-            f_eps_minus_one_grid(eps, 0.5, quad)
+    with pytest.raises(ValueError):
+        f_eps_minus_one_grid(eps, 0.5)
     t = np.linspace(-0.9, 0.9, n)
     t[-1] = np.nan
-    for quad in (QUAD, None):
-        with pytest.raises(SingularLocusError):
-            f_eps_minus_one_grid(0.4, t, quad)
+    with pytest.raises(SingularLocusError):
+        f_eps_minus_one_grid(0.4, t)
 
 
 # --- the rule picked from the analytic strip --------------------------------
@@ -468,14 +468,14 @@ def test_grid_straddling_rungs_matches_scalar(points):
 
 
 @settings(max_examples=100, deadline=None)
-@given(point=strip_points(), quad=st.sampled_from([None, QuadratureSpec(32)]))
-def test_single_point_grid_matches_the_vector_loop(point, quad):
+@given(point=strip_points())
+def test_single_point_grid_matches_the_vector_loop(point):
     # one point takes the float loop; beside a second point it takes the
     # vector loop, and both give the same bits or the same error
     eps, t = point
     def outcome(e, tt):
         try:
-            return f_eps_minus_one_grid(e, tt, quad).tolist()
+            return f_eps_minus_one_grid(e, tt).tolist()
         except (ValueError, SingularLocusError) as exc:
             return type(exc)
     pair = outcome([eps, 0.1], [t, 0.5])
@@ -490,9 +490,8 @@ def test_single_point_grid_matches_the_vector_loop(point, quad):
     (np.nan, 0.5, ValueError), (0.5, 0.5, ValueError), (0.1, np.nan, SingularLocusError),
 ])
 def test_single_point_grid_keeps_the_guards(eps, t, error):
-    for quad in (QUAD, None):
-        with pytest.raises(error):
-            f_eps_minus_one_grid(eps, t, quad)
+    with pytest.raises(error):
+        f_eps_minus_one_grid(eps, t)
 
 
 class TestSingularity:
