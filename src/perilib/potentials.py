@@ -166,8 +166,17 @@ def _node_sums(eps, t, n, grad=False, floor=None):
     float results) or (m,) arrays (np.sqrt, (m,) results); both take the
     same operations in the same order, so they agree bitwise.  With floor
     (floats only), a radicand below it (or NaN) raises SingularLocusError.
+
+    Far below t = -1, where eps t < -1 (at every point of an array; the grid
+    path groups them), f_eps is about 1/2 or less and the integrand of
+    f_eps - 1 is near -X at every node: its sum, of order 1, left f_eps
+    2.7e-14 off at (eps, t) = (0.46, -966).  There the rule sums f_eps's own integrand X / sqrt(rad) and
+    subtracts 1 once.  Real states have |t| <= 1, so they never take it.
     """
-    sqrt = np.sqrt if isinstance(eps, np.ndarray) else math.sqrt
+    if isinstance(eps, np.ndarray):
+        sqrt, far = np.sqrt, bool(np.all(eps * t < -1.0))
+    else:
+        sqrt, far = math.sqrt, eps * t < -1.0
     fm1 = ft = fe = 0.0
     for x, wx in _half_range(n):
         ex = eps * x
@@ -176,11 +185,16 @@ def _node_sums(eps, t, n, grad=False, floor=None):
         if floor is not None and not rad >= floor:
             raise SingularLocusError("f_eps radicand %.3e below floor at %d nodes" % (rad, n))
         s = sqrt(rad)
-        fm1 += wx * u / (s * (1.0 + s))
+        if far:
+            fm1 += wx / s
+        else:
+            fm1 += wx * u / (s * (1.0 + s))
         if grad:
             w2 = wx * x / (rad * s)
             ft += eps * w2
             fe += w2 * (t - ex)
+    if far:
+        fm1 = fm1 - 1.0
     return (fm1, ft, fe) if grad else fm1
 
 
@@ -294,10 +308,11 @@ def f_eps_minus_one_grid(eps, t):
         i = np.flatnonzero(bad)[0]
         raise _too_close(float(e[i]), float(tt[i]))
     rung = _BETA_ASCENDING.size - np.searchsorted(_BETA_ASCENDING, beta, side="right")
+    group = 2 * rung + (e * tt < -1.0)  # and by the form _node_sums takes
     out = np.empty(e.size)
-    for i in np.unique(rung):
-        at = rung == i
-        out[at] = _node_sums(e[at], tt[at], N_LADDER[i])
+    for i in np.unique(group):
+        at = group == i
+        out[at] = _node_sums(e[at], tt[at], N_LADDER[i // 2])
     return out.reshape(eps_b.shape)
 
 

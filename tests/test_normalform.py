@@ -713,14 +713,22 @@ class TestSerialization:
         for key, arr in f.coeffs.items():
             assert g.coeffs[key].tobytes() == arr.tobytes()
 
-    def test_negative_mode_is_rejected(self):
-        # only k >= 0 is stored: a file holding a k < 0 entry, beside its
-        # k > 0 partner or alone, fails the key check
-        rng = np.random.default_rng(18)
-        d = series_to_dict(expand(rand_series(rng)))
-        assert any(entry["k"][0] < 0 for entry in d["coeffs"])
-        with pytest.raises(ShapeError, match="not stored"):
-            series_from_dict(d)
+    def test_corrupted_negative_entry_raises(self):
+        # only k >= 0 is stored: a file holding every k < 0 entry beside its
+        # k > 0 partner, the conjugate or moved by bump * sup, fails the key
+        # check
+        f = rand_series(np.random.default_rng(19))
+        for bump in (0.0, 1e-9):
+            d = series_to_dict(expand(f))
+            assert any(entry["k"][0] < 0 for entry in d["coeffs"])
+            for entry in d["coeffs"]:
+                if entry["k"][0] < 0:
+                    entry["re"][0] += bump * f.sup()
+            with pytest.raises(ShapeError, match="not stored"):
+                series_from_dict(d)
+
+    def test_unpaired_negative_entry_raises(self):
+        rng = np.random.default_rng(20)
         f = rand_series(rng, cutoff=2)
         d = series_to_dict(f)
         d["coeffs"][2]["k"] = [-2]  # a k = -2 with no k = 2

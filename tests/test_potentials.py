@@ -313,7 +313,13 @@ def needed_nodes(eps, t):
 def carlson_f(eps, t):
     """f_eps = (sqrt 2 / 3 pi) Re R_J(0, a+, a-, 1/2), a+- = 1/2 - eps (t +- sqrt(t^2 - 1))."""
     s = cmath.sqrt(t * t - 1)
-    a_plus, a_minus = 0.5 - eps * (t + s), 0.5 - eps * (t - s)
+    if abs(t) > 1:
+        # t +- s are reciprocals: the one of t's sign, then 1 over it, so
+        # neither cancels (t + s at t = -1000 lost six digits)
+        big = (t + s if t > 0 else t - s).real
+        a_plus, a_minus = 0.5 - eps * big, 0.5 - eps / big
+    else:
+        a_plus, a_minus = 0.5 - eps * (t + s), 0.5 - eps * (t - s)
     return math.sqrt(2) / (3 * math.pi) * elliprj(0, a_plus, a_minus, 0.5).real
 
 
@@ -388,6 +394,18 @@ def test_adaptive_value_matches_carlson(point):
     # locus a half-ulp change of t moves f by far more than an ulp
     cond = (abs(t * ft) + abs(eps * fe)) / f
     assert abs(f - carlson_f(eps, t)) <= 1e-14 * f * (1.0 + cond)
+
+
+@pytest.mark.parametrize("eps, t", [(0.4641588833612779, -965.6616199111992),
+                                    (-0.31622776601683794, 1001.0)])
+def test_value_far_below_minus_one(eps, t):
+    # where eps t < -1 the rule sums f_eps itself: summing f_eps - 1, near -1
+    # here, left f_eps 2.7e-14 off at the first point
+    f = f_eps(eps, t)
+    assert abs(f - carlson_f(eps, t)) <= 5e-15 * f
+    # a grid with points on both sides of eps t = -1 keeps the scalar bits
+    grid = f_eps_minus_one_grid([eps, 0.1], [t, 0.5])
+    assert grid.tolist() == [f_eps_minus_one(eps, t), f_eps_minus_one(0.1, 0.5)]
 
 
 @settings(max_examples=300, deadline=None)
