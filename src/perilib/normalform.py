@@ -17,8 +17,7 @@ conjugation.
 
 Norms use the weighted majorant  sum_k sup|f_k| e^{s|k|}  over the full
 spectrum, with the sup taken over the real tensor grid: a documented proxy
-for the complex-polydisc sup (an optional complexified evaluation is
-available for stress checks).
+for the complex-polydisc sup.
 """
 
 import functools
@@ -490,9 +489,12 @@ def nqp_primitive(f_osc, freqs, basepoint=None):
     inv_wy = 1.0 / freqs.omega_y
     for key, arr in osc.coeffs.items():
         mu = mode_eigenvalue(freqs, key[0]) * inv_wy  # (I..., y)
-        kernel = wq * np.exp(mu[..., None, None] * (tau - xs[:, None]))
+        # where mu vanishes (omega_I = 0) the kernel is wq itself; broadcast
+        # to the full kernel's shape it takes the same einsum path, bit for bit
+        kernel = wq * np.exp(mu[..., None, None] * (tau - xs[:, None])) if np.any(mu) else wq
         phi = inv_wy[..., None] * np.einsum(
-            "...x,cqx,...cq->...c", arr, interp, kernel, optimize=True
+            "...x,cqx,...cq->...c", arr, interp,
+            np.broadcast_to(kernel, mu.shape + wq.shape), optimize=True
         )
         phi[..., at_base] = 0.0
         out.coeffs[key] = phi
@@ -576,7 +578,7 @@ def _lie_chain(L, H, max_order, weights):
 
 
 def _weighted_sum(terms, weights):
-    """sum_j weights[j] * terms[j], accumulated in order (extra weights unused)."""
+    """sum_j weights[j] * terms[j], accumulated in order."""
     total = terms[0] * weights[0]
     for w, term in zip(weights[1:], terms[1:]):
         total = total + term * w
@@ -706,6 +708,7 @@ class NormalFormStep:
     osc_norm: float
     residual: float
     contraction: float
+    # the LieReport of the step's one chain, on s = {phi, g + f} - osc;
     # terms down to the LIE_STOP_FLOOR stop, a rounding-level threshold: the
     # count can move by one when the input changes at rounding level
     lie_orders: int = 0
@@ -752,25 +755,17 @@ def normal_form_steps(f, freqs, N, weights=PLAIN_WEIGHTS, residual_rtol=None):
                 % (rel_res, residual_rtol, step)
             )
         g_new = (g + avg).prune()
-        # regroup H = h + g_new + osc, then e^{L_phi} H = h + g_new
-        #   + Phi_2(h) + Phi_1(g_new) + Phi_1(osc)  with
-        #   Phi_2(h)  = -sum_{j>=1} L^j(osc)/(j+1)!
-        #             = osc - sum_{j>=0} L^j(osc)/(j+1)!   (identity L(h) = -osc)
-        #   Phi_1(g') = sum_{j>=0} L^j({phi, g'})/(j+1)!
-        #   Phi_1(osc) = e^{L}(osc) - osc
-        # One chain of terms L^j(osc)/j! serves Phi_2(h) (weights 1/(j+1))
-        # and e^{L}(osc) (weights 1); phi's side of the bracket is built once.
+        # H = h + g_new + osc and L = {phi, .}: the identity L(h) = -osc
+        # gives L(H) = b - osc = s with b = {phi, g_new + osc}, so
+        #   e^{L} H = H + sum_{j>=0} L^j(s)/(j+1)! = h + g_new + f_next,
+        #   f_next = b + sum_{j>=1} L^j(s)/(j+1)!
+        # One chain of terms L^j(s)/j!, weighted 1/(j+1); phi's side of the
+        # bracket is built once.
         L = _BracketSide(phi)
-        chain, lie = _lie_chain(L, osc, STEP_LIE_ORDER, weights)
-        tail = [1.0 / (j + 1) for j in range(STEP_LIE_ORDER + 1)]  # L^j/j! -> L^j/(j+1)!
-        f_next = osc + _weighted_sum(chain, tail) * -1.0
-        bracket_g = L.bracket(_BracketSide(g_new))
-        if bracket_g.coeffs:
-            chain_g, _ = _lie_chain(L, bracket_g, STEP_LIE_ORDER, weights)
-            f_next = f_next + _weighted_sum(chain_g, tail)
-        lie_osc = _weighted_sum(chain, [1.0] * len(chain))
-        f_next = f_next + (lie_osc - osc)
-        fj = f_next.prune(1e-300)
+        b = L.bracket(_BracketSide(g_new + osc))
+        chain, lie = _lie_chain(L, b - osc, STEP_LIE_ORDER, weights)
+        tail = [1.0 / (j + 1) for j in range(1, len(chain))]
+        fj = (b + _weighted_sum(chain[1:], tail)).prune(1e-300)
         contraction = tf_norm(tf_average_split(fj)[1], weights) / osc_norm if osc_norm else 0.0
         steps.append(NormalFormStep(step, f_norm, osc_norm, rel_res, contraction,
                                     lie.orders, lie.ratio, lie.tail_bound))

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from perilib import chebyshev as ch
 from perilib.normalform import (
     PLAIN_WEIGHTS,
+    STEP_LIE_ORDER,
     ContractionError,
     FrequencyData,
     NormWeights,
@@ -27,6 +28,8 @@ from perilib.normalform import (
     tf_build,
     tf_norm,
     tf_product,
+    _BracketSide,
+    _lie_chain,
 )
 
 BOX = [(0.5, 1.5), (1.0, 2.0), (0.0, 2.0)]
@@ -435,18 +438,20 @@ class TestNqp:
 
     @pytest.mark.parametrize("basepoint", [None, "interior node", 1.234])
     def test_matches_per_node_loop(self, basepoint):
+        # omega_I varying, identically zero (the kernel without exponentials)
+        # and absent
         rng = np.random.default_rng(19)
         _, osc = tf_average_split(rand_series(rng, cutoff=3))
-        freqs = FrequencyData.tabulate(
-            BOX, SHAPE, lambda I, y: 2.0 + 0.1 * y, omega_I=[lambda I, y: 0.5 + 0.2 * I]
-        )
         xs = ch.nodes(SHAPE[-1], *BOX[-1])
         b = xs[7] if basepoint == "interior node" else basepoint
-        got = nqp_primitive(osc, freqs, basepoint=b)
-        assert_series_close(got, ref_nqp_primitive(osc, freqs, basepoint=b), 1e-13)
-        if basepoint == "interior node":
-            for arr in got.coeffs.values():
-                assert np.all(arr[..., 7] == 0.0)
+        for omega_I in ([lambda I, y: 0.5 + 0.2 * I], [lambda I, y: 0 * y], []):
+            freqs = FrequencyData.tabulate(BOX, SHAPE, lambda I, y: 2.0 + 0.1 * y,
+                                           omega_I=omega_I)
+            got = nqp_primitive(osc, freqs, basepoint=b)
+            assert_series_close(got, ref_nqp_primitive(osc, freqs, basepoint=b), 1e-13)
+            if basepoint == "interior node":
+                for arr in got.coeffs.values():
+                    assert np.all(arr[..., 7] == 0.0)
 
     def test_eigenvalue_structure(self):
         # lambda_k = i k . omega_I
@@ -862,23 +867,38 @@ class TestNormalFormSteps:
         assert np.max(np.abs(diff)) < 1e-14
 
     def test_matches_two_chain_reference(self):
-        rng = np.random.default_rng(20)
-        f, freqs = self.make_toy(rng)
-        result = normal_form_steps(f, freqs, N=3)
-        g_ref, f_ref, rows = ref_normal_form_steps(expand(f), freqs, N=3)
-        for step, (f_norm, osc_norm, contraction) in zip(result.steps, rows):
-            for got, expect in ((step.f_norm, f_norm), (step.osc_norm, osc_norm),
-                                (step.contraction, contraction)):
-                assert abs(got - expect) <= 1e-12 * expect
-        assert_series_close(expand(result.g_star), g_ref, 1e-12)
-        assert_series_close(expand(result.f_star), f_ref, 1e-12)
+        # the toy input and the criterion-8 series on a small grid
+        from perilib.coords import derive_mass_params
+        from perilib.hamiltonians import HamiltonianSpec
+        from perilib.normalform import build_secular_perturbation
+
+        spec = HamiltonianSpec(2, 1.0, 1.0, derive_mass_params(1.0, 0.02, "m0centric"))
+        inputs = {
+            "toy": self.make_toy(np.random.default_rng(20)),
+            "criterion 8": build_secular_perturbation(
+                spec, 0.45, 1000.0, 16000.0, 0.005, grid_shape=(8, 8, 10), fourier_cutoff=8
+            ),
+        }
+        for name, (f, freqs) in inputs.items():
+            result = normal_form_steps(f, freqs, N=3)
+            g_ref, f_ref, rows = ref_normal_form_steps(expand(f), freqs, N=3)
+            assert len(result.steps) == len(rows) == 3, name
+            for step, (f_norm, osc_norm, contraction) in zip(result.steps, rows):
+                for got, expect in ((step.f_norm, f_norm), (step.osc_norm, osc_norm),
+                                    (step.contraction, contraction)):
+                    assert abs(got - expect) <= 1e-12 * expect, name
+            assert_series_close(expand(result.g_star), g_ref, 1e-12)
+            assert_series_close(expand(result.f_star), f_ref, 1e-12)
 
     def test_records_lie_report(self):
+        # the step reports its one chain, on s = {phi, g' + osc} - osc
         rng = np.random.default_rng(21)
         f, freqs = self.make_toy(rng)
         step = normal_form_steps(f, freqs, N=1).steps[0]
-        _, osc = tf_average_split(f)
-        _, rep = lie_transform(osc, nqp_primitive(osc, freqs), max_order=14)
+        avg, osc = tf_average_split(f)
+        phi = nqp_primitive(osc, freqs)
+        s = poisson_bracket(phi, avg + osc) - osc
+        _, rep = _lie_chain(_BracketSide(phi), s, STEP_LIE_ORDER, PLAIN_WEIGHTS)
         assert step.lie_orders == rep.orders >= 2
         assert step.lie_ratio == pytest.approx(rep.ratio, rel=1e-12)
         assert 0 < step.lie_ratio < 1
