@@ -41,7 +41,11 @@ class ContractionError(RuntimeError):
 
 @dataclass(frozen=True)
 class NormWeights:
-    """Analyticity widths weighting the majorant norm."""
+    """Analyticity widths of the majorant norm.
+
+    Only s weighs the norm (e^{s|k|} per Fourier mode, see tf_norm); rho, r
+    and xi are checked to be positive and weigh nothing.
+    """
 
     rho: float = 1.0
     s: float = 1.0
@@ -529,6 +533,11 @@ LIE_RATIO_FLOOR = 1e-12
 LIE_STOP_FLOOR = 1e-16
 # most Lie orders of each chain in a normal-form step
 STEP_LIE_ORDER = 14
+# relative size (to step 0's f_norm) at or below which a step's osc is
+# rounding: input changes at rounding level move the osc of later steps by
+# up to 6.2e-14 of f_norm (criterion 8, CLI default and benchmark job), and
+# such a step's contraction is not checked
+OSC_ROUNDING_FLOOR = 1e-12
 
 
 @dataclass
@@ -732,10 +741,14 @@ def normal_form_steps(f, freqs, N, weights=PLAIN_WEIGHTS, residual_rtol=None):
     the normal part g.  The drift-part bracket {phi, h} is replaced by its
     defining identity -(oscillatory part), so h never needs differencing.
     Returns the accumulated g*, the final remainder f*, and per-step norms;
-    every step's norms are weighted by the one NormWeights weights.
+    every step's norms are weighted by the one NormWeights weights.  A step
+    whose contraction (its remainder's osc over its own) is >= 1 raises
+    ContractionError, unless its osc is at most OSC_ROUNDING_FLOOR of step
+    0's f_norm.
     """
     g = f.shell()
     fj = f.copy()
+    f0_norm = tf_norm(f, weights)
     steps = []
     for step in range(N):
         avg, osc = tf_average_split(fj)
@@ -766,7 +779,12 @@ def normal_form_steps(f, freqs, N, weights=PLAIN_WEIGHTS, residual_rtol=None):
         chain, lie = _lie_chain(L, b - osc, STEP_LIE_ORDER, weights)
         tail = [1.0 / (j + 1) for j in range(1, len(chain))]
         fj = (b + _weighted_sum(chain[1:], tail)).prune(1e-300)
-        contraction = tf_norm(tf_average_split(fj)[1], weights) / osc_norm if osc_norm else 0.0
+        contraction = tf_norm(tf_average_split(fj)[1], weights) / osc_norm
+        if contraction >= 1 and osc_norm > OSC_ROUNDING_FLOOR * f0_norm:
+            raise ContractionError(
+                "normal-form step %d grew the angle-dependent part: contraction %.3g >= 1"
+                % (step, contraction)
+            )
         steps.append(NormalFormStep(step, f_norm, osc_norm, rel_res, contraction,
                                     lie.orders, lie.ratio, lie.tail_bound))
         g = g_new

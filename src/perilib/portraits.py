@@ -7,7 +7,6 @@ critical points and contour topology reproduce the three regimes
 G-axis pair / rotational motions).
 """
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +65,8 @@ def _newton_sweep(eps, Lambda, G, g, newton_steps, tol):
     gradient norm drops below tol within newton_steps iterations, and it is
     dropped when its Hessian is exactly singular or an iterate leaves
     |G| <= Lambda (1 - 1e-9).  Steps longer than Lambda / 2 are shortened to
-    that length and g is wrapped into (-pi, pi] after each step.  Returns
+    that length and g is wrapped into (-pi, pi] after each step.  The sweep
+    ends after newton_steps iterations or once no start is live.  Returns
     (converged mask, G, g), the last two holding the converged points.
     """
     Gmax = Lambda * (1 - 1e-9)
@@ -74,6 +74,8 @@ def _newton_sweep(eps, Lambda, G, g, newton_steps, tol):
     G_out, g_out = G.copy(), g.copy()
     live = np.arange(G.size)
     for _ in range(newton_steps):
+        if not live.size:
+            break
         dG, dg = _grad_e(eps, Lambda, G, g)
         done = np.sqrt(dG * dG + dg * dg) < tol
         ok[live[done]] = True
@@ -168,20 +170,18 @@ _SEGMENTS = (
 )
 
 
-def marching_squares(xg, yg, Z, level):
-    """Contour segments of Z(x, y) = level on the rectilinear grid.
+def _crossings(xg, yg, Z, level):
+    """Crossings of Z(x, y) = level with the edges of the rectilinear grid,
+    one entry per segment end: entries 2m and 2m + 1 are the two ends of
+    segment m.
 
-    Z is indexed Z[i, j] = Z(xg[i], yg[j]).  Returns a list of segments
-    ((key_a, point_a), (key_b, point_b)) with linear interpolation along
-    cell edges; the keys identify grid edges for exact chaining.  A key is
-    ('v', i, j) for the edge x = xg[i], yg[j] <= y <= yg[j+1], or
-    ('h', i, j) for the edge y = yg[j], xg[i] <= x <= xg[i+1], so
-    neighboring cells agree on it exactly.
-
-    Segment order is part of the contract: cells come in row-major (i, j)
-    order and a saddle cell gives its two segments in table order.
-    chain_segments starts its polylines in this order, so the order fixes
-    the polylines and the bytes of the portrait CSV.
+    Z is indexed Z[i, j] = Z(xg[i], yg[j]).  Returns int and float arrays
+    (edge, x, y).  edge = 2 (i ny + j) + 1 names the grid edge x = xg[i],
+    yg[j] <= y <= yg[j+1], and edge = 2 (i ny + j) the edge y = yg[j],
+    xg[i] <= x <= xg[i+1], with ny = len(yg), so neighboring cells agree on
+    it exactly; (x, y) is the linear interpolation along that edge.  Cells
+    come in row-major (i, j) order and a saddle cell gives its two segments
+    in table order.
     """
     xg, yg = np.asarray(xg), np.asarray(yg)
     # nudge node values lying exactly on the level: keeps every crossing in
@@ -204,59 +204,102 @@ def marching_squares(xg, yg, Z, level):
     pairs = np.array(_SEGMENTS)[row]
     present = pairs[:, :, 0] >= 0
     # one entry per segment end: segments in order, ends a and b adjacent
-    edge = pairs[present].ravel()
+    side = pairs[present].ravel()
     i = np.repeat(ci, 2 * present.sum(axis=1))
     j = np.repeat(cj, 2 * present.sum(axis=1))
-    vert = edge % 2 == 0
-    ki, kj = i + (edge == 2), j + (edge == 1)  # first node of the edge
+    vert = side % 2 == 0
+    ki, kj = i + (side == 2), j + (side == 1)  # first node of the edge
     li, lj = ki + ~vert, kj + vert  # second node
     a = Z[ki, kj]
     w = (level - a) / (Z[li, lj] - a)
     x0, y0 = xg[ki], yg[kj]
     x = np.where(vert, x0, x0 + w * (xg[li] - x0))
     y = np.where(vert, y0 + w * (yg[lj] - y0), y0)
+    return 2 * (ki * yg.size + kj) + vert, x, y
+
+
+def _chain(edge, x, y):
+    """Polylines (lists of (x, y) points) of the segments whose ends are
+    given as by _crossings: segment m runs from end 2m to end 2m + 1, and
+    two ends with the same edge id are joined.
+
+    An id may be shared by at most two ends (ValueError otherwise), which
+    holds for the edges of _crossings: a grid edge borders two cells and a
+    cell, saddles included, uses each of its edges once.  Chains start from
+    the unused segments in index order and grow at the tail, then at the
+    head.  A chain whose first and last ends share an id is a closed loop,
+    and its last point is set to its first.
+    """
+    n = edge.size
+    order = np.argsort(edge, kind="stable")
+    ranked = edge[order]
+    if (ranked[2:] == ranked[:-2]).any():
+        raise ValueError("an edge id is shared by more than two segment ends")
+    k = np.flatnonzero(ranked[1:] == ranked[:-1])
+    partner = np.full(n, -1)
+    partner[order[k]] = order[k + 1]
+    partner[order[k + 1]] = order[k]
+    partner, ids = partner.tolist(), edge.tolist()
+    points = list(zip(x.tolist(), y.tolist()))
+    used = [False] * (n // 2)
+    polylines = []
+    for start in range(n // 2):
+        if used[start]:
+            continue
+        used[start] = True
+        grown = []
+        for tip in (2 * start + 1, 2 * start):
+            ends = []
+            other = partner[tip]
+            while other >= 0 and not used[other >> 1]:
+                used[other >> 1] = True
+                tip = other ^ 1  # the far end of the joined segment
+                ends.append(tip)
+                other = partner[tip]
+            grown.append(ends)
+        tail, head = grown
+        seq = head[::-1] + [2 * start, 2 * start + 1] + tail
+        line = [points[e] for e in seq]
+        if len(seq) > 2 and ids[seq[0]] == ids[seq[-1]]:
+            line[-1] = line[0]
+        polylines.append(line)
+    return polylines
+
+
+def marching_squares(xg, yg, Z, level):
+    """Contour segments of Z(x, y) = level on the rectilinear grid.
+
+    Z is indexed Z[i, j] = Z(xg[i], yg[j]).  Returns a list of segments
+    ((key_a, point_a), (key_b, point_b)) with linear interpolation along
+    cell edges; the keys identify grid edges for exact chaining.  A key is
+    ('v', i, j) for the edge x = xg[i], yg[j] <= y <= yg[j+1], or
+    ('h', i, j) for the edge y = yg[j], xg[i] <= x <= xg[i+1], so
+    neighboring cells agree on it exactly.
+
+    Segment order is part of the contract: cells come in row-major (i, j)
+    order and a saddle cell gives its two segments in table order.
+    chain_segments starts its polylines in this order, so the order fixes
+    the polylines and the bytes of the portrait CSV.
+    """
+    edge, x, y = _crossings(xg, yg, Z, level)
+    node, vert = np.divmod(edge, 2)
+    ki, kj = np.divmod(node, len(yg))
     keys = zip(np.where(vert, "v", "h").tolist(), ki.tolist(), kj.tolist())
     ends = list(zip(keys, zip(x.tolist(), y.tolist())))
     return list(zip(ends[0::2], ends[1::2]))
 
 
 def chain_segments(segs):
-    """Join segments sharing grid edges into polylines (lists of points)."""
-    by_end = {}
-    for idx, ((ka, _), (kb, _)) in enumerate(segs):
-        by_end.setdefault(ka, []).append(idx)
-        by_end.setdefault(kb, []).append(idx)
-    used = [False] * len(segs)
-    polylines = []
-    for start in range(len(segs)):
-        if used[start]:
-            continue
-        used[start] = True
-        (ka, pa), (kb, pb) = segs[start]
-        keys = deque([ka, kb])
-        line = deque([pa, pb])
-        for tip_pos in (1, 0):
-            while True:
-                tip = keys[-1] if tip_pos else keys[0]
-                cands = [c for c in by_end.get(tip, []) if not used[c]]
-                if not cands:
-                    break
-                c = cands[0]
-                used[c] = True
-                (na, qa), (nb, qb) = segs[c]
-                nk, nq = (nb, qb) if na == tip else (na, qa)
-                if tip_pos:
-                    keys.append(nk)
-                    line.append(nq)
-                else:
-                    keys.appendleft(nk)
-                    line.appendleft(nq)
-        line = list(line)
-        # closed loop: the two tips sit on the same grid edge
-        if len(keys) > 2 and keys[0] == keys[-1]:
-            line[-1] = line[0]
-        polylines.append(line)
-    return polylines
+    """Join segments sharing grid edges into polylines (lists of points).
+
+    segs is a list of ((key_a, point_a), (key_b, point_b)) as marching_squares
+    returns; a key may be shared by at most two segment ends.
+    """
+    ends = [end for seg in segs for end in seg]
+    ids = {}
+    edge = np.array([ids.setdefault(key, len(ids)) for key, _ in ends], dtype=int)
+    xy = np.array([p for _, p in ends], dtype=float).reshape(-1, 2)
+    return _chain(edge, xy[:, 0], xy[:, 1])
 
 
 def is_closed(polyline, tol=1e-6):
@@ -285,7 +328,7 @@ def phase_portrait(eps, Lambda=1.0, grid=(128, 128), levels=12):
             vals.append(float(sep))
     out = []
     for lv in sorted(vals):
-        for line in chain_segments(marching_squares(gg, GG, Z, lv)):
+        for line in _chain(*_crossings(gg, GG, Z, lv)):
             out.append((float(lv), line))
     return out
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import perilib.potentials as potentials
 from perilib.coords import (
@@ -285,6 +287,25 @@ class TestStackedEnergies:
         for z, E in zip(Z, whole):
             pert = aa_perturbation(spec, ActionAngleState(*z))
             assert -(spec.m0**5) / (2 * z[2] ** 2) + pert == E
+
+    @settings(max_examples=100, deadline=None)
+    @given(index=st.sampled_from([1, 2]),
+           rows=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-np.pi, np.pi),
+                                   st.floats(3.0, 12.0),
+                                   st.floats(0.6, 2 * np.pi - 0.6)),
+                         min_size=2, max_size=6),
+           pick=st.integers(0, 5))
+    def test_one_state_is_its_row_of_the_stack(self, index, rows, pick):
+        # the one-state Kepler solve runs the float loop, the stack the
+        # array loop: the bits must agree
+        spec = make_spec(index)
+        Z = np.array(rows)
+        z = Z[pick % len(rows)]
+        E = energies(spec, Z, "action-angle")[pick % len(rows)]
+        state = ActionAngleState(*z)
+        assert float(h_action_angle(spec, state)).hex() == float(E).hex()
+        pert = aa_perturbation(spec, state)
+        assert float(-(spec.m0**5) / (2 * z[2] ** 2) + pert).hex() == float(E).hex()
 
     def test_kernel_guards_kept(self):
         spec = make_spec(1)

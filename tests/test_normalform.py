@@ -934,6 +934,24 @@ class TestNormalFormSteps:
         with pytest.raises(ContractionError):
             normal_form_steps(f, freqs, N=1)
 
+    def test_growing_step_raises_unless_at_rounding_level(self):
+        # a steep average in I makes {phi, g} outgrow osc: contraction 1.87
+        # whatever osc's size.  At 6.6e-4 of f the step raises; at 6.6e-15
+        # of f (below OSC_ROUNDING_FLOOR) it is rounding and is reported
+        from perilib.normalform import OSC_ROUNDING_FLOOR
+
+        f, freqs = self.make_toy(np.random.default_rng(23))
+        key = ((0,), (), ())
+        II, YY, _ = np.meshgrid(*f.grids(), indexing="ij")
+        f.coeffs[key] = (1 + II + 0.1 * YY) + 0j
+        avg, osc = tf_average_split(f)
+        with pytest.raises(ContractionError, match="step 0 "):
+            normal_form_steps(avg + osc * 0.1, freqs, N=1)
+        tiny = avg + osc * 1e-12
+        step = normal_form_steps(tiny, freqs, N=1).steps[0]
+        assert step.osc_norm <= OSC_ROUNDING_FLOOR * step.f_norm
+        assert step.contraction > 1.5
+
     def test_gamma_dependence_fades(self):
         rng = np.random.default_rng(18)
         f, freqs = self.make_toy(rng)

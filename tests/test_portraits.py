@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from perilib import portraits
+from perilib.potentials import e_hat
 from perilib.portraits import (
+    _chain,
+    _crossings,
     chain_segments,
     find_equilibria,
     has_rotational_orbits,
@@ -193,6 +198,61 @@ def ref_marching_squares(xg, yg, Z, level):
     return segs
 
 
+def ref_chain_segments(segs):
+    """Chaining by a dict of keys and deques, one Python step per end."""
+    by_end = {}
+    for idx, ((ka, _), (kb, _)) in enumerate(segs):
+        by_end.setdefault(ka, []).append(idx)
+        by_end.setdefault(kb, []).append(idx)
+    used = [False] * len(segs)
+    polylines = []
+    for start in range(len(segs)):
+        if used[start]:
+            continue
+        used[start] = True
+        (ka, pa), (kb, pb) = segs[start]
+        keys = deque([ka, kb])
+        line = deque([pa, pb])
+        for tip_pos in (1, 0):
+            while True:
+                tip = keys[-1] if tip_pos else keys[0]
+                cands = [c for c in by_end.get(tip, []) if not used[c]]
+                if not cands:
+                    break
+                c = cands[0]
+                used[c] = True
+                (na, qa), (nb, qb) = segs[c]
+                nk, nq = (nb, qb) if na == tip else (na, qa)
+                if tip_pos:
+                    keys.append(nk)
+                    line.append(nq)
+                else:
+                    keys.appendleft(nk)
+                    line.appendleft(nq)
+        line = list(line)
+        # closed loop: the two tips sit on the same grid edge
+        if len(keys) > 2 and keys[0] == keys[-1]:
+            line[-1] = line[0]
+        polylines.append(line)
+    return polylines
+
+
+def ref_phase_portrait(eps, Lambda, grid, levels):
+    """phase_portrait's levels, contoured by the cell loop and chained by
+    the deque reference."""
+    gg = np.linspace(-np.pi, np.pi, grid[0])
+    GG = np.linspace(-Lambda, Lambda, grid[1])
+    Z = e_hat(eps, Lambda, GG[None, :], gg[:, None])
+    lo, hi = Z.min(), Z.max()
+    vals = list(np.linspace(lo + 0.02 * (hi - lo), hi - 0.02 * (hi - lo), levels))
+    if eps > 0.5:
+        sep = e_hat(eps, Lambda, 0.0, 0.0)
+        if lo < sep < hi:
+            vals.append(float(sep))
+    return [(float(lv), line) for lv in sorted(vals)
+            for line in ref_chain_segments(ref_marching_squares(gg, GG, Z, lv))]
+
+
 def _ref_grad(eps, Lambda, G, g):
     u = G / Lambda
     root = np.sqrt(max(1e-14, 1.0 - u * u))
@@ -358,3 +418,69 @@ class TestVectorizedAgainstReference:
         assert ok.tolist() == [True, False, True]
         assert G[ok].tolist() == free_G[ok].tolist()
         assert g[ok].tolist() == free_g[ok].tolist()
+
+
+def _line_bits(lines):
+    """Polylines with every coordinate as its exact hex form."""
+    return [[(float(x).hex(), float(y).hex()) for x, y in line] for line in lines]
+
+
+def _three_routes(xg, yg, Z, level):
+    """Polylines by the array core, by the public keyed functions and by
+    the cell-loop and deque references, as exact hex forms."""
+    return (
+        _line_bits(_chain(*_crossings(xg, yg, Z, level))),
+        _line_bits(chain_segments(marching_squares(xg, yg, Z, level))),
+        _line_bits(ref_chain_segments(ref_marching_squares(xg, yg, Z, level))),
+    )
+
+
+class TestChainAgainstReference:
+    @settings(max_examples=200, deadline=None)
+    @given(contour_fields())
+    def test_three_routes_agree(self, field):
+        core, public, ref = _three_routes(*field)
+        assert core == public == ref
+
+    def test_closed_loop(self):
+        xg = yg = np.linspace(-2.0, 2.0, 9)
+        Z = xg[:, None] ** 2 + yg[None, :] ** 2
+        core, public, ref = _three_routes(xg, yg, Z, 1.5)
+        assert core == public == ref
+        assert len(core) == 1 and len(core[0]) > 4
+        assert core[0][0] == core[0][-1]
+        (line,) = _chain(*_crossings(xg, yg, Z, 1.5))
+        assert line[-1] is line[0]
+
+    def test_line_touching_the_boundary(self):
+        xg = np.linspace(0.0, 1.0, 7)
+        yg = np.linspace(-1.0, 2.0, 5)
+        Z = xg[:, None] + 0.1 * yg[None, :] ** 2
+        core, public, ref = _three_routes(xg, yg, Z, 0.45)
+        assert core == public == ref
+        assert len(core) == 1
+        ((x0, y0), (x1, y1)) = (core[0][0], core[0][-1])
+        assert {float.fromhex(y0), float.fromhex(y1)} == {-1.0, 2.0}
+
+    def test_empty_level(self):
+        xg = yg = np.linspace(-1.0, 1.0, 6)
+        Z = xg[:, None] * yg[None, :]
+        edge, x, y = _crossings(xg, yg, Z, 3.0)
+        assert edge.size == x.size == y.size == 0
+        assert _three_routes(xg, yg, Z, 3.0) == ([], [], [])
+
+    def test_key_on_three_ends_rejected(self):
+        p = (0.0, 0.0)
+        segs = [((("v", 0, 0), p), (("h", j, 0), p)) for j in range(3)]
+        with pytest.raises(ValueError):
+            chain_segments(segs)
+
+    @pytest.mark.parametrize("eps", [0.3, 0.7, 1.5])
+    @pytest.mark.parametrize("grid", [(64, 64), (65, 65)])
+    def test_phase_portrait_matches_reference(self, eps, grid):
+        got = phase_portrait(eps, 1.0, grid=grid, levels=5)
+        want = ref_phase_portrait(eps, 1.0, grid, 5)
+        assert [lv.hex() for lv, _ in got] == [lv.hex() for lv, _ in want]
+        assert _line_bits(ln for _, ln in got) == _line_bits(ln for _, ln in want)
+        if eps > 0.5:
+            assert e_hat(eps, 1.0, 0.0, 0.0) in {lv for lv, _ in got}
