@@ -12,7 +12,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .kepler import solve_kepler_zero_ecc_form, xi_prime_array
+from .kepler import solve_kepler_zero_ecc_form, xi_prime_array, xi_prime_real
 
 # x this close to the collision at 0 or 2 pi is rejected: below 1.11e-7 the
 # Kepler solve of xi' leaves its series (6x)^(1/3) (1 + (6x)^(2/3)/60) by
@@ -190,10 +190,19 @@ def rr_forward_with_jacobian(m0, y, x):
 
 
 def radial_radius(m0, y, x):
-    """r of the radial-orbit chart for arrays of (y, x) with real x in
-    (0, 2*pi), from one array Kepler solve; the same values and collision
-    check as rr_forward_with_jacobian."""
+    """r of the radial-orbit chart for arrays of (y, x) of one shape with
+    real x in (0, 2*pi), from one array Kepler solve; the same values and
+    collision check as rr_forward_with_jacobian.  A one-entry x (one state)
+    takes that function's float path, bitwise the array result."""
     x = np.asarray(x, dtype=float)
+    if x.size == 1:
+        xf = float(x.flat[0])
+        if not 0.0 < xf < 2 * math.pi:
+            raise ValueError("arguments must lie in (0, 2*pi)")
+        xi = xi_prime_real(xf)
+        if min(xf, 2 * math.pi - xf) < X_COLLISION:
+            raise ValueError("x within X_COLLISION of 0 or 2 pi: collision of the outer body")
+        return y**2 / m0**3 * (1.0 - math.cos(xi))
     xi = xi_prime_array(x)
     if (np.minimum(x, 2 * np.pi - x) < X_COLLISION).any():
         raise ValueError("x within X_COLLISION of 0 or 2 pi: collision of the outer body")

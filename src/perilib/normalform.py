@@ -285,18 +285,14 @@ def d_x(f):
 
 
 class _Piece:
-    """Stored keys with their refined stack, one row per key; the stack of
-    the implied k < 0 modes, its conjugate, is built on first use and kept."""
+    """Stored keys with their refined stack, one row per key.  The implied
+    k < 0 modes are not stacked: a product that needs one conjugates the
+    row it reads (see _add_products)."""
 
-    __slots__ = ("keys", "fine", "_conj")
+    __slots__ = ("keys", "fine")
 
     def __init__(self, keys, fine):
-        self.keys, self.fine, self._conj = keys, fine, None
-
-    def conj(self):
-        if self._conj is None:
-            self._conj = self.fine.conj()
-        return self._conj
+        self.keys, self.fine = keys, fine
 
 
 _EMPTY = _Piece([], None)
@@ -316,32 +312,44 @@ def _pair_sums(k1, k2, K):
     return tuple(out)
 
 
-def _accumulate(terms, f, g, fourier_cutoff):
-    """Sum over terms (sign, piece_a, piece_b) of the mode-convolution
-    products sign * a * b of pieces of f and g: exact mode arithmetic over
-    the full spectrum (a stored k stands for k and, conjugated, -k), only
-    canonical sums kept, truncation at the requested cutoff (default: the
-    operands' max), multiplication on the fine grid and one projection of
-    the stacked accumulator back to the grid."""
-    K = fourier_cutoff if fourier_cutoff is not None else max(
-        f.fourier_cutoff, g.fourier_cutoff
-    )
-    acc = {}
-    for sign, pa, pb in terms:
-        for a, (k1, _, _) in enumerate(pa.keys):
-            for b, (k2, _, _) in enumerate(pb.keys):
-                for conj_a, conj_b, key in _pair_sums(k1, k2, K):
-                    prod = (pa.conj() if conj_a else pa.fine)[a] * (
-                        pb.conj() if conj_b else pb.fine)[b]
-                    if key not in acc:
-                        acc[key] = prod if sign > 0 else -prod
-                    elif sign > 0:
-                        acc[key] += prod
-                    else:
-                        acc[key] -= prod
-    out = TFSeries(f.n_angles, K, f.box, f.grid_shape)
+def _cutoff(f, g, fourier_cutoff):
+    """The requested cutoff, by default the operands' max."""
+    if fourier_cutoff is not None:
+        return fourier_cutoff
+    return max(f.fourier_cutoff, g.fourier_cutoff)
+
+
+def _add_products(acc, sign, pa, pb, K):
+    """Add the mode-convolution products sign * a * b of the pieces pa and
+    pb to the fine-grid accumulator acc (key -> array): exact mode
+    arithmetic over the full spectrum (a stored k stands for k and,
+    conjugated, -k), only canonical sums within the cutoff K kept."""
+    for a, (k1, _, _) in enumerate(pa.keys):
+        x = pa.fine[a]
+        for b, (k2, _, _) in enumerate(pb.keys):
+            y = pb.fine[b]
+            for conj_a, conj_b, key in _pair_sums(k1, k2, K):
+                # np.multiply, not x * y.conj(): the operator may reuse the
+                # temporary with its operands swapped, and a complex product
+                # with FMA is not bitwise commutative
+                prod = np.multiply(np.conj(x) if conj_a else x, np.conj(y) if conj_b else y)
+                if key not in acc:
+                    acc[key] = prod if sign > 0 else -prod
+                elif sign > 0:
+                    acc[key] += prod
+                else:
+                    acc[key] -= prod
+
+
+def _projected(acc, like, K):
+    """The series of like's shape and cutoff K whose coefficients are the
+    accumulator's, projected back to the grid in one stacked pass.  The
+    accumulator is emptied once stacked."""
+    out = TFSeries(like.n_angles, K, like.box, like.grid_shape)
     if acc:
-        out.coeffs = dict(zip(acc, ch.coarsen(np.stack(list(acc.values())), f.grid_shape)))
+        keys, fine = list(acc), np.stack(list(acc.values()))
+        acc.clear()
+        out.coeffs = dict(zip(keys, ch.coarsen(fine, like.grid_shape)))
     return out.prune()
 
 
@@ -350,7 +358,10 @@ def tf_product(f, g, fourier_cutoff=None):
     truncated back to the requested cutoff (default: the operands' max)."""
     if not f.same_shape(g):
         raise ShapeError("multiplying incompatible series")
-    return _accumulate([(1, _refined(f), _refined(g))], f, g, fourier_cutoff)
+    K = _cutoff(f, g, fourier_cutoff)
+    acc = {}
+    _add_products(acc, 1, _refined(f), _refined(g), K)
+    return _projected(acc, f, K)
 
 
 def _refined(f):
@@ -363,8 +374,9 @@ def _refined(f):
 class _BracketSide:
     """What one series f contributes to a Poisson bracket, as pieces over
     its stored keys: left = (d_I f..., d_y f) and right = (d_phi f..., d_x f),
-    so {f, g} = sum_t left_f right_g - left_g right_f.  Built once, a side
-    serves every bracket it enters, as the generator of a Lie series does."""
+    so {f, g} = sum_t left_f right_g - left_g right_f.  Built once and held
+    whole, a side serves every bracket it enters, as the generator of a Lie
+    series does; the other operand is streamed (see bracket)."""
 
     def __init__(self, f):
         self.series = f
@@ -378,28 +390,53 @@ class _BracketSide:
             fine = fine.reshape((n + 3, len(keys)) + fine.shape[1:])
         grid = [_Piece(keys, d) for d in fine[1:]]  # d_I..., d_y, d_x
         # d_phi_i: i k_i f_k on the stored keys (its conjugate is the -k mode)
-        d_phi = [_scaled(fine[0], [1j * k[i] for k, _, _ in keys], keys) for i in range(n)]
+        d_phi = [_d_phi(fine[0], keys, i) for i in range(n)]
         self.left = grid[:n + 1]
         self.right = d_phi + [grid[n + 1]]
 
-    def bracket(self, other, fourier_cutoff=None):
-        """{f, g} with f this side's series and g the other's."""
-        f, g = self.series, other.series
+    def bracket(self, g, fourier_cutoff=None):
+        """{f, g} with f this side's series and g a series.
+
+        g is streamed: its refined stacks are made one at a time, in the
+        order the terms use them (the refined values for d_phi g, then
+        d_I g, per angle, then d_x g and d_y g), and each is dropped once its
+        term is summed, so the bracket holds one of them at a time.  A stack
+        refines to the same bits alone as within a larger one, so the result
+        is bitwise that of refining g's four stacks at once.  (A stack of one
+        x line, refined by a matrix-vector product, is the exception; but on
+        a grid with I and y axes of length 1 every term has a zero factor.)"""
+        f = self.series
         if not f.same_shape(g):
             raise ShapeError("bracket of incompatible series")
-        terms = []
-        for lf, rg, lg, rf in zip(self.left, other.right, other.left, self.right):
-            terms += [(1, lf, rg), (-1, lg, rf)]
-        return _accumulate(terms, f, g, fourier_cutoff)
+        K = _cutoff(f, g, fourier_cutoff)
+        acc = {}
+        keys = list(g.coeffs)
+        if keys:
+            n = g.n_angles
+            coarse = np.stack(list(g.coeffs.values()))
+
+            def fine_d(axis):
+                d = ch.differentiate(coarse, axis + 1, *g.box[axis])
+                return _Piece(keys, ch.refine(d, lead=1))
+
+            values = ch.refine(coarse, lead=1)
+            for t, (lf, rf) in enumerate(zip(self.left, self.right)):
+                right = _d_phi(values, keys, t) if t < n else fine_d(n + 1)
+                if t == n - 1:
+                    values = None  # the last d_phi g is built
+                _add_products(acc, 1, lf, right, K)
+                right = None
+                _add_products(acc, -1, fine_d(t), rf, K)
+        return _projected(acc, f, K)
 
 
-def _scaled(fine, factors, keys):
-    """Piece with the rows of fine times factors, relabelled to keys; rows
-    with factor 0 drop out."""
-    rows = [r for r, c in enumerate(factors) if c != 0]
+def _d_phi(fine, keys, i):
+    """The piece of d_phi_i on the refined values fine: rows times i k_i,
+    rows with k_i = 0 dropped."""
+    rows = [r for r, (k, _, _) in enumerate(keys) if k[i] != 0]
     if not rows:
         return _EMPTY
-    scale = np.array([factors[r] for r in rows]).reshape((-1,) + (1,) * (fine.ndim - 1))
+    scale = np.array([1j * keys[r][0][i] for r in rows]).reshape((-1,) + (1,) * (fine.ndim - 1))
     return _Piece([keys[r] for r in rows], fine[rows] * scale)
 
 
@@ -408,7 +445,7 @@ def poisson_bracket(f, g, fourier_cutoff=None):
     with exact mode arithmetic in k, spectral differentiation on the
     Chebyshev grids, and truncation back to the requested cutoff (default:
     the operands' max, as for tf_product)."""
-    return _BracketSide(f).bracket(_BracketSide(g), fourier_cutoff)
+    return _BracketSide(f).bracket(g, fourier_cutoff)
 
 
 # ---------------- frequencies and the NQP primitive ----------------
@@ -566,7 +603,7 @@ def _lie_chain(L, H, max_order, weights):
     ratio = 0.0
     last = norms[0]
     for order in range(1, max_order + 1):
-        term = L.bracket(_BracketSide(terms[-1])) * (1.0 / order)
+        term = L.bracket(terms[-1]) * (1.0 / order)
         n = tf_norm(term, weights)
         norms.append(n)
         terms.append(term)
@@ -775,7 +812,7 @@ def normal_form_steps(f, freqs, N, weights=PLAIN_WEIGHTS, residual_rtol=None):
         # One chain of terms L^j(s)/j!, weighted 1/(j+1); phi's side of the
         # bracket is built once.
         L = _BracketSide(phi)
-        b = L.bracket(_BracketSide(g_new + osc))
+        b = L.bracket(g_new + osc)
         chain, lie = _lie_chain(L, b - osc, STEP_LIE_ORDER, weights)
         tail = [1.0 / (j + 1) for j in range(1, len(chain))]
         fj = (b + _weighted_sum(chain[1:], tail)).prune(1e-300)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -80,6 +82,31 @@ class TestResampling:
         coarse = ch.coarsen(fine, shape)
         for s in range(n_stack):
             close(coarse[s], ref_coarsen(fine[s], shape), scale)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 24), st.lists(st.integers(1, 5), min_size=1, max_size=24),
+           st.lists(st.integers(4, 32), min_size=3, max_size=3), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    def test_stack_refines_as_its_row_blocks(self, n_stack, blocks, shape, cplx, seed):
+        # the bracket refines an operand's stacks one at a time where it once
+        # refined them in one call: on the three grid axes of a series the
+        # rows must not depend on the blocking.  (A one-axis grid differs: a
+        # single row along the last axis is a matrix-vector product.)  At
+        # most 2**18 entries, so a large grid gets a shorter stack
+        n_stack = max(1, min(n_stack, 2**18 // int(np.prod(shape))))
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=(n_stack, *shape))
+        if cplx:
+            v = v + 1j * rng.normal(size=v.shape)
+        cuts, at = [], 0
+        for size in itertools.cycle(blocks):
+            if at >= n_stack:
+                break
+            cuts.append(slice(at, at + size))
+            at += size
+        whole = ch.refine(v, lead=1)
+        parts = np.concatenate([ch.refine(v[c], lead=1) for c in cuts])
+        assert np.array_equal(whole.view(float), parts.view(float))
 
     def test_length_one_axis_untouched(self):
         rng = np.random.default_rng(0)

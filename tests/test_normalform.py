@@ -190,6 +190,116 @@ def ref_secular_build(spec, eps0, alpha_minus, alpha_plus, delta, grid_shape,
                     fourier_cutoff=fourier_cutoff, n_phi=n_phi)
 
 
+# ---------------- the two-sided bracket engine, bit for bit ----------------
+#
+# The engine before brackets streamed their second operand: both operands'
+# four refined stacks built up front, and a piece's conjugate stack built
+# once and kept when a pair needs -k.  The streamed engine refines the same
+# stacks one at a time and conjugates rows inside the products, in the same
+# term, pair and operand order, so it must match this byte for byte.
+
+
+class TwoSidedPiece:
+    """Stored keys with their refined stack and its cached conjugate."""
+
+    def __init__(self, keys, fine):
+        self.keys, self.fine, self._conj = keys, fine, None
+
+    def conj(self):
+        if self._conj is None:
+            self._conj = self.fine.conj()
+        return self._conj
+
+
+def two_sided_pairs(k1, k2, K):
+    """(s1 < 0, s2 < 0, key) for the signs whose sum s1 k1 + s2 k2 is stored
+    (first non-zero entry positive) and within K."""
+    out = []
+    for s1 in (1, -1) if any(k1) else (1,):
+        for s2 in (1, -1) if any(k2) else (1,):
+            k = tuple(s1 * a + s2 * b for a, b in zip(k1, k2))
+            lead = next((ki for ki in k if ki), 1)
+            if lead > 0 and all(abs(ki) <= K for ki in k):
+                out.append((s1 < 0, s2 < 0, (k, (), ())))
+    return out
+
+
+def two_sided_accumulate(terms, f, g, fourier_cutoff):
+    K = fourier_cutoff if fourier_cutoff is not None else max(f.fourier_cutoff, g.fourier_cutoff)
+    acc = {}
+    for sign, pa, pb in terms:
+        for a, (k1, _, _) in enumerate(pa.keys):
+            for b, (k2, _, _) in enumerate(pb.keys):
+                for conj_a, conj_b, key in two_sided_pairs(k1, k2, K):
+                    prod = (pa.conj() if conj_a else pa.fine)[a] * (
+                        pb.conj() if conj_b else pb.fine)[b]
+                    if key not in acc:
+                        acc[key] = prod if sign > 0 else -prod
+                    elif sign > 0:
+                        acc[key] += prod
+                    else:
+                        acc[key] -= prod
+    out = TFSeries(f.n_angles, K, f.box, f.grid_shape)
+    if acc:
+        out.coeffs = dict(zip(acc, ch.coarsen(np.stack(list(acc.values())), f.grid_shape)))
+    return out.prune()
+
+
+def two_sided_stack(f):
+    """f's stored coefficients stacked and refined in one pass."""
+    if not f.coeffs:
+        return TwoSidedPiece([], None)
+    return TwoSidedPiece(list(f.coeffs), ch.refine(np.stack(list(f.coeffs.values())), lead=1))
+
+
+class TwoSidedSide:
+    """left = (d_I f..., d_y f), right = (d_phi f..., d_x f), all four
+    stacks refined in one call."""
+
+    def __init__(self, f):
+        keys = list(f.coeffs)
+        n = f.n_angles
+        fine = [None] * (n + 3)
+        if keys:
+            coarse = np.stack(list(f.coeffs.values()))
+            derivs = [ch.differentiate(coarse, ax + 1, *f.box[ax]) for ax in range(n + 2)]
+            fine = ch.refine(np.concatenate([coarse] + derivs), lead=1)
+            fine = fine.reshape((n + 3, len(keys)) + fine.shape[1:])
+        d_phi = []
+        for i in range(n):
+            rows = [r for r, (k, _, _) in enumerate(keys) if k[i] != 0]
+            if not rows:
+                d_phi.append(TwoSidedPiece([], None))
+                continue
+            scale = np.array([1j * keys[r][0][i] for r in rows]).reshape(
+                (-1,) + (1,) * (fine[0].ndim - 1))
+            d_phi.append(TwoSidedPiece([keys[r] for r in rows], fine[0][rows] * scale))
+        grid = [TwoSidedPiece(keys, d) for d in fine[1:]]
+        self.left = grid[:n + 1]
+        self.right = d_phi + [grid[n + 1]]
+
+
+def two_sided_bracket(f, g, fourier_cutoff=None):
+    a, b = TwoSidedSide(f), TwoSidedSide(g)
+    terms = []
+    for lf, rg, lg, rf in zip(a.left, b.right, b.left, a.right):
+        terms += [(1, lf, rg), (-1, lg, rf)]
+    return two_sided_accumulate(terms, f, g, fourier_cutoff)
+
+
+def two_sided_product(f, g, fourier_cutoff=None):
+    return two_sided_accumulate([(1, two_sided_stack(f), two_sided_stack(g))], f, g,
+                                fourier_cutoff)
+
+
+def assert_same_bits(got, expect):
+    """Same cutoff, same keys in the same order, bitwise equal coefficients."""
+    assert got.fourier_cutoff == expect.fourier_cutoff
+    assert list(got.coeffs) == list(expect.coeffs)
+    for key, arr in expect.coeffs.items():
+        assert np.array_equal(got.coeffs[key].view(float), arr.view(float)), key
+
+
 def assert_series_close(got, expect, rtol, floor=0.0):
     """Same keys and cutoff, coefficients within rtol of the larger of
     expect's sup and floor."""
@@ -686,6 +796,90 @@ class TestBracketEngine:
         assert full.fourier_cutoff == 6
 
 
+@st.composite
+def stored_series(draw, shape, scale=1.0):
+    """A random real series on BOX: cutoff 2-8, 1-6 stored modes below it."""
+    K = draw(st.integers(2, 8))
+    ks = draw(st.permutations(range(K + 1)))[:draw(st.integers(1, min(6, K + 1)))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return TFSeries(1, K, BOX, shape, {
+        ((k,), (), ()): scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape) * (k > 0))
+        for k in ks})
+
+
+def criterion_8_series(grid_shape):
+    """The criterion-8 perturbation and its frequencies on grid_shape."""
+    from perilib.coords import derive_mass_params
+    from perilib.hamiltonians import HamiltonianSpec
+    from perilib.normalform import build_secular_perturbation
+
+    spec = HamiltonianSpec(2, 1.0, 1.0, derive_mass_params(1.0, 0.02, "m0centric"))
+    return build_secular_perturbation(spec, 0.45, 1000.0, 16000.0, 0.005,
+                                      grid_shape=grid_shape, fourier_cutoff=8)
+
+
+class TestStreamedBracket:
+    """The bracket streams its second operand; the bits stay those of the
+    two-sided engine, and the memory falls to one refined stack at a time."""
+
+    @staticmethod
+    def assert_chain_matches(phi, H, max_order):
+        terms, _ = _lie_chain(_BracketSide(phi), H, max_order, PLAIN_WEIGHTS)
+        expect = [H]
+        for order in range(1, len(terms)):
+            expect.append(two_sided_bracket(phi, expect[-1]) * (1.0 / order))
+        for got, ref in zip(terms, expect):
+            assert_same_bits(got, ref)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_matches_two_sided_engine(self, data):
+        shape = tuple(data.draw(st.integers(4, 12)) for _ in range(3))
+        f, g = data.draw(stored_series(shape)), data.draw(stored_series(shape))
+        cutoff = data.draw(st.one_of(st.none(), st.integers(0, 8)))
+        assert_same_bits(poisson_bracket(f, g, cutoff), two_sided_bracket(f, g, cutoff))
+        assert_same_bits(tf_product(f, g, cutoff), two_sided_product(f, g, cutoff))
+        # a small generator, so that the chain contracts
+        phi = data.draw(stored_series(shape, scale=1e-6))
+        self.assert_chain_matches(phi, g, 3)
+
+    def test_criterion_8_matches_two_sided_engine(self):
+        # the step-0 bracket, a product and the step-0 chain on s
+        f, freqs = criterion_8_series((8, 8, 10))
+        phi = nqp_primitive(tf_average_split(f)[1], freqs)
+        osc = tf_average_split(f)[1]
+        b = poisson_bracket(phi, f)
+        assert_same_bits(b, two_sided_bracket(phi, f))
+        assert_same_bits(tf_product(f, phi), two_sided_product(f, phi))
+        self.assert_chain_matches(phi, b - osc, STEP_LIE_ORDER)
+
+    def test_bracket_holds_one_refined_stack(self):
+        # on a 5-key operand the bracket peaks at 3.7 refined stacks of it
+        # above its start; refining its four stacks at once, with their
+        # conjugates, took 14.0 (tracemalloc sees numpy's buffers)
+        import tracemalloc
+
+        f, freqs = criterion_8_series((8, 8, 10))
+        L = _BracketSide(nqp_primitive(tf_average_split(f)[1], freqs))
+        rng = np.random.default_rng(31)
+        shape = f.grid_shape
+        g = f.shell({((k,), (), ()): rng.normal(size=shape) + 1j * rng.normal(size=shape) * (k > 0)
+                     for k in range(5)})
+        stack = 5 * ch.refine(np.zeros(shape, complex)).nbytes
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            L.bracket(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak - start <= 6 * stack
+
+
 class TestSerialization:
     def test_roundtrip(self, tmp_path):
         from perilib.normalform import load_series
@@ -868,16 +1062,9 @@ class TestNormalFormSteps:
 
     def test_matches_two_chain_reference(self):
         # the toy input and the criterion-8 series on a small grid
-        from perilib.coords import derive_mass_params
-        from perilib.hamiltonians import HamiltonianSpec
-        from perilib.normalform import build_secular_perturbation
-
-        spec = HamiltonianSpec(2, 1.0, 1.0, derive_mass_params(1.0, 0.02, "m0centric"))
         inputs = {
             "toy": self.make_toy(np.random.default_rng(20)),
-            "criterion 8": build_secular_perturbation(
-                spec, 0.45, 1000.0, 16000.0, 0.005, grid_shape=(8, 8, 10), fourier_cutoff=8
-            ),
+            "criterion 8": criterion_8_series((8, 8, 10)),
         }
         for name, (f, freqs) in inputs.items():
             result = normal_form_steps(f, freqs, N=3)
@@ -909,14 +1096,7 @@ class TestNormalFormSteps:
         # norms 1, 1e-6, 8e-13, 2e-16, 4e-17 of the first, the last two
         # roundoff.  A 1e-14 change of the input must move the reported
         # ratio and tail bound by well under 1%
-        from perilib.coords import derive_mass_params
-        from perilib.hamiltonians import HamiltonianSpec
-        from perilib.normalform import build_secular_perturbation
-
-        spec = HamiltonianSpec(2, 1.0, 1.0, derive_mass_params(1.0, 0.02, "m0centric"))
-        series, freqs = build_secular_perturbation(
-            spec, 0.45, 1000.0, 16000.0, 0.005, grid_shape=(16, 8, 20), fourier_cutoff=8
-        )
+        series, freqs = criterion_8_series((16, 8, 20))
         _, osc = tf_average_split(series)
         reports = []
         for scale in (1.0, 1.0 + 1e-14):
