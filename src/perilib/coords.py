@@ -12,7 +12,10 @@ from typing import ClassVar
 
 import numpy as np
 
-from .kepler import solve_kepler_zero_ecc_form, xi_prime_array, xi_prime_real
+from .kepler import xi_prime_array, xi_prime_real
+# unused here, but kept bound: perfbench's tracer test checks that the tracer
+# rebinds it in this module (drop it with that test)
+from .kepler import solve_kepler_zero_ecc_form  # noqa: F401
 
 # x this close to the collision at 0 or 2 pi is rejected: below 1.11e-7 the
 # Kepler solve of xi' leaves its series (6x)^(1/3) (1 + (6x)^(2/3)/60) by
@@ -170,22 +173,36 @@ def rr_forward(m0, y, x):
     return rr_forward_with_jacobian(m0, y, x)[:2]
 
 
+def _radial_xi(x):
+    """xi' of the radial-orbit chart at one real x, in floats through
+    xi_prime_real (no KeplerSolution record).  x outside (0, 2 pi), NaN
+    included, or within X_COLLISION of either end (the collision) raises
+    ValueError."""
+    x = float(x)
+    if not 0.0 < x < 2 * math.pi:
+        raise ValueError("Re x must lie in (0, 2*pi), got %r" % (x,))
+    if min(x, 2 * math.pi - x) < X_COLLISION:
+        raise ValueError("x = %.17g: collision of the outer body (r = 0)" % x)
+    return xi_prime_real(x)
+
+
 def rr_forward_with_jacobian(m0, y, x):
     """rr_forward plus the partials (dr/dy, dr/dx) needed by the chain rule.
 
-    Real-only: one state of the flow, computed in floats through math from
-    the Kepler solve on; radial_radius is the array path, and the two agree
-    bitwise.  x within X_COLLISION of 0 or 2 pi raises ValueError (the
-    collision)."""
-    xi = solve_kepler_zero_ecc_form(x).xi
-    if min(x, 2 * math.pi - x) < X_COLLISION:
-        raise ValueError("x = %.17g: collision of the outer body (r = 0)" % x)
+    Real-only: one state of the flow, computed in floats through math (the
+    range check, guarded Newton and collision check of _radial_xi);
+    radial_radius is the array path, and the two agree bitwise.  x outside
+    (0, 2 pi) or within X_COLLISION of either end (the collision) raises
+    ValueError."""
+    xi = _radial_xi(x)
     one_m_c = 1.0 - math.cos(xi)
     sin_xi = math.sin(xi)
-    r = y**2 / m0**3 * one_m_c
-    R = m0**3 / y * sin_xi / one_m_c
-    dr_dy = 2 * y * one_m_c / m0**3
-    dr_dx = y**2 / m0**3 * sin_xi / one_m_c
+    m03 = m0**3
+    scale = y**2 / m03
+    r = scale * one_m_c
+    R = m03 / y * sin_xi / one_m_c
+    dr_dy = 2 * y * one_m_c / m03
+    dr_dx = scale * sin_xi / one_m_c
     return R, r, dr_dy, dr_dx
 
 
@@ -193,16 +210,11 @@ def radial_radius(m0, y, x):
     """r of the radial-orbit chart for arrays of (y, x) of one shape with
     real x in (0, 2*pi), from one array Kepler solve; the same values and
     collision check as rr_forward_with_jacobian.  A one-entry x (one state)
-    takes that function's float path, bitwise the array result."""
+    goes through that function's float helper _radial_xi, bitwise the array
+    result."""
     x = np.asarray(x, dtype=float)
     if x.size == 1:
-        xf = float(x.flat[0])
-        if not 0.0 < xf < 2 * math.pi:
-            raise ValueError("arguments must lie in (0, 2*pi)")
-        xi = xi_prime_real(xf)
-        if min(xf, 2 * math.pi - xf) < X_COLLISION:
-            raise ValueError("x within X_COLLISION of 0 or 2 pi: collision of the outer body")
-        return y**2 / m0**3 * (1.0 - math.cos(xi))
+        return y**2 / m0**3 * (1.0 - math.cos(_radial_xi(x.flat[0])))
     xi = xi_prime_array(x)
     if (np.minimum(x, 2 * np.pi - x) < X_COLLISION).any():
         raise ValueError("x within X_COLLISION of 0 or 2 pi: collision of the outer body")

@@ -171,9 +171,15 @@ def integrate(spec, state0, T, *, step_ctrl=StepControl(),
 
 
 def _squeezes(G):
-    """Indices i at which G changes sign between samples i and i + 1: the
-    eccentricity-one passages."""
-    return np.flatnonzero(np.abs(np.diff(np.sign(G))) > 1)
+    """Indices i at which G changes sign after sample i: the
+    eccentricity-one passages.  The sign change is taken between nearest
+    nonzero samples, so it counts across a run of exact zeros too (G is
+    exactly 0 wherever |Gcal| >= Lambda), and i is then the last nonzero
+    sample before the run; a zero run with the same sign on both sides, or
+    an all-zero G, gives none."""
+    nz = np.flatnonzero(G)
+    flips = np.sign(G[nz[1:]]) * np.sign(G[nz[:-1]]) < 0
+    return nz[:-1][flips]
 
 
 def _annotate_events(traj, spec):

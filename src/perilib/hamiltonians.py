@@ -21,6 +21,7 @@ rule per point (see potentials.N_LADDER).
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -55,8 +56,12 @@ class HamiltonianSpec:
         if self.m0 <= 0 or self.Lambda <= 0:
             raise ValueError("m0 and Lambda must be positive")
 
-    @property
+    # a and the term weights are fixed per spec: cached on first use, so the
+    # flow's right-hand side does not rebuild them at every evaluation.  The
+    # caches sit outside the fields, so equality and hashing ignore them.
+    @cached_property
     def a(self):
+        """Semi-major axis Lambda^2/m0^3 of the inner body."""
         return self.Lambda**2 / self.m0**3
 
     def eps_of_r(self, r):
@@ -64,12 +69,17 @@ class HamiltonianSpec:
 
     def terms(self):
         """Weights and eps-multipliers of the averaged-potential terms:
-        [(coefficient c_j, multiplier s_j)] with the term -c_j (m0^2/r) f_{s_j eps}."""
+        ((coefficient c_j, multiplier s_j), ...) with the term
+        -c_j (m0^2/r) f_{s_j eps}; one tuple per spec, computed once."""
+        return self._terms
+
+    @cached_property
+    def _terms(self):
         b, bb = self.masses.beta, self.masses.beta_bar
         tot = b + bb
         if self.index == 1:
-            return [(bb / tot, b), (b / tot, -bb)]
-        return [(bb / tot, b + bb)]
+            return ((bb / tot, b), (b / tot, -bb))
+        return ((bb / tot, b + bb),)
 
 
 def _bare_coulomb_weight(spec):
@@ -195,22 +205,28 @@ def _grad_secular_analytic(spec, state):
     R, G, r, g = state.R, state.G, state.r, state.g
     m0, Lam = spec.m0, spec.Lambda
     eps = spec.eps_of_r(r)
-    u2 = G**2 / Lam**2
+    # each repeated or term-independent subexpression once, each value in the
+    # operation order of tests/test_float_path.py's reference kernel, which
+    # this one matches bitwise
+    lam2, m02, r2 = Lam**2, m0**2, r**2
+    cos_g = math.cos(g)
+    u2 = G**2 / lam2
     root = math.sqrt(max(1e-300, 1.0 - u2))
     # e_hat(es, Lam, G, g) = e_cos + es * u2
-    e_cos = math.sqrt(max(0.0, 1.0 - u2)) * math.cos(g)
-    dH_dG = G / (m0 * r**2)
-    dH_dr = -(G**2) / (m0 * r**3) + _bare_coulomb_weight(spec) * m0**2 / r**2
+    e_cos = math.sqrt(max(0.0, 1.0 - u2)) * cos_g
+    dE_dG_cos = -(G / lam2) * cos_g / root
+    dE_dg = -root * math.sin(g)
+    pref, pref_r = m02 / r, m02 / r2
+    dH_dG = G / (m0 * r2)
+    dH_dr = -(G**2) / (m0 * r**3) + _bare_coulomb_weight(spec) * m02 / r2
     dH_dg = 0.0
     for c, s in spec.terms():
         es = s * eps
         F, Ft, Fe = potentials.f_eps_bundle(es, e_cos + es * u2)
-        dE_dG = -(G / Lam**2) * math.cos(g) / root + 2 * es * G / Lam**2
-        dE_dg = -root * math.sin(g)
-        dE_des = u2
-        dH_dG += -c * (m0**2 / r) * Ft * dE_dG
-        dH_dg += -c * (m0**2 / r) * Ft * dE_dg
-        dH_dr += c * (m0**2 / r**2) * (F + es * (Fe + Ft * dE_des))
+        dE_dG = dE_dG_cos + 2 * es * G / lam2
+        dH_dG += -c * pref * Ft * dE_dG
+        dH_dg += -c * pref * Ft * dE_dg
+        dH_dr += c * pref_r * (F + es * (Fe + Ft * u2))
     return np.array([R / m0, dH_dG, dH_dr, dH_dg])
 
 
@@ -219,28 +235,33 @@ def _grad_action_angle_analytic(spec, state):
     m0, Lam = spec.m0, spec.Lambda
     _, r, dr_dy, dr_dx = rr_forward_with_jacobian(m0, y, x)
     eps = spec.eps_of_r(r)
+    # each repeated subexpression once, in the reference kernel's operation
+    # order (tests/test_float_path.py), bitwise
+    lam2 = Lam**2
+    width, two_lam2 = lam2 - Gc**2, 2 * lam2
     u = Gc / Lam
+    one_m_u2 = 1.0 - u**2
     cos_gam = math.cos(gam)
     c2g = cos_gam**2
     s2g = 2.0 * cos_gam * math.sin(gam)
     pref = m0**2 / r
-    T1 = eps * (Lam**2 - Gc**2) / (2 * Lam**2) * c2g
+    T1 = eps * width / two_lam2 * c2g
     pert = T1
-    df_dG = pref * (-eps * Gc * c2g / Lam**2)
-    df_dgam = pref * (-eps * (Lam**2 - Gc**2) / (2 * Lam**2) * s2g)
+    df_dG = pref * (-eps * Gc * c2g / lam2)
+    df_dgam = pref * (-eps * width / two_lam2 * s2g)
     # d(pert)/dr at fixed (Gcal, gamma); T1 carries one factor eps(r)
     dpert_dr = -(T1 / r)
     for c, s in spec.terms():
         es = s * eps
         # e_hat_aa(es, Lam, Gc, gam)
-        t = u + es * (1.0 - u**2) * c2g
+        t = u + es * one_m_u2 * c2g
         # one f_eps node loop per term; f - 1 straight from the kernel, since
         # F - 1 from f_eps_bundle would cancel at small eps
         fm1, Ft, Fe = potentials._f_minus_one(es, t, grad=True)
         pert -= c * fm1
-        dE_dG = 1.0 / Lam - 2 * es * Gc * c2g / Lam**2
-        dE_dgam = -es * (1.0 - u**2) * s2g
-        dE_des = (1.0 - u**2) * c2g
+        dE_dG = 1.0 / Lam - 2 * es * Gc * c2g / lam2
+        dE_dgam = -es * one_m_u2 * s2g
+        dE_des = one_m_u2 * c2g
         df_dG += -c * pref * Ft * dE_dG
         df_dgam += -c * pref * Ft * dE_dgam
         dpert_dr += c * (Fe + Ft * dE_des) * s * eps / r

@@ -217,8 +217,15 @@ def estimate_c0(eps0, grid_n=64, tol=1e-13):
 
     Returns the minimum of |1 - cos xi'(x)| / eps0 over a grid_n x grid_n
     grid on the strip |Re x - pi| <= pi - 2 sqrt(eps0), |Im x| <= sqrt(eps0).
-    The constant is only asserted to exist (positively) by the theory, so it
-    is measured, never hard-coded.
+    Each half-plane Im x > 0, Im x < 0 is reached by continuation from the
+    real axis, one imaginary level at a time in order of |Im x|, every
+    column seeded by its point on the level before.  Both half-planes walk
+    together: level j stacks the j-th level of each half-plane that has one
+    (with odd grid_n the middle level can be a tiny nonzero, so one
+    half-plane may have one level more) into one Newton solve, which is
+    elementwise, so c0 has the bits of walking them one after the other.
+    The constant is only asserted to exist (positively) by the theory, so
+    it is measured, never hard-coded.
     """
     if not 0.0 < eps0 < 1.0:
         raise ValueError("eps0 must lie in (0, 1)")
@@ -230,12 +237,14 @@ def estimate_c0(eps0, grid_n=64, tol=1e-13):
     ims = np.linspace(-s, s, grid_n)
     z = xi_prime_array(res, tol).astype(complex)
     best = _cabs(1.0 - np.cos(z)).min()
-    # walk all imaginary half-columns at once by continuation from the real
-    # axis, each column reusing its previous point as the Newton seed
-    for sign in (1.0, -1.0):
-        order = sorted((im for im in ims if im * sign > 0), key=abs)
-        zc = z
-        for im in order:
-            zc, _ = _newton_complex(zc, res + 1j * im, tol)
-            best = min(best, _cabs(1.0 - np.cos(zc)).min())
+    sides = [sorted((im for im in ims if im * sign > 0), key=abs) for sign in (1.0, -1.0)]
+    cols = [z, z]  # each half-plane's columns at its last level
+    for level in range(max(map(len, sides))):
+        live = [k for k in (0, 1) if level < len(sides[k])]
+        zc, _ = _newton_complex(np.concatenate([cols[k] for k in live]),
+                                np.concatenate([res + 1j * sides[k][level] for k in live]),
+                                tol)
+        best = min(best, _cabs(1.0 - np.cos(zc)).min())
+        for k, part in zip(live, np.split(zc, len(live))):
+            cols[k] = part
     return best / eps0

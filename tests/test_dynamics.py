@@ -7,6 +7,7 @@ from perilib.dynamics import (
     IntegrationError,
     StepControl,
     Trajectory,
+    _annotate_events,
     detect_libration,
     integrate,
     integrate_flow,
@@ -90,6 +91,40 @@ class TestEvents:
         traj = Trajectory(t, states, np.ones_like(t), "secular")
         _, squeezes, _ = detect_libration(traj, make_spec())
         assert squeezes == 2
+
+    @pytest.mark.parametrize("G, times", [
+        ([1, -1], [0.5]),
+        ([1, 0, -1], [1.0]),
+        ([1, 0, 0, -1], [1.0]),
+        ([-1, 0, 0, 0, 2], [1.0]),
+        ([0, 1, 0, -1, 0, 0, 2], [2.0, 4.0]),
+        ([1, 0, 1], []),
+        ([-1, 0, 0, -3], []),
+        ([0, 0, 0], []),
+    ])
+    def test_squeeze_across_exact_zeros(self, G, times):
+        # a sign change through samples that are exactly 0 counts once, timed
+        # at the first zero sample; a touch of zero counts none
+        G = np.array(G + [G[-1]] * (12 - len(G)), dtype=float)
+        t = np.arange(G.size, dtype=float)
+        states = np.zeros((t.size, 4))
+        states[:, 1] = G
+        traj = Trajectory(t, states, np.ones_like(t), "secular")
+        _annotate_events(traj, make_spec())
+        assert traj.events == [(s, "squeeze") for s in times]
+        assert detect_libration(traj, make_spec())[1] == len(times)
+
+    def test_squeeze_through_gcal_at_lambda(self):
+        # in the action-angle chart G = sqrt(max(0, Lambda^2 - Gcal^2)) cos
+        # gamma is exactly 0 at |Gcal| >= Lambda, which the libration guard
+        # admits up to Lambda + 1e-12
+        rows = [(0.9, 0.1)] * 5 + [(1.0, 1.0), (1.0 + 1e-13, 2.0)] + [(0.9, 3.0)] * 5
+        states = np.array([[gc, gam, 500.0, 3.0] for gc, gam in rows])
+        t = np.arange(len(rows), dtype=float)
+        traj = Trajectory(t, states, np.ones_like(t), "action-angle")
+        _annotate_events(traj, make_spec())
+        assert traj.events == [(5.0, "squeeze")]
+        assert detect_libration(traj, make_spec())[1] == 1
 
     def test_short_trajectory_rejected(self):
         t = np.linspace(0, 1, 5)

@@ -238,6 +238,29 @@ def test_spec_validation():
         HamiltonianSpec(1, -1.0, 1.0, derive_mass_params(1, 1))
 
 
+@settings(max_examples=100, deadline=None)
+@given(index=st.sampled_from([1, 2]), frame=st.sampled_from(["jacobi", "m0centric"]),
+       mu=st.floats(min_value=1e-3, max_value=1e3), kappa=st.floats(min_value=1e-3, max_value=1e4),
+       m0=st.floats(min_value=0.1, max_value=10.0), Lam=st.floats(min_value=0.1, max_value=10.0),
+       r=st.floats(min_value=1e-3, max_value=1e6))
+def test_spec_constants_are_their_closed_forms(index, frame, mu, kappa, m0, Lam, r):
+    masses = derive_mass_params(mu, kappa, frame)
+    spec = HamiltonianSpec(index, m0, Lam, masses)
+    b, bb = masses.beta, masses.beta_bar
+    tot = b + bb
+    terms = [(bb / tot, b), (b / tot, -bb)] if index == 1 else [(bb / tot, b + bb)]
+    a = Lam**2 / m0**3
+    for _ in range(2):  # the first call computes, the second reads the cache
+        assert list(spec.terms()) == terms
+        assert spec.a == a
+        assert spec.eps_of_r(r) == a / r
+    # the caches are no fields: a used spec equals and hashes as a fresh one
+    fresh = HamiltonianSpec(index, m0, Lam, masses)
+    assert spec == fresh and hash(spec) == hash(fresh)
+    assert len({spec, fresh}) == 1
+    assert spec != HamiltonianSpec(3 - index, m0, Lam, masses)
+
+
 class TestStackedEnergies:
     """energies on (n, 4) stacks against the scalar loops kept above."""
 

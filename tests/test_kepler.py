@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 from perilib.kepler import (
     DEFAULT_TOL,
     KeplerError,
+    _cabs,
+    _newton_complex,
     _solve_elliptic,
     estimate_c0,
     solve_kepler,
@@ -242,6 +244,42 @@ def ref_estimate_c0(eps0, grid_n, tol=1e-13):
 @pytest.mark.parametrize("eps0", [0.25, 0.05, 0.4])
 def test_c0_column_scan_matches_scalar_scan(eps0):
     assert estimate_c0(eps0, 64) == ref_estimate_c0(eps0, 64)
+
+
+def ref_estimate_c0_two_walks(eps0, grid_n, tol=1e-13):
+    """estimate_c0 as it stood before the two imaginary half-planes were
+    stacked: all columns of one half-plane continued together, then the
+    other half-plane's."""
+    s = np.sqrt(eps0)
+    half = np.pi - 2 * s
+    res = np.linspace(np.pi - half, np.pi + half, grid_n)
+    ims = np.linspace(-s, s, grid_n)
+    z = xi_prime_array(res, tol).astype(complex)
+    best = _cabs(1.0 - np.cos(z)).min()
+    for sign in (1.0, -1.0):
+        order = sorted((im for im in ims if im * sign > 0), key=abs)
+        zc = z
+        for im in order:
+            zc, _ = _newton_complex(zc, res + 1j * im, tol)
+            best = min(best, _cabs(1.0 - np.cos(zc)).min())
+    return best / eps0
+
+
+@settings(max_examples=60, deadline=None)
+@given(eps0=st.floats(min_value=0.01, max_value=0.99), grid_n=st.integers(16, 64))
+def test_c0_stacked_half_planes_match_two_walks(eps0, grid_n):
+    assert estimate_c0(eps0, grid_n) == ref_estimate_c0_two_walks(eps0, grid_n)
+
+
+@pytest.mark.parametrize("eps0, grid_n, middle", [
+    (0.25, 17, 0.0), (0.2, 49, 1.0), (0.61, 49, -1.0)])
+def test_c0_odd_grid_middle_level(eps0, grid_n, middle):
+    # the middle linspace level is 0 or a tiny nonzero; a nonzero one gives
+    # its half-plane one level more than the other
+    ims = np.linspace(-np.sqrt(eps0), np.sqrt(eps0), grid_n)
+    mid = ims[grid_n // 2]
+    assert np.sign(mid) == middle and abs(mid) < 1e-15
+    assert estimate_c0(eps0, grid_n) == ref_estimate_c0_two_walks(eps0, grid_n)
 
 
 @settings(max_examples=60, deadline=None)
