@@ -16,6 +16,7 @@ the subcommand's flags (each sets one key, see COMMANDS).
 
 import argparse
 import configparser
+import functools
 import json
 import math
 import os
@@ -312,12 +313,13 @@ def cmd_verify_renorm(cfg, out_dir, seed):
 
 def _trajectory_csv(traj, seed):
     names = [f.name for f in fields(chart_named(traj.chart).state)]
-    rows = ["# seed,%d" % seed, ",".join(["t", *names, "energy"])]
-    table = np.column_stack([traj.times, traj.states, traj.energies]).tolist()
-    rows += ["%.17g,%.17g,%.17g,%.17g,%.17g,%.17g" % tuple(row) for row in table]
-    for t, kind in traj.events:
-        rows.append("# event,%.17g,%s" % (t, kind))
-    return "\n".join(rows) + "\n"
+    table = np.column_stack([traj.times, traj.states, traj.energies])
+    # the whole file from one format string, not one % per row: the header,
+    # a row of %.17g fields per sample, then a line per event
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    text = ("# seed,%d\n" + ",".join(["t", *names, "energy"]) + "\n"
+            + row * len(table) + "# event,%.17g,%s\n" * len(traj.events))
+    return text % (seed, *table.ravel().tolist(), *(v for event in traj.events for v in event))
 
 
 def cmd_evolve(cfg, out_dir, seed):
@@ -434,8 +436,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser of main, built on its first call: parse_args keeps no
+    state between calls, so one parser serves every call in a process."""
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     run, _, flags = COMMANDS[args.command]
     # subcommand flags are overrides applied after --set, so they win
     flag_values = [(key, getattr(args, key)) for key in flags.values()]

@@ -323,19 +323,32 @@ def _add_products(acc, sign, pa, pb, K):
     """Add the mode-convolution products sign * a * b of the pieces pa and
     pb to the fine-grid accumulator acc (key -> array): exact mode
     arithmetic over the full spectrum (a stored k stands for k and,
-    conjugated, -k), only canonical sums within the cutoff K kept."""
+    conjugated, -k), only canonical sums within the cutoff K kept.
+
+    A product that starts an accumulator entry is a fresh array, which the
+    entry keeps; every other product is written into one buffer, reused for
+    the whole call, and so is each conjugate a pair reads (one buffer per
+    operand, a row of pa conjugated once for all of pb)."""
+    prod = x_buf = y_buf = None
     for a, (k1, _, _) in enumerate(pa.keys):
-        x = pa.fine[a]
+        x, xc = pa.fine[a], None
         for b, (k2, _, _) in enumerate(pb.keys):
-            y = pb.fine[b]
+            y, yc = pb.fine[b], None
             for conj_a, conj_b, key in _pair_sums(k1, k2, K):
+                if conj_a and xc is None:
+                    xc = x_buf = np.conj(x, out=x_buf)
+                if conj_b and yc is None:
+                    yc = y_buf = np.conj(y, out=y_buf)
                 # np.multiply, not x * y.conj(): the operator may reuse the
                 # temporary with its operands swapped, and a complex product
                 # with FMA is not bitwise commutative
-                prod = np.multiply(np.conj(x) if conj_a else x, np.conj(y) if conj_b else y)
+                u, v = xc if conj_a else x, yc if conj_b else y
                 if key not in acc:
-                    acc[key] = prod if sign > 0 else -prod
-                elif sign > 0:
+                    new = np.multiply(u, v)
+                    acc[key] = new if sign > 0 else np.negative(new, out=new)
+                    continue
+                prod = np.multiply(u, v, out=prod)
+                if sign > 0:
                     acc[key] += prod
                 else:
                     acc[key] -= prod
@@ -374,23 +387,30 @@ def _refined(f):
 class _BracketSide:
     """What one series f contributes to a Poisson bracket, as pieces over
     its stored keys: left = (d_I f..., d_y f) and right = (d_phi f..., d_x f),
-    so {f, g} = sum_t left_f right_g - left_g right_f.  Built once and held
-    whole, a side serves every bracket it enters, as the generator of a Lie
-    series does; the other operand is streamed (see bracket)."""
+    so {f, g} = sum_t left_f right_g - left_g right_f.  Built once, a side
+    serves every bracket it enters, as the generator of a Lie series does;
+    the other operand is streamed (see bracket).
+
+    A side holds only what bracket reads: the d_phi pieces, each its own
+    array, and one refined stack of the n + 2 grid derivatives, which the
+    d_I, d_y and d_x pieces view.  f's refined values are made first, on
+    their own, and dropped once the d_phi pieces are built from them."""
 
     def __init__(self, f):
         self.series = f
         keys = list(f.coeffs)
         n = f.n_angles
-        fine = [None] * (n + 3)
+        d_phi, derivs = [_EMPTY] * n, [None] * (n + 2)
         if keys:
             coarse = np.stack(list(f.coeffs.values()))
-            derivs = [ch.differentiate(coarse, ax + 1, *f.box[ax]) for ax in range(n + 2)]
-            fine = ch.refine(np.concatenate([coarse] + derivs), lead=1)
-            fine = fine.reshape((n + 3, len(keys)) + fine.shape[1:])
-        grid = [_Piece(keys, d) for d in fine[1:]]  # d_I..., d_y, d_x
-        # d_phi_i: i k_i f_k on the stored keys (its conjugate is the -k mode)
-        d_phi = [_d_phi(fine[0], keys, i) for i in range(n)]
+            values = ch.refine(coarse, lead=1)
+            # d_phi_i: i k_i f_k on the stored keys (its conjugate is the -k mode)
+            d_phi = [_d_phi(values, keys, i) for i in range(n)]
+            values = None
+            derivs = ch.refine(np.concatenate(
+                [ch.differentiate(coarse, ax + 1, *f.box[ax]) for ax in range(n + 2)]), lead=1)
+            derivs = derivs.reshape((n + 2, len(keys)) + derivs.shape[1:])
+        grid = [_Piece(keys, d) for d in derivs]  # d_I..., d_y, d_x
         self.left = grid[:n + 1]
         self.right = d_phi + [grid[n + 1]]
 
@@ -403,8 +423,9 @@ class _BracketSide:
         term is summed, so the bracket holds one of them at a time.  A stack
         refines to the same bits alone as within a larger one, so the result
         is bitwise that of refining g's four stacks at once.  (A stack of one
-        x line, refined by a matrix-vector product, is the exception; but on
-        a grid with I and y axes of length 1 every term has a zero factor.)"""
+        x line, refined by a matrix-vector product, is the exception, here
+        and for the side's values; but on a grid with I and y axes of
+        length 1 every term has a zero factor.)"""
         f = self.series
         if not f.same_shape(g):
             raise ShapeError("bracket of incompatible series")
@@ -769,6 +790,33 @@ class NormalFormResult:
     steps: list = field(default_factory=list)
 
 
+def _step_remainder(osc, g_new, freqs, weights, residual_rtol, step):
+    """One homological step's remainder f_next, with its relative
+    homological residual and the LieReport of its chain.
+
+    The generator phi, its bracket side, the bracket b and the chain are
+    this function's locals, so all of them are gone once it returns, before
+    the next step builds its own."""
+    phi = nqp_primitive(osc, freqs)
+    rel_res = homological_residual(phi, osc, freqs).sup() / max(osc.sup(), 1e-300)
+    if residual_rtol is not None and rel_res > residual_rtol:
+        raise ContractionError(
+            "homological residual %.3e above tolerance %.1e at step %d"
+            % (rel_res, residual_rtol, step)
+        )
+    # H = h + g_new + osc and L = {phi, .}: the identity L(h) = -osc
+    # gives L(H) = b - osc = s with b = {phi, g_new + osc}, so
+    #   e^{L} H = H + sum_{j>=0} L^j(s)/(j+1)! = h + g_new + f_next,
+    #   f_next = b + sum_{j>=1} L^j(s)/(j+1)!
+    # One chain of terms L^j(s)/j!, weighted 1/(j+1); phi's side of the
+    # bracket is built once.
+    L = _BracketSide(phi)
+    b = L.bracket(g_new + osc)
+    chain, lie = _lie_chain(L, b - osc, STEP_LIE_ORDER, weights)
+    tail = [1.0 / (j + 1) for j in range(1, len(chain))]
+    return (b + _weighted_sum(chain[1:], tail)).prune(1e-300), rel_res, lie
+
+
 def normal_form_steps(f, freqs, N, weights=PLAIN_WEIGHTS, residual_rtol=None):
     """Iterate the homological step N times.
 
@@ -782,6 +830,10 @@ def normal_form_steps(f, freqs, N, weights=PLAIN_WEIGHTS, residual_rtol=None):
     whose contraction (its remainder's osc over its own) is >= 1 raises
     ContractionError, unless its osc is at most OSC_ROUNDING_FLOOR of step
     0's f_norm.
+
+    The run holds one step's generator at a time: a step's generator,
+    bracket side, bracket and Lie chain live in _step_remainder and are
+    released when it returns, so at most one bracket side is alive.
     """
     g = f.shell()
     fj = f.copy()
@@ -791,31 +843,13 @@ def normal_form_steps(f, freqs, N, weights=PLAIN_WEIGHTS, residual_rtol=None):
         avg, osc = tf_average_split(fj)
         osc_norm = tf_norm(osc, weights)
         f_norm = tf_norm(fj, weights)
+        g = (g + avg).prune()
         if osc_norm == 0.0:
-            g = (g + avg).prune()
             fj = fj.shell()
             steps.append(NormalFormStep(step, f_norm, 0.0, 0.0, 0.0))
             break
-        phi = nqp_primitive(osc, freqs)
-        res = homological_residual(phi, osc, freqs)
-        rel_res = res.sup() / max(osc.sup(), 1e-300)
-        if residual_rtol is not None and rel_res > residual_rtol:
-            raise ContractionError(
-                "homological residual %.3e above tolerance %.1e at step %d"
-                % (rel_res, residual_rtol, step)
-            )
-        g_new = (g + avg).prune()
-        # H = h + g_new + osc and L = {phi, .}: the identity L(h) = -osc
-        # gives L(H) = b - osc = s with b = {phi, g_new + osc}, so
-        #   e^{L} H = H + sum_{j>=0} L^j(s)/(j+1)! = h + g_new + f_next,
-        #   f_next = b + sum_{j>=1} L^j(s)/(j+1)!
-        # One chain of terms L^j(s)/j!, weighted 1/(j+1); phi's side of the
-        # bracket is built once.
-        L = _BracketSide(phi)
-        b = L.bracket(g_new + osc)
-        chain, lie = _lie_chain(L, b - osc, STEP_LIE_ORDER, weights)
-        tail = [1.0 / (j + 1) for j in range(1, len(chain))]
-        fj = (b + _weighted_sum(chain[1:], tail)).prune(1e-300)
+        fj = None  # avg and osc are copies of its coefficients
+        fj, rel_res, lie = _step_remainder(osc, g, freqs, weights, residual_rtol, step)
         contraction = tf_norm(tf_average_split(fj)[1], weights) / osc_norm
         if contraction >= 1 and osc_norm > OSC_ROUNDING_FLOOR * f0_norm:
             raise ContractionError(
@@ -824,5 +858,4 @@ def normal_form_steps(f, freqs, N, weights=PLAIN_WEIGHTS, residual_rtol=None):
             )
         steps.append(NormalFormStep(step, f_norm, osc_norm, rel_res, contraction,
                                     lie.orders, lie.ratio, lie.tail_bound))
-        g = g_new
     return NormalFormResult(g, fj, steps)

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from perilib.cli import (
     EXIT_CONFIG,
@@ -217,6 +218,32 @@ class TestEvolve:
                 for t, z, E in zip(times, states, energies)]
         expect = "\n".join(["# seed,9", "t,R,G,r,g,energy", *rows, "# event,2.5,squeeze"])
         assert _trajectory_csv(traj, 9) == expect + "\n"
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_trajectory_table_matches_per_row_reference(self, data):
+        # the file is formatted with one format string; its bytes are those
+        # of one %.17g row per sample, including a one-row (T = 0) table
+        from perilib.cli import _trajectory_csv
+        from perilib.dynamics import Trajectory
+
+        n = data.draw(st.sampled_from([1, 1, 2, 3, 17, 2000]))
+        values = st.floats(allow_nan=True, allow_infinity=True)
+        # a drawn pool of floats, placed at random over the n x 6 table
+        pool = np.array(data.draw(st.lists(values, min_size=1, max_size=24)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        table = pool[rng.integers(len(pool), size=(n, 6))]
+        chart = data.draw(st.sampled_from(["secular", "action-angle"]))
+        traj = Trajectory(table[:, 0], table[:, 1:5], table[:, 5], chart)
+        traj.events += data.draw(st.lists(st.tuples(
+            values, st.sampled_from(["squeeze", "winding-2pi", "domain-exit"])), max_size=3))
+        seed = data.draw(st.integers(0, 2**64 - 1))
+        header = "t,R,G,r,g,energy" if chart == "secular" else "t,Gcal,gamma,y,x,energy"
+        rows = ["# seed,%d" % seed, header]
+        for t, z, E in zip(traj.times, traj.states, traj.energies):
+            rows.append("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g" % (t, z[0], z[1], z[2], z[3], E))
+        rows += ["# event,%.17g,%s" % event for event in traj.events]
+        assert _trajectory_csv(traj, seed) == "\n".join(rows) + "\n"
 
     def test_invariant_manifold_run(self, tmp_path):
         code, out = run(
@@ -535,3 +562,45 @@ def test_portrait_csv_matches_the_per_point_rows(tmp_path, seed, eps):
             rows.append("%.17g,%.17g,%.17g" % (lv, g, G))
         rows.append("# polyline,%.17g" % lv)
     assert (out / "portrait.csv").read_bytes() == ("\n".join(rows) + "\n").encode()
+
+
+def test_main_reuses_one_parser_across_calls(tmp_path, monkeypatch, capsys):
+    # main parses with one parser per process; a run of calls through it,
+    # one after argparse rejected an argv and one after a --set that the
+    # next call leaves out, gives the exit codes and files of a fresh
+    # parser per call
+    import perilib.cli as cli
+
+    calls = [
+        ("--set", "portrait.grid=64", "portrait", "--eps", "0.3"),
+        ("--seed", "5", "verify-renorm", "--eps-list", "0.1, -0.2"),
+        ("no-such-command",),
+        ("evolve", "--state", "0.1, 0.2, 50.0, 0.3", "--duration", "5"),
+        ("evolve", "--duration", "0"),
+        ("portrait", "--eps", "0.6"),
+        ("--set", "theorem.n_steps=2", "check-theorem"),
+        NORMALFORM_SMALL + ("normalform", "-N", "1"),
+        ("--set", "portrait.grid=64", "--set", "portrait.levels=3", "portrait"),
+        ("--set", "portrait.grid=64", "portrait", "--eps"),
+        ("--set", "portrait.grid=64", "portrait"),
+    ]
+
+    def run_all(root):
+        results = []
+        for i, argv in enumerate(calls):
+            out = root / str(i)
+            try:
+                code = cli.main(["--out", str(out), *argv])
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            files = {p.name: p.read_bytes() for p in sorted(out.glob("*"))} if out.exists() else {}
+            results.append((code, files))
+        return results
+
+    shared = run_all(tmp_path / "shared")
+    assert [code for code, _ in shared].count(("exit", 2)) == 2
+    assert cli._parser.cache_info().misses <= 1
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = run_all(tmp_path / "fresh")
+    capsys.readouterr()
+    assert shared == fresh

@@ -879,6 +879,70 @@ class TestStreamedBracket:
                 tracemalloc.stop()
         assert peak - start <= 6 * stack
 
+    @pytest.mark.parametrize("n_x", [8, 9, 12])
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_single_x_line_generator_matches_two_sided_engine(self, n_x, k):
+        # a one-key generator on a (1, 1, n_x) grid: its values stack is one
+        # x line, refined by a matrix-vector product rather than within the
+        # derivative stacks; every term has a d_I or d_y factor, zero here,
+        # so the bits are still the two-sided engine's
+        rng = np.random.default_rng(40 + n_x + k)
+        shape = (1, 1, n_x)
+        def series(modes):
+            return TFSeries(1, 4, BOX, shape, {
+                ((m,), (), ()): rng.normal(size=shape) + 1j * rng.normal(size=shape) * (m > 0)
+                for m in modes})
+
+        f, g = series([k]), series(range(4))
+        for a, b in ((f, g), (g, f), (f, f)):
+            for cutoff in (None, 2):
+                assert_same_bits(poisson_bracket(a, b, cutoff), two_sided_bracket(a, b, cutoff))
+
+
+class TestBracketSideLifetime:
+    """normal_form_steps keeps one step's bracket side, and what it reads,
+    alive at a time."""
+
+    def test_one_side_alive_at_each_build(self, monkeypatch):
+        # when a step builds its side, the earlier steps' sides are gone
+        import weakref
+
+        import perilib.normalform as nf
+
+        sides, alive = [], []
+
+        class CountedSide(nf._BracketSide):
+            def __init__(self, f):
+                alive.append(sum(ref() is not None for ref in sides))
+                sides.append(weakref.ref(self))
+                super().__init__(f)
+
+        monkeypatch.setattr(nf, "_BracketSide", CountedSide)
+        f, freqs = criterion_8_series((8, 8, 10))
+        nf.normal_form_steps(f, freqs, N=3)
+        assert alive == [0, 0, 0]
+
+    def test_run_peak_in_refined_stacks(self):
+        # three steps of criterion 8 on (8, 8, 10) peak at about 45 refined
+        # one-key stacks above their start; holding each step's side and
+        # its refined values until the next side was built took 73
+        import tracemalloc
+
+        f, freqs = criterion_8_series((8, 8, 10))
+        stack = ch.refine(np.zeros(f.grid_shape, complex)).nbytes
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            normal_form_steps(f, freqs, N=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak - start <= 60 * stack
+
 
 class TestSerialization:
     def test_roundtrip(self, tmp_path):
