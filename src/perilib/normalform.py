@@ -1,18 +1,18 @@
 """Desk-scale engine for the small-divisor-free normal form.
 
-Objects are truncated Fourier series
+Objects are truncated Fourier series in the one angle phi (the perihelion
+argument gamma of the reduced problem)
 
-    f = sum_k f_k(I, y, x) e^{i k.phi}
+    f = sum_k f_k(I, y, x) e^{i k phi}
 
-with Fourier modes k in the angles and coefficient functions tabulated on a
-tensor Chebyshev grid over an (I, y, x) box.  The homological equation is
-solved by integrating along x (no frequency inversion, hence no small
-divisors), the new-coordinate push is a time-one Lie flow, and the iteration
-drains the angle-dependent part of the perturbation geometrically.
+with coefficient functions tabulated on a tensor Chebyshev grid over an
+(I, y, x) box.  The homological equation is solved by integrating along x
+(no frequency inversion, hence no small divisors), the new-coordinate push
+is a time-one Lie flow, and the iteration drains the angle-dependent part of
+the perturbation geometrically.
 
-Every series is real, so c_{-k} = conj(c_k): a series stores only the
-canonical half of its spectrum (k = 0, or the first non-zero entry of k
-positive), and each product or bracket rebuilds the k < 0 modes it needs by
+Every series is real, so c_{-k} = conj(c_k): a series stores only the modes
+k >= 0, and each product or bracket rebuilds the k < 0 modes it needs by
 conjugation.
 
 Norms use the weighted majorant  sum_k sup|f_k| e^{s|k|}  over the full
@@ -21,7 +21,6 @@ for the complex-polydisc sup.
 """
 
 import functools
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -60,35 +59,29 @@ class NormWeights:
 PLAIN_WEIGHTS = NormWeights(1.0, 1e-12, 1.0, 1.0)  # ~ sum of coefficient sups
 
 
-def _canonical(k):
-    """True for the stored half of the spectrum: k = 0, or the first
-    non-zero entry of k positive."""
-    for ki in k:
-        if ki:
-            return ki > 0
-    return True
-
-
 def _weight(k, s):
-    """e^{s|k|} for a stored mode, twice over for k != 0 (it stands for k
+    """e^{s k} for a stored mode k, twice over for k != 0 (it stands for k
     and -k)."""
-    return (2.0 if any(k) else 1.0) * math.exp(s * sum(abs(ki) for ki in k))
+    return (2.0 if k else 1.0) * math.exp(s * k)
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 class TFSeries:
     """Truncated Fourier series of a real function with Chebyshev-grid
     coefficients.
 
-    coeffs maps canonical keys (k, (), ()) (k a tuple of n_angles ints, the
-    first non-zero one positive; the two empty slots keep the serialized
-    "h"/"j" layout) to complex arrays over the (I_1..I_n, y, x) grid.  The
-    mode -k is implied: its coefficient is conj(coeffs[k]).
+    coeffs maps keys ((k,), (), ()), k an int with 0 <= k <= fourier_cutoff,
+    to complex arrays over the (I, y, x) grid (the key's layout is that of
+    the serialized "k"/"h"/"j" fields).  The mode -k is implied: its
+    coefficient is conj(coeffs[k]).
     """
 
-    def __init__(self, n_angles, fourier_cutoff, box, grid_shape, coeffs=None):
-        if len(box) != n_angles + 2 or len(grid_shape) != n_angles + 2:
-            raise ShapeError("box/grid_shape must cover the I..., y, x axes")
-        self.n_angles = n_angles
+    def __init__(self, fourier_cutoff, box, grid_shape, coeffs=None):
+        if len(box) != 3 or len(grid_shape) != 3:
+            raise ShapeError("box/grid_shape must cover the I, y, x axes")
         self.fourier_cutoff = fourier_cutoff
         self.box = tuple((float(a), float(b)) for a, b in box)
         self.grid_shape = tuple(int(g) for g in grid_shape)
@@ -105,22 +98,18 @@ class TFSeries:
 
     def _check_key(self, key):
         k, h, j = key
-        if len(k) != self.n_angles or h or j:
+        if len(k) != 1 or not _is_int(k[0]) or h or j:
             raise ShapeError("bad key %r" % (key,))
-        if any(abs(ki) > self.fourier_cutoff for ki in k):
+        if abs(k[0]) > self.fourier_cutoff:
             raise ShapeError("Fourier index beyond cutoff in %r" % (key,))
-        if not _canonical(k):
+        if k[0] < 0:
             raise ShapeError("key %r is not stored: k < 0 is implied by conjugation" % (key,))
 
     def same_shape(self, other):
-        return (
-            self.n_angles == other.n_angles
-            and self.box == other.box
-            and self.grid_shape == other.grid_shape
-        )
+        return self.box == other.box and self.grid_shape == other.grid_shape
 
     def shell(self, coeffs=None):
-        return TFSeries(self.n_angles, self.fourier_cutoff, self.box, self.grid_shape, coeffs)
+        return TFSeries(self.fourier_cutoff, self.box, self.grid_shape, coeffs)
 
     def grids(self):
         return [ch.nodes(g, lo, hi) for g, (lo, hi) in zip(self.grid_shape, self.box)]
@@ -170,19 +159,15 @@ class TFSeries:
     # ---------------- evaluation ----------------
 
     def evaluate(self, I, phi, y, x):
-        """Pointwise value c_0 + 2 Re sum_{k != 0 stored} c_k e^{i k.phi} at
-        scalar coordinates (I and phi are sequences of length n_angles)."""
-        I = np.atleast_1d(I)
-        phi = np.atleast_1d(phi)
+        """Pointwise value c_0 + 2 Re sum_{k != 0 stored} c_k e^{i k phi} at
+        scalar coordinates (I and phi may also be one-entry sequences)."""
+        (I,), (phi,) = np.atleast_1d(I), np.atleast_1d(phi)
         out = 0.0
-        pts = list(I) + [y, x]
-        for (k, _, _), arr in self.coeffs.items():
-            c = arr
-            for axis in range(len(self.grid_shape)):
-                coef = ch.vals_to_coeffs(c, 0)
-                c = ch.clenshaw(coef, 0, [pts[axis]], *self.box[axis])[..., 0]
-            term = (complex(c) * np.exp(1j * np.dot(k, phi))).real
-            out += 2.0 * term if any(k) else term
+        for ((k,), _, _), c in self.coeffs.items():
+            for pt, (lo, hi) in zip((I, y, x), self.box):
+                c = ch.clenshaw(ch.vals_to_coeffs(c, 0), 0, [pt], lo, hi)[..., 0]
+            term = (complex(c) * np.exp(1j * (k * phi))).real
+            out += 2.0 * term if k else term
         return out
 
 
@@ -191,23 +176,20 @@ class TFSeries:
 COEFF_FLOOR = 1e-14
 
 
-def tf_build(fun, box, grid_shape, n_angles=1, fourier_cutoff=8, n_phi=64):
+def tf_build(fun, box, grid_shape, fourier_cutoff=8, n_phi=64):
     """Sample a real pointwise evaluator into a TFSeries (real FFT in the
-    angles at Chebyshev nodes in the grid variables), keeping the canonical
-    modes above COEFF_FLOOR.
+    angle at Chebyshev nodes in the grid variables), keeping the modes
+    k = 0..fourier_cutoff above COEFF_FLOOR.
 
-    fun receives sparse meshes (I_1, ..., I_n, phi_1, ..., phi_n, y, x), each
-    varying along its own axis only, and returns values that broadcast to
-    the full grid.  Values with an imaginary part above 1e-14 of their sup
-    raise ValueError.
+    fun receives sparse meshes (I, phi, y, x), each varying along its own
+    axis only, and returns values that broadcast to the full grid.  Values
+    with an imaginary part above 1e-14 of their sup raise ValueError.
     """
     if n_phi < 2 * fourier_cutoff + 2:
         raise ValueError("n_phi must resolve the requested cutoff")
-    grids = [ch.nodes(g, lo, hi) for g, (lo, hi) in zip(grid_shape, box)]
-    phis = [2 * np.pi * np.arange(n_phi) / n_phi] * n_angles
-    n = n_angles
-    mesh_axes = grids[:n] + phis + grids[n:]
-    mesh = np.meshgrid(*mesh_axes, indexing="ij", sparse=True)
+    I, y, x = (ch.nodes(g, lo, hi) for g, (lo, hi) in zip(grid_shape, box))
+    phi = 2 * np.pi * np.arange(n_phi) / n_phi
+    mesh = np.meshgrid(I, phi, y, x, indexing="ij", sparse=True)
     shape = np.broadcast_shapes(*(m.shape for m in mesh))
     vals = np.asarray(fun(*mesh))
     if not np.all(np.isfinite(vals)):
@@ -217,21 +199,14 @@ def tf_build(fun, box, grid_shape, n_angles=1, fourier_cutoff=8, n_phi=64):
             raise ValueError("tf_build needs a real evaluator: its values have an "
                              "imaginary part above 1e-14 of their sup")
         vals = vals.real
-    angle_axes = tuple(range(n, 2 * n))
-    # the last angle axis holds k_n = 0 .. n_phi/2; a canonical k with k_n < 0
-    # is read as conj(F[-k])
-    F = np.fft.rfftn(np.broadcast_to(vals, shape), axes=angle_axes) / n_phi**n
-    series = TFSeries(n, fourier_cutoff, box, grid_shape)
+    # axis 1 holds the modes k = 0 .. n_phi/2
+    F = np.fft.rfft(np.broadcast_to(vals, shape), axis=1) / n_phi
+    series = TFSeries(fourier_cutoff, box, grid_shape)
     scale = float(np.max(np.abs(F))) or 1.0
-    for k in itertools.product(range(-fourier_cutoff, fourier_cutoff + 1), repeat=n):
-        if not _canonical(k):
-            continue
-        flip = k[-1] < 0
-        idx = (slice(None),) * n + tuple((-ki if flip else ki) % n_phi for ki in k)
-        arr = F[idx]
-        if np.max(np.abs(arr)) > COEFF_FLOOR * scale:
+    for k in range(fourier_cutoff + 1):
+        if np.max(np.abs(F[:, k])) > COEFF_FLOOR * scale:
             # a C-ordered copy, never a view that would keep all of F alive
-            series.coeffs[(k, (), ())] = np.array(arr.conj() if flip else arr, order="C")
+            series.coeffs[((k,), (), ())] = np.array(F[:, k], order="C")
     return series
 
 
@@ -240,12 +215,8 @@ def tf_average_split(f):
     their sum is f and re-splitting the average is a fixed point."""
     avg = f.shell()
     osc = f.shell()
-    zero = (0,) * f.n_angles
     for key, arr in f.coeffs.items():
-        if key[0] == zero:
-            avg.coeffs[key] = arr.copy()
-        else:
-            osc.coeffs[key] = arr.copy()
+        (avg if key[0] == (0,) else osc).coeffs[key] = arr.copy()
     return avg, osc
 
 
@@ -253,7 +224,7 @@ def tf_norm(f, w=PLAIN_WEIGHTS):
     """Weighted majorant norm: sum_k sup_grid |f_k| e^{s|k|} over the full
     spectrum (each stored k != 0 counts for k and -k)."""
     total = 0.0
-    for (k, _, _), arr in f.coeffs.items():
+    for ((k,), _, _), arr in f.coeffs.items():
         total += float(np.max(np.abs(arr))) * _weight(k, w.s)
     return total
 
@@ -261,18 +232,18 @@ def tf_norm(f, w=PLAIN_WEIGHTS):
 # ---------------- calculus ----------------
 
 
-def d_angle(f, i=0):
-    """d/d(phi_i): multiplies each mode by i k_i."""
+def d_angle(f):
+    """d/d(phi): multiplies each mode by i k."""
     out = f.shell()
     for key, arr in f.coeffs.items():
-        k = key[0]
-        if k[i] != 0:
-            out.coeffs[key] = 1j * k[i] * arr
+        (k,), _, _ = key
+        if k:
+            out.coeffs[key] = 1j * k * arr
     return out
 
 
 def d_grid(f, axis):
-    """Spectral derivative along grid axis (0..n-1: I_i, n: y, n+1: x)."""
+    """Spectral derivative along grid axis (0: I, 1: y, 2: x)."""
     lo, hi = f.box[axis]
     out = f.shell()
     for key, arr in f.coeffs.items():
@@ -281,7 +252,7 @@ def d_grid(f, axis):
 
 
 def d_x(f):
-    return d_grid(f, f.n_angles + 1)
+    return d_grid(f, 2)
 
 
 class _Piece:
@@ -301,14 +272,14 @@ _EMPTY = _Piece([], None)
 @functools.lru_cache(maxsize=None)
 def _pair_sums(k1, k2, K):
     """The full-spectrum pairs (s1 k1, s2 k2) of two stored modes whose sum
-    is canonical and within the cutoff K: tuples (s1 < 0, s2 < 0, key).  A
+    is stored, 0 <= s1 k1 + s2 k2 <= K: tuples (s1 < 0, s2 < 0, key).  A
     zero mode has only its + sign."""
     out = []
-    for s1 in (1, -1) if any(k1) else (1,):
-        for s2 in (1, -1) if any(k2) else (1,):
-            k = tuple(s1 * a + s2 * b for a, b in zip(k1, k2))
-            if _canonical(k) and all(abs(ki) <= K for ki in k):
-                out.append((s1 < 0, s2 < 0, (k, (), ())))
+    for s1 in (1, -1) if k1 else (1,):
+        for s2 in (1, -1) if k2 else (1,):
+            k = s1 * k1 + s2 * k2
+            if 0 <= k <= K:
+                out.append((s1 < 0, s2 < 0, ((k,), (), ())))
     return tuple(out)
 
 
@@ -323,16 +294,16 @@ def _add_products(acc, sign, pa, pb, K):
     """Add the mode-convolution products sign * a * b of the pieces pa and
     pb to the fine-grid accumulator acc (key -> array): exact mode
     arithmetic over the full spectrum (a stored k stands for k and,
-    conjugated, -k), only canonical sums within the cutoff K kept.
+    conjugated, -k), only the sums 0 <= k <= K kept.
 
     A product that starts an accumulator entry is a fresh array, which the
     entry keeps; every other product is written into one buffer, reused for
     the whole call, and so is each conjugate a pair reads (one buffer per
     operand, a row of pa conjugated once for all of pb)."""
     prod = x_buf = y_buf = None
-    for a, (k1, _, _) in enumerate(pa.keys):
+    for a, ((k1,), _, _) in enumerate(pa.keys):
         x, xc = pa.fine[a], None
-        for b, (k2, _, _) in enumerate(pb.keys):
+        for b, ((k2,), _, _) in enumerate(pb.keys):
             y, yc = pb.fine[b], None
             for conj_a, conj_b, key in _pair_sums(k1, k2, K):
                 if conj_a and xc is None:
@@ -358,7 +329,7 @@ def _projected(acc, like, K):
     """The series of like's shape and cutoff K whose coefficients are the
     accumulator's, projected back to the grid in one stacked pass.  The
     accumulator is emptied once stacked."""
-    out = TFSeries(like.n_angles, K, like.box, like.grid_shape)
+    out = TFSeries(K, like.box, like.grid_shape)
     if acc:
         keys, fine = list(acc), np.stack(list(acc.values()))
         acc.clear()
@@ -386,46 +357,40 @@ def _refined(f):
 
 class _BracketSide:
     """What one series f contributes to a Poisson bracket, as pieces over
-    its stored keys: left = (d_I f..., d_y f) and right = (d_phi f..., d_x f),
-    so {f, g} = sum_t left_f right_g - left_g right_f.  Built once, a side
-    serves every bracket it enters, as the generator of a Lie series does;
-    the other operand is streamed (see bracket).
+    its stored keys: d_I, d_y, d_phi and d_x of f, so that
+    {f, g} = d_I f d_phi g - d_I g d_phi f + d_y f d_x g - d_y g d_x f.
+    Built once, a side serves every bracket it enters, as the generator of
+    a Lie series does; the other operand is streamed (see bracket).
 
-    A side holds only what bracket reads: the d_phi pieces, each its own
-    array, and one refined stack of the n + 2 grid derivatives, which the
-    d_I, d_y and d_x pieces view.  f's refined values are made first, on
-    their own, and dropped once the d_phi pieces are built from them."""
+    A side holds only what bracket reads: the d_phi piece, its own array,
+    and one refined stack of the three grid derivatives, which the d_I, d_y
+    and d_x pieces view.  f's refined values are made first, on their own,
+    and dropped once the d_phi piece is built from them."""
 
     def __init__(self, f):
         self.series = f
+        self.d_I = self.d_y = self.d_phi = self.d_x = _EMPTY
         keys = list(f.coeffs)
-        n = f.n_angles
-        d_phi, derivs = [_EMPTY] * n, [None] * (n + 2)
         if keys:
             coarse = np.stack(list(f.coeffs.values()))
-            values = ch.refine(coarse, lead=1)
-            # d_phi_i: i k_i f_k on the stored keys (its conjugate is the -k mode)
-            d_phi = [_d_phi(values, keys, i) for i in range(n)]
-            values = None
+            self.d_phi = _d_phi(ch.refine(coarse, lead=1), keys)
             derivs = ch.refine(np.concatenate(
-                [ch.differentiate(coarse, ax + 1, *f.box[ax]) for ax in range(n + 2)]), lead=1)
-            derivs = derivs.reshape((n + 2, len(keys)) + derivs.shape[1:])
-        grid = [_Piece(keys, d) for d in derivs]  # d_I..., d_y, d_x
-        self.left = grid[:n + 1]
-        self.right = d_phi + [grid[n + 1]]
+                [ch.differentiate(coarse, ax + 1, *f.box[ax]) for ax in range(3)]), lead=1)
+            derivs = derivs.reshape((3, len(keys)) + derivs.shape[1:])
+            self.d_I, self.d_y, self.d_x = (_Piece(keys, d) for d in derivs)
 
     def bracket(self, g, fourier_cutoff=None):
         """{f, g} with f this side's series and g a series.
 
         g is streamed: its refined stacks are made one at a time, in the
-        order the terms use them (the refined values for d_phi g, then
-        d_I g, per angle, then d_x g and d_y g), and each is dropped once its
-        term is summed, so the bracket holds one of them at a time.  A stack
-        refines to the same bits alone as within a larger one, so the result
-        is bitwise that of refining g's four stacks at once.  (A stack of one
-        x line, refined by a matrix-vector product, is the exception, here
-        and for the side's values; but on a grid with I and y axes of
-        length 1 every term has a zero factor.)"""
+        order the terms use them (the refined values for d_phi g, then d_I g,
+        d_x g and d_y g), and each is dropped once its term is summed, so the
+        bracket holds one of them at a time.  A stack refines to the same
+        bits alone as within a larger one, so the result is bitwise that of
+        refining g's four stacks at once.  (A stack of one x line, refined by
+        a matrix-vector product, is the exception, here and for the side's
+        values; but on a grid with I and y axes of length 1 every term has a
+        zero factor.)"""
         f = self.series
         if not f.same_shape(g):
             raise ShapeError("bracket of incompatible series")
@@ -433,36 +398,31 @@ class _BracketSide:
         acc = {}
         keys = list(g.coeffs)
         if keys:
-            n = g.n_angles
             coarse = np.stack(list(g.coeffs.values()))
 
             def fine_d(axis):
                 d = ch.differentiate(coarse, axis + 1, *g.box[axis])
                 return _Piece(keys, ch.refine(d, lead=1))
 
-            values = ch.refine(coarse, lead=1)
-            for t, (lf, rf) in enumerate(zip(self.left, self.right)):
-                right = _d_phi(values, keys, t) if t < n else fine_d(n + 1)
-                if t == n - 1:
-                    values = None  # the last d_phi g is built
-                _add_products(acc, 1, lf, right, K)
-                right = None
-                _add_products(acc, -1, fine_d(t), rf, K)
+            _add_products(acc, 1, self.d_I, _d_phi(ch.refine(coarse, lead=1), keys), K)
+            _add_products(acc, -1, fine_d(0), self.d_phi, K)
+            _add_products(acc, 1, self.d_y, fine_d(2), K)
+            _add_products(acc, -1, fine_d(1), self.d_x, K)
         return _projected(acc, f, K)
 
 
-def _d_phi(fine, keys, i):
-    """The piece of d_phi_i on the refined values fine: rows times i k_i,
-    rows with k_i = 0 dropped."""
-    rows = [r for r, (k, _, _) in enumerate(keys) if k[i] != 0]
+def _d_phi(fine, keys):
+    """The piece of d_phi on the refined values fine: rows times i k, the
+    k = 0 row dropped."""
+    rows = [r for r, ((k,), _, _) in enumerate(keys) if k]
     if not rows:
         return _EMPTY
-    scale = np.array([1j * keys[r][0][i] for r in rows]).reshape((-1,) + (1,) * (fine.ndim - 1))
+    scale = np.array([1j * keys[r][0][0] for r in rows]).reshape((-1,) + (1,) * (fine.ndim - 1))
     return _Piece([keys[r] for r in rows], fine[rows] * scale)
 
 
 def poisson_bracket(f, g, fourier_cutoff=None):
-    """{f, g} = sum_i (d_I f d_phi g - d_I g d_phi f) + (d_y f d_x g - d_y g d_x f),
+    """{f, g} = d_I f d_phi g - d_I g d_phi f + d_y f d_x g - d_y g d_x f,
     with exact mode arithmetic in k, spectral differentiation on the
     Chebyshev grids, and truncation back to the requested cutoff (default:
     the operands' max, as for tf_product)."""
@@ -474,19 +434,22 @@ def poisson_bracket(f, g, fourier_cutoff=None):
 
 @dataclass(frozen=True)
 class FrequencyData:
-    """Frequencies of the drift part, tabulated on the (I..., y) grid.
+    """Frequencies of the drift part, tabulated on the (I, y) grid.
 
     omega_y must be finite and bounded away from zero on the box; omega_I
-    (one finite array per angle; may be identically zero) enters the mode
-    eigenvalue lambda_k = i k . omega_I.
+    (a finite array, or None for identically zero) enters the mode
+    eigenvalue lambda_k = i k omega_I.
     """
 
     omega_y: np.ndarray
-    omega_I: tuple = ()
+    omega_I: np.ndarray = None
 
     @classmethod
     def tabulate(cls, box, grid_shape, omega_y, omega_I=()):
-        """Evaluate callables of (*I, y) on the grid of a series shape."""
+        """Evaluate callables of (I, y) on the grid of a series shape;
+        omega_I is a sequence of at most one callable."""
+        if len(omega_I) > 1:
+            raise ValueError("one angle: omega_I takes at most one callable")
         axes = [ch.nodes(g, lo, hi) for g, (lo, hi) in zip(grid_shape[:-1], box[:-1])]
         mesh = np.meshgrid(*axes, indexing="ij")
 
@@ -494,21 +457,20 @@ class FrequencyData:
             return np.asarray(w(*mesh), dtype=float) + np.zeros(mesh[0].shape)
 
         wy = table(omega_y)
-        wI = tuple(table(w) for w in omega_I)
+        wI = table(omega_I[0]) if omega_I else None
         # negated, so that a NaN fails the guard
         if not np.min(np.abs(wy)) >= 1e-14:
             raise ValueError("omega_y vanishes or is not finite on the box")
-        if not all(np.all(np.isfinite(w)) for w in wI):
+        if wI is not None and not np.all(np.isfinite(wI)):
             raise ValueError("omega_I is not finite on the box")
         return cls(wy, wI)
 
 
 def mode_eigenvalue(freqs, k):
-    """lambda_k = i k . omega_I on the (I..., y) grid."""
+    """lambda_k = i k omega_I on the (I, y) grid."""
     lam = np.zeros_like(freqs.omega_y, dtype=complex)
-    for ai, kv in enumerate(k):
-        if kv != 0 and freqs.omega_I:
-            lam += 1j * kv * freqs.omega_I[ai]
+    if k and freqs.omega_I is not None:
+        lam += 1j * k * freqs.omega_I
     return lam
 
 
@@ -550,7 +512,7 @@ def nqp_primitive(f_osc, freqs, basepoint=None):
     out = f_osc.shell()
     inv_wy = 1.0 / freqs.omega_y
     for key, arr in osc.coeffs.items():
-        mu = mode_eigenvalue(freqs, key[0]) * inv_wy  # (I..., y)
+        mu = mode_eigenvalue(freqs, key[0][0]) * inv_wy  # (I, y)
         # where mu vanishes (omega_I = 0) the kernel is wq itself; broadcast
         # to the full kernel's shape it takes the same einsum path, bit for bit
         kernel = wq * np.exp(mu[..., None, None] * (tau - xs[:, None])) if np.any(mu) else wq
@@ -571,7 +533,7 @@ def homological_residual(phi, f_osc, freqs):
     keys = set(phi.coeffs) | set(f_osc.coeffs) | set(dphi.coeffs)
     zero = np.zeros(phi.grid_shape, complex)
     for key in keys:
-        lam = mode_eigenvalue(freqs, key[0])
+        lam = mode_eigenvalue(freqs, key[0][0])
         r = (
             freqs.omega_y[..., None] * dphi.coeffs.get(key, zero)
             + lam[..., None] * phi.coeffs.get(key, zero)
@@ -709,8 +671,7 @@ def build_secular_perturbation(spec, eps0, alpha_minus, alpha_plus, delta,
         # np.take keeps the result C-ordered for the FFT
         return np.take(m0**2 / r * pert, fold, axis=1)
 
-    series = tf_build(fun, box, grid_shape, n_angles=1,
-                      fourier_cutoff=fourier_cutoff, n_phi=n_phi)
+    series = tf_build(fun, box, grid_shape, fourier_cutoff=fourier_cutoff, n_phi=n_phi)
     freqs = FrequencyData.tabulate(
         box, grid_shape, lambda I, y: m0**5 / y**3,
         omega_I=[lambda I, y: np.zeros_like(y)],
@@ -722,32 +683,39 @@ def build_secular_perturbation(spec, eps0, alpha_minus, alpha_plus, delta,
 
 
 def series_to_dict(f):
-    """JSON-ready structure: shape header + flat coefficient arrays of the
-    stored (k >= 0) modes in row-major grid order (floats survive the round
-    trip bit-for-bit via repr, comfortably within the 1e-15 relative
-    contract)."""
+    """JSON-ready structure: shape header (n_angles is always 1) + flat
+    coefficient arrays of the stored (k >= 0) modes in row-major grid order
+    (floats survive the round trip bit-for-bit via repr, comfortably within
+    the 1e-15 relative contract)."""
     return {
-        "n_angles": f.n_angles,
+        "n_angles": 1,
         "fourier_cutoff": f.fourier_cutoff,
         "box": [list(b) for b in f.box],
         "grid_shape": list(f.grid_shape),
         "coeffs": [
             {
-                "k": list(k),
+                "k": [k],
                 "h": [],
                 "j": [],
                 "re": arr.real.ravel(order="C").tolist(),
                 "im": arr.imag.ravel(order="C").tolist(),
             }
-            for (k, _, _), arr in sorted(f.coeffs.items())
+            for ((k,), _, _), arr in sorted(f.coeffs.items())
         ],
     }
 
 
 def series_from_dict(d):
     """Inverse of series_to_dict, through the TFSeries key and shape checks
-    (header fields it does not read are ignored; a mode given twice, or a
-    k < 0 mode, is a ShapeError)."""
+    (header fields it does not read are ignored).  An n_angles other than 1,
+    a cutoff that is not an int >= 0, a mode that is not an int within it,
+    a k < 0 mode, a mode given twice and a non-finite value are each a
+    ShapeError."""
+    cutoff = d["fourier_cutoff"]
+    if not (_is_int(d["n_angles"]) and d["n_angles"] == 1):
+        raise ShapeError("a series has one angle, not n_angles = %r" % (d["n_angles"],))
+    if not (_is_int(cutoff) and cutoff >= 0):
+        raise ShapeError("fourier_cutoff %r is not an int >= 0" % (cutoff,))
     shape = tuple(d["grid_shape"])
     entries = {}
     for entry in d["coeffs"]:
@@ -755,12 +723,13 @@ def series_from_dict(d):
         im = np.asarray(entry["im"], dtype=float)
         if re.size != math.prod(shape) or im.size != re.size:
             raise ShapeError("coefficient of %d values on a %r grid" % (re.size, shape))
+        if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
+            raise ShapeError("non-finite coefficient of mode %r" % (entry["k"],))
         key = (tuple(entry["k"]), tuple(entry["h"]), tuple(entry["j"]))
         if key in entries:
             raise ShapeError("two entries for mode %r" % (key[0],))
         entries[key] = (re + 1j * im).reshape(shape, order="C")
-    return TFSeries(d["n_angles"], d["fourier_cutoff"], [tuple(b) for b in d["box"]],
-                    shape, entries)
+    return TFSeries(cutoff, [tuple(b) for b in d["box"]], shape, entries)
 
 
 def load_series(path):

@@ -158,50 +158,6 @@ def check_libration_theorem(spec, eps0, delta, s0, alpha_minus, alpha_plus, N=8,
     )
 
 
-def scaling_chain_parameters(Lambda=1.0, m0=1.0, eps0=0.25, delta_frac=0.025,
-                              s0=1.0, alpha_ratio=16.0, alpha_margin=1.0,
-                              beta_frac=0.5):
-    """Construct experiment parameters along the scaling chain that makes
-    the hypothesis system satisfiable, with explicit margins.
-
-    The chain fixes eps0 and delta, takes the y-window wide enough for the
-    initial layer (alpha_plus/alpha_minus >= 9; default 16), then picks the
-    mass scale inside its admissible window: above the winding threshold
-    ~ Lambda * y0 / a (so the pericenter turns at least a full turn within
-    one radial transit) and below the domain ceiling c0 alpha- eps0 / (4 a)
-    (so the outer body stays clear of the inner ellipse).  beta_frac places
-    beta* geometrically inside that window.
-    """
-    a = Lambda**2 / m0**3
-    c0 = estimate_c0(eps0, C0_GRID)
-    delta = delta_frac * Lambda
-    # winding demand: one turn within a transit needs roughly
-    # beta_bar a / (Lambda y0) * 1.3 / eps0^(1/6) >= 2 pi  (measured scaling)
-    def windows(alpha_minus):
-        y0 = 2 * math.sqrt(m0**3 * alpha_minus)
-        lo = 2 * np.pi * Lambda * y0 * eps0 ** (1.0 / 6.0) / (1.31 * a)
-        hi = c0 * alpha_minus * eps0 / (4 * a)
-        return lo, hi
-
-    alpha_minus = 1000.0 * alpha_margin
-    lo, hi = windows(alpha_minus)
-    while lo * 4 > hi:  # demand a x4 window so both beta* variants fit
-        alpha_minus *= 2
-        lo, hi = windows(alpha_minus)
-    beta_star_target = lo ** (1 - beta_frac) * hi**beta_frac
-    return {
-        "Lambda": Lambda,
-        "m0": m0,
-        "eps0": eps0,
-        "delta": delta,
-        "s0": s0,
-        "alpha_minus": alpha_minus,
-        "alpha_plus": alpha_ratio * alpha_minus,
-        "beta_star_target": beta_star_target,
-        "c0": c0,
-    }
-
-
 @dataclass
 class LibrationSummary:
     winding: float

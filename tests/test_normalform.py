@@ -74,7 +74,7 @@ def ref_tf_product(f, g, fourier_cutoff=None):
                 continue
             key = (k, (), ())
             acc[key] = acc[key] + a * b if key in acc else a * b
-    out = TFSeries(f.n_angles, K, f.box, f.grid_shape)
+    out = TFSeries(K, f.box, f.grid_shape)
     for key, arr in acc.items():
         out.coeffs[key] = ch.coarsen(arr, f.grid_shape)
     return out.prune()
@@ -82,13 +82,8 @@ def ref_tf_product(f, g, fourier_cutoff=None):
 
 def ref_poisson_bracket(f, g, fourier_cutoff=None):
     """One reference product per term of the bracket, summed."""
-    n = f.n_angles
-    terms = []
-    for i in range(n):
-        terms.append((d_grid(f, i), d_angle(g, i)))
-        terms.append((d_grid(g, i) * -1.0, d_angle(f, i)))
-    terms.append((d_grid(f, n), d_grid(g, n + 1)))
-    terms.append((d_grid(g, n) * -1.0, d_grid(f, n + 1)))
+    terms = [(d_grid(f, 0), d_angle(g)), (d_grid(g, 0) * -1.0, d_angle(f)),
+             (d_grid(f, 1), d_grid(g, 2)), (d_grid(g, 1) * -1.0, d_grid(f, 2))]
     out = f.shell()
     out.fourier_cutoff = fourier_cutoff if fourier_cutoff is not None else max(
         f.fourier_cutoff, g.fourier_cutoff)
@@ -108,7 +103,7 @@ def ref_nqp_primitive(f_osc, freqs, basepoint=None, n_cc=33):
     out = f_osc.shell()
     inv_wy = 1.0 / freqs.omega_y
     for key, arr in osc.coeffs.items():
-        mu = mode_eigenvalue(freqs, key[0]) * inv_wy
+        mu = mode_eigenvalue(freqs, key[0][0]) * inv_wy
         cx = ch.vals_to_coeffs(arr, arr.ndim - 1)
         phi = np.empty_like(arr)
         for c, xc in enumerate(xs):
@@ -186,7 +181,7 @@ def ref_secular_build(spec, eps0, alpha_minus, alpha_plus, delta, grid_shape,
             pert = pert - c * f_eps_minus_one_grid(es, t)
         return m0**2 / r * pert
 
-    return tf_build(fun, box, grid_shape, n_angles=1,
+    return tf_build(fun, box, grid_shape,
                     fourier_cutoff=fourier_cutoff, n_phi=n_phi)
 
 
@@ -239,7 +234,7 @@ def two_sided_accumulate(terms, f, g, fourier_cutoff):
                         acc[key] += prod
                     else:
                         acc[key] -= prod
-    out = TFSeries(f.n_angles, K, f.box, f.grid_shape)
+    out = TFSeries(K, f.box, f.grid_shape)
     if acc:
         out.coeffs = dict(zip(acc, ch.coarsen(np.stack(list(acc.values())), f.grid_shape)))
     return out.prune()
@@ -258,7 +253,7 @@ class TwoSidedSide:
 
     def __init__(self, f):
         keys = list(f.coeffs)
-        n = f.n_angles
+        n = 1
         fine = [None] * (n + 3)
         if keys:
             coarse = np.stack(list(f.coeffs.values()))
@@ -311,14 +306,14 @@ def assert_series_close(got, expect, rtol, floor=0.0):
 
 
 def build(fun, cutoff=4):
-    return tf_build(fun, BOX, SHAPE, n_angles=1, fourier_cutoff=cutoff)
+    return tf_build(fun, BOX, SHAPE, fourier_cutoff=cutoff)
 
 
 def rand_series(rng, cutoff=2, scale=1.0):
     """Band-limited random real series with low-degree polynomial
     coefficients (products of such series stay inside the grid's polynomial
     space): modes k = 0..cutoff stored, c_0 real."""
-    f = TFSeries(1, cutoff, BOX, SHAPE)
+    f = TFSeries(cutoff, BOX, SHAPE)
     grids = f.grids()
     II, YY, XX = np.meshgrid(*grids, indexing="ij")
     for k in range(cutoff + 1):
@@ -378,21 +373,6 @@ class TestBuild:
         f = build(lambda I, p, y, x: np.cos(p) * (1 + 1e-16j) + 0 * I)
         assert set(f.coeffs) == {((1,), (), ())}
 
-    def test_two_angles_keep_canonical_modes(self):
-        # cos(p1 - p2) + 0.3 sin(p1 + 2 p2): the stored modes are (1, -1)
-        # with 1/2 and (1, 2) with 0.3/(2i); (-1, 1) and (-1, -2) are implied
-        box = [(0.5, 1.5), (0.5, 1.5), (1.0, 2.0), (0.0, 2.0)]
-        fun = lambda I1, I2, p1, p2, y, x: (
-            np.cos(p1 - p2) + 0.3 * np.sin(p1 + 2 * p2) + 0 * I1)
-        f = tf_build(fun, box, (3, 3, 3, 4), n_angles=2, fourier_cutoff=2, n_phi=8)
-        assert set(f.coeffs) == {((1, -1), (), ()), ((1, 2), (), ())}
-        np.testing.assert_allclose(f.coeffs[((1, -1), (), ())], 0.5, atol=1e-14)
-        np.testing.assert_allclose(f.coeffs[((1, 2), (), ())], -0.15j, atol=1e-14)
-        for arr in f.coeffs.values():
-            assert arr.base is None and arr.flags.c_contiguous
-        got = f.evaluate([1.0, 1.2], [0.4, 2.5], 1.5, 0.7)
-        assert abs(got - fun(1.0, 1.2, 0.4, 2.5, 1.5, 0.7)) < 1e-14
-
     @pytest.mark.parametrize("layout", ["fortran", "angle-outermost"])
     def test_coefficients_own_their_memory(self, layout):
         # a stored coefficient must not be a view pinning the whole FFT array
@@ -435,14 +415,14 @@ class TestSplit:
 
 class TestNorm:
     def test_single_mode_weighting(self):
-        f = TFSeries(1, 1, BOX, SHAPE)
+        f = TFSeries(1, BOX, SHAPE)
         f.coeffs[((1,), (), ())] = 0.5 * np.ones(SHAPE, complex)
         w = NormWeights(s=0.7)
         # the stored k = 1 stands for k = 1 and k = -1
         assert abs(tf_norm(f, w) - 2 * 0.5 * np.exp(0.7)) < 1e-14
 
     def test_zero_series(self):
-        f = TFSeries(1, 2, BOX, SHAPE)
+        f = TFSeries(2, BOX, SHAPE)
         assert tf_norm(f) == 0.0
 
     def test_triangle_inequality(self):
@@ -568,8 +548,8 @@ class TestNqp:
         freqs = FrequencyData.tabulate(
             BOX, SHAPE, lambda I, y: 1.0 + 0 * y, omega_I=[lambda I, y: 2.0 + 0 * y]
         )
-        np.testing.assert_allclose(mode_eigenvalue(freqs, (2,)), 4.0j)
-        np.testing.assert_allclose(mode_eigenvalue(freqs, (0,)), 0.0)
+        np.testing.assert_allclose(mode_eigenvalue(freqs, 2), 4.0j)
+        np.testing.assert_allclose(mode_eigenvalue(freqs, 0), 0.0)
 
     @pytest.mark.parametrize("omega_y", [
         lambda I, y: 0 * y,
@@ -578,6 +558,11 @@ class TestNqp:
     def test_tabulate_rejects_bad_omega_y(self, omega_y):
         with pytest.raises(ValueError, match="omega_y"):
             FrequencyData.tabulate(BOX, SHAPE, omega_y)
+
+    def test_tabulate_rejects_two_omega_I(self):
+        with pytest.raises(ValueError, match="omega_I"):
+            FrequencyData.tabulate(BOX, SHAPE, lambda I, y: 1.0 + 0 * y,
+                                   omega_I=[lambda I, y: 0.5 + 0 * y] * 2)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_tabulate_rejects_non_finite_omega_I(self, value):
@@ -688,24 +673,12 @@ class TestProduct:
     def test_empty_operand(self):
         rng = np.random.default_rng(111)
         f = rand_series(rng)
-        empty = TFSeries(1, 5, BOX, SHAPE)
+        empty = TFSeries(5, BOX, SHAPE)
         for a, b in ((f, empty), (empty, f), (empty, empty)):
             pr = tf_product(a, b)
             assert not pr.coeffs
             assert pr.fourier_cutoff == 5
         assert tf_product(f, empty, 0).fourier_cutoff == 0
-
-
-def rand_series_two_angles(rng, cutoff):
-    """A random real series in two angles: every canonical mode up to the
-    cutoff, c_0 real."""
-    box = [(0.5, 1.5), (0.5, 1.5), (1.0, 2.0), (0.0, 2.0)]
-    f = TFSeries(2, cutoff, box, (3, 3, 3, 4))
-    span = range(-cutoff, cutoff + 1)
-    for k in ((a, b) for a in span for b in span if a > 0 or (a == 0 and b >= 0)):
-        c = rng.normal(size=f.grid_shape) + 1j * rng.normal(size=f.grid_shape) * any(k)
-        f.coeffs[(k, (), ())] = c
-    return f
 
 
 class TestHalfSpectrum:
@@ -726,15 +699,6 @@ class TestHalfSpectrum:
                             ref_poisson_bracket(expand(f), expand(g), cutoff), 1e-12,
                             floor=f.sup() * g.sup())
 
-    @pytest.mark.parametrize("cutoff", [None, 1, 3])
-    def test_two_angles_match_full_spectrum_references(self, cutoff):
-        rng = np.random.default_rng(125)
-        f, g = rand_series_two_angles(rng, 2), rand_series_two_angles(rng, 1)
-        assert_series_close(expand(tf_product(f, g, cutoff)),
-                            ref_tf_product(expand(f), expand(g), cutoff), 1e-13)
-        assert_series_close(expand(poisson_bracket(f, g, cutoff)),
-                            ref_poisson_bracket(expand(f), expand(g), cutoff), 1e-12)
-
     def test_norm_counts_the_implied_modes(self):
         rng = np.random.default_rng(126)
         f = rand_series(rng, cutoff=3)
@@ -744,18 +708,7 @@ class TestHalfSpectrum:
     @pytest.mark.parametrize("key", [((-1,), (), ()), ((-2,), (), ())])
     def test_constructor_rejects_negative_key(self, key):
         with pytest.raises(ShapeError, match="conjugation"):
-            TFSeries(1, 2, BOX, SHAPE, {key: np.ones(SHAPE)})
-
-    @pytest.mark.parametrize("k, stored", [
-        ((0, 1), True), ((1, -2), True), ((0, -1), False), ((-1, 2), False)])
-    def test_constructor_first_nonzero_index_decides(self, k, stored):
-        box, shape = [(0.5, 1.5), (0.5, 1.5), (1.0, 2.0), (0.0, 2.0)], (2, 2, 2, 2)
-        coeffs = {(k, (), ()): np.ones(shape)}
-        if stored:
-            assert set(TFSeries(2, 2, box, shape, coeffs).coeffs) == set(coeffs)
-        else:
-            with pytest.raises(ShapeError):
-                TFSeries(2, 2, box, shape, coeffs)
+            TFSeries(2, BOX, SHAPE, {key: np.ones(SHAPE)})
 
 
 class TestBracketEngine:
@@ -777,8 +730,8 @@ class TestBracketEngine:
     def test_empty_bracket_keeps_requested_cutoffs(self):
         # f at cutoff 2 has no coefficients, g at cutoff 6 has some: the
         # empty bracket reports the cutoff a non-empty one would
-        f = TFSeries(1, 2, BOX, SHAPE)
-        g = TFSeries(1, 6, BOX, SHAPE)
+        f = TFSeries(2, BOX, SHAPE)
+        g = TFSeries(6, BOX, SHAPE)
         g.coeffs[((1,), (), ())] = np.ones(SHAPE, complex)
         br = poisson_bracket(f, g)
         assert not br.coeffs
@@ -802,7 +755,7 @@ def stored_series(draw, shape, scale=1.0):
     K = draw(st.integers(2, 8))
     ks = draw(st.permutations(range(K + 1)))[:draw(st.integers(1, min(6, K + 1)))]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return TFSeries(1, K, BOX, shape, {
+    return TFSeries(K, BOX, shape, {
         ((k,), (), ()): scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape) * (k > 0))
         for k in ks})
 
@@ -889,7 +842,7 @@ class TestStreamedBracket:
         rng = np.random.default_rng(40 + n_x + k)
         shape = (1, 1, n_x)
         def series(modes):
-            return TFSeries(1, 4, BOX, shape, {
+            return TFSeries(4, BOX, shape, {
                 ((m,), (), ()): rng.normal(size=shape) + 1j * rng.normal(size=shape) * (m > 0)
                 for m in modes})
 
@@ -942,6 +895,14 @@ class TestBracketSideLifetime:
             if not tracing:
                 tracemalloc.stop()
         assert peak - start <= 60 * stack
+
+
+def two_angle_file(d):
+    """d rewritten as a consistent two-angle file: an I_2 axis of one node,
+    every mode k as (k, 0)."""
+    d.update(n_angles=2, box=[[0.5, 1.5]] + d["box"], grid_shape=[1] + d["grid_shape"])
+    for entry in d["coeffs"]:
+        entry["k"] = entry["k"] + [0]
 
 
 class TestSerialization:
@@ -1008,6 +969,27 @@ class TestSerialization:
         d["coeffs"].append(dict(d["coeffs"][1], re=[5.0] * math.prod(SHAPE)))
         with pytest.raises(ShapeError, match="two entries"):
             series_from_dict(d)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda d: d["coeffs"][0].update(k=[0.5]),
+        lambda d: d["coeffs"][1].update(k=[True]),
+        lambda d: d["coeffs"][0]["re"].__setitem__(3, math.nan),
+        lambda d: d["coeffs"][1]["im"].__setitem__(3, -math.inf),
+        lambda d: d.update(fourier_cutoff=1.5),
+        lambda d: d.update(fourier_cutoff=True),
+        lambda d: d.update(n_angles=True),
+        two_angle_file,
+    ], ids=["k-float", "k-bool", "re-nan", "im-inf", "cutoff-float", "cutoff-bool",
+            "n_angles-bool", "n_angles-2"])
+    def test_load_series_rejects_malformed_file(self, corrupt, tmp_path):
+        from perilib.normalform import load_series
+
+        d = series_to_dict(rand_series(np.random.default_rng(22), cutoff=1))
+        corrupt(d)
+        p = tmp_path / "series.json"
+        p.write_text(json.dumps(d))
+        with pytest.raises(ShapeError):
+            load_series(str(p))
 
     @pytest.mark.parametrize("entry", [
         {"k": [7]},                        # beyond the cutoff
@@ -1082,7 +1064,7 @@ class TestSecularBuild:
 class TestNormalFormSteps:
     def make_toy(self, rng, strength=0.01):
         """h = y^2/2 on the box (omega_y = y), f small and band-limited."""
-        f = TFSeries(1, 4, BOX, SHAPE)
+        f = TFSeries(4, BOX, SHAPE)
         grids = f.grids()
         II, YY, XX = np.meshgrid(*grids, indexing="ij")
         f.coeffs[((0,), (), ())] = strength * (1 + 0.2 * II + 0.1 * YY) + 0j
@@ -1095,7 +1077,7 @@ class TestNormalFormSteps:
 
     def test_normal_class_input_short_circuits(self):
         rng = np.random.default_rng(15)
-        f = TFSeries(1, 2, BOX, SHAPE)
+        f = TFSeries(2, BOX, SHAPE)
         f.coeffs[((0,), (), ())] = np.ones(SHAPE, complex)
         freqs = FrequencyData.tabulate(BOX, SHAPE, lambda I, y: y)
         result = normal_form_steps(f, freqs, N=3)

@@ -6,7 +6,6 @@ from perilib.hamiltonians import HamiltonianSpec
 from perilib.theorem import (
     check_libration_theorem,
     holomorphy_width_constant,
-    scaling_chain_parameters,
     run_libration_experiment,
 )
 
@@ -77,16 +76,6 @@ class TestChecker:
     def test_failure_is_data_not_error(self):
         report = experiment_report(delta=0.3)  # above Lambda/4
         assert not report.passed
-
-
-class TestScalingChain:
-    def test_window_is_consistent(self):
-        p = scaling_chain_parameters()
-        assert p["alpha_plus"] / p["alpha_minus"] >= 9
-        assert p["beta_star_target"] > 0
-        # the target respects the domain ceiling
-        ceiling = p["c0"] * p["alpha_minus"] * p["eps0"] / 4
-        assert p["beta_star_target"] < ceiling
 
 
 @pytest.fixture(scope="module")
