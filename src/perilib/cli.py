@@ -23,6 +23,7 @@ import os
 import sys
 import tempfile
 from dataclasses import asdict, fields
+from itertools import chain
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
@@ -257,12 +258,13 @@ def cmd_portrait(cfg, out_dir, seed):
         eqs = find_equilibria(eps, Lam)
     except ValueError as exc:
         raise ConfigError("portrait: %s" % exc) from exc
-    rows = ["# seed,%d" % seed, "level,g,G"]
+    # one format string per polyline, not one % per point
+    parts = ["# seed,%d\nlevel,g,G\n" % seed]
     for lv, line in lines:
         level = "%.17g" % lv
-        rows += [level + ",%.17g,%.17g" % gG for gG in line]
-        rows.append("# polyline," + level)
-    _atomic_write(os.path.join(out_dir, "portrait.csv"), "\n".join(rows) + "\n")
+        parts += [(level + ",%.17g,%.17g\n") * len(line) % tuple(chain.from_iterable(line)),
+                  "# polyline," + level + "\n"]
+    _atomic_write(os.path.join(out_dir, "portrait.csv"), "".join(parts))
     payload = {
         "eps": eps,
         "Lambda": Lam,

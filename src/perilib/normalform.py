@@ -69,6 +69,10 @@ def _is_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_real(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 class TFSeries:
     """Truncated Fourier series of a real function with Chebyshev-grid
     coefficients.
@@ -708,15 +712,21 @@ def series_to_dict(f):
 def series_from_dict(d):
     """Inverse of series_to_dict, through the TFSeries key and shape checks
     (header fields it does not read are ignored).  An n_angles other than 1,
-    a cutoff that is not an int >= 0, a mode that is not an int within it,
-    a k < 0 mode, a mode given twice and a non-finite value are each a
-    ShapeError."""
+    a cutoff that is not an int >= 0, a box edge that is not finite or a box
+    interval that is not increasing, a grid axis that is not an int >= 1, a
+    mode that is not an int within the cutoff, a k < 0 mode, a mode given
+    twice and a non-finite value are each a ShapeError."""
     cutoff = d["fourier_cutoff"]
     if not (_is_int(d["n_angles"]) and d["n_angles"] == 1):
         raise ShapeError("a series has one angle, not n_angles = %r" % (d["n_angles"],))
     if not (_is_int(cutoff) and cutoff >= 0):
         raise ShapeError("fourier_cutoff %r is not an int >= 0" % (cutoff,))
+    for lo, hi in d["box"]:
+        if not (_is_real(lo) and _is_real(hi) and math.isfinite(lo) and lo < hi < math.inf):
+            raise ShapeError("box interval [%r, %r] is not finite and increasing" % (lo, hi))
     shape = tuple(d["grid_shape"])
+    if not all(_is_int(n) and n >= 1 for n in shape):
+        raise ShapeError("grid_shape %r is not of ints >= 1" % (d["grid_shape"],))
     entries = {}
     for entry in d["coeffs"]:
         re = np.asarray(entry["re"], dtype=float)

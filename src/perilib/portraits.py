@@ -7,6 +7,7 @@ critical points and contour topology reproduce the three regimes
 G-axis pair / rotational motions).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,14 @@ class EquilibriumReport:
     location: tuple
     kind: str
     eigenvalues: tuple
+
+
+def _check_eps_lambda(eps, Lambda):
+    """ValueError unless eps is finite and Lambda finite and positive."""
+    if not math.isfinite(eps):
+        raise ValueError("eps must be finite, not %r" % (eps,))
+    if not (math.isfinite(Lambda) and Lambda > 0):
+        raise ValueError("Lambda must be finite and positive, not %r" % (Lambda,))
 
 
 def _grad_e(eps, Lambda, G, g):
@@ -105,6 +114,7 @@ def find_equilibria(eps, Lambda=1.0, grid_n=48, newton_steps=60, tol=1e-12):
     eps must avoid the transition values 1/2 and 1 where equilibria are
     degenerate.  Returns EquilibriumReport entries sorted by (g, G).
     """
+    _check_eps_lambda(eps, Lambda)
     if eps <= 0:
         raise ValueError("eps must be positive")
     if abs(eps - 0.5) < 1e-9 or abs(eps - 1.0) < 1e-9:
@@ -146,7 +156,7 @@ def find_equilibria(eps, Lambda=1.0, grid_n=48, newton_steps=60, tol=1e-12):
 # 0-15 are the case indices; rows 16-19 resolve the ambiguous saddle cases
 # 5 and 10 by the cell-center value.
 _PAD = (-1, -1)
-_SEGMENTS = (
+_SEGMENTS = np.array((
     (_PAD, _PAD),  # 0
     ((3, 0), _PAD),  # 1
     ((0, 1), _PAD),  # 2
@@ -167,65 +177,98 @@ _SEGMENTS = (
     ((3, 0), (1, 2)),  # 17: case 5, center < level
     ((3, 0), (1, 2)),  # 18: case 10, center >= level
     ((0, 1), (2, 3)),  # 19: case 10, center < level
-)
+), dtype=np.int8)
 
 
-def _crossings(xg, yg, Z, level):
-    """Crossings of Z(x, y) = level with the edges of the rectilinear grid,
-    one entry per segment end: entries 2m and 2m + 1 are the two ends of
-    segment m.
+def _level_crossings(xg, yg, Z, levels):
+    """Crossings of Z(x, y) = L with the edges of the rectilinear grid, for
+    every L of the ascending sequence levels in one pass over the grid.
 
     Z is indexed Z[i, j] = Z(xg[i], yg[j]).  Returns int and float arrays
-    (edge, x, y).  edge = 2 (i ny + j) + 1 names the grid edge x = xg[i],
-    yg[j] <= y <= yg[j+1], and edge = 2 (i ny + j) the edge y = yg[j],
-    xg[i] <= x <= xg[i+1], with ny = len(yg), so neighboring cells agree on
-    it exactly; (x, y) is the linear interpolation along that edge.  Cells
-    come in row-major (i, j) order and a saddle cell gives its two segments
-    in table order.
+    (lev, edge, x, y), one entry per segment end, grouped by level: lev is
+    the index into levels, and within a level entries 2m and 2m + 1 are the
+    two ends of segment m.  edge = 2 (i ny + j) + 1 names the grid edge
+    x = xg[i], yg[j] <= y <= yg[j+1], and edge = 2 (i ny + j) the edge
+    y = yg[j], xg[i] <= x <= xg[i+1], with ny = len(yg), so neighboring
+    cells agree on it exactly; (x, y) is the linear interpolation along that
+    edge.  Within a level, cells come in row-major (i, j) order and a saddle
+    cell gives its two segments in table order.  A node is above a level
+    when Z >= level; a NaN node is above none.
     """
     xg, yg = np.asarray(xg), np.asarray(yg)
+    levels = np.asarray(levels, dtype=float)
+    # count[i, j] levels lie at or below Z[i, j], so the node is above
+    # level l exactly when l < count[i, j]
+    count = np.searchsorted(levels, Z, side="right").astype(np.int32)
+    count[np.isnan(Z)] = 0
+    corners = (count[:-1, :-1], count[:-1, 1:], count[1:, 1:], count[1:, :-1])
+    lo = np.minimum(np.minimum(corners[0], corners[1]), np.minimum(corners[2], corners[3]))
+    hi = np.maximum(np.maximum(corners[0], corners[1]), np.maximum(corners[2], corners[3]))
+    # a cell is crossed by the levels lo <= l < hi: its (cell, level) pairs,
+    # stable-sorted by level so that cells stay row-major within a level
+    cell = np.flatnonzero(hi > lo).astype(np.int32)
+    lo, n = lo.ravel()[cell], hi.ravel()[cell] - lo.ravel()[cell]
+    del hi, corners
+    # the k-th pair of a cell is level lo + k
+    lev = np.arange(n.sum(), dtype=np.int32) - np.repeat(np.cumsum(n, dtype=np.int32) - n - lo, n)
+    cell = np.repeat(cell, n)
+    order = np.argsort(lev, kind="stable")
+    lev, cell = lev[order], cell[order]
+    del lo, n, order
+    ci, cj = np.divmod(cell, np.int32(yg.size - 1))
+    del cell
+    row = (
+        1 * (lev < count[ci, cj])
+        + 2 * (lev < count[ci, cj + 1])
+        + 4 * (lev < count[ci + 1, cj + 1])
+        + 8 * (lev < count[ci + 1, cj])
+    )
+    del count
     # nudge node values lying exactly on the level: keeps every crossing in
     # the open interior of its edge (an O(1e-13) perturbation of the set)
-    scale = max(abs(level), float(np.ptp(Z)), 1.0)
-    Z = np.where(Z == level, level + 1e-13 * scale, Z)
-    above = Z >= level
-    case = (
-        1 * above[:-1, :-1]
-        + 2 * above[:-1, 1:]
-        + 4 * above[1:, 1:]
-        + 8 * above[1:, :-1]
+    ptp = float(np.ptp(Z))
+    nudged = np.array([lv + 1e-13 * max(abs(lv), ptp, 1.0) for lv in levels.tolist()])
+
+    def node(i, j, at):
+        """Z[i, j] at the pairs' levels levels[at], nudged off them."""
+        z, level = Z[i, j], levels[at]
+        return np.where(z == level, nudged[at], z)
+
+    saddle = np.flatnonzero((row == 5) | (row == 10))
+    si, sj, sl = ci[saddle], cj[saddle], lev[saddle]
+    center = 0.25 * (
+        node(si, sj, sl) + node(si, sj + 1, sl) + node(si + 1, sj, sl) + node(si + 1, sj + 1, sl)
     )
-    ci, cj = np.nonzero((case != 0) & (case != 15))
-    row = case[ci, cj]
-    saddle = (row == 5) | (row == 10)
-    si, sj = ci[saddle], cj[saddle]
-    center = 0.25 * (Z[si, sj] + Z[si, sj + 1] + Z[si + 1, sj] + Z[si + 1, sj + 1])
-    row[saddle] = np.where(row[saddle] == 5, 16, 18) + (center < level)
-    pairs = np.array(_SEGMENTS)[row]
+    row[saddle] = np.where(row[saddle] == 5, 16, 18) + (center < levels[sl])
+    pairs = _SEGMENTS[row]
     present = pairs[:, :, 0] >= 0
     # one entry per segment end: segments in order, ends a and b adjacent
     side = pairs[present].ravel()
-    i = np.repeat(ci, 2 * present.sum(axis=1))
-    j = np.repeat(cj, 2 * present.sum(axis=1))
+    ends = 2 * present.sum(axis=1)
+    del pairs, present, row
+    i, j, lev = np.repeat(ci, ends), np.repeat(cj, ends), np.repeat(lev, ends)
+    del ci, cj, ends
     vert = side % 2 == 0
     ki, kj = i + (side == 2), j + (side == 1)  # first node of the edge
     li, lj = ki + ~vert, kj + vert  # second node
-    a = Z[ki, kj]
-    w = (level - a) / (Z[li, lj] - a)
+    del i, j, side
+    a = node(ki, kj, lev)
+    w = (levels[lev] - a) / (node(li, lj, lev) - a)
     x0, y0 = xg[ki], yg[kj]
     x = np.where(vert, x0, x0 + w * (xg[li] - x0))
     y = np.where(vert, y0 + w * (yg[lj] - y0), y0)
-    return 2 * (ki * yg.size + kj) + vert, x, y
+    return lev, 2 * (ki * yg.size + kj) + vert, x, y
 
 
 def _chain(edge, x, y):
     """Polylines (lists of (x, y) points) of the segments whose ends are
-    given as by _crossings: segment m runs from end 2m to end 2m + 1, and
-    two ends with the same edge id are joined.
+    given as by one level of _level_crossings: segment m runs from end 2m
+    to end 2m + 1, and two ends with the same edge id are joined.
 
     An id may be shared by at most two ends (ValueError otherwise), which
-    holds for the edges of _crossings: a grid edge borders two cells and a
-    cell, saddles included, uses each of its edges once.  Chains start from
+    holds for the edges of one level of _level_crossings: a grid edge
+    borders two cells and a cell, saddles included, uses each of its edges
+    once.  Chains start from
     the unused segments in index order and grow at the tail, then at the
     head.  A chain whose first and last ends share an id is a closed loop,
     and its last point is set to its first.
@@ -281,7 +324,7 @@ def marching_squares(xg, yg, Z, level):
     chain_segments starts its polylines in this order, so the order fixes
     the polylines and the bytes of the portrait CSV.
     """
-    edge, x, y = _crossings(xg, yg, Z, level)
+    _, edge, x, y = _level_crossings(xg, yg, Z, [level])
     node, vert = np.divmod(edge, 2)
     ki, kj = np.divmod(node, len(yg))
     keys = zip(np.where(vert, "v", "h").tolist(), ki.tolist(), kj.tolist())
@@ -314,6 +357,7 @@ def phase_portrait(eps, Lambda=1.0, grid=(128, 128), levels=12):
     Level selection spans the value range and includes the separatrix level
     e_hat(0, 0) = 1 whenever eps > 1/2.
     """
+    _check_eps_lambda(eps, Lambda)
     ng, nG = grid
     if ng < 64 or nG < 64:
         raise ValueError("grid resolution must be at least 64 x 64")
@@ -326,10 +370,13 @@ def phase_portrait(eps, Lambda=1.0, grid=(128, 128), levels=12):
         sep = e_hat(eps, Lambda, 0.0, 0.0)
         if lo < sep < hi:
             vals.append(float(sep))
+    vals = sorted(vals)
+    lev, edge, x, y = _level_crossings(gg, GG, Z, vals)
+    # level l's entries are lev's run [cut[l], cut[l + 1])
+    cut = np.searchsorted(lev, np.arange(len(vals) + 1)).tolist()
     out = []
-    for lv in sorted(vals):
-        for line in _chain(*_crossings(gg, GG, Z, lv)):
-            out.append((float(lv), line))
+    for lv, a, b in zip(vals, cut, cut[1:]):
+        out += [(float(lv), line) for line in _chain(edge[a:b], x[a:b], y[a:b])]
     return out
 
 

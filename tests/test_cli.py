@@ -551,17 +551,32 @@ def test_singular_locus_mid_run_exits_3(tmp_path):
     assert code == EXIT_GUARD
 
 
+def per_point_csv(seed, eps, grid):
+    """The portrait CSV formatted one row per point, rows joined by newlines."""
+    rows = ["# seed,%d" % seed, "level,g,G"]
+    for lv, line in phase_portrait(eps, 1.0, grid=(grid, grid), levels=12):
+        level = "%.17g" % lv
+        rows += [level + ",%.17g,%.17g" % gG for gG in line]
+        rows.append("# polyline," + level)
+    return ("\n".join(rows) + "\n").encode()
+
+
 @pytest.mark.parametrize("seed, eps", [(3, 0.25), (17, 0.75), (2024, 1.5)])
 def test_portrait_csv_matches_the_per_point_rows(tmp_path, seed, eps):
     code, out = run(tmp_path, "--seed", str(seed), "--set", "portrait.grid=64",
                     "portrait", "--eps", repr(eps))
     assert code == EXIT_OK
-    rows = ["# seed,%d" % seed, "level,g,G"]
-    for lv, line in phase_portrait(eps, 1.0, grid=(64, 64), levels=12):
-        for g, G in line:
-            rows.append("%.17g,%.17g,%.17g" % (lv, g, G))
-        rows.append("# polyline,%.17g" % lv)
-    assert (out / "portrait.csv").read_bytes() == ("\n".join(rows) + "\n").encode()
+    assert (out / "portrait.csv").read_bytes() == per_point_csv(seed, eps, 64)
+
+
+@pytest.mark.parametrize("eps", [0.25, 0.75, 1.5])
+def test_default_portrait_csv_matches_the_per_point_rows(tmp_path, eps):
+    code, out = run(tmp_path, "--seed", "11", "portrait", "--eps", repr(eps))
+    assert code == EXIT_OK
+    text = (out / "portrait.csv").read_bytes()
+    assert text == per_point_csv(11, eps, 128)
+    # above 1/2 the separatrix level e_hat(0, 0) = 1 is contoured
+    assert (b"\n# polyline,1\n" in text) == (eps > 0.5)
 
 
 def test_main_reuses_one_parser_across_calls(tmp_path, monkeypatch, capsys):

@@ -979,8 +979,15 @@ class TestSerialization:
         lambda d: d.update(fourier_cutoff=True),
         lambda d: d.update(n_angles=True),
         two_angle_file,
+        lambda d: d["box"][1].__setitem__(0, math.nan),
+        lambda d: d["box"][2].__setitem__(1, math.inf),
+        lambda d: d["box"].__setitem__(0, [1.5, 0.5]),
+        lambda d: d.update(grid_shape=[0, 8, 16], coeffs=[]),
+        lambda d: d.update(grid_shape=[-8, -8, 16]),
+        lambda d: d.update(grid_shape=[8.0, 8, 16]),
     ], ids=["k-float", "k-bool", "re-nan", "im-inf", "cutoff-float", "cutoff-bool",
-            "n_angles-bool", "n_angles-2"])
+            "n_angles-bool", "n_angles-2", "box-nan", "box-inf", "box-reversed",
+            "grid-zero", "grid-negative", "grid-float"])
     def test_load_series_rejects_malformed_file(self, corrupt, tmp_path):
         from perilib.normalform import load_series
 

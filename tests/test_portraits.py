@@ -10,7 +10,7 @@ from perilib import portraits
 from perilib.potentials import e_hat
 from perilib.portraits import (
     _chain,
-    _crossings,
+    _level_crossings,
     chain_segments,
     find_equilibria,
     has_rotational_orbits,
@@ -19,6 +19,13 @@ from perilib.portraits import (
     phase_portrait,
     spans_full_angle,
 )
+
+
+# a non-finite eps, and a Lambda that is not finite and positive
+BAD_EPS_LAMBDA = [
+    (np.nan, 1.0), (np.inf, 1.0), (0.3, 0.0), (0.3, -1.0), (0.3, np.nan), (0.3, np.inf),
+]
+BAD_EPS_LAMBDA_IDS = ["eps-nan", "eps-inf", "Lambda-0", "Lambda-neg", "Lambda-nan", "Lambda-inf"]
 
 
 class TestEquilibria:
@@ -57,6 +64,11 @@ class TestEquilibria:
             find_equilibria(0.5)
         with pytest.raises(ValueError):
             find_equilibria(1.0)
+
+    @pytest.mark.parametrize("eps, Lambda", BAD_EPS_LAMBDA, ids=BAD_EPS_LAMBDA_IDS)
+    def test_rejects_bad_eps_or_lambda(self, eps, Lambda):
+        with pytest.raises(ValueError):
+            find_equilibria(eps, Lambda)
 
 
 class TestMarchingSquares:
@@ -126,6 +138,11 @@ class TestPortrait:
     def test_grid_floor(self):
         with pytest.raises(ValueError):
             phase_portrait(0.3, 1.0, grid=(32, 128))
+
+    @pytest.mark.parametrize("eps, Lambda", BAD_EPS_LAMBDA, ids=BAD_EPS_LAMBDA_IDS)
+    def test_rejects_bad_eps_or_lambda(self, eps, Lambda):
+        with pytest.raises(ValueError):
+            phase_portrait(eps, Lambda)
 
 
 def test_spans_full_angle():
@@ -360,6 +377,33 @@ def contour_fields(draw):
     return xg, yg, Z, level
 
 
+@st.composite
+def contour_levels(draw):
+    """contour_fields' grid and field with an ascending list of levels: its
+    level, node values, levels inside and outside the field's range, and
+    repeats of these."""
+    xg, yg, Z, level = draw(contour_fields())
+    lo, hi = float(Z.min()), float(Z.max())
+    some = st.one_of(
+        st.sampled_from(Z.ravel().tolist()),
+        st.floats(lo, hi),
+        st.floats(lo - 10, lo, exclude_max=True),
+        st.floats(hi, hi + 10, exclude_min=True),
+    )
+    levels = [level] + draw(st.lists(some, max_size=8))
+    levels += draw(st.lists(st.sampled_from(levels), max_size=3))
+    return xg, yg, Z, sorted(levels)
+
+
+def _keyed_segments(edge, x, y, ny):
+    """Segment ends (edge, x, y) as the keyed segments of the reference."""
+    ends = []
+    for e, px, py in zip(edge.tolist(), x.tolist(), y.tolist()):
+        node, vert = divmod(e, 2)
+        ends.append((("v" if vert else "h", *divmod(node, ny)), (px, py)))
+    return list(zip(ends[0::2], ends[1::2]))
+
+
 class TestVectorizedAgainstReference:
     @settings(max_examples=200, deadline=None)
     @given(contour_fields())
@@ -368,6 +412,35 @@ class TestVectorizedAgainstReference:
         assert _bits(marching_squares(xg, yg, Z, level)) == _bits(
             ref_marching_squares(xg, yg, Z, level)
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(contour_levels())
+    def test_every_level_matches_reference(self, field):
+        xg, yg, Z, levels = field
+        lev, edge, x, y = _level_crossings(xg, yg, Z, levels)
+        assert (np.diff(lev) >= 0).all()  # grouped by level
+        for at, level in enumerate(levels):
+            one = lev == at
+            ref = ref_marching_squares(xg, yg, Z, level)
+            assert _bits(_keyed_segments(edge[one], x[one], y[one], len(yg))) == _bits(ref)
+            assert _line_bits(_chain(edge[one], x[one], y[one])) == _line_bits(
+                ref_chain_segments(ref)
+            )
+
+    def test_nan_node_is_above_no_level(self):
+        # as in the reference, where NaN >= level is false: at level 4 the
+        # corner cell is case 11, whose two crossings on the NaN node's
+        # edges interpolate to NaN
+        xg = yg = np.linspace(-2.0, 2.0, 9)
+        Z = xg[:, None] ** 2 + yg[None, :] ** 2
+        Z[8, 8] = np.nan
+        levels = [1.5, 4.0, 7.5]
+        lev, edge, x, y = _level_crossings(xg, yg, Z, levels)
+        for at, level in enumerate(levels):
+            one = lev == at
+            ref = ref_marching_squares(xg, yg, Z, level)
+            assert _bits(_keyed_segments(edge[one], x[one], y[one], len(yg))) == _bits(ref)
+        assert np.isnan(x[lev == 1]).any()
 
     def test_forced_saddles_take_both_branches(self):
         xg = np.array([-1.0, -0.0, 1.0])  # the sign of zero must survive
@@ -429,7 +502,7 @@ def _three_routes(xg, yg, Z, level):
     """Polylines by the array core, by the public keyed functions and by
     the cell-loop and deque references, as exact hex forms."""
     return (
-        _line_bits(_chain(*_crossings(xg, yg, Z, level))),
+        _line_bits(_chain(*_level_crossings(xg, yg, Z, [level])[1:])),
         _line_bits(chain_segments(marching_squares(xg, yg, Z, level))),
         _line_bits(ref_chain_segments(ref_marching_squares(xg, yg, Z, level))),
     )
@@ -449,7 +522,7 @@ class TestChainAgainstReference:
         assert core == public == ref
         assert len(core) == 1 and len(core[0]) > 4
         assert core[0][0] == core[0][-1]
-        (line,) = _chain(*_crossings(xg, yg, Z, 1.5))
+        (line,) = _chain(*_level_crossings(xg, yg, Z, [1.5])[1:])
         assert line[-1] is line[0]
 
     def test_line_touching_the_boundary(self):
@@ -465,8 +538,8 @@ class TestChainAgainstReference:
     def test_empty_level(self):
         xg = yg = np.linspace(-1.0, 1.0, 6)
         Z = xg[:, None] * yg[None, :]
-        edge, x, y = _crossings(xg, yg, Z, 3.0)
-        assert edge.size == x.size == y.size == 0
+        lev, edge, x, y = _level_crossings(xg, yg, Z, [3.0])
+        assert lev.size == edge.size == x.size == y.size == 0
         assert _three_routes(xg, yg, Z, 3.0) == ([], [], [])
 
     def test_key_on_three_ends_rejected(self):
