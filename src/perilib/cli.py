@@ -146,7 +146,6 @@ KEYS = (
     Key("integrator", "energy_tol", "1e-8", *POSITIVE),
     Key("theorem", "c_upper", "10.0", *POSITIVE),
     Key("theorem", "c_lower", "2.0", *POSITIVE),
-    Key("theorem", "n_steps", "8", *_int(0)),
     Key("portrait", "eps", "0.3", *FINITE),
     Key("portrait", "grid", "128", *_int(1)),
     Key("portrait", "levels", "12", *_int(1)),
@@ -359,7 +358,7 @@ def cmd_check_theorem(cfg, out_dir, seed):
     d, th = cfg.domain, cfg.theorem
     report = check_libration_theorem(
         cfg.spec(), d.eps0, d.delta, d.s0, d.alpha_minus, d.alpha_plus,
-        N=th.n_steps, c_upper=th.c_upper, c_lower=th.c_lower,
+        c_upper=th.c_upper, c_lower=th.c_lower,
     )
     _write_json(os.path.join(out_dir, "theorem_report.json"), report.as_dict(), seed)
     return EXIT_OK
@@ -405,8 +404,7 @@ COMMANDS = {
                       {"--eps-list": "renorm.eps_list"}),
     "evolve": (cmd_evolve, "integrate one trajectory to CSV",
                {"--state": "evolve.state", "--duration": "evolve.duration"}),
-    "check-theorem": (cmd_check_theorem, "hypothesis inequality report",
-                      {"-N": "theorem.n_steps"}),
+    "check-theorem": (cmd_check_theorem, "hypothesis inequality report", {}),
     "normalform": (cmd_normalform, "desk-scale normal form run",
                    {"-N": "normalform.steps"}),
 }

@@ -11,7 +11,9 @@ h_secular evaluates, in the chart (R, G, r, g),
 
 with eps(r) = Lambda^2/(m0^3 r).  h_action_angle is the same energy through
 the charts of coords, written as -m0^5/(2 y^2) plus a perturbation that
-vanishes with eps.
+vanishes with eps.  That perturbation (aa_perturbation_at) and the
+libration domain D (libration_box) are defined here once, for the flow,
+the normal form and the libration run alike.
 
 Each chart is declared once, in CHARTS, and a state's class decides its
 chart.  Its energy kernel takes an (n, 4) stack of states (see energies);
@@ -119,18 +121,45 @@ def _secular_energies(spec, Z):
     return val
 
 
-def _aa_perturbations(spec, Z):
-    """aa_perturbation of the (n, 4) stack Z of (Gcal, gamma, y, x) rows: r
-    from one array Kepler solve, one f_eps_minus_one_grid call per term."""
-    Gc, gam, y, x = Z.T
+def libration_box(spec, eps0, alpha_minus, alpha_plus, delta):
+    """The libration domain D as (lo, hi) intervals of (Gcal, y, x):
+    (Lambda - delta, Lambda), (2 sqrt(m0^3 alpha-), sqrt(m0^3 alpha+)) and
+    (2 sqrt(eps0), 2 pi - 2 sqrt(eps0)).  ValueError unless
+    0 < delta < Lambda (so Gcal > 0 on D) and 0 < eps0 < pi^2/4 (so the x
+    window is not empty)."""
     m0, Lam = spec.m0, spec.Lambda
-    r = radial_radius(m0, y, x)
+    # negated, so that a NaN fails
+    if not 0 < delta < Lam:
+        raise ValueError("delta must be in (0, Lambda) = (0, %r), got %r" % (Lam, delta))
+    if not 0 < eps0 < math.pi**2 / 4:
+        raise ValueError("eps0 must be in (0, pi^2/4), got %r" % (eps0,))
+    return (
+        (Lam - delta, Lam),
+        (2 * math.sqrt(m0**3 * alpha_minus), math.sqrt(m0**3 * alpha_plus)),
+        (2 * math.sqrt(eps0), 2 * np.pi - 2 * math.sqrt(eps0)),
+    )
+
+
+def aa_perturbation_at(spec, Gcal, gamma, r):
+    """The action-angle perturbation
+    (m0^2/r) (eps (Lambda^2 - Gcal^2)/(2 Lambda^2) cos^2(gamma)
+              - sum_j c_j (f_{s_j eps}(e_hat_aa) - 1)),  eps = a/r,
+    on arrays of (Gcal, gamma, r) that broadcast together: one
+    f_eps_minus_one_grid call per term."""
+    m0, Lam = spec.m0, spec.Lambda
     eps = spec.eps_of_r(r)
-    pert = eps * (Lam**2 - Gc**2) / (2 * Lam**2) * np.cos(gam) ** 2
+    pert = eps * (Lam**2 - Gcal**2) / (2 * Lam**2) * np.cos(gamma) ** 2
     for c, s in spec.terms():
         es = s * eps
-        pert -= c * potentials.f_eps_minus_one_grid(es, e_hat_aa(es, Lam, Gc, gam))
+        pert -= c * potentials.f_eps_minus_one_grid(es, e_hat_aa(es, Lam, Gcal, gamma))
     return (m0**2 / r) * pert
+
+
+def _aa_perturbations(spec, Z):
+    """aa_perturbation of the (n, 4) stack Z of (Gcal, gamma, y, x) rows: r
+    from one array Kepler solve."""
+    Gc, gam, y, x = Z.T
+    return aa_perturbation_at(spec, Gc, gam, radial_radius(spec.m0, y, x))
 
 
 def _action_angle_energies(spec, Z):

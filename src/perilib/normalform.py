@@ -28,6 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import chebyshev as ch
+from .coords import radial_radius
+from .hamiltonians import aa_perturbation_at, libration_box
 
 
 class ShapeError(ValueError):
@@ -630,25 +632,18 @@ def build_secular_perturbation(spec, eps0, alpha_minus, alpha_plus, delta,
                                grid_shape=(8, 8, 16), fourier_cutoff=8,
                                n_phi=64):
     """Band-limited series of the action-angle perturbation of the reduced
-    Hamiltonian on the libration domain.
+    Hamiltonian (hamiltonians.aa_perturbation_at) on the libration domain
+    D of hamiltonians.libration_box.
 
-    The box is (Gcal, y, x) in (Lambda - delta, Lambda) x
-    (2 sqrt(m0^3 alpha-), sqrt(m0^3 alpha+)) x
-    (2 sqrt(eps0), 2 pi - 2 sqrt(eps0)); the full energy is
-    -m0^5/(2 y^2) + the returned series, and the matching drift frequencies
-    are omega_y = m0^5/y^3 with omega_I identically zero.
+    The box is D's (Gcal, y, x) intervals; the full energy is
+    -m0^5/(2 y^2) + the returned series, and the matching drift frequency is
+    omega_y = m0^5/y^3, with omega_I absent (the drift has no Gcal
+    frequency).  A D outside the chart is a ValueError.
 
     Returns (series, FrequencyData).
     """
-    from .kepler import xi_prime_array
-    from .potentials import f_eps_minus_one_grid
-
-    m0, Lam = spec.m0, spec.Lambda
-    box = [
-        (Lam - delta, Lam),
-        (2 * math.sqrt(m0**3 * alpha_minus), math.sqrt(m0**3 * alpha_plus)),
-        (2 * math.sqrt(eps0), 2 * np.pi - 2 * math.sqrt(eps0)),
-    ]
+    m0 = spec.m0
+    box = libration_box(spec, eps0, alpha_minus, alpha_plus, delta)
 
     # gamma enters only through cos^2(gamma), which is pi-periodic and even:
     # under exact symmetry sample k equals sample fold(k) <= P/2 (P = n_phi/2
@@ -660,26 +655,13 @@ def build_secular_perturbation(spec, eps0, alpha_minus, alpha_plus, delta,
     cols = slice(0, P // 2 + 1)
 
     def fun(Gc, gam, y, x):
-        Gc, gam, y, x = Gc[:, cols], gam[:, cols], y[:, cols], x[:, cols]
-        # xi' depends on x alone: solve on the mesh's x axis and broadcast
-        xi = xi_prime_array(x[0, 0, 0, :])
-        r = y**2 / m0**3 * (1 - np.cos(xi))
-        eps = spec.eps_of_r(r)
-        c2g = np.cos(gam) ** 2
-        u = Gc / Lam
-        pert = eps * (Lam**2 - Gc**2) / (2 * Lam**2) * c2g
-        for c, s in spec.terms():
-            es = s * eps
-            t = u + es * (1.0 - u**2) * c2g
-            pert = pert - c * f_eps_minus_one_grid(es, t)
+        # r depends on (y, x) alone: one Kepler solve on the mesh's x axis
+        pert = aa_perturbation_at(spec, Gc, gam[:, cols], radial_radius(m0, y, x))
         # np.take keeps the result C-ordered for the FFT
-        return np.take(m0**2 / r * pert, fold, axis=1)
+        return np.take(pert, fold, axis=1)
 
     series = tf_build(fun, box, grid_shape, fourier_cutoff=fourier_cutoff, n_phi=n_phi)
-    freqs = FrequencyData.tabulate(
-        box, grid_shape, lambda I, y: m0**5 / y**3,
-        omega_I=[lambda I, y: np.zeros_like(y)],
-    )
+    freqs = FrequencyData.tabulate(box, grid_shape, lambda I, y: m0**5 / y**3)
     return series, freqs
 
 

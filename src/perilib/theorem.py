@@ -16,6 +16,7 @@ import numpy as np
 
 from .coords import ActionAngleState, radial_radius
 from .dynamics import StepControl, detect_libration, integrate
+from .hamiltonians import libration_box
 from .kepler import estimate_c0
 
 DEFAULT_C_UPPER = 10.0  # surrogate C*
@@ -71,8 +72,8 @@ def holomorphy_width_constant(s0):
     return 16.0 * math.cosh(s0) ** 2
 
 
-def check_libration_theorem(spec, eps0, delta, s0, alpha_minus, alpha_plus, N=8,
-                        c_upper=DEFAULT_C_UPPER, c_lower=DEFAULT_C_LOWER):
+def check_libration_theorem(spec, eps0, delta, s0, alpha_minus, alpha_plus,
+                            c_upper=DEFAULT_C_UPPER, c_lower=DEFAULT_C_LOWER):
     """Evaluate the full hypothesis system of the libration statement.
 
     Inequalities covered: the parameter ranges 0 < eps0 < 1 and
@@ -146,7 +147,6 @@ def check_libration_theorem(spec, eps0, delta, s0, alpha_minus, alpha_plus, N=8,
             "s0": s0,
             "alpha_minus": alpha_minus,
             "alpha_plus": alpha_plus,
-            "N": N,
             "C_upper": c_upper,
             "C_lower": c_lower,
             "beta_star": beta_low,
@@ -205,10 +205,10 @@ def run_libration_experiment(spec, report, state0,
         raise ValueError("initial Gcal outside the delta/2 layer below Lambda")
     if abs(state0.x - np.pi) > 1e-12:
         raise ValueError("initial x must be pi (outer body at apoapsis)")
-    y_lo, y_hi = 2 * math.sqrt(m0**3 * a_min), math.sqrt(m0**3 * a_plus)
-    if not y_lo <= state0.y <= 0.5 * (math.sqrt(m0**3 * a_min) + y_hi):
+    (G_lo, G_hi), (y_lo, y_hi), (x_lo, x_hi) = libration_box(spec, eps0, a_min, a_plus, delta)
+    # y_lo / 2 = sqrt(m0^3 alpha-) exactly
+    if not y_lo <= state0.y <= 0.5 * (y_lo / 2 + y_hi):
         raise ValueError("initial y outside the admissible window")
-    x_lo, x_hi = 2 * math.sqrt(eps0), 2 * np.pi - 2 * math.sqrt(eps0)
 
     def guard(z):
         Gc, _, y, x = z
@@ -217,8 +217,8 @@ def run_libration_experiment(spec, report, state0,
             x_hi - x,
             y - y_lo,
             y_hi - y,
-            Gc - (Lam - delta),
-            Lam - Gc + 1e-12,
+            Gc - G_lo,
+            G_hi - Gc + 1e-12,
         )
 
     # x advances at roughly m0^5/y^3

@@ -99,10 +99,24 @@ class TestConfig:
         assert not out.exists()
 
     def test_flags_win_over_set(self, tmp_path):
-        code, out = run(tmp_path, "--set", "theorem.n_steps=3", "check-theorem", "-N", "5")
+        code, out = run(tmp_path, *NORMALFORM_SMALL, "--set", "normalform.steps=3",
+                        "normalform", "-N", "1")
         assert code == EXIT_OK
-        rep = json.loads((out / "theorem_report.json").read_text())
-        assert rep["params"]["N"] == 5
+        rep = json.loads((out / "normalform_norms.json").read_text())
+        assert rep["steps"] == 1 and len(rep["table"]) == 1
+
+    def test_check_theorem_takes_no_step_count(self, tmp_path, capsys):
+        # the hypothesis report has no step count: no -N flag, no
+        # theorem.n_steps key, and no params.N in the report
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, "check-theorem", "-N", "3")
+        assert exc.value.code == EXIT_CONFIG
+        code, out = run(tmp_path, "--set", "theorem.n_steps=3", "check-theorem")
+        assert code == EXIT_CONFIG and not out.exists()
+        code, out = run(tmp_path, "check-theorem")
+        assert code == EXIT_OK
+        assert "N" not in json.loads((out / "theorem_report.json").read_text())["params"]
+        capsys.readouterr()
 
     def test_readme_lists_every_key(self):
         # README's config table: one "| `section.key` | rule | `default` |" row per key
@@ -545,6 +559,24 @@ def test_json_outputs_compact_with_unchanged_content(tmp_path, monkeypatch, argv
         assert json.dumps(json.loads(text)) == json.dumps(expect)
 
 
+@pytest.mark.parametrize("key, value, name", [
+    ("domain.delta", "1", "delta"),
+    ("domain.delta", "5", "delta"),
+    ("domain.eps0", "2.5", "eps0"),
+    ("domain.eps0", "1e-13", "collision"),
+], ids=["delta-Lambda", "delta-5", "eps0-2.5", "eps0-1e-13"])
+def test_normalform_rejects_a_domain_outside_the_chart(tmp_path, capsys, key, value, name):
+    # delta >= Lambda leaves Gcal > 0 and eps0 >= pi^2/4 empties the x
+    # window; eps0 = 1e-13 puts the x window's edges within X_COLLISION of
+    # 0 and 2 pi, where the Kepler solve's collision check fires.  Each is
+    # an input error naming its cause, and nothing is written
+    code, out = run(tmp_path, "--set", "%s=%s" % (key, value), "normalform")
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and name in err
+    assert not out.exists()
+
+
 def test_singular_locus_mid_run_exits_3(tmp_path):
     code, _ = run(tmp_path, "--set", "hamiltonian.Lambda=1e-3", "evolve",
                   "--state=-100,0,1,0", "--duration", "1")
@@ -593,7 +625,7 @@ def test_main_reuses_one_parser_across_calls(tmp_path, monkeypatch, capsys):
         ("evolve", "--state", "0.1, 0.2, 50.0, 0.3", "--duration", "5"),
         ("evolve", "--duration", "0"),
         ("portrait", "--eps", "0.6"),
-        ("--set", "theorem.n_steps=2", "check-theorem"),
+        ("--set", "theorem.c_lower=3", "check-theorem"),
         NORMALFORM_SMALL + ("normalform", "-N", "1"),
         ("--set", "portrait.grid=64", "--set", "portrait.levels=3", "portrait"),
         ("--set", "portrait.grid=64", "portrait", "--eps"),

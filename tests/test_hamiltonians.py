@@ -10,13 +10,16 @@ from perilib.coords import (
     SecularState,
     derive_mass_params,
     gg_forward,
+    radial_radius,
     rr_forward,
     rr_forward_with_jacobian,
 )
 from perilib.hamiltonians import (
     DomainError,
     HamiltonianSpec,
+    _aa_perturbations,
     aa_perturbation,
+    aa_perturbation_at,
     check_domain,
     energies,
     gradient,
@@ -329,6 +332,14 @@ class TestStackedEnergies:
         assert float(h_action_angle(spec, state)).hex() == float(E).hex()
         pert = aa_perturbation(spec, state)
         assert float(-(spec.m0**5) / (2 * z[2] ** 2) + pert).hex() == float(E).hex()
+        # the sparse mesh of the normal form: Gcal, gamma, y and x each along
+        # their own axis, r from (y, x); the kernel on the broadcast arrays
+        # is the stack kernel on the raveled mesh, bit for bit
+        Gc, gam, y, x = (Z[:, i].reshape(np.roll((-1, 1, 1, 1), i)) for i in range(4))
+        got = aa_perturbation_at(spec, Gc, gam, radial_radius(spec.m0, y, x))
+        stack = np.stack([a.ravel() for a in np.broadcast_arrays(Gc, gam, y, x)], axis=1)
+        assert got.shape == (len(rows),) * 4
+        assert got.tobytes() == _aa_perturbations(spec, stack).reshape(got.shape).tobytes()
 
     def test_kernel_guards_kept(self):
         spec = make_spec(1)

@@ -1068,6 +1068,41 @@ class TestSecularBuild:
         assert_series_close(got, expect, 1e-14)
 
 
+    def test_box_is_the_libration_domain(self):
+        from perilib.coords import derive_mass_params
+        from perilib.hamiltonians import HamiltonianSpec, libration_box
+        from perilib.normalform import build_secular_perturbation
+
+        spec = HamiltonianSpec(2, 1.0, 1.0, derive_mass_params(1.0, 0.02, "m0centric"))
+        args = (spec, 0.45, 1000.0, 16000.0, 0.005)
+        series, freqs = build_secular_perturbation(*args, grid_shape=(4, 4, 6))
+        assert series.box == libration_box(*args)
+        # the drift has no Gcal frequency: no omega_I table
+        assert freqs.omega_I is None
+
+    @pytest.mark.parametrize("eps0, delta, name", [
+        (0.25, 0.0, "delta"),
+        (0.25, -0.01, "delta"),
+        (0.25, 1.0, "delta"),
+        (0.25, 5.0, "delta"),
+        (0.25, np.nan, "delta"),
+        (0.0, 0.025, "eps0"),
+        (np.pi**2 / 4, 0.025, "eps0"),
+        (2.5, 0.025, "eps0"),
+        (np.nan, 0.025, "eps0"),
+    ])
+    def test_rejects_a_domain_outside_the_chart(self, eps0, delta, name):
+        # a D with Gcal <= 0 or an empty x window is rejected before any
+        # sampling, with the parameter named
+        from perilib.coords import derive_mass_params
+        from perilib.hamiltonians import HamiltonianSpec
+        from perilib.normalform import build_secular_perturbation
+
+        spec = HamiltonianSpec(1, 1.0, 1.0, derive_mass_params(1.0, 1.0, "jacobi"))
+        with pytest.raises(ValueError, match=name):
+            build_secular_perturbation(spec, eps0, 2e4, 3.2e5, delta, grid_shape=(4, 4, 6))
+
+
 class TestNormalFormSteps:
     def make_toy(self, rng, strength=0.01):
         """h = y^2/2 on the box (omega_y = y), f small and band-limited."""
