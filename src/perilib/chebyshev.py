@@ -149,11 +149,10 @@ def resample_matrix(n, m):
     return _frozen(coeffs_to_vals(np.pad(c, ((0, m - len(c)), (0, 0))), 0))
 
 
-def _resample(v, shape):
-    """Resample the last len(shape) axes of v to the sizes in shape; leading
-    (stack) axes pass through."""
-    lead = v.ndim - len(shape)
-    for axis, m in enumerate(shape, lead):
+def _resample(v, sizes):
+    """Resample v along each (axis, m) of sizes in turn, to m Lobatto nodes;
+    the axes not listed pass through."""
+    for axis, m in sizes:
         n = v.shape[axis]
         if m != n:
             v = _apply(resample_matrix(n, m), v, axis)
@@ -164,13 +163,23 @@ def refine(v, factor=1.5, lead=0):
     """Resample grid values onto a finer Lobatto grid (coefficient padding);
     the first `lead` axes are a stack, and axes of length 1 stay as they are.
     When no axis changes size (all of length 1, or factor 1) the input array
-    itself is returned, not a copy."""
+    itself is returned, not a copy.
+
+    The axes are refined from the last to the first.  Along the last axis a
+    complex array meets the real matrix in a complex product (numpy promotes
+    the matrix), twice the real multiply-adds of the float-view products on
+    the other axes, so that product runs on the coarse array."""
     v = np.asarray(v)
-    return _resample(v, [n if n == 1 else int(np.ceil(factor * n)) for n in v.shape[lead:]])
+    sizes = [(axis, n if n == 1 else int(np.ceil(factor * n)))
+             for axis, n in enumerate(v.shape[lead:], lead)]
+    return _resample(v, reversed(sizes))
 
 
 def coarsen(v, shape):
     """Project grid values back onto a coarser Lobatto grid by truncation;
     axes of v before the last len(shape) are a stack.  When no axis changes
-    size the input array itself is returned, not a copy."""
-    return _resample(np.asarray(v), tuple(shape))
+    size the input array itself is returned, not a copy.  The axes are
+    projected from the first to the last, so the last axis's complex
+    product (see refine) runs on the coarsest array."""
+    v = np.asarray(v)
+    return _resample(v, enumerate(shape, v.ndim - len(shape)))

@@ -125,14 +125,20 @@ def libration_box(spec, eps0, alpha_minus, alpha_plus, delta):
     """The libration domain D as (lo, hi) intervals of (Gcal, y, x):
     (Lambda - delta, Lambda), (2 sqrt(m0^3 alpha-), sqrt(m0^3 alpha+)) and
     (2 sqrt(eps0), 2 pi - 2 sqrt(eps0)).  ValueError unless
-    0 < delta < Lambda (so Gcal > 0 on D) and 0 < eps0 < pi^2/4 (so the x
-    window is not empty)."""
+    0 < delta < Lambda (so Gcal > 0 on D), 0 < eps0 < pi^2/4 (so the x
+    window is not empty), alpha+ is finite and positive and
+    0 < alpha- < alpha+/4 (so the y window is not empty)."""
     m0, Lam = spec.m0, spec.Lambda
     # negated, so that a NaN fails
     if not 0 < delta < Lam:
         raise ValueError("delta must be in (0, Lambda) = (0, %r), got %r" % (Lam, delta))
     if not 0 < eps0 < math.pi**2 / 4:
         raise ValueError("eps0 must be in (0, pi^2/4), got %r" % (eps0,))
+    if not 0 < alpha_plus < math.inf:
+        raise ValueError("alpha_plus must be finite and positive, got %r" % (alpha_plus,))
+    if not 0 < alpha_minus < alpha_plus / 4:
+        raise ValueError("alpha_minus must be in (0, alpha_plus/4) = (0, %r), got %r"
+                         % (alpha_plus / 4, alpha_minus))
     return (
         (Lam - delta, Lam),
         (2 * math.sqrt(m0**3 * alpha_minus), math.sqrt(m0**3 * alpha_plus)),

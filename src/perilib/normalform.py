@@ -483,6 +483,25 @@ def mode_eigenvalue(freqs, k):
 CC_NODES = 33  # Clenshaw-Curtis nodes of nqp_primitive's integral along x
 
 
+@functools.lru_cache(maxsize=128)
+def _x_quadrature(n_x, lo, hi, basepoint):
+    """nqp_primitive's fixed rule along x, cached and read-only: for every
+    x node x_c, the Clenshaw-Curtis nodes tau on [basepoint, x_c] as
+    tau - x_c and their weights (both (n_x, CC_NODES)), the tensor
+    (n_x, CC_NODES, n_x) whose [c, q] row interpolates grid values along x
+    at tau[c, q], and the mask of the nodes at the basepoint."""
+    xs = ch.nodes(n_x, lo, hi)
+    # the rule on [0, 1] mapped affinely, bit-identical to building it per node
+    t01, w01 = ch.clenshaw_curtis(CC_NODES, 0.0, 1.0)
+    span = (xs - basepoint)[:, None]
+    tau = basepoint + span * t01
+    interp = ch.eval_matrix(n_x, tau.ravel(), lo, hi).reshape(n_x, CC_NODES, n_x)
+    rule = (tau - xs[:, None], span * w01, interp, np.abs(xs - basepoint) < 1e-15)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 def nqp_primitive(f_osc, freqs, basepoint=None):
     """Small-divisor-free solution of the homological equation.
 
@@ -495,6 +514,11 @@ def nqp_primitive(f_osc, freqs, basepoint=None):
     the equation).  Requires the average part of f_osc to vanish.  Only the
     stored modes are solved: omega_I is real, so lambda_{-k} = conj(lambda_k)
     and phi_{-k} = conj(phi_k).
+
+    The rule and the interpolation are one linear map along x, contracted
+    before the data: W[..., c, x] = sum_q kernel[..., c, q] interp[c, q, x].
+    Where lambda vanishes the kernel is the weights alone and W is one
+    (n_x, n_x) matrix; otherwise it is one matrix per (I, y) node.
     """
     avg, osc = tf_average_split(f_osc)
     if avg.sup() > 1e-13 * max(1.0, f_osc.sup()):
@@ -504,28 +528,14 @@ def nqp_primitive(f_osc, freqs, basepoint=None):
         basepoint = lo
     if not lo - 1e-12 <= basepoint <= hi + 1e-12:
         raise ValueError("basepoint outside the x box")
-    n_x = f_osc.grid_shape[-1]
-    xs = ch.nodes(n_x, lo, hi)
-    # the Clenshaw-Curtis rule on [basepoint, x_c] for every node x_c: the
-    # rule on [0, 1] mapped affinely, bit-identical to building it per node
-    t01, w01 = ch.clenshaw_curtis(CC_NODES, 0.0, 1.0)
-    span = (xs - basepoint)[:, None]
-    tau = basepoint + span * t01  # (n_x, CC_NODES)
-    wq = span * w01
-    # interp[c, q, :] interpolates grid values along x at tau[c, q]
-    interp = ch.eval_matrix(n_x, tau.ravel(), lo, hi).reshape(n_x, CC_NODES, n_x)
-    at_base = np.abs(xs - basepoint) < 1e-15
+    tau_x, wq, interp, at_base = _x_quadrature(f_osc.grid_shape[-1], lo, hi, float(basepoint))
     out = f_osc.shell()
     inv_wy = 1.0 / freqs.omega_y
     for key, arr in osc.coeffs.items():
         mu = mode_eigenvalue(freqs, key[0][0]) * inv_wy  # (I, y)
-        # where mu vanishes (omega_I = 0) the kernel is wq itself; broadcast
-        # to the full kernel's shape it takes the same einsum path, bit for bit
-        kernel = wq * np.exp(mu[..., None, None] * (tau - xs[:, None])) if np.any(mu) else wq
-        phi = inv_wy[..., None] * np.einsum(
-            "...x,cqx,...cq->...c", arr, interp,
-            np.broadcast_to(kernel, mu.shape + wq.shape), optimize=True
-        )
+        kernel = wq * np.exp(mu[..., None, None] * tau_x) if np.any(mu) else wq
+        W = np.einsum("...cq,cqx->...cx", kernel, interp, optimize=True)
+        phi = inv_wy[..., None] * np.einsum("...cx,...x->...c", W, arr, optimize=True)
         phi[..., at_base] = 0.0
         out.coeffs[key] = phi
     return out

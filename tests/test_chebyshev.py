@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.fft import dct
@@ -56,9 +56,16 @@ def close(a, b, scale):
     assert np.max(np.abs(a - b), initial=0.0) <= 1e-13 * max(scale, 1e-300)
 
 
+def random_complex(shape, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
 class TestResampling:
     @settings(max_examples=150, deadline=None)
     @given(grid_shapes.flatmap(complex_arrays))
+    # a stack at a libration-regime grid, every axis refined
+    @example(random_complex((2, 24, 24, 48), 23))
     def test_refine_matches_dct(self, v):
         close(ch.refine(v), ref_refine(v), np.max(np.abs(v), initial=0.0))
 
@@ -107,6 +114,26 @@ class TestResampling:
         whole = ch.refine(v, lead=1)
         parts = np.concatenate([ch.refine(v[c], lead=1) for c in cuts])
         assert np.array_equal(whole.view(float), parts.view(float))
+
+    def test_axis_order(self, monkeypatch):
+        # refine resamples the last axis first, on the coarse stack, then the
+        # others from the last to the first; coarsen projects from the first
+        # axis to the last, so the last one runs on the coarsest array.  A
+        # length-1 axis takes no product
+        calls = []
+        apply = ch._apply
+
+        def recorded(M, v, axis):
+            calls.append((axis, M.shape, v.shape))
+            return apply(M, v, axis)
+
+        monkeypatch.setattr(ch, "_apply", recorded)
+        v = random_complex((3, 16, 1, 20), 5)
+        fine = ch.refine(v, lead=1)
+        assert calls == [(3, (30, 20), (3, 16, 1, 20)), (1, (24, 16), (3, 16, 1, 30))]
+        calls.clear()
+        ch.coarsen(fine, (16, 1, 20))
+        assert calls == [(1, (16, 24), (3, 24, 1, 30)), (3, (20, 30), (3, 16, 1, 30))]
 
     def test_length_one_axis_untouched(self):
         rng = np.random.default_rng(0)

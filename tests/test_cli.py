@@ -119,14 +119,22 @@ class TestConfig:
         capsys.readouterr()
 
     def test_readme_lists_every_key(self):
-        # README's config table: one "| `section.key` | rule | `default` |" row per key
+        # README's config table: one "| `section.key` | rule | `default` |" row
+        # per key, the rows consecutive lines under the one header, so that a
+        # paragraph inside the table (which ends it in Markdown) fails
+        import itertools
         import pathlib
         import re
 
         readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
-        rows = re.findall(r"^\| `(\w+\.\w+)` \| (.+?) \| `(.*)` \|$",
-                          readme.read_text(), re.MULTILINE)
-        assert sorted(rows) == sorted(
+        lines = readme.read_text().splitlines()
+        assert lines.count("| key | rule | default |") == 1
+        at = lines.index("| key | rule | default |")
+        assert lines[at + 1] == "| --- | --- | --- |"
+        table = list(itertools.takewhile(lambda line: line.startswith("|"), lines[at + 2:]))
+        rows = [re.fullmatch(r"\| `(\w+\.\w+)` \| (.+?) \| `(.*)` \|", line) for line in table]
+        assert all(rows), table
+        assert sorted(m.groups() for m in rows) == sorted(
             ("%s.%s" % (k.section, k.name), k.rule, k.default) for k in KEYS)
 
     @pytest.mark.parametrize("command", ["portrait", "verify-renorm"])

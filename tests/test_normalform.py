@@ -309,11 +309,11 @@ def build(fun, cutoff=4):
     return tf_build(fun, BOX, SHAPE, fourier_cutoff=cutoff)
 
 
-def rand_series(rng, cutoff=2, scale=1.0):
+def rand_series(rng, cutoff=2, scale=1.0, shape=SHAPE):
     """Band-limited random real series with low-degree polynomial
     coefficients (products of such series stay inside the grid's polynomial
     space): modes k = 0..cutoff stored, c_0 real."""
-    f = TFSeries(cutoff, BOX, SHAPE)
+    f = TFSeries(cutoff, BOX, shape)
     grids = f.grids()
     II, YY, XX = np.meshgrid(*grids, indexing="ij")
     for k in range(cutoff + 1):
@@ -528,20 +528,54 @@ class TestNqp:
 
     @pytest.mark.parametrize("basepoint", [None, "interior node", 1.234])
     def test_matches_per_node_loop(self, basepoint):
-        # omega_I varying, identically zero (the kernel without exponentials)
-        # and absent
-        rng = np.random.default_rng(19)
-        _, osc = tf_average_split(rand_series(rng, cutoff=3))
-        xs = ch.nodes(SHAPE[-1], *BOX[-1])
-        b = xs[7] if basepoint == "interior node" else basepoint
-        for omega_I in ([lambda I, y: 0.5 + 0.2 * I], [lambda I, y: 0 * y], []):
-            freqs = FrequencyData.tabulate(BOX, SHAPE, lambda I, y: 2.0 + 0.1 * y,
-                                           omega_I=omega_I)
-            got = nqp_primitive(osc, freqs, basepoint=b)
-            assert_series_close(got, ref_nqp_primitive(osc, freqs, basepoint=b), 1e-13)
-            if basepoint == "interior node":
-                for arr in got.coeffs.values():
-                    assert np.all(arr[..., 7] == 0.0)
+        # n_x = 16 and 48; omega_I varying in I, in I and y, identically zero
+        # (the kernel without exponentials) and absent.  The data of the
+        # n_x = 48 grid carry random values along x, beyond the polynomial part
+        for n_x in (16, 48):
+            rng = np.random.default_rng(19)
+            shape = SHAPE[:2] + (n_x,)
+            _, osc = tf_average_split(rand_series(rng, cutoff=3, shape=shape))
+            if n_x > SHAPE[-1]:
+                for arr in osc.coeffs.values():
+                    arr += 0.1 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+            xs = ch.nodes(n_x, *BOX[-1])
+            b = xs[7] if basepoint == "interior node" else basepoint
+            for omega_I in ([lambda I, y: 0.5 + 0.2 * I], [lambda I, y: 0.5 + 0.3 * I * y - 0.2 * y],
+                            [lambda I, y: 0 * y], []):
+                freqs = FrequencyData.tabulate(BOX, shape, lambda I, y: 2.0 + 0.1 * y,
+                                               omega_I=omega_I)
+                got = nqp_primitive(osc, freqs, basepoint=b)
+                assert_series_close(got, ref_nqp_primitive(osc, freqs, basepoint=b), 1e-13)
+                if basepoint == "interior node":
+                    for arr in got.coeffs.values():
+                        assert np.all(arr[..., 7] == 0.0)
+
+    def test_x_quadrature_cached_read_only(self):
+        # the rule along x is built once per (n_x, x box, basepoint) and shared
+        # by every call and mode; writing into it is an error
+        from perilib.normalform import CC_NODES, _x_quadrature
+
+        rule = _x_quadrature(16, 0.0, 2.0, 0.0)
+        assert _x_quadrature(16, 0.0, 2.0, 0.0) is rule
+        tau_x, wq, interp, at_base = rule
+        assert tau_x.shape == wq.shape == (16, CC_NODES)
+        assert interp.shape == (16, CC_NODES, 16)
+        assert at_base.tolist() == [True] + [False] * 15
+        for arr in rule:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
+        rng = np.random.default_rng(4)
+        _, osc = tf_average_split(rand_series(rng, cutoff=2))
+        freqs = FrequencyData.tabulate(BOX, SHAPE, lambda I, y: 2.0 + 0.1 * y)
+        before = _x_quadrature.cache_info()
+        first = nqp_primitive(osc, freqs)
+        second = nqp_primitive(osc, freqs)
+        after = _x_quadrature.cache_info()
+        assert after.misses - before.misses <= 1 and after.hits - before.hits >= 1
+        for key, arr in first.coeffs.items():
+            assert np.array_equal(arr, second.coeffs[key])
+        assert not np.shares_memory(first.coeffs[key], second.coeffs[key])
 
     def test_eigenvalue_structure(self):
         # lambda_k = i k . omega_I
@@ -1101,6 +1135,31 @@ class TestSecularBuild:
         spec = HamiltonianSpec(1, 1.0, 1.0, derive_mass_params(1.0, 1.0, "jacobi"))
         with pytest.raises(ValueError, match=name):
             build_secular_perturbation(spec, eps0, 2e4, 3.2e5, delta, grid_shape=(4, 4, 6))
+
+    @pytest.mark.parametrize("alpha_minus, alpha_plus, name", [
+        (1e5, 2e5, "alpha_minus"),
+        (5e4, 2e5, "alpha_minus"),
+        (0.0, 2e5, "alpha_minus"),
+        (-1.0, 2e5, "alpha_minus"),
+        (np.nan, 2e5, "alpha_minus"),
+        (2e4, np.inf, "alpha_plus"),
+        (2e4, np.nan, "alpha_plus"),
+        (2e4, -3.2e5, "alpha_plus"),
+    ])
+    def test_rejects_an_empty_y_window(self, alpha_minus, alpha_plus, name):
+        # the y window (2 sqrt(m0^3 alpha-), sqrt(m0^3 alpha+)) must be finite
+        # and increasing: a reversed or NaN window is not returned, and a
+        # negative alpha- is not a math domain error
+        from perilib.coords import derive_mass_params
+        from perilib.hamiltonians import HamiltonianSpec, libration_box
+        from perilib.normalform import build_secular_perturbation
+
+        spec = HamiltonianSpec(2, 1.0, 1.0, derive_mass_params(1.0, 0.02, "m0centric"))
+        with pytest.raises(ValueError, match=name):
+            libration_box(spec, 0.25, alpha_minus, alpha_plus, 0.025)
+        with pytest.raises(ValueError, match=name):
+            build_secular_perturbation(spec, 0.25, alpha_minus, alpha_plus, 0.025,
+                                       grid_shape=(4, 4, 6))
 
 
 class TestNormalFormSteps:

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.special import elliprj
 
 import perilib.cli as cli
@@ -221,16 +221,18 @@ def test_grid_matches_scalar_wrappers(eps, t):
 
 def ref_f_minus_one(eps, t, n):
     """f - 1, d/dt f and d/deps f by the n-node periodic trapezoid rule over
-    the full range of xi, with the mean |integrand| of each as its scale."""
-    xi = 2 * np.pi * np.arange(n) / n
-    X = 1.0 - np.cos(xi)
-    eX = eps * X
-    u = 2 * eX * t - eX**2
-    rad = 1.0 - u
+    the full range of xi, nodes and sums in np.longdouble, with the mean
+    |integrand| of each as its scale; and the least radicand of the rule."""
+    L = np.longdouble
+    xi = 2 * L(np.pi) * np.arange(n, dtype=L) / n
+    X = 1 - np.cos(xi)
+    eX = L(eps) * X
+    u = 2 * eX * L(t) - eX**2
+    rad = 1 - u
     s = np.sqrt(rad)
     X2m = X**2 / (rad * s)
-    integrands = (X * u / (s * (1.0 + s)), eps * X2m, X2m * (t - eps * X))
-    return [(v.sum() / n, np.abs(v).mean()) for v in integrands]
+    integrands = (X * u / (s * (1 + s)), eps * X2m, X2m * (L(t) - eps * X))
+    return [(float(v.sum() / n), float(np.abs(v).mean())) for v in integrands], float(rad.min())
 
 
 # |eps| from 1e-12 to 0.49 on a log scale; for |t| <= 1 the radicand is at
@@ -242,13 +244,22 @@ def ref_f_minus_one(eps, t, n):
     t=st.floats(min_value=-1.0, max_value=1.0),
     n=st.sampled_from([32, 34, 256]),
 )
+# the radicand reaches 3.5e-3 at a node; the eps-partial is 2.1e-15 of its
+# scale off the float64 full-range sum and 3.2e-15 off the exact one
+@example(log_eps=-0.32763588452919734, sign=-1.0, t=-1.0, n=34)
 def test_half_range_matches_full_range(log_eps, sign, t, n):
     # the kernel sums the folded half range; relative errors alone reach
-    # 1e-13 where f - 1 nearly cancels, so the bound uses the integrand scale
+    # 1e-13 where f - 1 nearly cancels, so the bound uses the integrand scale.
+    # Any float64 rule is off the exact sum by about 1e-16 / rad of the
+    # scale, rad the least radicand at a node (the float nodes' rounding,
+    # amplified by rad^{-3/2}): 120,000 draws gave at most 1.6e-16 / rad for
+    # rad < 1/4 and 1.1e-15 above, so the bound is 2e-15 of the scale from
+    # rad = 1/4 up and 5e-16 / rad of it below
     eps = sign * 10.0**log_eps
     got = _node_sums(eps, t, n, grad=True)
-    for value, (expect, scale) in zip(got, ref_f_minus_one(eps, t, n)):
-        assert abs(value - expect) <= 2e-15 * scale
+    ref, rad = ref_f_minus_one(eps, t, n)
+    for value, (expect, scale) in zip(got, ref):
+        assert abs(value - expect) <= 2e-15 * max(1.0, 0.25 / rad) * scale
     assert f_eps(eps, t, QuadratureSpec(n)) == 1.0 + got[0]
 
 
