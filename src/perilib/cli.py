@@ -21,9 +21,8 @@ import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import asdict, fields
-from itertools import chain
+from itertools import accumulate, chain
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
@@ -68,6 +67,7 @@ EXIT_IO = 4
 # above it ends the run with EXIT_GUARD (normalform.grid is the lever)
 RESIDUAL_RTOL = 1e-8
 SEED_LIMIT = 2**64  # --seed is a 64-bit unsigned int
+FLOAT_LIST_MIN = 64  # a JSON list of floats this long is spelled by floattext
 
 
 class ConfigError(ValueError):
@@ -225,8 +225,13 @@ def load_config(path, overrides=()):
 
 
 def _atomic_write(path, text):
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
+    """Write text to path through a new file beside it and one os.replace,
+    so that a reader sees the old file or the new one.  The file is created
+    with mode 0o666 less the umask, as open() would create it."""
+    folder = os.path.dirname(os.path.abspath(path))
+    os.makedirs(folder, exist_ok=True)
+    tmp = os.path.join(folder, ".%s.%s.tmp" % (os.path.basename(path), os.urandom(6).hex()))
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -237,11 +242,46 @@ def _atomic_write(path, text):
         raise
 
 
+FLOAT_RUN = "\0float run\0"  # a float run's stand-in in the JSON skeleton
+
+
+def _without_float_runs(obj, runs):
+    """obj with each list (or tuple) of at least FLOAT_LIST_MIN floats, at
+    any depth in dicts and lists, replaced by FLOAT_RUN and appended to
+    runs in the order json.dumps writes them."""
+    if type(obj) is dict:
+        return {key: _without_float_runs(value, runs) for key, value in obj.items()}
+    if type(obj) in (list, tuple):
+        if len(obj) >= FLOAT_LIST_MIN and set(map(type, obj)) == {float}:
+            runs.append(obj)
+            return FLOAT_RUN
+        return [_without_float_runs(value, runs) for value in obj]
+    return obj
+
+
+def _json_text(payload):
+    """json.dumps(payload, default=float), its float runs (a series' re and
+    im) spelled by floattext: the rest is json.dumps of a skeleton holding
+    FLOAT_RUN in their place, which must occur there once per run (a
+    payload string that spells it sends the whole payload through json)."""
+    runs = []
+    skeleton = json.dumps(_without_float_runs(payload, runs), default=float)
+    pieces = skeleton.split(json.dumps(FLOAT_RUN))
+    if len(pieces) != len(runs) + 1:
+        return json.dumps(payload, default=float)
+    from . import floattext  # loaded by the first write, not at start-up
+
+    parts = pieces[:1]
+    for run, piece in zip(runs, pieces[1:]):
+        parts += [floattext.json_list(np.array(run)), piece]
+    return "".join(parts)
+
+
 def _write_json(path, payload, seed):
     payload = dict(payload)
     payload["seed"] = seed
-    # compact on purpose: without indent, json uses its C encoder
-    _atomic_write(path, json.dumps(payload, default=float) + "\n")
+    # compact on purpose: one line, with json.dumps's separators
+    _atomic_write(path, _json_text(payload) + "\n")
 
 
 # ---------------- subcommands ----------------
@@ -257,13 +297,16 @@ def cmd_portrait(cfg, out_dir, seed):
         eqs = find_equilibria(eps, Lam)
     except ValueError as exc:
         raise ConfigError("portrait: %s" % exc) from exc
-    # one format string per polyline, not one % per point
-    parts = ["# seed,%d\nlevel,g,G\n" % seed]
-    for lv, line in lines:
-        level = "%.17g" % lv
-        parts += [(level + ",%.17g,%.17g\n") * len(line) % tuple(chain.from_iterable(line)),
-                  "# polyline," + level + "\n"]
-    _atomic_write(os.path.join(out_dir, "portrait.csv"), "".join(parts))
+    from . import floattext  # loaded by the first write, not at start-up
+
+    # every point's row in one table, each polyline's rows followed by its line
+    counts = [len(line) for _, line in lines]
+    points = np.fromiter(chain.from_iterable(chain.from_iterable(line for _, line in lines)),
+                         np.float64, 2 * sum(counts)).reshape(-1, 2)
+    table = np.column_stack([np.repeat([lv for lv, _ in lines], counts), points])
+    inserts = [(0, "# seed,%d\nlevel,g,G\n" % seed)]
+    inserts += zip(accumulate(counts), ["# polyline,%.17g\n" % lv for lv, _ in lines])
+    _atomic_write(os.path.join(out_dir, "portrait.csv"), floattext.csv_table(table, inserts))
     payload = {
         "eps": eps,
         "Lambda": Lam,
@@ -313,14 +356,13 @@ def cmd_verify_renorm(cfg, out_dir, seed):
 
 
 def _trajectory_csv(traj, seed):
+    from . import floattext  # loaded by the first write, not at start-up
+
     names = [f.name for f in fields(chart_named(traj.chart).state)]
     table = np.column_stack([traj.times, traj.states, traj.energies])
-    # the whole file from one format string, not one % per row: the header,
-    # a row of %.17g fields per sample, then a line per event
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    text = ("# seed,%d\n" + ",".join(["t", *names, "energy"]) + "\n"
-            + row * len(table) + "# event,%.17g,%s\n" * len(traj.events))
-    return text % (seed, *table.ravel().tolist(), *(v for event in traj.events for v in event))
+    head = "# seed,%d\n" % seed + ",".join(["t", *names, "energy"]) + "\n"
+    events = "".join("# event,%.17g,%s\n" % event for event in traj.events)
+    return floattext.csv_table(table, [(0, head), (len(table), events)])
 
 
 def cmd_evolve(cfg, out_dir, seed):

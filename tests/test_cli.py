@@ -1,8 +1,11 @@
 import json
+import os
+import stat
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from perilib.cli import (
     EXIT_CONFIG,
@@ -591,14 +594,105 @@ def test_singular_locus_mid_run_exits_3(tmp_path):
     assert code == EXIT_GUARD
 
 
-def per_point_csv(seed, eps, grid):
-    """The portrait CSV formatted one row per point, rows joined by newlines."""
+def per_point_rows(seed, lines):
+    """The portrait CSV of (level, polyline) pairs, formatted one row per
+    point, rows joined by newlines."""
     rows = ["# seed,%d" % seed, "level,g,G"]
-    for lv, line in phase_portrait(eps, 1.0, grid=(grid, grid), levels=12):
+    for lv, line in lines:
         level = "%.17g" % lv
         rows += [level + ",%.17g,%.17g" % gG for gG in line]
         rows.append("# polyline," + level)
     return ("\n".join(rows) + "\n").encode()
+
+
+def per_point_csv(seed, eps, grid):
+    """The CLI's portrait CSV formatted one row per point."""
+    return per_point_rows(seed, phase_portrait(eps, 1.0, grid=(grid, grid), levels=12))
+
+
+# signed zeros, subnormals, non-finite values, 1e-12 (whose scaled digits
+# read 1e16 - 0.2) and an exact tie, 2**-25
+ODD_FLOATS = [0.0, -0.0, 5e-324, -2.5e-310, float("nan"), float("inf"), float("-inf"),
+              1e-12, 2.0**-25]
+ANY_FLOAT = st.one_of(st.sampled_from(ODD_FLOATS), st.floats())
+
+
+@settings(max_examples=60, deadline=None)
+@given(lines=st.lists(st.tuples(ANY_FLOAT, st.lists(st.tuples(ANY_FLOAT, ANY_FLOAT),
+                                                       min_size=1, max_size=5)),
+                      max_size=6),
+       seed=st.integers(0, 2**64 - 1))
+@example(lines=[], seed=0)
+@example(lines=[(1.0, [(-0.0, 5e-324)]), (float("nan"), [(2.0**-25, 1e-12)] * 3)], seed=7)
+def test_portrait_csv_of_drawn_lines_matches_the_per_point_rows(lines, seed):
+    # levels and polylines as phase_portrait returns them, but drawn:
+    # one-point lines and an empty portrait included
+    import perilib.cli as cli
+
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as out:
+        mp.setattr(cli, "phase_portrait", lambda *args, **kwargs: lines)
+        mp.setattr(cli, "find_equilibria", lambda *args, **kwargs: [])
+        assert main(["--seed", str(seed), "--out", out, "portrait"]) == EXIT_OK
+        with open(os.path.join(out, "portrait.csv"), "rb") as fh:
+            assert fh.read() == per_point_rows(seed, lines)
+
+
+JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-2**70, 2**70), ANY_FLOAT,
+                        st.text(max_size=4), st.lists(ANY_FLOAT, min_size=60, max_size=150))
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+                   | st.dictionaries(st.integers(-3, 3), inner, max_size=2)),
+    max_leaves=10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(payload=st.dictionaries(st.text(max_size=4), JSON_VALUES, max_size=5),
+       seed=st.integers(0, 2**64 - 1))
+@example(payload={"re": [float("nan"), float("inf"), float("-inf")] + [0.1] * 61,
+                  "ints": [1] + [0.5] * 70, "np": [np.float64(0.1)] * 64,
+                  "nested": {"im": [[-0.0] * 64, (2.0**-25,) * 64]}, "": {}}, seed=3)
+@example(payload={"name": "\0float run\0", "re": [0.25] * 64}, seed=5)  # spells FLOAT_RUN
+def test_write_json_is_json_dumps(payload, seed):
+    # long float lists go through floattext, the rest through json; the
+    # bytes are json.dumps's either way
+    from perilib.cli import _write_json
+
+    with tempfile.TemporaryDirectory() as out:
+        path = os.path.join(out, "payload.json")
+        _write_json(path, payload, seed)
+        with open(path, "rb") as fh:
+            text = fh.read()
+    assert text == (json.dumps(dict(payload, seed=seed), default=float) + "\n").encode()
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_output_files_take_the_umask_mode(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        code, out = run(tmp_path, "--set", "portrait.grid=64", "portrait")
+    finally:
+        os.umask(old)
+    assert code == EXIT_OK
+    assert {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()} == {
+        "portrait.csv": mode, "equilibria.json": mode}
+
+
+def test_failed_write_leaves_the_old_file_alone(tmp_path, monkeypatch):
+    import perilib.cli as cli
+
+    target = tmp_path / "portrait.csv"
+    cli._atomic_write(str(target), "old\n")
+
+    def fail(src, dst):
+        raise OSError("no space left")
+
+    monkeypatch.setattr(cli.os, "replace", fail)
+    with pytest.raises(OSError):
+        cli._atomic_write(str(target), "new\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["portrait.csv"]
+    assert target.read_text() == "old\n"
 
 
 @pytest.mark.parametrize("seed, eps", [(3, 0.25), (17, 0.75), (2024, 1.5)])

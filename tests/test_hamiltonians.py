@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import perilib.potentials as potentials
@@ -312,7 +312,7 @@ class TestStackedEnergies:
         whole = energies(spec, Z, "action-angle")
         for z, E in zip(Z, whole):
             pert = aa_perturbation(spec, ActionAngleState(*z))
-            assert -(spec.m0**5) / (2 * z[2] ** 2) + pert == E
+            assert -(spec.m0**5) / (2 * (z[2] * z[2])) + pert == E
 
     @settings(max_examples=100, deadline=None)
     @given(index=st.sampled_from([1, 2]),
@@ -321,6 +321,11 @@ class TestStackedEnergies:
                                    st.floats(0.6, 2 * np.pi - 0.6)),
                          min_size=2, max_size=6),
            pick=st.integers(0, 5))
+    # y**2 of a numpy scalar is libm pow, 0x1.832c644960eeap+3 here, while
+    # energies squares as y * y, 0x1.832c644960ee9p+3: the reference squares
+    # as the library does
+    @example(index=1, rows=[(0.0, 0.0, 3.4783859639413492, 1.0), (0.0, 0.0, 3.0, 1.0)],
+             pick=0)
     def test_one_state_is_its_row_of_the_stack(self, index, rows, pick):
         # the one-state Kepler solve runs the float loop, the stack the
         # array loop: the bits must agree
@@ -331,7 +336,7 @@ class TestStackedEnergies:
         state = ActionAngleState(*z)
         assert float(h_action_angle(spec, state)).hex() == float(E).hex()
         pert = aa_perturbation(spec, state)
-        assert float(-(spec.m0**5) / (2 * z[2] ** 2) + pert).hex() == float(E).hex()
+        assert float(-(spec.m0**5) / (2 * (z[2] * z[2])) + pert).hex() == float(E).hex()
         # the sparse mesh of the normal form: Gcal, gamma, y and x each along
         # their own axis, r from (y, x); the kernel on the broadcast arrays
         # is the stack kernel on the raveled mesh, bit for bit
