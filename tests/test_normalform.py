@@ -412,6 +412,15 @@ class TestSplit:
         total = avg + osc
         assert abs(tf_norm(total - f)) < 1e-14
 
+    def test_parts_share_the_input_arrays(self):
+        f = rand_series(np.random.default_rng(3))
+        avg, osc = tf_average_split(f)
+        assert avg.coeffs and osc.coeffs
+        assert list(avg.coeffs) + list(osc.coeffs) == list(f.coeffs)
+        for part in (avg, osc):
+            for key, arr in part.coeffs.items():
+                assert np.shares_memory(arr, f.coeffs[key]), key
+
 
 class TestNorm:
     def test_single_mode_weighting(self):
@@ -841,7 +850,7 @@ class TestStreamedBracket:
         self.assert_chain_matches(phi, b - osc, STEP_LIE_ORDER)
 
     def test_bracket_holds_one_refined_stack(self):
-        # on a 5-key operand the bracket peaks at 3.7 refined stacks of it
+        # on a 5-key operand the bracket peaks at 3.70 refined stacks of it
         # above its start; refining its four stacks at once, with their
         # conjugates, took 14.0 (tracemalloc sees numpy's buffers)
         import tracemalloc
@@ -869,10 +878,10 @@ class TestStreamedBracket:
     @pytest.mark.parametrize("n_x", [8, 9, 12])
     @pytest.mark.parametrize("k", [0, 1, 3])
     def test_single_x_line_generator_matches_two_sided_engine(self, n_x, k):
-        # a one-key generator on a (1, 1, n_x) grid: its values stack is one
-        # x line, refined by a matrix-vector product rather than within the
-        # derivative stacks; every term has a d_I or d_y factor, zero here,
-        # so the bits are still the two-sided engine's
+        # a one-key series on a (1, 1, n_x) grid: each of its stacks is one
+        # x line, refined by a matrix-vector product, where the two-sided
+        # engine refines all four in one product; every term has a d_I or
+        # d_y factor, zero here, so the bits are still the two-sided engine's
         rng = np.random.default_rng(40 + n_x + k)
         shape = (1, 1, n_x)
         def series(modes):
@@ -910,7 +919,7 @@ class TestBracketSideLifetime:
         assert alive == [0, 0, 0]
 
     def test_run_peak_in_refined_stacks(self):
-        # three steps of criterion 8 on (8, 8, 10) peak at about 45 refined
+        # three steps of criterion 8 on (8, 8, 10) peak at about 44 refined
         # one-key stacks above their start; holding each step's side and
         # its refined values until the next side was built took 73
         import tracemalloc
@@ -1278,6 +1287,19 @@ class TestNormalFormSteps:
         step = normal_form_steps(tiny, freqs, N=1).steps[0]
         assert step.osc_norm <= OSC_ROUNDING_FLOOR * step.f_norm
         assert step.contraction > 1.5
+
+    def test_read_only_input(self):
+        # the run reads its input's arrays and writes none of them
+        f, freqs = criterion_8_series((8, 8, 10))
+        expect = normal_form_steps(f.copy(), freqs, N=3)
+        before = f.copy()
+        for arr in f.coeffs.values():
+            arr.flags.writeable = False
+        got = normal_form_steps(f, freqs, N=3)
+        assert len(got.steps) == 3
+        assert_same_bits(f, before)
+        assert_same_bits(got.g_star, expect.g_star)
+        assert_same_bits(got.f_star, expect.f_star)
 
     def test_gamma_dependence_fades(self):
         rng = np.random.default_rng(18)
