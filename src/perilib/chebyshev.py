@@ -3,8 +3,9 @@ Clenshaw evaluation and Clenshaw-Curtis quadrature.
 
 All grids are Chebyshev-Gauss-Lobatto points stored in increasing order.
 Transforms are DCT-I based and exact for polynomials up to the grid degree.
-Fixed linear maps (resampling, differentiation) are built from them once per
-size and then applied as small read-only matrices.
+Fixed linear maps (resampling, differentiation, and refinement after
+differentiation as one map) are built from them once per size and then applied
+as small read-only matrices.
 """
 
 import functools
@@ -100,6 +101,12 @@ def differentiate(v, axis, lo, hi):
     return _apply(diff_matrix(v.shape[axis], lo, hi), v, axis)
 
 
+def fine_size(n, factor=1.5):
+    """Nodes of an n-node axis once refined: ceil(factor n); an axis of one
+    node stays one."""
+    return n if n == 1 else math.ceil(factor * n)
+
+
 def clenshaw(coeffs, axis, xs, lo, hi):
     """Evaluate a Chebyshev series along `axis` at arbitrary points xs.
 
@@ -149,6 +156,26 @@ def resample_matrix(n, m):
     return _frozen(coeffs_to_vals(np.pad(c, ((0, m - len(c)), (0, 0))), 0))
 
 
+@functools.lru_cache(maxsize=128)
+def refined_diff_matrix(n, lo, hi):
+    """(fine_size(n), n) matrix R D taking values on n Lobatto nodes over
+    [lo, hi] to their derivative on the refined nodes: the refinement R
+    times diff_matrix.  Cached and read-only."""
+    R = resample_matrix(n, fine_size(n))
+    return _frozen(R @ diff_matrix(n, lo, hi))
+
+
+def refine_axis(v, axis, interval=None):
+    """v refined along one axis, to fine_size nodes: by the refinement R,
+    or, given interval = (lo, hi), by refined_diff_matrix, which
+    differentiates and refines in one product.  A length-1 axis is not
+    refined (v itself comes back); its derivative is zero."""
+    n = v.shape[axis]
+    if interval is not None:
+        return _apply(refined_diff_matrix(n, *interval), v, axis)
+    return v if n == 1 else _apply(resample_matrix(n, fine_size(n)), v, axis)
+
+
 def _resample(v, sizes):
     """Resample v along each (axis, m) of sizes in turn, to m Lobatto nodes;
     the axes not listed pass through."""
@@ -170,8 +197,7 @@ def refine(v, factor=1.5, lead=0):
     the matrix), twice the real multiply-adds of the float-view products on
     the other axes, so that product runs on the coarse array."""
     v = np.asarray(v)
-    sizes = [(axis, n if n == 1 else int(np.ceil(factor * n)))
-             for axis, n in enumerate(v.shape[lead:], lead)]
+    sizes = [(axis, fine_size(n, factor)) for axis, n in enumerate(v.shape[lead:], lead)]
     return _resample(v, reversed(sizes))
 
 

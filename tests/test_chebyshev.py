@@ -179,6 +179,38 @@ class TestCachedOperators:
         with pytest.raises(ValueError):
             D *= 2.0
 
+    def test_refined_diff_matrix_read_only_and_shared(self):
+        # R D, cached per (n, lo, hi): the refinement of the derivative, on
+        # fine_size(n) nodes, and zero on an axis of one node
+        RD = ch.refined_diff_matrix(12, 0.0, 2.0)
+        assert RD.shape == (ch.fine_size(12), 12) == (18, 12)
+        assert ch.refined_diff_matrix(12, 0.0, 2.0) is RD
+        with pytest.raises(ValueError):
+            RD *= 2.0
+        np.testing.assert_array_equal(RD, ch.resample_matrix(12, 18) @ ch.diff_matrix(12, 0.0, 2.0))
+        p = lambda x: x**3 - 2 * x**11
+        dp = lambda x: 3 * x**2 - 22 * x**10
+        np.testing.assert_allclose(RD @ p(ch.nodes(12, 0.0, 2.0)), dp(ch.nodes(18, 0.0, 2.0)),
+                                   atol=1e-11 * np.max(np.abs(dp(ch.nodes(18, 0.0, 2.0)))))
+        assert ch.fine_size(1) == 1 and ch.fine_size(7) == 11
+        np.testing.assert_array_equal(ch.refined_diff_matrix(1, 0.0, 2.0), [[0.0]])
+
+    def test_refine_axis(self):
+        # one axis at a time, from the last, gives refine's bits; a length-1
+        # axis comes back as it is, its derivative as zeros
+        rng = np.random.default_rng(3)
+        v = rng.normal(size=(2, 5, 1, 7)) + 1j * rng.normal(size=(2, 5, 1, 7))
+        fine = v
+        for axis in (3, 2, 1):
+            fine = ch.refine_axis(fine, axis)
+        assert np.array_equal(fine, ch.refine(v, lead=1))
+        assert ch.refine_axis(v, 2) is v
+        assert not np.any(ch.refine_axis(v, 2, (0.0, 1.0)))
+        d = ch.refine_axis(v, 3, (0.0, 2.0))
+        assert d.shape == (2, 5, 1, 11)
+        np.testing.assert_allclose(d, ch.refine_axis(ch.differentiate(v, 3, 0.0, 2.0), 3),
+                                   atol=1e-13 * np.max(np.abs(d)))
+
     def test_results_do_not_alias_cache(self):
         # outputs are fresh arrays: writing into one leaves the cache intact
         v = np.ones((6, 6), complex)

@@ -188,10 +188,14 @@ def ref_secular_build(spec, eps0, alpha_minus, alpha_plus, delta, grid_shape,
 # ---------------- the two-sided bracket engine, bit for bit ----------------
 #
 # The engine before brackets streamed their second operand: both operands'
-# four refined stacks built up front, and a piece's conjugate stack built
-# once and kept when a pair needs -k.  The streamed engine refines the same
-# stacks one at a time and conjugates rows inside the products, in the same
-# term, pair and operand order, so it must match this byte for byte.
+# four refined stacks built up front, a piece's conjugate stack built once
+# and kept when a pair needs -k, and one fresh array per output key.  Each
+# stack is refined x first, then y, then I, by the cached refinement R, or
+# by the refined derivative R D on its derivative's axis, d_phi's rows
+# scaled by i k after x.  The streamed engine builds the same stacks one at
+# a time from one x-refined stack, conjugates rows inside the products and
+# sums into one fine stack, in the same term, pair and operand order, so it
+# must match this byte for byte.
 
 
 class TwoSidedPiece:
@@ -247,38 +251,38 @@ def two_sided_stack(f):
     return TwoSidedPiece(list(f.coeffs), ch.refine(np.stack(list(f.coeffs.values())), lead=1))
 
 
+def two_sided_refined(coarse, box, deriv=None, scale=None):
+    """A (key, I, y, x) stack refined along x, y and I in that order, by R
+    or, on the axis deriv, by R D; scale multiplies it after x."""
+    v = coarse
+    for ax in (3, 2, 1):
+        v = ch.refine_axis(v, ax, box[ax - 1] if ax == deriv else None)
+        if ax == 3 and scale is not None:
+            v = v * scale
+    return v
+
+
 class TwoSidedSide:
-    """left = (d_I f..., d_y f), right = (d_phi f..., d_x f), all four
-    stacks refined in one call."""
+    """f's pieces d_phi, d_I, d_y and d_x, all four built up front."""
 
     def __init__(self, f):
         keys = list(f.coeffs)
-        n = 1
-        fine = [None] * (n + 3)
-        if keys:
-            coarse = np.stack(list(f.coeffs.values()))
-            derivs = [ch.differentiate(coarse, ax + 1, *f.box[ax]) for ax in range(n + 2)]
-            fine = ch.refine(np.concatenate([coarse] + derivs), lead=1)
-            fine = fine.reshape((n + 3, len(keys)) + fine.shape[1:])
-        d_phi = []
-        for i in range(n):
-            rows = [r for r, (k, _, _) in enumerate(keys) if k[i] != 0]
-            if not rows:
-                d_phi.append(TwoSidedPiece([], None))
-                continue
-            scale = np.array([1j * keys[r][0][i] for r in rows]).reshape(
-                (-1,) + (1,) * (fine[0].ndim - 1))
-            d_phi.append(TwoSidedPiece([keys[r] for r in rows], fine[0][rows] * scale))
-        grid = [TwoSidedPiece(keys, d) for d in fine[1:]]
-        self.left = grid[:n + 1]
-        self.right = d_phi + [grid[n + 1]]
+        self.d_phi = self.d_I = self.d_y = self.d_x = TwoSidedPiece([], None)
+        if not keys:
+            return
+        coarse = np.stack(list(f.coeffs.values()))
+        self.d_I, self.d_y, self.d_x = (
+            TwoSidedPiece(keys, two_sided_refined(coarse, f.box, deriv=ax)) for ax in (1, 2, 3))
+        rows = [r for r, (k, _, _) in enumerate(keys) if k[0] != 0]
+        if rows:
+            scale = np.array([1j * keys[r][0][0] for r in rows]).reshape(-1, 1, 1, 1)
+            self.d_phi = TwoSidedPiece([keys[r] for r in rows],
+                                       two_sided_refined(coarse[rows], f.box, scale=scale))
 
 
 def two_sided_bracket(f, g, fourier_cutoff=None):
     a, b = TwoSidedSide(f), TwoSidedSide(g)
-    terms = []
-    for lf, rg, lg, rf in zip(a.left, b.right, b.left, a.right):
-        terms += [(1, lf, rg), (-1, lg, rf)]
+    terms = [(1, a.d_I, b.d_phi), (-1, b.d_I, a.d_phi), (-1, b.d_y, a.d_x), (1, a.d_y, b.d_x)]
     return two_sided_accumulate(terms, f, g, fourier_cutoff)
 
 
@@ -850,9 +854,11 @@ class TestStreamedBracket:
         self.assert_chain_matches(phi, b - osc, STEP_LIE_ORDER)
 
     def test_bracket_holds_one_refined_stack(self):
-        # on a 5-key operand the bracket peaks at 3.70 refined stacks of it
-        # above its start; refining its four stacks at once, with their
-        # conjugates, took 14.0 (tracemalloc sees numpy's buffers)
+        # on a 5-key operand the bracket peaks at 3.85 refined stacks of it
+        # above its start, while it builds a piece of the operand with the
+        # output stack allocated (3.70 when each output key had its own
+        # array, stacked to be projected); refining its four stacks at once,
+        # with their conjugates, took 14.0 (tracemalloc sees numpy's buffers)
         import tracemalloc
 
         f, freqs = criterion_8_series((8, 8, 10))
@@ -878,10 +884,12 @@ class TestStreamedBracket:
     @pytest.mark.parametrize("n_x", [8, 9, 12])
     @pytest.mark.parametrize("k", [0, 1, 3])
     def test_single_x_line_generator_matches_two_sided_engine(self, n_x, k):
-        # a one-key series on a (1, 1, n_x) grid: each of its stacks is one
-        # x line, refined by a matrix-vector product, where the two-sided
-        # engine refines all four in one product; every term has a d_I or
-        # d_y factor, zero here, so the bits are still the two-sided engine's
+        # a one-key series on a (1, 1, n_x) grid: every stack of it is one x
+        # line, refined by a matrix-vector product, and the streamed engine
+        # takes d_phi's rows of an operand after refining x where the
+        # two-sided engine takes them before, so their products along x have
+        # different row counts; every term has a d_I or d_y factor, zero
+        # here, so the bits are still the two-sided engine's
         rng = np.random.default_rng(40 + n_x + k)
         shape = (1, 1, n_x)
         def series(modes):
@@ -893,6 +901,120 @@ class TestStreamedBracket:
         for a, b in ((f, g), (g, f), (f, f)):
             for cutoff in (None, 2):
                 assert_same_bits(poisson_bracket(a, b, cutoff), two_sided_bracket(a, b, cutoff))
+
+
+@st.composite
+def polynomial_series(draw):
+    """A series on BOX whose coefficients are tensor products of Chebyshev
+    series of degree < n along each axis of n nodes (axes of length 1
+    included), with the exact pieces of each key, in _pieces' order,
+    sampled on the refined Lobatto grid."""
+    from numpy.polynomial import chebyshev as cheb
+
+    shape = tuple(draw(st.sampled_from([1, 2, 3, 5, 8, 13, 16])) for _ in range(3))
+    ks = draw(st.lists(st.integers(0, 8), min_size=1, max_size=4, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coeffs, exact = {}, {}
+    for k in ks:
+        factors = []
+        for n, (lo, hi) in zip(shape, BOX):
+            c = rng.normal(size=n)
+            scale = 2.0 / (hi - lo)
+            factors.append([
+                [cheb.chebval(2 * (ch.nodes(m, lo, hi) - lo) / (hi - lo) - 1, coef)
+                 for m in (n, ch.fine_size(n))]
+                for coef in (c, cheb.chebder(c) * scale)])
+        # factors[axis][derivative] = (values on the grid, on the refined grid)
+        phase = complex(1.0, rng.normal()) if k else 1.0
+
+        def product(ders, fine):
+            return phase * np.einsum("i,j,k->ijk", *(
+                factors[ax][d][fine] for ax, d in enumerate(ders)))
+
+        key = ((k,), (), ())
+        coeffs[key] = product((0, 0, 0), 0)
+        exact[key] = (1j * k * product((0, 0, 0), 1), product((1, 0, 0), 1),
+                      product((0, 1, 0), 1), product((0, 0, 1), 1))
+    return TFSeries(8, BOX, shape, coeffs), exact
+
+
+def differentiate_then_refine(f):
+    """_pieces' four maps the way they were built before R D was one
+    matrix: d_phi from the refined values, each grid derivative taken on
+    the grid and then refined."""
+    keys = list(f.coeffs)
+    coarse = np.stack(list(f.coeffs.values()))
+    fine = ch.refine(coarse, lead=1)
+    d_phi = {key: 1j * key[0][0] * fine[r] for r, key in enumerate(keys) if key[0][0]}
+    return [d_phi] + [dict(zip(keys, ch.refine(ch.differentiate(coarse, ax + 1, *f.box[ax]),
+                                               lead=1)))
+                      for ax in range(3)]
+
+
+class TestPieces:
+    """A series' bracket pieces, and the one fine stack a bracket or product
+    sums into."""
+
+    # measured over 6,000 draws of polynomial_series, relative to the larger
+    # of the exact piece's sup and the coefficient's: at most 1.9e-14 off
+    # the exact derivative and 6.0e-15 off differentiating then refining
+    @settings(max_examples=60, deadline=None)
+    @given(polynomial_series())
+    def test_pieces_are_the_refined_derivatives(self, drawn):
+        import perilib.normalform as nf
+
+        f, exact = drawn
+        pieces = list(nf._pieces(f))
+        for p, (piece, old) in enumerate(zip(pieces, differentiate_then_refine(f))):
+            assert list(piece) == list(old)
+            for key, arr in piece.items():
+                scale = max(np.max(np.abs(exact[key][p])), np.max(np.abs(f.coeffs[key])))
+                assert np.max(np.abs(arr - exact[key][p])) <= 1e-13 * scale, (p, key)
+                assert np.max(np.abs(arr - old[key])) <= 2e-14 * scale, (p, key)
+
+    @pytest.mark.parametrize("cutoff", [None, 2])
+    def test_one_row_per_output_key_and_no_copy(self, cutoff, monkeypatch):
+        # the accumulator's stack has a row for each key of the result, each
+        # written, and it is coarsened as it is: the only arrays stacked are
+        # the operands' coefficients, on the coarse grid
+        import perilib.normalform as nf
+
+        sums, stacked, coarsened = [], [], []
+
+        class Recorded(nf._FineSums):
+            def __init__(self, *args):
+                super().__init__(*args)
+                sums.append(self)
+
+        stack, coarsen = np.stack, ch.coarsen
+
+        def recorded_stack(arrays, *args, **kwargs):
+            stacked.extend(a.shape for a in arrays)
+            return stack(arrays, *args, **kwargs)
+
+        def recorded_coarsen(v, shape):
+            coarsened.append(v)
+            return coarsen(v, shape)
+
+        rng = np.random.default_rng(51)
+        f = TFSeries(6, BOX, SHAPE, {((k,), (), ()): rng.normal(size=SHAPE) * (1 + 1j * (k > 0))
+                                     for k in (1, 3, 4)})
+        g = TFSeries(6, BOX, SHAPE, {((k,), (), ()): rng.normal(size=SHAPE) * (1 + 1j * (k > 0))
+                                     for k in (0, 2, 5)})
+        side = _BracketSide(f)
+        monkeypatch.setattr(nf, "_FineSums", Recorded)
+        monkeypatch.setattr(np, "stack", recorded_stack)
+        monkeypatch.setattr(ch, "coarsen", recorded_coarsen)
+        for run in (lambda: side.bracket(g, cutoff), lambda: tf_product(f, g, cutoff)):
+            sums.clear(), stacked.clear(), coarsened.clear()
+            out = run()
+            (acc,) = sums
+            fine = tuple(ch.fine_size(n) for n in SHAPE)
+            assert acc.stack.shape == (len(out.coeffs),) + fine
+            assert list(acc.rows) == list(out.coeffs)
+            assert not any(acc.unwritten)
+            assert len(coarsened) == 1 and coarsened[0] is acc.stack
+            assert stacked and set(stacked) == {SHAPE}
 
 
 class TestBracketSideLifetime:
@@ -919,9 +1041,10 @@ class TestBracketSideLifetime:
         assert alive == [0, 0, 0]
 
     def test_run_peak_in_refined_stacks(self):
-        # three steps of criterion 8 on (8, 8, 10) peak at about 44 refined
-        # one-key stacks above their start; holding each step's side and
-        # its refined values until the next side was built took 73
+        # three steps of criterion 8 on (8, 8, 10) peak at 44.4 refined
+        # one-key stacks above their start (43.7 with an array per output
+        # key); holding each step's side and its refined values until the
+        # next side was built took 73
         import tracemalloc
 
         f, freqs = criterion_8_series((8, 8, 10))
