@@ -1,11 +1,11 @@
-"""Chebyshev tensor-grid utilities: nodes, transforms, spectral differentiation,
-Clenshaw evaluation and Clenshaw-Curtis quadrature.
+"""Chebyshev tensor-grid utilities: nodes, transforms, spectral differentiation
+and integration, Clenshaw evaluation and Clenshaw-Curtis quadrature.
 
 All grids are Chebyshev-Gauss-Lobatto points stored in increasing order.
 Transforms are DCT-I based and exact for polynomials up to the grid degree.
-Fixed linear maps (resampling, differentiation, and refinement after
-differentiation as one map) are built from them once per size and then applied
-as small read-only matrices.
+Fixed linear maps (resampling, differentiation, integration from a
+basepoint, and refinement after differentiation as one map) are built from
+them once per size and then applied as small read-only matrices.
 """
 
 import functools
@@ -124,10 +124,21 @@ def clenshaw(coeffs, axis, xs, lo, hi):
     return cm[..., 0, None] + t * b1 - b2
 
 
-def eval_matrix(n, xs, lo, hi):
-    """Matrix E with (E @ v)[j] = interpolant of grid values v at xs[j]."""
-    E = clenshaw(vals_to_coeffs(np.eye(n), 0), 0, xs, lo, hi)
-    return E.T
+@functools.lru_cache(maxsize=128)
+def integration_matrix(n, lo, hi, basepoint):
+    """Spectral integration matrix S on increasing Lobatto nodes over [lo, hi]
+    (cached and read-only): (S @ v)[c] is the integral of the interpolant of
+    grid values v from basepoint to node c.  The nodes and the basepoint are
+    evaluated by one Clenshaw sum, so a basepoint on a node has an exactly
+    zero row."""
+    c = np.vstack([vals_to_coeffs(np.eye(n), 0), np.zeros((2, n))])
+    # the antiderivative's coefficients in t: C_k = (c_{k-1} - c_{k+1}) / (2k)
+    # for k = 1..n, c_0 counted twice; C_0 cancels in the difference below
+    c[0] *= 2.0
+    k = np.arange(1, n + 1)[:, None]
+    C = np.vstack([np.zeros((1, n)), (c[:n] - c[2:]) / (2 * k)])
+    E = clenshaw(C, 0, np.append(nodes(n, lo, hi), basepoint), lo, hi)
+    return _frozen((E[:, :n] - E[:, n:]).T * (0.5 * (hi - lo)))
 
 
 def clenshaw_curtis(n, lo, hi):

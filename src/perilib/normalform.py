@@ -497,45 +497,23 @@ def mode_eigenvalue(freqs, k):
     return lam
 
 
-CC_NODES = 33  # Clenshaw-Curtis nodes of nqp_primitive's integral along x
-
-
-@functools.lru_cache(maxsize=128)
-def _x_quadrature(n_x, lo, hi, basepoint):
-    """nqp_primitive's fixed rule along x, cached and read-only: for every
-    x node x_c, the Clenshaw-Curtis nodes tau on [basepoint, x_c] as
-    tau - x_c and their weights (both (n_x, CC_NODES)), the tensor
-    (n_x, CC_NODES, n_x) whose [c, q] row interpolates grid values along x
-    at tau[c, q], and the mask of the nodes at the basepoint."""
-    xs = ch.nodes(n_x, lo, hi)
-    # the rule on [0, 1] mapped affinely, bit-identical to building it per node
-    t01, w01 = ch.clenshaw_curtis(CC_NODES, 0.0, 1.0)
-    span = (xs - basepoint)[:, None]
-    tau = basepoint + span * t01
-    interp = ch.eval_matrix(n_x, tau.ravel(), lo, hi).reshape(n_x, CC_NODES, n_x)
-    rule = (tau - xs[:, None], span * w01, interp, np.abs(xs - basepoint) < 1e-15)
-    for a in rule:
-        a.flags.writeable = False
-    return rule
-
-
 def nqp_primitive(f_osc, freqs, basepoint=None):
     """Small-divisor-free solution of the homological equation.
 
-    For each oscillatory mode,
-        phi_k(I, y, x) =
-            (1/omega_y) int_b^x f_k(I, y, tau) e^{(lambda/omega_y)(tau-x)} dtau
-    by the Clenshaw-Curtis rule along tau at every x node, Chebyshev-
-    interpolating f along x.  The basepoint b defaults to the lower edge of
-    the x box (any choice differs by a homogeneous solution and still solves
-    the equation).  Requires the average part of f_osc to vanish.  Only the
-    stored modes are solved: omega_I is real, so lambda_{-k} = conj(lambda_k)
-    and phi_{-k} = conj(phi_k).
+    For each oscillatory mode, omega_y d_x phi_k + lambda_k phi_k = f_k with
+    phi_k = 0 at the basepoint b, in its integral form along x,
 
-    The rule and the interpolation are one linear map along x, contracted
-    before the data: W[..., c, x] = sum_q kernel[..., c, q] interp[c, q, x].
-    Where lambda vanishes the kernel is the weights alone and W is one
-    (n_x, n_x) matrix; otherwise it is one matrix per (I, y) node.
+        (1 + mu S) phi_k = S f_k / omega_y,   mu = lambda_k / omega_y,
+
+    where S = chebyshev.integration_matrix integrates the Chebyshev
+    interpolant along x from b to every node, so the primitive is exact on
+    the interpolant at any number of x nodes.  Where mu vanishes this is
+    one product along x; otherwise one solve of (1 + mu S) per (I, y) node.
+    The basepoint defaults to the lower edge of the x box (any choice
+    differs by a homogeneous solution and still solves the equation).
+    Requires the average part of f_osc to vanish.  Only the stored modes
+    are solved: omega_I is real, so lambda_{-k} = conj(lambda_k) and
+    phi_{-k} = conj(phi_k).
     """
     avg, osc = tf_average_split(f_osc)
     if avg.sup() > 1e-13 * max(1.0, f_osc.sup()):
@@ -545,15 +523,14 @@ def nqp_primitive(f_osc, freqs, basepoint=None):
         basepoint = lo
     if not lo - 1e-12 <= basepoint <= hi + 1e-12:
         raise ValueError("basepoint outside the x box")
-    tau_x, wq, interp, at_base = _x_quadrature(f_osc.grid_shape[-1], lo, hi, float(basepoint))
+    S = ch.integration_matrix(f_osc.grid_shape[-1], lo, hi, float(basepoint))
     out = f_osc.shell()
     inv_wy = 1.0 / freqs.omega_y
     for key, arr in osc.coeffs.items():
         mu = mode_eigenvalue(freqs, key[0][0]) * inv_wy  # (I, y)
-        kernel = wq * np.exp(mu[..., None, None] * tau_x) if np.any(mu) else wq
-        W = np.einsum("...cq,cqx->...cx", kernel, interp, optimize=True)
-        phi = inv_wy[..., None] * np.einsum("...cx,...x->...c", W, arr, optimize=True)
-        phi[..., at_base] = 0.0
+        phi = (arr @ S.T) * inv_wy[..., None]
+        if np.any(mu):
+            phi = np.linalg.solve(np.eye(len(S)) + mu[..., None, None] * S, phi[..., None])[..., 0]
         out.coeffs[key] = phi
     return out
 

@@ -239,10 +239,27 @@ class TestCachedOperators:
         assert got.flags.c_contiguous
         np.testing.assert_allclose(got, expect, atol=1e-12)
 
-    def test_eval_matrix_matches_clenshaw(self):
-        rng = np.random.default_rng(2)
-        v = rng.normal(size=11)
-        xs = rng.uniform(0.5, 2.5, size=17)
-        E = ch.eval_matrix(11, xs, 0.5, 2.5)
-        direct = ch.clenshaw(ch.vals_to_coeffs(v, 0), 0, xs, 0.5, 2.5)
-        np.testing.assert_allclose(E @ v, direct, atol=1e-13)
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 64), lo=st.floats(-2.0, 2.0), width=st.floats(0.25, 4.0),
+           on_node=st.booleans(), data=st.data())
+    def test_integration_matrix_integrates_each_polynomial(self, n, lo, width, on_node, data):
+        # S applied to T_j on the nodes is the exact antiderivative of T_j
+        # from the basepoint, for every j < n, the basepoint on a node (where
+        # its row is zero) or anywhere in the interval
+        from numpy.polynomial import chebyshev as npc
+
+        hi = lo + width
+        xs = ch.nodes(n, lo, hi)
+        if on_node:
+            b = xs[data.draw(st.integers(0, n - 1))]
+        else:
+            b = lo + width * data.draw(st.floats(0.0, 1.0))
+        S = ch.integration_matrix(n, lo, hi, b)
+        T = np.eye(n)
+        to_t = lambda x: 2 * (x - lo) / width - 1
+        V = npc.chebval(-np.cos(np.pi * np.arange(n) / max(n - 1, 1)), T)
+        F = npc.chebint(T)
+        expect = 0.5 * width * (npc.chebval(to_t(xs), F) - npc.chebval(to_t(b), F)[:, None])
+        np.testing.assert_allclose(V @ S.T, expect, rtol=0, atol=1e-14 * width)
+        if on_node:
+            assert not np.any(S[xs == b])

@@ -368,7 +368,8 @@ class TestEvolve:
 
 
 def test_cli_import_leaves_scipy_integrate_and_fft_unloaded():
-    # scipy.integrate and scipy.fft load only when a command needs them
+    # scipy.integrate, scipy.fft and numpy.polynomial load only when a
+    # command needs them
     import os
     import subprocess
     import sys
@@ -378,7 +379,7 @@ def test_cli_import_leaves_scipy_integrate_and_fft_unloaded():
     src = os.path.dirname(os.path.dirname(perilib.__file__))
     code = ("import sys; import perilib.cli; "
             "print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.integrate', 'scipy.fft'))))")
+            "if m.startswith(('scipy.integrate', 'scipy.fft', 'numpy.polynomial'))))")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout

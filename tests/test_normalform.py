@@ -94,8 +94,9 @@ def ref_poisson_bracket(f, g, fourier_cutoff=None):
 
 
 def ref_nqp_primitive(f_osc, freqs, basepoint=None, n_cc=33):
-    """The per-node loop: a Clenshaw-Curtis rule and a Clenshaw evaluation at
-    every x node of every mode."""
+    """The per-node loop: an n_cc-node Clenshaw-Curtis rule and a Clenshaw
+    evaluation at every x node of every mode, with the exponential kernel
+    e^{mu (tau - x)} of the integral along x."""
     _, osc = tf_average_split(f_osc)
     lo, hi = f_osc.box[-1]
     basepoint = lo if basepoint is None else basepoint
@@ -542,8 +543,12 @@ class TestNqp:
     @pytest.mark.parametrize("basepoint", [None, "interior node", 1.234])
     def test_matches_per_node_loop(self, basepoint):
         # n_x = 16 and 48; omega_I varying in I, in I and y, identically zero
-        # (the kernel without exponentials) and absent.  The data of the
-        # n_x = 48 grid carry random values along x, beyond the polynomial part
+        # and absent.  The data of the n_x = 48 grid carry random values along
+        # x, beyond the polynomial part: there the reference takes n_x + 1
+        # nodes, the least that integrate a degree-(n_x - 1) interpolant
+        # exactly, and lambda != 0 is left out, since on unresolved data the
+        # reference's exponential kernel and the polynomial phi of
+        # (1 + mu S) phi = S f / omega_y differ by the resolution error
         for n_x in (16, 48):
             rng = np.random.default_rng(19)
             shape = SHAPE[:2] + (n_x,)
@@ -558,33 +563,55 @@ class TestNqp:
                 freqs = FrequencyData.tabulate(BOX, shape, lambda I, y: 2.0 + 0.1 * y,
                                                omega_I=omega_I)
                 got = nqp_primitive(osc, freqs, basepoint=b)
-                assert_series_close(got, ref_nqp_primitive(osc, freqs, basepoint=b), 1e-13)
+                if n_x == SHAPE[-1] or freqs.omega_I is None or not np.any(freqs.omega_I):
+                    expect = ref_nqp_primitive(osc, freqs, basepoint=b, n_cc=max(33, n_x + 1))
+                    assert_series_close(got, expect, 1e-13)
                 if basepoint == "interior node":
                     for arr in got.coeffs.values():
                         assert np.all(arr[..., 7] == 0.0)
 
-    def test_x_quadrature_cached_read_only(self):
-        # the rule along x is built once per (n_x, x box, basepoint) and shared
-        # by every call and mode; writing into it is an error
-        from perilib.normalform import CC_NODES, _x_quadrature
+    @pytest.mark.parametrize("n_x", [16, 48, 64])
+    def test_exact_on_degree_n_minus_one(self, n_x):
+        # x-data a Chebyshev series of degree n_x - 1 with O(1) coefficients:
+        # the primitive is its exact antiderivative at any n_x (a fixed
+        # 33-node rule along x is not, past n_x = 33)
+        from numpy.polynomial import chebyshev as npc
 
-        rule = _x_quadrature(16, 0.0, 2.0, 0.0)
-        assert _x_quadrature(16, 0.0, 2.0, 0.0) is rule
-        tau_x, wq, interp, at_base = rule
-        assert tau_x.shape == wq.shape == (16, CC_NODES)
-        assert interp.shape == (16, CC_NODES, 16)
-        assert at_base.tolist() == [True] + [False] * 15
-        for arr in rule:
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[0] = arr[0]
+        rng = np.random.default_rng(23)
+        shape = SHAPE[:2] + (n_x,)
+        lo, hi = BOX[-1]
+        c = rng.normal(size=n_x)
+        t = 2 * (ch.nodes(n_x, lo, hi) - lo) / (hi - lo) - 1
+        f = TFSeries(2, BOX, shape)
+        II, YY = np.meshgrid(*f.grids()[:2], indexing="ij")
+        amp = {k: (1.0 + 0.2 * k * II - 0.1j * YY)[..., None] for k in (1, 2)}
+        for k, a in amp.items():
+            f.coeffs[((k,), (), ())] = a * npc.chebval(t, c)
+        wy = lambda I, y: 2.0 + 0.1 * y
+        freqs = FrequencyData.tabulate(BOX, shape, wy)
+        prim = 0.5 * (hi - lo) * (npc.chebval(t, npc.chebint(c)) - npc.chebval(-1.0, npc.chebint(c)))
+        expect = f.shell()
+        for k, a in amp.items():
+            expect.coeffs[((k,), (), ())] = a * prim / wy(II, YY)[..., None]
+        assert_series_close(nqp_primitive(f, freqs), expect, 1e-13)
+
+    def test_integration_matrix_cached_read_only(self):
+        # S along x is built once per (n_x, x box, basepoint) and shared by
+        # every call and mode; writing into it is an error
+        S = ch.integration_matrix(16, 0.0, 2.0, 0.0)
+        assert ch.integration_matrix(16, 0.0, 2.0, 0.0) is S
+        assert S.shape == (16, 16)
+        assert not S.flags.writeable
+        with pytest.raises(ValueError):
+            S[0] = S[0]
+        assert not np.any(S[0]) and np.all(np.any(S[1:], axis=1))
         rng = np.random.default_rng(4)
         _, osc = tf_average_split(rand_series(rng, cutoff=2))
         freqs = FrequencyData.tabulate(BOX, SHAPE, lambda I, y: 2.0 + 0.1 * y)
-        before = _x_quadrature.cache_info()
+        before = ch.integration_matrix.cache_info()
         first = nqp_primitive(osc, freqs)
         second = nqp_primitive(osc, freqs)
-        after = _x_quadrature.cache_info()
+        after = ch.integration_matrix.cache_info()
         assert after.misses - before.misses <= 1 and after.hits - before.hits >= 1
         for key, arr in first.coeffs.items():
             assert np.array_equal(arr, second.coeffs[key])
