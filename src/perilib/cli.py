@@ -41,7 +41,6 @@ from .hamiltonians import HamiltonianSpec, chart_named, check_domain, energies
 from .kepler import KeplerError
 from .normalform import (
     ContractionError,
-    NormalFormResult,
     NormalFormStep,
     build_secular_perturbation,
     normal_form_steps,
@@ -67,7 +66,6 @@ EXIT_IO = 4
 # above it ends the run with EXIT_GUARD (normalform.grid is the lever)
 RESIDUAL_RTOL = 1e-8
 SEED_LIMIT = 2**64  # --seed is a 64-bit unsigned int
-FLOAT_LIST_MIN = 64  # a JSON list of floats this long is spelled by floattext
 
 
 class ConfigError(ValueError):
@@ -242,38 +240,33 @@ def _atomic_write(path, text):
         raise
 
 
-FLOAT_RUN = "\0float run\0"  # a float run's stand-in in the JSON skeleton
-
-
-def _without_float_runs(obj, runs):
-    """obj with each list (or tuple) of at least FLOAT_LIST_MIN floats, at
-    any depth in dicts and lists, replaced by FLOAT_RUN and appended to
-    runs in the order json.dumps writes them."""
-    if type(obj) is dict:
-        return {key: _without_float_runs(value, runs) for key, value in obj.items()}
-    if type(obj) in (list, tuple):
-        if len(obj) >= FLOAT_LIST_MIN and set(map(type, obj)) == {float}:
-            runs.append(obj)
-            return FLOAT_RUN
-        return [_without_float_runs(value, runs) for value in obj]
-    return obj
+FLOAT_RUN = "\0float run\0"  # a float array's stand-in in the JSON skeleton
 
 
 def _json_text(payload):
-    """json.dumps(payload, default=float), its float runs (a series' re and
-    im) spelled by floattext: the rest is json.dumps of a skeleton holding
-    FLOAT_RUN in their place, which must occur there once per run (a
-    payload string that spells it sends the whole payload through json)."""
+    """json.dumps(payload, default=float), with each np.ndarray (a series'
+    re and im, 1-D float64) written as its list and spelled by floattext:
+    the rest is json.dumps of a skeleton holding FLOAT_RUN in their place,
+    which must occur there once per array (a payload string that spells it
+    sends the whole payload through json, arrays by .tolist())."""
     runs = []
-    skeleton = json.dumps(_without_float_runs(payload, runs), default=float)
+
+    def hook(obj):
+        if isinstance(obj, np.ndarray):
+            runs.append(obj)
+            return FLOAT_RUN
+        return float(obj)
+
+    skeleton = json.dumps(payload, default=hook)
     pieces = skeleton.split(json.dumps(FLOAT_RUN))
     if len(pieces) != len(runs) + 1:
-        return json.dumps(payload, default=float)
+        return json.dumps(payload, default=lambda obj: obj.tolist()
+                          if isinstance(obj, np.ndarray) else float(obj))
     from . import floattext  # loaded by the first write, not at start-up
 
     parts = pieces[:1]
     for run, piece in zip(runs, pieces[1:]):
-        parts += [floattext.json_list(np.array(run)), piece]
+        parts += [floattext.json_list(run), piece]
     return "".join(parts)
 
 
@@ -414,10 +407,7 @@ def cmd_normalform(cfg, out_dir, seed):
         grid_shape=tuple(nf.grid), fourier_cutoff=nf.fourier_cutoff,
         n_phi=nf.n_phi,
     )
-    if N == 0:
-        result = NormalFormResult(series.shell(), series, [])
-    else:
-        result = normal_form_steps(series, freqs, N, residual_rtol=RESIDUAL_RTOL)
+    result = normal_form_steps(series, freqs, N, residual_rtol=RESIDUAL_RTOL)
     table = [asdict(s) for s in result.steps] or [asdict(NormalFormStep(
         0, tf_norm(series), tf_norm(tf_average_split(series)[1]), 0.0, 0.0))]
     _write_json(

@@ -89,7 +89,9 @@ def integrate_flow(energy, energy_grad, z0, T, step_ctrl=StepControl(),
     stack of all output samples at once and returns their n energies.  A
     ValueError or SingularLocusError raised by either (the state left the
     domain) ends the run as IntegrationError.  Terminal events stop the run;
-    the trajectory is sampled on a uniform grid of 2000 points.
+    the trajectory is sampled on a uniform grid of 2000 points, in
+    integration order: the first sample is z0 at t = 0, for T < 0 too, and a
+    terminal event's own sample comes last.
     """
     # imported here: scipy.integrate costs about 0.5 s to import, which
     # commands that never integrate should not pay
@@ -111,15 +113,12 @@ def integrate_flow(energy, energy_grad, z0, T, step_ctrl=StepControl(),
     times = sol.t
     states = sol.y.T
     if sol.status == 1 and sol.t_events is not None:
-        # append the terminal-event sample itself
+        # append the terminal-event sample itself, the last in integration
+        # order, unless a grid sample already lies at its time
         for te, ze in zip(sol.t_events, sol.y_events):
-            if len(te):
+            if len(te) and (te[-1] - times[-1]) * T > 0:
                 times = np.append(times, te[-1])
                 states = np.vstack([states, ze[-1]])
-    order = np.argsort(times)
-    keep = np.concatenate([[True], np.diff(times[order]) > 0])
-    times = times[order][keep]
-    states = states[order][keep]
     try:
         return times, states, energy(states), sol
     except (ValueError, SingularLocusError) as exc:

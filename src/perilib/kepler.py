@@ -35,18 +35,15 @@ def _newton_bisect(e, ell, lo, hi, xi, tol):
     Any iterate leaving the bracket is replaced by a bisection step, which
     keeps the method robust up to e = 1.  Returns (xi, |residual|,
     iterations) and raises KeplerError after MAX_ITER iterations.  An array
-    ell (with lo, hi and xi broadcast to its shape) of two or more entries
-    is solved entrywise by _newton_bisect_array; floats and one-entry
-    arrays take the loop below, which is what the flow's right-hand side
-    and the one-state energies call.  The loop computes in floats through
-    math.sin/math.cos, which give the same bits as np.sin/np.cos
-    (tests/test_float_path.py checks this), so both paths agree bitwise.
+    ell (with lo, hi and xi broadcast to its shape) is solved entrywise by
+    _newton_bisect_array; floats take the loop below, which is what the
+    flow's right-hand side and the one-state energies call.  The loop
+    computes in floats through math.sin/math.cos, which give the same bits
+    as np.sin/np.cos (tests/test_float_path.py checks this), so both paths
+    agree bitwise.
     """
     if isinstance(ell, np.ndarray):
-        if ell.size != 1:
-            return _newton_bisect_array(e, ell, lo, hi, xi, tol)
-        one = (float(np.asarray(v).flat[0]) for v in (ell, lo, hi, xi))
-        return tuple(np.full(ell.shape, v) for v in _newton_bisect(e, *one, tol))
+        return _newton_bisect_array(e, ell, lo, hi, xi, tol)
     for it in range(1, MAX_ITER + 1):
         f = xi - e * math.sin(xi) - ell
         if abs(f) <= tol:

@@ -673,8 +673,9 @@ def build_secular_perturbation(spec, eps0, alpha_minus, alpha_plus, delta,
 
 
 def series_to_dict(f):
-    """JSON-ready structure: shape header (n_angles is always 1) + flat
-    coefficient arrays of the stored (k >= 0) modes in row-major grid order
+    """Shape header (n_angles is always 1) + the stored (k >= 0) modes, each
+    mode's "re" and "im" a new 1-D float64 array in row-major grid order,
+    never a view of f.  json.dumps needs default=np.ndarray.tolist for them
     (floats survive the round trip bit-for-bit via repr, comfortably within
     the 1e-15 relative contract)."""
     return {
@@ -687,8 +688,8 @@ def series_to_dict(f):
                 "k": [k],
                 "h": [],
                 "j": [],
-                "re": arr.real.ravel(order="C").tolist(),
-                "im": arr.imag.ravel(order="C").tolist(),
+                "re": arr.real.flatten(),
+                "im": arr.imag.flatten(),
             }
             for ((k,), _, _), arr in sorted(f.coeffs.items())
         ],

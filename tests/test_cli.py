@@ -6,6 +6,7 @@ import tempfile
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from perilib.cli import (
     EXIT_CONFIG,
@@ -526,6 +527,12 @@ class TestNormalForm:
         assert not out.exists()
 
 
+def as_json(obj):
+    """json.dumps's default for the CLI's payloads: a float array as its
+    list, anything else as a float."""
+    return obj.tolist() if isinstance(obj, np.ndarray) else float(obj)
+
+
 NORMALFORM_SMALL = (
     "--set", "masses.kappa=0.02", "--set", "masses.frame=m0centric",
     "--set", "hamiltonian.index=2", "--set", "domain.alpha_minus=1000",
@@ -555,7 +562,7 @@ def test_json_outputs_compact_with_unchanged_content(tmp_path, monkeypatch, argv
 
     def recording_write_json(path, payload, seed):
         written[path] = json.loads(
-            json.dumps(dict(payload, seed=seed), indent=2, default=float)
+            json.dumps(dict(payload, seed=seed), indent=2, default=as_json)
         )
         real_write_json(path, payload, seed)
 
@@ -639,7 +646,8 @@ def test_portrait_csv_of_drawn_lines_matches_the_per_point_rows(lines, seed):
 
 
 JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-2**70, 2**70), ANY_FLOAT,
-                        st.text(max_size=4), st.lists(ANY_FLOAT, min_size=60, max_size=150))
+                        st.text(max_size=4), st.lists(ANY_FLOAT, min_size=60, max_size=150),
+                        arrays(np.float64, st.integers(0, 150), elements=ANY_FLOAT))
 JSON_VALUES = st.recursive(
     JSON_LEAVES,
     lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
@@ -653,11 +661,12 @@ JSON_VALUES = st.recursive(
        seed=st.integers(0, 2**64 - 1))
 @example(payload={"re": [float("nan"), float("inf"), float("-inf")] + [0.1] * 61,
                   "ints": [1] + [0.5] * 70, "np": [np.float64(0.1)] * 64,
-                  "nested": {"im": [[-0.0] * 64, (2.0**-25,) * 64]}, "": {}}, seed=3)
-@example(payload={"name": "\0float run\0", "re": [0.25] * 64}, seed=5)  # spells FLOAT_RUN
+                  "nested": {"im": [[-0.0] * 64, (2.0**-25,) * 64]}, "": {},
+                  "arrays": [np.array(ODD_FLOATS), np.empty(0)]}, seed=3)
+@example(payload={"name": "\0float run\0", "re": np.full(64, 0.25)}, seed=5)  # spells FLOAT_RUN
 def test_write_json_is_json_dumps(payload, seed):
-    # long float lists go through floattext, the rest through json; the
-    # bytes are json.dumps's either way
+    # float arrays go through floattext, the rest through json; the bytes
+    # are json.dumps's of the arrays as lists either way
     from perilib.cli import _write_json
 
     with tempfile.TemporaryDirectory() as out:
@@ -665,7 +674,7 @@ def test_write_json_is_json_dumps(payload, seed):
         _write_json(path, payload, seed)
         with open(path, "rb") as fh:
             text = fh.read()
-    assert text == (json.dumps(dict(payload, seed=seed), default=float) + "\n").encode()
+    assert text == (json.dumps(dict(payload, seed=seed), default=as_json) + "\n").encode()
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])

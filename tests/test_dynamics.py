@@ -184,6 +184,19 @@ class TestEnergyAccounting:
         assert traj.times[0] == 0.0
         assert np.all(np.diff(traj.times) > 0)
 
+    def test_backward_run_starts_at_its_start_state(self):
+        # samples come in integration order, so a T < 0 run begins at state0;
+        # it retraces the forward run from the state with both momenta negated
+        spec = make_spec(1)
+        st, T = SecularState(0.0, 0.3, 100.0, 0.4), -300.0
+        back = integrate(spec, st, T, step_ctrl=StepControl(1e-10, 1e-10))
+        assert back.times[0] == 0.0 and back.times[-1] == T
+        assert np.all(np.diff(back.times) < 0)
+        assert np.array_equal(back.states[0], st.as_array())
+        fwd = integrate(spec, SecularState(-0.0, -0.3, 100.0, 0.4), -T,
+                        step_ctrl=StepControl(1e-10, 1e-10))
+        assert abs(detect_libration(back, spec)[0] - detect_libration(fwd, spec)[0]) < 1e-9
+
 
 class TestDomainContract:
     @pytest.mark.parametrize("chart, state", [

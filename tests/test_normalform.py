@@ -1105,10 +1105,22 @@ class TestSerialization:
         rng = np.random.default_rng(13)
         f = rand_series(rng)
         p = tmp_path / "series.json"
-        p.write_text(json.dumps(series_to_dict(f)))
+        p.write_text(json.dumps(series_to_dict(f), default=np.ndarray.tolist))
         g = load_series(str(p))
         assert g.same_shape(f)
         assert tf_norm(g - f) == 0.0  # repr round-trip is exact
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), SHAPE])
+    def test_dict_arrays_are_copies(self, shape):
+        # on a one-node grid arr.real.ravel() would be a view of the series
+        f = rand_series(np.random.default_rng(17), shape=shape)
+        before = {key: arr.copy() for key, arr in f.coeffs.items()}
+        for entry in series_to_dict(f)["coeffs"]:
+            assert entry["re"].dtype == entry["im"].dtype == np.float64
+            assert entry["re"].shape == entry["im"].shape == (math.prod(shape),)
+            entry["re"][:] = 7.0
+            entry["im"][:] = -7.0
+        assert all(np.array_equal(f.coeffs[key], arr) for key, arr in before.items())
 
     def test_dict_schema(self):
         rng = np.random.default_rng(14)
@@ -1187,7 +1199,7 @@ class TestSerialization:
         d = series_to_dict(rand_series(np.random.default_rng(22), cutoff=1))
         corrupt(d)
         p = tmp_path / "series.json"
-        p.write_text(json.dumps(d))
+        p.write_text(json.dumps(d, default=np.ndarray.tolist))
         with pytest.raises(ShapeError):
             load_series(str(p))
 
