@@ -18,6 +18,7 @@ from perilib import (
     f_eps_at_one,
     singularity_t,
 )
+from perilib.potentials import SingularLocusError
 
 quad = QuadratureSpec(256)
 rng = np.random.default_rng(2024)
@@ -40,5 +41,9 @@ print("\napproaching the holomorphy-loss locus t* = eps + 1/(4 eps):")
 t_star = singularity_t(0.25)
 for k in range(2, 7):
     t = t_star * (1 - 10.0**-k)
-    print(f"  t = t*(1 - 1e-{k}): f_eps = {f_eps(0.25, t, quad):9.4f}")
-print(f"  (t* = {t_star}; evaluation exactly on the locus is refused)")
+    try:
+        # f_eps's own rule: a pinned one would drift off the true value here
+        print(f"  t = t*(1 - 1e-{k}): f_eps = {f_eps(0.25, t):9.4f}")
+    except SingularLocusError as exc:
+        print(f"  t = t*(1 - 1e-{k}): refused: {exc}")
+print(f"  (t* = {t_star})")

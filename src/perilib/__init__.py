@@ -16,7 +16,6 @@ from .coords import (
     derive_mass_params,
     gg_forward,
     gg_inverse,
-    orbital_elements,
     rr_forward,
 )
 from .dynamics import StepControl, Trajectory, detect_libration, integrate
@@ -49,7 +48,6 @@ from .potentials import (
     e_hat_aa,
     f_eps,
     f_eps_at_one,
-    rho_p,
     singularity_t,
     u_hat,
 )

@@ -101,10 +101,10 @@ def differentiate(v, axis, lo, hi):
     return _apply(diff_matrix(v.shape[axis], lo, hi), v, axis)
 
 
-def fine_size(n, factor=1.5):
-    """Nodes of an n-node axis once refined: ceil(factor n); an axis of one
+def fine_size(n):
+    """Nodes of an n-node axis once refined: ceil(1.5 n); an axis of one
     node stays one."""
-    return n if n == 1 else math.ceil(factor * n)
+    return n if n == 1 else math.ceil(1.5 * n)
 
 
 def clenshaw(coeffs, axis, xs, lo, hi):
@@ -197,18 +197,18 @@ def _resample(v, sizes):
     return v
 
 
-def refine(v, factor=1.5, lead=0):
-    """Resample grid values onto a finer Lobatto grid (coefficient padding);
-    the first `lead` axes are a stack, and axes of length 1 stay as they are.
-    When no axis changes size (all of length 1, or factor 1) the input array
-    itself is returned, not a copy.
+def refine(v, lead=0):
+    """Resample grid values onto a finer Lobatto grid of fine_size nodes an
+    axis (coefficient padding); the first `lead` axes are a stack, and axes
+    of length 1 stay as they are.  When all of them have length 1 the input
+    array itself is returned, not a copy.
 
     The axes are refined from the last to the first.  Along the last axis a
     complex array meets the real matrix in a complex product (numpy promotes
     the matrix), twice the real multiply-adds of the float-view products on
     the other axes, so that product runs on the coarse array."""
     v = np.asarray(v)
-    sizes = [(axis, fine_size(n, factor)) for axis, n in enumerate(v.shape[lead:], lead)]
+    sizes = [(axis, fine_size(n)) for axis, n in enumerate(v.shape[lead:], lead)]
     return _resample(v, reversed(sizes))
 
 

@@ -33,11 +33,10 @@ from .dynamics import (
     EnergyDriftError,
     IntegrationError,
     StepControl,
-    Trajectory,
     detect_libration,
     integrate,
 )
-from .hamiltonians import HamiltonianSpec, chart_named, check_domain, energies
+from .hamiltonians import HamiltonianSpec, chart_named
 from .kepler import KeplerError
 from .normalform import (
     ContractionError,
@@ -360,18 +359,10 @@ def _trajectory_csv(traj, seed):
 
 def cmd_evolve(cfg, out_dir, seed):
     chart = chart_named(cfg.evolve.chart)
-    T = cfg.evolve.duration
     spec = cfg.spec()
-    state0 = chart.state(*cfg.evolve.state)
-    if T == 0.0:
-        check_domain(spec, state0)
-        Z = state0.as_array()[None]
-        traj = Trajectory(np.zeros(1), Z, energies(spec, Z, chart.name), chart.name)
-        winding, squeezes, drift = 0.0, 0, 0.0
-    else:
-        traj = integrate(spec, state0, T, step_ctrl=cfg.step_ctrl(),
-                         energy_tol=cfg.integrator.energy_tol)
-        winding, squeezes, drift = detect_libration(traj, spec)
+    traj = integrate(spec, chart.state(*cfg.evolve.state), cfg.evolve.duration,
+                     step_ctrl=cfg.step_ctrl(), energy_tol=cfg.integrator.energy_tol)
+    winding, squeezes, drift = detect_libration(traj, spec)
     _atomic_write(os.path.join(out_dir, "trajectory.csv"), _trajectory_csv(traj, seed))
     _write_json(
         os.path.join(out_dir, "evolve_summary.json"),

@@ -1,9 +1,8 @@
 """Coordinates and parameters of the reduced planar secular problem.
 
 Covers the mass-parameter bookkeeping for the two reductions (Jacobi and
-m0-centric), the near-circular action-angle chart (Gcal, gamma) -> (G, g),
-the radial-orbit chart (y, x) -> (R, r) for the outer body, and elliptic
-orbital elements.
+m0-centric), the near-circular action-angle chart (Gcal, gamma) -> (G, g)
+and the radial-orbit chart (y, x) -> (R, r) for the outer body.
 """
 
 import math
@@ -219,12 +218,3 @@ def radial_radius(m0, y, x):
     if (np.minimum(x, 2 * np.pi - x) < X_COLLISION).any():
         raise ValueError("x within X_COLLISION of 0 or 2 pi: collision of the outer body")
     return y**2 / m0**3 * (1.0 - np.cos(xi))
-
-
-def orbital_elements(m0, Lambda, G):
-    """Semi-major axis and eccentricity: a = Lambda^2/m0^3, e = sqrt(1 - G^2/Lambda^2)."""
-    if abs(G) > Lambda:
-        raise ValueError("|G| exceeds Lambda")
-    a = Lambda**2 / m0**3
-    e = np.sqrt(max(0.0, 1.0 - G**2 / Lambda**2))
-    return a, e

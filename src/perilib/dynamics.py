@@ -8,6 +8,7 @@ The start state's class decides the chart, with its canonical pairing,
 kernels and event series (see hamiltonians.CHARTS).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,9 +131,10 @@ def integrate(spec, state0, T, *, step_ctrl=StepControl(),
     """Flow of the reduced Hamiltonian from state0 for duration T, in the
     chart of state0's class (SecularState or ActionAngleState).
 
-    state0 outside the physical domain raises DomainError (see
-    hamiltonians.check_domain); leaving it, or f_eps's singular locus, during
-    the run raises IntegrationError.
+    A non-finite T raises ValueError, and state0 outside the physical domain
+    DomainError (see hamiltonians.check_domain); leaving it, or f_eps's
+    singular locus, during the run raises IntegrationError.  T = 0 gives the
+    one-sample trajectory of state0, with no events.
 
     domain_guard, when given, is a scalar function of the bare state that is
     positive inside the admissible domain; its zero crossing stops the run
@@ -142,11 +144,16 @@ def integrate(spec, state0, T, *, step_ctrl=StepControl(),
 
     f_eps picks its trapezoid rule per evaluation (see potentials.N_LADDER).
     """
+    if not math.isfinite(T):
+        raise ValueError("duration T must be finite, got %r" % (T,))
     chart = chart_of(state0)
     check_domain(spec, state0)
     # the state's fields as floats, so that its gradient computes in floats
     grad = lambda z: gradient(spec, chart.state(*z.tolist()))
     energy = lambda Z: chart.energies(spec, Z)
+    if T == 0:
+        Z = np.array([state0.as_array()], dtype=float)
+        return Trajectory(np.zeros(1), Z, energy(Z), chart.name)
 
     events = None
     if domain_guard is not None:
@@ -203,9 +210,10 @@ def detect_libration(traj, spec):
     the libration angle (g in the secular chart, gamma in action-angle),
     number of sign changes of G (eccentricity-one passages), and
     max |Gcal(t) - Gcal(0)| (0.0 in the secular chart, which does not carry
-    Gcal).
+    Gcal).  The one sample of a run of zero duration reads (0.0, 0, 0.0);
+    2 to 9 samples raise ValueError.
     """
-    if len(traj.times) < 10:
+    if 1 < len(traj.times) < 10:
         raise ValueError("trajectory too short to unwrap reliably")
     chart = chart_named(traj.chart)
     ang = np.unwrap(traj.states[:, chart.angle_col])

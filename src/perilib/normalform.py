@@ -166,8 +166,12 @@ class TFSeries:
 
     def evaluate(self, I, phi, y, x):
         """Pointwise value c_0 + 2 Re sum_{k != 0 stored} c_k e^{i k phi} at
-        scalar coordinates (I and phi may also be one-entry sequences)."""
+        scalar coordinates (I and phi may also be one-entry sequences).  An
+        (I, y, x) outside the box, by more than 1e-12, raises ValueError."""
         (I,), (phi,) = np.atleast_1d(I), np.atleast_1d(phi)
+        for pt, (lo, hi) in zip((I, y, x), self.box):
+            if not lo - 1e-12 <= pt <= hi + 1e-12:
+                raise ValueError("(I, y, x) outside the series' box %r" % (self.box,))
         out = 0.0
         for ((k,), _, _), c in self.coeffs.items():
             for pt, (lo, hi) in zip((I, y, x), self.box):
@@ -239,16 +243,6 @@ def tf_norm(f, w=PLAIN_WEIGHTS):
 # ---------------- calculus ----------------
 
 
-def d_angle(f):
-    """d/d(phi): multiplies each mode by i k."""
-    out = f.shell()
-    for key, arr in f.coeffs.items():
-        (k,), _, _ = key
-        if k:
-            out.coeffs[key] = 1j * k * arr
-    return out
-
-
 def d_grid(f, axis):
     """Spectral derivative along grid axis (0: I, 1: y, 2: x)."""
     lo, hi = f.box[axis]
@@ -256,10 +250,6 @@ def d_grid(f, axis):
     for key, arr in f.coeffs.items():
         out.coeffs[key] = ch.differentiate(arr, axis, lo, hi)
     return out
-
-
-def d_x(f):
-    return d_grid(f, 2)
 
 
 @functools.lru_cache(maxsize=None)
@@ -539,7 +529,7 @@ def homological_residual(phi, f_osc, freqs):
     """Residual series omega_y d_x(phi) + lambda phi - f_osc (gridwise, on
     the stored modes)."""
     res = phi.shell()
-    dphi = d_x(phi)
+    dphi = d_grid(phi, 2)
     keys = set(phi.coeffs) | set(f_osc.coeffs) | set(dphi.coeffs)
     zero = np.zeros(phi.grid_shape, complex)
     for key in keys:

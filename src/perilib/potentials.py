@@ -13,8 +13,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kepler import solve_kepler, xi_prime_real
-
 RADICAND_FLOOR = 1e-10
 ROW_BLOCK = 32  # rows of u_hat's stack per pass: small temporaries, low peak memory
 # f_eps picks its periodic-trapezoid rule per (eps, t) from this ladder.  The
@@ -74,23 +72,6 @@ def _half_range(n):
     w = np.full(X.size, 2.0 / n)
     w[0] = w[-1] = 1.0 / n
     return tuple(zip(X.tolist(), (w * X).tolist()))
-
-
-def rho_p(Lambda, G, ell, g):
-    """Radial factor rho = 1 - e cos(xi) and projection factor
-    p = (cos(xi) - e) cos(g) - (G/Lambda) sin(xi) sin(g)
-    at eccentric anomaly xi(e, ell)."""
-    e = np.sqrt(max(0.0, 1.0 - G**2 / Lambda**2))
-    if e == 1.0:
-        # degenerate ellipse: xi - sin(xi) = ell
-        k = np.floor(ell / (2 * np.pi))
-        ell0 = ell - 2 * np.pi * k
-        xi = (0.0 if ell0 == 0.0 else xi_prime_real(ell0)) + 2 * np.pi * k
-    else:
-        xi = solve_kepler(e, ell).xi
-    rho = 1.0 - e * np.cos(xi)
-    p = (np.cos(xi) - e) * np.cos(g) - (G / Lambda) * np.sin(xi) * np.sin(g)
-    return rho, p
 
 
 def _e_hat_and_e(eps, Lambda, G, g):
@@ -250,9 +231,9 @@ def _n_nodes(eps, t):
 def _f_minus_one(eps, t, grad=False, n_nodes=None):
     """f_eps(eps, t) - 1 (and with grad its t- and eps-partials) at one
     point, by the rung _n_nodes picks, or by the n_nodes-node rule under the
-    radicand floor.  This and f_eps_minus_one_grid are the only places that
-    check |eps| < 1/2; the check is a negated comparison, so NaN fails it
-    too."""
+    radicand floor.  This, f_eps_at_one and f_eps_minus_one_grid are the
+    only places that check |eps| < 1/2; the check is a negated comparison,
+    so NaN fails it too."""
     eps, t = float(eps), float(t)
     if not abs(eps) < 0.5:
         raise ValueError("f_eps requires |eps| < 1/2, got %r" % (eps,))
@@ -272,9 +253,10 @@ def f_eps(eps, t, quad=None):
 
 
 def f_eps_at_one(eps):
-    """Closed form of f_eps(eps, 1): 2 / (sqrt(1-2 eps) (1 + sqrt(1-2 eps)))."""
-    if eps >= 0.5:
-        raise ValueError("closed form requires eps < 1/2")
+    """Closed form of f_eps(eps, 1): 2 / (sqrt(1-2 eps) (1 + sqrt(1-2 eps))),
+    for |eps| < 1/2 as f_eps."""
+    if not abs(eps) < 0.5:
+        raise ValueError("f_eps requires |eps| < 1/2, got %r" % (eps,))
     s = np.sqrt(1.0 - 2.0 * eps)
     return 2.0 / (s * (1.0 + s))
 

@@ -13,14 +13,14 @@ from perilib import chebyshev as ch
 # ---------------- DCT-based references: one transform per axis ----------------
 
 
-def ref_refine(v, factor=1.5):
+def ref_refine(v):
     """Resampling by the DCT-I round trip on every axis, coefficient padding."""
     out = v
     for ax in range(v.ndim):
         n = out.shape[ax]
         if n == 1:
             continue
-        m = int(np.ceil(factor * n))
+        m = int(np.ceil(1.5 * n))
         c = ch.vals_to_coeffs(out, ax)
         pad = list(c.shape)
         pad[ax] = m - n
@@ -147,7 +147,7 @@ class TestResampling:
         # writes into the result writes into its input
         v = np.arange(12.0).reshape(3, 4)
         assert ch.coarsen(v, v.shape) is v
-        assert ch.refine(v, factor=1.0) is v
+        assert ch.refine(v, lead=2) is v
         ones = np.ones((1, 1))
         assert ch.refine(ones) is ones
 

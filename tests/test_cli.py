@@ -300,7 +300,9 @@ class TestEvolve:
         ]
         assert len(rows) == 2  # header + one sample
         summary = json.loads((out / "evolve_summary.json").read_text())
-        assert summary["winding"] == 0.0
+        assert summary["winding"] == summary["Gcal_drift"] == summary["duration"] == 0.0
+        assert summary["squeezes"] == 0 and summary["events"] == []
+        assert summary["energy_drift"] == 0.0
 
     def test_action_angle_chart(self, tmp_path):
         code, out = run(

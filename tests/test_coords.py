@@ -9,7 +9,6 @@ from perilib.coords import (
     derive_mass_params,
     gg_forward,
     gg_inverse,
-    orbital_elements,
     radial_radius,
     rr_forward,
     rr_forward_with_jacobian,
@@ -211,25 +210,6 @@ class TestCollisionGuard:
             assert abs(xi_prime_real(x) / series - 1) < 1e-8
             assert abs((2 * np.pi - xi_prime_real(2 * np.pi - x)) / series - 1) < 1e-8
             rr_forward(1.0, 4.0, x)
-
-
-class TestOrbitalElements:
-    def test_circular(self):
-        a, e = orbital_elements(1.0, 1.0, 1.0)
-        assert a == 1.0 and e == 0.0
-
-    def test_segment(self):
-        a, e = orbital_elements(1.0, 1.0, 0.0)
-        assert a == 1.0 and e == 1.0
-
-    def test_generic(self):
-        a, e = orbital_elements(1.0, 2.0, 1.0)
-        assert abs(a - 4.0) < 1e-15
-        assert abs(e - np.sqrt(3) / 2) < 1e-15
-
-    def test_rejects_G_above_Lambda(self):
-        with pytest.raises(ValueError):
-            orbital_elements(1.0, 1.0, 1.5)
 
 
 def test_states_validate():

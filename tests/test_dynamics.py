@@ -12,7 +12,7 @@ from perilib.dynamics import (
     integrate,
     integrate_flow,
 )
-from perilib.hamiltonians import DomainError, HamiltonianSpec
+from perilib.hamiltonians import DomainError, HamiltonianSpec, energies
 from perilib.potentials import SingularLocusError
 
 
@@ -127,10 +127,12 @@ class TestEvents:
         assert detect_libration(traj, make_spec())[1] == 1
 
     def test_short_trajectory_rejected(self):
-        t = np.linspace(0, 1, 5)
-        traj = Trajectory(t, np.zeros((5, 4)), np.ones(5), "secular")
-        with pytest.raises(ValueError):
-            detect_libration(traj, make_spec())
+        # one sample (a run of zero duration) is read; 2 to 9 are refused
+        for n in (2, 5, 9):
+            t = np.linspace(0, 1, n)
+            traj = Trajectory(t, np.zeros((n, 4)), np.ones(n), "secular")
+            with pytest.raises(ValueError):
+                detect_libration(traj, make_spec())
 
 
 class TestTimeRescaling:
@@ -196,6 +198,41 @@ class TestEnergyAccounting:
         fwd = integrate(spec, SecularState(-0.0, -0.3, 100.0, 0.4), -T,
                         step_ctrl=StepControl(1e-10, 1e-10))
         assert abs(detect_libration(back, spec)[0] - detect_libration(fwd, spec)[0]) < 1e-9
+
+
+class TestZeroDuration:
+    @pytest.mark.parametrize("index, state", [
+        (1, SecularState(0.1, 0.2, 50.0, 0.3)),
+        (2, ActionAngleState(0.9, 0.3, 10.0, 2.0)),
+    ])
+    def test_one_sample_at_the_start_state(self, index, state):
+        spec = make_spec(index)
+        traj = integrate(spec, state, 0.0)
+        Z = state.as_array()[None]
+        assert traj.chart == state.chart
+        assert np.array_equal(traj.times, [0.0])
+        assert np.array_equal(traj.states, Z)
+        assert np.array_equal(traj.energies, energies(spec, Z, state.chart))
+        assert traj.events == [] and traj.energy_drift == 0.0
+        assert detect_libration(traj, spec) == (0.0, 0, 0.0)
+
+    @pytest.mark.parametrize("state", [
+        SecularState(0.1, 2.0, 100.0, 0.0),
+        ActionAngleState(0.5, 0.1, 10.0, 7.0),
+    ])
+    def test_start_outside_domain_rejected(self, state):
+        with pytest.raises(DomainError):
+            integrate(make_spec(1), state, 0.0)
+
+
+@pytest.mark.parametrize("T", [np.nan, np.inf, -np.inf])
+def test_non_finite_duration_rejected_before_a_step(monkeypatch, T):
+    def no_step(*args, **kwargs):
+        raise AssertionError("integrated a non-finite duration")
+
+    monkeypatch.setattr("perilib.dynamics.integrate_flow", no_step)
+    with pytest.raises(ValueError, match="must be finite"):
+        integrate(make_spec(1), SecularState(0.1, 0.2, 50.0, 0.3), T)
 
 
 class TestDomainContract:

@@ -14,7 +14,6 @@ from perilib.normalform import (
     NormWeights,
     ShapeError,
     TFSeries,
-    d_angle,
     d_grid,
     homological_residual,
     lie_transform,
@@ -78,6 +77,16 @@ def ref_tf_product(f, g, fourier_cutoff=None):
     for key, arr in acc.items():
         out.coeffs[key] = ch.coarsen(arr, f.grid_shape)
     return out.prune()
+
+
+def d_angle(f):
+    """d/d(phi): multiplies each mode by i k."""
+    out = f.shell()
+    for key, arr in f.coeffs.items():
+        (k,), _, _ = key
+        if k:
+            out.coeffs[key] = 1j * k * arr
+    return out
 
 
 def ref_poisson_bracket(f, g, fourier_cutoff=None):
@@ -369,6 +378,17 @@ class TestBuild:
             y = rng.uniform(*BOX[1])
             x = rng.uniform(*BOX[2])
             assert abs(f.evaluate([I], [ph], y, x) - fun(I, ph, y, x)) < 1e-10
+
+    def test_evaluate_refuses_points_outside_the_box(self):
+        # the interpolant is not extrapolated; the box edges, within 1e-12, are in
+        f = TFSeries(2, [(0.0, 1.0)] * 3, (4, 4, 4))
+        f.coeffs[((0,), (), ())] = np.exp(np.meshgrid(*f.grids(), indexing="ij")[2]) + 0j
+        assert abs(f.evaluate(1.0, 0.0, 0.0, 1.0 + 1e-13) - np.e) < 1e-12
+        assert abs(f.evaluate(-1e-13, 0.0, 1.0, 0.0) - 1.0) < 1e-12
+        for I, y, x in [(0.5, 0.5, 50.0), (0.5, 0.5, 1.0 + 1e-9), (1.5, 0.5, 0.5),
+                        (0.5, -0.5, 0.5), (0.5, 0.5, np.nan)]:
+            with pytest.raises(ValueError, match="outside the series' box"):
+                f.evaluate(I, 0.0, y, x)
 
     def test_rejects_complex_evaluator(self):
         with pytest.raises(ValueError, match="real evaluator"):

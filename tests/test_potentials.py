@@ -24,7 +24,6 @@ from perilib.potentials import (
     f_eps_bundle,
     f_eps_minus_one,
     f_eps_minus_one_grid,
-    rho_p,
     singularity_t,
     u_hat,
 )
@@ -50,30 +49,6 @@ def u_hat_mean_anomaly(eps, Lambda, G, g, quad=QUAD):
     if rad.min() < RADICAND_FLOOR:
         raise SingularLocusError("u_hat radicand below floor")
     return float(np.mean(1.0 / np.sqrt(rad)))
-
-
-class TestRhoP:
-    def test_circular(self):
-        rho, p = rho_p(1.0, 1.0, 0.8, 0.0)
-        assert abs(rho - 1.0) < 1e-14
-        assert abs(p - np.cos(0.8)) < 1e-14
-
-    def test_degenerate_pericenter(self):
-        rho, _ = rho_p(1.0, 0.0, 0.0, 1.0)
-        assert abs(rho) < 1e-14
-
-    def test_textual_formula_oracle(self):
-        # symbol-by-symbol independent recomputation
-        from perilib.kepler import solve_kepler
-
-        Lam, G, ell, g = 1.3, 0.6, 2.1, -0.9
-        e = np.sqrt(1 - G**2 / Lam**2)
-        xi = solve_kepler(e, ell).xi
-        rho_expect = 1 - e * np.cos(xi)
-        p_expect = (np.cos(xi) - e) * np.cos(g) - (G / Lam) * np.sin(xi) * np.sin(g)
-        rho, p = rho_p(Lam, G, ell, g)
-        assert abs(rho - rho_expect) < 1e-14
-        assert abs(p - p_expect) < 1e-14
 
 
 class TestUHat:
@@ -158,6 +133,14 @@ class TestFEps:
     def test_rejects_large_eps(self):
         with pytest.raises(ValueError):
             f_eps(0.5, 0.3)
+
+    def test_closed_form_domain_is_f_eps_domain(self):
+        # |eps| < 1/2 by a negated comparison, as f_eps: NaN is refused too
+        assert abs(f_eps_at_one(-0.4999) - f_eps(-0.4999, 1.0)) < 1e-12
+        for eps in (-0.5, -0.6, np.nan, 0.5):
+            for fun in (f_eps_at_one, lambda e: f_eps(e, 1.0)):
+                with pytest.raises(ValueError, match="requires [|]eps[|] < 1/2"):
+                    fun(eps)
 
     def test_guard_on_singular_locus(self):
         with pytest.raises(SingularLocusError):
