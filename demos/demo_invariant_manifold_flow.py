@@ -13,8 +13,7 @@ from perilib import HamiltonianSpec, SecularState, derive_mass_params, integrate
 from perilib.dynamics import StepControl
 
 spec = HamiltonianSpec(1, 1.0, 1.0, derive_mass_params(1.0, 1.0, "jacobi"))
-branch = 2 * spec.masses.beta * spec.a
-print(f"radial potential branch radius: {branch:.4f}")
+print(f"radial potential branch radius: {spec.branch_radius:.4f}")
 for r in (5.0, 20.0, 100.0, 1000.0):
     print(f"  V1({r:7.1f}) = {v_radial(spec, r):+.6f}   (Coulomb tail {-1/r:+.6f})")
 

@@ -27,34 +27,16 @@ M0CENTRIC = "m0centric"
 
 @dataclass(frozen=True)
 class MassParams:
-    """Derived mass parameters for mass ratios (mu, kappa) to the central mass.
-
-    beta/beta_bar weight the two averaged potentials; gamma_scale is the
-    overall factor pulled out of the slow part of the Hamiltonian.  The
-    aggregates beta_star/beta_upper depend on which reduced Hamiltonian
-    (index 1 or 2) they parametrize, so they are exposed as methods.
-    """
+    """Mass ratios (mu, kappa) to the central mass, their reduction frame,
+    and the weights beta, beta_bar of the two averaged potentials.  Which
+    aggregates of beta and beta_bar a Hamiltonian uses is decided by its
+    hamiltonians.HamiltonianSpec."""
 
     mu: float
     kappa: float
     frame: str
-    gamma_scale: float
     beta: float
     beta_bar: float
-
-    def beta_star(self, index):
-        if index == 1:
-            return self.beta * self.beta_bar / (self.beta + self.beta_bar)
-        if index == 2:
-            return self.beta_bar
-        raise ValueError("Hamiltonian index must be 1 or 2")
-
-    def beta_upper(self, index):
-        if index == 1:
-            return max(self.beta, self.beta_bar)
-        if index == 2:
-            return self.beta + self.beta_bar
-        raise ValueError("Hamiltonian index must be 1 or 2")
 
 
 @dataclass(frozen=True)
@@ -90,25 +72,31 @@ class ActionAngleState:
 
 
 def derive_mass_params(mu, kappa, frame=JACOBI):
-    """Mass parameters (gamma_scale, beta, beta_bar) for either reduction.
+    """Mass parameters (beta, beta_bar) for either reduction.
 
-    Jacobi:      gamma = kappa^3 (1+mu)^4 / (mu^3 (1+mu+kappa)),
-                 beta  = kappa^2 (1+mu)^2 / (mu^2 (1+mu+kappa))
-    m0-centric:  gamma = kappa^3 (1+mu)^3 / (mu^3 (1+kappa)),
-                 beta  = kappa^2 (1+mu)   / (mu^2 (1+kappa))
-    and beta_bar = mu * beta in both frames.
+    Jacobi:      beta = kappa^2 (1+mu)^2 / (mu^2 (1+mu+kappa))
+    m0-centric:  beta = kappa^2 (1+mu)   / (mu^2 (1+kappa))
+    and beta_bar = mu * beta in both frames.  mu and kappa must be finite
+    and positive, and beta, beta_bar and their sum finite and nonzero.
     """
-    if mu <= 0 or kappa <= 0:
-        raise ValueError("mass ratios must be positive")
-    if frame == JACOBI:
-        gamma = kappa**3 * (1 + mu) ** 4 / (mu**3 * (1 + mu + kappa))
-        beta = kappa**2 * (1 + mu) ** 2 / (mu**2 * (1 + mu + kappa))
-    elif frame == M0CENTRIC:
-        gamma = kappa**3 * (1 + mu) ** 3 / (mu**3 * (1 + kappa))
-        beta = kappa**2 * (1 + mu) / (mu**2 * (1 + kappa))
-    else:
+    # negated, so that NaN and inf fail
+    if not (0 < mu < math.inf and 0 < kappa < math.inf):
+        raise ValueError("mass ratios must be finite and positive, got mu=%r, kappa=%r"
+                         % (mu, kappa))
+    if frame not in (JACOBI, M0CENTRIC):
         raise ValueError("frame must be %r or %r" % (JACOBI, M0CENTRIC))
-    return MassParams(mu, kappa, frame, gamma, beta, mu * beta)
+    try:
+        if frame == JACOBI:
+            beta = kappa**2 * (1 + mu) ** 2 / (mu**2 * (1 + mu + kappa))
+        else:
+            beta = kappa**2 * (1 + mu) / (mu**2 * (1 + kappa))
+    except (OverflowError, ZeroDivisionError):  # a power past the float range
+        beta = math.nan
+    beta_bar = mu * beta
+    if not (0 < beta and 0 < beta_bar and beta + beta_bar < math.inf):
+        raise ValueError("mass ratios mu=%r, kappa=%r give beta=%r, beta_bar=%r outside "
+                         "the float range" % (mu, kappa, beta, beta_bar))
+    return MassParams(mu, kappa, frame, beta, beta_bar)
 
 
 def gg_forward(Lambda, Gcal, gamma):

@@ -92,8 +92,12 @@ def integrate_flow(energy, energy_grad, z0, T, step_ctrl=StepControl(),
     domain) ends the run as IntegrationError.  Terminal events stop the run;
     the trajectory is sampled on a uniform grid of 2000 points, in
     integration order: the first sample is z0 at t = 0, for T < 0 too, and a
-    terminal event's own sample comes last.
+    terminal event's own sample comes last.  T must be finite and nonzero
+    (ValueError); integrate handles T = 0 itself.
     """
+    # solve_ivp's empty span (0, 0) returns no array to sample
+    if not 0 < abs(T) < math.inf:
+        raise ValueError("duration T must be finite and nonzero, got %r" % (T,))
     # imported here: scipy.integrate costs about 0.5 s to import, which
     # commands that never integrate should not pay
     from scipy.integrate import solve_ivp

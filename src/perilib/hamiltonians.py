@@ -45,7 +45,8 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """Which reduced Hamiltonian (1 or 2), with its masses and scales."""
+    """Which reduced Hamiltonian (1 or 2), with its masses and scales; the
+    one place that tells the two reductions apart (see _reduction)."""
 
     index: int
     m0: float
@@ -53,12 +54,14 @@ class HamiltonianSpec:
     masses: MassParams
 
     def __post_init__(self):
-        if self.index not in (1, 2):
-            raise ValueError("index must be 1 or 2")
-        if self.m0 <= 0 or self.Lambda <= 0:
-            raise ValueError("m0 and Lambda must be positive")
+        # a bool would pass as 1 or 2; negated, so that NaN and inf fail
+        if isinstance(self.index, (bool, np.bool_)) or self.index not in (1, 2):
+            raise ValueError("index must be 1 or 2, got %r" % (self.index,))
+        if not (0 < self.m0 < math.inf and 0 < self.Lambda < math.inf):
+            raise ValueError("m0 and Lambda must be finite and positive, got %r, %r"
+                             % (self.m0, self.Lambda))
 
-    # a and the term weights are fixed per spec: cached on first use, so the
+    # a and the reduction are fixed per spec: cached on first use, so the
     # flow's right-hand side does not rebuild them at every evaluation.  The
     # caches sit outside the fields, so equality and hashing ignore them.
     @cached_property
@@ -69,27 +72,33 @@ class HamiltonianSpec:
     def eps_of_r(self, r):
         return self.a / r
 
+    @cached_property
+    def _reduction(self):
+        """The one branch on index: (terms(), bare_weight, beta_star,
+        beta_upper).  beta_* is b bbar/(b+bbar) and beta^* max(b, bbar) for
+        index 1; bbar and b+bbar for index 2, which alone has a bare term."""
+        b, bb = self.masses.beta, self.masses.beta_bar
+        tot = b + bb
+        if self.index == 1:
+            return ((bb / tot, b), (b / tot, -bb)), 0.0, b * bb / tot, max(b, bb)
+        return ((bb / tot, tot),), b / tot, bb, tot
+
     def terms(self):
         """Weights and eps-multipliers of the averaged-potential terms:
         ((coefficient c_j, multiplier s_j), ...) with the term
         -c_j (m0^2/r) f_{s_j eps}; one tuple per spec, computed once."""
-        return self._terms
+        return self._reduction[0]
 
-    @cached_property
-    def _terms(self):
-        b, bb = self.masses.beta, self.masses.beta_bar
-        tot = b + bb
-        if self.index == 1:
-            return ((bb / tot, b), (b / tot, -bb))
-        return ((bb / tot, b + bb),)
+    # the weight w of the bare -w m0^2/r term; beta_* and beta^*, which the
+    # hypothesis check reads
+    bare_weight = property(lambda self: self._reduction[1])
+    beta_star = property(lambda self: self._reduction[2])
+    beta_upper = property(lambda self: self._reduction[3])
 
-
-def _bare_coulomb_weight(spec):
-    """Weight of the plain -m0^2/r term (only the second reduction has one)."""
-    if spec.index == 2:
-        b, bb = spec.masses.beta, spec.masses.beta_bar
-        return b / (b + bb)
-    return 0.0
+    @property
+    def branch_radius(self):
+        """2 a max_j s_j: below it some f_{s_j eps}(1) is not real."""
+        return 2 * max(s for _, s in self.terms()) * self.a
 
 
 def check_domain(spec, state):
@@ -117,7 +126,7 @@ def _secular_energies(spec, Z):
         es = s * eps
         f = 1.0 + potentials.f_eps_minus_one_grid(es, e_hat(es, spec.Lambda, G, g))
         val -= c * (m0**2 / r) * f
-    val -= _bare_coulomb_weight(spec) * m0**2 / r
+    val -= spec.bare_weight * m0**2 / r
     return val
 
 
@@ -211,29 +220,22 @@ def h_action_angle(spec, state):
 
 
 def v_radial(spec, r):
-    """Radial potential on the invariant manifold G = 0, g = 0.
+    """Radial potential on the invariant manifold G = 0, g = 0:
 
-    V1(r) = -bbar/(b+bbar) 2 m0^2 / (sqrt(r - 2 b a) (sqrt(r) + sqrt(r - 2 b a)))
-            -b/(b+bbar)    2 m0^2 / (sqrt(r + 2 bbar a) (sqrt(r) + sqrt(r + 2 bbar a)))
-    V2(r) = -bbar/(b+bbar) 2 m0^2 / (sqrt(r - 2 (b+bbar) a) (sqrt(r) + sqrt(...)))
-            -b/(b+bbar)    m0^2 / r
-    defined for r above the branch radius 2 b a (index 1), 2 (b+bbar) a (index 2).
+    V(r) = -(m0^2/r) (sum_j c_j f_{s_j eps}(1) + w),  eps = a/r,
+
+    with the closed form f_eps(1) = 2 / (sqrt(1 - 2 eps) (1 + sqrt(1 - 2 eps)))
+    and w the bare weight; defined above the branch radius 2 a max_j s_j.
     """
-    m0, a = spec.m0, spec.a
-    b, bb = spec.masses.beta, spec.masses.beta_bar
-    tot = b + bb
-    branch = 2 * (b if spec.index == 1 else tot) * a
+    branch = spec.branch_radius
     if r <= (1 + 1e-9) * branch:
         raise DomainError("r = %r at or below the branch radius %r" % (r, branch))
-    sr = np.sqrt(r)
-    if spec.index == 1:
-        s1 = np.sqrt(r - 2 * b * a)
-        s2 = np.sqrt(r + 2 * bb * a)
-        return -(bb / tot) * 2 * m0**2 / (s1 * (sr + s1)) - (b / tot) * 2 * m0**2 / (
-            s2 * (sr + s2)
-        )
-    s1 = np.sqrt(r - 2 * tot * a)
-    return -(bb / tot) * 2 * m0**2 / (s1 * (sr + s1)) - (b / tot) * m0**2 / r
+    eps = spec.eps_of_r(r)
+    total = spec.bare_weight
+    for c, s in spec.terms():
+        root = np.sqrt(1.0 - 2.0 * s * eps)
+        total += c * 2.0 / (root * (1.0 + root))
+    return -(spec.m0**2 / r) * total
 
 
 def _grad_secular_analytic(spec, state):
@@ -253,7 +255,7 @@ def _grad_secular_analytic(spec, state):
     dE_dg = -root * math.sin(g)
     pref, pref_r = m02 / r, m02 / r2
     dH_dG = G / (m0 * r2)
-    dH_dr = -(G**2) / (m0 * r**3) + _bare_coulomb_weight(spec) * m02 / r2
+    dH_dr = -(G**2) / (m0 * r**3) + spec.bare_weight * m02 / r2
     dH_dg = 0.0
     for c, s in spec.terms():
         es = s * eps

@@ -232,8 +232,8 @@ def _f_minus_one(eps, t, grad=False, n_nodes=None):
     """f_eps(eps, t) - 1 (and with grad its t- and eps-partials) at one
     point, by the rung _n_nodes picks, or by the n_nodes-node rule under the
     radicand floor.  This, f_eps_at_one and f_eps_minus_one_grid are the
-    only places that check |eps| < 1/2; the check is a negated comparison,
-    so NaN fails it too."""
+    only places in this module that check |eps| < 1/2; the check is a
+    negated comparison, so NaN fails it too."""
     eps, t = float(eps), float(t)
     if not abs(eps) < 0.5:
         raise ValueError("f_eps requires |eps| < 1/2, got %r" % (eps,))

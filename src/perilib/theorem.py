@@ -85,8 +85,7 @@ def check_libration_theorem(spec, eps0, delta, s0, alpha_minus, alpha_plus,
     """
     Lam, a = spec.Lambda, spec.a
     m0 = spec.m0
-    beta_low = spec.masses.beta_star(spec.index)
-    beta_up = spec.masses.beta_upper(spec.index)
+    beta_low, beta_up = spec.beta_star, spec.beta_upper
     # out-of-range eps0 must surface as failed inequalities, not an
     # exception: NaN comparisons are False, so every c0-dependent row fails
     c0 = estimate_c0(eps0, C0_GRID) if 0.0 < eps0 < 1.0 else math.nan
@@ -232,7 +231,7 @@ def run_libration_experiment(spec, report, state0,
         squeezes=squeezes,
         Gcal_drift=drift,
         r_min=float(r_vals.min()),
-        collision_radius=2 * spec.masses.beta_upper(spec.index) * spec.a,
+        collision_radius=2 * spec.beta_upper * spec.a,
         domain_exit=any(kind == "domain-exit" for _, kind in traj.events),
         duration=float(traj.times[-1]),
     )

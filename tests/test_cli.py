@@ -580,6 +580,16 @@ def test_json_outputs_compact_with_unchanged_content(tmp_path, monkeypatch, argv
         assert json.dumps(json.loads(text)) == json.dumps(expect)
 
 
+@pytest.mark.parametrize("key, value", [("masses.kappa", "1e200"), ("masses.mu", "1e-300")])
+def test_mass_ratios_past_the_float_range_are_input_errors(tmp_path, capsys, key, value):
+    # beta overflowed (or mu^2 underflowed) into a traceback, exit 1
+    code, out = run(tmp_path, "--set", "%s=%s" % (key, value), "check-theorem")
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "float range" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key, value, name", [
     ("domain.delta", "1", "delta"),
     ("domain.delta", "5", "delta"),

@@ -13,6 +13,7 @@ from perilib.coords import (
     rr_forward,
     rr_forward_with_jacobian,
 )
+from perilib.hamiltonians import HamiltonianSpec
 from perilib.kepler import xi_prime_real
 
 
@@ -21,17 +22,15 @@ class TestMassParams:
         mp = derive_mass_params(1.0, 1.0, "jacobi")
         assert abs(mp.beta - 4 / 3) < 1e-15
         assert abs(mp.beta_bar - 4 / 3) < 1e-15
-        assert abs(mp.gamma_scale - 16 / 3) < 1e-15
 
     def test_equal_masses_star_params(self):
-        mp = derive_mass_params(1.0, 1.0, "jacobi")
-        assert abs(mp.beta_star(1) - 2 / 3) < 1e-15
-        assert abs(mp.beta_upper(1) - 4 / 3) < 1e-15
+        spec = HamiltonianSpec(1, 1.0, 1.0, derive_mass_params(1.0, 1.0, "jacobi"))
+        assert abs(spec.beta_star - 2 / 3) < 1e-15
+        assert abs(spec.beta_upper - 4 / 3) < 1e-15
 
     def test_m0centric(self):
         mp = derive_mass_params(2.0, 3.0, "m0centric")
         assert abs(mp.beta - 9 * 3 / (4 * 4)) < 1e-15
-        assert abs(mp.gamma_scale - 27 * 27 / (8 * 4)) < 1e-15
 
     def test_star_below_upper(self):
         rng = np.random.default_rng(5)
@@ -41,7 +40,8 @@ class TestMassParams:
             frame = "jacobi" if rng.random() < 0.5 else "m0centric"
             mp = derive_mass_params(mu, kap, frame)
             for i in (1, 2):
-                assert mp.beta_star(i) < mp.beta_upper(i)
+                spec = HamiltonianSpec(i, 1.0, 1.0, mp)
+                assert spec.beta_star < spec.beta_upper
 
     def test_bbar_over_beta_is_mu(self):
         for frame in ("jacobi", "m0centric"):
@@ -53,6 +53,23 @@ class TestMassParams:
             derive_mass_params(0.0, 1.0)
         with pytest.raises(ValueError):
             derive_mass_params(1.0, -2.0)
+
+    @pytest.mark.parametrize("mu, kappa", [
+        (float("nan"), 1.0), (1.0, float("nan")), (float("inf"), 1.0), (1.0, float("inf")),
+        (-float("inf"), 1.0),
+    ])
+    def test_rejects_non_finite(self, mu, kappa):
+        # mu = NaN used to give beta = NaN
+        with pytest.raises(ValueError, match="finite and positive"):
+            derive_mass_params(mu, kappa)
+
+    @pytest.mark.parametrize("frame", ["jacobi", "m0centric"])
+    @pytest.mark.parametrize("mu, kappa", [(1.0, 1e200), (1e200, 1.0), (1e-300, 1.0),
+                                           (1.0, 1e-200), (1e-160, 1e160)])
+    def test_rejects_weights_past_the_float_range(self, mu, kappa, frame):
+        # these raised OverflowError or ZeroDivisionError, or gave beta = 0
+        with pytest.raises(ValueError, match="float range"):
+            derive_mass_params(mu, kappa, frame)
 
 
 class TestGg:

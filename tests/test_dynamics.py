@@ -286,3 +286,13 @@ def test_singular_locus_in_the_sample_energies_is_an_integration_error():
 
     with pytest.raises(IntegrationError, match="f_eps past N_MAX"):
         integrate_flow(energy, lambda z: np.zeros(4), np.ones(4), 1.0)
+
+
+@pytest.mark.parametrize("T", [0.0, -0.0, float("nan"), float("inf"), -float("inf")])
+def test_integrate_flow_refuses_a_duration_before_a_step(T):
+    # solve_ivp's span (0, 0) returned no array to sample: AttributeError
+    def no_step(*args, **kwargs):
+        raise AssertionError("the flow was evaluated")
+
+    with pytest.raises(ValueError, match="duration T must be finite and nonzero"):
+        integrate_flow(no_step, no_step, np.ones(4), T)

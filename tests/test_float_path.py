@@ -14,8 +14,8 @@ import perilib.potentials as potentials
 from perilib.coords import (X_COLLISION, ActionAngleState, SecularState, derive_mass_params,
                             rr_forward_with_jacobian)
 from perilib.dynamics import IntegrationError, StepControl, integrate
-from perilib.hamiltonians import (HamiltonianSpec, _bare_coulomb_weight,
-                                  _grad_action_angle_analytic, _grad_secular_analytic, gradient)
+from perilib.hamiltonians import (HamiltonianSpec, _grad_action_angle_analytic,
+                                  _grad_secular_analytic, gradient)
 from perilib.kepler import _newton_bisect, solve_kepler_zero_ecc_form
 from perilib.potentials import e_hat, e_hat_aa
 
@@ -67,7 +67,7 @@ def ref_grad_secular(spec, state):
         [
             R / m0,
             G / (m0 * r**2),
-            -(G**2) / (m0 * r**3) + _bare_coulomb_weight(spec) * m0**2 / r**2,
+            -(G**2) / (m0 * r**3) + spec.bare_weight * m0**2 / r**2,
             0.0,
         ]
     )

@@ -60,6 +60,20 @@ def ref_h_action_angle(spec, state):
     return -(m0**5) / (2 * y**2) + (m0**2 / r) * pert
 
 
+def ref_v_radial(spec, r):
+    """V1 and V2 on G = g = 0, written out term by term as v_radial's
+    docstring stated them before it summed over the spec's terms."""
+    m0, a = spec.m0, spec.a
+    b, bb = spec.masses.beta, spec.masses.beta_bar
+    tot, sr = b + bb, np.sqrt(r)
+    s1 = np.sqrt(r - 2 * (b if spec.index == 1 else tot) * a)
+    if spec.index == 1:
+        s2 = np.sqrt(r + 2 * bb * a)
+        return (-(bb / tot) * 2 * m0**2 / (s1 * (sr + s1))
+                - (b / tot) * 2 * m0**2 / (s2 * (sr + s2)))
+    return -(bb / tot) * 2 * m0**2 / (s1 * (sr + s1)) - (b / tot) * m0**2 / r
+
+
 def make_spec(index=1, mu=1.0, kappa=1.0, frame="jacobi", m0=1.0, Lambda=1.0):
     return HamiltonianSpec(index, m0, Lambda, derive_mass_params(mu, kappa, frame))
 
@@ -145,6 +159,33 @@ class TestRadialPotential:
         spec = make_spec(2)
         with pytest.raises(DomainError):
             v_radial(spec, 2 * (spec.masses.beta + spec.masses.beta_bar) * spec.a)
+
+    @settings(max_examples=150, deadline=None)
+    @given(index=st.sampled_from([1, 2]), frame=st.sampled_from(["jacobi", "m0centric"]),
+           mu=st.one_of(st.floats(0.05, 0.95), st.floats(1.05, 20.0)),
+           kappa=st.floats(0.05, 20.0), m0=st.floats(0.5, 2.0), Lam=st.floats(0.5, 2.0),
+           over=st.floats(1.05, 1e3))
+    def test_matches_secular_energy_and_closed_forms(self, index, frame, mu, kappa, m0,
+                                                     Lam, over):
+        # mu != 1 makes beta != beta_bar, so a swap of two weights shows; r
+        # above 2 beta^* a keeps every |s eps| < 1/2, f_eps's domain
+        spec = make_spec(index, mu, kappa, frame, m0, Lam)
+        r = over * 2 * spec.beta_upper * spec.a
+        v = v_radial(spec, r)
+        assert abs(h_secular(spec, SecularState(0.0, 0.0, r, 0.0)) - v) <= 1e-14 * abs(v)
+        ref = ref_v_radial(spec, r)
+        assert abs(v - ref) <= 1e-14 * abs(ref)
+
+    @pytest.mark.parametrize("over", [1.01, 1.5, 2.9])
+    def test_defined_down_to_the_branch_radius(self, over):
+        # index 1 with bbar = 3 b: the branch radius 2 b a lies below
+        # 2 bbar a, where the closed form still holds though f_eps's
+        # quadrature domain |s eps| < 1/2 has ended
+        spec = make_spec(1, mu=3.0)
+        assert spec.branch_radius == 2 * spec.masses.beta * spec.a
+        r = over * spec.branch_radius
+        ref = ref_v_radial(spec, r)
+        assert abs(v_radial(spec, r) - ref) <= 1e-14 * abs(ref)
 
 
 class TestActionAngle:
@@ -241,6 +282,23 @@ def test_spec_validation():
         HamiltonianSpec(1, -1.0, 1.0, derive_mass_params(1, 1))
 
 
+@pytest.mark.parametrize("index, m0, Lam, match", [
+    (True, 1.0, 1.0, "index"),
+    (False, 1.0, 1.0, "index"),
+    (np.True_, 1.0, 1.0, "index"),
+    (0, 1.0, 1.0, "index"),
+    (1, float("nan"), 1.0, "m0 and Lambda"),
+    (1, float("inf"), 1.0, "m0 and Lambda"),
+    (1, 1.0, float("inf"), "m0 and Lambda"),
+    (2, 1.0, float("nan"), "m0 and Lambda"),
+    (2, 1.0, 0.0, "m0 and Lambda"),
+])
+def test_spec_rejects_bad_inputs(index, m0, Lam, match):
+    # index=True used to run as index 1, m0 = NaN and Lambda = inf as given
+    with pytest.raises(ValueError, match=match):
+        HamiltonianSpec(index, m0, Lam, derive_mass_params(1, 1))
+
+
 @settings(max_examples=100, deadline=None)
 @given(index=st.sampled_from([1, 2]), frame=st.sampled_from(["jacobi", "m0centric"]),
        mu=st.floats(min_value=1e-3, max_value=1e3), kappa=st.floats(min_value=1e-3, max_value=1e4),
@@ -251,12 +309,20 @@ def test_spec_constants_are_their_closed_forms(index, frame, mu, kappa, m0, Lam,
     spec = HamiltonianSpec(index, m0, Lam, masses)
     b, bb = masses.beta, masses.beta_bar
     tot = b + bb
-    terms = [(bb / tot, b), (b / tot, -bb)] if index == 1 else [(bb / tot, b + bb)]
+    if index == 1:
+        terms, weight = [(bb / tot, b), (b / tot, -bb)], 0.0
+        beta_star, beta_upper = b * bb / (b + bb), max(b, bb)
+    else:
+        terms, weight = [(bb / tot, b + bb)], b / tot
+        beta_star, beta_upper = bb, b + bb
     a = Lam**2 / m0**3
     for _ in range(2):  # the first call computes, the second reads the cache
         assert list(spec.terms()) == terms
         assert spec.a == a
         assert spec.eps_of_r(r) == a / r
+        assert (spec.bare_weight, spec.beta_star, spec.beta_upper) == (
+            weight, beta_star, beta_upper)
+        assert spec.branch_radius == 2 * (b if index == 1 else b + bb) * a
     # the caches are no fields: a used spec equals and hashes as a fresh one
     fresh = HamiltonianSpec(index, m0, Lam, masses)
     assert spec == fresh and hash(spec) == hash(fresh)
