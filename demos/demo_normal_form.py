@@ -7,9 +7,7 @@ sweep moves the angle-dependent part of the perturbation one order higher;
 the measured norms drop geometrically until truncation noise.
 """
 
-import numpy as np
-
-from perilib import HamiltonianSpec, NormWeights, derive_mass_params
+from perilib import HamiltonianSpec, derive_mass_params
 from perilib.normalform import (
     build_secular_perturbation,
     normal_form_steps,
@@ -26,14 +24,13 @@ series, freqs = build_secular_perturbation(
 modes = sorted(k[0][0] for k in series.coeffs)
 print(f"  Fourier modes stored: {modes} (each k < 0 is the conjugate of k)")
 
-w = NormWeights(rho=0.005, s=1.0, r=np.sqrt(1000.0), xi=np.sqrt(0.45))
-result = normal_form_steps(series, freqs, N=3, weights=w)
+result = normal_form_steps(series, freqs, N=3, s=1.0)
 
 print("\nstep |   ||f||      ||osc||    hom.residual  contraction")
 for s in result.steps:
     print(f"  {s.step}  | {s.f_norm:10.3e} {s.osc_norm:10.3e} "
           f"{s.residual:12.3e} {s.contraction:10.3e}")
-final_osc = tf_norm(tf_average_split(result.f_star)[1], w)
+final_osc = tf_norm(tf_average_split(result.f_star)[1], 1.0)
 print(f"\nremaining angle dependence: {final_osc:.3e} "
       f"({final_osc / result.steps[0].osc_norm:.1e} of the original)")
-print(f"normal part ||g*|| = {tf_norm(result.g_star, w):.3e}")
+print(f"normal part ||g*|| = {tf_norm(result.g_star, 1.0):.3e}")

@@ -28,7 +28,6 @@ from .kepler import (
 )
 from .normalform import (
     FrequencyData,
-    NormWeights,
     TFSeries,
     build_secular_perturbation,
     lie_transform,

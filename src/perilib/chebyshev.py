@@ -3,8 +3,8 @@ and integration, Clenshaw evaluation and Clenshaw-Curtis quadrature.
 
 All grids are Chebyshev-Gauss-Lobatto points stored in increasing order.
 Transforms are DCT-I based and exact for polynomials up to the grid degree.
-Fixed linear maps (resampling, differentiation, integration from a
-basepoint, and refinement after differentiation as one map) are built from
+Fixed linear maps (resampling, differentiation, integration from the
+lower edge, and refinement after differentiation as one map) are built from
 them once per size and then applied as small read-only matrices.
 """
 
@@ -125,19 +125,20 @@ def clenshaw(coeffs, axis, xs, lo, hi):
 
 
 @functools.lru_cache(maxsize=128)
-def integration_matrix(n, lo, hi, basepoint):
+def integration_matrix(n, lo, hi):
     """Spectral integration matrix S on increasing Lobatto nodes over [lo, hi]
     (cached and read-only): (S @ v)[c] is the integral of the interpolant of
-    grid values v from basepoint to node c.  The nodes and the basepoint are
-    evaluated by one Clenshaw sum, so a basepoint on a node has an exactly
-    zero row."""
+    grid values v from lo to node c.  The antiderivative is evaluated at the
+    nodes and at an appended lo by one Clenshaw sum, so node 0 (at lo when
+    n > 1) has an exactly zero row; a one-node axis, its node at the
+    midpoint, integrates over the lower half."""
     c = np.vstack([vals_to_coeffs(np.eye(n), 0), np.zeros((2, n))])
     # the antiderivative's coefficients in t: C_k = (c_{k-1} - c_{k+1}) / (2k)
     # for k = 1..n, c_0 counted twice; C_0 cancels in the difference below
     c[0] *= 2.0
     k = np.arange(1, n + 1)[:, None]
     C = np.vstack([np.zeros((1, n)), (c[:n] - c[2:]) / (2 * k)])
-    E = clenshaw(C, 0, np.append(nodes(n, lo, hi), basepoint), lo, hi)
+    E = clenshaw(C, 0, np.append(nodes(n, lo, hi), lo), lo, hi)
     return _frozen((E[:, :n] - E[:, n:]).T * (0.5 * (hi - lo)))
 
 

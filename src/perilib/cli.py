@@ -186,14 +186,19 @@ def load_config(path, overrides=()):
     naming section.key for an unknown key or a value outside its rule."""
     given = []
     if path is not None:
-        if not os.path.exists(path):
-            raise ConfigError("config file not found: %s" % path)
         parser = configparser.ConfigParser()
+        # opened here: read() skips a path it cannot open, a directory among
+        # them, and would run on the defaults
         try:
-            parser.read(path)
+            with open(path) as fh:
+                parser.read_file(fh)
             # iterating the parser visits [DEFAULT] too, whose keys would
             # otherwise be copied into every section or, alone, ignored
             given = [(s, k, v) for s in parser for k, v in parser[s].items()]
+        except FileNotFoundError:
+            raise ConfigError("config file not found: %s" % path) from None
+        except OSError as exc:
+            raise ConfigError("config file unreadable: %s: %s" % (path, exc.strerror)) from None
         except configparser.Error as exc:
             raise ConfigError("malformed config: %s" % exc) from exc
     for item in overrides:

@@ -16,7 +16,7 @@ libration domain D (libration_box) are defined here once, for the flow,
 the normal form and the libration run alike.
 
 Each chart is declared once, in CHARTS, and a state's class decides its
-chart.  Its energy kernel takes an (n, 4) stack of states (see energies);
+chart.  Its energy kernel takes an (n, 4) stack of states (Chart.energies);
 the functions of one state are its n = 1 case.  f_eps picks its trapezoid
 rule per point (see potentials.N_LADDER).
 """
@@ -32,8 +32,6 @@ from . import potentials
 from .coords import (X_COLLISION, ActionAngleState, MassParams, SecularState,
                      radial_radius, rr_forward_with_jacobian)
 from .potentials import e_hat, e_hat_aa
-
-GRAD_FD_STEP = 1e-6
 
 SECULAR_PAIRS = ((0, 2), (1, 3))  # (R, r), (G, g)
 ACTION_ANGLE_PAIRS = ((0, 1), (2, 3))  # (Gcal, gamma), (y, x)
@@ -59,6 +57,17 @@ class HamiltonianSpec:
             raise ValueError("index must be 1 or 2, got %r" % (self.index,))
         if not (0 < self.m0 < math.inf and 0 < self.Lambda < math.inf):
             raise ValueError("m0 and Lambda must be finite and positive, got %r, %r"
+                             % (self.m0, self.Lambda))
+        # the scales the energies, gradients and libration box divide by,
+        # each by its own expression; a power past the float range is NaN,
+        # so that the negated check fails
+        try:
+            scales = (self.Lambda**2, self.m0**3, self.m0**5, self.a)
+        except (OverflowError, ZeroDivisionError):
+            scales = (math.nan,)
+        if not all(0 < v < math.inf for v in scales):
+            raise ValueError("m0=%r and Lambda=%r give Lambda^2, m0^3, m0^5 or "
+                             "a = Lambda^2/m0^3 outside the float range"
                              % (self.m0, self.Lambda))
 
     # a and the reduction are fixed per spec: cached on first use, so the
@@ -170,16 +179,13 @@ def aa_perturbation_at(spec, Gcal, gamma, r):
     return (m0**2 / r) * pert
 
 
-def _aa_perturbations(spec, Z):
-    """aa_perturbation of the (n, 4) stack Z of (Gcal, gamma, y, x) rows: r
+def _action_angle_energies(spec, Z):
+    """Energies of the (n, 4) stack Z of (Gcal, gamma, y, x) rows:
+    -m0^5/(2 y^2) plus the perturbation, which vanishes as eps -> 0, with r
     from one array Kepler solve."""
     Gc, gam, y, x = Z.T
-    return aa_perturbation_at(spec, Gc, gam, radial_radius(spec.m0, y, x))
-
-
-def _action_angle_energies(spec, Z):
-    """Energies of the (n, 4) stack Z of (Gcal, gamma, y, x) rows."""
-    return -(spec.m0**5) / (2 * Z[:, 2] ** 2) + _aa_perturbations(spec, Z)
+    return -(spec.m0**5) / (2 * y**2) + aa_perturbation_at(
+        spec, Gc, gam, radial_radius(spec.m0, y, x))
 
 
 def _one_row(state, cls):
@@ -189,26 +195,9 @@ def _one_row(state, cls):
     return state.as_array()[None]
 
 
-def energies(spec, states, chart="secular"):
-    """Energies of an (n, 4) stack of states of the chart named chart, one
-    per row: h_secular for "secular", h_action_angle for "action-angle"."""
-    Z = np.asarray(states, dtype=float).reshape(-1, 4)
-    return chart_named(chart).energies(spec, Z)
-
-
 def h_secular(spec, state):
     """Energy of the reduced secular system at a (R, G, r, g) state."""
     return _secular_energies(spec, _one_row(state, SecularState))[0]
-
-
-def aa_perturbation(spec, state):
-    """The perturbation of the action-angle split: the full energy is
-    -m0^5/(2 y^2) plus this term, which vanishes as eps -> 0.
-
-    Collects the centrifugal term and the averaged potentials minus their
-    limit value 1 (computed cancellation-free, so the tiny-eps regime keeps
-    full relative precision)."""
-    return _aa_perturbations(spec, _one_row(state, ActionAngleState))[0]
 
 
 def h_action_angle(spec, state):
@@ -309,27 +298,13 @@ def _grad_action_angle_analytic(spec, state):
     return np.array([df_dG, df_dgam, dH_dy, dH_dx])
 
 
-def _grad_fd(energy, z):
-    steps = GRAD_FD_STEP * np.maximum(1.0, np.abs(z))
-    return np.array([(energy(z + dz) - energy(z - dz)) / (2 * h)
-                     for dz, h in zip(np.diag(steps), steps)])
-
-
-def gradient(spec, state, *, method="analytic"):
+def gradient(spec, state):
     """Partials of the energy with respect to the variables of the state's
     chart: (dH/dR, dH/dG, dH/dr, dH/dg) at a SecularState, (dH/dGcal,
-    dH/dgamma, dH/dy, dH/dx) at an ActionAngleState.
-
-    method "analytic" uses the chain rule through the closed-form partials
-    of e_hat and the integral derivatives of f_eps; method "fd"
-    central-differences the energy with relative step GRAD_FD_STEP.
-    """
-    chart = chart_of(state)
-    if method == "analytic":
-        return chart.gradient(spec, state)
-    if method != "fd":
-        raise ValueError("method must be 'analytic' or 'fd', got %r" % (method,))
-    return _grad_fd(lambda z: chart.energies(spec, z[None])[0], state.as_array())
+    dH/dgamma, dH/dy, dH/dx) at an ActionAngleState, by the chain rule
+    through the closed-form partials of e_hat and the integral derivatives
+    of f_eps."""
+    return chart_of(state).gradient(spec, state)
 
 
 @dataclass(frozen=True)

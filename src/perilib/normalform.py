@@ -40,25 +40,7 @@ class ContractionError(RuntimeError):
     """A Lie series or normal-form step lost its measured contraction."""
 
 
-@dataclass(frozen=True)
-class NormWeights:
-    """Analyticity widths of the majorant norm.
-
-    Only s weighs the norm (e^{s|k|} per Fourier mode, see tf_norm); rho, r
-    and xi are checked to be positive and weigh nothing.
-    """
-
-    rho: float = 1.0
-    s: float = 1.0
-    r: float = 1.0
-    xi: float = 1.0
-
-    def __post_init__(self):
-        if min(self.rho, self.s, self.r, self.xi) <= 0:
-            raise ValueError("all norm weights must be strictly positive")
-
-
-PLAIN_WEIGHTS = NormWeights(1.0, 1e-12, 1.0, 1.0)  # ~ sum of coefficient sups
+PLAIN_S = 1e-12  # angular width of the plain norm: ~ sum of coefficient sups
 
 
 def _weight(k, s):
@@ -167,7 +149,8 @@ class TFSeries:
     def evaluate(self, I, phi, y, x):
         """Pointwise value c_0 + 2 Re sum_{k != 0 stored} c_k e^{i k phi} at
         scalar coordinates (I and phi may also be one-entry sequences).  An
-        (I, y, x) outside the box, by more than 1e-12, raises ValueError."""
+        (I, y, x) outside the box by more than 1e-12 raises ValueError; the
+        slack admits a box edge that carries rounding."""
         (I,), (phi,) = np.atleast_1d(I), np.atleast_1d(phi)
         for pt, (lo, hi) in zip((I, y, x), self.box):
             if not lo - 1e-12 <= pt <= hi + 1e-12:
@@ -231,12 +214,16 @@ def tf_average_split(f):
     return avg, osc
 
 
-def tf_norm(f, w=PLAIN_WEIGHTS):
+def tf_norm(f, s=PLAIN_S):
     """Weighted majorant norm: sum_k sup_grid |f_k| e^{s|k|} over the full
-    spectrum (each stored k != 0 counts for k and -k)."""
+    spectrum (each stored k != 0 counts for k and -k), with the angular
+    width s finite and positive (ValueError otherwise)."""
+    # negated, so that NaN fails
+    if not 0 < s < math.inf:
+        raise ValueError("the norm width s must be finite and positive, got %r" % (s,))
     total = 0.0
     for ((k,), _, _), arr in f.coeffs.items():
-        total += float(np.max(np.abs(arr))) * _weight(k, w.s)
+        total += float(np.max(np.abs(arr))) * _weight(k, s)
     return total
 
 
@@ -487,33 +474,26 @@ def mode_eigenvalue(freqs, k):
     return lam
 
 
-def nqp_primitive(f_osc, freqs, basepoint=None):
+def nqp_primitive(f_osc, freqs):
     """Small-divisor-free solution of the homological equation.
 
     For each oscillatory mode, omega_y d_x phi_k + lambda_k phi_k = f_k with
-    phi_k = 0 at the basepoint b, in its integral form along x,
+    phi_k = 0 at the lower edge of the x box, in its integral form along x,
 
         (1 + mu S) phi_k = S f_k / omega_y,   mu = lambda_k / omega_y,
 
     where S = chebyshev.integration_matrix integrates the Chebyshev
-    interpolant along x from b to every node, so the primitive is exact on
-    the interpolant at any number of x nodes.  Where mu vanishes this is
-    one product along x; otherwise one solve of (1 + mu S) per (I, y) node.
-    The basepoint defaults to the lower edge of the x box (any choice
-    differs by a homogeneous solution and still solves the equation).
-    Requires the average part of f_osc to vanish.  Only the stored modes
-    are solved: omega_I is real, so lambda_{-k} = conj(lambda_k) and
-    phi_{-k} = conj(phi_k).
+    interpolant along x from that edge to every node, so the primitive is
+    exact on the interpolant at any number of x nodes.  Where mu vanishes
+    this is one product along x; otherwise one solve of (1 + mu S) per
+    (I, y) node.  Requires the average part of f_osc to vanish.  Only the
+    stored modes are solved: omega_I is real, so lambda_{-k} =
+    conj(lambda_k) and phi_{-k} = conj(phi_k).
     """
     avg, osc = tf_average_split(f_osc)
     if avg.sup() > 1e-13 * max(1.0, f_osc.sup()):
         raise ValueError("nqp_primitive needs a zero-average input")
-    lo, hi = f_osc.box[-1]
-    if basepoint is None:
-        basepoint = lo
-    if not lo - 1e-12 <= basepoint <= hi + 1e-12:
-        raise ValueError("basepoint outside the x box")
-    S = ch.integration_matrix(f_osc.grid_shape[-1], lo, hi, float(basepoint))
+    S = ch.integration_matrix(f_osc.grid_shape[-1], *f_osc.box[-1])
     out = f_osc.shell()
     inv_wy = 1.0 / freqs.omega_y
     for key, arr in osc.coeffs.items():
@@ -568,7 +548,7 @@ class LieReport:
     tail_bound: float
 
 
-def _lie_chain(L, H, max_order, weights):
+def _lie_chain(L, H, max_order, s):
     """Terms L^j(H)/j!, j = 0, 1, ..., of the time-one Lie flow of the
     generator whose bracket side is L, with their LieReport.
 
@@ -581,13 +561,13 @@ def _lie_chain(L, H, max_order, weights):
     roundoff level.
     """
     terms = [H]
-    norms = [tf_norm(H, weights)]
+    norms = [tf_norm(H, s)]
     base = norms[0] if norms[0] > 0 else 1.0
     ratio = 0.0
     last = norms[0]
     for order in range(1, max_order + 1):
         term = L.bracket(terms[-1]) * (1.0 / order)
-        n = tf_norm(term, weights)
+        n = tf_norm(term, s)
         norms.append(n)
         terms.append(term)
         if n <= LIE_STOP_FLOOR * base:
@@ -616,9 +596,9 @@ def _weighted_sum(terms, weights):
 
 def lie_transform(H, phi, max_order=16):
     """Time-one Lie flow sum_{j<=max_order} L_phi^j H / j! and its LieReport
-    (contraction guard and tail bound as in _lie_chain, norms with
-    PLAIN_WEIGHTS)."""
-    terms, report = _lie_chain(_BracketSide(phi), H, max_order, PLAIN_WEIGHTS)
+    (contraction guard and tail bound as in _lie_chain, norms with width
+    PLAIN_S)."""
+    terms, report = _lie_chain(_BracketSide(phi), H, max_order, PLAIN_S)
     return _weighted_sum(terms, [1.0] * len(terms)), report
 
 
@@ -731,7 +711,7 @@ class NormalFormStep:
     osc_norm: float
     residual: float
     contraction: float
-    # the LieReport of the step's one chain, on s = {phi, g + f} - osc;
+    # the LieReport of the step's one chain, on q = {phi, g + f} - osc;
     # terms down to the LIE_STOP_FLOOR stop, a rounding-level threshold: the
     # count can move by one when the input changes at rounding level
     lie_orders: int = 0
@@ -746,7 +726,7 @@ class NormalFormResult:
     steps: list = field(default_factory=list)
 
 
-def _step_remainder(osc, g_new, freqs, weights, residual_rtol, step):
+def _step_remainder(osc, g_new, freqs, s, residual_rtol, step):
     """One homological step's remainder f_next, with its relative
     homological residual and the LieReport of its chain.
 
@@ -761,19 +741,19 @@ def _step_remainder(osc, g_new, freqs, weights, residual_rtol, step):
             % (rel_res, residual_rtol, step)
         )
     # H = h + g_new + osc and L = {phi, .}: the identity L(h) = -osc
-    # gives L(H) = b - osc = s with b = {phi, g_new + osc}, so
-    #   e^{L} H = H + sum_{j>=0} L^j(s)/(j+1)! = h + g_new + f_next,
-    #   f_next = b + sum_{j>=1} L^j(s)/(j+1)!
-    # One chain of terms L^j(s)/j!, weighted 1/(j+1); phi's side of the
+    # gives L(H) = b - osc = q with b = {phi, g_new + osc}, so
+    #   e^{L} H = H + sum_{j>=0} L^j(q)/(j+1)! = h + g_new + f_next,
+    #   f_next = b + sum_{j>=1} L^j(q)/(j+1)!
+    # One chain of terms L^j(q)/j!, weighted 1/(j+1); phi's side of the
     # bracket is built once.
     L = _BracketSide(phi)
     b = L.bracket(g_new + osc)
-    chain, lie = _lie_chain(L, b - osc, STEP_LIE_ORDER, weights)
+    chain, lie = _lie_chain(L, b - osc, STEP_LIE_ORDER, s)
     tail = [1.0 / (j + 1) for j in range(1, len(chain))]
     return (b + _weighted_sum(chain[1:], tail)).prune(1e-300), rel_res, lie
 
 
-def normal_form_steps(f, freqs, N, weights=PLAIN_WEIGHTS, residual_rtol=None):
+def normal_form_steps(f, freqs, N, s=PLAIN_S, residual_rtol=None):
     """Iterate the homological step N times.
 
     Each step splits f into average + oscillatory parts, solves the
@@ -782,7 +762,7 @@ def normal_form_steps(f, freqs, N, weights=PLAIN_WEIGHTS, residual_rtol=None):
     the normal part g.  The drift-part bracket {phi, h} is replaced by its
     defining identity -(oscillatory part), so h never needs differencing.
     Returns the accumulated g*, the final remainder f*, and per-step norms;
-    every step's norms are weighted by the one NormWeights weights.  A step
+    every step's norms are tf_norm's with the one angular width s.  A step
     whose contraction (its remainder's osc over its own) is >= 1 raises
     ContractionError, unless its osc is at most OSC_ROUNDING_FLOOR of step
     0's f_norm.
@@ -795,19 +775,19 @@ def normal_form_steps(f, freqs, N, weights=PLAIN_WEIGHTS, residual_rtol=None):
     """
     g = f.shell()
     fj = f
-    f0_norm = tf_norm(f, weights)
+    f0_norm = tf_norm(f, s)
     steps = []
     for step in range(N):
         avg, osc = tf_average_split(fj)
-        osc_norm = tf_norm(osc, weights)
-        f_norm = tf_norm(fj, weights)
+        osc_norm = tf_norm(osc, s)
+        f_norm = tf_norm(fj, s)
         g = (g + avg).prune()
         if osc_norm == 0.0:
             fj = fj.shell()
             steps.append(NormalFormStep(step, f_norm, 0.0, 0.0, 0.0))
             break
-        fj, rel_res, lie = _step_remainder(osc, g, freqs, weights, residual_rtol, step)
-        contraction = tf_norm(tf_average_split(fj)[1], weights) / osc_norm
+        fj, rel_res, lie = _step_remainder(osc, g, freqs, s, residual_rtol, step)
+        contraction = tf_norm(tf_average_split(fj)[1], s) / osc_norm
         if contraction >= 1 and osc_norm > OSC_ROUNDING_FLOOR * f0_norm:
             raise ContractionError(
                 "normal-form step %d grew the angle-dependent part: contraction %.3g >= 1"

@@ -81,8 +81,18 @@ def check_libration_theorem(spec, eps0, delta, s0, alpha_minus, alpha_plus,
     inequality 4 beta* a / (c0 alpha- eps0) < 1; the mass-vs-width bound
     C* delta/(beta_* Lambda) <= 1; the explicit holomorphy bound
     16 cosh(s0)^2 delta / Lambda < 1; the contraction bound defining N0; and
-    the winding bound eta < 1.  Failure is data, not an error.
+    the winding bound eta < 1.  Failure is data, not an error, except for
+    alphas whose powers below leave the float range: a ValueError.
     """
+    # negated, so that NaN fails; a power past the float range is NaN, and a
+    # negative alpha fails on its cube before the ratio's complex power
+    try:
+        powers = (alpha_minus**3, alpha_plus**3, (alpha_plus / alpha_minus) ** 1.5)
+    except (OverflowError, ZeroDivisionError):
+        powers = (math.nan,)
+    if not all(0 < v < math.inf for v in powers):
+        raise ValueError("alpha_minus=%r and alpha_plus=%r give powers outside the "
+                         "float range" % (alpha_minus, alpha_plus))
     Lam, a = spec.Lambda, spec.a
     m0 = spec.m0
     beta_low, beta_up = spec.beta_star, spec.beta_upper

@@ -14,7 +14,6 @@ from perilib.hamiltonians import HamiltonianSpec
 from perilib.kepler import solve_kepler, solve_kepler_zero_ecc_form
 from perilib.normalform import (
     FrequencyData,
-    NormWeights,
     build_secular_perturbation,
     normal_form_steps,
     nqp_primitive,
@@ -214,10 +213,9 @@ def test_criterion_8_normal_form_decay():
     series, freqs = build_secular_perturbation(
         spec, 0.45, 1000.0, 16000.0, 0.005, grid_shape=(16, 16, 20), fourier_cutoff=8
     )
-    w = NormWeights(rho=0.005, s=1.0, r=np.sqrt(1000.0), xi=np.sqrt(0.45))
-    result = normal_form_steps(series, freqs, N=3, weights=w)
+    result = normal_form_steps(series, freqs, N=3, s=1.0)
     osc = [s.osc_norm for s in result.steps]
-    osc.append(tf_norm(tf_average_split(result.f_star)[1], w))
+    osc.append(tf_norm(tf_average_split(result.f_star)[1], 1.0))
     ratios = [b / a for a, b in zip(osc, osc[1:])]
     residuals = [s.residual for s in result.steps]
     ok = (
@@ -244,7 +242,8 @@ def test_criterion_9_nqp_closed_form():
     freqs = FrequencyData.tabulate(
         box, shape, lambda I, y: omega_y + 0 * y, omega_I=[lambda I, y: omega_I + 0 * y]
     )
-    phi = nqp_primitive(f, freqs, basepoint=0.0)
+    # integrated from the lower x edge, 0.0, where the closed form vanishes
+    phi = nqp_primitive(f, freqs)
     grids = phi.grids()
     worst = 0.0
     for i in range(0, shape[0], 2):

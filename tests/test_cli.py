@@ -42,6 +42,29 @@ class TestConfig:
         with pytest.raises(Exception):
             load_config("/nonexistent/path.ini")
 
+    def test_directory_as_config_rejected(self, tmp_path, capsys):
+        # configparser.read skips a path it cannot open: a directory used to
+        # run on the defaults and exit 0
+        code, out = run(tmp_path, "--config", str(tmp_path), "portrait")
+        assert code == EXIT_CONFIG
+        assert "config file unreadable" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("--set", "hamiltonian.Lambda=1e-200", "evolve"),
+        ("--set", "hamiltonian.m0=1e-200", "check-theorem"),
+        ("--set", "hamiltonian.m0=1e120", "evolve"),
+        ("--set", "hamiltonian.Lambda=1e200", "check-theorem"),
+        ("--set", "domain.alpha_plus=1e308", "check-theorem"),
+        ("--set", "domain.alpha_minus=1e-300", "check-theorem"),
+    ], ids=["Lambda-1e-200", "m0-1e-200", "m0-1e120", "Lambda-1e200",
+            "alpha-plus-1e308", "alpha-minus-1e-300"])
+    def test_scales_past_the_float_range_are_input_errors(self, tmp_path, capsys, argv):
+        # each of these used to end in a traceback (exit 1)
+        code, _ = run(tmp_path, *argv)
+        assert code == EXIT_CONFIG
+        assert "outside the float range" in capsys.readouterr().err
+
     def test_malformed_field_names_culprit(self, tmp_path):
         path = write_config(tmp_path, "[domain]\nalpha_minus = -3\n")
         code = main(["--config", path, "check-theorem"])

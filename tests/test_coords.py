@@ -208,7 +208,7 @@ class TestRr:
 class TestCollisionGuard:
     @pytest.mark.parametrize("x", [1e-21, 1e-12, 2 * np.pi - 1e-12])
     def test_near_collision_raises(self, x):
-        from perilib.hamiltonians import HamiltonianSpec, energies
+        from perilib.hamiltonians import HamiltonianSpec, chart_named
 
         with pytest.raises(ValueError, match="collision"):
             rr_forward(1.0, 4.0, x)
@@ -216,7 +216,8 @@ class TestCollisionGuard:
             radial_radius(1.0, np.array([4.0, 4.0]), np.array([2.0, x]))
         spec = HamiltonianSpec(1, 1.0, 1.0, derive_mass_params(1.0, 1.0))
         with pytest.raises(ValueError, match="collision"):
-            energies(spec, [[0.5, 0.1, 4.0, 2.0], [0.5, 0.1, 4.0, x]], "action-angle")
+            chart_named("action-angle").energies(spec, np.array([[0.5, 0.1, 4.0, 2.0],
+                                                                 [0.5, 0.1, 4.0, x]]))
 
     def test_solve_accurate_outside_the_guard(self):
         # from X_COLLISION up, xi' agrees with its small-x series to 1e-8

@@ -12,7 +12,7 @@ from perilib.dynamics import (
     integrate,
     integrate_flow,
 )
-from perilib.hamiltonians import DomainError, HamiltonianSpec, energies
+from perilib.hamiltonians import DomainError, HamiltonianSpec, chart_named
 from perilib.potentials import SingularLocusError
 
 
@@ -212,7 +212,7 @@ class TestZeroDuration:
         assert traj.chart == state.chart
         assert np.array_equal(traj.times, [0.0])
         assert np.array_equal(traj.states, Z)
-        assert np.array_equal(traj.energies, energies(spec, Z, state.chart))
+        assert np.array_equal(traj.energies, chart_named(state.chart).energies(spec, Z))
         assert traj.events == [] and traj.energy_drift == 0.0
         assert detect_libration(traj, spec) == (0.0, 0, 0.0)
 

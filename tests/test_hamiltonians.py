@@ -17,11 +17,10 @@ from perilib.coords import (
 from perilib.hamiltonians import (
     DomainError,
     HamiltonianSpec,
-    _aa_perturbations,
-    aa_perturbation,
+    _one_row,
     aa_perturbation_at,
+    chart_named,
     check_domain,
-    energies,
     gradient,
     h_action_angle,
     h_secular,
@@ -72,6 +71,23 @@ def ref_v_radial(spec, r):
         return (-(bb / tot) * 2 * m0**2 / (s1 * (sr + s1))
                 - (b / tot) * 2 * m0**2 / (s2 * (sr + s2)))
     return -(bb / tot) * 2 * m0**2 / (s1 * (sr + s1)) - (b / tot) * m0**2 / r
+
+
+def ref_grad_fd(spec, state, step=1e-6):
+    """Central differences of the energy in the state's chart, with relative
+    step step: the oracle of the analytic gradient."""
+    energy = lambda z: chart_named(state.chart).energies(spec, z[None])[0]
+    z = state.as_array()
+    steps = step * np.maximum(1.0, np.abs(z))
+    return np.array([(energy(z + dz) - energy(z - dz)) / (2 * h)
+                     for dz, h in zip(np.diag(steps), steps)])
+
+
+def pert_of(spec, z):
+    """The action-angle perturbation at one (Gcal, gamma, y, x) row, as the
+    stacked energies compute it: r from the array Kepler solve."""
+    Gc, gam, y, x = np.asarray(z, dtype=float)[None].T
+    return aa_perturbation_at(spec, Gc, gam, radial_radius(spec.m0, y, x))[0]
 
 
 def make_spec(index=1, mu=1.0, kappa=1.0, frame="jacobi", m0=1.0, Lambda=1.0):
@@ -249,8 +265,8 @@ class TestGradient:
                 rng.uniform(8, 30),
                 rng.uniform(-np.pi, np.pi),
             )
-            ga = gradient(spec, st, method="analytic")
-            gf = gradient(spec, st, method="fd")
+            ga = gradient(spec, st)
+            gf = ref_grad_fd(spec, st)
             scale = np.maximum(np.abs(ga), 1e-3)
             assert np.max(np.abs(ga - gf) / scale) < 1e-6
 
@@ -264,15 +280,10 @@ class TestGradient:
                 rng.uniform(3.0, 6.0),
                 rng.uniform(0.7, 2 * np.pi - 0.7),
             )
-            ga = gradient(spec, st, method="analytic")
-            gf = gradient(spec, st, method="fd")
+            ga = gradient(spec, st)
+            gf = ref_grad_fd(spec, st)
             scale = np.maximum(np.abs(ga), 1e-3)
             assert np.max(np.abs(ga - gf) / scale) < 1e-6
-
-    @pytest.mark.parametrize("method", ["Analytic", "FD", "numeric", ""])
-    def test_unknown_method_rejected(self, method):
-        with pytest.raises(ValueError, match="method"):
-            gradient(make_spec(1), SecularState(0.1, 0.3, 10.0, 2.0), method=method)
 
 
 def test_spec_validation():
@@ -292,9 +303,18 @@ def test_spec_validation():
     (1, 1.0, float("inf"), "m0 and Lambda"),
     (2, 1.0, float("nan"), "m0 and Lambda"),
     (2, 1.0, 0.0, "m0 and Lambda"),
+    # scales past the float range
+    (2, 1.0, 1e-200, "float range"),  # Lambda^2 underflows to 0
+    (2, 1e-200, 1.0, "float range"),  # m0^3 underflows to 0, so a divides by zero
+    (2, 1e120, 1.0, "float range"),  # m0^3 overflows
+    (2, 1.0, 1e200, "float range"),  # Lambda^2 overflows
+    (1, 1e70, 1.0, "float range"),  # m0^5 overflows, m0^3 does not
+    (1, 1e-60, 1e100, "float range"),  # Lambda^2/m0^3 overflows, each power does not
 ])
 def test_spec_rejects_bad_inputs(index, m0, Lam, match):
-    # index=True used to run as index 1, m0 = NaN and Lambda = inf as given
+    # index=True used to run as index 1, m0 = NaN and Lambda = inf as given;
+    # the scales past the float range ended in a ZeroDivisionError or an
+    # OverflowError at the first energy, gradient or hypothesis check
     with pytest.raises(ValueError, match=match):
         HamiltonianSpec(index, m0, Lam, derive_mass_params(1, 1))
 
@@ -331,7 +351,7 @@ def test_spec_constants_are_their_closed_forms(index, frame, mu, kappa, m0, Lam,
 
 
 class TestStackedEnergies:
-    """energies on (n, 4) stacks against the scalar loops kept above."""
+    """Chart energies on (n, 4) stacks against the scalar loops kept above."""
 
     def draw(self, rng, chart, n):
         if chart == "secular":
@@ -350,7 +370,7 @@ class TestStackedEnergies:
                     else (ref_h_action_angle, ActionAngleState))
         # 150 rows through one f_eps_minus_one_grid call per term
         Z = self.draw(np.random.default_rng(30 + index), chart, 150)
-        got = energies(spec, Z, chart)
+        got = chart_named(chart).energies(spec, Z)
         expect = np.array([ref(spec, cls(*z)) for z in Z])
         assert got.shape == (150,)
         assert np.max(np.abs(got - expect) / np.abs(expect)) <= 1e-15
@@ -375,9 +395,9 @@ class TestStackedEnergies:
     def test_aa_perturbation_is_the_one_state_case(self):
         spec = make_spec(2)
         Z = self.draw(np.random.default_rng(33), "action-angle", 4)
-        whole = energies(spec, Z, "action-angle")
+        whole = chart_named("action-angle").energies(spec, Z)
         for z, E in zip(Z, whole):
-            pert = aa_perturbation(spec, ActionAngleState(*z))
+            pert = pert_of(spec, z)
             assert -(spec.m0**5) / (2 * (z[2] * z[2])) + pert == E
 
     @settings(max_examples=100, deadline=None)
@@ -398,10 +418,10 @@ class TestStackedEnergies:
         spec = make_spec(index)
         Z = np.array(rows)
         z = Z[pick % len(rows)]
-        E = energies(spec, Z, "action-angle")[pick % len(rows)]
+        E = chart_named("action-angle").energies(spec, Z)[pick % len(rows)]
         state = ActionAngleState(*z)
         assert float(h_action_angle(spec, state)).hex() == float(E).hex()
-        pert = aa_perturbation(spec, state)
+        pert = pert_of(spec, z)
         assert float(-(spec.m0**5) / (2 * (z[2] * z[2])) + pert).hex() == float(E).hex()
         # the sparse mesh of the normal form: Gcal, gamma, y and x each along
         # their own axis, r from (y, x); the kernel on the broadcast arrays
@@ -410,19 +430,22 @@ class TestStackedEnergies:
         got = aa_perturbation_at(spec, Gc, gam, radial_radius(spec.m0, y, x))
         stack = np.stack([a.ravel() for a in np.broadcast_arrays(Gc, gam, y, x)], axis=1)
         assert got.shape == (len(rows),) * 4
-        assert got.tobytes() == _aa_perturbations(spec, stack).reshape(got.shape).tobytes()
+        expect = aa_perturbation_at(spec, stack[:, 0], stack[:, 1],
+                                    radial_radius(spec.m0, stack[:, 2], stack[:, 3]))
+        assert got.tobytes() == expect.reshape(got.shape).tobytes()
 
     def test_kernel_guards_kept(self):
         spec = make_spec(1)
         with pytest.raises(DomainError):
-            energies(spec, [[0.1, 0.3, 10.0, 0.5], [0.1, 0.3, -1.0, 0.5]], "secular")
+            chart_named("secular").energies(spec, np.array([[0.1, 0.3, 10.0, 0.5],
+                                                          [0.1, 0.3, -1.0, 0.5]]))
         # the outer body next to the collision (x -> 0): a guard fires on
         # the stack as on the single state
         near = [0.5, 0.1, 4.0, 1e-21]
         with pytest.raises(ValueError):
             ref_h_action_angle(spec, ActionAngleState(*near))
         with pytest.raises(ValueError):
-            energies(spec, [[0.5, 0.1, 4.0, 2.0], near], "action-angle")
+            chart_named("action-angle").energies(spec, np.array([[0.5, 0.1, 4.0, 2.0], near]))
 
 
 class TestChartFromState:
@@ -441,8 +464,10 @@ class TestChartFromState:
             h_action_angle(make_spec(1), self.SEC)
 
     def test_aa_perturbation_rejects_secular_state(self):
+        # the one-state action-angle path takes its row through _one_row,
+        # which checks the class before any kernel runs
         with pytest.raises(TypeError, match="ActionAngleState"):
-            aa_perturbation(make_spec(1), self.SEC)
+            _one_row(self.SEC, ActionAngleState)
 
     def test_gradient_rejects_a_chart_argument(self):
         # the chart comes from the state: the old call form with the other
@@ -459,7 +484,7 @@ class TestChartFromState:
 
     def test_energies_rejects_unknown_chart_name(self):
         with pytest.raises(ValueError, match="chart must be"):
-            energies(make_spec(1), [[0.1, 0.3, 10.0, 2.0]], "polar")
+            chart_named("polar")
 
 
 class TestDomain:

@@ -7,11 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from perilib import chebyshev as ch
 from perilib.normalform import (
-    PLAIN_WEIGHTS,
+    PLAIN_S,
     STEP_LIE_ORDER,
     ContractionError,
     FrequencyData,
-    NormWeights,
     ShapeError,
     TFSeries,
     d_grid,
@@ -53,9 +52,9 @@ def expand(f):
     return out
 
 
-def ref_tf_norm(f, w=PLAIN_WEIGHTS):
+def ref_tf_norm(f, s=PLAIN_S):
     """sum over the keys present of sup |f_k| e^{s|k|}."""
-    return sum(float(np.max(np.abs(arr))) * math.exp(w.s * sum(abs(ki) for ki in k))
+    return sum(float(np.max(np.abs(arr))) * math.exp(s * sum(abs(ki) for ki in k))
                for (k, _, _), arr in f.coeffs.items())
 
 
@@ -102,13 +101,12 @@ def ref_poisson_bracket(f, g, fourier_cutoff=None):
     return out.prune()
 
 
-def ref_nqp_primitive(f_osc, freqs, basepoint=None, n_cc=33):
+def ref_nqp_primitive(f_osc, freqs, n_cc=33):
     """The per-node loop: an n_cc-node Clenshaw-Curtis rule and a Clenshaw
     evaluation at every x node of every mode, with the exponential kernel
-    e^{mu (tau - x)} of the integral along x."""
+    e^{mu (tau - x)} of the integral along x from the lower edge lo."""
     _, osc = tf_average_split(f_osc)
     lo, hi = f_osc.box[-1]
-    basepoint = lo if basepoint is None else basepoint
     xs = ch.nodes(f_osc.grid_shape[-1], lo, hi)
     out = f_osc.shell()
     inv_wy = 1.0 / freqs.omega_y
@@ -117,10 +115,10 @@ def ref_nqp_primitive(f_osc, freqs, basepoint=None, n_cc=33):
         cx = ch.vals_to_coeffs(arr, arr.ndim - 1)
         phi = np.empty_like(arr)
         for c, xc in enumerate(xs):
-            if abs(xc - basepoint) < 1e-15:
+            if abs(xc - lo) < 1e-15:
                 phi[..., c] = 0.0
                 continue
-            tau, wq = ch.clenshaw_curtis(n_cc, basepoint, xc)
+            tau, wq = ch.clenshaw_curtis(n_cc, lo, xc)
             fvals = ch.clenshaw(cx, arr.ndim - 1, tau, lo, hi)
             expf = np.exp(mu[..., None] * (tau - xc))
             phi[..., c] = inv_wy * np.sum(wq * fvals * expf, axis=-1)
@@ -128,38 +126,39 @@ def ref_nqp_primitive(f_osc, freqs, basepoint=None, n_cc=33):
     return out
 
 
-def ref_lie_sum(phi, seed, max_order, weights, divisor, rel_floor=1e-16):
-    """sum_j L^j(seed) / divisor(j), with L^j built by its own bracket chain."""
+def ref_lie_sum(phi, seed, max_order, s, divisor, rel_floor=1e-16):
+    """sum_j L^j(seed) / divisor(j), with L^j built by its own bracket chain
+    and norms of width s."""
     term, total = seed, seed * (1.0 / divisor(0))
-    base = ref_tf_norm(seed, weights) or 1.0
+    base = ref_tf_norm(seed, s) or 1.0
     for order in range(1, max_order + 1):
         term = ref_poisson_bracket(phi, term)
         total = total + term * (1.0 / divisor(order))
-        if ref_tf_norm(term, weights) / divisor(order) <= rel_floor * base:
+        if ref_tf_norm(term, s) / divisor(order) <= rel_floor * base:
             break
     return total.prune()
 
 
-def ref_normal_form_steps(f, freqs, N, w=PLAIN_WEIGHTS, max_order=14):
+def ref_normal_form_steps(f, freqs, N, s=PLAIN_S, max_order=14):
     """The step with a separate bracket chain for each sum: L^j(osc) for the
     Phi_2 tail (1/(j+1)!) and again for e^L(osc) (1/j!), on the full
     spectrum of f."""
     g, fj, rows = f.shell(), f.copy(), []
     for _ in range(N):
-        f_norm = ref_tf_norm(fj, w)
+        f_norm = ref_tf_norm(fj, s)
         avg, osc = tf_average_split(fj)
-        osc_norm = ref_tf_norm(osc, w)
+        osc_norm = ref_tf_norm(osc, s)
         phi = ref_nqp_primitive(osc, freqs)
         g_new = (g + avg).prune()
         tail = lambda j: math.factorial(j + 1)
-        f_next = osc + ref_lie_sum(phi, osc, max_order, w, tail) * -1.0
+        f_next = osc + ref_lie_sum(phi, osc, max_order, s, tail) * -1.0
         bracket_g = ref_poisson_bracket(phi, g_new)
         if bracket_g.coeffs:
-            f_next = f_next + ref_lie_sum(phi, bracket_g, max_order, w, tail)
-        f_next = f_next + (ref_lie_sum(phi, osc, max_order, w, math.factorial) - osc)
+            f_next = f_next + ref_lie_sum(phi, bracket_g, max_order, s, tail)
+        f_next = f_next + (ref_lie_sum(phi, osc, max_order, s, math.factorial) - osc)
         fj = f_next.prune(1e-300)
         rows.append((f_norm, osc_norm,
-                     ref_tf_norm(tf_average_split(fj)[1], w) / osc_norm))
+                     ref_tf_norm(tf_average_split(fj)[1], s) / osc_norm))
         g = g_new
     return g, fj, rows
 
@@ -451,17 +450,22 @@ class TestNorm:
     def test_single_mode_weighting(self):
         f = TFSeries(1, BOX, SHAPE)
         f.coeffs[((1,), (), ())] = 0.5 * np.ones(SHAPE, complex)
-        w = NormWeights(s=0.7)
         # the stored k = 1 stands for k = 1 and k = -1
-        assert abs(tf_norm(f, w) - 2 * 0.5 * np.exp(0.7)) < 1e-14
+        assert abs(tf_norm(f, 0.7) - 2 * 0.5 * np.exp(0.7)) < 1e-14
 
     def test_zero_series(self):
         f = TFSeries(2, BOX, SHAPE)
         assert tf_norm(f) == 0.0
 
+    @pytest.mark.parametrize("s", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_width_not_finite_and_positive(self, s):
+        f = TFSeries(2, BOX, SHAPE)
+        with pytest.raises(ValueError, match="finite and positive"):
+            tf_norm(f, s)
+
     def test_triangle_inequality(self):
         rng = np.random.default_rng(2)
-        w = NormWeights(s=0.4)
+        w = 0.4
         for _ in range(20):
             f = rand_series(rng)
             g = rand_series(rng)
@@ -516,7 +520,7 @@ class TestNqp:
         freqs = FrequencyData.tabulate(
             BOX, SHAPE, lambda I, y: omega_y + 0 * y, omega_I=[lambda I, y: omega_I + 0 * y]
         )
-        phi = nqp_primitive(f, freqs, basepoint=0.0)
+        phi = nqp_primitive(f, freqs)
         grids = phi.grids()
         II, YY, XX = np.meshgrid(*grids, indexing="ij")
         rng = np.random.default_rng(6)
@@ -556,12 +560,11 @@ class TestNqp:
         # plain x-antiderivative
         f = build(lambda I, p, y, x: np.cos(p) + 0 * I)
         freqs = FrequencyData.tabulate(BOX, SHAPE, lambda I, y: 1.5 + 0 * y)
-        phi = nqp_primitive(f, freqs, basepoint=0.0)
+        phi = nqp_primitive(f, freqs)
         res = homological_residual(phi, f, freqs)
         assert res.sup() < 1e-10
 
-    @pytest.mark.parametrize("basepoint", [None, "interior node", 1.234])
-    def test_matches_per_node_loop(self, basepoint):
+    def test_matches_per_node_loop(self):
         # n_x = 16 and 48; omega_I varying in I, in I and y, identically zero
         # and absent.  The data of the n_x = 48 grid carry random values along
         # x, beyond the polynomial part: there the reference takes n_x + 1
@@ -576,19 +579,14 @@ class TestNqp:
             if n_x > SHAPE[-1]:
                 for arr in osc.coeffs.values():
                     arr += 0.1 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
-            xs = ch.nodes(n_x, *BOX[-1])
-            b = xs[7] if basepoint == "interior node" else basepoint
             for omega_I in ([lambda I, y: 0.5 + 0.2 * I], [lambda I, y: 0.5 + 0.3 * I * y - 0.2 * y],
                             [lambda I, y: 0 * y], []):
                 freqs = FrequencyData.tabulate(BOX, shape, lambda I, y: 2.0 + 0.1 * y,
                                                omega_I=omega_I)
-                got = nqp_primitive(osc, freqs, basepoint=b)
+                got = nqp_primitive(osc, freqs)
                 if n_x == SHAPE[-1] or freqs.omega_I is None or not np.any(freqs.omega_I):
-                    expect = ref_nqp_primitive(osc, freqs, basepoint=b, n_cc=max(33, n_x + 1))
+                    expect = ref_nqp_primitive(osc, freqs, n_cc=max(33, n_x + 1))
                     assert_series_close(got, expect, 1e-13)
-                if basepoint == "interior node":
-                    for arr in got.coeffs.values():
-                        assert np.all(arr[..., 7] == 0.0)
 
     @pytest.mark.parametrize("n_x", [16, 48, 64])
     def test_exact_on_degree_n_minus_one(self, n_x):
@@ -616,10 +614,10 @@ class TestNqp:
         assert_series_close(nqp_primitive(f, freqs), expect, 1e-13)
 
     def test_integration_matrix_cached_read_only(self):
-        # S along x is built once per (n_x, x box, basepoint) and shared by
-        # every call and mode; writing into it is an error
-        S = ch.integration_matrix(16, 0.0, 2.0, 0.0)
-        assert ch.integration_matrix(16, 0.0, 2.0, 0.0) is S
+        # S along x is built once per (n_x, x box) and shared by every call
+        # and mode; writing into it is an error
+        S = ch.integration_matrix(16, 0.0, 2.0)
+        assert ch.integration_matrix(16, 0.0, 2.0) is S
         assert S.shape == (16, 16)
         assert not S.flags.writeable
         with pytest.raises(ValueError):
@@ -796,8 +794,7 @@ class TestHalfSpectrum:
     def test_norm_counts_the_implied_modes(self):
         rng = np.random.default_rng(126)
         f = rand_series(rng, cutoff=3)
-        w = NormWeights(rho=0.1, s=0.4, r=0.1, xi=0.1)
-        assert tf_norm(f, w) == pytest.approx(ref_tf_norm(expand(f), w), rel=1e-14)
+        assert tf_norm(f, 0.4) == pytest.approx(ref_tf_norm(expand(f), 0.4), rel=1e-14)
 
     @pytest.mark.parametrize("key", [((-1,), (), ()), ((-2,), (), ())])
     def test_constructor_rejects_negative_key(self, key):
@@ -871,7 +868,7 @@ class TestStreamedBracket:
 
     @staticmethod
     def assert_chain_matches(phi, H, max_order):
-        terms, _ = _lie_chain(_BracketSide(phi), H, max_order, PLAIN_WEIGHTS)
+        terms, _ = _lie_chain(_BracketSide(phi), H, max_order, PLAIN_S)
         expect = [H]
         for order in range(1, len(terms)):
             expect.append(two_sided_bracket(phi, expect[-1]) * (1.0 / order))
@@ -1242,8 +1239,8 @@ class TestSecularBuild:
     def test_desk_scale_roundtrip(self):
         # resampling oracle: the built band-limited series reproduces the
         # pointwise perturbation away from the grid
-        from perilib.coords import ActionAngleState, derive_mass_params
-        from perilib.hamiltonians import HamiltonianSpec, aa_perturbation
+        from perilib.coords import derive_mass_params, radial_radius
+        from perilib.hamiltonians import HamiltonianSpec, aa_perturbation_at
         from perilib.normalform import build_secular_perturbation
 
         spec = HamiltonianSpec(2, 1.0, 1.0, derive_mass_params(1.0, 0.02, "m0centric"))
@@ -1259,7 +1256,7 @@ class TestSecularBuild:
             gam = rng.uniform(0, 2 * np.pi)
             y = rng.uniform(2 * np.sqrt(1000) * 1.01, np.sqrt(16000) * 0.99)
             x = rng.uniform(2 * s + 0.01, 2 * np.pi - 2 * s - 0.01)
-            direct = aa_perturbation(spec, ActionAngleState(Gc, gam, y, x))
+            direct = aa_perturbation_at(spec, Gc, gam, radial_radius(spec.m0, y, x))
             built = series.evaluate([Gc], [gam], y, x)
             worst = max(worst, abs(direct - built) / abs(direct))
         assert worst < 1e-8
@@ -1423,7 +1420,7 @@ class TestNormalFormSteps:
         avg, osc = tf_average_split(f)
         phi = nqp_primitive(osc, freqs)
         s = poisson_bracket(phi, avg + osc) - osc
-        _, rep = _lie_chain(_BracketSide(phi), s, STEP_LIE_ORDER, PLAIN_WEIGHTS)
+        _, rep = _lie_chain(_BracketSide(phi), s, STEP_LIE_ORDER, PLAIN_S)
         assert step.lie_orders == rep.orders >= 2
         assert step.lie_ratio == pytest.approx(rep.ratio, rel=1e-12)
         assert 0 < step.lie_ratio < 1

@@ -77,6 +77,16 @@ class TestChecker:
         report = experiment_report(delta=0.3)  # above Lambda/4
         assert not report.passed
 
+    @pytest.mark.parametrize("alpha_minus, alpha_plus", [
+        (ALPHA_MINUS, 1e308),  # alpha_plus^3 and the ratio's 3/2 power overflow
+        (1e-300, ALPHA_PLUS),  # the ratio's 3/2 power overflows
+        (-ALPHA_MINUS, ALPHA_PLUS),  # the ratio's 3/2 power is complex
+    ], ids=["alpha-plus-1e308", "alpha-minus-1e-300", "alpha-minus-negative"])
+    def test_alphas_past_the_float_range_rejected(self, alpha_minus, alpha_plus):
+        # these used to end in an OverflowError
+        with pytest.raises(ValueError, match="alpha_minus=.* and alpha_plus="):
+            experiment_report(alpha_minus=alpha_minus, alpha_plus=alpha_plus)
+
 
 @pytest.fixture(scope="module")
 def outcome():
