@@ -6,6 +6,7 @@ xi' - sin(xi') = x that parametrizes the radial (e = 1) orbit of the outer
 body, including complex arguments on the analyticity strip of that orbit.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -209,6 +210,7 @@ def xi_prime_real(x, tol=DEFAULT_TOL):
     return _newton_radial(x, tol)[0]
 
 
+@functools.lru_cache(maxsize=128)
 def estimate_c0(eps0, grid_n=64, tol=1e-13):
     """Measure the domain constant c0 of the radial-orbit strip.
 
@@ -222,7 +224,12 @@ def estimate_c0(eps0, grid_n=64, tol=1e-13):
     half-plane may have one level more) into one Newton solve, which is
     elementwise, so c0 has the bits of walking them one after the other.
     The constant is only asserted to exist (positively) by the theory, so
-    it is measured, never hard-coded.
+    it is measured, never hard-coded; and as it depends on its arguments
+    alone, it is measured once per (eps0, grid_n, tol) in a process: later
+    calls return the cached np.float64 of the first (the arguments must be
+    hashable).  A rejected argument raises on every call and caches nothing.
+    An eps0 so small that an edge of the strip's real window rounds onto 0
+    or 2 pi (eps0 below about 1e-30) is rejected too.
     """
     if not 0.0 < eps0 < 1.0:
         raise ValueError("eps0 must lie in (0, 1)")
@@ -230,6 +237,11 @@ def estimate_c0(eps0, grid_n=64, tol=1e-13):
         raise ValueError("grid_n must be at least 16")
     s = np.sqrt(eps0)
     half = np.pi - 2 * s
+    # linspace keeps both edges exactly, and xi_prime_array needs them inside
+    # (0, 2 pi)
+    if not (np.pi - half > 0 and np.pi + half < 2 * np.pi):
+        raise ValueError("eps0=%r is too small: the real window pi -/+ (pi - 2 sqrt(eps0)) "
+                         "of the strip rounds onto 0 or 2*pi" % (eps0,))
     res = np.linspace(np.pi - half, np.pi + half, grid_n)
     ims = np.linspace(-s, s, grid_n)
     z = xi_prime_array(res, tol).astype(complex)

@@ -6,7 +6,8 @@ exist making its inequality system sufficient, without giving values.  The
 checker therefore evaluates every inequality under configurable surrogate
 constants (defaults C*=10, C_*=2) and reports measured left/right sides;
 passing it is a numerical illustration, not a proof.  The domain constant
-c0 is measured on the fly (see kepler.estimate_c0), never assumed.
+c0 is measured (see kepler.estimate_c0), never assumed: once per
+(eps0, grid_n, tol) in a process, so repeated checks at one eps0 share it.
 """
 
 import math
@@ -82,7 +83,10 @@ def check_libration_theorem(spec, eps0, delta, s0, alpha_minus, alpha_plus,
     C* delta/(beta_* Lambda) <= 1; the explicit holomorphy bound
     16 cosh(s0)^2 delta / Lambda < 1; the contraction bound defining N0; and
     the winding bound eta < 1.  Failure is data, not an error, except for
-    alphas whose powers below leave the float range: a ValueError.
+    alphas whose powers below leave the float range, and for c_lower, s0 and
+    delta (or a measured c0) that put inv_N0, N0, eta or T outside
+    (0, inf): a ValueError.  c0 is measured by kepler.estimate_c0, once
+    per eps0 in a process.
     """
     # negated, so that NaN fails; a power past the float range is NaN, and a
     # negative alpha fails on its cube before the ratio's complex power
@@ -98,7 +102,8 @@ def check_libration_theorem(spec, eps0, delta, s0, alpha_minus, alpha_plus,
     beta_low, beta_up = spec.beta_star, spec.beta_upper
     # out-of-range eps0 must surface as failed inequalities, not an
     # exception: NaN comparisons are False, so every c0-dependent row fails
-    c0 = estimate_c0(eps0, C0_GRID) if 0.0 < eps0 < 1.0 else math.nan
+    measured = 0.0 < eps0 < 1.0
+    c0 = estimate_c0(eps0, C0_GRID) if measured else math.nan
 
     ineqs = [
         Inequality("eps0-above-zero", 0.0, eps0),
@@ -120,28 +125,34 @@ def check_libration_theorem(spec, eps0, delta, s0, alpha_minus, alpha_plus,
     ]
 
     ratio32 = (alpha_plus / alpha_minus) ** 1.5
-    branch_angles = beta_low * Lam / (c0**2 * eps0**2 * delta * s0) * math.sqrt(
-        a / alpha_minus
-    )
-    branch_actions = beta_low / (c0**2 * eps0**2.5) * (a / alpha_minus)
-    inv_N0 = c_lower * max(branch_angles, branch_actions) * ratio32
-    contraction_rhs = c0**2 * eps0**2 * alpha_minus**2 / (2 * alpha_plus**2)
+    # c0 is a numpy float, so a quotient past the float range is 0 or inf
+    # with a warning; the check below rejects it instead
+    with np.errstate(all="ignore"):
+        branch_angles = beta_low * Lam / (c0**2 * eps0**2 * delta * s0) * math.sqrt(
+            a / alpha_minus
+        )
+        branch_actions = beta_low / (c0**2 * eps0**2.5) * (a / alpha_minus)
+        inv_N0 = c_lower * max(branch_angles, branch_actions) * ratio32
+        contraction_rhs = c0**2 * eps0**2 * alpha_minus**2 / (2 * alpha_plus**2)
+        N0 = 1.0 / inv_N0
+
+        eta = c_lower * max(
+            alpha_plus**2 / (beta_low * math.sqrt(alpha_minus**3 * a)),
+            alpha_plus**2
+            / (c0**2 * eps0**2.5 * alpha_minus**2)
+            * math.sqrt(a / alpha_minus),
+            alpha_plus**2
+            / (c0**2 * eps0**2 * alpha_minus**2)
+            * (Lam / (s0 * delta))
+            * 2.0 ** (-min(N0, 1022.0)),
+        )
+        T = Lam * alpha_plus**3 / (beta_low * m0**2 * a) * (3 * np.pi / eta)
+    # negated, so that NaN fails too; an unmeasured c0 is NaN, which is data
+    if measured and not all(0 < v < math.inf for v in (inv_N0, N0, eta, T)):
+        raise ValueError("c_lower=%r, s0=%r and delta=%r give N0, eta or T outside "
+                         "the float range" % (c_lower, s0, delta))
     ineqs.append(Inequality("contraction (defines N0)", inv_N0, contraction_rhs))
-    N0 = 1.0 / inv_N0
-
-    eta = c_lower * max(
-        alpha_plus**2 / (beta_low * math.sqrt(alpha_minus**3 * a)),
-        alpha_plus**2
-        / (c0**2 * eps0**2.5 * alpha_minus**2)
-        * math.sqrt(a / alpha_minus),
-        alpha_plus**2
-        / (c0**2 * eps0**2 * alpha_minus**2)
-        * (Lam / (s0 * delta))
-        * 2.0 ** (-min(N0, 1022.0)),
-    )
     ineqs.append(Inequality("winding", eta, 1.0))
-
-    T = Lam * alpha_plus**3 / (beta_low * m0**2 * a) * (3 * np.pi / eta)
     passed = all(iq.holds for iq in ineqs)
     return TheoremReport(
         ineqs,

@@ -154,7 +154,9 @@ def test_c0_grid_refinement_stable():
 
 
 def test_c0_extreme_eps0_finite():
-    for eps0 in (0.1, 0.9):
+    # 1e-30 is the smallest power of ten whose window keeps both edges
+    # inside (0, 2 pi)
+    for eps0 in (1e-30, 0.1, 0.9):
         v = estimate_c0(eps0, 32)
         assert np.isfinite(v) and v > 0
 
@@ -243,7 +245,8 @@ def ref_estimate_c0(eps0, grid_n, tol=1e-13):
 
 @pytest.mark.parametrize("eps0", [0.25, 0.05, 0.4])
 def test_c0_column_scan_matches_scalar_scan(eps0):
-    assert estimate_c0(eps0, 64) == ref_estimate_c0(eps0, 64)
+    # the scan itself, past the cache
+    assert estimate_c0.__wrapped__(eps0, 64) == ref_estimate_c0(eps0, 64)
 
 
 def ref_estimate_c0_two_walks(eps0, grid_n, tol=1e-13):
@@ -268,7 +271,7 @@ def ref_estimate_c0_two_walks(eps0, grid_n, tol=1e-13):
 @settings(max_examples=60, deadline=None)
 @given(eps0=st.floats(min_value=0.01, max_value=0.99), grid_n=st.integers(16, 64))
 def test_c0_stacked_half_planes_match_two_walks(eps0, grid_n):
-    assert estimate_c0(eps0, grid_n) == ref_estimate_c0_two_walks(eps0, grid_n)
+    assert estimate_c0.__wrapped__(eps0, grid_n) == ref_estimate_c0_two_walks(eps0, grid_n)
 
 
 @pytest.mark.parametrize("eps0, grid_n, middle", [
@@ -279,7 +282,44 @@ def test_c0_odd_grid_middle_level(eps0, grid_n, middle):
     ims = np.linspace(-np.sqrt(eps0), np.sqrt(eps0), grid_n)
     mid = ims[grid_n // 2]
     assert np.sign(mid) == middle and abs(mid) < 1e-15
-    assert estimate_c0(eps0, grid_n) == ref_estimate_c0_two_walks(eps0, grid_n)
+    assert estimate_c0.__wrapped__(eps0, grid_n) == ref_estimate_c0_two_walks(eps0, grid_n)
+
+
+# ---------------- the c0 cache ----------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(eps0=st.floats(min_value=0.01, max_value=0.99), grid_n=st.integers(16, 48))
+def test_c0_cache_returns_the_scan(eps0, grid_n):
+    c0 = estimate_c0(eps0, grid_n)
+    assert type(c0) is np.float64
+    assert c0 == estimate_c0.__wrapped__(eps0, grid_n)
+    hits = estimate_c0.cache_info().hits
+    assert estimate_c0(eps0, grid_n) is c0
+    assert estimate_c0.cache_info().hits == hits + 1
+
+
+@pytest.mark.parametrize("args", [
+    (0.0, 48), (1.0, 48), (-0.25, 48), (1.5, 48), (np.nan, 48), (0.25, 8), (0.25, 15)],
+    ids=["eps0-0", "eps0-1", "eps0-negative", "eps0-above-1", "eps0-nan", "grid-8",
+         "grid-15"])
+def test_c0_rejected_arguments_cache_nothing(args):
+    size = estimate_c0.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            estimate_c0(*args)
+        assert estimate_c0.cache_info().currsize == size
+
+
+@pytest.mark.parametrize("eps0", [1e-300, 1e-33, 1e-31])
+def test_c0_rejects_a_window_that_rounds_away(eps0):
+    # below about 1e-32 the window's lower edge pi - (pi - 2 sqrt(eps0))
+    # rounds to 0; at 1e-31, pi - 2 sqrt(eps0) is one ulp below pi, so the
+    # lower edge is above 0 but the upper edge rounds onto 2 pi
+    size = estimate_c0.cache_info().currsize
+    with pytest.raises(ValueError, match="eps0=%r" % eps0):
+        estimate_c0(eps0, 48)
+    assert estimate_c0.cache_info().currsize == size
 
 
 @settings(max_examples=60, deadline=None)

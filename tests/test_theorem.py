@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from perilib.coords import ActionAngleState, derive_mass_params
 from perilib.hamiltonians import HamiltonianSpec
+from perilib.kepler import estimate_c0
 from perilib.theorem import (
     check_libration_theorem,
     holomorphy_width_constant,
@@ -86,6 +89,26 @@ class TestChecker:
         # these used to end in an OverflowError
         with pytest.raises(ValueError, match="alpha_minus=.* and alpha_plus="):
             experiment_report(alpha_minus=alpha_minus, alpha_plus=alpha_plus)
+
+    @pytest.mark.parametrize("overrides", [
+        {"c_lower": 5e-324},  # inv_N0 underflows to 0, so N0 = 1/inv_N0 is inf
+        {"s0": 1e-320},  # the angle branch overflows: N0 = 0, eta = inf
+        {"delta": 1e-320},  # the same through delta
+    ], ids=["c-lower-5e-324", "s0-1e-320", "delta-1e-320"])
+    def test_derived_quantities_past_the_float_range_rejected(self, overrides):
+        # these used to give a report with N0, eta or T at 0 or inf, after a
+        # RuntimeWarning
+        with pytest.raises(ValueError, match="c_lower=.*, s0=.* and delta="):
+            experiment_report(**overrides)
+
+    def test_report_same_on_a_c0_miss_and_hit(self):
+        estimate_c0.cache_clear()
+        miss = experiment_report().as_dict()
+        assert estimate_c0.cache_info().misses == 1
+        hit = experiment_report().as_dict()
+        assert estimate_c0.cache_info().hits == 1
+        assert hit == miss
+        assert json.dumps(hit) == json.dumps(miss)
 
 
 @pytest.fixture(scope="module")
