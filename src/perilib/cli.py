@@ -137,9 +137,9 @@ KEYS = (
         lambda t: QuadratureSpec(int(t)).n_nodes),
     Key("integrator", "rtol", "1e-10", *POSITIVE),
     Key("integrator", "atol", "1e-10", *POSITIVE),
-    # solve_ivp's methods, listed here so that loading needs no scipy.integrate
-    Key("integrator", "method", "RK45",
-        *_choice("RK23", "RK45", "DOP853", "Radau", "BDF", "LSODA")),
+    # the embedded pairs of perilib.rk, listed here so that loading imports
+    # no integrator
+    Key("integrator", "method", "RK45", *_choice("RK45", "DOP853")),
     Key("integrator", "energy_tol", "1e-8", *POSITIVE),
     Key("theorem", "c_upper", "10.0", *POSITIVE),
     Key("theorem", "c_lower", "2.0", *POSITIVE),

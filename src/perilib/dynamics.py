@@ -1,9 +1,10 @@
 """Time integration of the secular flows, event bookkeeping and libration
 detection.
 
-States are integrated with an adaptive embedded Runge-Kutta pair
-(scipy's solve_ivp); symplecticity is monitored through the relative energy
-drift rather than enforced, since the Hamiltonians are non-separable.
+States are integrated with an adaptive embedded Runge-Kutta pair, RK45 or
+DOP853, stepped on floats by perilib.rk; symplecticity is monitored through
+the relative energy drift rather than enforced, since the Hamiltonians are
+non-separable.
 The start state's class decides the chart, with its canonical pairing,
 kernels and event series (see hamiltonians.CHARTS).
 """
@@ -30,7 +31,8 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class StepControl:
-    """Tolerances of the adaptive embedded pair."""
+    """Tolerances of the adaptive embedded pair, and the pair: "RK45" or
+    "DOP853" (any other method is a ValueError before the first step)."""
 
     rtol: float = 1e-10
     atol: float = 1e-10
@@ -62,9 +64,9 @@ def hamiltonian_flow_rhs(energy_grad, pairs):
     """Vector field of a 2-DOF Hamiltonian.
 
     pairs lists the (momentum index, coordinate index) of each canonical
-    pair within the state vector; energy_grad returns dH/dz in state order,
-    as an array.  The vector field is returned as a list of floats, which
-    the integrator converts once.
+    pair within the state vector; energy_grad takes the state as a list of
+    floats and returns dH/dz in state order, as an array.  The vector field
+    is returned as a list of floats, on which the integrator steps.
     """
 
     def rhs(t, z):
@@ -84,39 +86,30 @@ def hamiltonian_flow_rhs(energy_grad, pairs):
 def integrate_flow(energy, energy_grad, z0, T, step_ctrl=StepControl(),
                    events=None, pairs=SECULAR_PAIRS):
     """Integrate z' = J grad H for a 2-DOF system with the given canonical
-    pairing.
+    pairing, with the embedded pair step_ctrl.method (perilib.rk).
 
-    energy_grad acts on one bare state array; energy acts on the (n, 4)
-    stack of all output samples at once and returns their n energies.  A
+    energy_grad acts on one state, a list of floats; energy acts on the
+    (n, 4) stack of all output samples at once and returns their n energies.  A
     ValueError or SingularLocusError raised by either (the state left the
     domain) ends the run as IntegrationError.  Terminal events stop the run;
     the trajectory is sampled on a uniform grid of 2000 points, in
     integration order: the first sample is z0 at t = 0, for T < 0 too, and a
     terminal event's own sample comes last.  T must be finite and nonzero
-    (ValueError); integrate handles T = 0 itself.
+    (ValueError); integrate handles T = 0 itself.  The fourth value returned
+    is the integrator's rk.Solution: its status, events and counts.
     """
-    # solve_ivp's empty span (0, 0) returns no array to sample
+    # an empty span (0, 0) has no step to take
     if not 0 < abs(T) < math.inf:
         raise ValueError("duration T must be finite and nonzero, got %r" % (T,))
-    # imported here: scipy.integrate costs about 0.5 s to import, which
-    # commands that never integrate should not pay
-    from scipy.integrate import solve_ivp
+    # imported here, as the commands that never integrate do not need it
+    from .rk import solve
 
-    sol = solve_ivp(
-        hamiltonian_flow_rhs(energy_grad, pairs),
-        (0.0, T),
-        np.asarray(z0, dtype=float),
-        method=step_ctrl.method,
-        rtol=step_ctrl.rtol,
-        atol=step_ctrl.atol,
-        t_eval=np.linspace(0.0, T, 2000),
-        events=events,
-        dense_output=False,
-    )
+    sol = solve(hamiltonian_flow_rhs(energy_grad, pairs), (0.0, T), z0,
+                np.linspace(0.0, T, 2000), step_ctrl.method, step_ctrl.rtol,
+                step_ctrl.atol, events)
     if sol.status == -1:
         raise IntegrationError(sol.message)
-    times = sol.t
-    states = sol.y.T
+    times, states = sol.times, sol.states
     if sol.status == 1 and sol.t_events is not None:
         # append the terminal-event sample itself, the last in integration
         # order, unless a grid sample already lies at its time
@@ -152,8 +145,9 @@ def integrate(spec, state0, T, *, step_ctrl=StepControl(),
         raise ValueError("duration T must be finite, got %r" % (T,))
     chart = chart_of(state0)
     check_domain(spec, state0)
-    # the state's fields as floats, so that its gradient computes in floats
-    grad = lambda z: gradient(spec, chart.state(*z.tolist()))
+    # the integrator's state is a list of floats, so the gradient computes
+    # in floats
+    grad = lambda z: gradient(spec, chart.state(*z))
     energy = lambda Z: chart.energies(spec, Z)
     if T == 0:
         Z = np.array([state0.as_array()], dtype=float)

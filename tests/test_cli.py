@@ -113,6 +113,18 @@ class TestConfig:
         assert err.count("\n") == 1 and key in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", ["RK23", "Radau", "BDF", "LSODA"])
+    def test_integrator_method_is_one_of_the_two_pairs(self, tmp_path, capsys, method):
+        # perilib.rk steps RK45 and DOP853 only; the other solve_ivp
+        # methods are config errors naming the two
+        code, out = run(tmp_path, "--set", "integrator.method=" + method, "evolve")
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "integrator.method" in err and "'RK45'" in err and "'DOP853'" in err
+        assert not out.exists()
+        assert load_config(None, ["integrator.method=DOP853"]).integrator.method == "DOP853"
+
     @pytest.mark.parametrize("text, key", [
         ("[domian]\neps0 = 0.9\n", "domian.eps0"),
         ("[domain]\neps_0 = 0.9\n", "domain.eps_0"),
