@@ -118,6 +118,7 @@ FLOAT = "a float", float
 FINITE = "a finite float", _checked(float, math.isfinite)
 POSITIVE = "a finite float > 0", _checked(float, lambda v: 0 < v < math.inf)
 NONNEGATIVE = "a finite float >= 0", _checked(float, lambda v: 0 <= v < math.inf)
+RTOL_FLOOR = 100 * sys.float_info.epsilon
 
 # The config schema: every key, its default and its rule.  A file or --set
 # naming any other key is rejected, and so is a value that breaks its rule.
@@ -135,7 +136,9 @@ KEYS = (
     Key("domain", "alpha_plus", "3.2e5", *POSITIVE),
     Key("quadrature", "n_nodes", "256", "an even int >= 32",
         lambda t: QuadratureSpec(int(t)).n_nodes),
-    Key("integrator", "rtol", "1e-10", *POSITIVE),
+    # perilib.rk's floor on rtol, which rounding keeps a step from meeting
+    Key("integrator", "rtol", "1e-10", "a finite float >= 100 * EPS = %r" % RTOL_FLOOR,
+        _checked(float, lambda v: RTOL_FLOOR <= v < math.inf)),
     Key("integrator", "atol", "1e-10", *POSITIVE),
     # the embedded pairs of perilib.rk, listed here so that loading imports
     # no integrator
@@ -154,7 +157,6 @@ KEYS = (
     Key("normalform", "steps", "3", *_int(0)),
     Key("normalform", "fourier_cutoff", "8", *_int(0)),
     Key("normalform", "grid", "16, 16, 24", *_list(_int(1), 3)),
-    Key("normalform", "n_phi", "64", *_int(1)),
 )
 # configparser folds key names to lower case, so lookups do too
 _BY_NAME = {(k.section, k.name.lower()): k for k in KEYS}
@@ -401,7 +403,6 @@ def cmd_normalform(cfg, out_dir, seed):
     series, freqs = build_secular_perturbation(
         cfg.spec(), d.eps0, d.alpha_minus, d.alpha_plus, d.delta,
         grid_shape=tuple(nf.grid), fourier_cutoff=nf.fourier_cutoff,
-        n_phi=nf.n_phi,
     )
     result = normal_form_steps(series, freqs, N, residual_rtol=RESIDUAL_RTOL)
     table = [asdict(s) for s in result.steps] or [asdict(NormalFormStep(

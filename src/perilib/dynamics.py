@@ -1,10 +1,11 @@
 """Time integration of the secular flows, event bookkeeping and libration
 detection.
 
-States are integrated with an adaptive embedded Runge-Kutta pair, RK45 or
-DOP853, stepped on floats by perilib.rk; symplecticity is monitored through
-the relative energy drift rather than enforced, since the Hamiltonians are
-non-separable.
+integrate is the one flow entry point: it builds the vector field J grad H
+on floats and steps it with rk.solve, an adaptive embedded Runge-Kutta pair
+(RK45 or DOP853), then samples, guards and annotates the run.
+Symplecticity is monitored through the relative energy drift rather than
+enforced, since the Hamiltonians are non-separable.
 The start state's class decides the chart, with its canonical pairing,
 kernels and event series (see hamiltonians.CHARTS).
 """
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hamiltonians import SECULAR_PAIRS, chart_named, chart_of, check_domain, gradient
+from .hamiltonians import chart_named, chart_of, check_domain, gradient
 from .potentials import SingularLocusError
 
 DEFAULT_ENERGY_TOL = 1e-8
@@ -60,82 +61,25 @@ class Trajectory:
         return float(np.max(np.abs(self.energies - e0)) / max(abs(e0), 1e-300))
 
 
-def hamiltonian_flow_rhs(energy_grad, pairs):
-    """Vector field of a 2-DOF Hamiltonian.
-
-    pairs lists the (momentum index, coordinate index) of each canonical
-    pair within the state vector; energy_grad takes the state as a list of
-    floats and returns dH/dz in state order, as an array.  The vector field
-    is returned as a list of floats, on which the integrator steps.
-    """
-
-    def rhs(t, z):
-        try:
-            dH = energy_grad(z).tolist()
-        except (ValueError, SingularLocusError) as exc:  # DomainError, chart maps, f_eps
-            raise IntegrationError("state left the domain at t=%.17g: %s" % (t, exc)) from exc
-        out = [0.0] * len(dH)
-        for ip, iq in pairs:
-            out[ip] = -dH[iq]
-            out[iq] = dH[ip]
-        return out
-
-    return rhs
-
-
-def integrate_flow(energy, energy_grad, z0, T, step_ctrl=StepControl(),
-                   events=None, pairs=SECULAR_PAIRS):
-    """Integrate z' = J grad H for a 2-DOF system with the given canonical
-    pairing, with the embedded pair step_ctrl.method (perilib.rk).
-
-    energy_grad acts on one state, a list of floats; energy acts on the
-    (n, 4) stack of all output samples at once and returns their n energies.  A
-    ValueError or SingularLocusError raised by either (the state left the
-    domain) ends the run as IntegrationError.  Terminal events stop the run;
-    the trajectory is sampled on a uniform grid of 2000 points, in
-    integration order: the first sample is z0 at t = 0, for T < 0 too, and a
-    terminal event's own sample comes last.  T must be finite and nonzero
-    (ValueError); integrate handles T = 0 itself.  The fourth value returned
-    is the integrator's rk.Solution: its status, events and counts.
-    """
-    # an empty span (0, 0) has no step to take
-    if not 0 < abs(T) < math.inf:
-        raise ValueError("duration T must be finite and nonzero, got %r" % (T,))
-    # imported here, as the commands that never integrate do not need it
-    from .rk import solve
-
-    sol = solve(hamiltonian_flow_rhs(energy_grad, pairs), (0.0, T), z0,
-                np.linspace(0.0, T, 2000), step_ctrl.method, step_ctrl.rtol,
-                step_ctrl.atol, events)
-    if sol.status == -1:
-        raise IntegrationError(sol.message)
-    times, states = sol.times, sol.states
-    if sol.status == 1 and sol.t_events is not None:
-        # append the terminal-event sample itself, the last in integration
-        # order, unless a grid sample already lies at its time
-        for te, ze in zip(sol.t_events, sol.y_events):
-            if len(te) and (te[-1] - times[-1]) * T > 0:
-                times = np.append(times, te[-1])
-                states = np.vstack([states, ze[-1]])
-    try:
-        return times, states, energy(states), sol
-    except (ValueError, SingularLocusError) as exc:
-        raise IntegrationError("a sample left the domain: %s" % exc) from exc
-
-
 def integrate(spec, state0, T, *, step_ctrl=StepControl(),
               energy_tol=DEFAULT_ENERGY_TOL, domain_guard=None):
-    """Flow of the reduced Hamiltonian from state0 for duration T, in the
-    chart of state0's class (SecularState or ActionAngleState).
+    """Flow z' = J grad H of the reduced Hamiltonian from state0 for duration
+    T, in the chart of state0's class (SecularState or ActionAngleState),
+    stepped by perilib.rk with the embedded pair step_ctrl.method.
 
     A non-finite T raises ValueError, and state0 outside the physical domain
-    DomainError (see hamiltonians.check_domain); leaving it, or f_eps's
-    singular locus, during the run raises IntegrationError.  T = 0 gives the
-    one-sample trajectory of state0, with no events.
+    DomainError (see hamiltonians.check_domain), before a step.  The
+    trajectory is sampled on a uniform grid of 2000 points, in integration
+    order: the first sample is state0 at t = 0, for T < 0 too.  T = 0 gives
+    the one-sample trajectory of state0, with no events.  Leaving the
+    domain, or f_eps's singular locus, at a step or at a sample raises
+    IntegrationError, as does a step size that falls below the float
+    spacing.
 
     domain_guard, when given, is a scalar function of the bare state that is
     positive inside the admissible domain; its zero crossing stops the run
-    and records a domain-exit event.  Squeeze events (sign changes of G) are
+    and records a domain-exit event, whose own sample comes last unless a
+    grid sample lies at its time.  Squeeze events (sign changes of G) are
     detected on the sampled output; the winding-2pi event marks the first
     time the unwrapped angle has varied by 2*pi.
 
@@ -145,13 +89,22 @@ def integrate(spec, state0, T, *, step_ctrl=StepControl(),
         raise ValueError("duration T must be finite, got %r" % (T,))
     chart = chart_of(state0)
     check_domain(spec, state0)
-    # the integrator's state is a list of floats, so the gradient computes
-    # in floats
-    grad = lambda z: gradient(spec, chart.state(*z))
-    energy = lambda Z: chart.energies(spec, Z)
     if T == 0:
         Z = np.array([state0.as_array()], dtype=float)
-        return Trajectory(np.zeros(1), Z, energy(Z), chart.name)
+        return Trajectory(np.zeros(1), Z, chart.energies(spec, Z), chart.name)
+
+    def rhs(t, z):
+        # the integrator's state is a list of floats, so the gradient
+        # computes in floats; the slope goes back as a list too
+        try:
+            dH = gradient(spec, chart.state(*z)).tolist()
+        except (ValueError, SingularLocusError) as exc:  # DomainError, chart maps, f_eps
+            raise IntegrationError("state left the domain at t=%.17g: %s" % (t, exc)) from exc
+        out = [0.0] * len(dH)
+        for ip, iq in chart.pairs:
+            out[ip] = -dH[iq]
+            out[iq] = dH[ip]
+        return out
 
     events = None
     if domain_guard is not None:
@@ -159,11 +112,25 @@ def integrate(spec, state0, T, *, step_ctrl=StepControl(),
         guard.terminal = True
         events = [guard]
 
-    times, states, sample_energies, sol = integrate_flow(
-        energy, grad, state0.as_array(), T, step_ctrl, events, chart.pairs
-    )
-    traj = Trajectory(times, states, sample_energies, chart.name)
+    # imported here, as the commands that never integrate do not need it
+    from .rk import solve
+
+    sol = solve(rhs, (0.0, T), state0.as_array(), np.linspace(0.0, T, 2000),
+                step_ctrl.method, step_ctrl.rtol, step_ctrl.atol, events)
+    if sol.status == -1:
+        raise IntegrationError(sol.message)
+    times, states = sol.times, sol.states
     exited = sol.status == 1
+    if exited:
+        te, ze = sol.t_events[0][-1], sol.y_events[0][-1]
+        if (te - times[-1]) * T > 0:
+            times = np.append(times, te)
+            states = np.vstack([states, ze])
+    try:
+        energies = chart.energies(spec, states)
+    except (ValueError, SingularLocusError) as exc:
+        raise IntegrationError("a sample left the domain: %s" % exc) from exc
+    traj = Trajectory(times, states, energies, chart.name)
     if exited:
         traj.events.append((times[-1], "domain-exit"))
     _annotate_events(traj, spec)

@@ -603,8 +603,7 @@ def lie_transform(H, phi, max_order=16):
 
 
 def build_secular_perturbation(spec, eps0, alpha_minus, alpha_plus, delta,
-                               grid_shape=(8, 8, 16), fourier_cutoff=8,
-                               n_phi=64):
+                               grid_shape=(8, 8, 16), fourier_cutoff=8):
     """Band-limited series of the action-angle perturbation of the reduced
     Hamiltonian (hamiltonians.aa_perturbation_at) on the libration domain
     D of hamiltonians.libration_box.
@@ -612,7 +611,9 @@ def build_secular_perturbation(spec, eps0, alpha_minus, alpha_plus, delta,
     The box is D's (Gcal, y, x) intervals; the full energy is
     -m0^5/(2 y^2) + the returned series, and the matching drift frequency is
     omega_y = m0^5/y^3, with omega_I absent (the drift has no Gcal
-    frequency).  A D outside the chart is a ValueError.
+    frequency).  A D outside the chart is a ValueError.  The angle gamma is
+    sampled at n_phi = max(64, 4 (fourier_cutoff + 1)) points, a multiple
+    of 4.
 
     Returns (series, FrequencyData).
     """
@@ -621,9 +622,10 @@ def build_secular_perturbation(spec, eps0, alpha_minus, alpha_plus, delta,
 
     # gamma enters only through cos^2(gamma), which is pi-periodic and even:
     # under exact symmetry sample k equals sample fold(k) <= P/2 (P = n_phi/2
-    # folds both symmetries; an odd n_phi has only k <-> n_phi - k), so the
-    # perturbation is evaluated on those columns and copied to the others
-    P = n_phi // 2 if n_phi % 2 == 0 else n_phi
+    # folds both symmetries), so the perturbation is evaluated on those
+    # columns and copied to the others
+    n_phi = max(64, 4 * (fourier_cutoff + 1))
+    P = n_phi // 2
     k = np.arange(n_phi) % P
     fold = np.minimum(k, P - k)
     cols = slice(0, P // 2 + 1)

@@ -20,7 +20,6 @@ SciPy Developers, under the BSD 3-Clause license.
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -465,11 +464,13 @@ def solve(fun, t_span, y0, t_eval, method, rtol, atol, events=None):
 
     fun takes a time and the state, a list of 4 floats, and returns the
     slope as 4 floats.  t_eval lists the output times, inside t_span and in
-    integration order.  Each event is a scalar function event(t, y) whose
-    zeros are located, with solve_ivp's optional attributes: terminal (a
-    positive int n stops the run at the event's n-th zero) and direction
-    (> 0 or < 0: only rising or only falling zeros count).  Returns a
-    Solution.
+    integration order.  A method other than RK45 and DOP853, an rtol below
+    100 * EPS or a negative atol (NaN included) is a ValueError before any
+    evaluation.
+    Each event is a scalar function event(t, y) whose zeros are located,
+    with solve_ivp's optional attributes: terminal (a positive int n stops
+    the run at the event's n-th zero) and direction (> 0 or < 0: only
+    rising or only falling zeros count).  Returns a Solution.
     """
     pair = PAIRS.get(method)
     if pair is None:
@@ -478,12 +479,13 @@ def solve(fun, t_span, y0, t_eval, method, rtol, atol, events=None):
     y = [float(v) for v in y0]
     if len(y) != 4 or not all(map(math.isfinite, y)):
         raise ValueError("the initial state y0 must be 4 finite floats, got %r" % (y0,))
-    if rtol < 100 * EPS:
-        warnings.warn("rtol is below 100 * EPS; setting rtol = %r" % (100 * EPS),
-                      stacklevel=2)
-        rtol = 100 * EPS
-    if atol < 0:
-        raise ValueError("atol must be nonnegative")
+    if not rtol >= 100 * EPS:
+        # solve_ivp would step at 100 EPS instead: a run at another
+        # tolerance than the one asked for
+        raise ValueError("rtol must be at least 100 * EPS = %r, got %r" % (100 * EPS, rtol))
+    if not atol >= 0:
+        # a NaN atol makes every step size NaN, which no check ever ends
+        raise ValueError("atol must be nonnegative, got %r" % (atol,))
     t_eval = np.asarray(t_eval, dtype=float).tolist()
     direction = 1.0 if t_bound >= t0 else -1.0
 

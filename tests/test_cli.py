@@ -113,6 +113,17 @@ class TestConfig:
         assert err.count("\n") == 1 and key in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("duration", ["20", "0"])
+    @pytest.mark.parametrize("rtol", ["1e-300", "2.2e-14"])
+    def test_rtol_below_100_eps_exits_config(self, tmp_path, capsys, rtol, duration):
+        # perilib.rk refuses it rather than stepping at another tolerance
+        code, out = run(tmp_path, "--set", "integrator.rtol=" + rtol,
+                        "evolve", "--duration", duration)
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "integrator.rtol" in err and "100 * EPS" in err
+        assert not (out / "trajectory.csv").exists()
+
     @pytest.mark.parametrize("method", ["RK23", "Radau", "BDF", "LSODA"])
     def test_integrator_method_is_one_of_the_two_pairs(self, tmp_path, capsys, method):
         # perilib.rk steps RK45 and DOP853 only; the other solve_ivp

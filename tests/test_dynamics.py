@@ -1,16 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from perilib import hamiltonians, rk
 from perilib.coords import ActionAngleState, SecularState, derive_mass_params
 from perilib.dynamics import (
-    SECULAR_PAIRS,
     IntegrationError,
     StepControl,
     Trajectory,
     _annotate_events,
     detect_libration,
     integrate,
-    integrate_flow,
 )
 from perilib.hamiltonians import DomainError, HamiltonianSpec, chart_named
 from perilib.potentials import SingularLocusError
@@ -20,32 +21,8 @@ def make_spec(index=1):
     return HamiltonianSpec(index, 1.0, 1.0, derive_mass_params(1.0, 1.0, "jacobi"))
 
 
-class TestHarness:
-    def test_harmonic_oscillator_period_and_drift(self):
-        # harness-only test Hamiltonian (R^2 + r^2)/2 in the (R, r) pair;
-        # energy receives the (n, 4) stack of samples
-        energy = lambda Z: 0.5 * (Z[:, 0] ** 2 + Z[:, 2] ** 2)
-        grad = lambda z: np.array([z[0], 0.0, z[2], 0.0])
-        crossings = []
-
-        def rising_R(t, z):
-            return z[0]
-
-        rising_R.direction = 1.0
-        times, states, energies, sol = integrate_flow(
-            energy,
-            grad,
-            np.array([0.0, 0.0, 1.0, 0.0]),
-            4.0 * np.pi,
-            StepControl(rtol=1e-12, atol=1e-12),
-            events=[rising_R],
-            pairs=SECULAR_PAIRS,
-        )
-        # period = spacing of consecutive same-direction zero crossings of R
-        period = sol.t_events[0][-1] - sol.t_events[0][-2]
-        assert abs(period - 2 * np.pi) < 1e-8
-        drift = np.max(np.abs(energies - energies[0])) / abs(energies[0])
-        assert drift < 1e-10
+def no_step(*args, **kwargs):
+    raise AssertionError("the flow was stepped")
 
 
 class TestInvariantManifolds:
@@ -201,16 +178,19 @@ class TestEnergyAccounting:
 
 
 class TestZeroDuration:
-    @pytest.mark.parametrize("index, state", [
-        (1, SecularState(0.1, 0.2, 50.0, 0.3)),
-        (2, ActionAngleState(0.9, 0.3, 10.0, 2.0)),
-    ])
-    def test_one_sample_at_the_start_state(self, index, state):
+    @pytest.mark.parametrize("index, state, T", [
+        (1, SecularState(0.1, 0.2, 50.0, 0.3), 0.0),
+        (2, ActionAngleState(0.9, 0.3, 10.0, 2.0), 0.0),
+        (1, SecularState(0.1, 0.2, 50.0, 0.3), -0.0),
+        (2, ActionAngleState(0.9, 0.3, 10.0, 2.0), -0.0),
+    ], ids=["1-state0", "2-state1", "1-state0-minus-zero", "2-state1-minus-zero"])
+    def test_one_sample_at_the_start_state(self, monkeypatch, index, state, T):
         spec = make_spec(index)
-        traj = integrate(spec, state, 0.0)
+        monkeypatch.setattr(rk, "solve", no_step)
+        traj = integrate(spec, state, T)
         Z = state.as_array()[None]
         assert traj.chart == state.chart
-        assert np.array_equal(traj.times, [0.0])
+        assert traj.times.tobytes() == np.zeros(1).tobytes()
         assert np.array_equal(traj.states, Z)
         assert np.array_equal(traj.energies, chart_named(state.chart).energies(spec, Z))
         assert traj.events == [] and traj.energy_drift == 0.0
@@ -227,10 +207,7 @@ class TestZeroDuration:
 
 @pytest.mark.parametrize("T", [np.nan, np.inf, -np.inf])
 def test_non_finite_duration_rejected_before_a_step(monkeypatch, T):
-    def no_step(*args, **kwargs):
-        raise AssertionError("integrated a non-finite duration")
-
-    monkeypatch.setattr("perilib.dynamics.integrate_flow", no_step)
+    monkeypatch.setattr(rk, "solve", no_step)
     with pytest.raises(ValueError, match="must be finite"):
         integrate(make_spec(1), SecularState(0.1, 0.2, 50.0, 0.3), T)
 
@@ -280,19 +257,67 @@ def test_singular_locus_mid_run_is_an_integration_error():
     assert isinstance(info.value.__cause__, SingularLocusError)
 
 
-def test_singular_locus_in_the_sample_energies_is_an_integration_error():
-    def energy(Z):
+def test_singular_locus_in_the_sample_energies_is_an_integration_error(monkeypatch):
+    # the run steps on the gradient; only the samples' energies fail
+    def energies(spec, Z):
         raise SingularLocusError("f_eps past N_MAX")
 
-    with pytest.raises(IntegrationError, match="f_eps past N_MAX"):
-        integrate_flow(energy, lambda z: np.zeros(4), np.ones(4), 1.0)
+    chart = hamiltonians.CHARTS["secular"]
+    monkeypatch.setitem(hamiltonians.CHARTS, "secular",
+                        dataclasses.replace(chart, energies=energies))
+    with pytest.raises(IntegrationError, match="a sample left the domain: f_eps past N_MAX"):
+        integrate(make_spec(1), SecularState(0.1, 0.2, 50.0, 0.3), 1.0)
 
 
-@pytest.mark.parametrize("T", [0.0, -0.0, float("nan"), float("inf"), -float("inf")])
-def test_integrate_flow_refuses_a_duration_before_a_step(T):
-    # solve_ivp's span (0, 0) returned no array to sample: AttributeError
-    def no_step(*args, **kwargs):
-        raise AssertionError("the flow was evaluated")
+def test_step_size_failure_is_an_integration_error(monkeypatch):
+    # rk.solve's status -1: the step size fell below the float spacing
+    solve = rk.solve
 
-    with pytest.raises(ValueError, match="duration T must be finite and nonzero"):
-        integrate_flow(no_step, no_step, np.ones(4), T)
+    def too_small(*args, **kwargs):
+        return dataclasses.replace(solve(*args, **kwargs), status=-1,
+                                   message=rk.TOO_SMALL_STEP)
+
+    monkeypatch.setattr(rk, "solve", too_small)
+    with pytest.raises(IntegrationError, match="spacing between numbers"):
+        integrate(make_spec(1), SecularState(0.1, 0.2, 50.0, 0.3), 1.0)
+
+
+class TestDomainExitSample:
+    """A domain exit's own sample comes last, unless a grid sample lies at
+    its time.  r rises from 100 forward and falls backward along M0."""
+
+    STATE = SecularState(0.1, 0.0, 100.0, 0.0)
+
+    @pytest.mark.parametrize("T, r_exit", [(200.0, 110.0), (-150.0, 90.0)])
+    def test_exit_between_grid_samples_adds_one_sample(self, T, r_exit):
+        spec = make_spec(1)
+        traj = integrate(spec, self.STATE, T,
+                         domain_guard=lambda z: np.sign(T) * (r_exit - z[2]))
+        grid = np.linspace(0.0, T, 2000)
+        n = len(traj.times) - 1
+        assert 0 < n < len(grid)
+        assert np.array_equal(traj.times[:n], grid[:n])
+        t_exit = traj.times[-1]
+        assert abs(grid[n - 1]) < abs(t_exit) < abs(grid[n])
+        assert abs(traj.states[-1, 2] - r_exit) < 1e-9
+        assert (t_exit, "domain-exit") in traj.events
+        assert traj.energies.shape == (n + 1,)
+
+    def test_exit_on_a_grid_sample_adds_none(self, monkeypatch):
+        # a flow cannot be steered onto a grid time, so the run's Solution
+        # is crafted: cut at sample 1000, its event at that sample's time
+        solve = rk.solve
+
+        def exit_on_the_grid(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            return dataclasses.replace(sol, times=sol.times[:1001], states=sol.states[:1001],
+                                       status=1, message=rk.MESSAGES[1],
+                                       t_events=[sol.times[1000:1001]],
+                                       y_events=[sol.states[1000:1001]])
+
+        monkeypatch.setattr(rk, "solve", exit_on_the_grid)
+        traj = integrate(make_spec(1), self.STATE, 200.0, domain_guard=lambda z: 1.0)
+        grid = np.linspace(0.0, 200.0, 2000)
+        assert np.array_equal(traj.times, grid[:1001])
+        assert traj.states.shape == (1001, 4)
+        assert (grid[1000], "domain-exit") in traj.events

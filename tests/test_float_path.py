@@ -123,23 +123,6 @@ def ref_gradient(spec, state):
     return kernel(spec, state)
 
 
-def ref_flow_rhs(energy_grad, pairs):
-    """The flow right-hand side building one array per call."""
-
-    def rhs(t, z):
-        try:
-            dH = energy_grad(z)
-        except ValueError as exc:
-            raise IntegrationError("state left the domain at t=%.17g: %s" % (t, exc)) from exc
-        out = np.empty_like(dH)
-        for ip, iq in pairs:
-            out[ip] = -dH[iq]
-            out[iq] = dH[ip]
-        return out
-
-    return rhs
-
-
 def outcome(f, *args):
     """f(*args) as exact bytes, or the type and text of what it raised."""
     try:
@@ -241,7 +224,6 @@ def test_flow_matches_the_reference_kernels(monkeypatch, index, state):
     run = lambda: integrate(spec, state, 40.0, step_ctrl=StepControl(1e-10, 1e-10))
     traj = run()
     monkeypatch.setattr(dynamics, "gradient", ref_gradient)
-    monkeypatch.setattr(dynamics, "hamiltonian_flow_rhs", ref_flow_rhs)
     ref = run()
     assert traj.times.tobytes() == ref.times.tobytes()
     assert traj.states.tobytes() == ref.states.tobytes()

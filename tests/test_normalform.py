@@ -1261,9 +1261,11 @@ class TestSecularBuild:
             worst = max(worst, abs(direct - built) / abs(direct))
         assert worst < 1e-8
 
-    @pytest.mark.parametrize("n_phi", [64, 18, 19])
-    def test_folded_build_matches_full_mesh(self, n_phi, monkeypatch):
-        # 64 and 18 (= 2 mod 4) fold by cos^2's period pi, odd 19 by evenness
+    @pytest.mark.parametrize("cutoff, n_phi", [(8, 64), (16, 68), (20, 84)],
+                             ids=["64", "68", "84"])
+    def test_folded_build_matches_full_mesh(self, cutoff, n_phi, monkeypatch):
+        # n_phi = max(64, 4 (cutoff + 1)) gamma samples fold by cos^2's
+        # period pi and its evenness onto n_phi/4 + 1 columns
         import perilib.potentials as pot
         from perilib.coords import derive_mass_params
         from perilib.hamiltonians import HamiltonianSpec
@@ -1271,7 +1273,7 @@ class TestSecularBuild:
 
         spec = HamiltonianSpec(2, 1.0, 1.0, derive_mass_params(1.0, 0.02, "m0centric"))
         args = (spec, 0.45, 1000.0, 16000.0, 0.005)
-        grid_shape, cutoff = (4, 4, 6), 8
+        grid_shape = (4, 4, 6)
         expect = ref_secular_build(*args, grid_shape, cutoff, n_phi)
 
         shapes = []
@@ -1283,10 +1285,9 @@ class TestSecularBuild:
 
         monkeypatch.setattr(pot, "f_eps_minus_one_grid", counting_grid)
         got, _ = build_secular_perturbation(
-            *args, grid_shape=grid_shape, fourier_cutoff=cutoff, n_phi=n_phi
+            *args, grid_shape=grid_shape, fourier_cutoff=cutoff
         )
-        n_fold = (n_phi // 2 if n_phi % 2 == 0 else n_phi) // 2 + 1
-        assert shapes == [(4, n_fold, 4, 6)] * len(spec.terms())
+        assert shapes == [(4, n_phi // 4 + 1, 4, 6)] * len(spec.terms())
         assert_series_close(got, expect, 1e-14)
 
 

@@ -14,14 +14,8 @@ import pytest
 import perilib
 from perilib import rk
 from perilib.coords import ActionAngleState, SecularState, derive_mass_params
-from perilib.dynamics import (
-    SECULAR_PAIRS,
-    IntegrationError,
-    StepControl,
-    integrate,
-    integrate_flow,
-)
-from perilib.hamiltonians import HamiltonianSpec
+from perilib.dynamics import StepControl, integrate
+from perilib.hamiltonians import SECULAR_PAIRS, HamiltonianSpec
 from perilib.theorem import check_libration_theorem, run_libration_experiment
 
 
@@ -113,8 +107,16 @@ class TestBrentq:
 
 
 def oscillator(t, z):
-    # the (R, r) pair of (R^2 + r^2)/2, as in the dynamics harness test
-    return [-z[2], 0.0, z[0], 0.0]
+    # J grad H of the harness Hamiltonian (R^2 + r^2)/2 in the secular
+    # chart's (R, r) pair
+    (ip, iq), _ = SECULAR_PAIRS
+    out = [0.0] * 4
+    out[ip], out[iq] = -z[iq], z[ip]
+    return out
+
+
+def no_step(*args, **kwargs):
+    raise AssertionError("the flow was evaluated")
 
 
 class TestSolveIvpSemantics:
@@ -155,42 +157,56 @@ class TestSolveIvpSemantics:
         assert ours.status == ref.status == -1
         assert ours.message == ref.message == rk.TOO_SMALL_STEP
         assert ours.nfev == ref.nfev and np.array_equal(ours.times, ref.times)
-        with pytest.raises(IntegrationError, match="spacing between numbers"):
-            # R' = -dH/dr = R^2 in the (R, r) pair
-            integrate_flow(lambda Z: Z[:, 0], lambda z: np.array([0.0, 0.0, -z[0] ** 2, 0.0]),
-                           [1.0, 0.0, 0.0, 0.0], 2.0, StepControl(1e-10, 1e-10, method))
 
     @pytest.mark.parametrize("method", ["RK23", "Radau", "BDF", "LSODA", "rk45"])
     def test_other_methods_refused_before_a_step(self, method):
-        def no_step(*args, **kwargs):
-            raise AssertionError("the flow was evaluated")
-
         with pytest.raises(ValueError, match="RK45"):
-            integrate_flow(no_step, no_step, np.ones(4), 1.0, StepControl(method=method))
+            rk.solve(no_step, (0.0, 1.0), np.ones(4), [0.0, 1.0], method, 1e-10, 1e-10)
+
+    @pytest.mark.parametrize("rtol", [1e-300, 0.0, -1e-10, float("nan"),
+                                      np.nextafter(100 * rk.EPS, 0.0)])
+    def test_rtol_below_100_eps_refused_before_a_step(self, rtol):
+        # solve_ivp warns and steps at 100 EPS instead; a run here keeps the
+        # tolerance it was given or does not start
+        with pytest.raises(ValueError, match="rtol must be at least 100 \\* EPS"):
+            rk.solve(no_step, (0.0, 1.0), np.ones(4), [0.0, 1.0], "RK45", rtol, 1e-10)
+
+    @pytest.mark.parametrize("atol", [-1e-10, float("nan")])
+    def test_negative_or_nan_atol_refused_before_a_step(self, atol):
+        # a NaN atol made every step size NaN: the controller never ended
+        with pytest.raises(ValueError, match="atol must be nonnegative"):
+            rk.solve(no_step, (0.0, 1.0), np.ones(4), [0.0, 1.0], "RK45", 1e-10, atol)
+
+    def test_rtol_at_100_eps_runs(self):
+        sol = rk.solve(oscillator, (0.0, 1.0), [0.0, 0.0, 1.0, 0.0], [0.0, 1.0], "DOP853",
+                       100 * rk.EPS, 1e-14)
+        assert sol.status == 0 and abs(sol.states[-1, 2] - np.cos(1.0)) < 1e-12
 
 
 class TestParityWithSolveIvp:
     """The flows of this package through perilib.rk and through solve_ivp.
     Bounds are the measured differences with about 3x to 10x margin."""
 
-    def test_harness_directional_event(self, monkeypatch):
-        energy = lambda Z: 0.5 * (Z[:, 0] ** 2 + Z[:, 2] ** 2)
-        grad = lambda z: np.array([z[0], 0.0, z[2], 0.0])
-
+    def test_harness_directional_event(self):
+        # the harness Hamiltonian (R^2 + r^2)/2: its period, the spacing of
+        # consecutive rising zeros of R, its energy drift and its run
+        # against solve_ivp's
         def rising_R(t, z):
             return z[0]
 
         rising_R.direction = 1.0
-        run = lambda: integrate_flow(energy, grad, np.array([0.0, 0.0, 1.0, 0.0]), 4.0 * np.pi,
-                                     StepControl(rtol=1e-12, atol=1e-12), events=[rising_R],
-                                     pairs=SECULAR_PAIRS)
-        (ours, sol), (ref, ref_sol) = both(monkeypatch, run)
-        period = [s.t_events[0][-1] - s.t_events[0][-2] for s in (sol, ref_sol)]
+        T = 4.0 * np.pi
+        args = (oscillator, (0.0, T), [0.0, 0.0, 1.0, 0.0], np.linspace(0.0, T, 2000),
+                "RK45", 1e-12, 1e-12, [rising_R])
+        sol, ref = rk.solve(*args), ref_solve(*args)
+        period = [s.t_events[0][-1] - s.t_events[0][-2] for s in (sol, ref)]
         # measured: -3.95e-13 here, -3.96e-13 through solve_ivp
         assert abs(period[0] - 2 * np.pi) < 1e-12
         assert abs(period[0] - period[1]) < 1e-14
-        assert sol.n_accepted == ref_sol.n_accepted and sol.nfev == ref_sol.nfev
-        assert np.max(np.abs(ours[1] - ref[1])) < 1e-14
+        energies = 0.5 * (sol.states[:, 0] ** 2 + sol.states[:, 2] ** 2)
+        assert np.max(np.abs(energies - energies[0])) / abs(energies[0]) < 1e-10
+        assert sol.n_accepted == ref.n_accepted and sol.nfev == ref.nfev
+        assert np.max(np.abs(sol.states - ref.states)) < 1e-14
 
     @pytest.mark.parametrize("T", [200.0, -150.0])
     @pytest.mark.parametrize("state", [(0.1, 0.0, 100.0, 0.0), (0.1, 0.2, 100.0, 0.3)])
