@@ -13,7 +13,7 @@ from perilib.dynamics import (
     detect_libration,
     integrate,
 )
-from perilib.hamiltonians import DomainError, HamiltonianSpec, chart_named
+from perilib.hamiltonians import SECULAR_PAIRS, DomainError, HamiltonianSpec, chart_named
 from perilib.potentials import SingularLocusError
 
 
@@ -23,6 +23,36 @@ def make_spec(index=1):
 
 def no_step(*args, **kwargs):
     raise AssertionError("the flow was stepped")
+
+
+class TestHarness:
+    def test_harmonic_oscillator_period_and_drift(self):
+        # harness-only test Hamiltonian (R^2 + r^2)/2 in the secular chart's
+        # (R, r) pair, its flow J grad H built and stepped as integrate does
+        grad = lambda z: [z[0], 0.0, z[2], 0.0]
+
+        def flow(t, z):
+            dH = grad(z)
+            out = [0.0] * 4
+            for ip, iq in SECULAR_PAIRS:
+                out[ip] = -dH[iq]
+                out[iq] = dH[ip]
+            return out
+
+        def rising_R(t, z):
+            return z[0]
+
+        rising_R.direction = 1.0
+        T = 4.0 * np.pi
+        sol = rk.solve(flow, (0.0, T), [0.0, 0.0, 1.0, 0.0], np.linspace(0.0, T, 2000),
+                       StepControl().method, 1e-12, 1e-12, [rising_R])
+        assert sol.status == 0
+        # period = spacing of consecutive same-direction zero crossings of R
+        period = sol.t_events[0][-1] - sol.t_events[0][-2]
+        assert abs(period - 2 * np.pi) < 1e-8
+        energies = 0.5 * (sol.states[:, 0] ** 2 + sol.states[:, 2] ** 2)
+        drift = np.max(np.abs(energies - energies[0])) / abs(energies[0])
+        assert drift < 1e-10
 
 
 class TestInvariantManifolds:
