@@ -18,7 +18,7 @@ from .coords import (
     gg_inverse,
     rr_forward,
 )
-from .dynamics import StepControl, Trajectory, detect_libration, integrate
+from .dynamics import StepControl, Trajectory, integrate
 from .hamiltonians import HamiltonianSpec, gradient, h_action_angle, h_secular, v_radial
 from .kepler import (
     KeplerSolution,

@@ -4,10 +4,11 @@ Subcommands: portrait, verify-renorm, evolve, check-theorem, normalform.
 Each reads one INI-style config file, writes CSV/JSON outputs atomically
 into --out, and records the 64-bit seed in every output header.  Exit
 codes: 0 success, 2 config, input or domain error (a state outside the
-physical domain or a seed outside [0, 2^64) included), 3 numerical guard
-tripped (singular locus, Kepler or Lie-series failure, a normal-form
-residual above RESIDUAL_RTOL, energy drift, integration failure or a state
-leaving the domain during a run), 4 I/O failure.
+physical domain or of non-finite energy, or a seed outside [0, 2^64),
+included), 3 numerical guard tripped (singular locus, Kepler or
+Lie-series failure, a normal-form residual above RESIDUAL_RTOL, energy
+drift, integration failure, or a state leaving the domain or arithmetic
+overflowing during a run), 4 I/O failure.
 
 KEYS declares every config key with its default and rule.  Values come
 from the defaults, then the file, then each --set section.key=value, then
@@ -29,13 +30,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .coords import derive_mass_params
-from .dynamics import (
-    EnergyDriftError,
-    IntegrationError,
-    StepControl,
-    detect_libration,
-    integrate,
-)
+from .dynamics import EnergyDriftError, IntegrationError, StepControl, integrate
 from .hamiltonians import HamiltonianSpec, chart_named
 from .kepler import KeplerError
 from .normalform import (
@@ -366,19 +361,17 @@ def _trajectory_csv(traj, seed):
 
 def cmd_evolve(cfg, out_dir, seed):
     chart = chart_named(cfg.evolve.chart)
-    spec = cfg.spec()
-    traj = integrate(spec, chart.state(*cfg.evolve.state), cfg.evolve.duration,
+    traj = integrate(cfg.spec(), chart.state(*cfg.evolve.state), cfg.evolve.duration,
                      step_ctrl=cfg.step_ctrl(), energy_tol=cfg.integrator.energy_tol)
-    winding, squeezes, drift = detect_libration(traj, spec)
     _atomic_write(os.path.join(out_dir, "trajectory.csv"), _trajectory_csv(traj, seed))
     _write_json(
         os.path.join(out_dir, "evolve_summary.json"),
         {
             "chart": chart.name,
             "duration": float(traj.times[-1]),
-            "winding": winding,
-            "squeezes": squeezes,
-            "Gcal_drift": drift,
+            "winding": traj.winding,
+            "squeezes": traj.squeezes,
+            "Gcal_drift": traj.Gcal_drift,
             "energy_drift": traj.energy_drift,
             "events": [[t, kind] for t, kind in traj.events],
         },

@@ -1,9 +1,10 @@
-"""Time integration of the secular flows, event bookkeeping and libration
-detection.
+"""Time integration of the secular flows, with the events and libration
+summary of each run.
 
 integrate is the one flow entry point: it builds the vector field J grad H
 on floats and steps it with rk.solve, an adaptive embedded Runge-Kutta pair
-(RK45 or DOP853), then samples, guards and annotates the run.
+(RK45 or DOP853), then samples and guards the run and measures it in one
+pass over the samples.
 Symplecticity is monitored through the relative energy drift rather than
 enforced, since the Hamiltonians are non-separable.
 The start state's class decides the chart, with its canonical pairing,
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hamiltonians import chart_named, chart_of, check_domain, gradient
+from .hamiltonians import DomainError, chart_named, chart_of, check_domain, gradient
 from .potentials import SingularLocusError
 
 DEFAULT_ENERGY_TOL = 1e-8
@@ -26,8 +27,9 @@ class EnergyDriftError(RuntimeError):
 
 
 class IntegrationError(RuntimeError):
-    """The step controller failed before reaching the requested time, or
-    the state left the chart's domain during the run."""
+    """The step controller failed before reaching the requested time, the
+    state left the chart's domain during the run, or the run's arithmetic
+    overflowed."""
 
 
 @dataclass(frozen=True)
@@ -42,11 +44,18 @@ class StepControl:
 
 @dataclass
 class Trajectory:
-    """Time-stamped states with energies and event annotations.
+    """Time-stamped states with energies, events and libration summary.
 
     states has one row per accepted output time, in the field order of the
     state class of chart (a key of hamiltonians.CHARTS); events is a list
     of (time, kind) with kind in {"squeeze", "winding-2pi", "domain-exit"}.
+    integrate measures every run it returns (see _measure): winding is the
+    largest unwrapped variation of the libration angle (g in the secular
+    chart, gamma in action-angle) from its start, squeezes the number of
+    sign changes of G (eccentricity-one passages), and Gcal_drift
+    max |Gcal(t) - Gcal(0)| (0.0 in the secular chart, which does not
+    carry Gcal).  The one sample of a run of zero duration reads 0.0, 0
+    and 0.0; a trajectory that was not measured reads None.
     """
 
     times: np.ndarray
@@ -54,6 +63,9 @@ class Trajectory:
     energies: np.ndarray
     chart: str
     events: list = field(default_factory=list)
+    winding: float | None = None
+    squeezes: int | None = None
+    Gcal_drift: float | None = None
 
     @property
     def energy_drift(self):
@@ -68,20 +80,21 @@ def integrate(spec, state0, T, *, step_ctrl=StepControl(),
     stepped by perilib.rk with the embedded pair step_ctrl.method.
 
     A non-finite T raises ValueError, and state0 outside the physical domain
-    DomainError (see hamiltonians.check_domain), before a step.  The
-    trajectory is sampled on a uniform grid of 2000 points, in integration
-    order: the first sample is state0 at t = 0, for T < 0 too.  T = 0 gives
-    the one-sample trajectory of state0, with no events.  Leaving the
-    domain, or f_eps's singular locus, at a step or at a sample raises
-    IntegrationError, as does a step size that falls below the float
-    spacing.
+    (see hamiltonians.check_domain) or of non-finite energy DomainError,
+    before a step.  The trajectory is sampled on a uniform grid of 2000
+    points, in integration order: the first sample is state0 at t = 0, for
+    T < 0 too.  T = 0 gives the one-sample trajectory of state0, with no
+    events.  Leaving the domain, or f_eps's singular locus, at a step or at
+    a sample raises IntegrationError, as do a step size that falls below
+    the float spacing and arithmetic that overflows in the field, the step
+    controller or a sample's energy, without a numpy warning.
 
     domain_guard, when given, is a scalar function of the bare state that is
     positive inside the admissible domain; its zero crossing stops the run
     and records a domain-exit event, whose own sample comes last unless a
-    grid sample lies at its time.  Squeeze events (sign changes of G) are
-    detected on the sampled output; the winding-2pi event marks the first
-    time the unwrapped angle has varied by 2*pi.
+    grid sample lies at its time.  One pass over the samples measures every
+    run (see _measure): its squeeze and winding-2pi events and its winding,
+    squeezes and Gcal_drift.
 
     f_eps picks its trapezoid rule per evaluation (see potentials.N_LADDER).
     """
@@ -89,9 +102,16 @@ def integrate(spec, state0, T, *, step_ctrl=StepControl(),
         raise ValueError("duration T must be finite, got %r" % (T,))
     chart = chart_of(state0)
     check_domain(spec, state0)
+    Z0 = np.array([state0.as_array()], dtype=float)
+    # an energy past the float range comes out inf or NaN: checked, not warned
+    with np.errstate(all="ignore"):
+        e0 = chart.energies(spec, Z0)
+    if not math.isfinite(e0[0]):
+        raise DomainError("state %r has energy %r" % (state0, float(e0[0])))
     if T == 0:
-        Z = np.array([state0.as_array()], dtype=float)
-        return Trajectory(np.zeros(1), Z, chart.energies(spec, Z), chart.name)
+        traj = Trajectory(np.zeros(1), Z0, e0, chart.name)
+        _measure(traj, spec)
+        return traj
 
     def rhs(t, z):
         # the integrator's state is a list of floats, so the gradient
@@ -100,6 +120,9 @@ def integrate(spec, state0, T, *, step_ctrl=StepControl(),
             dH = gradient(spec, chart.state(*z)).tolist()
         except (ValueError, SingularLocusError) as exc:  # DomainError, chart maps, f_eps
             raise IntegrationError("state left the domain at t=%.17g: %s" % (t, exc)) from exc
+        except ArithmeticError as exc:  # a value past the float range
+            raise IntegrationError("the field's arithmetic failed at t=%.17g: %r"
+                                   % (t, exc)) from exc
         out = [0.0] * len(dH)
         for ip, iq in chart.pairs:
             out[ip] = -dH[iq]
@@ -115,8 +138,11 @@ def integrate(spec, state0, T, *, step_ctrl=StepControl(),
     # imported here, as the commands that never integrate do not need it
     from .rk import solve
 
-    sol = solve(rhs, (0.0, T), state0.as_array(), np.linspace(0.0, T, 2000),
-                step_ctrl.method, step_ctrl.rtol, step_ctrl.atol, events)
+    try:
+        sol = solve(rhs, (0.0, T), state0.as_array(), np.linspace(0.0, T, 2000),
+                    step_ctrl.method, step_ctrl.rtol, step_ctrl.atol, events)
+    except ArithmeticError as exc:  # the step controller's, in floats
+        raise IntegrationError("the step controller's arithmetic failed: %r" % (exc,)) from exc
     if sol.status == -1:
         raise IntegrationError(sol.message)
     times, states = sol.times, sol.states
@@ -126,14 +152,18 @@ def integrate(spec, state0, T, *, step_ctrl=StepControl(),
         if (te - times[-1]) * T > 0:
             times = np.append(times, te)
             states = np.vstack([states, ze])
+    # the stack's rows are computed independently: the first is e0
     try:
-        energies = chart.energies(spec, states)
-    except (ValueError, SingularLocusError) as exc:
+        with np.errstate(all="ignore"):
+            energies = np.concatenate([e0, chart.energies(spec, states[1:])])
+    except (ValueError, ArithmeticError) as exc:  # DomainError, f_eps
         raise IntegrationError("a sample left the domain: %s" % exc) from exc
+    if not np.isfinite(energies).all():
+        raise IntegrationError("a sample's energy is not finite")
     traj = Trajectory(times, states, energies, chart.name)
     if exited:
         traj.events.append((times[-1], "domain-exit"))
-    _annotate_events(traj, spec)
+    _measure(traj, spec)
     if not exited and traj.energy_drift > energy_tol:
         raise EnergyDriftError(
             "relative energy drift %.3e exceeds %.1e" % (traj.energy_drift, energy_tol)
@@ -141,49 +171,34 @@ def integrate(spec, state0, T, *, step_ctrl=StepControl(),
     return traj
 
 
-def _squeezes(G):
-    """Indices i at which G changes sign after sample i: the
-    eccentricity-one passages.  The sign change is taken between nearest
-    nonzero samples, so it counts across a run of exact zeros too (G is
-    exactly 0 wherever |Gcal| >= Lambda), and i is then the last nonzero
-    sample before the run; a zero run with the same sign on both sides, or
-    an all-zero G, gives none."""
-    nz = np.flatnonzero(G)
-    flips = np.sign(G[nz[1:]]) * np.sign(G[nz[:-1]]) < 0
-    return nz[:-1][flips]
+def _measure(traj, spec):
+    """The one pass over a trajectory's samples: appends its squeeze and
+    winding-2pi events, sorts the events by time, and sets its winding,
+    squeezes and Gcal_drift (see Trajectory).
 
-
-def _annotate_events(traj, spec):
+    A squeeze is a sign change of G after sample i: the eccentricity-one
+    passage, timed by linear interpolation.  The sign change is taken
+    between nearest nonzero samples, so it counts across a run of exact
+    zeros too (G is exactly 0 wherever |Gcal| >= Lambda), and i is then the
+    last nonzero sample before the run, so that the passage is timed at the
+    first zero; a zero run with the same sign on both sides, or an all-zero
+    G, gives none."""
     chart = chart_named(traj.chart)
-    G = chart.G_series(spec.Lambda, traj.states)
-    for i in _squeezes(G):
-        # linear interpolation of the crossing time
-        t0, t1 = traj.times[i], traj.times[i + 1]
+    times, Z = traj.times, traj.states
+    G = chart.G_series(spec.Lambda, Z)
+    nz = np.flatnonzero(G)
+    flips = nz[:-1][np.sign(G[nz[1:]]) * np.sign(G[nz[:-1]]) < 0]
+    for i in flips:
+        t0, t1 = times[i], times[i + 1]
         w = G[i] / (G[i] - G[i + 1])
         traj.events.append((t0 + w * (t1 - t0), "squeeze"))
-    ang = np.unwrap(traj.states[:, chart.angle_col])
-    hit = np.flatnonzero(np.abs(ang - ang[0]) >= 2 * np.pi)
+    ang = np.unwrap(Z[:, chart.angle_col])
+    turn = np.abs(ang - ang[0])
+    hit = np.flatnonzero(turn >= 2 * np.pi)
     if len(hit):
-        traj.events.append((traj.times[hit[0]], "winding-2pi"))
+        traj.events.append((times[hit[0]], "winding-2pi"))
     traj.events.sort(key=lambda ev: ev[0])
-
-
-def detect_libration(traj, spec):
-    """Summary of a (near-)libration run.
-
-    Returns (winding, squeezes, Gcal_drift): total unwrapped variation of
-    the libration angle (g in the secular chart, gamma in action-angle),
-    number of sign changes of G (eccentricity-one passages), and
-    max |Gcal(t) - Gcal(0)| (0.0 in the secular chart, which does not carry
-    Gcal).  The one sample of a run of zero duration reads (0.0, 0, 0.0);
-    2 to 9 samples raise ValueError.
-    """
-    if 1 < len(traj.times) < 10:
-        raise ValueError("trajectory too short to unwrap reliably")
-    chart = chart_named(traj.chart)
-    ang = np.unwrap(traj.states[:, chart.angle_col])
-    squeezes = len(_squeezes(chart.G_series(spec.Lambda, traj.states)))
+    traj.winding = float(np.max(turn))
+    traj.squeezes = len(flips)
     col = chart.Gcal_col
-    drift = 0.0 if col is None else float(
-        np.max(np.abs(traj.states[:, col] - traj.states[0, col])))
-    return float(np.max(np.abs(ang - ang[0]))), squeezes, drift
+    traj.Gcal_drift = 0.0 if col is None else float(np.max(np.abs(Z[:, col] - Z[0, col])))

@@ -216,18 +216,14 @@ def estimate_c0(eps0, grid_n=64, tol=1e-13):
 
     Returns the minimum of |1 - cos xi'(x)| / eps0 over a grid_n x grid_n
     grid on the strip |Re x - pi| <= pi - 2 sqrt(eps0), |Im x| <= sqrt(eps0).
-    Each half-plane Im x > 0, Im x < 0 is reached by continuation from the
-    real axis, one imaginary level at a time in order of |Im x|, every
-    column seeded by its point on the level before.  Both half-planes walk
-    together: level j stacks the j-th level of each half-plane that has one
-    (with odd grid_n the middle level can be a tiny nonzero, so one
-    half-plane may have one level more) into one Newton solve, which is
-    elementwise, so c0 has the bits of walking them one after the other.
-    The constant is only asserted to exist (positively) by the theory, so
-    it is measured, never hard-coded; and as it depends on its arguments
-    alone, it is measured once per (eps0, grid_n, tol) in a process: later
-    calls return the cached np.float64 of the first (the arguments must be
-    hashable).  A rejected argument raises on every call and caches nothing.
+    Each half-plane Im x > 0, Im x < 0 in turn is reached by continuation
+    from the real axis, one imaginary level at a time in order of |Im x|,
+    all columns in one Newton solve, each seeded by its point on the level
+    before.  The constant is only asserted to exist (positively) by the
+    theory, so it is measured, never hard-coded; and as it depends on its
+    arguments alone, it is measured once per (eps0, grid_n, tol) in a
+    process: later calls return the cached np.float64 of the first (the
+    arguments must be hashable).  A rejected argument raises on every call and caches nothing.
     An eps0 so small that an edge of the strip's real window rounds onto 0
     or 2 pi (eps0 below about 1e-30) is rejected too.
     """
@@ -246,14 +242,9 @@ def estimate_c0(eps0, grid_n=64, tol=1e-13):
     ims = np.linspace(-s, s, grid_n)
     z = xi_prime_array(res, tol).astype(complex)
     best = _cabs(1.0 - np.cos(z)).min()
-    sides = [sorted((im for im in ims if im * sign > 0), key=abs) for sign in (1.0, -1.0)]
-    cols = [z, z]  # each half-plane's columns at its last level
-    for level in range(max(map(len, sides))):
-        live = [k for k in (0, 1) if level < len(sides[k])]
-        zc, _ = _newton_complex(np.concatenate([cols[k] for k in live]),
-                                np.concatenate([res + 1j * sides[k][level] for k in live]),
-                                tol)
-        best = min(best, _cabs(1.0 - np.cos(zc)).min())
-        for k, part in zip(live, np.split(zc, len(live))):
-            cols[k] = part
+    for sign in (1.0, -1.0):
+        zc = z
+        for im in sorted((im for im in ims if im * sign > 0), key=abs):
+            zc, _ = _newton_complex(zc, res + 1j * im, tol)
+            best = min(best, _cabs(1.0 - np.cos(zc)).min())
     return best / eps0

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coords import ActionAngleState, radial_radius
-from .dynamics import StepControl, detect_libration, integrate
+from .dynamics import StepControl, integrate
 from .hamiltonians import libration_box
 from .kepler import estimate_c0
 
@@ -245,12 +245,11 @@ def run_libration_experiment(spec, report, state0,
     transits = 3.0 * (x_hi - np.pi) * state0.y**3 / m0**5
     T = min(report.T_estimate, transits)
     traj = integrate(spec, state0, T, step_ctrl=step_ctrl, domain_guard=guard)
-    winding, squeezes, drift = detect_libration(traj, spec)
     r_vals = radial_radius(m0, traj.states[:, 2], traj.states[:, 3])
     summary = LibrationSummary(
-        winding=winding,
-        squeezes=squeezes,
-        Gcal_drift=drift,
+        winding=traj.winding,
+        squeezes=traj.squeezes,
+        Gcal_drift=traj.Gcal_drift,
         r_min=float(r_vals.min()),
         collision_radius=2 * spec.beta_upper * spec.a,
         domain_exit=any(kind == "domain-exit" for _, kind in traj.events),

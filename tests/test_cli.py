@@ -415,6 +415,26 @@ class TestEvolve:
         assert "outside the physical domain" in capsys.readouterr().err
         assert not (out / "trajectory.csv").exists()
 
+    @pytest.mark.parametrize("chart, state, duration, code, message", [
+        ("secular", "1e200,0,100,0", "0", EXIT_CONFIG, "has energy inf"),
+        ("secular", "1e200,0,100,0", "1", EXIT_CONFIG, "has energy inf"),
+        ("secular", "1e150,0,100,0", "1", EXIT_GUARD, "step controller"),
+        ("secular", "0.1,0,1e160,0", "1", EXIT_GUARD, "at t=0"),
+        ("secular", "0.1,0,1e-160,0", "1", EXIT_CONFIG, "f_eps requires"),
+        ("action-angle", "0.9,0.3,1e200,2.5", "1", EXIT_GUARD, "at t=0"),
+        ("action-angle", "0.9,0.3,1e-200,2.5", "1", EXIT_CONFIG, "f_eps requires"),
+    ], ids=["R-1e200-T0", "R-1e200", "R-1e150", "r-1e160", "r-1e-160", "y-1e200", "y-1e-200"])
+    def test_overflowing_state_exits_with_its_code(self, tmp_path, capsys, chart, state,
+                                                   duration, code, message):
+        # a start of non-finite energy, or one whose run's arithmetic leaves
+        # the float range, ends in one line on stderr and writes nothing
+        got, out = run(tmp_path, "--set", "evolve.chart=" + chart, "evolve",
+                       "--state", state, "--duration", duration)
+        err = capsys.readouterr().err
+        assert got == code
+        assert len(err.splitlines()) == 1 and message in err
+        assert not (out / "trajectory.csv").exists()
+
 
 def test_cli_import_leaves_scipy_integrate_and_fft_unloaded():
     # scipy.integrate, scipy.fft and numpy.polynomial load only when a

@@ -2,17 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from perilib import hamiltonians, rk
 from perilib.coords import ActionAngleState, SecularState, derive_mass_params
-from perilib.dynamics import (
-    IntegrationError,
-    StepControl,
-    Trajectory,
-    _annotate_events,
-    detect_libration,
-    integrate,
-)
+from perilib.dynamics import IntegrationError, StepControl, Trajectory, _measure, integrate
 from perilib.hamiltonians import SECULAR_PAIRS, DomainError, HamiltonianSpec, chart_named
 from perilib.potentials import SingularLocusError
 
@@ -23,6 +17,47 @@ def make_spec(index=1):
 
 def no_step(*args, **kwargs):
     raise AssertionError("the flow was stepped")
+
+
+def ref_measure(traj, spec):
+    """The events and (winding, squeezes, Gcal_drift) of a trajectory as
+    two passes read them before _measure: the squeeze and winding-2pi
+    annotation, then the libration summary, less its refusal of 2 to 9
+    samples.  traj is left as it is."""
+    chart = chart_named(traj.chart)
+
+    def squeezes(G):
+        nz = np.flatnonzero(G)
+        flips = np.sign(G[nz[1:]]) * np.sign(G[nz[:-1]]) < 0
+        return nz[:-1][flips]
+
+    events = list(traj.events)
+    G = chart.G_series(spec.Lambda, traj.states)
+    for i in squeezes(G):
+        t0, t1 = traj.times[i], traj.times[i + 1]
+        w = G[i] / (G[i] - G[i + 1])
+        events.append((t0 + w * (t1 - t0), "squeeze"))
+    ang = np.unwrap(traj.states[:, chart.angle_col])
+    hit = np.flatnonzero(np.abs(ang - ang[0]) >= 2 * np.pi)
+    if len(hit):
+        events.append((traj.times[hit[0]], "winding-2pi"))
+    events.sort(key=lambda ev: ev[0])
+
+    ang = np.unwrap(traj.states[:, chart.angle_col])
+    n_squeezes = len(squeezes(chart.G_series(spec.Lambda, traj.states)))
+    col = chart.Gcal_col
+    drift = 0.0 if col is None else float(
+        np.max(np.abs(traj.states[:, col] - traj.states[0, col])))
+    return events, (float(np.max(np.abs(ang - ang[0]))), n_squeezes, drift)
+
+
+def summary(traj):
+    return traj.winding, traj.squeezes, traj.Gcal_drift
+
+
+def measured(traj, spec):
+    _measure(traj, spec)
+    return traj
 
 
 class TestHarness:
@@ -84,20 +119,17 @@ class TestEvents:
         states = np.zeros((t.size, 4))
         states[:, 1] = omega * t  # gamma column of the action-angle chart
         states[:, 0] = 0.5  # Gcal
-        traj = Trajectory(t, states, np.ones_like(t), "action-angle")
-        spec = make_spec()
-        winding, _, drift = detect_libration(traj, spec)
-        assert abs(winding - 2 * np.pi) < 1e-9
-        assert drift == 0.0
+        traj = measured(Trajectory(t, states, np.ones_like(t), "action-angle"), make_spec())
+        assert abs(traj.winding - 2 * np.pi) < 1e-9
+        assert traj.Gcal_drift == 0.0
 
     def test_squeeze_synthetic(self):
         # G(t) = cos t on [0, 2 pi] -> two sign changes
         t = np.linspace(0, 2 * np.pi, 200)
         states = np.zeros((t.size, 4))
         states[:, 1] = np.cos(t)
-        traj = Trajectory(t, states, np.ones_like(t), "secular")
-        _, squeezes, _ = detect_libration(traj, make_spec())
-        assert squeezes == 2
+        traj = measured(Trajectory(t, states, np.ones_like(t), "secular"), make_spec())
+        assert traj.squeezes == 2
 
     @pytest.mark.parametrize("G, times", [
         ([1, -1], [0.5]),
@@ -116,10 +148,9 @@ class TestEvents:
         t = np.arange(G.size, dtype=float)
         states = np.zeros((t.size, 4))
         states[:, 1] = G
-        traj = Trajectory(t, states, np.ones_like(t), "secular")
-        _annotate_events(traj, make_spec())
+        traj = measured(Trajectory(t, states, np.ones_like(t), "secular"), make_spec())
         assert traj.events == [(s, "squeeze") for s in times]
-        assert detect_libration(traj, make_spec())[1] == len(times)
+        assert traj.squeezes == len(times)
 
     def test_squeeze_through_gcal_at_lambda(self):
         # in the action-angle chart G = sqrt(max(0, Lambda^2 - Gcal^2)) cos
@@ -128,18 +159,43 @@ class TestEvents:
         rows = [(0.9, 0.1)] * 5 + [(1.0, 1.0), (1.0 + 1e-13, 2.0)] + [(0.9, 3.0)] * 5
         states = np.array([[gc, gam, 500.0, 3.0] for gc, gam in rows])
         t = np.arange(len(rows), dtype=float)
-        traj = Trajectory(t, states, np.ones_like(t), "action-angle")
-        _annotate_events(traj, make_spec())
+        traj = measured(Trajectory(t, states, np.ones_like(t), "action-angle"), make_spec())
         assert traj.events == [(5.0, "squeeze")]
-        assert detect_libration(traj, make_spec())[1] == 1
+        assert traj.squeezes == 1
 
-    def test_short_trajectory_rejected(self):
-        # one sample (a run of zero duration) is read; 2 to 9 are refused
-        for n in (2, 5, 9):
-            t = np.linspace(0, 1, n)
-            traj = Trajectory(t, np.zeros((n, 4)), np.ones(n), "secular")
-            with pytest.raises(ValueError):
-                detect_libration(traj, make_spec())
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_one_pass_matches_the_two_pass_reference(self, data):
+        # G and angle samples in either chart, with runs of exact zeros in G
+        # (in the action-angle chart G is 0 wherever |Gcal| >= Lambda), from
+        # 1 to 50 samples, and a domain-exit event already on the list
+        n = data.draw(st.integers(1, 50))
+        chart = data.draw(st.sampled_from(["secular", "action-angle"]))
+        if chart == "secular":
+            g_value = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
+        else:
+            g_value = st.one_of(st.sampled_from([-1.0, 1.0, 1.0 + 1e-13]),
+                                st.floats(-1.0, 1.0))
+        runs = data.draw(st.lists(st.tuples(g_value, st.integers(1, 6)), min_size=1))
+        G = np.repeat([v for v, _ in runs], [k for _, k in runs])
+        G = np.resize(G, n)
+        angle = np.array(data.draw(st.lists(st.floats(-20.0, 20.0), min_size=n, max_size=n)))
+        times = np.cumsum(data.draw(st.lists(st.floats(1e-3, 10.0), min_size=n, max_size=n)))
+        times -= times[0]
+        states = np.array(data.draw(st.lists(
+            st.tuples(st.floats(-5, 5), st.floats(-5, 5), st.floats(1, 500), st.floats(0.1, 6)),
+            min_size=n, max_size=n)))
+        col = chart_named(chart)
+        states[:, col.angle_col] = angle
+        states[:, 0 if chart == "action-angle" else 1] = G
+        traj = Trajectory(times, states, np.ones(n), chart)
+        if data.draw(st.booleans()):
+            traj.events.append((times[-1], "domain-exit"))
+        events, expect = ref_measure(traj, make_spec())
+        _measure(traj, make_spec())
+        assert traj.events == events
+        assert summary(traj) == expect
+        assert type(traj.squeezes) is int
 
 
 class TestTimeRescaling:
@@ -204,7 +260,7 @@ class TestEnergyAccounting:
         assert np.array_equal(back.states[0], st.as_array())
         fwd = integrate(spec, SecularState(-0.0, -0.3, 100.0, 0.4), -T,
                         step_ctrl=StepControl(1e-10, 1e-10))
-        assert abs(detect_libration(back, spec)[0] - detect_libration(fwd, spec)[0]) < 1e-9
+        assert abs(back.winding - fwd.winding) < 1e-9
 
 
 class TestZeroDuration:
@@ -224,7 +280,7 @@ class TestZeroDuration:
         assert np.array_equal(traj.states, Z)
         assert np.array_equal(traj.energies, chart_named(state.chart).energies(spec, Z))
         assert traj.events == [] and traj.energy_drift == 0.0
-        assert detect_libration(traj, spec) == (0.0, 0, 0.0)
+        assert summary(traj) == (0.0, 0, 0.0)
 
     @pytest.mark.parametrize("state", [
         SecularState(0.1, 2.0, 100.0, 0.0),
@@ -288,15 +344,77 @@ def test_singular_locus_mid_run_is_an_integration_error():
 
 
 def test_singular_locus_in_the_sample_energies_is_an_integration_error(monkeypatch):
-    # the run steps on the gradient; only the samples' energies fail
+    # the run steps on the gradient; the start's own energy, taken before a
+    # step, passes, and only the samples' energies fail
+    chart = hamiltonians.CHARTS["secular"]
+
     def energies(spec, Z):
+        if len(Z) == 1:
+            return chart.energies(spec, Z)
         raise SingularLocusError("f_eps past N_MAX")
 
-    chart = hamiltonians.CHARTS["secular"]
     monkeypatch.setitem(hamiltonians.CHARTS, "secular",
                         dataclasses.replace(chart, energies=energies))
     with pytest.raises(IntegrationError, match="a sample left the domain: f_eps past N_MAX"):
         integrate(make_spec(1), SecularState(0.1, 0.2, 50.0, 0.3), 1.0)
+
+
+@pytest.mark.parametrize("T", [0.0, 1.0])
+@pytest.mark.parametrize("state", [
+    SecularState(1e200, 0.0, 100.0, 0.0),
+    SecularState(1e155, 0.0, 100.0, 0.0),
+], ids=["R-1e200", "R-1e155"])
+def test_start_of_non_finite_energy_is_a_domain_error(monkeypatch, state, T):
+    # R^2/2m0 past the float range: refused before a step, without a warning
+    monkeypatch.setattr(rk, "solve", no_step)
+    with pytest.raises(DomainError, match="has energy inf"):
+        integrate(make_spec(1), state, T)
+
+
+@pytest.mark.parametrize("index, state, cause", [
+    (1, SecularState(0.1, 0.0, 1e160, 0.0), OverflowError),
+    (2, ActionAngleState(0.9, 0.3, 1e200, 2.5), OverflowError),
+], ids=["secular-r-1e160", "action-angle-y-1e200"])
+def test_overflow_in_the_field_is_an_integration_error(index, state, cause):
+    # the start's energy is finite, its gradient overflows in floats
+    with pytest.raises(IntegrationError, match="at t=0") as info:
+        integrate(make_spec(index), state, 1.0)
+    assert type(info.value.__cause__) is cause
+
+
+def test_step_controller_arithmetic_is_an_integration_error():
+    # a slope of 1e150 makes the starting step's scaled norm inf, so the
+    # first trial step is 0 and the controller divides by it
+    with pytest.raises(IntegrationError, match="step controller") as info:
+        integrate(make_spec(1), SecularState(1e150, 0.0, 100.0, 0.0), 1.0)
+    assert type(info.value.__cause__) is ZeroDivisionError
+
+
+def test_sample_energy_not_finite_is_an_integration_error(monkeypatch):
+    chart = hamiltonians.CHARTS["secular"]
+
+    def energies(spec, Z):
+        E = chart.energies(spec, Z)
+        if len(Z) > 1:
+            E[-1] = np.inf
+        return E
+
+    monkeypatch.setitem(hamiltonians.CHARTS, "secular",
+                        dataclasses.replace(chart, energies=energies))
+    with pytest.raises(IntegrationError, match="energy is not finite"):
+        integrate(make_spec(1), SecularState(0.1, 0.2, 50.0, 0.3), 1.0)
+
+
+@pytest.mark.parametrize("index, state, T", [
+    (1, SecularState(0.1, 0.3, 30.0, 0.4), 50.0),
+    (2, ActionAngleState(0.4, 0.7, 10.0, 2.5), -5.0),
+])
+def test_energies_are_one_stacked_call(index, state, T):
+    # the start's energy, taken before the run, is the stacked call's first row
+    spec = make_spec(index)
+    traj = integrate(spec, state, T)
+    expect = chart_named(state.chart).energies(spec, traj.states)
+    assert traj.energies.tobytes() == expect.tobytes()
 
 
 def test_step_size_failure_is_an_integration_error(monkeypatch):

@@ -250,9 +250,10 @@ def test_c0_column_scan_matches_scalar_scan(eps0):
 
 
 def ref_estimate_c0_two_walks(eps0, grid_n, tol=1e-13):
-    """estimate_c0 as it stood before the two imaginary half-planes were
-    stacked: all columns of one half-plane continued together, then the
-    other half-plane's."""
+    """estimate_c0's scan written out apart from the cache: all columns of
+    one half-plane continued together, then the other half-plane's.  The
+    scan that stacked both half-planes into one solve per level, which
+    estimate_c0 ran for a time, had these bits too."""
     s = np.sqrt(eps0)
     half = np.pi - 2 * s
     res = np.linspace(np.pi - half, np.pi + half, grid_n)
