@@ -2,10 +2,11 @@
 and integration, Clenshaw evaluation and Clenshaw-Curtis quadrature.
 
 All grids are Chebyshev-Gauss-Lobatto points stored in increasing order.
-Transforms are DCT-I based and exact for polynomials up to the grid degree.
-Fixed linear maps (resampling, differentiation, integration from the
-lower edge, and refinement after differentiation as one map) are built from
-them once per size and then applied as small read-only matrices.
+Transforms are the DCT-I as a matrix, T_k(t_j), and its inverse, exact for
+polynomials up to the grid degree.  They and the other fixed linear maps
+(resampling, differentiation, integration from the lower edge, and
+refinement after differentiation as one map) are built once per size and
+then applied as small read-only matrices.
 """
 
 import functools
@@ -20,42 +21,6 @@ def nodes(n, lo=-1.0, hi=1.0):
         return np.array([0.5 * (lo + hi)])
     t = -np.cos(np.pi * np.arange(n) / (n - 1))
     return lo + (hi - lo) * (t + 1) / 2
-
-
-def vals_to_coeffs(v, axis):
-    """Chebyshev coefficients of values sampled at increasing Lobatto nodes."""
-    # imported here: scipy.fft costs about 0.2 s to import, which commands
-    # without a normal form should not pay
-    from scipy.fft import dct
-
-    v = np.asarray(v)
-    n = v.shape[axis]
-    if n == 1:
-        return v.copy()
-    c = dct(np.flip(v, axis=axis), type=1, axis=axis) / (n - 1)
-    sl = [slice(None)] * v.ndim
-    sl[axis] = 0
-    c[tuple(sl)] *= 0.5
-    sl[axis] = n - 1
-    c[tuple(sl)] *= 0.5
-    return c
-
-
-def coeffs_to_vals(c, axis):
-    """Inverse of vals_to_coeffs."""
-    from scipy.fft import dct
-
-    c = np.asarray(c)
-    n = c.shape[axis]
-    if n == 1:
-        return c.copy()
-    cc = c.copy()
-    sl = [slice(None)] * c.ndim
-    sl[axis] = 0
-    cc[tuple(sl)] *= 2
-    sl[axis] = n - 1
-    cc[tuple(sl)] *= 2
-    return np.flip(0.5 * dct(cc, type=1, axis=axis), axis=axis)
 
 
 def _frozen(a):
@@ -96,6 +61,36 @@ def _apply(M, v, axis):
     return (out.view(complex) if cplx else out).reshape(shape)
 
 
+@functools.lru_cache(maxsize=128)
+def _dct_matrices(n):
+    """(T, V) for n increasing Lobatto nodes t_j (cached and read-only):
+    T[j, k] = T_k(t_j) = (-1)^k cos(pi k j / (n - 1)) takes Chebyshev
+    coefficients to values, and V = T^-1 by discrete orthogonality,
+    2 / (n - 1) times T's transpose with the end nodes and end modes
+    halved.  The angle k j is reduced exactly, mod 2 (n - 1), before the
+    cosine.  One node gives the 1 x 1 identity twice."""
+    if n == 1:
+        one = _frozen(np.ones((1, 1)))
+        return one, one
+    k = np.arange(n)
+    T = np.cos(np.pi / (n - 1) * (np.outer(k, k) % (2 * (n - 1)))) * (-1.0) ** k
+    h = np.ones(n)
+    h[[0, -1]] = 0.5
+    return _frozen(T), _frozen(T.T * np.outer(h, h) * (2.0 / (n - 1)))
+
+
+def vals_to_coeffs(v, axis):
+    """Chebyshev coefficients of values sampled at increasing Lobatto nodes."""
+    v = np.asarray(v)
+    return _apply(_dct_matrices(v.shape[axis])[1], v, axis)
+
+
+def coeffs_to_vals(c, axis):
+    """Inverse of vals_to_coeffs."""
+    c = np.asarray(c)
+    return _apply(_dct_matrices(c.shape[axis])[0], c, axis)
+
+
 def differentiate(v, axis, lo, hi):
     """Spectral derivative of grid values along one axis."""
     return _apply(diff_matrix(v.shape[axis], lo, hi), v, axis)
@@ -132,7 +127,7 @@ def integration_matrix(n, lo, hi):
     nodes and at an appended lo by one Clenshaw sum, so node 0 (at lo when
     n > 1) has an exactly zero row; a one-node axis, its node at the
     midpoint, integrates over the lower half."""
-    c = np.vstack([vals_to_coeffs(np.eye(n), 0), np.zeros((2, n))])
+    c = np.vstack([_dct_matrices(n)[1], np.zeros((2, n))])
     # the antiderivative's coefficients in t: C_k = (c_{k-1} - c_{k+1}) / (2k)
     # for k = 1..n, c_0 counted twice; C_0 cancels in the difference below
     c[0] *= 2.0
@@ -164,8 +159,8 @@ def resample_matrix(n, m):
     """(m, n) matrix taking values on n Lobatto nodes to values on m nodes:
     Chebyshev coefficients zero-padded (m > n) or truncated (m < n).  Cached
     and read-only."""
-    c = vals_to_coeffs(np.eye(n), 0)[:m]
-    return _frozen(coeffs_to_vals(np.pad(c, ((0, m - len(c)), (0, 0))), 0))
+    k = min(n, m)
+    return _frozen(_dct_matrices(m)[0][:, :k] @ _dct_matrices(n)[1][:k])
 
 
 @functools.lru_cache(maxsize=128)

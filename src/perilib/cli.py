@@ -282,7 +282,7 @@ def _write_json(path, payload, seed):
 
 
 def cmd_portrait(cfg, out_dir, seed):
-    Lam = cfg.hamiltonian.Lambda
+    Lam = cfg.spec().Lambda  # through HamiltonianSpec's checks, as in every command
     eps, grid_n = cfg.portrait.eps, cfg.portrait.grid
     # portraits raises ValueError for inputs outside its domain (eps <= 0,
     # eps at 1/2 or 1, grid below 64); nothing is written for them
@@ -320,7 +320,7 @@ def cmd_portrait(cfg, out_dir, seed):
 
 def cmd_verify_renorm(cfg, out_dir, seed):
     samples = cfg.renorm.samples
-    Lam = cfg.hamiltonian.Lambda
+    Lam = cfg.spec().Lambda
     quad = cfg.quad()
     rng = np.random.default_rng(seed)
     report = []

@@ -21,6 +21,11 @@ from .kepler import solve_kepler_zero_ecc_form  # noqa: F401
 # more than 1e-8 relative (measured, 200 points a decade); 10x margin.
 X_COLLISION = 1.2e-6
 
+
+class DomainError(ValueError):
+    """State outside the admissible chart domain."""
+
+
 JACOBI = "jacobi"
 M0CENTRIC = "m0centric"
 
@@ -198,11 +203,18 @@ def radial_radius(m0, y, x):
     real x in (0, 2*pi), from one array Kepler solve; the same values and
     collision check as rr_forward_with_jacobian.  A one-entry x (one state)
     goes through that function's float helper _radial_xi, bitwise the array
-    result."""
+    result.  A y whose r is past the float range raises DomainError."""
     x = np.asarray(x, dtype=float)
     if x.size == 1:
-        return y**2 / m0**3 * (1.0 - math.cos(_radial_xi(x.flat[0])))
-    xi = xi_prime_array(x)
-    if (np.minimum(x, 2 * np.pi - x) < X_COLLISION).any():
-        raise ValueError("x within X_COLLISION of 0 or 2 pi: collision of the outer body")
-    return y**2 / m0**3 * (1.0 - np.cos(xi))
+        one_m_c = 1.0 - math.cos(_radial_xi(x.flat[0]))
+    else:
+        xi = xi_prime_array(x)
+        if (np.minimum(x, 2 * np.pi - x) < X_COLLISION).any():
+            raise ValueError("x within X_COLLISION of 0 or 2 pi: collision of the outer body")
+        one_m_c = 1.0 - np.cos(xi)
+    with np.errstate(over="ignore"):
+        r = y**2 / m0**3 * one_m_c
+    if not np.all(r < math.inf):
+        raise DomainError("|y| up to %r puts the radial radius r past the float range"
+                          % float(np.max(np.abs(y))))
+    return r

@@ -29,16 +29,12 @@ from typing import Callable
 import numpy as np
 
 from . import potentials
-from .coords import (X_COLLISION, ActionAngleState, MassParams, SecularState,
+from .coords import (X_COLLISION, ActionAngleState, DomainError, MassParams, SecularState,
                      radial_radius, rr_forward_with_jacobian)
 from .potentials import e_hat, e_hat_aa
 
 SECULAR_PAIRS = ((0, 2), (1, 3))  # (R, r), (G, g)
 ACTION_ANGLE_PAIRS = ((0, 1), (2, 3))  # (Gcal, gamma), (y, x)
-
-
-class DomainError(ValueError):
-    """State outside the admissible chart domain."""
 
 
 @dataclass(frozen=True)

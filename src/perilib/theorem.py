@@ -83,9 +83,9 @@ def check_libration_theorem(spec, eps0, delta, s0, alpha_minus, alpha_plus,
     C* delta/(beta_* Lambda) <= 1; the explicit holomorphy bound
     16 cosh(s0)^2 delta / Lambda < 1; the contraction bound defining N0; and
     the winding bound eta < 1.  Failure is data, not an error, except for
-    alphas whose powers below leave the float range, and for c_lower, s0 and
-    delta (or a measured c0) that put inv_N0, N0, eta or T outside
-    (0, inf): a ValueError.  c0 is measured by kepler.estimate_c0, once
+    alphas whose powers below leave the float range, and for eps0, c_lower,
+    s0 and delta (or a measured c0) that put cosh(s0), inv_N0, N0, eta or T
+    outside (0, inf): a ValueError.  c0 is measured by kepler.estimate_c0, once
     per eps0 in a process.
     """
     # negated, so that NaN fails; a power past the float range is NaN, and a
@@ -105,52 +105,60 @@ def check_libration_theorem(spec, eps0, delta, s0, alpha_minus, alpha_plus,
     measured = 0.0 < eps0 < 1.0
     c0 = estimate_c0(eps0, C0_GRID) if measured else math.nan
 
-    ineqs = [
-        Inequality("eps0-above-zero", 0.0, eps0),
-        Inequality("eps0-below-one", eps0, 1.0),
-        Inequality("delta-above-zero", 0.0, delta),
-        Inequality("delta-at-most-quarter-Lambda", delta, Lam / 4 * (1 + 1e-15)),
-        Inequality("alpha-ordering", alpha_minus, alpha_plus / 4),
-        Inequality(
-            "outer-orbit-keeps-clear (Kepler domain)",
-            4 * beta_up * a / (c0 * alpha_minus * eps0),
-            1.0,
-        ),
-        Inequality(
-            "mass-vs-width", c_upper * delta / (beta_low * Lam), 1.0 + 1e-15
-        ),
-        Inequality(
-            "holomorphy-width", holomorphy_width_constant(s0) * delta / Lam, 1.0
-        ),
-    ]
+    out_of_range = ValueError(
+        "eps0=%r, c_lower=%r, s0=%r and delta=%r give cosh(s0), N0, eta or T "
+        "outside the float range" % (eps0, c_lower, s0, delta))
+    # the inputs are Python floats, whose arithmetic raises past the float
+    # range (cosh(s0), eps0**2.5, Lam / (s0 * delta)) where numpy's gives
+    # inf: either way the inputs are rejected
+    try:
+        ineqs = [
+            Inequality("eps0-above-zero", 0.0, eps0),
+            Inequality("eps0-below-one", eps0, 1.0),
+            Inequality("delta-above-zero", 0.0, delta),
+            Inequality("delta-at-most-quarter-Lambda", delta, Lam / 4 * (1 + 1e-15)),
+            Inequality("alpha-ordering", alpha_minus, alpha_plus / 4),
+            Inequality(
+                "outer-orbit-keeps-clear (Kepler domain)",
+                4 * beta_up * a / (c0 * alpha_minus * eps0),
+                1.0,
+            ),
+            Inequality(
+                "mass-vs-width", c_upper * delta / (beta_low * Lam), 1.0 + 1e-15
+            ),
+            Inequality(
+                "holomorphy-width", holomorphy_width_constant(s0) * delta / Lam, 1.0
+            ),
+        ]
 
-    ratio32 = (alpha_plus / alpha_minus) ** 1.5
-    # c0 is a numpy float, so a quotient past the float range is 0 or inf
-    # with a warning; the check below rejects it instead
-    with np.errstate(all="ignore"):
-        branch_angles = beta_low * Lam / (c0**2 * eps0**2 * delta * s0) * math.sqrt(
-            a / alpha_minus
-        )
-        branch_actions = beta_low / (c0**2 * eps0**2.5) * (a / alpha_minus)
-        inv_N0 = c_lower * max(branch_angles, branch_actions) * ratio32
-        contraction_rhs = c0**2 * eps0**2 * alpha_minus**2 / (2 * alpha_plus**2)
-        N0 = 1.0 / inv_N0
+        ratio32 = (alpha_plus / alpha_minus) ** 1.5
+        # c0 is a numpy float, so a quotient past the float range is 0 or inf
+        # with a warning; the check below rejects it instead
+        with np.errstate(all="ignore"):
+            branch_angles = beta_low * Lam / (c0**2 * eps0**2 * delta * s0) * math.sqrt(
+                a / alpha_minus
+            )
+            branch_actions = beta_low / (c0**2 * eps0**2.5) * (a / alpha_minus)
+            inv_N0 = c_lower * max(branch_angles, branch_actions) * ratio32
+            contraction_rhs = c0**2 * eps0**2 * alpha_minus**2 / (2 * alpha_plus**2)
+            N0 = 1.0 / inv_N0
 
-        eta = c_lower * max(
-            alpha_plus**2 / (beta_low * math.sqrt(alpha_minus**3 * a)),
-            alpha_plus**2
-            / (c0**2 * eps0**2.5 * alpha_minus**2)
-            * math.sqrt(a / alpha_minus),
-            alpha_plus**2
-            / (c0**2 * eps0**2 * alpha_minus**2)
-            * (Lam / (s0 * delta))
-            * 2.0 ** (-min(N0, 1022.0)),
-        )
-        T = Lam * alpha_plus**3 / (beta_low * m0**2 * a) * (3 * np.pi / eta)
+            eta = c_lower * max(
+                alpha_plus**2 / (beta_low * math.sqrt(alpha_minus**3 * a)),
+                alpha_plus**2
+                / (c0**2 * eps0**2.5 * alpha_minus**2)
+                * math.sqrt(a / alpha_minus),
+                alpha_plus**2
+                / (c0**2 * eps0**2 * alpha_minus**2)
+                * (Lam / (s0 * delta))
+                * 2.0 ** (-min(N0, 1022.0)),
+            )
+            T = Lam * alpha_plus**3 / (beta_low * m0**2 * a) * (3 * np.pi / eta)
+    except (OverflowError, ZeroDivisionError):
+        raise out_of_range from None
     # negated, so that NaN fails too; an unmeasured c0 is NaN, which is data
     if measured and not all(0 < v < math.inf for v in (inv_N0, N0, eta, T)):
-        raise ValueError("c_lower=%r, s0=%r and delta=%r give N0, eta or T outside "
-                         "the float range" % (c_lower, s0, delta))
+        raise out_of_range
     ineqs.append(Inequality("contraction (defines N0)", inv_N0, contraction_rhs))
     ineqs.append(Inequality("winding", eta, 1.0))
     passed = all(iq.holds for iq in ineqs)

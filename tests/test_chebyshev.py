@@ -10,7 +10,33 @@ from scipy.fft import dct
 from perilib import chebyshev as ch
 
 
-# ---------------- DCT-based references: one transform per axis ----------------
+# ---------------- references on scipy's DCT-I, one transform per axis ----------------
+
+
+def ref_vals_to_coeffs(v, axis):
+    """Chebyshev coefficients of values at increasing Lobatto nodes, by
+    scipy's DCT-I with the end modes halved."""
+    n = v.shape[axis]
+    if n == 1:
+        return v.copy()
+    c = dct(np.flip(v, axis=axis), type=1, axis=axis) / (n - 1)
+    ends = [slice(None)] * v.ndim
+    ends[axis] = [0, n - 1]
+    c[tuple(ends)] *= 0.5
+    return c
+
+
+def ref_coeffs_to_vals(c, axis):
+    """Values at increasing Lobatto nodes of Chebyshev coefficients, by
+    scipy's DCT-I with the end modes doubled."""
+    n = c.shape[axis]
+    if n == 1:
+        return c.copy()
+    cc = c.copy()
+    ends = [slice(None)] * c.ndim
+    ends[axis] = [0, n - 1]
+    cc[tuple(ends)] *= 2
+    return np.flip(0.5 * dct(cc, type=1, axis=axis), axis=axis)
 
 
 def ref_refine(v):
@@ -21,11 +47,11 @@ def ref_refine(v):
         if n == 1:
             continue
         m = int(np.ceil(1.5 * n))
-        c = ch.vals_to_coeffs(out, ax)
+        c = ref_vals_to_coeffs(out, ax)
         pad = list(c.shape)
         pad[ax] = m - n
         c = np.concatenate([c, np.zeros(pad, dtype=c.dtype)], axis=ax)
-        out = ch.coeffs_to_vals(c, ax)
+        out = ref_coeffs_to_vals(c, ax)
     return out
 
 
@@ -35,10 +61,10 @@ def ref_coarsen(v, shape):
     for ax in range(v.ndim):
         if out.shape[ax] == shape[ax]:
             continue
-        c = ch.vals_to_coeffs(out, ax)
+        c = ref_vals_to_coeffs(out, ax)
         sl = [slice(None)] * out.ndim
         sl[ax] = slice(0, shape[ax])
-        out = ch.coeffs_to_vals(c[tuple(sl)], ax)
+        out = ref_coeffs_to_vals(c[tuple(sl)], ax)
     return out
 
 
@@ -165,6 +191,15 @@ class TestResampling:
 
 
 class TestCachedOperators:
+    def test_transforms_match_scipy_dct(self):
+        # the cosine matrices against scipy's DCT-I, column by column: at
+        # most 1.1e-15 apart for n = 1..129 (measured), here bounded by 2e-15
+        for n in range(1, 130):
+            eye = np.eye(n)
+            for got, ref in ((ch.vals_to_coeffs(eye, 0), ref_vals_to_coeffs(eye, 0)),
+                             (ch.coeffs_to_vals(eye, 0), ref_coeffs_to_vals(eye, 0))):
+                assert np.max(np.abs(got - ref)) <= 2e-15, n
+
     def test_resample_matrix_read_only_and_shared(self):
         M = ch.resample_matrix(16, 24)
         assert M.shape == (24, 16)

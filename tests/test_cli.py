@@ -57,13 +57,27 @@ class TestConfig:
         ("--set", "hamiltonian.Lambda=1e200", "check-theorem"),
         ("--set", "domain.alpha_plus=1e308", "check-theorem"),
         ("--set", "domain.alpha_minus=1e-300", "check-theorem"),
+        ("--set", "hamiltonian.Lambda=1e300", "portrait"),
+        ("--set", "hamiltonian.Lambda=1e300", "verify-renorm", "--eps-list", "0.3"),
+        ("--set", "hamiltonian.Lambda=1e-200", "verify-renorm", "--eps-list", "0.3"),
+        ("--set", "domain.s0=800", "check-theorem"),
+        ("--set", "domain.eps0=1e130", "check-theorem"),
+        ("--set", "domain.s0=5e-324", "check-theorem"),
     ], ids=["Lambda-1e-200", "m0-1e-200", "m0-1e120", "Lambda-1e200",
-            "alpha-plus-1e308", "alpha-minus-1e-300"])
+            "alpha-plus-1e308", "alpha-minus-1e-300", "Lambda-1e300-portrait",
+            "Lambda-1e300-verify-renorm", "Lambda-1e-200-verify-renorm", "s0-800", "eps0-1e130",
+            "s0-5e-324"])
     def test_scales_past_the_float_range_are_input_errors(self, tmp_path, capsys, argv):
-        # each of these used to end in a traceback (exit 1)
-        code, _ = run(tmp_path, *argv)
+        # each of these used to end in a traceback (exit 1), or for
+        # verify-renorm at Lambda = 1e-200 in exit 3 on a NaN: portrait and
+        # verify-renorm take Lambda through HamiltonianSpec's checks, and
+        # check-theorem's cosh(s0), eps0**2.5 and Lambda / (s0 delta) on
+        # floats raise its range error
+        code, out = run(tmp_path, *argv)
         assert code == EXIT_CONFIG
-        assert "outside the float range" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "outside the float range" in err
+        assert not out.exists()
 
     def test_malformed_field_names_culprit(self, tmp_path):
         path = write_config(tmp_path, "[domain]\nalpha_minus = -3\n")
@@ -421,9 +435,14 @@ class TestEvolve:
         ("secular", "1e150,0,100,0", "1", EXIT_GUARD, "step controller"),
         ("secular", "0.1,0,1e160,0", "1", EXIT_GUARD, "at t=0"),
         ("secular", "0.1,0,1e-160,0", "1", EXIT_CONFIG, "f_eps requires"),
-        ("action-angle", "0.9,0.3,1e200,2.5", "1", EXIT_GUARD, "at t=0"),
+        # y**2 past the float range puts r at inf, where the energy rounds
+        # to 0: the chart map refuses it before a step
+        ("action-angle", "0.9,0.3,1e200,2.5", "0", EXIT_CONFIG, "radial radius"),
+        ("action-angle", "0.9,0.3,1e200,2.5", "1", EXIT_CONFIG, "radial radius"),
+        ("action-angle", "0.9,0.3,1e120,2.5", "1", EXIT_GUARD, "at t=0"),
         ("action-angle", "0.9,0.3,1e-200,2.5", "1", EXIT_CONFIG, "f_eps requires"),
-    ], ids=["R-1e200-T0", "R-1e200", "R-1e150", "r-1e160", "r-1e-160", "y-1e200", "y-1e-200"])
+    ], ids=["R-1e200-T0", "R-1e200", "R-1e150", "r-1e160", "r-1e-160", "y-1e200-T0", "y-1e200",
+            "y-1e120", "y-1e-200"])
     def test_overflowing_state_exits_with_its_code(self, tmp_path, capsys, chart, state,
                                                    duration, code, message):
         # a start of non-finite energy, or one whose run's arithmetic leaves
@@ -436,23 +455,42 @@ class TestEvolve:
         assert not (out / "trajectory.csv").exists()
 
 
-def test_cli_import_leaves_scipy_integrate_and_fft_unloaded():
-    # scipy.integrate, scipy.fft and numpy.polynomial load only when a
-    # command needs them
-    import os
+def test_commands_load_no_scipy_and_no_numpy_polynomial(tmp_path):
+    # numpy is the only runtime dependency: importing perilib.cli, running
+    # each command at a small size and integrating a flow load no scipy
+    # module, and no numpy.polynomial module either
     import subprocess
     import sys
+    import textwrap
 
     import perilib
 
     src = os.path.dirname(os.path.dirname(perilib.__file__))
-    code = ("import sys; import perilib.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.integrate', 'scipy.fft', 'numpy.polynomial'))))")
+    code = textwrap.dedent("""
+        import sys
+        from perilib.cli import main
+        from perilib.coords import SecularState, derive_mass_params
+        from perilib.dynamics import integrate
+        from perilib.hamiltonians import HamiltonianSpec
+        out = ["--out", sys.argv[1]]
+        for argv in (["--set", "portrait.grid=64", "portrait"],
+                     ["--set", "renorm.samples=5", "verify-renorm", "--eps-list", "0.3"],
+                     ["evolve", "--duration", "5"],
+                     ["check-theorem"],
+                     ["--set", "normalform.grid=6,6,12", "--set", "normalform.fourier_cutoff=4",
+                      "normalform", "-N", "1"]):
+            assert main(out + argv) == 0, argv
+        spec = HamiltonianSpec(1, 1.0, 1.0, derive_mass_params(1.0, 1.0))
+        traj = integrate(spec, SecularState(0.1, 0.2, 100.0, 0.3), 5.0)
+        assert len(traj.times) == 2000
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+                     or m.startswith("numpy.polynomial")))
+    """)
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+    assert len(os.listdir(tmp_path)) == 9  # each command wrote its files
 
 
 class TestCheckTheorem:

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from perilib.coords import (
     X_COLLISION,
     ActionAngleState,
+    DomainError,
     SecularState,
     derive_mass_params,
     gg_forward,
@@ -206,6 +207,15 @@ class TestRr:
 
 
 class TestCollisionGuard:
+    @pytest.mark.parametrize("y", [[1e200], [4.0, 1e200]], ids=["one-state", "array"])
+    def test_radius_past_the_float_range_raises(self, y):
+        # r = y^2/m0^3 (1 - cos xi') overflows to inf, where the energy
+        # rounds to 0; the chart map refuses it, numpy warning of nothing
+        x = np.full(len(y), 2.5)
+        with pytest.raises(DomainError, match="radial radius r past the float range"):
+            radial_radius(1.0, np.array(y), x)
+        assert np.isfinite(radial_radius(1.0, np.array([1e100] * len(y)), x)).all()
+
     @pytest.mark.parametrize("x", [1e-21, 1e-12, 2 * np.pi - 1e-12])
     def test_near_collision_raises(self, x):
         from perilib.hamiltonians import HamiltonianSpec, chart_named

@@ -94,10 +94,15 @@ class TestChecker:
         {"c_lower": 5e-324},  # inv_N0 underflows to 0, so N0 = 1/inv_N0 is inf
         {"s0": 1e-320},  # the angle branch overflows: N0 = 0, eta = inf
         {"delta": 1e-320},  # the same through delta
-    ], ids=["c-lower-5e-324", "s0-1e-320", "delta-1e-320"])
+        {"s0": 800.0},  # math.cosh(s0) overflows
+        {"eps0": 1e130},  # eps0**2.5 overflows on floats, c0 unmeasured
+        {"s0": 5e-324},  # s0 * delta rounds to 0 under Lambda / (s0 delta)
+    ], ids=["c-lower-5e-324", "s0-1e-320", "delta-1e-320", "s0-800", "eps0-1e130",
+            "s0-5e-324"])
     def test_derived_quantities_past_the_float_range_rejected(self, overrides):
         # these used to give a report with N0, eta or T at 0 or inf, after a
-        # RuntimeWarning
+        # RuntimeWarning, or (the last three) to raise an OverflowError or a
+        # ZeroDivisionError
         with pytest.raises(ValueError, match="c_lower=.*, s0=.* and delta="):
             experiment_report(**overrides)
 
