@@ -455,10 +455,28 @@ class TestEvolve:
         assert not (out / "trajectory.csv").exists()
 
 
+def test_cli_import_leaves_scipy_integrate_and_fft_unloaded():
+    # importing perilib.cli loads no scipy module, scipy.integrate and
+    # scipy.fft included, and no numpy.polynomial module
+    import subprocess
+    import sys
+
+    import perilib
+
+    src = os.path.dirname(os.path.dirname(perilib.__file__))
+    code = ("import sys; import perilib.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial')))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_commands_load_no_scipy_and_no_numpy_polynomial(tmp_path):
-    # numpy is the only runtime dependency: importing perilib.cli, running
-    # each command at a small size and integrating a flow load no scipy
-    # module, and no numpy.polynomial module either
+    # numpy is the only runtime dependency: running each command at a small
+    # size loads no scipy module, and no numpy.polynomial module either
+    # (test_rk's start-up test covers integrating a flow on its own)
     import subprocess
     import sys
     import textwrap
@@ -469,9 +487,6 @@ def test_commands_load_no_scipy_and_no_numpy_polynomial(tmp_path):
     code = textwrap.dedent("""
         import sys
         from perilib.cli import main
-        from perilib.coords import SecularState, derive_mass_params
-        from perilib.dynamics import integrate
-        from perilib.hamiltonians import HamiltonianSpec
         out = ["--out", sys.argv[1]]
         for argv in (["--set", "portrait.grid=64", "portrait"],
                      ["--set", "renorm.samples=5", "verify-renorm", "--eps-list", "0.3"],
@@ -480,9 +495,6 @@ def test_commands_load_no_scipy_and_no_numpy_polynomial(tmp_path):
                      ["--set", "normalform.grid=6,6,12", "--set", "normalform.fourier_cutoff=4",
                       "normalform", "-N", "1"]):
             assert main(out + argv) == 0, argv
-        spec = HamiltonianSpec(1, 1.0, 1.0, derive_mass_params(1.0, 1.0))
-        traj = integrate(spec, SecularState(0.1, 0.2, 100.0, 0.3), 5.0)
-        assert len(traj.times) == 2000
         print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
                      or m.startswith("numpy.polynomial")))
     """)

@@ -1,13 +1,17 @@
 """perilib.rk against scipy.integrate.solve_ivp, which it reproduces.
 
 scipy.integrate and scipy.optimize are imported by these tests only: the
-library steps its flows with perilib.rk and never imports them (see
-test_cli's test_commands_load_no_scipy_and_no_numpy_polynomial).
+library steps its flows with perilib.rk and never imports them.
 """
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import perilib
 from perilib import rk
 from perilib.coords import ActionAngleState, SecularState, derive_mass_params
 from perilib.dynamics import StepControl, integrate
@@ -248,3 +252,21 @@ class TestParityWithSolveIvp:
         # numpy's BLAS against a float loop, picks the early step sizes:
         # 52 accepted steps here against solve_ivp's 51
         assert abs(sol.n_accepted - ref_sol.n_accepted) <= 1
+
+
+def test_integrating_loads_no_scipy_integrate_or_optimize():
+    # the memory and start-up of a flow: importing perilib and integrating
+    # load no scipy module, scipy.integrate and scipy.optimize included
+    src = os.path.dirname(os.path.dirname(perilib.__file__))
+    code = ("import sys; import perilib; "
+            "from perilib.dynamics import integrate; "
+            "from perilib.coords import SecularState, derive_mass_params; "
+            "from perilib.hamiltonians import HamiltonianSpec; "
+            "spec = HamiltonianSpec(1, 1.0, 1.0, derive_mass_params(1.0, 1.0)); "
+            "traj = integrate(spec, SecularState(0.1, 0.2, 100.0, 0.3), 5.0); "
+            "assert len(traj.times) == 2000; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
