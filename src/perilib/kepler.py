@@ -138,33 +138,32 @@ def _newton_complex(z, target, tol):
     raise KeplerError("complex radial Kepler solve stalled at x=%r" % (complex(tg[0]),))
 
 
-def solve_kepler(e, ell, tol=DEFAULT_TOL):
-    """Solve xi - e sin(xi) = ell for the eccentric anomaly.
+def solve_kepler(e, ell):
+    """Solve xi - e sin(xi) = ell for the eccentric anomaly, to a residual
+    of at most DEFAULT_TOL.
 
     Parameters
     ----------
     e : eccentricity in [0, 1)
     ell : mean anomaly (rad), any real value
-    tol : residual tolerance
 
     Returns a KeplerSolution whose xi is continuous in ell: the branch for
     ell + 2*pi*k is the principal solution shifted by 2*pi*k.
     """
     if not 0.0 <= e < 1.0:
         raise ValueError("eccentricity must lie in [0, 1), got %r" % (e,))
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return _solve_elliptic(e, ell, tol)
+    return _solve_elliptic(e, ell)
 
 
-def _solve_elliptic(e, ell, tol):
+def _solve_elliptic(e, ell):
     """solve_kepler without argument checks; e = 1 is solved too, and an
     array ell is solved entrywise (see _newton_bisect)."""
     k = np.floor(ell / (2 * np.pi))
     ell0 = ell - 2 * np.pi * k
     if e == 0.0:
         return KeplerSolution(ell, 0.0, 0)
-    xi, res, it = _newton_bisect(e, ell0, ell0 - e, ell0 + e, ell0 + e * np.sin(ell0), tol)
+    xi, res, it = _newton_bisect(e, ell0, ell0 - e, ell0 + e, ell0 + e * np.sin(ell0),
+                                 DEFAULT_TOL)
     return KeplerSolution(xi + 2 * np.pi * k, res, it)
 
 
@@ -204,14 +203,14 @@ def xi_prime_array(x, tol=DEFAULT_TOL):
     return _newton_radial(x, tol)[0]
 
 
-def xi_prime_real(x, tol=DEFAULT_TOL):
-    """Real solution of xi' - sin xi' = x without argument checks (fast path
-    for the flow)."""
-    return _newton_radial(x, tol)[0]
+def xi_prime_real(x):
+    """Real solution of xi' - sin xi' = x, to a residual of at most
+    DEFAULT_TOL, without argument checks (fast path for the flow)."""
+    return _newton_radial(x, DEFAULT_TOL)[0]
 
 
 @functools.lru_cache(maxsize=128)
-def estimate_c0(eps0, grid_n=64, tol=1e-13):
+def estimate_c0(eps0, grid_n=48, tol=1e-13):
     """Measure the domain constant c0 of the radial-orbit strip.
 
     Returns the minimum of |1 - cos xi'(x)| / eps0 over a grid_n x grid_n

@@ -253,13 +253,6 @@ def _pair_sums(k1, k2, K):
     return tuple(out)
 
 
-def _cutoff(f, g, fourier_cutoff):
-    """The requested cutoff, by default the operands' max."""
-    if fourier_cutoff is not None:
-        return fourier_cutoff
-    return max(f.fourier_cutoff, g.fourier_cutoff)
-
-
 class _FineSums:
     """The fine-grid sums of one product or bracket: one stack with a row
     per output key, in the order the products first reach them.  The keys
@@ -333,12 +326,12 @@ def _projected(acc, like):
     return out.prune()
 
 
-def tf_product(f, g, fourier_cutoff=None):
+def tf_product(f, g):
     """Mode-convolution product with de-aliased grid multiplication,
-    truncated back to the requested cutoff (default: the operands' max)."""
+    truncated back to the operands' larger cutoff."""
     if not f.same_shape(g):
         raise ShapeError("multiplying incompatible series")
-    acc = _FineSums(f, _cutoff(f, g, fourier_cutoff), [(f.coeffs, g.coeffs)])
+    acc = _FineSums(f, max(f.fourier_cutoff, g.fourier_cutoff), [(f.coeffs, g.coeffs)])
     _add_products(acc, 1, _refined(f), _refined(g))
     return _projected(acc, f)
 
@@ -391,7 +384,7 @@ class _BracketSide:
         self.series = f
         self.d_phi, self.d_I, self.d_y, self.d_x = _pieces(f)
 
-    def bracket(self, g, fourier_cutoff=None):
+    def bracket(self, g):
         """{f, g} with f this side's series and g a series.
 
         g is streamed: its pieces are pulled in the order _pieces makes
@@ -408,7 +401,7 @@ class _BracketSide:
         f = self.series
         if not f.same_shape(g):
             raise ShapeError("bracket of incompatible series")
-        K = _cutoff(f, g, fourier_cutoff)
+        K = max(f.fourier_cutoff, g.fourier_cutoff)
         f_keys, g_keys = list(f.coeffs), list(g.coeffs)
         g_osc = [key for key in g_keys if key[0][0]]  # the keys of g's d_phi
         acc = _FineSums(f, K, [(f_keys, g_osc), (g_keys, self.d_phi),
@@ -421,12 +414,12 @@ class _BracketSide:
         return _projected(acc, f)
 
 
-def poisson_bracket(f, g, fourier_cutoff=None):
+def poisson_bracket(f, g):
     """{f, g} = d_I f d_phi g - d_I g d_phi f + d_y f d_x g - d_y g d_x f,
     with exact mode arithmetic in k, spectral differentiation on the
-    Chebyshev grids, and truncation back to the requested cutoff (default:
-    the operands' max, as for tf_product)."""
-    return _BracketSide(f).bracket(g, fourier_cutoff)
+    Chebyshev grids, and truncation back to the operands' larger cutoff, as
+    for tf_product."""
+    return _BracketSide(f).bracket(g)
 
 
 # ---------------- frequencies and the NQP primitive ----------------
@@ -594,11 +587,11 @@ def _weighted_sum(terms, weights):
     return total.prune()
 
 
-def lie_transform(H, phi, max_order=16):
-    """Time-one Lie flow sum_{j<=max_order} L_phi^j H / j! and its LieReport
-    (contraction guard and tail bound as in _lie_chain, norms with width
-    PLAIN_S)."""
-    terms, report = _lie_chain(_BracketSide(phi), H, max_order, PLAIN_S)
+def lie_transform(H, phi):
+    """Time-one Lie flow sum_{j<=STEP_LIE_ORDER} L_phi^j H / j! and its
+    LieReport (contraction guard and tail bound as in _lie_chain, norms with
+    width PLAIN_S)."""
+    terms, report = _lie_chain(_BracketSide(phi), H, STEP_LIE_ORDER, PLAIN_S)
     return _weighted_sum(terms, [1.0] * len(terms)), report
 
 

@@ -67,26 +67,26 @@ def _classify(eps, Lambda, G, g):
     return "saddle", (complex(lam, 0.0), complex(-lam, 0.0))
 
 
-def _newton_sweep(eps, Lambda, G, g, newton_steps, tol):
+def _newton_sweep(eps, Lambda, G, g):
     """Newton's method for grad e_hat = 0 from every start (G[k], g[k]) at once.
 
     Each start follows its own scalar Newton run: it converges when the
-    gradient norm drops below tol within newton_steps iterations, and it is
+    gradient norm drops below 1e-12 within 60 iterations, and it is
     dropped when its Hessian is exactly singular or an iterate leaves
     |G| <= Lambda (1 - 1e-9).  Steps longer than Lambda / 2 are shortened to
     that length and g is wrapped into (-pi, pi] after each step.  The sweep
-    ends after newton_steps iterations or once no start is live.  Returns
+    ends after 60 iterations or once no start is live.  Returns
     (converged mask, G, g), the last two holding the converged points.
     """
     Gmax = Lambda * (1 - 1e-9)
     ok = np.zeros(G.shape, dtype=bool)
     G_out, g_out = G.copy(), g.copy()
     live = np.arange(G.size)
-    for _ in range(newton_steps):
+    for _ in range(60):
         if not live.size:
             break
         dG, dg = _grad_e(eps, Lambda, G, g)
-        done = np.sqrt(dG * dG + dg * dg) < tol
+        done = np.sqrt(dG * dG + dg * dg) < 1e-12
         ok[live[done]] = True
         G_out[live[done]] = G[done]
         g_out[live[done]] = g[done]
@@ -108,11 +108,14 @@ def _newton_sweep(eps, Lambda, G, g, newton_steps, tol):
     return ok, G_out, g_out
 
 
-def find_equilibria(eps, Lambda=1.0, grid_n=48, newton_steps=60, tol=1e-12):
-    """Critical points of e_hat on the cylinder (g, G) by Newton from a grid.
+def find_equilibria(eps, Lambda=1.0, grid_n=48):
+    """Critical points of e_hat with |G| <= 0.999 Lambda on the cylinder
+    (g, G), by Newton from a grid and from two starts next to the edges.
 
     eps must avoid the transition values 1/2 and 1 where equilibria are
-    degenerate.  Returns EquilibriumReport entries sorted by (g, G).
+    degenerate.  Returns EquilibriumReport entries sorted by (g, G): two
+    below eps = 1/2, four above.  Another count raises ValueError, as past
+    eps = 11.18, where the G-axis centers pass 0.999 Lambda.
     """
     _check_eps_lambda(eps, Lambda)
     if eps <= 0:
@@ -120,11 +123,16 @@ def find_equilibria(eps, Lambda=1.0, grid_n=48, newton_steps=60, tol=1e-12):
     if abs(eps - 0.5) < 1e-9 or abs(eps - 1.0) < 1e-9:
         raise ValueError("eps at a transition value (1/2 or 1)")
     # starts in (g0, G0) order: the first start reaching an equilibrium
-    # supplies its reported location
+    # supplies its reported location.  No grid start reaches the G-axis
+    # centers at some eps (4.5, 7).  On g = 0, d e_hat/dG is concave in G
+    # from a center to the edge, so Newton from Lambda (1 - 1e-4) runs
+    # monotonically into every center below 0.999 Lambda
     g0 = np.linspace(-np.pi, np.pi, grid_n, endpoint=False)
     G0 = np.linspace(-0.98 * Lambda, 0.98 * Lambda, grid_n)
     g0, G0 = (a.ravel() for a in np.meshgrid(g0, G0, indexing="ij"))
-    ok, G, g = _newton_sweep(eps, Lambda, G0, g0, newton_steps, tol)
+    edge = Lambda * (1 - 1e-4)
+    g0, G0 = np.append(g0, [0.0, 0.0]), np.append(G0, [edge, -edge])
+    ok, G, g = _newton_sweep(eps, Lambda, G0, g0)
     G, g = G[ok], np.angle(np.exp(1j * g[ok]))
     keep = np.abs(G) <= 0.999 * Lambda
     G, g = G[keep], g[keep]
@@ -145,6 +153,10 @@ def find_equilibria(eps, Lambda=1.0, grid_n=48, newton_steps=60, tol=1e-12):
             np.abs(np.angle(np.exp(1j * (g - gk)))) < 1e-6
         )
         G, g = G[~same], g[~same]
+    expected = 4 if eps > 0.5 else 2
+    if len(found) != expected:
+        raise ValueError("eps=%r: found %d of the %d equilibria"
+                         % (eps, len(found), expected))
     found.sort(key=lambda e: (round(e.location[0], 9), round(e.location[1], 9)))
     return found
 
@@ -345,9 +357,10 @@ def chain_segments(segs):
     return _chain(edge, xy[:, 0], xy[:, 1])
 
 
-def is_closed(polyline, tol=1e-6):
+def is_closed(polyline):
+    """True if the polyline's ends agree to within 1e-6 in each coordinate."""
     a, b = polyline[0], polyline[-1]
-    return abs(a[0] - b[0]) < tol and abs(a[1] - b[1]) < tol
+    return abs(a[0] - b[0]) < 1e-6 and abs(a[1] - b[1]) < 1e-6
 
 
 def phase_portrait(eps, Lambda=1.0, grid=(128, 128), levels=12):
@@ -380,10 +393,11 @@ def phase_portrait(eps, Lambda=1.0, grid=(128, 128), levels=12):
     return out
 
 
-def spans_full_angle(polyline, margin=0.05):
-    """True if the polyline's g-extent reaches both cylinder seams."""
+def spans_full_angle(polyline):
+    """True if the polyline's g-extent reaches within 0.05 of both cylinder
+    seams."""
     gs = [p[0] for p in polyline]
-    return min(gs) < -np.pi + margin and max(gs) > np.pi - margin
+    return min(gs) < -np.pi + 0.05 and max(gs) > np.pi - 0.05
 
 
 def has_rotational_orbits(eps, Lambda=1.0, grid=(128, 128), levels=40):

@@ -468,9 +468,9 @@ def solve(fun, t_span, y0, t_eval, method, rtol, atol, events=None):
     100 * EPS or a negative atol (NaN included) is a ValueError before any
     evaluation.
     Each event is a scalar function event(t, y) whose zeros are located,
-    with solve_ivp's optional attributes: terminal (a positive int n stops
-    the run at the event's n-th zero) and direction (> 0 or < 0: only
-    rising or only falling zeros count).  Returns a Solution.
+    with two of solve_ivp's optional attributes: terminal (True stops the
+    run at the event's first zero) and direction (> 0 or < 0: only rising
+    or only falling zeros count).  Returns a Solution.
     """
     pair = PAIRS.get(method)
     if pair is None:
@@ -497,18 +497,10 @@ def solve(fun, t_span, y0, t_eval, method, rtol, atol, events=None):
         return fun(t, z)
 
     if events is not None:
-        max_events, event_dir = [], []
-        for event in events:
-            terminal = getattr(event, "terminal", None)
-            event_dir.append(getattr(event, "direction", 0))
-            if terminal is None or terminal == 0:
-                max_events.append(math.inf)
-            elif int(terminal) == terminal and terminal > 0:
-                max_events.append(terminal)
-            else:
-                raise ValueError("The `terminal` attribute of each event "
-                                 "must be a boolean or positive integer.")
-        event_count = [0] * len(events)
+        terminal = [getattr(event, "terminal", False) for event in events]
+        if not all(isinstance(v, bool) for v in terminal):
+            raise ValueError("The `terminal` attribute of each event must be a boolean.")
+        event_dir = [getattr(event, "direction", 0) for event in events]
         g = [event(t0, y) for event in events]
         t_events = [[] for _ in events]
         y_events = [[] for _ in events]
@@ -568,18 +560,15 @@ def solve(fun, t_span, y0, t_eval, method, rtol, atol, events=None):
                       if (a <= 0 <= b and d >= 0) or (a >= 0 >= b and d <= 0)]
             if active:
                 sol = pair.dense(rhs, t_old, t, y_old, y, K)
-                for i in active:
-                    event_count[i] += 1
                 roots = [brentq(lambda tt, e=events[i]: e(tt, sol([tt])[0].tolist()), t_old, t)
                          for i in active]
-                if any(event_count[i] >= max_events[i] for i in active):
+                if any(terminal[i] for i in active):
                     # the zeros in integration order, up to the first
                     # terminal one
                     order = sorted(range(len(active)), key=lambda k: direction * roots[k])
                     active = [active[k] for k in order]
                     roots = [roots[k] for k in order]
-                    last = next(k for k, i in enumerate(active)
-                                if event_count[i] >= max_events[i])
+                    last = next(k for k, i in enumerate(active) if terminal[i])
                     active, roots = active[:last + 1], roots[:last + 1]
                     status = 1
                 for i, te in zip(active, roots):

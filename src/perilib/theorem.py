@@ -6,8 +6,8 @@ exist making its inequality system sufficient, without giving values.  The
 checker therefore evaluates every inequality under configurable surrogate
 constants (defaults C*=10, C_*=2) and reports measured left/right sides;
 passing it is a numerical illustration, not a proof.  The domain constant
-c0 is measured (see kepler.estimate_c0), never assumed: once per
-(eps0, grid_n, tol) in a process, so repeated checks at one eps0 share it.
+c0 is measured (see kepler.estimate_c0), never assumed: once per eps0 in a
+process, so repeated checks at one eps0 share it.
 """
 
 import math
@@ -22,7 +22,7 @@ from .kepler import estimate_c0
 
 DEFAULT_C_UPPER = 10.0  # surrogate C*
 DEFAULT_C_LOWER = 2.0   # surrogate C_*
-C0_GRID = 48  # grid of the estimate_c0 scan
+LIBRATION_STEP = StepControl(rtol=1e-12, atol=1e-12, method="DOP853")  # every libration run
 
 
 @dataclass(frozen=True)
@@ -83,10 +83,11 @@ def check_libration_theorem(spec, eps0, delta, s0, alpha_minus, alpha_plus,
     C* delta/(beta_* Lambda) <= 1; the explicit holomorphy bound
     16 cosh(s0)^2 delta / Lambda < 1; the contraction bound defining N0; and
     the winding bound eta < 1.  Failure is data, not an error, except for
-    alphas whose powers below leave the float range, and for eps0, c_lower,
-    s0 and delta (or a measured c0) that put cosh(s0), inv_N0, N0, eta or T
-    outside (0, inf): a ValueError.  c0 is measured by kepler.estimate_c0, once
-    per eps0 in a process.
+    alphas whose powers below leave the float range, an eps0 outside (0, 1)
+    (refused before c0 is measured), and eps0, c_lower, s0 and delta (or
+    the measured c0) that put cosh(s0), inv_N0, N0, eta or T outside
+    (0, inf): a ValueError.  c0 is measured by kepler.estimate_c0, once per
+    eps0 in a process.
     """
     # negated, so that NaN fails; a power past the float range is NaN, and a
     # negative alpha fails on its cube before the ratio's complex power
@@ -100,17 +101,17 @@ def check_libration_theorem(spec, eps0, delta, s0, alpha_minus, alpha_plus,
     Lam, a = spec.Lambda, spec.a
     m0 = spec.m0
     beta_low, beta_up = spec.beta_star, spec.beta_upper
-    # out-of-range eps0 must surface as failed inequalities, not an
-    # exception: NaN comparisons are False, so every c0-dependent row fails
-    measured = 0.0 < eps0 < 1.0
-    c0 = estimate_c0(eps0, C0_GRID) if measured else math.nan
+    # negated, so that NaN is refused too
+    if not 0.0 < eps0 < 1.0:
+        raise ValueError("eps0=%r lies outside (0, 1)" % (eps0,))
+    c0 = estimate_c0(eps0)
 
     out_of_range = ValueError(
         "eps0=%r, c_lower=%r, s0=%r and delta=%r give cosh(s0), N0, eta or T "
         "outside the float range" % (eps0, c_lower, s0, delta))
     # the inputs are Python floats, whose arithmetic raises past the float
-    # range (cosh(s0), eps0**2.5, Lam / (s0 * delta)) where numpy's gives
-    # inf: either way the inputs are rejected
+    # range (cosh(s0), Lam / (s0 * delta)) where numpy's gives inf: either
+    # way the inputs are rejected
     try:
         ineqs = [
             Inequality("eps0-above-zero", 0.0, eps0),
@@ -156,8 +157,8 @@ def check_libration_theorem(spec, eps0, delta, s0, alpha_minus, alpha_plus,
             T = Lam * alpha_plus**3 / (beta_low * m0**2 * a) * (3 * np.pi / eta)
     except (OverflowError, ZeroDivisionError):
         raise out_of_range from None
-    # negated, so that NaN fails too; an unmeasured c0 is NaN, which is data
-    if measured and not all(0 < v < math.inf for v in (inv_N0, N0, eta, T)):
+    # negated, so that NaN fails too
+    if not all(0 < v < math.inf for v in (inv_N0, N0, eta, T)):
         raise out_of_range
     ineqs.append(Inequality("contraction (defines N0)", inv_N0, contraction_rhs))
     ineqs.append(Inequality("winding", eta, 1.0))
@@ -212,9 +213,7 @@ class LibrationSummary:
         }
 
 
-def run_libration_experiment(spec, report, state0,
-                             step_ctrl=StepControl(rtol=1e-12, atol=1e-12,
-                                                   method="DOP853")):
+def run_libration_experiment(spec, report, state0):
     """Integrate the action-angle flow under a passing hypothesis report.
 
     The run lasts min(report.T_estimate, three radial transit times) or
@@ -252,7 +251,7 @@ def run_libration_experiment(spec, report, state0,
     # x advances at roughly m0^5/y^3
     transits = 3.0 * (x_hi - np.pi) * state0.y**3 / m0**5
     T = min(report.T_estimate, transits)
-    traj = integrate(spec, state0, T, step_ctrl=step_ctrl, domain_guard=guard)
+    traj = integrate(spec, state0, T, step_ctrl=LIBRATION_STEP, domain_guard=guard)
     r_vals = radial_radius(m0, traj.states[:, 2], traj.states[:, 3])
     summary = LibrationSummary(
         winding=traj.winding,

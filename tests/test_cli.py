@@ -61,18 +61,17 @@ class TestConfig:
         ("--set", "hamiltonian.Lambda=1e300", "verify-renorm", "--eps-list", "0.3"),
         ("--set", "hamiltonian.Lambda=1e-200", "verify-renorm", "--eps-list", "0.3"),
         ("--set", "domain.s0=800", "check-theorem"),
-        ("--set", "domain.eps0=1e130", "check-theorem"),
         ("--set", "domain.s0=5e-324", "check-theorem"),
     ], ids=["Lambda-1e-200", "m0-1e-200", "m0-1e120", "Lambda-1e200",
             "alpha-plus-1e308", "alpha-minus-1e-300", "Lambda-1e300-portrait",
-            "Lambda-1e300-verify-renorm", "Lambda-1e-200-verify-renorm", "s0-800", "eps0-1e130",
+            "Lambda-1e300-verify-renorm", "Lambda-1e-200-verify-renorm", "s0-800",
             "s0-5e-324"])
     def test_scales_past_the_float_range_are_input_errors(self, tmp_path, capsys, argv):
         # each of these used to end in a traceback (exit 1), or for
         # verify-renorm at Lambda = 1e-200 in exit 3 on a NaN: portrait and
         # verify-renorm take Lambda through HamiltonianSpec's checks, and
-        # check-theorem's cosh(s0), eps0**2.5 and Lambda / (s0 delta) on
-        # floats raise its range error
+        # check-theorem's cosh(s0) and Lambda / (s0 delta) on floats raise
+        # its range error
         code, out = run(tmp_path, *argv)
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
@@ -242,6 +241,24 @@ class TestPortrait:
         assert code == EXIT_OK
         eq = json.loads((out / "equilibria.json").read_text())
         assert sum(e["kind"] == "saddle" for e in eq["equilibria"]) == 1
+
+    def test_axis_centers_at_eps_7(self, tmp_path):
+        # no start of the 48 x 48 grid reaches the G-axis centers at eps = 7:
+        # two of the four equilibria used to be written
+        code, out = run(tmp_path, "portrait", "--eps", "7")
+        assert code == EXIT_OK
+        eq = json.loads((out / "equilibria.json").read_text())["equilibria"]
+        G = np.sqrt(1 - 1 / (4 * 7.0**2))
+        assert [(e["g"], e["G"], e["kind"]) for e in eq] == [
+            (0.0, pytest.approx(-G, abs=1e-9), "center"), (0.0, 0.0, "saddle"),
+            (0.0, pytest.approx(G, abs=1e-9), "center"), (np.pi, 0.0, "center")]
+
+    def test_axis_centers_past_the_filter_are_config_error(self, tmp_path, capsys):
+        code, out = run(tmp_path, "portrait", "--eps", "20")
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "eps=20.0" in err
 
     def test_transition_eps_is_config_error(self, tmp_path, capsys):
         code, out = run(tmp_path, "portrait", "--eps=0.5")
@@ -513,6 +530,16 @@ class TestCheckTheorem:
         assert "inequalities" in rep and "pass" in rep and "T_estimate" in rep
         labels = {iq["label"] for iq in rep["inequalities"]}
         assert "winding" in labels and "contraction (defines N0)" in labels
+
+    @pytest.mark.parametrize("eps0", ["1", "1.2", "1e100", "1e130"])
+    def test_eps0_outside_zero_one_is_input_error(self, tmp_path, capsys, eps0):
+        # eps0 = 1e100 used to exit 0 and write c0 as NaN, which is not
+        # strict JSON, while 1e130 exited 2 on the overflow of eps0**2.5
+        code, out = run(tmp_path, "--set", "domain.eps0=" + eps0, "check-theorem")
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "lies outside (0, 1)" in err
+        assert not out.exists()
 
 
 class TestNormalForm:

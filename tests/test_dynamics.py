@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from perilib import hamiltonians, rk
 from perilib.coords import ActionAngleState, SecularState, derive_mass_params
@@ -162,6 +162,51 @@ class TestEvents:
         traj = measured(Trajectory(t, states, np.ones_like(t), "action-angle"), make_spec())
         assert traj.events == [(5.0, "squeeze")]
         assert traj.squeezes == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_cosine_samples_match_the_closed_form(self, data):
+        # G(t) = A cos(w t + phi), with the libration angle w t + phi wrapped
+        # into (-pi, pi], on a random increasing grid whose gaps stay below
+        # 0.9 pi / |w|: the squeezes are the zeros of the cosine inside the
+        # span, each timed within the gap that holds it, the winding is
+        # |w| T, and the winding-2pi event is the first sample at or past
+        # a turn of 2 pi.  In the action-angle chart A = sqrt(Lambda^2 -
+        # Gcal^2) with Gcal constant, so that Gcal_drift is 0 in both charts
+        chart = data.draw(st.sampled_from(["secular", "action-angle"]))
+        w = data.draw(st.floats(0.1, 5.0)) * data.draw(st.sampled_from([1.0, -1.0]))
+        phi = data.draw(st.floats(-np.pi, np.pi))
+        A = data.draw(st.floats(0.1, 0.9))
+        n = data.draw(st.integers(2, 60))
+        gaps = data.draw(st.lists(st.floats(0.01, 0.9), min_size=n - 1, max_size=n - 1))
+        t = data.draw(st.floats(-10.0, 10.0)) + np.cumsum([0.0] + gaps) * np.pi / abs(w)
+        phase = w * t + phi
+        lo, hi = sorted((phase[0], phase[-1]))
+        k = np.arange(np.ceil((lo - np.pi / 2) / np.pi), np.floor((hi - np.pi / 2) / np.pi) + 1)
+        zeros = np.sort((np.pi / 2 + k * np.pi - phi) / w)
+        T = t[-1] - t[0]
+        turn = t[0] + 2 * np.pi / abs(w)  # the time of a turn of 2 pi
+        assume(all(np.min(np.abs(t - z)) > 1e-9 for z in [*zeros, turn]))
+
+        states = np.zeros((n, 4))
+        if chart == "secular":
+            states[:, 1], states[:, 2], states[:, 3] = A * np.cos(phase), 50.0, 0.0
+            col = 3
+        else:
+            states[:, 0], states[:, 2], states[:, 3] = np.sqrt(1.0 - A * A), 500.0, 3.0
+            col = 1
+        states[:, col] = np.angle(np.exp(1j * phase))
+        traj = measured(Trajectory(t, states, np.ones(n), chart), make_spec())
+
+        squeezes = [te for te, kind in traj.events if kind == "squeeze"]
+        assert traj.squeezes == len(squeezes) == len(zeros)
+        for te, z in zip(squeezes, zeros):
+            i = np.searchsorted(t, z)
+            assert t[i - 1] <= te <= t[i]
+        assert abs(traj.winding - abs(w) * T) <= 1e-9 * max(1.0, abs(w) * T)
+        past = t[t > turn]
+        assert [te for te, kind in traj.events if kind == "winding-2pi"] == list(past[:1])
+        assert traj.Gcal_drift == 0.0
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())

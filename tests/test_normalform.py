@@ -58,10 +58,10 @@ def ref_tf_norm(f, s=PLAIN_S):
                for (k, _, _), arr in f.coeffs.items())
 
 
-def ref_tf_product(f, g, fourier_cutoff=None):
+def ref_tf_product(f, g):
     """The per-coefficient loop: refine every coefficient on its own, multiply
     pairwise, project each key back on its own."""
-    K = fourier_cutoff if fourier_cutoff is not None else max(f.fourier_cutoff, g.fourier_cutoff)
+    K = max(f.fourier_cutoff, g.fourier_cutoff)
     fine_f = {k: ch.refine(v) for k, v in f.coeffs.items()}
     fine_g = {k: ch.refine(v) for k, v in g.coeffs.items()}
     acc = {}
@@ -88,16 +88,15 @@ def d_angle(f):
     return out
 
 
-def ref_poisson_bracket(f, g, fourier_cutoff=None):
+def ref_poisson_bracket(f, g):
     """One reference product per term of the bracket, summed."""
     terms = [(d_grid(f, 0), d_angle(g)), (d_grid(g, 0) * -1.0, d_angle(f)),
              (d_grid(f, 1), d_grid(g, 2)), (d_grid(g, 1) * -1.0, d_grid(f, 2))]
     out = f.shell()
-    out.fourier_cutoff = fourier_cutoff if fourier_cutoff is not None else max(
-        f.fourier_cutoff, g.fourier_cutoff)
+    out.fourier_cutoff = max(f.fourier_cutoff, g.fourier_cutoff)
     for a, b in terms:
         if a.coeffs and b.coeffs:
-            out = out + ref_tf_product(a, b, fourier_cutoff)
+            out = out + ref_tf_product(a, b)
     return out.prune()
 
 
@@ -232,8 +231,8 @@ def two_sided_pairs(k1, k2, K):
     return out
 
 
-def two_sided_accumulate(terms, f, g, fourier_cutoff):
-    K = fourier_cutoff if fourier_cutoff is not None else max(f.fourier_cutoff, g.fourier_cutoff)
+def two_sided_accumulate(terms, f, g):
+    K = max(f.fourier_cutoff, g.fourier_cutoff)
     acc = {}
     for sign, pa, pb in terms:
         for a, (k1, _, _) in enumerate(pa.keys):
@@ -289,15 +288,14 @@ class TwoSidedSide:
                                        two_sided_refined(coarse[rows], f.box, scale=scale))
 
 
-def two_sided_bracket(f, g, fourier_cutoff=None):
+def two_sided_bracket(f, g):
     a, b = TwoSidedSide(f), TwoSidedSide(g)
     terms = [(1, a.d_I, b.d_phi), (-1, b.d_I, a.d_phi), (-1, b.d_y, a.d_x), (1, a.d_y, b.d_x)]
-    return two_sided_accumulate(terms, f, g, fourier_cutoff)
+    return two_sided_accumulate(terms, f, g)
 
 
-def two_sided_product(f, g, fourier_cutoff=None):
-    return two_sided_accumulate([(1, two_sided_stack(f), two_sided_stack(g))], f, g,
-                                fourier_cutoff)
+def two_sided_product(f, g):
+    return two_sided_accumulate([(1, two_sided_stack(f), two_sided_stack(g))], f, g)
 
 
 def assert_same_bits(got, expect):
@@ -498,13 +496,11 @@ class TestBracket:
 
     def test_jacobi_identity(self):
         rng = np.random.default_rng(5)
-        f = rand_series(rng, cutoff=1)
-        g = rand_series(rng, cutoff=1)
-        h = rand_series(rng, cutoff=1)
-        K = 6
-        t1 = poisson_bracket(f, poisson_bracket(g, h, K), K)
-        t2 = poisson_bracket(g, poisson_bracket(h, f, K), K)
-        t3 = poisson_bracket(h, poisson_bracket(f, g, K), K)
+        # modes 0..1 under cutoff 6, so that no bracket below truncates
+        f, g, h = (TFSeries(6, BOX, SHAPE, rand_series(rng, cutoff=1).coeffs) for _ in range(3))
+        t1 = poisson_bracket(f, poisson_bracket(g, h))
+        t2 = poisson_bracket(g, poisson_bracket(h, f))
+        t3 = poisson_bracket(h, poisson_bracket(f, g))
         total = t1 + t2 + t3
         scale = max(tf_norm(t1), tf_norm(t2), tf_norm(t3), 1.0)
         assert tf_norm(total) / scale < 1e-8
@@ -692,23 +688,24 @@ class TestLie:
         import math as _math
 
         rng = np.random.default_rng(10)
-        K = 8  # enlarged cutoff: the identity needs the O(phi^2) harmonics
-        phi = rand_series(rng, scale=0.02)
+        # phi's modes 0..2 under an enlarged cutoff, which every bracket
+        # below inherits: the identity needs the O(phi^2) harmonics
+        phi = TFSeries(8, BOX, SHAPE, rand_series(rng, scale=0.02).coeffs)
         # dI = e^L(I) - I with L(I) = {phi, I} = -d_angle(phi)
         LI = d_angle(phi) * -1.0
         dI, term = LI.shell(), LI
         for k in range(1, 8):
             dI = dI + term * (1.0 / _math.factorial(k))
-            term = poisson_bracket(phi, term, K)
+            term = poisson_bracket(phi, term)
         # dgam likewise from L(gamma) = {phi, gamma} = d_I(phi)
         Lgam = d_grid(phi, 0)
         dgam, term = Lgam.shell(), Lgam
         for k in range(1, 8):
             dgam = dgam + term * (1.0 / _math.factorial(k))
-            term = poisson_bracket(phi, term, K)
+            term = poisson_bracket(phi, term)
         # {I + dI, gamma + dgam} - 1 assembled by parts:
         # {I, dgam} = d_angle(dgam); {dI, gamma} = d_I(dI); plus {dI, dgam}
-        br = d_angle(dgam) + d_grid(dI, 0) + poisson_bracket(dI, dgam, K)
+        br = d_angle(dgam) + d_grid(dI, 0) + poisson_bracket(dI, dgam)
         assert tf_norm(br) < 1e-6
 
     def test_contraction_loss_raises(self):
@@ -737,24 +734,27 @@ class TestProduct:
     def test_known_product(self):
         f = build(lambda I, p, y, x: np.cos(p) + 0 * I)
         g = build(lambda I, p, y, x: np.cos(p) + 0 * I)
-        pr = tf_product(f, g, fourier_cutoff=4)
+        pr = tf_product(f, g)
         # cos^2 = 1/2 + cos(2 gamma)/2
         expect = build(lambda I, p, y, x: 0.5 + 0.5 * np.cos(2 * p) + 0 * I)
         assert tf_norm(pr - expect) < 1e-12
 
     def test_truncation_respected(self):
         f = build(lambda I, p, y, x: np.cos(4 * p) + 0 * I, cutoff=4)
-        pr = tf_product(f, f, fourier_cutoff=4)
+        pr = tf_product(f, f)
+        assert pr.fourier_cutoff == 4
         assert all(abs(k[0]) <= 4 for k, _, _ in pr.coeffs)
 
     @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("cutoffs", [(None,), (1,), (3,), (0,)])
+    @pytest.mark.parametrize("cutoffs", [(2, 1), (1, 1), (3, 3), (0, 0)])
     def test_stacked_matches_per_coefficient_loop(self, seed, cutoffs):
+        # the operands' cutoffs (f's, g's): the product truncates at the
+        # larger, dropping the sums above it
         rng = np.random.default_rng(100 + seed)
-        f = rand_series(rng)
-        g = rand_series(rng, cutoff=1)
-        assert_series_close(expand(tf_product(f, g, *cutoffs)),
-                            ref_tf_product(expand(f), expand(g), *cutoffs), 1e-13)
+        f = rand_series(rng, cutoff=cutoffs[0])
+        g = rand_series(rng, cutoff=cutoffs[1])
+        assert_series_close(expand(tf_product(f, g)),
+                            ref_tf_product(expand(f), expand(g)), 1e-13)
 
     def test_angle_only_matches_per_coefficient_loop(self):
         rng = np.random.default_rng(110)
@@ -770,25 +770,23 @@ class TestProduct:
             pr = tf_product(a, b)
             assert not pr.coeffs
             assert pr.fourier_cutoff == 5
-        assert tf_product(f, empty, 0).fourier_cutoff == 0
 
 
 class TestHalfSpectrum:
     """Stored k >= 0 against the full-spectrum references."""
 
     @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(0, 3), st.integers(0, 3),
-           st.one_of(st.none(), st.integers(0, 6)))
-    def test_matches_full_spectrum_references(self, seed, cut_f, cut_g, cutoff):
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 3), st.integers(0, 3))
+    def test_matches_full_spectrum_references(self, seed, cut_f, cut_g):
         rng = np.random.default_rng(seed)
         f, g = rand_series(rng, cut_f), rand_series(rng, cut_g)
-        assert_series_close(expand(tf_product(f, g, cutoff)),
-                            ref_tf_product(expand(f), expand(g), cutoff), 1e-13)
+        assert_series_close(expand(tf_product(f, g)),
+                            ref_tf_product(expand(f), expand(g)), 1e-13)
         # with both cutoffs 0 the bracket cancels exactly (d_y f d_x g of
         # rand_series is symmetric in f and g) and its sup is roundoff, so
         # it is measured against the operands' sup(f) sup(g)
-        assert_series_close(expand(poisson_bracket(f, g, cutoff)),
-                            ref_poisson_bracket(expand(f), expand(g), cutoff), 1e-12,
+        assert_series_close(expand(poisson_bracket(f, g)),
+                            ref_poisson_bracket(expand(f), expand(g)), 1e-12,
                             floor=f.sup() * g.sup())
 
     def test_norm_counts_the_implied_modes(self):
@@ -808,9 +806,8 @@ class TestBracketEngine:
         rng = np.random.default_rng(120 + seed)
         f = rand_series(rng)
         g = rand_series(rng, cutoff=1)
-        for cutoff in (None, 2):
-            assert_series_close(expand(poisson_bracket(f, g, cutoff)),
-                                ref_poisson_bracket(expand(f), expand(g), cutoff), 1e-12)
+        assert_series_close(expand(poisson_bracket(f, g)),
+                            ref_poisson_bracket(expand(f), expand(g)), 1e-12)
 
     def test_matches_reference_angles_only(self):
         rng = np.random.default_rng(123)
@@ -827,14 +824,9 @@ class TestBracketEngine:
         br = poisson_bracket(f, g)
         assert not br.coeffs
         assert br.fourier_cutoff == 6
-        br = poisson_bracket(f, g, fourier_cutoff=0)
-        assert br.fourier_cutoff == 0
         # the same cutoff as a non-empty bracket
         rng = np.random.default_rng(124)
         a = rand_series(rng)
-        full = poisson_bracket(a, g, fourier_cutoff=0)
-        assert full.coeffs
-        assert full.fourier_cutoff == 0
         full = poisson_bracket(a, g)
         assert full.coeffs
         assert full.fourier_cutoff == 6
@@ -880,9 +872,8 @@ class TestStreamedBracket:
     def test_matches_two_sided_engine(self, data):
         shape = tuple(data.draw(st.integers(4, 12)) for _ in range(3))
         f, g = data.draw(stored_series(shape)), data.draw(stored_series(shape))
-        cutoff = data.draw(st.one_of(st.none(), st.integers(0, 8)))
-        assert_same_bits(poisson_bracket(f, g, cutoff), two_sided_bracket(f, g, cutoff))
-        assert_same_bits(tf_product(f, g, cutoff), two_sided_product(f, g, cutoff))
+        assert_same_bits(poisson_bracket(f, g), two_sided_bracket(f, g))
+        assert_same_bits(tf_product(f, g), two_sided_product(f, g))
         # a small generator, so that the chain contracts
         phi = data.draw(stored_series(shape, scale=1e-6))
         self.assert_chain_matches(phi, g, 3)
@@ -943,8 +934,7 @@ class TestStreamedBracket:
 
         f, g = series([k]), series(range(4))
         for a, b in ((f, g), (g, f), (f, f)):
-            for cutoff in (None, 2):
-                assert_same_bits(poisson_bracket(a, b, cutoff), two_sided_bracket(a, b, cutoff))
+            assert_same_bits(poisson_bracket(a, b), two_sided_bracket(a, b))
 
 
 @st.composite
@@ -1020,7 +1010,8 @@ class TestPieces:
     def test_one_row_per_output_key_and_no_copy(self, cutoff, monkeypatch):
         # the accumulator's stack has a row for each key of the result, each
         # written, and it is coarsened as it is: the only arrays stacked are
-        # the operands' coefficients, on the coarse grid
+        # the operands' coefficients, on the coarse grid.  cutoff is the
+        # operands' cutoff (None: 6), below which their keys are stored
         import perilib.normalform as nf
 
         sums, stacked, coarsened = [], [], []
@@ -1040,16 +1031,17 @@ class TestPieces:
             coarsened.append(v)
             return coarsen(v, shape)
 
+        K = 6 if cutoff is None else cutoff
         rng = np.random.default_rng(51)
-        f = TFSeries(6, BOX, SHAPE, {((k,), (), ()): rng.normal(size=SHAPE) * (1 + 1j * (k > 0))
-                                     for k in (1, 3, 4)})
-        g = TFSeries(6, BOX, SHAPE, {((k,), (), ()): rng.normal(size=SHAPE) * (1 + 1j * (k > 0))
-                                     for k in (0, 2, 5)})
+        f = TFSeries(K, BOX, SHAPE, {((k,), (), ()): rng.normal(size=SHAPE) * (1 + 1j * (k > 0))
+                                     for k in (1, 3, 4) if k <= K})
+        g = TFSeries(K, BOX, SHAPE, {((k,), (), ()): rng.normal(size=SHAPE) * (1 + 1j * (k > 0))
+                                     for k in (0, 2, 5) if k <= K})
         side = _BracketSide(f)
         monkeypatch.setattr(nf, "_FineSums", Recorded)
         monkeypatch.setattr(np, "stack", recorded_stack)
         monkeypatch.setattr(ch, "coarsen", recorded_coarsen)
-        for run in (lambda: side.bracket(g, cutoff), lambda: tf_product(f, g, cutoff)):
+        for run in (lambda: side.bracket(g), lambda: tf_product(f, g)):
             sums.clear(), stacked.clear(), coarsened.clear()
             out = run()
             (acc,) = sums
@@ -1437,7 +1429,7 @@ class TestNormalFormSteps:
         reports = []
         for scale in (1.0, 1.0 + 1e-14):
             f = osc * scale
-            reports.append(lie_transform(f, nqp_primitive(f, freqs), max_order=14)[1])
+            reports.append(lie_transform(f, nqp_primitive(f, freqs))[1])
         a, b = reports
         assert min(a.term_norms) < 1e-15 * a.term_norms[0]
         assert 0 < a.ratio < 1

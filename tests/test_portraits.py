@@ -70,6 +70,31 @@ class TestEquilibria:
         with pytest.raises(ValueError):
             find_equilibria(eps, Lambda)
 
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(eps=st.one_of(st.floats(1e-6, 0.49), st.floats(0.51, 11.18)))
+    def test_matches_the_closed_form(self, eps):
+        # d e_hat/dg = -sqrt(1 - G^2) sin g vanishes at g = 0 and pi only;
+        # there d e_hat/dG = G (2 eps - cos g / sqrt(1 - G^2)) vanishes at
+        # G = 0, and at g = 0 also where sqrt(1 - G^2) = 1/(2 eps).  The
+        # grid missed the last pair at eps = 4.5 and in [6.25, 7.75)
+        want = [((0.0, 0.0), "center" if eps < 0.5 else "saddle"), ((np.pi, 0.0), "center")]
+        if eps > 0.5:
+            G = np.sqrt(1 - 1 / (4 * eps**2))
+            want += [((0.0, -G), "center"), ((0.0, G), "center")]
+        got = find_equilibria(eps, 1.0)
+        assert len(got) == len(want)
+        for e, (loc, kind) in zip(got, sorted(want)):
+            assert abs(e.location[0] - loc[0]) < 1e-9 and abs(e.location[1] - loc[1]) < 1e-9
+            assert e.kind == kind
+
+    @pytest.mark.parametrize("eps", [0.49999999, 0.50000001, 11.25, 50.0])
+    def test_a_sweep_that_miscounts_is_refused(self, eps):
+        # next to eps = 1/2 the flat gradient let dozens of starts pass as
+        # equilibria; past eps = 11.18 the G-axis centers lie beyond the
+        # 0.999 Lambda filter, and two of the four used to be returned
+        with pytest.raises(ValueError, match="eps=%r: found" % eps):
+            find_equilibria(eps, 1.0)
+
 
 class TestMarchingSquares:
     def test_circle_contour(self):
@@ -79,7 +104,7 @@ class TestMarchingSquares:
         lines = chain_segments(marching_squares(xg, yg, Z, 1.0))
         assert len(lines) == 1
         line = lines[0]
-        assert is_closed(line, tol=1e-6)
+        assert is_closed(line)
         radii = [np.hypot(x, y) for x, y in line]
         assert max(abs(r - 1.0) for r in radii) < 2e-3
 
@@ -100,7 +125,7 @@ class TestPortrait:
             if all(abs(g) < 2.0 and abs(G) < 0.9 for g, G in ln) and len(ln) > 8
         ]
         assert near_origin
-        assert all(is_closed(ln, tol=1e-6) for ln in near_origin)
+        assert all(is_closed(ln) for ln in near_origin)
 
     def test_contours_track_their_level(self):
         from perilib.potentials import e_hat
@@ -288,52 +313,55 @@ def _ref_hess(eps, Lambda, G, g):
     return np.array([[dGG, dGg], [dGg, dgg]])
 
 
-def ref_find_equilibria(eps, Lambda=1.0, grid_n=48, newton_steps=60, tol=1e-12):
-    """One scalar Newton run per start, deduplicated in (g0, G0) order."""
+def ref_find_equilibria(eps, Lambda=1.0, grid_n=48):
+    """One scalar Newton run per start, deduplicated in (g0, G0) order: the
+    grid's starts, then the two next to the edges."""
     found = []
     Gmax = Lambda * (1 - 1e-9)
-    for g0 in np.linspace(-np.pi, np.pi, grid_n, endpoint=False):
-        for G0 in np.linspace(-0.98 * Lambda, 0.98 * Lambda, grid_n):
-            z = np.array([G0, g0])
-            ok = False
-            for _ in range(newton_steps):
-                grad = _ref_grad(eps, Lambda, z[0], z[1])
-                if np.linalg.norm(grad) < tol:
-                    ok = True
-                    break
-                H = _ref_hess(eps, Lambda, z[0], z[1])
-                try:
-                    step = np.linalg.solve(H, grad)
-                except np.linalg.LinAlgError:
-                    break
-                if np.linalg.norm(step) > 0.5 * Lambda:
-                    step *= 0.5 * Lambda / np.linalg.norm(step)
-                z = z - step
-                if abs(z[0]) > Gmax:
-                    break
-                z[1] = np.angle(np.exp(1j * z[1]))
-            if not ok:
-                continue
-            G, g = float(z[0]), float(np.angle(np.exp(1j * z[1])))
-            if abs(G) > 0.999 * Lambda:
-                continue
-            if any(
-                abs(G - loc[1]) < 1e-6
-                and abs(np.angle(np.exp(1j * (g - loc[0])))) < 1e-6
-                for loc, _, _ in found
-            ):
-                continue
-            det = float(np.linalg.det(_ref_hess(eps, Lambda, G, g)))
-            lam = np.sqrt(abs(det))
-            kind = "center" if det > 0 else "saddle"
-            eig = (0.0, lam) if det > 0 else (lam, 0.0)
-            if abs(G) < 1e-9:
-                G = 0.0
-            if abs(g) < 1e-9:
-                g = 0.0
-            if abs(abs(g) - np.pi) < 1e-9:
-                g = np.pi
-            found.append(((g, G), kind, eig))
+    starts = [(g0, G0) for g0 in np.linspace(-np.pi, np.pi, grid_n, endpoint=False)
+              for G0 in np.linspace(-0.98 * Lambda, 0.98 * Lambda, grid_n)]
+    starts += [(0.0, Lambda * (1 - 1e-4)), (0.0, -Lambda * (1 - 1e-4))]
+    for g0, G0 in starts:
+        z = np.array([G0, g0])
+        ok = False
+        for _ in range(60):
+            grad = _ref_grad(eps, Lambda, z[0], z[1])
+            if np.linalg.norm(grad) < 1e-12:
+                ok = True
+                break
+            H = _ref_hess(eps, Lambda, z[0], z[1])
+            try:
+                step = np.linalg.solve(H, grad)
+            except np.linalg.LinAlgError:
+                break
+            if np.linalg.norm(step) > 0.5 * Lambda:
+                step *= 0.5 * Lambda / np.linalg.norm(step)
+            z = z - step
+            if abs(z[0]) > Gmax:
+                break
+            z[1] = np.angle(np.exp(1j * z[1]))
+        if not ok:
+            continue
+        G, g = float(z[0]), float(np.angle(np.exp(1j * z[1])))
+        if abs(G) > 0.999 * Lambda:
+            continue
+        if any(
+            abs(G - loc[1]) < 1e-6
+            and abs(np.angle(np.exp(1j * (g - loc[0])))) < 1e-6
+            for loc, _, _ in found
+        ):
+            continue
+        det = float(np.linalg.det(_ref_hess(eps, Lambda, G, g)))
+        lam = np.sqrt(abs(det))
+        kind = "center" if det > 0 else "saddle"
+        eig = (0.0, lam) if det > 0 else (lam, 0.0)
+        if abs(G) < 1e-9:
+            G = 0.0
+        if abs(g) < 1e-9:
+            g = 0.0
+        if abs(abs(g) - np.pi) < 1e-9:
+            g = np.pi
+        found.append(((g, G), kind, eig))
     found.sort(key=lambda e: (round(e[0][0], 9), round(e[0][1], 9)))
     return found
 
@@ -477,7 +505,7 @@ class TestVectorizedAgainstReference:
     def test_singular_hessian_drops_only_that_start(self, monkeypatch):
         G0 = np.array([0.3, 0.1, -0.3])
         g0 = np.array([0.2, 2.0, -0.2])
-        free_ok, free_G, free_g = portraits._newton_sweep(0.3, 1.0, G0, g0, 60, 1e-12)
+        free_ok, free_G, free_g = portraits._newton_sweep(0.3, 1.0, G0, g0)
         assert free_ok.all()
         hess = portraits._hess_e
 
@@ -487,7 +515,7 @@ class TestVectorizedAgainstReference:
             return np.where(at, 0.0, hGG), np.where(at, 0.0, hGg), hgg
 
         monkeypatch.setattr(portraits, "_hess_e", singular_at_second_start)
-        ok, G, g = portraits._newton_sweep(0.3, 1.0, G0, g0, 60, 1e-12)
+        ok, G, g = portraits._newton_sweep(0.3, 1.0, G0, g0)
         assert ok.tolist() == [True, False, True]
         assert G[ok].tolist() == free_G[ok].tolist()
         assert g[ok].tolist() == free_g[ok].tolist()

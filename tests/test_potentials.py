@@ -8,7 +8,7 @@ from scipy.special import elliprj
 
 import perilib.cli as cli
 from perilib.coords import gg_forward
-from perilib.kepler import DEFAULT_TOL, _solve_elliptic
+from perilib.kepler import _solve_elliptic
 from perilib.potentials import (
     N_LADDER,
     N_MAX,
@@ -42,7 +42,7 @@ def u_hat_mean_anomaly(eps, Lambda, G, g, quad=QUAD):
     n = quad.n_nodes
     ell = 2 * np.pi * np.arange(n) / n
     e = np.sqrt(max(0.0, 1.0 - G**2 / Lambda**2))
-    xi = _solve_elliptic(e, ell, DEFAULT_TOL).xi  # every entry's Kepler solve at once
+    xi = _solve_elliptic(e, ell).xi  # every entry's Kepler solve at once
     rho = 1.0 - e * np.cos(xi)
     p = (np.cos(xi) - e) * np.cos(g) - (G / Lambda) * np.sin(xi) * np.sin(g)
     rad = 1.0 + 2 * eps * p + eps**2 * rho**2

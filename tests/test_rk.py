@@ -123,8 +123,9 @@ class TestSolveIvpSemantics:
     @pytest.mark.parametrize("method", ["RK45", "DOP853"])
     @pytest.mark.parametrize("T", [20.0, -20.0])
     def test_events_terminal_and_direction(self, method, T):
-        # a rising-r event, and a terminal one at its second zero; backward
-        # too, where the rising zeros of the forward run are falling ones
+        # a rising-r event, and a terminal falling one, which stops the run
+        # at its first falling zero, past a rising one; backward too, where
+        # the rising zeros of the forward run are falling ones
         def rising(t, z):
             return z[2]
 
@@ -132,7 +133,8 @@ class TestSolveIvpSemantics:
             return z[0] - 0.5
 
         rising.direction = 1.0
-        second.terminal = 2
+        second.terminal = True
+        second.direction = -1.0
         args = (oscillator, (0.0, T), [0.0, 0.0, 1.0, 0.0], np.linspace(0.0, T, 300),
                 method, 1e-10, 1e-10, [rising, second])
         ours, ref = rk.solve(*args), ref_solve(*args)
@@ -141,9 +143,20 @@ class TestSolveIvpSemantics:
         for a, b in zip(ours.t_events + ours.y_events, ref.t_events + ref.y_events):
             assert a.shape == b.shape
             assert np.max(np.abs(a - b), initial=0.0) < 1e-14
-        assert [len(te) for te in ours.t_events] == ([1, 2] if T > 0 else [0, 2])
+        assert [len(te) for te in ours.t_events] == ([1, 1] if T > 0 else [0, 1])
         assert np.array_equal(ours.times, ref.times)
         assert np.max(np.abs(ours.states - ref.states)) < 1e-14
+
+    @pytest.mark.parametrize("terminal", [2, 1, None])
+    def test_terminal_other_than_a_bool_refused_before_a_step(self, terminal):
+        # solve_ivp's count of zeros before the stop is not kept
+        def event(t, z):
+            return z[0]
+
+        event.terminal = terminal
+        with pytest.raises(ValueError, match="must be a boolean"):
+            rk.solve(no_step, (0.0, 1.0), np.ones(4), [0.0, 1.0], "RK45", 1e-10, 1e-10,
+                     [event])
 
     @pytest.mark.parametrize("method", ["RK45", "DOP853"])
     def test_step_size_too_small(self, method):

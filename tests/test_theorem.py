@@ -1,8 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
+from perilib import theorem
 from perilib.coords import ActionAngleState, derive_mass_params
 from perilib.hamiltonians import HamiltonianSpec
 from perilib.kepler import estimate_c0
@@ -52,11 +54,17 @@ class TestChecker:
         assert report.N0 > 100
         assert report.eta < 1
 
-    def test_eps0_above_one_fails_first_inequality(self):
-        report = experiment_report(eps0=1.2)
-        by_label = {iq.label: iq for iq in report.inequalities}
-        assert not by_label["eps0-below-one"].holds
-        assert not report.passed
+    @pytest.mark.parametrize("eps0", [0.0, -1.0, 1.0, 1.2, 1.5, 1e100, 1e130, np.nan],
+                             ids=["0", "-1", "1", "1.2", "1.5", "1e100", "1e130", "nan"])
+    def test_eps0_outside_zero_one_refused_before_the_c0_scan(self, eps0, monkeypatch):
+        # these used to give a report with the eps0 rows failed and c0 NaN
+        # (not strict JSON), or, where eps0**2.5 overflowed, the range error
+        def no_scan(*args):
+            raise AssertionError("c0 was scanned")
+
+        monkeypatch.setattr(theorem, "estimate_c0", no_scan)
+        with pytest.raises(ValueError, match=re.escape("eps0=%r lies outside (0, 1)" % eps0)):
+            experiment_report(eps0=eps0)
 
     def test_large_beta_upper_fails_domain_inequality(self):
         # monotone in beta*: blowing up the masses must break the clearance
@@ -95,13 +103,11 @@ class TestChecker:
         {"s0": 1e-320},  # the angle branch overflows: N0 = 0, eta = inf
         {"delta": 1e-320},  # the same through delta
         {"s0": 800.0},  # math.cosh(s0) overflows
-        {"eps0": 1e130},  # eps0**2.5 overflows on floats, c0 unmeasured
         {"s0": 5e-324},  # s0 * delta rounds to 0 under Lambda / (s0 delta)
-    ], ids=["c-lower-5e-324", "s0-1e-320", "delta-1e-320", "s0-800", "eps0-1e130",
-            "s0-5e-324"])
+    ], ids=["c-lower-5e-324", "s0-1e-320", "delta-1e-320", "s0-800", "s0-5e-324"])
     def test_derived_quantities_past_the_float_range_rejected(self, overrides):
         # these used to give a report with N0, eta or T at 0 or inf, after a
-        # RuntimeWarning, or (the last three) to raise an OverflowError or a
+        # RuntimeWarning, or (the last two) to raise an OverflowError or a
         # ZeroDivisionError
         with pytest.raises(ValueError, match="c_lower=.*, s0=.* and delta="):
             experiment_report(**overrides)
@@ -154,7 +160,7 @@ class TestLibrationExperiment:
 
     def test_gating_on_failed_report(self):
         spec = experiment_spec()
-        report = experiment_report(spec, eps0=1.5)
+        report = experiment_report(spec, delta=0.3)  # above Lambda/4
         with pytest.raises(ValueError):
             run_libration_experiment(
                 spec, report, ActionAngleState(1.0, 0.0, 300.0, np.pi)
