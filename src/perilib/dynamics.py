@@ -35,11 +35,14 @@ class IntegrationError(RuntimeError):
 @dataclass(frozen=True)
 class StepControl:
     """Tolerances of the adaptive embedded pair, and the pair: "RK45" or
-    "DOP853" (any other method is a ValueError before the first step)."""
+    "DOP853" (any other method is a ValueError before the first step).
+    first_step, when given, is the size of the first trial step (see
+    rk.solve); by default solve_ivp's initial-step rule picks it."""
 
     rtol: float = 1e-10
     atol: float = 1e-10
     method: str = "RK45"
+    first_step: float | None = None
 
 
 @dataclass
@@ -140,7 +143,8 @@ def integrate(spec, state0, T, *, step_ctrl=StepControl(),
 
     try:
         sol = solve(rhs, (0.0, T), state0.as_array(), np.linspace(0.0, T, 2000),
-                    step_ctrl.method, step_ctrl.rtol, step_ctrl.atol, events)
+                    step_ctrl.method, step_ctrl.rtol, step_ctrl.atol, events,
+                    first_step=step_ctrl.first_step)
     except ArithmeticError as exc:  # the step controller's, in floats
         raise IntegrationError("the step controller's arithmetic failed: %r" % (exc,)) from exc
     if sol.status == -1:

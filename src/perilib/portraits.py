@@ -71,12 +71,13 @@ def _newton_sweep(eps, Lambda, G, g):
     """Newton's method for grad e_hat = 0 from every start (G[k], g[k]) at once.
 
     Each start follows its own scalar Newton run: it converges when the
-    gradient norm drops below 1e-12 within 60 iterations, and it is
-    dropped when its Hessian is exactly singular or an iterate leaves
-    |G| <= Lambda (1 - 1e-9).  Steps longer than Lambda / 2 are shortened to
-    that length and g is wrapped into (-pi, pi] after each step.  The sweep
-    ends after 60 iterations or once no start is live.  Returns
-    (converged mask, G, g), the last two holding the converged points.
+    norm of (Lambda dG, dg), the gradient in (G / Lambda, g), drops below
+    1e-12 within 60 iterations, and it is dropped when its Hessian is
+    exactly singular or an iterate leaves |G| <= Lambda (1 - 1e-9).  Steps
+    longer than Lambda / 2 are shortened to that length and g is wrapped
+    into (-pi, pi] after each step.  The sweep ends after 60 iterations or
+    once no start is live.  Returns (converged mask, G, g), the last two
+    holding the converged points.
     """
     Gmax = Lambda * (1 - 1e-9)
     ok = np.zeros(G.shape, dtype=bool)
@@ -86,7 +87,8 @@ def _newton_sweep(eps, Lambda, G, g):
         if not live.size:
             break
         dG, dg = _grad_e(eps, Lambda, G, g)
-        done = np.sqrt(dG * dG + dg * dg) < 1e-12
+        du = Lambda * dG
+        done = np.sqrt(du * du + dg * dg) < 1e-12
         ok[live[done]] = True
         G_out[live[done]] = G[done]
         g_out[live[done]] = g[done]
@@ -140,8 +142,9 @@ def find_equilibria(eps, Lambda=1.0, grid_n=48):
     while G.size:
         Gk, gk = float(G[0]), float(g[0])
         kind, eig = _classify(eps, Lambda, Gk, gk)
-        # canonicalize tiny numerical offsets at the symmetric points
-        if abs(Gk) < 1e-9:
+        # canonicalize tiny numerical offsets at the symmetric points; G's
+        # tolerances scale with Lambda
+        if abs(Gk) < 1e-9 * Lambda:
             Gk = 0.0
         if abs(gk) < 1e-9:
             gk = 0.0
@@ -149,7 +152,7 @@ def find_equilibria(eps, Lambda=1.0, grid_n=48):
             gk = np.pi
         found.append(EquilibriumReport((gk, Gk), kind, eig))
         # drop the later starts that reached the same point
-        same = (np.abs(G - Gk) < 1e-6) & (
+        same = (np.abs(G - Gk) < 1e-6 * Lambda) & (
             np.abs(np.angle(np.exp(1j * (g - gk)))) < 1e-6
         )
         G, g = G[~same], g[~same]

@@ -10,8 +10,9 @@ those of scipy.integrate.solve_ivp, so a run agrees with solve_ivp's to
 rounding, and takes its steps wherever the error estimates stand above
 rounding noise.  States and slopes are four floats, the phase space of a
 2-DOF flow: stepped in Python floats, they cost less than numpy calls on
-length-4 arrays, and no run imports scipy.integrate.  The dense output
-evaluates a step's output times as one numpy batch.
+length-4 arrays, and no run imports scipy.integrate.  DOP853's dense
+output evaluates every output time of a run as one numpy batch, after the
+last step; RK45's takes one matrix product per step.
 
 The tableaux are copied from SciPy 1.17.1 (scipy/integrate/_ivp/rk.py and
 dop853_coefficients.py), Copyright (c) 2001-2002 Enthought, Inc. 2003,
@@ -267,11 +268,12 @@ class _Pair:
     a step and its dense output hold.
 
     Each pair adds error_norm(K, h, scale), solve_ivp's scaled norm of the
-    step's error estimate, and dense(fun, t_old, t, y_old, y, K), the
-    continuous extension of the accepted step from (t_old, y_old) to
-    (t, y): a function of a sequence of m times in the step that returns
-    their states as an (m, 4) array, evaluated as one numpy batch with
-    solve_ivp's operations.
+    step's error estimate, and the continuous extension of an accepted
+    step from (t_old, y_old) to (t, y), with solve_ivp's operations:
+    dense(fun, t_old, t, y_old, y, K) returns the step's interpolant as
+    (t_old, h, y_old, coefficients), and sample(steps, counts, ts) the
+    states at the m times of the array ts as an (m, 4) array, each step
+    in turn taking the next counts[i] of them.
     """
 
     def __init__(self, C, A, B, error_order, n_slopes):
@@ -305,16 +307,19 @@ class _RK45(_Pair):
         return _rms([e * h / s for e, s in zip(_combine(K, self.E), scale)])
 
     def dense(self, fun, t_old, t, y_old, y, K):
-        """The step's 4th-degree interpolant."""
-        Q = np.dot(np.array(K).T, self.P)
-        h = t - t_old
-        y_old = np.array(y_old)
+        """The step's 4th-degree interpolant: (t_old, h, y_old, Q)."""
+        return t_old, t - t_old, np.array(y_old), np.dot(np.array(K).T, self.P)
 
-        def at(ts):
-            x = (np.asarray(ts) - t_old) / h
+    def sample(self, steps, counts, ts):
+        # BLAS takes the matrix product's sums, so each step's times are one
+        # product of their own, as in solve_ivp
+        out, i = [], 0
+        for (t_old, h, y_old, Q), n in zip(steps, counts):
+            x = (ts[i:i + n] - t_old) / h
             p = np.cumprod(np.tile(x, (self.P.shape[1], 1)), axis=0)
-            return (h * np.dot(Q, p) + y_old[:, None]).T
-        return at
+            out.append((h * np.dot(Q, p) + y_old[:, None]).T)
+            i += n
+        return np.concatenate(out)
 
 
 class _DOP853(_Pair):
@@ -339,7 +344,9 @@ class _DOP853(_Pair):
         return abs(h) * err5_2 / math.sqrt(denom * len(scale))
 
     def dense(self, fun, t_old, t, y_old, y, K):
-        """The step's 7th-degree interpolant, after the three extra stages."""
+        """The step's 7th-degree interpolant, after the three extra stages:
+        (t_old, h, y_old, F), F its coefficient rows from the lowest
+        degree."""
         h = t - t_old
         for s, (c, a) in enumerate(zip(self.C_extra, self.A_extra), start=13):
             dy = _combine(K, a)
@@ -352,15 +359,20 @@ class _DOP853(_Pair):
         F[1] = h * f_old - F[0]
         F[2] = 2 * F[0] - h * (f + f_old)
         F[3:] = h * np.dot(self.D, K)
+        return t_old, h, y_old, F
 
-        def at(ts):
-            x = ((np.asarray(ts) - t_old) / h)[:, None]
-            z = np.zeros((len(x), len(y_old)))
-            for i, Fi in enumerate(F[::-1]):
-                z += Fi
-                z *= x if i % 2 == 0 else 1 - x
-            return z + y_old
-        return at
+    def sample(self, steps, counts, ts):
+        """Every step's times as one batch: each time meets its own step's
+        t_old, h, y_old and coefficients, gathered one row at a time, in
+        solve_ivp's elementwise operations, so it keeps their bits."""
+        t_old, h, y_old, F = map(np.array, zip(*steps))
+        idx = np.repeat(np.arange(len(steps)), counts)
+        x = ((ts - t_old[idx]) / h[idx])[:, None]
+        z = np.zeros((len(x), len(y_old[0])))
+        for i in range(len(F[0])):
+            z += F[idx, -1 - i]
+            z *= x if i % 2 == 0 else 1 - x
+        return z + y_old[idx]
 
 
 PAIRS = {"RK45": _RK45(), "DOP853": _DOP853()}
@@ -459,14 +471,18 @@ class Solution:
     n_rejected: int
 
 
-def solve(fun, t_span, y0, t_eval, method, rtol, atol, events=None):
+def solve(fun, t_span, y0, t_eval, method, rtol, atol, events=None, first_step=None):
     """Integrate y' = fun(t, y) over t_span = (t0, t_bound), t_bound != t0.
 
     fun takes a time and the state, a list of 4 floats, and returns the
     slope as 4 floats.  t_eval lists the output times, inside t_span and in
-    integration order.  A method other than RK45 and DOP853, an rtol below
-    100 * EPS or a negative atol (NaN included) is a ValueError before any
-    evaluation.
+    integration order; their states come from the accepted steps' dense
+    output, in one batch after the last step.  first_step, as solve_ivp's,
+    is the size of the first trial step, in place of the initial-step rule
+    and its one evaluation of fun.  A method other than RK45 and DOP853, an
+    rtol below 100 * EPS, a negative atol (NaN included) or a first_step
+    that is not finite, positive and at most |t_bound - t0| is a ValueError
+    before any evaluation.
     Each event is a scalar function event(t, y) whose zeros are located,
     with two of solve_ivp's optional attributes: terminal (True stops the
     run at the event's first zero) and direction (> 0 or < 0: only rising
@@ -486,8 +502,14 @@ def solve(fun, t_span, y0, t_eval, method, rtol, atol, events=None):
     if not atol >= 0:
         # a NaN atol makes every step size NaN, which no check ever ends
         raise ValueError("atol must be nonnegative, got %r" % (atol,))
-    t_eval = np.asarray(t_eval, dtype=float).tolist()
+    if first_step is not None and not (
+            math.isfinite(first_step) and 0 < first_step <= abs(t_bound - t0)):
+        raise ValueError("first_step must be finite, positive and at most "
+                         "|t_bound - t0| = %r, got %r" % (abs(t_bound - t0), first_step))
+    t_eval = np.asarray(t_eval, dtype=float)
     direction = 1.0 if t_bound >= t0 else -1.0
+    # the output times as increasing keys, for bisection
+    t_keys = t_eval if direction > 0 else -t_eval
 
     nfev = 0
 
@@ -506,11 +528,15 @@ def solve(fun, t_span, y0, t_eval, method, rtol, atol, events=None):
         y_events = [[] for _ in events]
 
     f = rhs(t0, y)
-    h_abs = _initial_step(rhs, t0, y, f, t_bound, direction, pair.error_order, rtol, atol)
+    if first_step is None:
+        h_abs = _initial_step(rhs, t0, y, f, t_bound, direction, pair.error_order, rtol, atol)
+    else:
+        h_abs = float(first_step)
     exponent = -1 / (pair.error_order + 1)
     K = [None] * pair.n_slopes
     t = t0
-    states = []
+    # the dense output of each step that holds samples, and their count
+    steps, counts = [], []
     i_eval = 0
     n_accepted = n_rejected = 0
     status = None
@@ -552,15 +578,16 @@ def solve(fun, t_span, y0, t_eval, method, rtol, atol, events=None):
         if direction * (t - t_bound) >= 0:
             status = 0
 
-        sol = None
+        step = None
         t_end = t
         if events is not None:
             g_new = [event(t, y) for event in events]
             active = [i for i, (a, b, d) in enumerate(zip(g, g_new, event_dir))
                       if (a <= 0 <= b and d >= 0) or (a >= 0 >= b and d <= 0)]
             if active:
-                sol = pair.dense(rhs, t_old, t, y_old, y, K)
-                roots = [brentq(lambda tt, e=events[i]: e(tt, sol([tt])[0].tolist()), t_old, t)
+                step = pair.dense(rhs, t_old, t, y_old, y, K)
+                sol = lambda tt: pair.sample([step], [1], np.array([tt]))[0].tolist()
+                roots = [brentq(lambda tt, e=events[i]: e(tt, sol(tt)), t_old, t)
                          for i in active]
                 if any(terminal[i] for i in active):
                     # the zeros in integration order, up to the first
@@ -573,24 +600,25 @@ def solve(fun, t_span, y0, t_eval, method, rtol, atol, events=None):
                     status = 1
                 for i, te in zip(active, roots):
                     t_events[i].append(te)
-                    y_events[i].append(sol([te])[0])
+                    y_events[i].append(sol(te))
                 if status == 1:
                     t_end = roots[-1]
             g = g_new
         i_step = i_eval
-        while i_eval < len(t_eval) and direction * (t_eval[i_eval] - t_end) <= 0:
-            i_eval += 1
+        i_eval = int(np.searchsorted(t_keys, direction * t_end, side="right"))
         if i_eval > i_step:
-            if sol is None:
-                sol = pair.dense(rhs, t_old, t, y_old, y, K)
-            states.append(sol(t_eval[i_step:i_eval]))
+            if step is None:
+                step = pair.dense(rhs, t_old, t, y_old, y, K)
+            steps.append(step)
+            counts.append(i_eval - i_step)
 
     if events is not None:
         t_events = [np.asarray(te) for te in t_events]
         y_events = [np.asarray(ye) for ye in y_events]
     else:
         t_events = y_events = None
-    states = np.concatenate(states) if states else np.empty((0, len(y)))
-    return Solution(np.array(t_eval[:i_eval]), states,
+    times = t_eval[:i_eval].copy()
+    states = pair.sample(steps, counts, times) if steps else np.empty((0, len(y)))
+    return Solution(times, states,
                     status, MESSAGES.get(status, message), t_events, y_events,
                     nfev, n_accepted, n_rejected)

@@ -11,7 +11,7 @@ process, so repeated checks at one eps0 share it.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -218,7 +218,9 @@ def run_libration_experiment(spec, report, state0):
 
     The run lasts min(report.T_estimate, three radial transit times) or
     until the trajectory reaches the boundary of the real domain D (a
-    domain-exit event).  Returns (Trajectory, LibrationSummary).
+    domain-exit event).  Its first trial step is a hundredth of that
+    length: from the initial-step rule's, some 3e-9 of it, the first eight
+    steps each only grew tenfold.  Returns (Trajectory, LibrationSummary).
     """
     if not report.passed:
         raise ValueError("hypothesis report does not pass; experiment not gated")
@@ -251,7 +253,8 @@ def run_libration_experiment(spec, report, state0):
     # x advances at roughly m0^5/y^3
     transits = 3.0 * (x_hi - np.pi) * state0.y**3 / m0**5
     T = min(report.T_estimate, transits)
-    traj = integrate(spec, state0, T, step_ctrl=LIBRATION_STEP, domain_guard=guard)
+    traj = integrate(spec, state0, T, step_ctrl=replace(LIBRATION_STEP, first_step=T / 100),
+                     domain_guard=guard)
     r_vals = radial_radius(m0, traj.states[:, 2], traj.states[:, 3])
     summary = LibrationSummary(
         winding=traj.winding,

@@ -70,22 +70,37 @@ class TestEquilibria:
         with pytest.raises(ValueError):
             find_equilibria(eps, Lambda)
 
+    @staticmethod
+    def check_closed_form(eps, Lambda):
+        # with u = G / Lambda, d e_hat/dg = -sqrt(1 - u^2) sin g vanishes at
+        # g = 0 and pi only; there d e_hat/du = u (2 eps - cos g / sqrt(1 -
+        # u^2)) vanishes at u = 0, and at g = 0 also where sqrt(1 - u^2) =
+        # 1/(2 eps)
+        want = [((0.0, 0.0), "center" if eps < 0.5 else "saddle"), ((np.pi, 0.0), "center")]
+        if eps > 0.5:
+            G = Lambda * np.sqrt(1 - 1 / (4 * eps**2))
+            want += [((0.0, -G), "center"), ((0.0, G), "center")]
+        got = find_equilibria(eps, Lambda)
+        assert len(got) == len(want)
+        for e, (loc, kind) in zip(got, sorted(want)):
+            assert abs(e.location[0] - loc[0]) < 1e-9
+            assert abs(e.location[1] - loc[1]) < 1e-9 * Lambda
+            assert e.kind == kind
+
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(eps=st.one_of(st.floats(1e-6, 0.49), st.floats(0.51, 11.18)))
     def test_matches_the_closed_form(self, eps):
-        # d e_hat/dg = -sqrt(1 - G^2) sin g vanishes at g = 0 and pi only;
-        # there d e_hat/dG = G (2 eps - cos g / sqrt(1 - G^2)) vanishes at
-        # G = 0, and at g = 0 also where sqrt(1 - G^2) = 1/(2 eps).  The
-        # grid missed the last pair at eps = 4.5 and in [6.25, 7.75)
-        want = [((0.0, 0.0), "center" if eps < 0.5 else "saddle"), ((np.pi, 0.0), "center")]
-        if eps > 0.5:
-            G = np.sqrt(1 - 1 / (4 * eps**2))
-            want += [((0.0, -G), "center"), ((0.0, G), "center")]
-        got = find_equilibria(eps, 1.0)
-        assert len(got) == len(want)
-        for e, (loc, kind) in zip(got, sorted(want)):
-            assert abs(e.location[0] - loc[0]) < 1e-9 and abs(e.location[1] - loc[1]) < 1e-9
-            assert e.kind == kind
+        # the grid missed the last pair at eps = 4.5 and in [6.25, 7.75)
+        self.check_closed_form(eps, 1.0)
+
+    @pytest.mark.parametrize("Lambda", [0.01, 0.1, 1000.0])
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(eps=st.one_of(st.floats(1e-6, 0.49), st.floats(0.51, 11.18)))
+    def test_matches_the_closed_form_off_unit_lambda(self, Lambda, eps):
+        # the convergence test, the dedup distance and the canonicalization
+        # of G were absolute: off Lambda = 1 the sweep miscounted, at eps
+        # near 9 for Lambda = 0.01 and below 1/2 for Lambda = 1000
+        self.check_closed_form(eps, Lambda)
 
     @pytest.mark.parametrize("eps", [0.49999999, 0.50000001, 11.25, 50.0])
     def test_a_sweep_that_miscounts_is_refused(self, eps):
@@ -326,7 +341,7 @@ def ref_find_equilibria(eps, Lambda=1.0, grid_n=48):
         ok = False
         for _ in range(60):
             grad = _ref_grad(eps, Lambda, z[0], z[1])
-            if np.linalg.norm(grad) < 1e-12:
+            if np.linalg.norm(grad * [Lambda, 1.0]) < 1e-12:
                 ok = True
                 break
             H = _ref_hess(eps, Lambda, z[0], z[1])
@@ -346,7 +361,7 @@ def ref_find_equilibria(eps, Lambda=1.0, grid_n=48):
         if abs(G) > 0.999 * Lambda:
             continue
         if any(
-            abs(G - loc[1]) < 1e-6
+            abs(G - loc[1]) < 1e-6 * Lambda
             and abs(np.angle(np.exp(1j * (g - loc[0])))) < 1e-6
             for loc, _, _ in found
         ):
@@ -355,7 +370,7 @@ def ref_find_equilibria(eps, Lambda=1.0, grid_n=48):
         lam = np.sqrt(abs(det))
         kind = "center" if det > 0 else "saddle"
         eig = (0.0, lam) if det > 0 else (lam, 0.0)
-        if abs(G) < 1e-9:
+        if abs(G) < 1e-9 * Lambda:
             G = 0.0
         if abs(g) < 1e-9:
             g = 0.0
