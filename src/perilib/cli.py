@@ -285,8 +285,9 @@ def cmd_portrait(cfg, out_dir, seed):
     Lam = cfg.spec().Lambda  # through HamiltonianSpec's checks, as in every command
     eps, grid_n = cfg.portrait.eps, cfg.portrait.grid
     # portraits raises ValueError for inputs outside its domain (eps <= 0,
-    # eps at 1/2 or 1, grid below 64) and for an equilibrium sweep that
-    # misses one; nothing is written for them
+    # eps at 1/2 or 1, grid below 64) and for an eps whose G-axis centers
+    # round onto |G| = Lambda or whose eigenvalues overflow; nothing is
+    # written for them
     try:
         lines = phase_portrait(eps, Lam, grid=(grid_n, grid_n), levels=cfg.portrait.levels)
         eqs = find_equilibria(eps, Lam)

@@ -608,10 +608,30 @@ def build_secular_perturbation(spec, eps0, alpha_minus, alpha_plus, delta,
     sampled at n_phi = max(64, 4 (fourier_cutoff + 1)) points, a multiple
     of 4.
 
-    Returns (series, FrequencyData).
+    Returns (series, FrequencyData).  An alpha_minus or alpha_plus that
+    puts eps = a/r, omega_y or y^3 past the float range on the box is a
+    ValueError naming it, raised before any grid is filled.
     """
     m0 = spec.m0
     box = libration_box(spec, eps0, alpha_minus, alpha_plus, delta)
+    (_, (y_lo, y_hi), (x_edge, _)) = box
+
+    def past_range(values):
+        # Python floats raise or give inf where the grids' arrays would
+        # overflow with a warning
+        try:
+            return not all(v < math.inf for v in values())
+        except (OverflowError, ZeroDivisionError):
+            return True
+
+    # r grows with y and with 1 - cos xi, least at the x window's edges, so
+    # eps = a/r and omega_y = m0^5/y^3 peak at the lowest y there
+    if past_range(lambda: (spec.a / radial_radius(m0, y_lo, x_edge), m0**5 / y_lo**3)):
+        raise ValueError("alpha_minus=%r puts eps = a/r or omega_y = m0^5/y^3 past the "
+                         "float range on the box" % (alpha_minus,))
+    if past_range(lambda: (y_hi**3,)):
+        raise ValueError("alpha_plus=%r puts y^3 = (m0^3 alpha_plus)^1.5 past the float "
+                         "range on the box" % (alpha_plus,))
 
     # gamma enters only through cos^2(gamma), which is pi-periodic and even:
     # under exact symmetry sample k equals sample fold(k) <= P/2 (P = n_phi/2

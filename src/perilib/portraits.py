@@ -2,9 +2,10 @@
 cylinder.
 
 The integral e_hat(eps, Lambda, G, g) drives the pericenter dynamics; its
-critical points and contour topology reproduce the three regimes
-0 < eps < 1/2, 1/2 < eps < 1 and eps > 1 (two centers / extra saddle and
-G-axis pair / rotational motions).
+critical points, which find_equilibria gives in closed form, and its
+contour topology, which phase_portrait traces by marching squares,
+reproduce the three regimes 0 < eps < 1/2, 1/2 < eps < 1 and eps > 1 (two
+centers / extra saddle and G-axis pair / rotational motions).
 """
 
 import math
@@ -37,130 +38,56 @@ def _check_eps_lambda(eps, Lambda):
         raise ValueError("Lambda must be finite and positive, not %r" % (Lambda,))
 
 
-def _grad_e(eps, Lambda, G, g):
-    """(d/dG, d/dg) of e_hat; G and g may be arrays of equal shape."""
-    u = G / Lambda
-    root = np.sqrt(np.maximum(1e-14, 1.0 - u * u))
-    dG = -u * np.cos(g) / (Lambda * root) + 2 * eps * u / Lambda
-    dg = -root * np.sin(g)
-    return dG, dg
+def _report(g, G, kind, lam):
+    """The EquilibriumReport at (g, G) of a center, eigenvalues +-i lam, or
+    of a saddle, eigenvalues +-lam."""
+    if kind == "center":
+        return EquilibriumReport((g, G), kind, (complex(0.0, lam), complex(0.0, -lam)))
+    return EquilibriumReport((g, G), kind, (complex(lam, 0.0), complex(-lam, 0.0)))
 
 
-def _hess_e(eps, Lambda, G, g):
-    """Hessian entries (GG, Gg, gg) of e_hat; G and g may be arrays."""
-    u = G / Lambda
-    om = np.maximum(1e-14, 1.0 - u * u)
-    root = np.sqrt(om)
-    dGG = (-np.cos(g) / root - u * u * np.cos(g) / om**1.5 + 2 * eps) / Lambda**2
-    dGg = u * np.sin(g) / (Lambda * root)
-    dgg = -root * np.cos(g)
-    return dGG, dGg, dgg
+def find_equilibria(eps, Lambda=1.0):
+    """Critical points of e_hat on the cylinder (g, G), in closed form.
 
+    With u = G / Lambda, d e_hat/dg = -sqrt(1 - u^2) sin g vanishes on
+    g = 0 and g = pi only, and there d e_hat/du = u (2 eps - cos g /
+    sqrt(1 - u^2)) vanishes at u = 0 and, on g = 0 when eps > 1/2, where
+    sqrt(1 - u^2) = 1/(2 eps).  Each eigenvalue pair below is +-sqrt(-det),
+    det the determinant of the Hessian of e_hat at its point:
+    - (0, 0) is a center, +-i sqrt(1 - 2 eps)/Lambda, below eps = 1/2 and a
+      saddle, +-sqrt(2 eps - 1)/Lambda, above it;
+    - (pi, 0) is a center, +-i sqrt(1 + 2 eps)/Lambda;
+    - above eps = 1/2, (0, +-G*) with G* = Lambda sqrt(4 eps^2 - 1)/(2 eps)
+      are centers, +-i sqrt(4 eps^2 - 1)/Lambda.
 
-def _classify(eps, Lambda, G, g):
-    hGG, hGg, hgg = _hess_e(eps, Lambda, G, g)
-    det = float(hGG * hgg - hGg * hGg)
-    if det > 0:
-        lam = np.sqrt(det)
-        return "center", (complex(0.0, lam), complex(0.0, -lam))
-    lam = np.sqrt(-det)
-    return "saddle", (complex(lam, 0.0), complex(-lam, 0.0))
-
-
-def _newton_sweep(eps, Lambda, G, g):
-    """Newton's method for grad e_hat = 0 from every start (G[k], g[k]) at once.
-
-    Each start follows its own scalar Newton run: it converges when the
-    norm of (Lambda dG, dg), the gradient in (G / Lambda, g), drops below
-    1e-12 within 60 iterations, and it is dropped when its Hessian is
-    exactly singular or an iterate leaves |G| <= Lambda (1 - 1e-9).  Steps
-    longer than Lambda / 2 are shortened to that length and g is wrapped
-    into (-pi, pi] after each step.  The sweep ends after 60 iterations or
-    once no start is live.  Returns (converged mask, G, g), the last two
-    holding the converged points.
-    """
-    Gmax = Lambda * (1 - 1e-9)
-    ok = np.zeros(G.shape, dtype=bool)
-    G_out, g_out = G.copy(), g.copy()
-    live = np.arange(G.size)
-    for _ in range(60):
-        if not live.size:
-            break
-        dG, dg = _grad_e(eps, Lambda, G, g)
-        du = Lambda * dG
-        done = np.sqrt(du * du + dg * dg) < 1e-12
-        ok[live[done]] = True
-        G_out[live[done]] = G[done]
-        g_out[live[done]] = g[done]
-        hGG, hGg, hgg = _hess_e(eps, Lambda, G, g)
-        det = hGG * hgg - hGg * hGg
-        keep = ~done & (det != 0)
-        live, G, g, dG, dg = live[keep], G[keep], g[keep], dG[keep], dg[keep]
-        hGG, hGg, hgg, det = hGG[keep], hGg[keep], hgg[keep], det[keep]
-        # closed-form solve of the 2 x 2 system H step = grad
-        sG = (hgg * dG - hGg * dg) / det
-        sg = (hGG * dg - hGg * dG) / det
-        norm = np.sqrt(sG * sG + sg * sg)
-        cap = norm > 0.5 * Lambda
-        sG = np.where(cap, sG * (0.5 * Lambda / norm), sG)
-        sg = np.where(cap, sg * (0.5 * Lambda / norm), sg)
-        G, g = G - sG, g - sg
-        inside = np.abs(G) <= Gmax
-        live, G, g = live[inside], G[inside], np.angle(np.exp(1j * g[inside]))
-    return ok, G_out, g_out
-
-
-def find_equilibria(eps, Lambda=1.0, grid_n=48):
-    """Critical points of e_hat with |G| <= 0.999 Lambda on the cylinder
-    (g, G), by Newton from a grid and from two starts next to the edges.
-
-    eps must avoid the transition values 1/2 and 1 where equilibria are
-    degenerate.  Returns EquilibriumReport entries sorted by (g, G): two
-    below eps = 1/2, four above.  Another count raises ValueError, as past
-    eps = 11.18, where the G-axis centers pass 0.999 Lambda.
+    Returns EquilibriumReport entries sorted by (g, G): two below
+    eps = 1/2, four above.  ValueError for eps <= 0 and for eps within 1e-9
+    of the transition values 1/2 and 1, where equilibria are degenerate,
+    and, naming eps and Lambda, when G* rounds onto Lambda or an eigenvalue
+    leaves the float range.
     """
     _check_eps_lambda(eps, Lambda)
     if eps <= 0:
         raise ValueError("eps must be positive")
     if abs(eps - 0.5) < 1e-9 or abs(eps - 1.0) < 1e-9:
         raise ValueError("eps at a transition value (1/2 or 1)")
-    # starts in (g0, G0) order: the first start reaching an equilibrium
-    # supplies its reported location.  No grid start reaches the G-axis
-    # centers at some eps (4.5, 7).  On g = 0, d e_hat/dG is concave in G
-    # from a center to the edge, so Newton from Lambda (1 - 1e-4) runs
-    # monotonically into every center below 0.999 Lambda
-    g0 = np.linspace(-np.pi, np.pi, grid_n, endpoint=False)
-    G0 = np.linspace(-0.98 * Lambda, 0.98 * Lambda, grid_n)
-    g0, G0 = (a.ravel() for a in np.meshgrid(g0, G0, indexing="ij"))
-    edge = Lambda * (1 - 1e-4)
-    g0, G0 = np.append(g0, [0.0, 0.0]), np.append(G0, [edge, -edge])
-    ok, G, g = _newton_sweep(eps, Lambda, G0, g0)
-    G, g = G[ok], np.angle(np.exp(1j * g[ok]))
-    keep = np.abs(G) <= 0.999 * Lambda
-    G, g = G[keep], g[keep]
-    found = []
-    while G.size:
-        Gk, gk = float(G[0]), float(g[0])
-        kind, eig = _classify(eps, Lambda, Gk, gk)
-        # canonicalize tiny numerical offsets at the symmetric points; G's
-        # tolerances scale with Lambda
-        if abs(Gk) < 1e-9 * Lambda:
-            Gk = 0.0
-        if abs(gk) < 1e-9:
-            gk = 0.0
-        if abs(abs(gk) - np.pi) < 1e-9:
-            gk = np.pi
-        found.append(EquilibriumReport((gk, Gk), kind, eig))
-        # drop the later starts that reached the same point
-        same = (np.abs(G - Gk) < 1e-6 * Lambda) & (
-            np.abs(np.angle(np.exp(1j * (g - gk)))) < 1e-6
-        )
-        G, g = G[~same], g[~same]
-    expected = 4 if eps > 0.5 else 2
-    if len(found) != expected:
-        raise ValueError("eps=%r: found %d of the %d equilibria"
-                         % (eps, len(found), expected))
-    found.sort(key=lambda e: (round(e.location[0], 9), round(e.location[1], 9)))
+    # 2 eps - 1 is exact next to eps = 1/2, so no root there cancels
+    if eps < 0.5:
+        found = [_report(0.0, 0.0, "center", math.sqrt(1 - 2 * eps) / Lambda)]
+    else:
+        root = math.sqrt((2 * eps - 1) * (2 * eps + 1))
+        G = Lambda * (root / (2 * eps))
+        found = [
+            _report(0.0, -G, "center", root / Lambda),
+            _report(0.0, 0.0, "saddle", math.sqrt(2 * eps - 1) / Lambda),
+            _report(0.0, G, "center", root / Lambda),
+        ]
+    found.append(_report(math.pi, 0.0, "center", math.sqrt(1 + 2 * eps) / Lambda))
+    # negated, so that a NaN fails too
+    if not all(abs(e.location[1]) < Lambda and abs(e.eigenvalues[0]) < math.inf
+               for e in found):
+        raise ValueError("eps=%r and Lambda=%r put a G-axis center on |G| = Lambda or "
+                         "an eigenvalue past the float range" % (eps, Lambda))
     return found
 
 

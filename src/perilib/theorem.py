@@ -84,9 +84,10 @@ def check_libration_theorem(spec, eps0, delta, s0, alpha_minus, alpha_plus,
     16 cosh(s0)^2 delta / Lambda < 1; the contraction bound defining N0; and
     the winding bound eta < 1.  Failure is data, not an error, except for
     alphas whose powers below leave the float range, an eps0 outside (0, 1)
-    (refused before c0 is measured), and eps0, c_lower, s0 and delta (or
-    the measured c0) that put cosh(s0), inv_N0, N0, eta or T outside
-    (0, inf): a ValueError.  c0 is measured by kepler.estimate_c0, once per
+    (refused before c0 is measured), and eps0, c_lower, c_upper, s0 and
+    delta (or the measured c0) that put cosh(s0), inv_N0, N0, eta or T
+    outside (0, inf) or a side of an inequality past the float range: a
+    ValueError.  c0 is measured by kepler.estimate_c0, once per
     eps0 in a process.
     """
     # negated, so that NaN fails; a power past the float range is NaN, and a
@@ -107,8 +108,9 @@ def check_libration_theorem(spec, eps0, delta, s0, alpha_minus, alpha_plus,
     c0 = estimate_c0(eps0)
 
     out_of_range = ValueError(
-        "eps0=%r, c_lower=%r, s0=%r and delta=%r give cosh(s0), N0, eta or T "
-        "outside the float range" % (eps0, c_lower, s0, delta))
+        "eps0=%r, c_lower=%r, c_upper=%r, s0=%r and delta=%r give cosh(s0), N0, eta, "
+        "T or a side of an inequality outside the float range"
+        % (eps0, c_lower, c_upper, s0, delta))
     # the inputs are Python floats, whose arithmetic raises past the float
     # range (cosh(s0), Lam / (s0 * delta)) where numpy's gives inf: either
     # way the inputs are rejected
@@ -162,6 +164,10 @@ def check_libration_theorem(spec, eps0, delta, s0, alpha_minus, alpha_plus,
         raise out_of_range
     ineqs.append(Inequality("contraction (defines N0)", inv_N0, contraction_rhs))
     ineqs.append(Inequality("winding", eta, 1.0))
+    # float products overflow to inf without raising (delta = 1.7e308 puts
+    # mass-vs-width's lhs there), and JSON has no inf
+    if not all(math.isfinite(side) for iq in ineqs for side in (iq.lhs, iq.rhs)):
+        raise out_of_range
     passed = all(iq.holds for iq in ineqs)
     return TheoremReport(
         ineqs,

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import stat
@@ -11,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 from perilib.cli import (
     EXIT_CONFIG,
     EXIT_GUARD,
+    EXIT_IO,
     EXIT_OK,
     KEYS,
     RESIDUAL_RTOL,
@@ -217,8 +220,6 @@ class TestConfig:
         assert json.loads((out / name).read_text())["seed"] == 2**64 - 1
 
     def test_io_failure_exit_code(self, tmp_path):
-        from perilib.cli import EXIT_IO
-
         blocker = tmp_path / "blocked"
         blocker.write_text("")  # a file where the out dir must go
         code = main(["--out", str(blocker / "sub"), "portrait", "--eps", "0.3"])
@@ -253,12 +254,31 @@ class TestPortrait:
             (0.0, pytest.approx(-G, abs=1e-9), "center"), (0.0, 0.0, "saddle"),
             (0.0, pytest.approx(G, abs=1e-9), "center"), (np.pi, 0.0, "center")]
 
-    def test_axis_centers_past_the_filter_are_config_error(self, tmp_path, capsys):
-        code, out = run(tmp_path, "portrait", "--eps", "20")
+    @pytest.mark.parametrize("eps", ["20", "1e7"])
+    def test_axis_centers_next_to_the_edge(self, tmp_path, eps):
+        # past eps = 11.18 the G-axis centers lie beyond 0.999 Lambda, where
+        # the Newton sweep's filter dropped them and eps = 20 exited 2
+        code, out = run(tmp_path, "portrait", "--eps", eps)
+        assert code == EXIT_OK
+        eq = json.loads((out / "equilibria.json").read_text())["equilibria"]
+        e = float(eps)
+        G = np.sqrt(1 - 1 / (4 * e**2))
+        assert [(q["g"], q["G"], q["kind"]) for q in eq] == [
+            (0.0, pytest.approx(-G, abs=1e-12), "center"), (0.0, 0.0, "saddle"),
+            (0.0, pytest.approx(G, abs=1e-12), "center"), (np.pi, 0.0, "center")]
+
+    @pytest.mark.parametrize("argv", [
+        ("portrait", "--eps", "1e300"),
+        ("portrait", "--eps", "1.7e308"),
+        ("--set", "hamiltonian.Lambda=1e-150", "portrait", "--eps", "1e300"),
+    ], ids=["eps-1e300", "eps-1.7e308", "small-Lambda"])
+    def test_axis_center_rounding_onto_lambda_is_config_error(self, tmp_path, capsys, argv):
+        # the Newton sweep overflowed here with a RuntimeWarning
+        code, out = run(tmp_path, *argv)
         assert code == EXIT_CONFIG
         assert not out.exists()
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "eps=20.0" in err
+        assert err.count("\n") == 1 and "eps=%r" % float(argv[-1]) in err
 
     def test_transition_eps_is_config_error(self, tmp_path, capsys):
         code, out = run(tmp_path, "portrait", "--eps=0.5")
@@ -541,6 +561,19 @@ class TestCheckTheorem:
         assert err.count("\n") == 1 and "lies outside (0, 1)" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("--set", "domain.delta=1.7e308"),
+        ("--set", "masses.mu=1e5", "--set", "theorem.c_upper=1.7e308"),
+    ], ids=["delta", "c_upper"])
+    def test_an_infinite_side_is_input_error(self, tmp_path, capsys, argv):
+        # float products overflow to inf without raising: these exited 0
+        # and wrote "lhs": Infinity for mass-vs-width, which is not JSON
+        code, out = run(tmp_path, *argv, "check-theorem")
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "outside the float range" in err
+        assert not out.exists()
+
 
 class TestNormalForm:
     def test_zero_steps_echo(self, tmp_path):
@@ -751,6 +784,20 @@ def test_normalform_rejects_a_domain_outside_the_chart(tmp_path, capsys, key, va
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("key, value", [
+    ("alpha_minus", "5e-324"), ("alpha_minus", "1e-300"), ("alpha_plus", "1e300"),
+])
+def test_normalform_box_past_the_float_range_is_input_error(tmp_path, capsys, key, value):
+    # eps = a/r overflowed at alpha_minus = 5e-324 and y^3 at
+    # alpha_plus = 1e300, each with a RuntimeWarning before the exit 2
+    code, out = run(tmp_path, "--set", "domain.%s=%s" % (key, value), "normalform")
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "%s=%r" % (key, float(value)) in err
+    assert not out.exists()
+
+
 def test_singular_locus_mid_run_exits_3(tmp_path):
     code, _ = run(tmp_path, "--set", "hamiltonian.Lambda=1e-3", "evolve",
                   "--state=-100,0,1,0", "--duration", "1")
@@ -918,3 +965,54 @@ def test_main_reuses_one_parser_across_calls(tmp_path, monkeypatch, capsys):
     fresh = run_all(tmp_path / "fresh")
     capsys.readouterr()
     assert shared == fresh
+
+
+# CLI fuzz: extreme values for the float keys, on every command
+FUZZ_KEYS = ["%s.%s" % (k.section, k.name) for k in KEYS if k.rule.startswith("a finite float")]
+FUZZ_VALUES = ["5e-324", "1e-300", "1e-20", "0.4999", "0.5", "1e20", "1e300", "1.7e308"]
+FUZZ_COMMANDS = {
+    "portrait": ("--set", "portrait.grid=64", "portrait"),
+    "verify-renorm": ("--set", "renorm.samples=5", "verify-renorm"),
+    "check-theorem": ("check-theorem",),
+    "evolve": ("evolve", "--duration", "1"),
+    "normalform": ("--set", "normalform.grid=6, 6, 12", "--set", "normalform.fourier_cutoff=4",
+                   "normalform"),
+}
+
+
+def _no_constant(name):
+    raise ValueError("%s is not JSON" % name)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(command=st.sampled_from(sorted(FUZZ_COMMANDS)),
+       sets=st.lists(st.tuples(st.sampled_from(FUZZ_KEYS), st.sampled_from(FUZZ_VALUES)),
+                     min_size=1, max_size=3))
+# each of these ended in a RuntimeWarning, a traceback or a non-JSON file:
+# the Newton sweep overflowed at eps = 1e300 and divided by zero at
+# Lambda = 1e-150, mass-vs-width's lhs was written as Infinity, and the
+# normal form's grids overflowed before its exit 2
+@example(command="portrait", sets=[("portrait.eps", "1e300")])
+@example(command="portrait", sets=[("hamiltonian.Lambda", "1e-150"), ("portrait.eps", "20")])
+@example(command="check-theorem", sets=[("domain.delta", "1.7e308")])
+@example(command="normalform", sets=[("domain.alpha_minus", "5e-324")])
+@example(command="normalform", sets=[("domain.alpha_plus", "1e300")])
+def test_extreme_float_keys_end_in_a_documented_exit(command, sets):
+    # every run ends in a documented exit code without a warning; a failed
+    # one prints one line on stderr and writes nothing, and every JSON file
+    # a run writes is strict JSON
+    argv = [arg for key, value in sets for arg in ("--set", "%s=%s" % (key, value))]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as root, contextlib.redirect_stderr(err):
+        out = os.path.join(root, "out")
+        code = main(["--out", out, *argv, *FUZZ_COMMANDS[command]])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_GUARD, EXIT_IO)
+        written = sorted(os.listdir(out)) if os.path.exists(out) else []
+        if code != EXIT_OK:
+            assert err.getvalue().count("\n") == 1
+            assert not written
+        for name in written:
+            if name.endswith(".json"):
+                with open(os.path.join(out, name)) as fh:
+                    json.load(fh, parse_constant=_no_constant)
