@@ -112,16 +112,19 @@ class TestEquilibria:
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(eps=st.one_of(EPS_BELOW_HALF, EPS_ABOVE_HALF))
-    # the Newton sweep this replaced refused these: next to eps = 1/2 the
-    # flat gradient let dozens of starts pass as equilibria, and past
-    # eps = 11.18 its 0.999 Lambda filter dropped the G-axis centers
-    @example(eps=0.49999999)
-    @example(eps=0.50000001)
-    @example(eps=11.25)
-    @example(eps=50.0)
     @example(eps=EPS_AXIS_EDGE)
     def test_matches_the_closed_form(self, eps):
         self.check_closed_form(eps, 1.0)
+
+    @pytest.mark.parametrize("eps", [0.49999999, 0.50000001, 11.25, 50.0])
+    def test_a_sweep_that_miscounts_is_refused(self, eps):
+        # the Newton sweep this replaced miscounted here and refused these
+        # eps with a ValueError: next to eps = 1/2 the flat gradient let
+        # dozens of starts pass as equilibria, and past eps = 11.18 its
+        # 0.999 Lambda filter dropped the G-axis centers.  The closed form
+        # runs no sweep, so it must count and place all of them
+        self.check_closed_form(eps, 1.0)
+        assert len(find_equilibria(eps, 1.0)) == (2 if eps < 0.5 else 4)
 
     @pytest.mark.parametrize("Lambda", [0.01, 0.1, 1000.0])
     @settings(max_examples=20, deadline=None, derandomize=True)
