@@ -23,7 +23,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, fields
-from itertools import accumulate, chain
+from itertools import accumulate
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
@@ -297,8 +297,7 @@ def cmd_portrait(cfg, out_dir, seed):
 
     # every point's row in one table, each polyline's rows followed by its line
     counts = [len(line) for _, line in lines]
-    points = np.fromiter(chain.from_iterable(chain.from_iterable(line for _, line in lines)),
-                         np.float64, 2 * sum(counts)).reshape(-1, 2)
+    points = np.concatenate([np.empty((0, 2)), *(line for _, line in lines)])
     table = np.column_stack([np.repeat([lv for lv, _ in lines], counts), points])
     inserts = [(0, "# seed,%d\nlevel,g,G\n" % seed)]
     inserts += zip(accumulate(counts), ["# polyline,%.17g\n" % lv for lv, _ in lines])

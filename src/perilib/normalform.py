@@ -609,8 +609,9 @@ def build_secular_perturbation(spec, eps0, alpha_minus, alpha_plus, delta,
     of 4.
 
     Returns (series, FrequencyData).  An alpha_minus or alpha_plus that
-    puts eps = a/r, omega_y or y^3 past the float range on the box is a
-    ValueError naming it, raised before any grid is filled.
+    puts eps = a/r, omega_y or y^3 past the float range on the box, or an
+    alpha_minus that puts some |s_j| a/r at or past f_eps's bound 1/2
+    there, is a ValueError naming it, raised before any grid is filled.
     """
     m0 = spec.m0
     box = libration_box(spec, eps0, alpha_minus, alpha_plus, delta)
@@ -629,6 +630,11 @@ def build_secular_perturbation(spec, eps0, alpha_minus, alpha_plus, delta,
     if past_range(lambda: (spec.a / radial_radius(m0, y_lo, x_edge), m0**5 / y_lo**3)):
         raise ValueError("alpha_minus=%r puts eps = a/r or omega_y = m0^5/y^3 past the "
                          "float range on the box" % (alpha_minus,))
+    # so every f_{s_j eps}, defined for |s_j eps| < 1/2, is checked there
+    eps_top = max(abs(s) for _, s in spec.terms()) * (spec.a / radial_radius(m0, y_lo, x_edge))
+    if not eps_top < 0.5:
+        raise ValueError("alpha_minus=%r puts max_j |s_j| a/r = %r at or past the f_eps "
+                         "bound 1/2 on the box" % (alpha_minus, float(eps_top)))
     if past_range(lambda: (y_hi**3,)):
         raise ValueError("alpha_plus=%r puts y^3 = (m0^3 alpha_plus)^1.5 past the float "
                          "range on the box" % (alpha_plus,))

@@ -3,9 +3,12 @@ cylinder.
 
 The integral e_hat(eps, Lambda, G, g) drives the pericenter dynamics; its
 critical points, which find_equilibria gives in closed form, and its
-contour topology, which phase_portrait traces by marching squares,
+contour topology, which phase_portrait traces with two kernels,
 reproduce the three regimes 0 < eps < 1/2, 1/2 < eps < 1 and eps > 1 (two
 centers / extra saddle and G-axis pair / rotational motions).
+marching_squares finds every level's edge crossings in one pass over the
+grid, and chain_segments joins one level's crossings into polylines, each
+an (n, 2) float array.
 """
 
 import math
@@ -122,7 +125,7 @@ _SEGMENTS = np.array((
 ), dtype=np.int8)
 
 
-def _level_crossings(xg, yg, Z, levels):
+def marching_squares(xg, yg, Z, levels):
     """Crossings of Z(x, y) = L with the edges of the rectilinear grid, for
     every L of the ascending sequence levels in one pass over the grid.
 
@@ -133,9 +136,13 @@ def _level_crossings(xg, yg, Z, levels):
     x = xg[i], yg[j] <= y <= yg[j+1], and edge = 2 (i ny + j) the edge
     y = yg[j], xg[i] <= x <= xg[i+1], with ny = len(yg), so neighboring
     cells agree on it exactly; (x, y) is the linear interpolation along that
-    edge.  Within a level, cells come in row-major (i, j) order and a saddle
-    cell gives its two segments in table order.  A node is above a level
-    when Z >= level; a NaN node is above none.
+    edge.  A node is above a level when Z >= level; a NaN node is above
+    none.
+
+    Segment order is part of the contract: within a level, cells come in
+    row-major (i, j) order and a saddle cell gives its two segments in table
+    order.  chain_segments starts its polylines in this order, so the order
+    fixes the polylines and the bytes of the portrait CSV.
     """
     xg, yg = np.asarray(xg), np.asarray(yg)
     levels = np.asarray(levels, dtype=float)
@@ -202,18 +209,18 @@ def _level_crossings(xg, yg, Z, levels):
     return lev, 2 * (ki * yg.size + kj) + vert, x, y
 
 
-def _chain(edge, x, y):
-    """Polylines (lists of (x, y) points) of the segments whose ends are
-    given as by one level of _level_crossings: segment m runs from end 2m
-    to end 2m + 1, and two ends with the same edge id are joined.
+def chain_segments(edge, x, y):
+    """Polylines, each an (n, 2) float array of (x, y) rows, of the segments
+    whose ends are given as by one level of marching_squares: segment m
+    runs from end 2m to end 2m + 1, and two ends with the same edge id are
+    joined.
 
     An id may be shared by at most two ends (ValueError otherwise), which
-    holds for the edges of one level of _level_crossings: a grid edge
+    holds for the edges of one level of marching_squares: a grid edge
     borders two cells and a cell, saddles included, uses each of its edges
-    once.  Chains start from
-    the unused segments in index order and grow at the tail, then at the
-    head.  A chain whose first and last ends share an id is a closed loop,
-    and its last point is set to its first.
+    once.  Chains start from the unused segments in index order and grow at
+    the tail, then at the head.  A chain whose first and last ends share an
+    id is a closed loop, and its last row is set to its first.
     """
     n = edge.size
     order = np.argsort(edge, kind="stable")
@@ -225,7 +232,7 @@ def _chain(edge, x, y):
     partner[order[k]] = order[k + 1]
     partner[order[k + 1]] = order[k]
     partner, ids = partner.tolist(), edge.tolist()
-    points = list(zip(x.tolist(), y.tolist()))
+    xy = np.column_stack([x, y])
     used = [False] * (n // 2)
     polylines = []
     for start in range(n // 2):
@@ -244,47 +251,11 @@ def _chain(edge, x, y):
             grown.append(ends)
         tail, head = grown
         seq = head[::-1] + [2 * start, 2 * start + 1] + tail
-        line = [points[e] for e in seq]
+        line = xy[seq]
         if len(seq) > 2 and ids[seq[0]] == ids[seq[-1]]:
             line[-1] = line[0]
         polylines.append(line)
     return polylines
-
-
-def marching_squares(xg, yg, Z, level):
-    """Contour segments of Z(x, y) = level on the rectilinear grid.
-
-    Z is indexed Z[i, j] = Z(xg[i], yg[j]).  Returns a list of segments
-    ((key_a, point_a), (key_b, point_b)) with linear interpolation along
-    cell edges; the keys identify grid edges for exact chaining.  A key is
-    ('v', i, j) for the edge x = xg[i], yg[j] <= y <= yg[j+1], or
-    ('h', i, j) for the edge y = yg[j], xg[i] <= x <= xg[i+1], so
-    neighboring cells agree on it exactly.
-
-    Segment order is part of the contract: cells come in row-major (i, j)
-    order and a saddle cell gives its two segments in table order.
-    chain_segments starts its polylines in this order, so the order fixes
-    the polylines and the bytes of the portrait CSV.
-    """
-    _, edge, x, y = _level_crossings(xg, yg, Z, [level])
-    node, vert = np.divmod(edge, 2)
-    ki, kj = np.divmod(node, len(yg))
-    keys = zip(np.where(vert, "v", "h").tolist(), ki.tolist(), kj.tolist())
-    ends = list(zip(keys, zip(x.tolist(), y.tolist())))
-    return list(zip(ends[0::2], ends[1::2]))
-
-
-def chain_segments(segs):
-    """Join segments sharing grid edges into polylines (lists of points).
-
-    segs is a list of ((key_a, point_a), (key_b, point_b)) as marching_squares
-    returns; a key may be shared by at most two segment ends.
-    """
-    ends = [end for seg in segs for end in seg]
-    ids = {}
-    edge = np.array([ids.setdefault(key, len(ids)) for key, _ in ends], dtype=int)
-    xy = np.array([p for _, p in ends], dtype=float).reshape(-1, 2)
-    return _chain(edge, xy[:, 0], xy[:, 1])
 
 
 def is_closed(polyline):
@@ -296,9 +267,12 @@ def is_closed(polyline):
 def phase_portrait(eps, Lambda=1.0, grid=(128, 128), levels=12):
     """Contour polylines of e_hat on (g, G) in [-pi, pi] x [-Lambda, Lambda].
 
-    Returns a list of (level, polyline) with polylines in (g, G) points.
-    Level selection spans the value range and includes the separatrix level
-    e_hat(0, 0) = 1 whenever eps > 1/2.
+    Returns a list of (level, polyline), level a float and polyline an
+    (n, 2) float array of (g, G) rows, levels ascending and each level's
+    polylines in chain_segments' order.  Level selection spans the value
+    range and includes the separatrix level e_hat(0, 0) = 1 whenever
+    eps > 1/2.  The contours come from one marching_squares call over all
+    levels and one chain_segments call per level.
     """
     _check_eps_lambda(eps, Lambda)
     ng, nG = grid
@@ -314,20 +288,20 @@ def phase_portrait(eps, Lambda=1.0, grid=(128, 128), levels=12):
         if lo < sep < hi:
             vals.append(float(sep))
     vals = sorted(vals)
-    lev, edge, x, y = _level_crossings(gg, GG, Z, vals)
+    lev, edge, x, y = marching_squares(gg, GG, Z, vals)
     # level l's entries are lev's run [cut[l], cut[l + 1])
     cut = np.searchsorted(lev, np.arange(len(vals) + 1)).tolist()
     out = []
     for lv, a, b in zip(vals, cut, cut[1:]):
-        out += [(float(lv), line) for line in _chain(edge[a:b], x[a:b], y[a:b])]
+        out += [(float(lv), line) for line in chain_segments(edge[a:b], x[a:b], y[a:b])]
     return out
 
 
 def spans_full_angle(polyline):
     """True if the polyline's g-extent reaches within 0.05 of both cylinder
     seams."""
-    gs = [p[0] for p in polyline]
-    return min(gs) < -np.pi + 0.05 and max(gs) > np.pi - 0.05
+    gs = np.asarray(polyline, dtype=float)[:, 0]
+    return gs.min() < -np.pi + 0.05 and gs.max() > np.pi - 0.05
 
 
 def has_rotational_orbits(eps, Lambda=1.0, grid=(128, 128), levels=40):

@@ -283,7 +283,7 @@ def f_eps_minus_one_grid(eps, t):
     if e.size == 1:
         return np.full(eps_b.shape, _f_minus_one(e[0], tt[0]))
     if not np.all(np.abs(e) < 0.5):
-        raise ValueError("f_eps requires |eps| < 1/2, got %r" % (e[~(np.abs(e) < 0.5)][0],))
+        raise ValueError("f_eps requires |eps| < 1/2, got %r" % float(e[~(np.abs(e) < 0.5)][0]))
     beta = _strip_beta(e, tt)
     bad = ~(beta >= _BETA_MIN[-1])
     if bad.any():

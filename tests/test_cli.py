@@ -798,6 +798,20 @@ def test_normalform_box_past_the_float_range_is_input_error(tmp_path, capsys, ke
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", ["1e-20", "1e-3"])
+def test_normalform_box_past_the_f_eps_bound_is_input_error(tmp_path, capsys, value):
+    # max_j |s_j| a/r at the box's lowest y reached f_eps's bound 1/2: the
+    # grid fill's exit 2 named neither alpha_minus nor a plain float
+    # (np.float64(2.4585782297618424e+19) at 1e-20)
+    code, out = run(tmp_path, "--set", "domain.alpha_minus=%s" % value, "normalform")
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "alpha_minus=%r" % float(value) in err
+    assert "np.float64(" not in err
+    assert not out.exists()
+
+
 def test_singular_locus_mid_run_exits_3(tmp_path):
     code, _ = run(tmp_path, "--set", "hamiltonian.Lambda=1e-3", "evolve",
                   "--state=-100,0,1,0", "--duration", "1")
@@ -810,7 +824,7 @@ def per_point_rows(seed, lines):
     rows = ["# seed,%d" % seed, "level,g,G"]
     for lv, line in lines:
         level = "%.17g" % lv
-        rows += [level + ",%.17g,%.17g" % gG for gG in line]
+        rows += [level + ",%.17g,%.17g" % tuple(gG) for gG in line]
         rows.append("# polyline," + level)
     return ("\n".join(rows) + "\n").encode()
 
@@ -980,8 +994,34 @@ FUZZ_COMMANDS = {
 }
 
 
+# evolve fuzz: a start state with one or two components at the float edges
+EVOLVE_STATES = {"secular": [0.1, 0.0, 100.0, 0.0], "action-angle": [0.9, 0.3, 10.0, 2.5]}
+EVOLVE_VALUES = ["5e-324", "1e-300", "1e-20", "0.4999", "0.5", "1e20", "1e300", "1.7e308",
+                 "-1e300", "-1e-20", "0"]
+
+
 def _no_constant(name):
     raise ValueError("%s is not JSON" % name)
+
+
+def _check_documented_exit(argv):
+    """Run main on argv in process and check that it ends in a documented
+    exit code, that a failed run prints one line on stderr and writes
+    nothing, and that every JSON file a run writes is strict JSON.  The
+    callers turn warnings into errors."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as root, contextlib.redirect_stderr(err):
+        out = os.path.join(root, "out")
+        code = main(["--out", out, *argv])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_GUARD, EXIT_IO)
+        written = sorted(os.listdir(out)) if os.path.exists(out) else []
+        if code != EXIT_OK:
+            assert err.getvalue().count("\n") == 1
+            assert not written
+        for name in written:
+            if name.endswith(".json"):
+                with open(os.path.join(out, name)) as fh:
+                    json.load(fh, parse_constant=_no_constant)
 
 
 @pytest.mark.filterwarnings("error")
@@ -999,20 +1039,20 @@ def _no_constant(name):
 @example(command="normalform", sets=[("domain.alpha_minus", "5e-324")])
 @example(command="normalform", sets=[("domain.alpha_plus", "1e300")])
 def test_extreme_float_keys_end_in_a_documented_exit(command, sets):
-    # every run ends in a documented exit code without a warning; a failed
-    # one prints one line on stderr and writes nothing, and every JSON file
-    # a run writes is strict JSON
     argv = [arg for key, value in sets for arg in ("--set", "%s=%s" % (key, value))]
-    err = io.StringIO()
-    with tempfile.TemporaryDirectory() as root, contextlib.redirect_stderr(err):
-        out = os.path.join(root, "out")
-        code = main(["--out", out, *argv, *FUZZ_COMMANDS[command]])
-        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_GUARD, EXIT_IO)
-        written = sorted(os.listdir(out)) if os.path.exists(out) else []
-        if code != EXIT_OK:
-            assert err.getvalue().count("\n") == 1
-            assert not written
-        for name in written:
-            if name.endswith(".json"):
-                with open(os.path.join(out, name)) as fh:
-                    json.load(fh, parse_constant=_no_constant)
+    _check_documented_exit([*argv, *FUZZ_COMMANDS[command]])
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(chart=st.sampled_from(sorted(EVOLVE_STATES)),
+       edits=st.lists(st.tuples(st.integers(0, 3), st.sampled_from(EVOLVE_VALUES)),
+                      min_size=1, max_size=2),
+       duration=st.sampled_from(["0", "1"]))
+def test_evolve_states_at_the_float_edges_end_in_a_documented_exit(chart, edits, duration):
+    state = [repr(v) for v in EVOLVE_STATES[chart]]
+    for at, value in edits:
+        state[at] = value
+    # --state=, so that a negative first component is not read as a flag
+    _check_documented_exit(["--set", "evolve.chart=" + chart, "evolve",
+                            "--state=" + ",".join(state), "--duration", duration])

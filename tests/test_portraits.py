@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from perilib.potentials import e_hat
+import perilib.portraits as portraits
 from perilib.portraits import (
-    _chain,
-    _level_crossings,
     chain_segments,
     find_equilibria,
     has_rotational_orbits,
@@ -142,12 +141,17 @@ class TestEquilibria:
             find_equilibria(eps, Lambda)
 
 
+def _lines(xg, yg, Z, level):
+    """The polylines of one level, by the two kernels."""
+    return chain_segments(*marching_squares(xg, yg, Z, [level])[1:])
+
+
 class TestMarchingSquares:
     def test_circle_contour(self):
         xg = np.linspace(-2, 2, 101)
         yg = np.linspace(-2, 2, 101)
         Z = xg[:, None] ** 2 + yg[None, :] ** 2
-        lines = chain_segments(marching_squares(xg, yg, Z, 1.0))
+        lines = _lines(xg, yg, Z, 1.0)
         assert len(lines) == 1
         line = lines[0]
         assert is_closed(line)
@@ -158,7 +162,7 @@ class TestMarchingSquares:
         xg = np.linspace(-3, 3, 121)
         yg = np.linspace(-2, 2, 81)
         Z = (np.abs(xg[:, None]) - 1.5) ** 2 + yg[None, :] ** 2
-        lines = chain_segments(marching_squares(xg, yg, Z, 0.25))
+        lines = _lines(xg, yg, Z, 0.25)
         assert len(lines) == 2
 
 
@@ -205,6 +209,29 @@ class TestPortrait:
         assert has_rotational_orbits(1.5)
         assert not has_rotational_orbits(0.3)
         assert not has_rotational_orbits(0.7)
+
+    def test_runs_its_named_kernels(self, monkeypatch):
+        # one marching_squares call, the two grids its first positional
+        # arguments, and one chain_segments call per level, both looked up
+        # on the module: the names a tracer rebinds to count them
+        calls = []
+        for name in ("marching_squares", "chain_segments"):
+            def spy(*args, _name=name, _real=getattr(portraits, name), **kwargs):
+                calls.append((_name, args, kwargs))
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(portraits, name, spy)
+        lines = phase_portrait(0.7, 1.0, grid=(64, 65), levels=5)
+        (name, args, kwargs), *rest = calls
+        assert name == "marching_squares" and len(args) == 4 and not kwargs
+        gg, GG, _, levels = args
+        assert np.array_equal(gg, np.linspace(-np.pi, np.pi, 64))
+        assert np.array_equal(GG, np.linspace(-1.0, 1.0, 65))
+        assert len(levels) == 6  # the separatrix level too
+        assert [name for name, _, _ in rest] == ["chain_segments"] * len(levels)
+        assert sorted({lv for lv, _ in lines}) == [float(lv) for lv in levels]
+        assert all(ln.dtype == np.float64 and ln.ndim == 2 and ln.shape[1] == 2
+                   for _, ln in lines)
 
     def test_grid_floor(self):
         with pytest.raises(ValueError):
@@ -413,14 +440,6 @@ def ref_find_equilibria(eps, Lambda=1.0, grid_n=48):
     return found
 
 
-def _bits(segs):
-    """Segments with every coordinate as its exact hex form (keeps -0.0)."""
-    return [
-        tuple((key, float(p[0]).hex(), float(p[1]).hex()) for key, p in seg)
-        for seg in segs
-    ]
-
-
 @st.composite
 def contour_fields(draw):
     """Grid, field and level with nodes exactly on the level and one forced
@@ -470,13 +489,23 @@ def contour_levels(draw):
     return xg, yg, Z, sorted(levels)
 
 
-def _keyed_segments(edge, x, y, ny):
-    """Segment ends (edge, x, y) as the keyed segments of the reference."""
-    ends = []
-    for e, px, py in zip(edge.tolist(), x.tolist(), y.tolist()):
-        node, vert = divmod(e, 2)
-        ends.append((("v" if vert else "h", *divmod(node, ny)), (px, py)))
-    return list(zip(ends[0::2], ends[1::2]))
+def _edge_id(key, ny):
+    """marching_squares' edge id of the reference's key ('v' | 'h', i, j)."""
+    kind, i, j = key
+    return 2 * (i * ny + j) + (kind == "v")
+
+
+def _ref_ends(segs, ny):
+    """The reference's keyed segments as marching_squares' ends, hex forms:
+    [(edge, x, y), ...], ends a and b of each segment adjacent."""
+    return [(_edge_id(key, ny), float(p[0]).hex(), float(p[1]).hex())
+            for seg in segs for key, p in seg]
+
+
+def _end_bits(edge, x, y):
+    """Segment ends (edge, x, y) with every coordinate as its exact hex
+    form (keeps -0.0)."""
+    return [(e, px.hex(), py.hex()) for e, px, py in zip(edge.tolist(), x.tolist(), y.tolist())]
 
 
 class TestVectorizedAgainstReference:
@@ -484,21 +513,21 @@ class TestVectorizedAgainstReference:
     @given(contour_fields())
     def test_marching_squares_matches_cell_loop(self, field):
         xg, yg, Z, level = field
-        assert _bits(marching_squares(xg, yg, Z, level)) == _bits(
-            ref_marching_squares(xg, yg, Z, level)
-        )
+        lev, edge, x, y = marching_squares(xg, yg, Z, [level])
+        assert (lev == 0).all()
+        assert _end_bits(edge, x, y) == _ref_ends(ref_marching_squares(xg, yg, Z, level), len(yg))
 
     @settings(max_examples=200, deadline=None)
     @given(contour_levels())
     def test_every_level_matches_reference(self, field):
         xg, yg, Z, levels = field
-        lev, edge, x, y = _level_crossings(xg, yg, Z, levels)
+        lev, edge, x, y = marching_squares(xg, yg, Z, levels)
         assert (np.diff(lev) >= 0).all()  # grouped by level
         for at, level in enumerate(levels):
             one = lev == at
             ref = ref_marching_squares(xg, yg, Z, level)
-            assert _bits(_keyed_segments(edge[one], x[one], y[one], len(yg))) == _bits(ref)
-            assert _line_bits(_chain(edge[one], x[one], y[one])) == _line_bits(
+            assert _end_bits(edge[one], x[one], y[one]) == _ref_ends(ref, len(yg))
+            assert _line_bits(chain_segments(edge[one], x[one], y[one])) == _line_bits(
                 ref_chain_segments(ref)
             )
 
@@ -510,11 +539,11 @@ class TestVectorizedAgainstReference:
         Z = xg[:, None] ** 2 + yg[None, :] ** 2
         Z[8, 8] = np.nan
         levels = [1.5, 4.0, 7.5]
-        lev, edge, x, y = _level_crossings(xg, yg, Z, levels)
+        lev, edge, x, y = marching_squares(xg, yg, Z, levels)
         for at, level in enumerate(levels):
             one = lev == at
             ref = ref_marching_squares(xg, yg, Z, level)
-            assert _bits(_keyed_segments(edge[one], x[one], y[one], len(yg))) == _bits(ref)
+            assert _end_bits(edge[one], x[one], y[one]) == _ref_ends(ref, len(yg))
         assert np.isnan(x[lev == 1]).any()
 
     def test_forced_saddles_take_both_branches(self):
@@ -523,14 +552,14 @@ class TestVectorizedAgainstReference:
         # cell (0, 0) is case 5 with its center above the level, cell (1, 0)
         # case 10 with its center below
         Z = np.array([[2.0, -1.0], [-1.0, 2.0], [1.0, -3.0]])
-        segs = marching_squares(xg, yg, Z, 0.0)
-        assert [(a[0], b[0]) for a, b in segs] == [
-            (("v", 0, 0), ("h", 0, 1)),
-            (("v", 1, 0), ("h", 0, 0)),
-            (("v", 1, 0), ("h", 1, 1)),
-            (("v", 2, 0), ("h", 1, 0)),
-        ]
-        assert _bits(segs) == _bits(ref_marching_squares(xg, yg, Z, 0.0))
+        _, edge, x, y = marching_squares(xg, yg, Z, [0.0])
+        assert edge.tolist() == [_edge_id(key, 2) for key in [
+            ("v", 0, 0), ("h", 0, 1),
+            ("v", 1, 0), ("h", 0, 0),
+            ("v", 1, 0), ("h", 1, 1),
+            ("v", 2, 0), ("h", 1, 0),
+        ]]
+        assert _end_bits(edge, x, y) == _ref_ends(ref_marching_squares(xg, yg, Z, 0.0), 2)
 
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(
@@ -559,12 +588,11 @@ def _line_bits(lines):
     return [[(float(x).hex(), float(y).hex()) for x, y in line] for line in lines]
 
 
-def _three_routes(xg, yg, Z, level):
-    """Polylines by the array core, by the public keyed functions and by
-    the cell-loop and deque references, as exact hex forms."""
+def _two_routes(xg, yg, Z, level):
+    """Polylines by the two kernels and by the cell-loop and deque
+    references, as exact hex forms."""
     return (
-        _line_bits(_chain(*_level_crossings(xg, yg, Z, [level])[1:])),
-        _line_bits(chain_segments(marching_squares(xg, yg, Z, level))),
+        _line_bits(_lines(xg, yg, Z, level)),
         _line_bits(ref_chain_segments(ref_marching_squares(xg, yg, Z, level))),
     )
 
@@ -572,26 +600,27 @@ def _three_routes(xg, yg, Z, level):
 class TestChainAgainstReference:
     @settings(max_examples=200, deadline=None)
     @given(contour_fields())
-    def test_three_routes_agree(self, field):
-        core, public, ref = _three_routes(*field)
-        assert core == public == ref
+    def test_two_routes_agree(self, field):
+        core, ref = _two_routes(*field)
+        assert core == ref
 
     def test_closed_loop(self):
         xg = yg = np.linspace(-2.0, 2.0, 9)
         Z = xg[:, None] ** 2 + yg[None, :] ** 2
-        core, public, ref = _three_routes(xg, yg, Z, 1.5)
-        assert core == public == ref
+        core, ref = _two_routes(xg, yg, Z, 1.5)
+        assert core == ref
         assert len(core) == 1 and len(core[0]) > 4
         assert core[0][0] == core[0][-1]
-        (line,) = _chain(*_level_crossings(xg, yg, Z, [1.5])[1:])
-        assert line[-1] is line[0]
+        (line,) = _lines(xg, yg, Z, 1.5)
+        assert line.dtype == np.float64 and line.shape == (len(core[0]), 2)
+        assert line[-1].tobytes() == line[0].tobytes()
 
     def test_line_touching_the_boundary(self):
         xg = np.linspace(0.0, 1.0, 7)
         yg = np.linspace(-1.0, 2.0, 5)
         Z = xg[:, None] + 0.1 * yg[None, :] ** 2
-        core, public, ref = _three_routes(xg, yg, Z, 0.45)
-        assert core == public == ref
+        core, ref = _two_routes(xg, yg, Z, 0.45)
+        assert core == ref
         assert len(core) == 1
         ((x0, y0), (x1, y1)) = (core[0][0], core[0][-1])
         assert {float.fromhex(y0), float.fromhex(y1)} == {-1.0, 2.0}
@@ -599,15 +628,15 @@ class TestChainAgainstReference:
     def test_empty_level(self):
         xg = yg = np.linspace(-1.0, 1.0, 6)
         Z = xg[:, None] * yg[None, :]
-        lev, edge, x, y = _level_crossings(xg, yg, Z, [3.0])
+        lev, edge, x, y = marching_squares(xg, yg, Z, [3.0])
         assert lev.size == edge.size == x.size == y.size == 0
-        assert _three_routes(xg, yg, Z, 3.0) == ([], [], [])
+        assert _two_routes(xg, yg, Z, 3.0) == ([], [])
 
     def test_key_on_three_ends_rejected(self):
-        p = (0.0, 0.0)
-        segs = [((("v", 0, 0), p), (("h", j, 0), p)) for j in range(3)]
+        # end a of each of three segments on edge 1
+        edge = np.array([1, 0, 1, 2, 1, 4])
         with pytest.raises(ValueError):
-            chain_segments(segs)
+            chain_segments(edge, np.zeros(6), np.zeros(6))
 
     @pytest.mark.parametrize("eps", [0.3, 0.7, 1.5])
     @pytest.mark.parametrize("grid", [(64, 64), (65, 65)])
