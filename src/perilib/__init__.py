@@ -15,7 +15,6 @@ from .coords import (
     SecularState,
     derive_mass_params,
     gg_forward,
-    gg_inverse,
     rr_forward,
 )
 from .dynamics import StepControl, Trajectory, integrate

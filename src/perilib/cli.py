@@ -482,6 +482,9 @@ def main(argv=None):
     except ValueError as exc:  # DomainError and other rejected inputs
         print("invalid input: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as exc:  # a size key past what memory holds
+        print("input too large for memory: %s: %s" % (args.command, exc), file=sys.stderr)
+        return EXIT_CONFIG
     except (SingularLocusError, ContractionError, KeplerError, EnergyDriftError,
             IntegrationError) as exc:
         print("numerical guard tripped: %s" % exc, file=sys.stderr)

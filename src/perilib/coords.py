@@ -123,33 +123,6 @@ def gg_forward(Lambda, Gcal, gamma):
     return G, g
 
 
-def gg_inverse(Lambda, G, g, branch="near-0"):
-    """Invert gg_forward on one chart.
-
-    branch "near-0" targets Gcal > 0 (g within pi/2 of 0), "near-pi" targets
-    Gcal < 0 (g within pi/2 of pi).  At the chart center G = 0, cos g = +-1
-    any gamma maps there; the convention gamma = 0 is returned.
-    """
-    if branch == "near-0":
-        d = np.angle(np.exp(1j * g))
-        sign = 1.0
-    elif branch == "near-pi":
-        d = np.angle(np.exp(1j * (g - np.pi)))
-        sign = -1.0
-    else:
-        raise ValueError("branch must be 'near-0' or 'near-pi'")
-    if abs(d) >= np.pi / 2:
-        raise ValueError("point outside the %s chart" % branch)
-    if G**2 > Lambda**2:
-        raise ValueError("|G| exceeds Lambda")
-    # cos(g) = sign * cos(d), tan(g) = tan(d) on the chart
-    Gcal = sign * np.sqrt(Lambda**2 - G**2) * np.cos(d)
-    v = -Gcal * np.tan(d)
-    if v == 0.0 and G == 0.0:
-        return Gcal, 0.0
-    return Gcal, np.arctan2(v, G)
-
-
 def rr_forward(m0, y, x):
     """Radial-orbit chart (y, x) -> (R, r) for the outer body, at real (y, x).
 

@@ -20,6 +20,7 @@ from .hamiltonians import DomainError, chart_named, chart_of, check_domain, grad
 from .potentials import SingularLocusError
 
 DEFAULT_ENERGY_TOL = 1e-8
+SAMPLES = 2000  # output samples of a run, on a uniform grid over [0, T]
 
 
 class EnergyDriftError(RuntimeError):
@@ -84,7 +85,7 @@ def integrate(spec, state0, T, *, step_ctrl=StepControl(),
 
     A non-finite T raises ValueError, and state0 outside the physical domain
     (see hamiltonians.check_domain) or of non-finite energy DomainError,
-    before a step.  The trajectory is sampled on a uniform grid of 2000
+    before a step.  The trajectory is sampled on a uniform grid of SAMPLES
     points, in integration order: the first sample is state0 at t = 0, for
     T < 0 too.  T = 0 gives the one-sample trajectory of state0, with no
     events.  Leaving the domain, or f_eps's singular locus, at a step or at
@@ -116,21 +117,25 @@ def integrate(spec, state0, T, *, step_ctrl=StepControl(),
         _measure(traj, spec)
         return traj
 
+    # J grad H: a (momentum p, coordinate q) pair of the chart moves as
+    # p' = -dH/dq, q' = dH/dp; slope entry i is sign i times partial col i
+    col, sign = [0] * 4, [1.0] * 4
+    for p, q in chart.pairs:
+        col[p], col[q], sign[p] = q, p, -1.0
+    (i0, i1, i2, i3), (s0, s1, s2, s3) = col, sign
+    state = chart.state
+
     def rhs(t, z):
         # the integrator's state is a list of floats, so the gradient
         # computes in floats; the slope goes back as a list too
         try:
-            dH = gradient(spec, chart.state(*z)).tolist()
+            d = gradient(spec, state(*z)).tolist()
         except (ValueError, SingularLocusError) as exc:  # DomainError, chart maps, f_eps
             raise IntegrationError("state left the domain at t=%.17g: %s" % (t, exc)) from exc
         except ArithmeticError as exc:  # a value past the float range
             raise IntegrationError("the field's arithmetic failed at t=%.17g: %r"
                                    % (t, exc)) from exc
-        out = [0.0] * len(dH)
-        for ip, iq in chart.pairs:
-            out[ip] = -dH[iq]
-            out[iq] = dH[ip]
-        return out
+        return [s0 * d[i0], s1 * d[i1], s2 * d[i2], s3 * d[i3]]
 
     events = None
     if domain_guard is not None:
@@ -142,7 +147,7 @@ def integrate(spec, state0, T, *, step_ctrl=StepControl(),
     from .rk import solve
 
     try:
-        sol = solve(rhs, (0.0, T), state0.as_array(), np.linspace(0.0, T, 2000),
+        sol = solve(rhs, (0.0, T), state0.as_array(), np.linspace(0.0, T, SAMPLES),
                     step_ctrl.method, step_ctrl.rtol, step_ctrl.atol, events,
                     first_step=step_ctrl.first_step)
     except ArithmeticError as exc:  # the step controller's, in floats

@@ -35,16 +35,13 @@ def _newton_bisect(e, ell, lo, hi, xi, tol):
 
     Any iterate leaving the bracket is replaced by a bisection step, which
     keeps the method robust up to e = 1.  Returns (xi, |residual|,
-    iterations) and raises KeplerError after MAX_ITER iterations.  An array
-    ell (with lo, hi and xi broadcast to its shape) is solved entrywise by
-    _newton_bisect_array; floats take the loop below, which is what the
-    flow's right-hand side and the one-state energies call.  The loop
-    computes in floats through math.sin/math.cos, which give the same bits
-    as np.sin/np.cos (tests/test_float_path.py checks this), so both paths
-    agree bitwise.
+    iterations) and raises KeplerError after MAX_ITER iterations.  This is
+    the float loop, which the flow's right-hand side and the one-state
+    energies call; array callers call _newton_bisect_array themselves.  The
+    loop computes in floats through math.sin/math.cos, which give the same
+    bits as np.sin/np.cos (tests/test_float_path.py checks this), so both
+    paths agree bitwise.
     """
-    if isinstance(ell, np.ndarray):
-        return _newton_bisect_array(e, ell, lo, hi, xi, tol)
     for it in range(1, MAX_ITER + 1):
         f = xi - e * math.sin(xi) - ell
         if abs(f) <= tol:
@@ -101,8 +98,10 @@ def _newton_bisect_array(e, ell, lo, hi, xi, tol):
 
 
 def _newton_radial(x, tol):
-    """The real branch of xi' - sin xi' = x on (0, 2*pi), from xi' = pi."""
-    return _newton_bisect(1.0, x, 0.0, 2 * np.pi, np.pi, tol)
+    """The real branch of xi' - sin xi' = x on (0, 2*pi), from xi' = pi, at
+    every entry of the array x; the floats of xi_prime_real and
+    solve_kepler_zero_ecc_form take _newton_bisect on the same bracket."""
+    return _newton_bisect_array(1.0, x, 0.0, 2 * np.pi, np.pi, tol)
 
 
 def _cabs(z):
@@ -157,13 +156,13 @@ def solve_kepler(e, ell):
 
 def _solve_elliptic(e, ell):
     """solve_kepler without argument checks; e = 1 is solved too, and an
-    array ell is solved entrywise (see _newton_bisect)."""
+    array ell is solved entrywise (see _newton_bisect_array)."""
     k = np.floor(ell / (2 * np.pi))
     ell0 = ell - 2 * np.pi * k
     if e == 0.0:
         return KeplerSolution(ell, 0.0, 0)
-    xi, res, it = _newton_bisect(e, ell0, ell0 - e, ell0 + e, ell0 + e * np.sin(ell0),
-                                 DEFAULT_TOL)
+    solver = _newton_bisect_array if isinstance(ell, np.ndarray) else _newton_bisect
+    xi, res, it = solver(e, ell0, ell0 - e, ell0 + e, ell0 + e * np.sin(ell0), DEFAULT_TOL)
     return KeplerSolution(xi + 2 * np.pi * k, res, it)
 
 
@@ -180,7 +179,7 @@ def solve_kepler_zero_ecc_form(x, tol=DEFAULT_TOL):
     xr = float(x.real)
     if not 0.0 < xr < 2 * np.pi:
         raise ValueError("Re x must lie in (0, 2*pi), got %r" % (xr,))
-    xi, res, total_it = _newton_radial(xr, tol)
+    xi, res, total_it = _newton_bisect(1.0, xr, 0.0, 2 * np.pi, np.pi, tol)
     xim = float(x.imag)
     # a plain real number skips np.iscomplexobj, which would build an array
     if xim == 0.0 and (isinstance(x, (float, int)) or not np.iscomplexobj(x)):
@@ -206,7 +205,7 @@ def xi_prime_array(x, tol=DEFAULT_TOL):
 def xi_prime_real(x):
     """Real solution of xi' - sin xi' = x, to a residual of at most
     DEFAULT_TOL, without argument checks (fast path for the flow)."""
-    return _newton_radial(x, DEFAULT_TOL)[0]
+    return _newton_bisect(1.0, x, 0.0, 2 * np.pi, np.pi, DEFAULT_TOL)[0]
 
 
 @functools.lru_cache(maxsize=128)

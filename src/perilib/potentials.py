@@ -132,7 +132,18 @@ def e_hat_aa(eps, Lambda, Gcal, gamma):
     return u + eps * (1.0 - u**2) * np.cos(gamma) ** 2
 
 
-def _node_sums(eps, t, n, grad=False, floor=None):
+def _check_floor(eps, t, n):
+    """SingularLocusError at the first node of the n-node rule where the
+    f_eps radicand, computed as _node_sums computes it, is below
+    RADICAND_FLOOR or NaN; floats only."""
+    for x, _ in _half_range(n):
+        ex = eps * x
+        rad = 1.0 - (2.0 * ex * t - ex * ex)
+        if not rad >= RADICAND_FLOOR:
+            raise SingularLocusError("f_eps radicand %.3e below floor at %d nodes" % (rad, n))
+
+
+def _node_sums(eps, t, n, grad=False):
     """The f_eps quadrature: f_eps(eps, t) - 1 without cancellation,
 
       (1/2pi) * integral X u / (sqrt(rad) (1 + sqrt(rad))) dxi,
@@ -145,8 +156,8 @@ def _node_sums(eps, t, n, grad=False, floor=None):
     The integrals are the n-node periodic trapezoid rule summed node by node
     over its half range (see _half_range).  eps and t are floats (math.sqrt,
     float results) or (m,) arrays (np.sqrt, (m,) results); both take the
-    same operations in the same order, so they agree bitwise.  With floor
-    (floats only), a radicand below it (or NaN) raises SingularLocusError.
+    same operations in the same order, so they agree bitwise.  The loop
+    checks no radicand: a pinned rule runs _check_floor first.
 
     Far below t = -1, where eps t < -1 (at every point of an array; the grid
     path groups them), f_eps is about 1/2 or less and the integrand of
@@ -163,8 +174,6 @@ def _node_sums(eps, t, n, grad=False, floor=None):
         ex = eps * x
         u = 2.0 * ex * t - ex * ex
         rad = 1.0 - u
-        if floor is not None and not rad >= floor:
-            raise SingularLocusError("f_eps radicand %.3e below floor at %d nodes" % (rad, n))
         s = sqrt(rad)
         if far:
             fm1 += wx / s
@@ -237,9 +246,11 @@ def _f_minus_one(eps, t, grad=False, n_nodes=None):
     eps, t = float(eps), float(t)
     if not abs(eps) < 0.5:
         raise ValueError("f_eps requires |eps| < 1/2, got %r" % (eps,))
-    if n_nodes is not None:
-        return _node_sums(eps, t, n_nodes, grad, RADICAND_FLOOR)
-    return _node_sums(eps, t, _n_nodes(eps, t), grad)
+    if n_nodes is None:
+        n_nodes = _n_nodes(eps, t)
+    else:
+        _check_floor(eps, t, n_nodes)
+    return _node_sums(eps, t, n_nodes, grad)
 
 
 def f_eps(eps, t, quad=None):

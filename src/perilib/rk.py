@@ -258,14 +258,27 @@ def _combine(K, row):
     return s0, s1, s2, s3
 
 
+def _stages(fun, t, y, h, K, first, rows):
+    """Fills K[first], K[first + 1], ... with fun at the stages (c, a) of
+    rows, each at t + c h and y + h sum_j a_j K[j]; returns the last
+    stage's state."""
+    y0, y1, y2, y3 = y
+    for s, (c, a) in enumerate(rows, first):
+        d0, d1, d2, d3 = _combine(K, a)
+        z = [y0 + d0 * h, y1 + d1 * h, y2 + d2 * h, y3 + d3 * h]
+        K[s] = fun(t + c * h, z)
+    return z
+
+
 def _rms(v):
     return math.sqrt(sum(x * x for x in v)) / len(v) ** 0.5
 
 
 class _Pair:
-    """One embedded pair: the nodes and stage rows of its len(A) stages,
-    its weights, the order of its error estimate, and n_slopes, the slopes
-    a step and its dense output hold.
+    """One embedded pair: its stages after the first as (node, row) pairs,
+    the weights last, at node 1 (their state is the step's end, and their
+    slope the next step's first), the order of its error estimate, and
+    n_slopes, the slopes a step and its dense output hold.
 
     Each pair adds error_norm(K, h, scale), solve_ivp's scaled norm of the
     step's error estimate, and the continuous extension of an accepted
@@ -277,24 +290,16 @@ class _Pair:
     """
 
     def __init__(self, C, A, B, error_order, n_slopes):
-        self.n_stages = len(A)
-        self.C = tuple(float(c) for c in C)
-        self.A = tuple(_row(a) for a in A)
-        self.B = _row(B)
+        self.stages = tuple(zip(map(float, [*C[1:], 1]), map(_row, [*A[1:], B])))
         self.error_order = error_order
         self.n_slopes = n_slopes
 
     def step(self, fun, t, y, f, h, K):
-        """One trial step of size h from (t, y, f): fills K[0..n_stages] and
-        returns (y_new, f_new)."""
+        """One trial step of size h from (t, y, f): fills K[0..len(stages)]
+        and returns (y_new, f_new)."""
         K[0] = f
-        C, A = self.C, self.A
-        for s in range(1, self.n_stages):
-            dy = _combine(K, A[s])
-            K[s] = fun(t + C[s] * h, [yi + d * h for yi, d in zip(y, dy)])
-        y_new = [yi + h * d for yi, d in zip(y, _combine(K, self.B))]
-        f_new = K[self.n_stages] = fun(t + h, y_new)
-        return y_new, f_new
+        y_new = _stages(fun, t, y, h, K, 1, self.stages)
+        return y_new, K[len(self.stages)]
 
 
 class _RK45(_Pair):
@@ -326,8 +331,7 @@ class _DOP853(_Pair):
     def __init__(self):
         C, A = DOP853_C, DOP853_A
         super().__init__(C[:12], A[:12], DOP853_B, 7, len(A))
-        self.C_extra = C[13:]
-        self.A_extra = tuple(_row(a) for a in A[13:])
+        self.extra = tuple(zip(C[13:], map(_row, A[13:])))
         self.E3 = _row(DOP853_E3)
         self.E5 = _row(DOP853_E5)
         self.D = np.array([[d.get(j, 0.0) for j in range(len(A))] for d in DOP853_D])
@@ -348,9 +352,7 @@ class _DOP853(_Pair):
         (t_old, h, y_old, F), F its coefficient rows from the lowest
         degree."""
         h = t - t_old
-        for s, (c, a) in enumerate(zip(self.C_extra, self.A_extra), start=13):
-            dy = _combine(K, a)
-            K[s] = fun(t_old + c * h, [yi + d * h for yi, d in zip(y_old, dy)])
+        _stages(fun, t_old, y_old, h, K, 13, self.extra)
         K = np.array(K)
         y_old = np.array(y_old)
         f_old, f = K[0], K[12]

@@ -219,6 +219,17 @@ class TestConfig:
         assert code == EXIT_OK
         assert json.loads((out / name).read_text())["seed"] == 2**64 - 1
 
+    def test_exit_codes_are_the_numbers_readme_gives(self, tmp_path):
+        # README documents the numbers, so they are spelled out here: 0 a
+        # run, 2 a config error, 3 a numerical guard, 4 an i/o failure
+        blocker = tmp_path / "blocked"
+        blocker.write_text("")
+        assert main(["--out", str(tmp_path / "a"), "check-theorem"]) == 0
+        assert main(["--out", str(tmp_path / "b"), "--set", "domain.eps_0=0.9",
+                     "check-theorem"]) == 2
+        assert main(["--out", str(tmp_path / "c"), "verify-renorm", "--eps-list", "0.6"]) == 3
+        assert main(["--out", str(blocker / "sub"), "check-theorem"]) == 4
+
     def test_io_failure_exit_code(self, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("")  # a file where the out dir must go
@@ -540,6 +551,34 @@ def test_commands_load_no_scipy_and_no_numpy_polynomial(tmp_path):
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
     assert len(os.listdir(tmp_path)) == 9  # each command wrote its files
+
+
+def test_portrait_past_memory_exits_config(tmp_path):
+    # a 3e6 x 3e6 grid asks numpy for 72 TB, which fails at once and
+    # touches no pages; under a 2 GiB address space of its own the run
+    # exits 2 with one stderr line naming the command, and writes nothing
+    import resource
+    import subprocess
+    import sys
+
+    import perilib
+
+    limit = 2 * 1024**3
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = os.path.dirname(os.path.dirname(perilib.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "perilib.cli", "--out", str(out),
+         "--set", "portrait.grid=3000000", "portrait"],
+        env=env, preexec_fn=cap_address_space, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and "memory" in err[0] and "portrait" in err[0]
+    assert not out.exists()
 
 
 class TestCheckTheorem:

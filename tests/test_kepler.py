@@ -310,7 +310,8 @@ def test_xi_prime_array_matches_per_entry_loop(xs):
     xs = np.array(xs)
     xi, res, iters = _newton_radial(xs, 1e-14)
     for k, x in enumerate(xs.tolist()):
-        assert (xi[k], res[k], iters[k]) == _newton_radial(x, 1e-14)
+        sol = solve_kepler_zero_ecc_form(x, 1e-14)  # the float loop
+        assert (xi[k], res[k], iters[k]) == (sol.xi, sol.residual, sol.iterations)
     assert np.array_equal(xi_prime_array(xs), xi)
     assert np.array_equal(xi_prime_array(xs.reshape(-1, 1)), xi.reshape(-1, 1))
 

@@ -11,6 +11,7 @@ from perilib.normalform import (
     STEP_LIE_ORDER,
     ContractionError,
     FrequencyData,
+    NormalFormStep,
     ShapeError,
     TFSeries,
     d_grid,
@@ -1366,6 +1367,9 @@ class TestNormalFormSteps:
         assert len(result.steps) == 1
         assert tf_norm(result.f_star) == 0.0
         assert abs(tf_norm(result.g_star) - 1.0) < 1e-12
+        # the one step has no oscillatory part, and f* no mode at all
+        assert result.steps[0] == NormalFormStep(0, tf_norm(f), 0.0, 0.0, 0.0)
+        assert result.f_star.coeffs == {}
 
     def test_oscillation_drains_geometrically(self):
         rng = np.random.default_rng(16)

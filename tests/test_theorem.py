@@ -3,12 +3,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from perilib import theorem
+from perilib import dynamics, theorem
 from perilib.coords import ActionAngleState, derive_mass_params
 from perilib.hamiltonians import HamiltonianSpec
 from perilib.kepler import estimate_c0
 from perilib.theorem import (
+    LibrationSummary,
     check_libration_theorem,
     holomorphy_width_constant,
     run_libration_experiment,
@@ -173,3 +175,34 @@ class TestLibrationExperiment:
             run_libration_experiment(
                 spec, report, ActionAngleState(1.0 - DELTA / 8, 0.3, 300.0, 1.0)
             )
+
+    def test_winding_flags_between_two_and_three_pi(self):
+        # a winding in (2 pi, 3 pi) passes the qualitative turn but not the
+        # stronger bound: each flag has its own threshold
+        summary = LibrationSummary(winding=2.5 * np.pi, squeezes=2, Gcal_drift=0.0, r_min=1.0,
+                                   collision_radius=0.5, domain_exit=False, duration=1.0)
+        flags = summary.as_dict()
+        assert flags["winding_exceeds_2pi"] is True
+        assert flags["winding_exceeds_3pi"] is False
+
+
+@settings(max_examples=24, deadline=None, derandomize=True)
+@given(depth=st.floats(1 / 8, 0.45), gamma=st.floats(-np.pi / 2, np.pi / 2),
+       y_factor=st.floats(1.01, 1.05))
+def test_events_do_not_depend_on_the_sample_count(depth, gamma, y_factor):
+    # gated libration starts on criterion 7's set, in the benchmark's start
+    # window: the squeeze count (sign changes of G between nonzero samples,
+    # so across a run of exact zeros too) and whether the libration angle
+    # turns by 2 pi are the same at half and at twice the sample count
+    spec = experiment_spec()
+    report = experiment_report(spec)
+    state0 = ActionAngleState(spec.Lambda - depth * DELTA, gamma,
+                              2 * np.sqrt(ALPHA_MINUS) * y_factor, np.pi)
+    seen = set()
+    for samples in (dynamics.SAMPLES // 2, dynamics.SAMPLES, 2 * dynamics.SAMPLES):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynamics, "SAMPLES", samples)
+            traj, summary = run_libration_experiment(spec, report, state0)
+        assert sum(kind == "squeeze" for _, kind in traj.events) == summary.squeezes
+        seen.add((summary.squeezes, any(kind == "winding-2pi" for _, kind in traj.events)))
+    assert len(seen) == 1
