@@ -42,17 +42,29 @@ def diff_matrix(n, lo, hi):
     return _frozen(D[::-1, ::-1] * (2.0 / (hi - lo)))
 
 
+# OpenBLAS 0.3.31 on AVX-512 sums a product along the last axis with at most
+# this many outputs, and 32 terms or more, in another order (its small kernel)
+SMALL_GEMM = 1200
+
+
 def _apply(M, v, axis):
     """M (m, n) applied along one axis of v, the other axes kept in place:
     a fresh C-ordered array.  Along the last axis this is one product over
     all rows; along any other, one real product per leading index, complex
     v going through its float view (real and imaginary parts side by side),
-    so no axis is moved and nothing is transposed."""
+    so no axis is moved and nothing is transposed.  A product along the last
+    axis of one row (numpy's matrix-vector product) or of at most SMALL_GEMM
+    outputs runs padded with zero rows, so that a row gets the bits it gets
+    in any larger product (measured on axes of up to 90 nodes)."""
     v = np.ascontiguousarray(v)
     m, n = M.shape
     shape = v.shape[:axis] + (m,) + v.shape[axis + 1:]
     if axis == v.ndim - 1:
-        return (v.reshape(-1, n) @ M.T).reshape(shape)  # one product over all rows
+        rows = v.reshape(-1, n)
+        r = len(rows)
+        if r * m <= SMALL_GEMM or r == 1:
+            rows = np.concatenate([rows, np.zeros((SMALL_GEMM // m + 2 - r, n), v.dtype)])
+        return (rows @ M.T)[:r].reshape(shape)  # one product over all rows
     cplx = np.iscomplexobj(v)
     pre = math.prod(v.shape[:axis])
     post = math.prod(v.shape[axis + 1:]) * (2 if cplx else 1)

@@ -83,15 +83,15 @@ def integrate(spec, state0, T, *, step_ctrl=StepControl(),
     T, in the chart of state0's class (SecularState or ActionAngleState),
     stepped by perilib.rk with the embedded pair step_ctrl.method.
 
-    A non-finite T raises ValueError, and state0 outside the physical domain
-    (see hamiltonians.check_domain) or of non-finite energy DomainError,
-    before a step.  The trajectory is sampled on a uniform grid of SAMPLES
-    points, in integration order: the first sample is state0 at t = 0, for
-    T < 0 too.  T = 0 gives the one-sample trajectory of state0, with no
-    events.  Leaving the domain, or f_eps's singular locus, at a step or at
-    a sample raises IntegrationError, as do a step size that falls below
-    the float spacing and arithmetic that overflows in the field, the step
-    controller or a sample's energy, without a numpy warning.
+    A T that is negative or not finite raises ValueError, and state0
+    outside the physical domain (see hamiltonians.check_domain) or of
+    non-finite energy DomainError, before a step.  The trajectory is sampled
+    on a uniform grid of SAMPLES points over [0, T], the first one state0.
+    T = 0 gives the one-sample trajectory of state0, with no events.
+    Leaving the domain, or f_eps's singular locus, at a step or at a sample
+    raises IntegrationError, as do a step size that falls below the float
+    spacing and arithmetic that overflows in the field, the step controller
+    or a sample's energy, without a numpy warning.
 
     domain_guard, when given, is a scalar function of the bare state that is
     positive inside the admissible domain; its zero crossing stops the run
@@ -102,8 +102,8 @@ def integrate(spec, state0, T, *, step_ctrl=StepControl(),
 
     f_eps picks its trapezoid rule per evaluation (see potentials.N_LADDER).
     """
-    if not math.isfinite(T):
-        raise ValueError("duration T must be finite, got %r" % (T,))
+    if not (math.isfinite(T) and T >= 0):
+        raise ValueError("duration T must be finite and nonnegative, got %r" % (T,))
     chart = chart_of(state0)
     check_domain(spec, state0)
     Z0 = np.array([state0.as_array()], dtype=float)
@@ -137,18 +137,14 @@ def integrate(spec, state0, T, *, step_ctrl=StepControl(),
                                    % (t, exc)) from exc
         return [s0 * d[i0], s1 * d[i1], s2 * d[i2], s3 * d[i3]]
 
-    events = None
-    if domain_guard is not None:
-        guard = lambda t, z: domain_guard(z)
-        guard.terminal = True
-        events = [guard]
+    stop = None if domain_guard is None else lambda t, z: domain_guard(z)
 
     # imported here, as the commands that never integrate do not need it
     from .rk import solve
 
     try:
-        sol = solve(rhs, (0.0, T), state0.as_array(), np.linspace(0.0, T, SAMPLES),
-                    step_ctrl.method, step_ctrl.rtol, step_ctrl.atol, events,
+        sol = solve(rhs, T, state0.as_array(), np.linspace(0.0, T, SAMPLES),
+                    step_ctrl.method, step_ctrl.rtol, step_ctrl.atol, stop,
                     first_step=step_ctrl.first_step)
     except ArithmeticError as exc:  # the step controller's, in floats
         raise IntegrationError("the step controller's arithmetic failed: %r" % (exc,)) from exc
@@ -156,11 +152,9 @@ def integrate(spec, state0, T, *, step_ctrl=StepControl(),
         raise IntegrationError(sol.message)
     times, states = sol.times, sol.states
     exited = sol.status == 1
-    if exited:
-        te, ze = sol.t_events[0][-1], sol.y_events[0][-1]
-        if (te - times[-1]) * T > 0:
-            times = np.append(times, te)
-            states = np.vstack([states, ze])
+    if exited and sol.t_stop > times[-1]:
+        times = np.append(times, sol.t_stop)
+        states = np.vstack([states, sol.y_stop])
     # the stack's rows are computed independently: the first is e0
     try:
         with np.errstate(all="ignore"):

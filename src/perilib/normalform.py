@@ -393,11 +393,9 @@ class _BracketSide:
         g at a time (with, until d_x, g's x-refined coarse stack).  The
         output keys are counted before any product, and the products are
         summed into the rows of one fine stack that is coarsened as it is.
-        A stack refines to the same bits alone as within a larger one, so
-        the result is bitwise that of building both operands' four pieces
-        at once.  (A stack of one x line, refined by a matrix-vector
-        product, is the exception; but on a grid with I and y axes of
-        length 1 every term has a zero factor.)"""
+        A stack refines to the same bits alone as within a larger one (see
+        chebyshev._apply), so the result is bitwise that of building both
+        operands' four pieces at once."""
         f = self.series
         if not f.same_shape(g):
             raise ShapeError("bracket of incompatible series")

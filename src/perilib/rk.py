@@ -5,10 +5,10 @@ Two explicit pairs with their continuous extensions: Dormand & Prince's
 S. P. Norsett and G. Wanner, Solving Ordinary Differential Equations I,
 2nd ed., Springer 1993, sections II.4-II.6.  The step-size controller, the
 initial-step rule, the error norms, the dense output, the sampling at
-t_eval and the event location (Brent's method on the dense output) are
-those of scipy.integrate.solve_ivp, so a run agrees with solve_ivp's to
-rounding, and takes its steps wherever the error estimates stand above
-rounding noise.  States and slopes are four floats, the phase space of a
+t_eval and the location of the stop (Brent's method on the dense output)
+are those of scipy.integrate.solve_ivp, on a forward run from t = 0, so a
+run agrees with solve_ivp's to rounding, and takes its steps wherever the
+error estimates stand above rounding noise.  States and slopes are four floats, the phase space of a
 2-DOF flow: stepped in Python floats, they cost less than numpy calls on
 length-4 arrays, and no run imports scipy.integrate.  DOP853's dense
 output evaluates every output time of a run as one numpy batch, after the
@@ -380,22 +380,22 @@ class _DOP853(_Pair):
 PAIRS = {"RK45": _RK45(), "DOP853": _DOP853()}
 
 
-def _initial_step(fun, t0, y0, f0, t_bound, direction, order, rtol, atol):
-    """solve_ivp's starting step (Hairer, Norsett & Wanner, II.4)."""
-    interval = abs(t_bound - t0)
+def _initial_step(fun, y0, f0, T, order, rtol, atol):
+    """solve_ivp's starting step from t = 0 for a run to T (Hairer, Norsett
+    & Wanner, II.4)."""
     scale = [atol + abs(v) * rtol for v in y0]
     d0 = _rms([v / s for v, s in zip(y0, scale)])
     d1 = _rms([v / s for v, s in zip(f0, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, interval)
-    y1 = [v + h0 * direction * fv for v, fv in zip(y0, f0)]
-    f1 = fun(t0 + h0 * direction, y1)
+    h0 = min(h0, T)
+    y1 = [v + h0 * fv for v, fv in zip(y0, f0)]
+    f1 = fun(h0, y1)
     d2 = _rms([(a - b) / s for a, b, s in zip(f1, f0, scale)]) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / (order + 1))
-    return min(100 * h0, h1, interval)
+    return min(100 * h0, h1, T)
 
 
 def brentq(f, a, b):
@@ -453,47 +453,48 @@ def brentq(f, a, b):
 class Solution:
     """What a run did.
 
-    times and states are the samples at t_eval (states one row each),
-    cut at a terminal event's time; status is 0 (reached the end), 1 (a
-    terminal event) or -1 (the step size fell below the float spacing),
-    with message saying which.  t_events and y_events hold, per event
-    function, the times and states of its zeros (None without events).
-    nfev counts right-hand-side evaluations, n_accepted the accepted steps
-    and n_rejected the rejected trial steps.
+    times and states are the samples at t_eval (states one row each), cut
+    at the stop's time; status is 0 (reached T), 1 (stopped) or -1 (the
+    step size fell below the float spacing), with message saying which.
+    t_stop and y_stop are the stop's time and state (None when the run did
+    not stop).  nfev counts right-hand-side evaluations, n_accepted the
+    accepted steps and n_rejected the rejected trial steps.
     """
 
     times: np.ndarray
     states: np.ndarray
     status: int
     message: str
-    t_events: list
-    y_events: list
+    t_stop: float | None
+    y_stop: np.ndarray | None
     nfev: int
     n_accepted: int
     n_rejected: int
 
 
-def solve(fun, t_span, y0, t_eval, method, rtol, atol, events=None, first_step=None):
-    """Integrate y' = fun(t, y) over t_span = (t0, t_bound), t_bound != t0.
+def solve(fun, T, y0, t_eval, method, rtol, atol, stop=None, first_step=None):
+    """Integrate y' = fun(t, y) from t = 0 to T.
 
     fun takes a time and the state, a list of 4 floats, and returns the
-    slope as 4 floats.  t_eval lists the output times, inside t_span and in
-    integration order; their states come from the accepted steps' dense
-    output, in one batch after the last step.  first_step, as solve_ivp's,
-    is the size of the first trial step, in place of the initial-step rule
-    and its one evaluation of fun.  A method other than RK45 and DOP853, an
-    rtol below 100 * EPS, a negative atol (NaN included) or a first_step
-    that is not finite, positive and at most |t_bound - t0| is a ValueError
-    before any evaluation.
-    Each event is a scalar function event(t, y) whose zeros are located,
-    with two of solve_ivp's optional attributes: terminal (True stops the
-    run at the event's first zero) and direction (> 0 or < 0: only rising
-    or only falling zeros count).  Returns a Solution.
+    slope as 4 floats.  t_eval lists the output times, in [0, T] and
+    increasing; their states come from the accepted steps' dense output, in
+    one batch after the last step.  first_step, as solve_ivp's, is the size
+    of the first trial step, in place of the initial-step rule and its one
+    evaluation of fun.  A T that is not finite and positive, a method other
+    than RK45 and DOP853, an rtol below 100 * EPS, a negative atol (NaN
+    included) or a first_step that is not finite, positive and at most T is
+    a ValueError before any evaluation.
+    stop, when given, is a scalar function stop(t, y): the run ends at the
+    first accepted step over which it reaches or crosses zero, at the root
+    that Brent's method finds on the step's dense output, where solve_ivp
+    stops at an event's first zero of either sign.  Returns a Solution.
     """
     pair = PAIRS.get(method)
     if pair is None:
         raise ValueError("method must be one of %s, got %r" % (sorted(PAIRS), method))
-    t0, t_bound = map(float, t_span)
+    T = float(T)
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError("T must be finite and positive, got %r" % (T,))
     y = [float(v) for v in y0]
     if len(y) != 4 or not all(map(math.isfinite, y)):
         raise ValueError("the initial state y0 must be 4 finite floats, got %r" % (y0,))
@@ -504,14 +505,10 @@ def solve(fun, t_span, y0, t_eval, method, rtol, atol, events=None, first_step=N
     if not atol >= 0:
         # a NaN atol makes every step size NaN, which no check ever ends
         raise ValueError("atol must be nonnegative, got %r" % (atol,))
-    if first_step is not None and not (
-            math.isfinite(first_step) and 0 < first_step <= abs(t_bound - t0)):
-        raise ValueError("first_step must be finite, positive and at most "
-                         "|t_bound - t0| = %r, got %r" % (abs(t_bound - t0), first_step))
+    if first_step is not None and not (math.isfinite(first_step) and 0 < first_step <= T):
+        raise ValueError("first_step must be finite, positive and at most T = %r, got %r"
+                         % (T, first_step))
     t_eval = np.asarray(t_eval, dtype=float)
-    direction = 1.0 if t_bound >= t0 else -1.0
-    # the output times as increasing keys, for bisection
-    t_keys = t_eval if direction > 0 else -t_eval
 
     nfev = 0
 
@@ -520,43 +517,34 @@ def solve(fun, t_span, y0, t_eval, method, rtol, atol, events=None, first_step=N
         nfev += 1
         return fun(t, z)
 
-    if events is not None:
-        terminal = [getattr(event, "terminal", False) for event in events]
-        if not all(isinstance(v, bool) for v in terminal):
-            raise ValueError("The `terminal` attribute of each event must be a boolean.")
-        event_dir = [getattr(event, "direction", 0) for event in events]
-        g = [event(t0, y) for event in events]
-        t_events = [[] for _ in events]
-        y_events = [[] for _ in events]
+    if stop is not None:
+        g = stop(0.0, y)
+    t_stop = y_stop = None
 
-    f = rhs(t0, y)
+    f = rhs(0.0, y)
     if first_step is None:
-        h_abs = _initial_step(rhs, t0, y, f, t_bound, direction, pair.error_order, rtol, atol)
+        h_abs = _initial_step(rhs, y, f, T, pair.error_order, rtol, atol)
     else:
         h_abs = float(first_step)
     exponent = -1 / (pair.error_order + 1)
     K = [None] * pair.n_slopes
-    t = t0
+    t = 0.0
     # the dense output of each step that holds samples, and their count
     steps, counts = [], []
     i_eval = 0
     n_accepted = n_rejected = 0
-    status = None
-    message = None
+    status = message = None
     while status is None:
         # one accepted step of solve_ivp's controller
-        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
             if h_abs < min_step:
                 status, message = -1, TOO_SMALL_STEP
                 break
-            t_new = t + h_abs * direction
-            if direction * (t_new - t_bound) > 0:
-                t_new = t_bound
-            h = t_new - t
-            h_abs = abs(h)
+            t_new = min(t + h_abs, T)
+            h = h_abs = t_new - t
             y_new, f_new = pair.step(rhs, t, y, f, h, K)
             scale = [atol + max(abs(a), abs(b)) * rtol for a, b in zip(y, y_new)]
             error_norm = pair.error_norm(K, h, scale)
@@ -577,50 +565,28 @@ def solve(fun, t_span, y0, t_eval, method, rtol, atol, events=None, first_step=N
         n_accepted += 1
         t_old, y_old = t, y
         t, y, f = t_new, y_new, f_new
-        if direction * (t - t_bound) >= 0:
+        if t >= T:
             status = 0
 
         step = None
         t_end = t
-        if events is not None:
-            g_new = [event(t, y) for event in events]
-            active = [i for i, (a, b, d) in enumerate(zip(g, g_new, event_dir))
-                      if (a <= 0 <= b and d >= 0) or (a >= 0 >= b and d <= 0)]
-            if active:
+        if stop is not None:
+            g_old, g = g, stop(t, y)
+            if g_old <= 0 <= g or g_old >= 0 >= g:
                 step = pair.dense(rhs, t_old, t, y_old, y, K)
-                sol = lambda tt: pair.sample([step], [1], np.array([tt]))[0].tolist()
-                roots = [brentq(lambda tt, e=events[i]: e(tt, sol(tt)), t_old, t)
-                         for i in active]
-                if any(terminal[i] for i in active):
-                    # the zeros in integration order, up to the first
-                    # terminal one
-                    order = sorted(range(len(active)), key=lambda k: direction * roots[k])
-                    active = [active[k] for k in order]
-                    roots = [roots[k] for k in order]
-                    last = next(k for k, i in enumerate(active) if terminal[i])
-                    active, roots = active[:last + 1], roots[:last + 1]
-                    status = 1
-                for i, te in zip(active, roots):
-                    t_events[i].append(te)
-                    y_events[i].append(sol(te))
-                if status == 1:
-                    t_end = roots[-1]
-            g = g_new
+                sol = lambda tt: pair.sample([step], [1], np.array([tt]))[0]
+                t_end = t_stop = brentq(lambda tt: stop(tt, sol(tt).tolist()), t_old, t)
+                y_stop = sol(t_stop)
+                status = 1
         i_step = i_eval
-        i_eval = int(np.searchsorted(t_keys, direction * t_end, side="right"))
+        i_eval = int(np.searchsorted(t_eval, t_end, side="right"))
         if i_eval > i_step:
             if step is None:
                 step = pair.dense(rhs, t_old, t, y_old, y, K)
             steps.append(step)
             counts.append(i_eval - i_step)
 
-    if events is not None:
-        t_events = [np.asarray(te) for te in t_events]
-        y_events = [np.asarray(ye) for ye in y_events]
-    else:
-        t_events = y_events = None
     times = t_eval[:i_eval].copy()
     states = pair.sample(steps, counts, times) if steps else np.empty((0, len(y)))
-    return Solution(times, states,
-                    status, MESSAGES.get(status, message), t_events, y_events,
+    return Solution(times, states, status, MESSAGES.get(status, message), t_stop, y_stop,
                     nfev, n_accepted, n_rejected)

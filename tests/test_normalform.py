@@ -921,11 +921,9 @@ class TestStreamedBracket:
     @pytest.mark.parametrize("k", [0, 1, 3])
     def test_single_x_line_generator_matches_two_sided_engine(self, n_x, k):
         # a one-key series on a (1, 1, n_x) grid: every stack of it is one x
-        # line, refined by a matrix-vector product, and the streamed engine
-        # takes d_phi's rows of an operand after refining x where the
-        # two-sided engine takes them before, so their products along x have
-        # different row counts; every term has a d_I or d_y factor, zero
-        # here, so the bits are still the two-sided engine's
+        # line, and the streamed engine takes d_phi's rows of an operand
+        # after refining x where the two-sided engine takes them before, so
+        # their products along x have different row counts
         rng = np.random.default_rng(40 + n_x + k)
         shape = (1, 1, n_x)
         def series(modes):

@@ -19,19 +19,27 @@ from perilib.hamiltonians import SECULAR_PAIRS, HamiltonianSpec
 from perilib.theorem import check_libration_theorem, run_libration_experiment
 
 
-def ref_solve(fun, t_span, y0, t_eval, method, rtol, atol, events=None, first_step=None):
-    """rk.solve's signature and result through scipy's solve_ivp.  The
-    accepted steps are the segments of a second, dense run; n_rejected is
-    not known."""
+def ref_solve(fun, T, y0, t_eval, method, rtol, atol, stop=None, first_step=None):
+    """rk.solve's signature and result through scipy's solve_ivp, over
+    (0, T), the stop a terminal event.  The accepted steps are the segments
+    of a second, dense run; n_rejected is not known."""
     from scipy.integrate import solve_ivp
 
     f = lambda t, y: fun(t, y.tolist())
+    events = None
+    if stop is not None:
+        event = lambda t, y: stop(t, y)
+        event.terminal = True
+        events = [event]
     kw = dict(method=method, rtol=rtol, atol=atol, events=events, first_step=first_step,
               t_eval=np.asarray(t_eval, dtype=float))
-    sol = solve_ivp(f, t_span, np.asarray(y0, dtype=float), **kw)
-    dense = solve_ivp(f, t_span, np.asarray(y0, dtype=float), dense_output=True, **kw)
-    return rk.Solution(sol.t, sol.y.T, sol.status, sol.message, sol.t_events,
-                       sol.y_events, sol.nfev, dense.sol.n_segments, None)
+    sol = solve_ivp(f, (0.0, T), np.asarray(y0, dtype=float), **kw)
+    dense = solve_ivp(f, (0.0, T), np.asarray(y0, dtype=float), dense_output=True, **kw)
+    t_stop = y_stop = None
+    if sol.status == 1:
+        t_stop, y_stop = sol.t_events[0][-1], sol.y_events[0][-1]
+    return rk.Solution(sol.t, sol.y.T, sol.status, sol.message, t_stop, y_stop,
+                       sol.nfev, dense.sol.n_segments, None)
 
 
 def both(monkeypatch, run):
@@ -121,42 +129,34 @@ def no_step(*args, **kwargs):
 
 class TestSolveIvpSemantics:
     @pytest.mark.parametrize("method", ["RK45", "DOP853"])
-    @pytest.mark.parametrize("T", [20.0, -20.0])
-    def test_events_terminal_and_direction(self, method, T):
-        # a rising-r event, and a terminal falling one, which stops the run
-        # at its first falling zero, past a rising one; backward too, where
-        # the rising zeros of the forward run are falling ones
-        def rising(t, z):
-            return z[2]
-
-        def second(t, z):
-            return z[0] - 0.5
-
-        rising.direction = 1.0
-        second.terminal = True
-        second.direction = -1.0
-        args = (oscillator, (0.0, T), [0.0, 0.0, 1.0, 0.0], np.linspace(0.0, T, 300),
-                method, 1e-10, 1e-10, [rising, second])
+    @pytest.mark.parametrize("level, t_stop", [(0.5, 7 * np.pi / 6), (2.0, None), (0.0, 0.0)],
+                             ids=["crossing", "never", "at-start"])
+    def test_stop_as_solve_ivps_terminal_event(self, method, level, t_stop):
+        # from (R, r) = (0, 1), R = -sin t, and the stop is R - level: it
+        # first reaches zero at 7 pi / 6 for level 0.5, after R has fallen
+        # to -1, never for level 2, and at the start for level 0
+        args = (oscillator, 20.0, [0.0, 0.0, 1.0, 0.0], np.linspace(0.0, 20.0, 300),
+                method, 1e-10, 1e-10, lambda t, z: z[0] - level)
         ours, ref = rk.solve(*args), ref_solve(*args)
-        assert ours.status == ref.status == 1 and ours.message == ref.message
+        assert ours.status == ref.status == (0 if t_stop is None else 1)
+        assert ours.message == ref.message
         assert ours.nfev == ref.nfev and ours.n_accepted == ref.n_accepted
-        for a, b in zip(ours.t_events + ours.y_events, ref.t_events + ref.y_events):
-            assert a.shape == b.shape
-            assert np.max(np.abs(a - b), initial=0.0) < 1e-14
-        assert [len(te) for te in ours.t_events] == ([1, 1] if T > 0 else [0, 1])
         assert np.array_equal(ours.times, ref.times)
         assert np.max(np.abs(ours.states - ref.states)) < 1e-14
+        if t_stop is None:
+            assert ours.t_stop is ours.y_stop is None
+            return
+        assert ours.times[-1] <= ours.t_stop
+        assert abs(ours.t_stop - ref.t_stop) < 1e-14
+        assert np.max(np.abs(ours.y_stop - ref.y_stop)) < 1e-14
+        # measured: 9.9e-11 (RK45) and 2.5e-10 (DOP853) from 7 pi / 6
+        assert abs(ours.t_stop - t_stop) < 1e-9
 
-    @pytest.mark.parametrize("terminal", [2, 1, None])
-    def test_terminal_other_than_a_bool_refused_before_a_step(self, terminal):
-        # solve_ivp's count of zeros before the stop is not kept
-        def event(t, z):
-            return z[0]
-
-        event.terminal = terminal
-        with pytest.raises(ValueError, match="must be a boolean"):
-            rk.solve(no_step, (0.0, 1.0), np.ones(4), [0.0, 1.0], "RK45", 1e-10, 1e-10,
-                     [event])
+    @pytest.mark.parametrize("T", [0.0, -0.0, -2.0, float("nan"), float("inf"),
+                                   -float("inf")])
+    def test_T_not_finite_and_positive_refused_before_a_step(self, T):
+        with pytest.raises(ValueError, match="T must be finite and positive"):
+            rk.solve(no_step, T, np.ones(4), [0.0], "RK45", 1e-10, 1e-10, no_step)
 
     @pytest.mark.parametrize("method", ["RK45", "DOP853"])
     def test_step_size_too_small(self, method):
@@ -164,7 +164,7 @@ class TestSolveIvpSemantics:
         def blow_up(t, z):
             return [z[0] ** 2, 0.0, z[1], -z[3]]
 
-        args = (blow_up, (0.0, 2.0), [1.0, 1.0, 0.0, 1.0], np.linspace(0.0, 2.0, 50),
+        args = (blow_up, 2.0, [1.0, 1.0, 0.0, 1.0], np.linspace(0.0, 2.0, 50),
                 method, 1e-10, 1e-10)
         ours, ref = rk.solve(*args), ref_solve(*args)
         assert ours.status == ref.status == -1
@@ -174,7 +174,7 @@ class TestSolveIvpSemantics:
     @pytest.mark.parametrize("method", ["RK23", "Radau", "BDF", "LSODA", "rk45"])
     def test_other_methods_refused_before_a_step(self, method):
         with pytest.raises(ValueError, match="RK45"):
-            rk.solve(no_step, (0.0, 1.0), np.ones(4), [0.0, 1.0], method, 1e-10, 1e-10)
+            rk.solve(no_step, 1.0, np.ones(4), [0.0, 1.0], method, 1e-10, 1e-10)
 
     @pytest.mark.parametrize("rtol", [1e-300, 0.0, -1e-10, float("nan"),
                                       np.nextafter(100 * rk.EPS, 0.0)])
@@ -182,17 +182,17 @@ class TestSolveIvpSemantics:
         # solve_ivp warns and steps at 100 EPS instead; a run here keeps the
         # tolerance it was given or does not start
         with pytest.raises(ValueError, match="rtol must be at least 100 \\* EPS"):
-            rk.solve(no_step, (0.0, 1.0), np.ones(4), [0.0, 1.0], "RK45", rtol, 1e-10)
+            rk.solve(no_step, 1.0, np.ones(4), [0.0, 1.0], "RK45", rtol, 1e-10)
 
     @pytest.mark.parametrize("atol", [-1e-10, float("nan")])
     def test_negative_or_nan_atol_refused_before_a_step(self, atol):
         # a NaN atol made every step size NaN: the controller never ended
         with pytest.raises(ValueError, match="atol must be nonnegative"):
-            rk.solve(no_step, (0.0, 1.0), np.ones(4), [0.0, 1.0], "RK45", 1e-10, atol)
+            rk.solve(no_step, 1.0, np.ones(4), [0.0, 1.0], "RK45", 1e-10, atol)
 
     @pytest.mark.parametrize("first_step", [0.0, -1.0, float("nan"), float("inf"),
                                             np.nextafter(2.0, 3.0)])
-    @pytest.mark.parametrize("T", [2.0, -2.0])
+    @pytest.mark.parametrize("T", [2.0, 0.25])
     def test_first_step_outside_the_interval_refused_before_a_step(self, first_step, T):
         calls = []
 
@@ -201,17 +201,17 @@ class TestSolveIvpSemantics:
             return oscillator(t, z)
 
         with pytest.raises(ValueError, match="first_step must be finite, positive"):
-            rk.solve(spy, (0.0, T), [0.0, 0.0, 1.0, 0.0], [0.0, T], "DOP853", 1e-10, 1e-10,
+            rk.solve(spy, T, [0.0, 0.0, 1.0, 0.0], [0.0, T], "DOP853", 1e-10, 1e-10,
                      first_step=first_step)
         assert calls == []
 
     @pytest.mark.parametrize("method", ["RK45", "DOP853"])
-    @pytest.mark.parametrize("T", [20.0, -20.0])
+    @pytest.mark.parametrize("T", [20.0])
     @pytest.mark.parametrize("first_step", [1e-3, 0.5, 20.0])
     def test_first_step_as_solve_ivps(self, method, T, first_step):
         # the initial-step rule and its evaluation are skipped, as in
         # solve_ivp; a first step of the whole interval is rejected down
-        args = (oscillator, (0.0, T), [0.0, 0.0, 1.0, 0.0], np.linspace(0.0, T, 300),
+        args = (oscillator, T, [0.0, 0.0, 1.0, 0.0], np.linspace(0.0, T, 300),
                 method, 1e-10, 1e-10)
         ours, ref = rk.solve(*args, first_step=first_step), ref_solve(*args, first_step=first_step)
         assert ours.status == ref.status == 0
@@ -224,16 +224,16 @@ class TestSolveIvpSemantics:
         # the rule's own step, given: the same run, bit for bit, with the
         # rule's one evaluation fewer
         y0, f0 = [0.0, 0.0, 1.0, 0.0], oscillator(0.0, [0.0, 0.0, 1.0, 0.0])
-        h0 = rk._initial_step(oscillator, 0.0, y0, f0, 20.0, 1.0,
-                              rk.PAIRS[method].error_order, 1e-10, 1e-10)
-        args = (oscillator, (0.0, 20.0), y0, np.linspace(0.0, 20.0, 300), method, 1e-10, 1e-10)
+        h0 = rk._initial_step(oscillator, y0, f0, 20.0, rk.PAIRS[method].error_order,
+                              1e-10, 1e-10)
+        args = (oscillator, 20.0, y0, np.linspace(0.0, 20.0, 300), method, 1e-10, 1e-10)
         given, rule = rk.solve(*args, first_step=h0), rk.solve(*args)
         assert given.nfev == rule.nfev - 1
         assert (given.n_accepted, given.n_rejected) == (rule.n_accepted, rule.n_rejected)
         assert given.states.tobytes() == rule.states.tobytes()
 
     def test_rtol_at_100_eps_runs(self):
-        sol = rk.solve(oscillator, (0.0, 1.0), [0.0, 0.0, 1.0, 0.0], [0.0, 1.0], "DOP853",
+        sol = rk.solve(oscillator, 1.0, [0.0, 0.0, 1.0, 0.0], [0.0, 1.0], "DOP853",
                        100 * rk.EPS, 1e-14)
         assert sol.status == 0 and abs(sol.states[-1, 2] - np.cos(1.0)) < 1e-12
 
@@ -242,28 +242,30 @@ class TestParityWithSolveIvp:
     """The flows of this package through perilib.rk and through solve_ivp.
     Bounds are the measured differences with about 3x to 10x margin."""
 
-    def test_harness_directional_event(self):
-        # the harness Hamiltonian (R^2 + r^2)/2: its period, the spacing of
-        # consecutive rising zeros of R, its energy drift and its run
-        # against solve_ivp's
-        def rising_R(t, z):
-            return z[0]
-
-        rising_R.direction = 1.0
+    def test_harness_closed_form_and_stop(self):
+        # the harness Hamiltonian (R^2 + r^2)/2 from (R, r) = (1, 0): its
+        # samples against R = cos t, r = sin t, its energy drift, the stop
+        # at R = 0 against pi / 2, and both runs against solve_ivp's
         T = 4.0 * np.pi
-        args = (oscillator, (0.0, T), [0.0, 0.0, 1.0, 0.0], np.linspace(0.0, T, 2000),
-                "RK45", 1e-12, 1e-12, [rising_R])
+        args = (oscillator, T, [1.0, 0.0, 0.0, 0.0], np.linspace(0.0, T, 2000),
+                "RK45", 1e-12, 1e-12)
         sol, ref = rk.solve(*args), ref_solve(*args)
-        period = [s.t_events[0][-1] - s.t_events[0][-2] for s in (sol, ref)]
-        # measured: -3.95e-13 here, -3.96e-13 through solve_ivp
-        assert abs(period[0] - 2 * np.pi) < 1e-12
-        assert abs(period[0] - period[1]) < 1e-14
+        assert sol.status == 0
+        # measured: 7.2e-12 in R and 6.4e-12 in r
+        assert np.max(np.abs(sol.states[:, 0] - np.cos(sol.times))) < 3e-11
+        assert np.max(np.abs(sol.states[:, 2] - np.sin(sol.times))) < 3e-11
         energies = 0.5 * (sol.states[:, 0] ** 2 + sol.states[:, 2] ** 2)
         assert np.max(np.abs(energies - energies[0])) / abs(energies[0]) < 1e-10
         assert sol.n_accepted == ref.n_accepted and sol.nfev == ref.nfev
         assert np.max(np.abs(sol.states - ref.states)) < 1e-14
+        stopped, ref = rk.solve(*args, lambda t, z: z[0]), ref_solve(*args, lambda t, z: z[0])
+        assert stopped.status == 1
+        # measured: -7.5e-14 here, -7.6e-14 through solve_ivp
+        assert abs(stopped.t_stop - np.pi / 2) < 1e-12
+        assert abs(stopped.t_stop - ref.t_stop) < 1e-14
+        assert stopped.n_accepted == ref.n_accepted and stopped.nfev == ref.nfev
 
-    @pytest.mark.parametrize("T", [200.0, -150.0])
+    @pytest.mark.parametrize("T", [200.0])
     @pytest.mark.parametrize("state", [(0.1, 0.0, 100.0, 0.0), (0.1, 0.2, 100.0, 0.3)])
     def test_secular_evolve(self, monkeypatch, T, state):
         # measured: at most 3.8e-16 relative, sample by sample
