@@ -59,7 +59,10 @@ class Trajectory:
     sign changes of G (eccentricity-one passages), and Gcal_drift
     max |Gcal(t) - Gcal(0)| (0.0 in the secular chart, which does not
     carry Gcal).  The one sample of a run of zero duration reads 0.0, 0
-    and 0.0; a trajectory that was not measured reads None.
+    and 0.0; a trajectory that was not measured reads None.  radii, which
+    integrate sets, is the radial distance r of the outer body at each
+    sample: the secular chart's r column, or in the action-angle chart the
+    r that the sample energies solve Kepler's equation for.
     """
 
     times: np.ndarray
@@ -70,6 +73,7 @@ class Trajectory:
     winding: float | None = None
     squeezes: int | None = None
     Gcal_drift: float | None = None
+    radii: np.ndarray | None = None
 
     @property
     def energy_drift(self):
@@ -109,11 +113,12 @@ def integrate(spec, state0, T, *, step_ctrl=StepControl(),
     Z0 = np.array([state0.as_array()], dtype=float)
     # an energy past the float range comes out inf or NaN: checked, not warned
     with np.errstate(all="ignore"):
-        e0 = chart.energies(spec, Z0)
+        r0 = chart.radii(spec, Z0)
+        e0 = chart.energies(spec, Z0, r0)
     if not math.isfinite(e0[0]):
         raise DomainError("state %r has energy %r" % (state0, float(e0[0])))
     if T == 0:
-        traj = Trajectory(np.zeros(1), Z0, e0, chart.name)
+        traj = Trajectory(np.zeros(1), Z0, e0, chart.name, radii=r0)
         _measure(traj, spec)
         return traj
 
@@ -155,15 +160,16 @@ def integrate(spec, state0, T, *, step_ctrl=StepControl(),
     if exited and sol.t_stop > times[-1]:
         times = np.append(times, sol.t_stop)
         states = np.vstack([states, sol.y_stop])
-    # the stack's rows are computed independently: the first is e0
+    # the stack's rows are computed independently: the first are r0 and e0
     try:
         with np.errstate(all="ignore"):
-            energies = np.concatenate([e0, chart.energies(spec, states[1:])])
+            radii = np.concatenate([r0, chart.radii(spec, states[1:])])
+            energies = np.concatenate([e0, chart.energies(spec, states[1:], radii[1:])])
     except (ValueError, ArithmeticError) as exc:  # DomainError, f_eps
         raise IntegrationError("a sample left the domain: %s" % exc) from exc
     if not np.isfinite(energies).all():
         raise IntegrationError("a sample's energy is not finite")
-    traj = Trajectory(times, states, energies, chart.name)
+    traj = Trajectory(times, states, energies, chart.name, radii=radii)
     if exited:
         traj.events.append((times[-1], "domain-exit"))
     _measure(traj, spec)

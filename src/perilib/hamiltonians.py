@@ -100,6 +100,15 @@ class HamiltonianSpec:
     beta_star = property(lambda self: self._reduction[2])
     beta_upper = property(lambda self: self._reduction[3])
 
+    @cached_property
+    def _kernel_constants(self):
+        """The per-spec floats the gradient kernels read, each by the
+        expression the kernels took at every evaluation: (m0, Lambda,
+        Lambda^2, 2 Lambda^2, m0^2, m0^5, a, bare_weight, terms())."""
+        m0, Lam = self.m0, self.Lambda
+        lam2 = Lam**2
+        return m0, Lam, lam2, 2 * lam2, m0**2, m0**5, self.a, self.bare_weight, self.terms()
+
     @property
     def branch_radius(self):
         """2 a max_j s_j: below it some f_{s_j eps}(1) is not real."""
@@ -118,10 +127,10 @@ def check_domain(spec, state):
         raise DomainError("state %r outside the physical domain (Lambda=%r)" % (state, Lam))
 
 
-def _secular_energies(spec, Z):
-    """Energies of the (n, 4) stack Z of (R, G, r, g) rows: one
-    f_eps_minus_one_grid call per term."""
-    R, G, r, g = Z.T
+def _secular_energies(spec, Z, r):
+    """Energies of the (n, 4) stack Z of (R, G, r, g) rows, r its third
+    column: one f_eps_minus_one_grid call per term."""
+    R, G, _, g = Z.T
     if (r <= 0).any():
         raise DomainError("r must be positive")
     m0 = spec.m0
@@ -175,13 +184,17 @@ def aa_perturbation_at(spec, Gcal, gamma, r):
     return (m0**2 / r) * pert
 
 
-def _action_angle_energies(spec, Z):
-    """Energies of the (n, 4) stack Z of (Gcal, gamma, y, x) rows:
-    -m0^5/(2 y^2) plus the perturbation, which vanishes as eps -> 0, with r
-    from one array Kepler solve."""
-    Gc, gam, y, x = Z.T
-    return -(spec.m0**5) / (2 * y**2) + aa_perturbation_at(
-        spec, Gc, gam, radial_radius(spec.m0, y, x))
+def _action_angle_energies(spec, Z, r):
+    """Energies of the (n, 4) stack Z of (Gcal, gamma, y, x) rows at the
+    radii r of its rows (_action_angle_radii): -m0^5/(2 y^2) plus the
+    perturbation, which vanishes as eps -> 0."""
+    Gc, gam, y, _ = Z.T
+    return -(spec.m0**5) / (2 * y**2) + aa_perturbation_at(spec, Gc, gam, r)
+
+
+def _action_angle_radii(spec, Z):
+    """r at the rows (y, x) of Z, from one array Kepler solve."""
+    return radial_radius(spec.m0, Z[:, 2], Z[:, 3])
 
 
 def _one_row(state, cls):
@@ -193,7 +206,7 @@ def _one_row(state, cls):
 
 def h_secular(spec, state):
     """Energy of the reduced secular system at a (R, G, r, g) state."""
-    return _secular_energies(spec, _one_row(state, SecularState))[0]
+    return CHARTS["secular"].energies(spec, _one_row(state, SecularState))[0]
 
 
 def h_action_angle(spec, state):
@@ -201,7 +214,7 @@ def h_action_angle(spec, state):
 
     Agrees with h_secular through the chart maps.
     """
-    return _action_angle_energies(spec, _one_row(state, ActionAngleState))[0]
+    return CHARTS["action-angle"].energies(spec, _one_row(state, ActionAngleState))[0]
 
 
 def v_radial(spec, r):
@@ -225,12 +238,12 @@ def v_radial(spec, r):
 
 def _grad_secular_analytic(spec, state):
     R, G, r, g = state.R, state.G, state.r, state.g
-    m0, Lam = spec.m0, spec.Lambda
-    eps = spec.eps_of_r(r)
+    m0, _, lam2, _, m02, _, a, bare_weight, terms = spec._kernel_constants
+    eps = a / r
     # each repeated or term-independent subexpression once, each value in the
     # operation order of tests/test_float_path.py's reference kernel, which
     # this one matches bitwise
-    lam2, m02, r2 = Lam**2, m0**2, r**2
+    r2 = r**2
     cos_g = math.cos(g)
     u2 = G**2 / lam2
     root = math.sqrt(max(1e-300, 1.0 - u2))
@@ -240,9 +253,9 @@ def _grad_secular_analytic(spec, state):
     dE_dg = -root * math.sin(g)
     pref, pref_r = m02 / r, m02 / r2
     dH_dG = G / (m0 * r2)
-    dH_dr = -(G**2) / (m0 * r**3) + spec.bare_weight * m02 / r2
+    dH_dr = -(G**2) / (m0 * r**3) + bare_weight * m02 / r2
     dH_dg = 0.0
-    for c, s in spec.terms():
+    for c, s in terms:
         es = s * eps
         F, Ft, Fe = potentials.f_eps_bundle(es, e_cos + es * u2)
         dE_dG = dE_dG_cos + 2 * es * G / lam2
@@ -254,26 +267,25 @@ def _grad_secular_analytic(spec, state):
 
 def _grad_action_angle_analytic(spec, state):
     Gc, gam, y, x = state.Gcal, state.gamma, state.y, state.x
-    m0, Lam = spec.m0, spec.Lambda
+    m0, Lam, lam2, two_lam2, m02, m05, a, _, terms = spec._kernel_constants
     _, r, dr_dy, dr_dx = rr_forward_with_jacobian(m0, y, x)
-    eps = spec.eps_of_r(r)
+    eps = a / r
     # each repeated subexpression once, in the reference kernel's operation
     # order (tests/test_float_path.py), bitwise
-    lam2 = Lam**2
-    width, two_lam2 = lam2 - Gc**2, 2 * lam2
+    width = lam2 - Gc**2
     u = Gc / Lam
     one_m_u2 = 1.0 - u**2
     cos_gam = math.cos(gam)
     c2g = cos_gam**2
     s2g = 2.0 * cos_gam * math.sin(gam)
-    pref = m0**2 / r
+    pref = m02 / r
     T1 = eps * width / two_lam2 * c2g
     pert = T1
     df_dG = pref * (-eps * Gc * c2g / lam2)
     df_dgam = pref * (-eps * width / two_lam2 * s2g)
     # d(pert)/dr at fixed (Gcal, gamma); T1 carries one factor eps(r)
     dpert_dr = -(T1 / r)
-    for c, s in spec.terms():
+    for c, s in terms:
         es = s * eps
         # e_hat_aa(es, Lam, Gc, gam)
         t = u + es * one_m_u2 * c2g
@@ -289,7 +301,7 @@ def _grad_action_angle_analytic(spec, state):
         dpert_dr += c * (Fe + Ft * dE_des) * s * eps / r
     # f = pref * pert: df/dr = -(pref/r) pert + pref dpert/dr
     df_dr = -pert * pref / r + pref * dpert_dr
-    dH_dy = m0**5 / y**3 + df_dr * dr_dy
+    dH_dy = m05 / y**3 + df_dr * dr_dy
     dH_dx = df_dr * dr_dx
     return np.array([df_dG, df_dgam, dH_dy, dH_dx])
 
@@ -306,14 +318,16 @@ def gradient(spec, state):
 @dataclass(frozen=True)
 class Chart:
     """One chart of the reduced flow: its state class, (momentum,
-    coordinate) pairs, energies(spec, Z) on (n, 4) stacks,
+    coordinate) pairs, the radial distances radii(spec, Z) of the outer
+    body on (n, 4) stacks and the energies energies_at(spec, Z, r) at them,
     gradient(spec, state), domain rule in_domain(Lambda, z), G along
     the rows of Z, and the columns of the libration angle and of Gcal (None
     where the chart has no Gcal)."""
 
     state: type
     pairs: tuple
-    energies: Callable
+    radii: Callable
+    energies_at: Callable
     gradient: Callable
     in_domain: Callable
     G_series: Callable
@@ -324,16 +338,22 @@ class Chart:
     def name(self):
         return self.state.chart
 
+    def energies(self, spec, Z, r=None):
+        """Energies of the (n, 4) stack Z of states; r, when given, is
+        radii(spec, Z), which a caller that keeps the radii solves once."""
+        return self.energies_at(spec, Z, self.radii(spec, Z) if r is None else r)
+
 
 CHARTS = {chart.name: chart for chart in (
     Chart(
-        SecularState, SECULAR_PAIRS, _secular_energies, _grad_secular_analytic,
+        SecularState, SECULAR_PAIRS, lambda spec, Z: Z[:, 2], _secular_energies,
+        _grad_secular_analytic,
         in_domain=lambda Lam, z: abs(z[1]) <= Lam and z[2] > 0,
         G_series=lambda Lam, Z: Z[:, 1],
         angle_col=3, Gcal_col=None,
     ),
     Chart(
-        ActionAngleState, ACTION_ANGLE_PAIRS, _action_angle_energies,
+        ActionAngleState, ACTION_ANGLE_PAIRS, _action_angle_radii, _action_angle_energies,
         _grad_action_angle_analytic,
         in_domain=lambda Lam, z: (abs(z[0]) <= Lam and z[2] > 0
                                   and X_COLLISION <= z[3] <= 2 * np.pi - X_COLLISION),

@@ -31,6 +31,7 @@ _MARGIN = 1.25 * math.log(1e16)
 # (see _strip_beta)
 _BETA_MIN = tuple(math.cosh(_MARGIN / (n - 2)) for n in N_LADDER)
 _BETA_ASCENDING = np.array(_BETA_MIN[::-1])
+_RUNGS = tuple(zip(N_LADDER, _BETA_MIN))  # (n, least beta), from the fewest nodes
 
 
 class SingularLocusError(ArithmeticError):
@@ -59,9 +60,10 @@ def _xi_nodes(n):
 
 @lru_cache(maxsize=32)
 def _half_range(n):
-    """(X, wX) pairs, as floats, on the nodes xi_0 ... xi_{n/2} of the n-node
-    rule: X = 1 - cos(xi) and X times the folded trapezoid weights
-    (1, 2, ..., 2, 1)/n.
+    """(X, wX, wX X) triples, as floats, on the nodes xi_0 ... xi_{n/2} of
+    the n-node rule: X = 1 - cos(xi), wX its product with the folded
+    trapezoid weights (1, 2, ..., 2, 1)/n, and wX X, the float product of
+    the two, which the partials' weights take at every node.
 
     The f_eps integrands depend on xi only through X, which is even about
     pi, so the periodic rule's nodes xi and 2 pi - xi carry equal values and
@@ -71,7 +73,8 @@ def _half_range(n):
     X = 1.0 - cxi[: n // 2 + 1]
     w = np.full(X.size, 2.0 / n)
     w[0] = w[-1] = 1.0 / n
-    return tuple(zip(X.tolist(), (w * X).tolist()))
+    X, wX = X.tolist(), (w * X).tolist()
+    return tuple((x, wx, wx * x) for x, wx in zip(X, wX))
 
 
 def _e_hat_and_e(eps, Lambda, G, g):
@@ -136,7 +139,7 @@ def _check_floor(eps, t, n):
     """SingularLocusError at the first node of the n-node rule where the
     f_eps radicand, computed as _node_sums computes it, is below
     RADICAND_FLOOR or NaN; floats only."""
-    for x, _ in _half_range(n):
+    for x, _, _ in _half_range(n):
         ex = eps * x
         rad = 1.0 - (2.0 * ex * t - ex * ex)
         if not rad >= RADICAND_FLOOR:
@@ -170,7 +173,7 @@ def _node_sums(eps, t, n, grad=False):
     else:
         sqrt, far = math.sqrt, eps * t < -1.0
     fm1 = ft = fe = 0.0
-    for x, wx in _half_range(n):
+    for x, wx, wxx in _half_range(n):
         ex = eps * x
         u = 2.0 * ex * t - ex * ex
         rad = 1.0 - u
@@ -180,7 +183,7 @@ def _node_sums(eps, t, n, grad=False):
         else:
             fm1 += wx * u / (s * (1.0 + s))
         if grad:
-            w2 = wx * x / (rad * s)
+            w2 = wxx / (rad * s)
             ft += eps * w2
             fe += w2 * (t - ex)
     if far:
@@ -231,7 +234,7 @@ def _n_nodes(eps, t):
     """The smallest rung of N_LADDER whose rule meets the margin at the
     float point (eps, t); SingularLocusError when none does."""
     beta = _strip_beta(eps, t)
-    for n, beta_min in zip(N_LADDER, _BETA_MIN):
+    for n, beta_min in _RUNGS:
         if beta >= beta_min:
             return n
     raise _too_close(eps, t)
@@ -303,7 +306,7 @@ def f_eps_minus_one_grid(eps, t):
     rung = _BETA_ASCENDING.size - np.searchsorted(_BETA_ASCENDING, beta, side="right")
     group = 2 * rung + (e * tt < -1.0)  # and by the form _node_sums takes
     out = np.empty(e.size)
-    for i in np.unique(group):
+    for i in np.flatnonzero(np.bincount(group)):
         at = group == i
         out[at] = _node_sums(e[at], tt[at], N_LADDER[i // 2])
     return out.reshape(eps_b.shape)

@@ -8,11 +8,14 @@ initial-step rule, the error norms, the dense output, the sampling at
 t_eval and the location of the stop (Brent's method on the dense output)
 are those of scipy.integrate.solve_ivp, on a forward run from t = 0, so a
 run agrees with solve_ivp's to rounding, and takes its steps wherever the
-error estimates stand above rounding noise.  States and slopes are four floats, the phase space of a
-2-DOF flow: stepped in Python floats, they cost less than numpy calls on
-length-4 arrays, and no run imports scipy.integrate.  DOP853's dense
-output evaluates every output time of a run as one numpy batch, after the
-last step; RK45's takes one matrix product per step.
+error estimates stand above rounding noise.  States and slopes are four
+floats, the phase space of a 2-DOF flow: stepped in Python floats, they
+cost less than numpy calls on length-4 arrays, and no run imports
+scipy.integrate.  The step loop makes no numpy call: a step that holds
+samples is kept as its floats, and after the last step the interpolants
+of all kept steps are built in one batch, with the products solve_ivp
+takes one step at a time, so each keeps its bits.  DOP853's samples are
+then evaluated as one batch too; RK45's take one matrix product per step.
 
 The tableaux are copied from SciPy 1.17.1 (scipy/integrate/_ivp/rk.py and
 dop853_coefficients.py), Copyright (c) 2001-2002 Enthought, Inc. 2003,
@@ -21,6 +24,8 @@ SciPy Developers, under the BSD 3-Clause license.
 
 import math
 import sys
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -281,13 +286,18 @@ class _Pair:
     n_slopes, the slopes a step and its dense output hold.
 
     Each pair adds error_norm(K, h, scale), solve_ivp's scaled norm of the
-    step's error estimate, and the continuous extension of an accepted
-    step from (t_old, y_old) to (t, y), with solve_ivp's operations:
-    dense(fun, t_old, t, y_old, y, K) returns the step's interpolant as
-    (t_old, h, y_old, coefficients), and sample(steps, counts, ts) the
-    states at the m times of the array ts as an (m, 4) array, each step
-    in turn taking the next counts[i] of them.
+    step's error estimate, and the continuous extension of accepted steps,
+    with solve_ivp's operations.  keep(fun, t_old, h, y_old, y, K, records)
+    runs the dense_stages stages the extension takes past the step's own
+    and appends the step's record, its floats t_old, h, y_old, y and
+    K[:n_slopes] in that order, to the array.array records.
+    interpolants(R) builds the interpolants of the records that are the
+    rows of the array R, all in one batch, and evaluate(interp, counts, ts)
+    returns the states at the m times of the array ts as an (m, 4) array,
+    each step in turn taking the next counts[i] of them.
     """
+
+    dense_stages = 0
 
     def __init__(self, C, A, B, error_order, n_slopes):
         self.stages = tuple(zip(map(float, [*C[1:], 1]), map(_row, [*A[1:], B])))
@@ -301,6 +311,21 @@ class _Pair:
         y_new = _stages(fun, t, y, h, K, 1, self.stages)
         return y_new, K[len(self.stages)]
 
+    def keep(self, fun, t_old, h, y_old, y, K, records):
+        row = [t_old, h, *y_old, *y]
+        for k in K:
+            row += k
+        records.fromlist(row)
+
+    def _fields(self, R):
+        """t_old, h, y_old, y and the (n, n_slopes, 4) slopes of the records
+        R, as views."""
+        R = R.reshape(-1, 10 + 4 * self.n_slopes)
+        return R[:, 0], R[:, 1], R[:, 2:6], R[:, 6:10], R[:, 10:].reshape(len(R), -1, 4)
+
+    def sample(self, R, counts, ts):
+        return self.evaluate(self.interpolants(R), counts, ts)
+
 
 class _RK45(_Pair):
     def __init__(self):
@@ -311,15 +336,17 @@ class _RK45(_Pair):
     def error_norm(self, K, h, scale):
         return _rms([e * h / s for e, s in zip(_combine(K, self.E), scale)])
 
-    def dense(self, fun, t_old, t, y_old, y, K):
-        """The step's 4th-degree interpolant: (t_old, h, y_old, Q)."""
-        return t_old, t - t_old, np.array(y_old), np.dot(np.array(K).T, self.P)
+    def interpolants(self, R):
+        """Each step's 4th-degree interpolant: t_old, h, y_old and Q, Q[i]
+        the product K^T P of step i."""
+        t_old, h, y_old, _, K = self._fields(R)
+        return t_old, h, y_old, np.matmul(K.transpose(0, 2, 1), self.P)
 
-    def sample(self, steps, counts, ts):
+    def evaluate(self, interp, counts, ts):
         # BLAS takes the matrix product's sums, so each step's times are one
         # product of their own, as in solve_ivp
         out, i = [], 0
-        for (t_old, h, y_old, Q), n in zip(steps, counts):
+        for t_old, h, y_old, Q, n in zip(*interp, counts):
             x = (ts[i:i + n] - t_old) / h
             p = np.cumprod(np.tile(x, (self.P.shape[1], 1)), axis=0)
             out.append((h * np.dot(Q, p) + y_old[:, None]).T)
@@ -328,6 +355,8 @@ class _RK45(_Pair):
 
 
 class _DOP853(_Pair):
+    dense_stages = 3
+
     def __init__(self):
         C, A = DOP853_C, DOP853_A
         super().__init__(C[:12], A[:12], DOP853_B, 7, len(A))
@@ -347,31 +376,33 @@ class _DOP853(_Pair):
         denom = err5_2 + 0.01 * err3_2
         return abs(h) * err5_2 / math.sqrt(denom * len(scale))
 
-    def dense(self, fun, t_old, t, y_old, y, K):
-        """The step's 7th-degree interpolant, after the three extra stages:
-        (t_old, h, y_old, F), F its coefficient rows from the lowest
-        degree."""
-        h = t - t_old
+    def keep(self, fun, t_old, h, y_old, y, K, records):
         _stages(fun, t_old, y_old, h, K, 13, self.extra)
-        K = np.array(K)
-        y_old = np.array(y_old)
-        f_old, f = K[0], K[12]
-        F = np.empty((3 + len(self.D), len(y_old)))
-        F[0] = np.array(y) - y_old
-        F[1] = h * f_old - F[0]
-        F[2] = 2 * F[0] - h * (f + f_old)
-        F[3:] = h * np.dot(self.D, K)
+        super().keep(fun, t_old, h, y_old, y, K, records)
+
+    def interpolants(self, R):
+        """Each step's 7th-degree interpolant: t_old, h, y_old and F, F[i]
+        the coefficient rows of step i from the lowest degree, each row in
+        solve_ivp's elementwise operations and D K one product a step."""
+        t_old, h, y_old, y, K = self._fields(R)
+        hv = h[:, None]
+        F = np.empty((len(h), 3 + len(self.D), y.shape[1]))
+        F[:, 0] = y - y_old
+        F[:, 1] = hv * K[:, 0] - F[:, 0]
+        F[:, 2] = 2 * F[:, 0] - hv * (K[:, 12] + K[:, 0])
+        np.matmul(self.D, K, out=F[:, 3:])
+        F[:, 3:] *= hv[:, None]
         return t_old, h, y_old, F
 
-    def sample(self, steps, counts, ts):
+    def evaluate(self, interp, counts, ts):
         """Every step's times as one batch: each time meets its own step's
         t_old, h, y_old and coefficients, gathered one row at a time, in
         solve_ivp's elementwise operations, so it keeps their bits."""
-        t_old, h, y_old, F = map(np.array, zip(*steps))
-        idx = np.repeat(np.arange(len(steps)), counts)
+        t_old, h, y_old, F = interp
+        idx = np.repeat(np.arange(len(h)), counts)
         x = ((ts - t_old[idx]) / h[idx])[:, None]
-        z = np.zeros((len(x), len(y_old[0])))
-        for i in range(len(F[0])):
+        z = np.zeros((len(x), y_old.shape[1]))
+        for i in range(F.shape[1]):
             z += F[idx, -1 - i]
             z *= x if i % 2 == 0 else 1 - x
         return z + y_old[idx]
@@ -476,14 +507,15 @@ def solve(fun, T, y0, t_eval, method, rtol, atol, stop=None, first_step=None):
     """Integrate y' = fun(t, y) from t = 0 to T.
 
     fun takes a time and the state, a list of 4 floats, and returns the
-    slope as 4 floats.  t_eval lists the output times, in [0, T] and
-    increasing; their states come from the accepted steps' dense output, in
-    one batch after the last step.  first_step, as solve_ivp's, is the size
-    of the first trial step, in place of the initial-step rule and its one
-    evaluation of fun.  A T that is not finite and positive, a method other
-    than RK45 and DOP853, an rtol below 100 * EPS, a negative atol (NaN
-    included) or a first_step that is not finite, positive and at most T is
-    a ValueError before any evaluation.
+    slope as 4 floats.  t_eval lists the output times, finite,
+    nondecreasing and in [0, T]; their states come from the accepted
+    steps' dense output, in one batch after the last step.  first_step, as
+    solve_ivp's, is the size of the first trial step, in place of the
+    initial-step rule and its one evaluation of fun.  A T that is not
+    finite and positive, a t_eval that is not such a 1-D sequence, a method
+    other than RK45 and DOP853, an rtol below 100 * EPS, a negative atol
+    (NaN included) or a first_step that is not finite, positive and at most
+    T is a ValueError before any evaluation.
     stop, when given, is a scalar function stop(t, y): the run ends at the
     first accepted step over which it reaches or crosses zero, at the root
     that Brent's method finds on the step's dense output, where solve_ivp
@@ -509,29 +541,36 @@ def solve(fun, T, y0, t_eval, method, rtol, atol, stop=None, first_step=None):
         raise ValueError("first_step must be finite, positive and at most T = %r, got %r"
                          % (T, first_step))
     t_eval = np.asarray(t_eval, dtype=float)
-
-    nfev = 0
-
-    def rhs(t, z):
-        nonlocal nfev
-        nfev += 1
-        return fun(t, z)
+    # the samples are found by bisection, which needs them in order; times
+    # may repeat, as linspace(0, T, n) repeats them for a T of a few ulps
+    if t_eval.ndim != 1:
+        raise ValueError("t_eval must be one-dimensional, got shape %r" % (t_eval.shape,))
+    if not np.isfinite(t_eval).all():
+        raise ValueError("t_eval must be finite")
+    if (np.diff(t_eval) < 0).any():
+        raise ValueError("t_eval must be nondecreasing")
+    if t_eval.size and not (0 <= t_eval[0] and t_eval[-1] <= T):
+        raise ValueError("t_eval must lie in [0, T] = [0, %r], got [%r, %r]"
+                         % (T, float(t_eval[0]), float(t_eval[-1])))
+    # indexed as floats, without a copy
+    t_view = memoryview(t_eval)
 
     if stop is not None:
         g = stop(0.0, y)
     t_stop = y_stop = None
 
-    f = rhs(0.0, y)
+    f = fun(0.0, y)
     if first_step is None:
-        h_abs = _initial_step(rhs, y, f, T, pair.error_order, rtol, atol)
+        h_abs = _initial_step(fun, y, f, T, pair.error_order, rtol, atol)
     else:
         h_abs = float(first_step)
     exponent = -1 / (pair.error_order + 1)
     K = [None] * pair.n_slopes
     t = 0.0
-    # the dense output of each step that holds samples, and their count
-    steps, counts = [], []
-    i_eval = 0
+    # the records of the steps that hold samples (see _Pair), and their
+    # sample counts
+    records, counts = array("d"), []
+    n_dense = i_eval = 0
     n_accepted = n_rejected = 0
     status = message = None
     while status is None:
@@ -545,7 +584,7 @@ def solve(fun, T, y0, t_eval, method, rtol, atol, stop=None, first_step=None):
                 break
             t_new = min(t + h_abs, T)
             h = h_abs = t_new - t
-            y_new, f_new = pair.step(rhs, t, y, f, h, K)
+            y_new, f_new = pair.step(fun, t, y, f, h, K)
             scale = [atol + max(abs(a), abs(b)) * rtol for a, b in zip(y, y_new)]
             error_norm = pair.error_norm(K, h, scale)
             if error_norm < 1:
@@ -568,25 +607,35 @@ def solve(fun, T, y0, t_eval, method, rtol, atol, stop=None, first_step=None):
         if t >= T:
             status = 0
 
-        step = None
+        kept = None
         t_end = t
         if stop is not None:
             g_old, g = g, stop(t, y)
             if g_old <= 0 <= g or g_old >= 0 >= g:
-                step = pair.dense(rhs, t_old, t, y_old, y, K)
-                sol = lambda tt: pair.sample([step], [1], np.array([tt]))[0]
+                kept = array("d")
+                pair.keep(fun, t_old, t - t_old, y_old, y, K, kept)
+                n_dense += 1
+                interp = pair.interpolants(np.frombuffer(kept))
+                sol = lambda tt: pair.evaluate(interp, [1], np.array([tt]))[0]
                 t_end = t_stop = brentq(lambda tt: stop(tt, sol(tt).tolist()), t_old, t)
                 y_stop = sol(t_stop)
                 status = 1
         i_step = i_eval
-        i_eval = int(np.searchsorted(t_eval, t_end, side="right"))
+        i_eval = bisect_right(t_view, t_end, i_eval)
         if i_eval > i_step:
-            if step is None:
-                step = pair.dense(rhs, t_old, t, y_old, y, K)
-            steps.append(step)
+            if kept is None:
+                pair.keep(fun, t_old, t - t_old, y_old, y, K, records)
+                n_dense += 1
+            else:
+                records.extend(kept)
             counts.append(i_eval - i_step)
 
+    # one evaluation at the start, one for the initial-step rule, the stages
+    # of every trial step and those of every dense output
+    nfev = (1 + (first_step is None) + (n_accepted + n_rejected) * len(pair.stages)
+            + n_dense * pair.dense_stages)
     times = t_eval[:i_eval].copy()
-    states = pair.sample(steps, counts, times) if steps else np.empty((0, len(y)))
+    states = (pair.sample(np.frombuffer(records), counts, times) if counts
+              else np.empty((0, len(y))))
     return Solution(times, states, status, MESSAGES.get(status, message), t_stop, y_stop,
                     nfev, n_accepted, n_rejected)

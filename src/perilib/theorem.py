@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .coords import ActionAngleState, radial_radius
+from .coords import ActionAngleState
 from .dynamics import StepControl, integrate
 from .hamiltonians import libration_box
 from .kepler import estimate_c0
@@ -261,12 +261,11 @@ def run_libration_experiment(spec, report, state0):
     T = min(report.T_estimate, transits)
     traj = integrate(spec, state0, T, step_ctrl=replace(LIBRATION_STEP, first_step=T / 100),
                      domain_guard=guard)
-    r_vals = radial_radius(m0, traj.states[:, 2], traj.states[:, 3])
     summary = LibrationSummary(
         winding=traj.winding,
         squeezes=traj.squeezes,
         Gcal_drift=traj.Gcal_drift,
-        r_min=float(r_vals.min()),
+        r_min=float(traj.radii.min()),
         collision_radius=2 * spec.beta_upper * spec.a,
         domain_exit=any(kind == "domain-exit" for _, kind in traj.events),
         duration=float(traj.times[-1]),

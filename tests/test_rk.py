@@ -158,6 +158,46 @@ class TestSolveIvpSemantics:
         with pytest.raises(ValueError, match="T must be finite and positive"):
             rk.solve(no_step, T, np.ones(4), [0.0], "RK45", 1e-10, 1e-10, no_step)
 
+    # t_eval must be a 1-D sequence of finite, nondecreasing times in
+    # [0, T]: the samples are found by bisection in that order, and
+    # solve_ivp refuses the first three cases below too
+    @pytest.mark.parametrize("method", ["RK45", "DOP853"])
+    def test_t_eval_out_of_order_refused_before_a_step(self, method):
+        # used to return the three rows in that order
+        with pytest.raises(ValueError, match="t_eval must be nondecreasing"):
+            rk.solve(no_step, 2.0, np.ones(4), [0.0, 2.0, 1.0], method, 1e-10, 1e-10, no_step)
+
+    @pytest.mark.parametrize("t_eval", [[-1.0, 0.5, 1.0], [-5e-324, 1.0]])
+    def test_t_eval_before_the_start_refused_before_a_step(self, t_eval):
+        # [-1, 0.5, 1] used to extrapolate the first step back to t = -1
+        with pytest.raises(ValueError, match="t_eval must lie in \\[0, T\\]"):
+            rk.solve(no_step, 2.0, np.ones(4), t_eval, "DOP853", 1e-10, 1e-10, no_step)
+
+    @pytest.mark.parametrize("t_eval", [[0.0, 1.0, 5.0], [0.0, np.nextafter(2.0, 3.0)]])
+    def test_t_eval_past_T_refused_before_a_step(self, t_eval):
+        # [0, 1, 5] used to drop 5 without a word
+        with pytest.raises(ValueError, match="t_eval must lie in \\[0, T\\]"):
+            rk.solve(no_step, 2.0, np.ones(4), t_eval, "RK45", 1e-10, 1e-10, no_step)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_t_eval_not_finite_refused_before_a_step(self, bad):
+        # [0, nan, 1] used to return one row
+        with pytest.raises(ValueError, match="t_eval must be finite"):
+            rk.solve(no_step, 2.0, np.ones(4), [0.0, bad, 1.0], "RK45", 1e-10, 1e-10, no_step)
+
+    def test_t_eval_not_one_dimensional_refused_before_a_step(self):
+        with pytest.raises(ValueError, match="t_eval must be one-dimensional"):
+            rk.solve(no_step, 2.0, np.ones(4), [[0.0, 1.0]], "RK45", 1e-10, 1e-10, no_step)
+
+    def test_t_eval_may_repeat_times(self):
+        # integrate's grid linspace(0, T, 2000) repeats its times when T is a
+        # few ulps: at T = 5e-324 it holds only 0 and 5e-324
+        spec = spec_of(1)
+        traj = integrate(spec, SecularState(0.1, 0.2, 100.0, 0.3), 5e-324)
+        assert np.array_equal(traj.times, np.linspace(0.0, 5e-324, 2000))
+        assert np.array_equal(np.unique(traj.times), [0.0, 5e-324])
+        assert (traj.states == traj.states[0]).all()
+
     @pytest.mark.parametrize("method", ["RK45", "DOP853"])
     def test_step_size_too_small(self, method):
         # r' = r^2 from r = 1 blows up at t = 1
@@ -236,6 +276,54 @@ class TestSolveIvpSemantics:
         sol = rk.solve(oscillator, 1.0, [0.0, 0.0, 1.0, 0.0], [0.0, 1.0], "DOP853",
                        100 * rk.EPS, 1e-14)
         assert sol.status == 0 and abs(sol.states[-1, 2] - np.cos(1.0)) < 1e-12
+
+
+def ref_interpolants(pair, R):
+    """The interpolants of the records R built one step at a time, as the
+    step loop used to build them, with solve_ivp's per-step operations:
+    DOP853's F with its elementwise rows and one np.dot(D, K) a step,
+    RK45's Q as np.dot(K^T, P).  Stacked, in the batch's layout."""
+    t_old, h, y_old, y, K = pair._fields(R)
+    coeffs = []
+    for i in range(len(h)):
+        hi, yo, Ki = float(h[i]), np.array(y_old[i].tolist()), np.array(K[i].tolist())
+        if pair is rk.PAIRS["RK45"]:
+            coeffs.append(np.dot(Ki.T, pair.P))
+            continue
+        f_old, f = Ki[0], Ki[12]
+        F = np.empty((3 + len(pair.D), len(yo)))
+        F[0] = np.array(y[i].tolist()) - yo
+        F[1] = hi * f_old - F[0]
+        F[2] = 2 * F[0] - hi * (f + f_old)
+        F[3:] = hi * np.dot(pair.D, Ki)
+        coeffs.append(F)
+    return t_old, h, y_old, np.array(coeffs)
+
+
+class TestBatchInterpolants:
+    """Every kept step's interpolant is built in one batch after the last
+    step; the batch keeps the bits of the per-step construction.  CI runs
+    these at two BLAS threads too."""
+
+    @pytest.mark.parametrize("method, T, tol", [("RK45", 20.0, 1e-10),
+                                                ("DOP853", 200.0, 1e-12)])
+    def test_batch_is_the_per_step_construction_bitwise(self, monkeypatch, method, T, tol):
+        pair = rk.PAIRS[method]
+        seen = []
+
+        def spy(R, counts, ts):
+            seen.append((R, counts, ts))
+            return rk._Pair.sample(pair, R, counts, ts)
+
+        monkeypatch.setattr(pair, "sample", spy)
+        sol = rk.solve(oscillator, T, [0.3, 0.0, 1.0, 0.0], np.linspace(0.0, T, 2000),
+                       method, tol, tol)
+        (R, counts, ts), = seen
+        assert len(counts) >= 200 and sum(counts) == len(ts) == 2000
+        batch, ref = pair.interpolants(R), ref_interpolants(pair, R)
+        for ours, theirs in zip(batch, ref):
+            assert ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes()
+        assert pair.evaluate(ref, counts, ts).tobytes() == sol.states.tobytes()
 
 
 class TestParityWithSolveIvp:
